@@ -1,0 +1,420 @@
+package core
+
+// Warm-path differential. The solver answers freeze, grow and
+// improved-state queries from the warm-reuse layer: cached contribution
+// vectors, the singleton expectation table, the incremental Eq. (2) form
+// inside the lazy loop, stale-candidate re-stamping and grow-result
+// memoization. This file keeps the plain form of each — Eq. (2)
+// evaluated per (state, set) through ugState.expect, every stale
+// marginal recomputed — and pins the production results to it byte for
+// byte: per primitive over randomized (candidates, frozen base, dark
+// mask), and end to end through computeConfig and repairConfig, before
+// learning, after learning (states with preference facts take the
+// expectSc fallback inside the incremental path), on a repeated call
+// (memo hit) and after a further Learn (invalidation).
+
+import (
+	"bytes"
+	"container/heap"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"painter/internal/bgp"
+	"painter/internal/usergroup"
+)
+
+// refMean is Eq. (2)'s mean for one state and set, ok=false when the
+// set is unusable for the state.
+func refMean(o *Orchestrator, i int, S []bgp.IngressID) (float64, bool) {
+	e := o.states[i].expect(S, o.params.ReuseKm)
+	return e.Mean, e.Usable()
+}
+
+// refFreeze folds S's contribution into bestFrozen.
+func refFreeze(o *Orchestrator, S []bgp.IngressID, bestFrozen []float64, dark []bool) {
+	for i := range o.states {
+		if dark != nil && dark[i] {
+			continue
+		}
+		if m, ok := refMean(o, i, S); ok && m < bestFrozen[i] {
+			bestFrozen[i] = m
+		}
+	}
+}
+
+// refImproved lists the non-dark states S would improve over bestFrozen.
+func refImproved(o *Orchestrator, S []bgp.IngressID, bestFrozen []float64, dark []bool) []int {
+	var out []int
+	if len(S) == 0 {
+		return out
+	}
+	for i := range o.states {
+		if dark != nil && dark[i] {
+			continue
+		}
+		if m, ok := refMean(o, i, S); ok && m < bestFrozen[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// refGrow is the lazy greedy grow loop with every marginal computed
+// from Eq. (2) over S+x and every stale heap entry recomputed.
+func refGrow(o *Orchestrator, cands []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
+	var S []bgp.IngressID
+	curE := make([]float64, len(o.states))
+	for i := range curE {
+		curE[i] = math.Inf(1)
+	}
+	value := func(i int, set []bgp.IngressID) float64 {
+		if m, ok := refMean(o, i, set); ok {
+			return m
+		}
+		return math.Inf(1)
+	}
+	marginal := func(x bgp.IngressID) float64 {
+		sx := append(slices.Clone(S), x)
+		var delta float64
+		for _, i := range o.statesFor(x) {
+			if dark != nil && dark[i] {
+				continue
+			}
+			oldVal := math.Min(bestFrozen[i], curE[i])
+			newVal := math.Min(bestFrozen[i], value(int(i), sx))
+			delta += o.states[i].ug.Weight * (oldVal - newVal)
+		}
+		return delta
+	}
+	h := make(candHeap, 0, len(cands))
+	for _, x := range cands {
+		h = append(h, candItem{ing: x, marginal: marginal(x)})
+	}
+	heap.Init(&h)
+	version := 0
+	for h.Len() > 0 {
+		if o.params.MaxPeeringsPerPrefix > 0 && len(S) >= o.params.MaxPeeringsPerPrefix {
+			break
+		}
+		top := heap.Pop(&h).(candItem)
+		if top.version != version {
+			top.marginal, top.version = marginal(top.ing), version
+			heap.Push(&h, top)
+			continue
+		}
+		if top.marginal <= 0 {
+			break
+		}
+		S = append(S, top.ing)
+		for _, i := range o.statesFor(top.ing) {
+			curE[i] = value(int(i), S)
+		}
+		version++
+	}
+	return S
+}
+
+func anycastBase(o *Orchestrator) []float64 {
+	base := make([]float64, len(o.states))
+	for i, st := range o.states {
+		base[i] = st.anycast
+	}
+	return base
+}
+
+// refCompute is computeConfig over the reference primitives.
+func refCompute(o *Orchestrator, live func(bgp.IngressID) bool, dark []bool) Config {
+	bestFrozen := anycastBase(o)
+	cands := o.candidatePeerings(live)
+	var cfg Config
+	for p := 0; p < o.params.PrefixBudget; p++ {
+		S := refGrow(o, cands, bestFrozen, dark)
+		if len(S) == 0 {
+			break
+		}
+		cfg.Prefixes = append(cfg.Prefixes, S)
+		refFreeze(o, S, bestFrozen, dark)
+	}
+	return cfg
+}
+
+// refRepair is repairConfig over the reference primitives: speculative
+// regrow against the clean-only base, kept when the improved-state sets
+// are disjoint, otherwise sequential regrow in index order; then empty
+// prefixes drop and the tail grows up to the budget.
+func refRepair(o *Orchestrator, cfg Config, dirty []int, live func(bgp.IngressID) bool, dark []bool) Config {
+	order := slices.Clone(dirty)
+	sort.Ints(order)
+	bestFrozen := anycastBase(o)
+	for i, S := range cfg.Prefixes {
+		if !slices.Contains(order, i) {
+			refFreeze(o, S, bestFrozen, dark)
+		}
+	}
+	cands := o.candidatePeerings(live)
+	out := cfg.Clone()
+	grown := make([][]bgp.IngressID, len(order))
+	improved := make([][]int, len(order))
+	for k := range order {
+		grown[k] = refGrow(o, cands, bestFrozen, dark)
+		improved[k] = refImproved(o, grown[k], bestFrozen, dark)
+	}
+	if disjoint(improved) {
+		for k, idx := range order {
+			out.Prefixes[idx] = grown[k]
+			refFreeze(o, grown[k], bestFrozen, dark)
+		}
+	} else {
+		for _, idx := range order {
+			S := refGrow(o, cands, bestFrozen, dark)
+			out.Prefixes[idx] = S
+			refFreeze(o, S, bestFrozen, dark)
+		}
+	}
+	kept := out.Prefixes[:0]
+	for _, S := range out.Prefixes {
+		if len(S) > 0 {
+			kept = append(kept, S)
+		}
+	}
+	out.Prefixes = kept
+	for len(out.Prefixes) < o.params.PrefixBudget {
+		S := refGrow(o, cands, bestFrozen, dark)
+		if len(S) == 0 {
+			break
+		}
+		out.Prefixes = append(out.Prefixes, S)
+		refFreeze(o, S, bestFrozen, dark)
+	}
+	return out
+}
+
+// sameBits compares float vectors bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// randomSubset keeps each element with probability p, in input order.
+func randomSubset[T any](rng *rand.Rand, xs []T, p float64) []T {
+	var out []T
+	for _, x := range xs {
+		if rng.Float64() < p {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// checkWarmAgainstReference draws randomized inputs and compares every
+// warm entry point with its reference. rounds controls how many
+// primitive draws run; the config-level comparison runs once per call.
+func checkWarmAgainstReference(t *testing.T, phase string, o *Orchestrator, rng *rand.Rand, rounds int) {
+	t.Helper()
+	all := o.in.Deploy.AllPeeringIDs()
+	n := len(o.states)
+
+	randomDark := func() []bool {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		dark := make([]bool, n)
+		for i := range dark {
+			dark[i] = rng.Float64() < 0.15
+		}
+		return dark
+	}
+	randomSet := func() []bgp.IngressID {
+		S := make([]bgp.IngressID, 0, 6)
+		for _, k := range rng.Perm(len(all))[:1+rng.Intn(6)] {
+			S = append(S, all[k])
+		}
+		return S
+	}
+
+	// checkVec compares S's contribution vector with the reference,
+	// twice: the second call is a cache hit.
+	checkVec := func(S []bgp.IngressID) {
+		t.Helper()
+		for pass := 0; pass < 2; pass++ {
+			vec := o.frozenVec(S)
+			for i := range o.states {
+				m, ok := refMean(o, i, S)
+				if ok != !math.IsNaN(vec[i]) || (ok && math.Float64bits(m) != math.Float64bits(vec[i])) {
+					t.Fatalf("%s pass %d: frozenVec(%v)[%d] = %v, reference (%v, usable %v)",
+						phase, pass, S, i, vec[i], m, ok)
+				}
+			}
+		}
+	}
+	sameConfig := func(what string, got, want Config) {
+		t.Helper()
+		if !bytes.Equal(configBytes(got), configBytes(want)) {
+			t.Fatalf("%s: %s = %v, reference %v", phase, what, got.Prefixes, want.Prefixes)
+		}
+	}
+
+	// Queries whose inputs are the same in every phase: a cache entry
+	// that survived a Learn would be served here.
+	checkVec(all[:min(5, len(all))])
+	sameConfig("unrestricted computeConfig", o.computeConfig(nil, nil, nil), refCompute(o, nil, nil))
+
+	for round := 0; round < rounds; round++ {
+		dark := randomDark()
+		cands := all
+		if rng.Intn(2) == 0 {
+			cands = randomSubset(rng, all, 0.8)
+		}
+
+		// Frozen base: anycast folded with a few random prefix sets; the
+		// warm fold and each contribution vector must match the reference.
+		wantBase, gotBase := anycastBase(o), anycastBase(o)
+		for k := rng.Intn(4); k > 0; k-- {
+			S := randomSet()
+			checkVec(S)
+			refFreeze(o, S, wantBase, dark)
+			o.freezePrefix(S, gotBase, dark)
+			if !sameBits(gotBase, wantBase) {
+				t.Fatalf("%s round %d: freezePrefix(%v) diverges from reference", phase, round, S)
+			}
+		}
+
+		want := refGrow(o, cands, wantBase, dark)
+		for pass := 0; pass < 2; pass++ { // second pass: memo hit
+			if got := o.growPrefix(cands, gotBase, dark); !slices.Equal(got, want) {
+				t.Fatalf("%s round %d pass %d: growPrefix = %v, reference %v", phase, round, pass, got, want)
+			}
+		}
+		for _, S := range [][]bgp.IngressID{want, randomSet(), nil} {
+			if got, ref := o.improvedStates(S, gotBase, dark), refImproved(o, S, wantBase, dark); !slices.Equal(got, ref) {
+				t.Fatalf("%s round %d: improvedStates(%v) = %v, reference %v", phase, round, S, got, ref)
+			}
+		}
+	}
+
+	// Config level: a full compute under a live filter and dark mask,
+	// then a repair of it after more peerings fail.
+	dark := randomDark()
+	down := make(map[bgp.IngressID]bool)
+	for _, id := range randomSubset(rng, all, 0.1) {
+		down[id] = true
+	}
+	live := func(id bgp.IngressID) bool { return !down[id] }
+	wantCfg := refCompute(o, live, dark)
+	for pass := 0; pass < 2; pass++ {
+		sameConfig("computeConfig", o.computeConfig(nil, live, dark), wantCfg)
+	}
+	if wantCfg.NumPrefixes() == 0 {
+		t.Fatalf("%s: reference config is empty; the differential compared nothing", phase)
+	}
+	for trial := 0; trial < 3; trial++ {
+		// Fail one advertised peering (its prefixes are dirty, as the
+		// controller's rule 1 would mark them) plus a random extra set.
+		// The last trial repairs a truncated config, so budget is free and
+		// the tail-growth loop runs.
+		base := wantCfg
+		if trial == 2 {
+			base = Config{Prefixes: wantCfg.Prefixes[:(len(wantCfg.Prefixes)+1)/2]}
+		}
+		victim := base.Prefixes[rng.Intn(len(base.Prefixes))][0]
+		down2 := map[bgp.IngressID]bool{victim: true}
+		for id := range down {
+			down2[id] = true
+		}
+		live2 := func(id bgp.IngressID) bool { return !down2[id] }
+		var dirty []int
+		for pi, S := range base.Prefixes {
+			if slices.Contains(S, victim) || rng.Intn(3) == 0 {
+				dirty = append(dirty, pi)
+			}
+		}
+		wantRep := refRepair(o, base, dirty, live2, dark)
+		for pass := 0; pass < 2; pass++ {
+			sameConfig(fmt.Sprintf("trial %d repairConfig(dirty %v)", trial, dirty),
+				o.repairConfig(nil, base, dirty, live2, dark), wantRep)
+		}
+	}
+}
+
+func TestWarmPathMatchesReference(t *testing.T) {
+	cases := []struct {
+		seed    int64
+		workers int
+		// maxPer caps peerings per prefix; gaps drops a fifth of the
+		// latency estimates (no measurement coverage), so Eq. (2) sees
+		// NaN members and unusable sets.
+		maxPer int
+		gaps   bool
+	}{
+		{seed: 41, workers: 1},
+		{seed: 41, workers: 4},
+		{seed: 97, workers: 1},
+		{seed: 97, workers: 4},
+		{seed: 53, workers: 4, maxPer: 3, gaps: true},
+	}
+	for _, tc := range cases {
+		p := DefaultParams(6)
+		p.Workers = tc.workers
+		p.MaxPeeringsPerPrefix = tc.maxPer
+		p.MaxIterations = 2
+		p.MinIterBenefitGain = -1 // run both learning rounds
+		// The parent's cold arms: every entry point must agree with the
+		// reference with the warm layer switched off too.
+		pCold := p
+		pCold.ColdRepair = true
+		for _, arm := range []struct {
+			name string
+			p    Params
+		}{{"warm", p}, {"cold", pCold}} {
+			b := newBench(t, tc.seed)
+			in := b.in
+			if tc.gaps {
+				est := in.EstLatencyMs
+				in.EstLatencyMs = func(ug usergroup.UG, ing bgp.IngressID) (float64, bool) {
+					if (int(ug.ID)*31+int(ing))%5 == 0 {
+						return 0, false
+					}
+					return est(ug, ing)
+				}
+			}
+			o, err := New(in, b.exec, arm.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phase := func(s string) string {
+				return fmt.Sprintf("seed %d workers %d %s/%s", tc.seed, tc.workers, arm.name, s)
+			}
+			rng := rand.New(rand.NewSource(tc.seed*31 + int64(tc.workers)))
+			checkWarmAgainstReference(t, phase("unlearned"), o, rng, 4)
+
+			// Solve learns preference facts and measured latencies; every
+			// cache entry built above is now stale and must not be served.
+			cfg, err := o.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(o.states, func(st *ugState) bool { return len(st.beats) > 0 }) {
+				t.Fatal("Solve learned no preference facts; the expectSc fallback is not exercised")
+			}
+			checkWarmAgainstReference(t, phase("learned"), o, rng, 4)
+
+			// One more Learn, on a config the model has not seen executed:
+			// the caches the learned phase filled must be invalidated.
+			probe := Config{Prefixes: [][]bgp.IngressID{
+				slices.Clone(o.in.Deploy.AllPeeringIDs()[:4]),
+				slices.Clone(cfg.Prefixes[0]),
+			}}
+			obs, err := b.exec.Execute(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Learn(probe, obs)
+			checkWarmAgainstReference(t, phase("relearned"), o, rng, 3)
+		}
+	}
+}
