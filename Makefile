@@ -2,23 +2,19 @@
 
 GO ?= go
 
-# Packages with a per-package coverage floor (enforced by `make cover`).
-COVER_PKGS = painter/internal/netsim painter/internal/tm painter/internal/chaos
-COVER_FLOOR = 70
-# The BGP engine carries a higher floor: the delta engine's differential
-# and metamorphic suites are its correctness argument.
-COVER_PKGS_BGP = painter/internal/bgp
-COVER_FLOOR_BGP = 85
-# The tenant control plane carries its own floor: spec validation, the
-# store's optimistic concurrency, and the reconcile state machine are
-# all small, fully-exercisable surfaces.
-COVER_PKGS_TENANT = painter/internal/tenant
-COVER_FLOOR_TENANT = 80
+# package:floor table enforced by `make cover`. The failure-handling
+# core sits at 70. The BGP engine carries a higher floor: the delta
+# engine's differential and metamorphic suites are its correctness
+# argument. The tenant control plane carries its own: spec validation,
+# the store's optimistic concurrency, and the reconcile state machine
+# are all small, fully-exercisable surfaces.
+COVER_FLOORS = painter/internal/netsim:70 painter/internal/tm:70 painter/internal/chaos:70 \
+	painter/internal/bgp:85 painter/internal/tenant:80
 
 # Native fuzz targets smoke-tested by `make fuzz` (one -fuzz per run).
 FUZZ_TIME ?= 10s
 
-.PHONY: all build build-obsstrip vet test race fuzz cover lint bench bench-smoke bench-json bench-obs experiments examples clean
+.PHONY: all build build-obsstrip vet test race fuzz cover lint bench bench-smoke bench-check bench-json bench-obs experiments examples clean
 
 all: build build-obsstrip vet test
 
@@ -49,7 +45,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race -shuffle=on ./internal/tm/ ./internal/tm/netio/ ./internal/tmproto/ ./internal/bgp/ ./internal/routeserver/ ./internal/netsim/emul/ ./internal/core/ ./internal/netsim/ ./internal/chaos/ ./internal/chaos/tmchaos/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/history/ ./internal/obs/alert/ ./internal/controlapi/ ./internal/usergroup/ ./internal/tenant/
+	$(GO) test -race -shuffle=on ./internal/tm/ ./internal/tm/netio/ ./internal/tmproto/ ./internal/bgp/ ./internal/routeserver/ ./internal/netsim/emul/ ./internal/core/ ./internal/netsim/ ./internal/chaos/ ./internal/chaos/tmchaos/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/history/ ./internal/obs/alert/ ./internal/controlapi/ ./internal/usergroup/ ./internal/tenant/ ./internal/measurement/
 
 # Short fuzzing smoke on the wire decoders: each target runs for
 # FUZZ_TIME (go test allows one -fuzz pattern per invocation).
@@ -63,32 +59,19 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPropagateDelta -fuzztime=$(FUZZ_TIME) ./internal/bgp/
 	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZ_TIME) ./internal/obs/alert/
 
-# Coverage with a per-package floor for the failure-handling core and a
-# higher floor for the BGP engine.
+# Coverage with a per-package floor (the COVER_FLOORS table).
 cover:
 	@mkdir -p results
-	$(GO) test -coverprofile=results/coverage.out -covermode=atomic $(COVER_PKGS) $(COVER_PKGS_BGP) $(COVER_PKGS_TENANT)
-	@$(GO) test -cover $(COVER_PKGS) 2>/dev/null | awk -v floor=$(COVER_FLOOR) ' \
-		/coverage:/ { \
-			pct = $$0; sub(/.*coverage: /, "", pct); sub(/%.*/, "", pct); \
-			if (pct + 0 < floor) { printf "FAIL: %s below %s%% coverage floor\n", $$2, floor; bad = 1 } \
-			else { printf "ok: %s %s%%\n", $$2, pct } \
-		} \
-		END { exit bad }'
-	@$(GO) test -cover $(COVER_PKGS_BGP) 2>/dev/null | awk -v floor=$(COVER_FLOOR_BGP) ' \
-		/coverage:/ { \
-			pct = $$0; sub(/.*coverage: /, "", pct); sub(/%.*/, "", pct); \
-			if (pct + 0 < floor) { printf "FAIL: %s below %s%% coverage floor\n", $$2, floor; bad = 1 } \
-			else { printf "ok: %s %s%%\n", $$2, pct } \
-		} \
-		END { exit bad }'
-	@$(GO) test -cover $(COVER_PKGS_TENANT) 2>/dev/null | awk -v floor=$(COVER_FLOOR_TENANT) ' \
-		/coverage:/ { \
-			pct = $$0; sub(/.*coverage: /, "", pct); sub(/%.*/, "", pct); \
-			if (pct + 0 < floor) { printf "FAIL: %s below %s%% coverage floor\n", $$2, floor; bad = 1 } \
-			else { printf "ok: %s %s%%\n", $$2, pct } \
-		} \
-		END { exit bad }'
+	$(GO) test -coverprofile=results/coverage.out -covermode=atomic $(foreach pf,$(COVER_FLOORS),$(firstword $(subst :, ,$(pf))))
+	@bad=0; for pf in $(COVER_FLOORS); do \
+		$(GO) test -cover $${pf%:*} 2>/dev/null | awk -v floor=$${pf#*:} ' \
+			/coverage:/ { \
+				pct = $$0; sub(/.*coverage: /, "", pct); sub(/%.*/, "", pct); \
+				if (pct + 0 < floor) { printf "FAIL: %s below %s%% coverage floor\n", $$2, floor; bad = 1 } \
+				else { printf "ok: %s %s%%\n", $$2, pct } \
+			} \
+			END { exit bad }' || bad=1; \
+	done; exit $$bad
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -98,19 +81,22 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Benchmark the dense propagation engine against the reference oracle at
-# ScaleSmall and record the numbers (ns/op, allocs/op, speedup), then the
-# continuous controller's repair-vs-full-solve speedup under churn, then
-# delta-vs-full propagation by changed-catchment size, then the solve
-# wall-clock/memory sweep across small/peering/azure scales.
+# The benchmark (BENCHMARK.json, bench/) is a module of its own, so the
+# root `go test ./...` does not reach it: vet and test it from its
+# directory, then run its smoke pass through the driver's entry point.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke
+
+# Regenerate the per-experiment BENCH_*.json files: delta-vs-full
+# propagation by changed-catchment size, the solve wall-clock/memory
+# sweep across small/peering/azure scales, multi-tenant churn, detection
+# latency, and the TM datapath — one process each, so no experiment
+# measures in a heap another one grew.
 bench-json:
-	$(GO) run ./cmd/benchprop -out BENCH_PROPAGATE.json
-	$(GO) run ./cmd/painter-bench -exp resolve -scale small -resolve-out BENCH_RESOLVE.json
-	$(GO) run ./cmd/painter-bench -exp delta -scale peering -delta-out BENCH_DELTA.json
-	$(GO) run ./cmd/painter-bench -exp scale -scale-out BENCH_SCALE.json
-	$(GO) run ./cmd/painter-bench -exp tenants -tenants-out BENCH_TENANTS.json
-	$(GO) run ./cmd/painter-bench -exp detect -detect-out BENCH_DETECT.json
-	$(GO) run ./cmd/painter-bench -exp datapath -datapath-out BENCH_DATAPATH.json
+	@for e in delta scale tenants detect datapath; do \
+		$(GO) run ./cmd/painter-bench -exp $$e -scale peering -out . || exit 1; \
+	done
 
 # Measure observability overhead on the propagation hot path: live obs
 # vs the no-op default, plus the -tags obsstrip compile-time-stripped

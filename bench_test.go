@@ -331,8 +331,7 @@ func BenchmarkAblationExhaustive(b *testing.B) {
 
 // BenchmarkPropagate measures the dense route-propagation engine on the
 // full peering set; BenchmarkPropagateReference measures the retained
-// map-based oracle on identical inputs. `make bench-json` records the
-// pair (and their ratio) in BENCH_PROPAGATE.json.
+// map-based oracle on identical inputs.
 func BenchmarkPropagate(b *testing.B) {
 	env := getEnv(b)
 	inj, err := env.Deploy.Injections(env.Deploy.AllPeeringIDs())

@@ -11,7 +11,7 @@
 //	painter-bench -exp fig6a -metrics-dump obs.jsonl
 //	painter-bench -exp all -scale azure -skip-slow   # sweeps become SKIP lines
 //	painter-bench -exp all -time-budget 5m           # stop starting new experiments after 5m
-//	painter-bench -exp scale -scale-out BENCH_SCALE.json
+//	painter-bench -exp scale,delta -out .            # also write ./BENCH_SCALE.json, ./BENCH_DELTA.json
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -34,29 +35,38 @@ type runCtx struct {
 	env   *experiments.Env
 	seed  int64
 	iters int
-	// resolveOut, when set, makes the resolve experiment write its
-	// result as JSON (BENCH_RESOLVE.json).
-	resolveOut string
-	// scaleOut, when set, makes the scale experiment write its result
-	// as JSON (BENCH_SCALE.json).
-	scaleOut string
-	// deltaOut, when set, makes the delta experiment write its result
-	// as JSON (BENCH_DELTA.json).
-	deltaOut string
-	// tenantsOut, when set, makes the tenants experiment write its
-	// result as JSON (BENCH_TENANTS.json).
-	tenantsOut string
-	// detectOut, when set, makes the detect experiment write its result
-	// as JSON (BENCH_DETECT.json).
-	detectOut string
-	// datapathOut, when set, makes the datapath experiment write its
-	// result as JSON (BENCH_DATAPATH.json).
-	datapathOut string
+	// outDir, when set, makes every experiment that has a JSON result
+	// write it to outDir/BENCH_<EXP>.json.
+	outDir string
 	// workers is the solver worker count for the scale sweep.
 	workers int
 	// fig6aRows is cached so fig14 (a re-projection of the same sweep)
 	// reuses fig6a's rows instead of re-solving.
 	fig6aRows []experiments.Fig6aResult
+}
+
+// emit writes an experiment's JSON result to outDir/BENCH_<EXP>.json,
+// stamping its provenance header first; without -out it does nothing.
+func (c *runCtx) emit(exp string, v any, meta *benchmeta.Meta) error {
+	if c.outDir == "" {
+		return nil
+	}
+	*meta = benchmeta.Collect()
+	path := filepath.Join(c.outDir, "BENCH_"+strings.ToUpper(exp)+".json")
+	if err := writeJSON(path, v); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
+}
+
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 func (c *runCtx) fig6a() ([]experiments.Fig6aResult, error) {
@@ -211,35 +221,13 @@ var experimentList = []experiment{
 		fmt.Println(res.Table())
 		return nil
 	}},
-	{"resolve", "incremental repair vs full re-solve under single-event churn", true, true, func(c *runCtx) error {
-		res, err := experiments.RunResolveBench(c.env, experiments.ResolveBenchConfig{Seed: c.seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table())
-		if c.resolveOut != "" {
-			res.Meta = benchmeta.Collect()
-			if err := res.WriteJSON(c.resolveOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", c.resolveOut)
-		}
-		return nil
-	}},
 	{"delta", "delta vs full BGP propagation by changed-catchment size", true, true, func(c *runCtx) error {
 		res, err := experiments.RunDeltaBench(c.env, experiments.DeltaBenchConfig{Seed: c.seed})
 		if err != nil {
 			return err
 		}
 		fmt.Println(res.Table())
-		if c.deltaOut != "" {
-			res.Meta = benchmeta.Collect()
-			if err := res.WriteJSON(c.deltaOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", c.deltaOut)
-		}
-		return nil
+		return c.emit("delta", res, &res.Meta)
 	}},
 	{"tenants", "multi-tenant steady-state churn: events/sec and sync latency vs tenant count", false, true, func(c *runCtx) error {
 		res, err := tenant.RunBench(tenant.BenchConfig{Seed: c.seed})
@@ -247,14 +235,7 @@ var experimentList = []experiment{
 			return err
 		}
 		fmt.Println(res.Table())
-		if c.tenantsOut != "" {
-			res.Meta = benchmeta.Collect()
-			if err := res.WriteJSON(c.tenantsOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", c.tenantsOut)
-		}
-		return nil
+		return c.emit("tenants", res, &res.Meta)
 	}},
 	{"detect", "catchment-drift detection latency under PoP outages (twin-run determinism check)", true, true, func(c *runCtx) error {
 		res, err := experiments.RunDetectBench(c.env, experiments.DetectBenchConfig{Seed: c.seed})
@@ -262,14 +243,7 @@ var experimentList = []experiment{
 			return err
 		}
 		fmt.Println(res.Table())
-		if c.detectOut != "" {
-			res.Meta = benchmeta.Collect()
-			if err := res.WriteJSON(c.detectOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", c.detectOut)
-		}
-		return nil
+		return c.emit("detect", res, &res.Meta)
 	}},
 	{"datapath", "TM datapath pps (batched vs portable vs GRE) + failover at 10⁵ flows", false, false, func(c *runCtx) error {
 		res, err := experiments.RunDatapathBench(experiments.DatapathBenchConfig{Seed: c.seed})
@@ -277,14 +251,7 @@ var experimentList = []experiment{
 			return err
 		}
 		fmt.Println(res.Table())
-		if c.datapathOut != "" {
-			res.Meta = benchmeta.Collect()
-			if err := res.WriteJSON(c.datapathOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", c.datapathOut)
-		}
-		return nil
+		return c.emit("datapath", res, &res.Meta)
 	}},
 	{"scale", "solve wall-clock and memory across small/peering/azure", false, true, func(c *runCtx) error {
 		rep, err := experiments.RunScaleBench(experiments.ScaleBenchConfig{
@@ -294,14 +261,7 @@ var experimentList = []experiment{
 			return err
 		}
 		fmt.Println(rep.Table())
-		if c.scaleOut != "" {
-			rep.Meta = benchmeta.Collect()
-			if err := rep.WriteJSON(c.scaleOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", c.scaleOut)
-		}
-		return nil
+		return c.emit("scale", rep, &rep.Meta)
 	}},
 	{"validation", "policy-compliance validation of simulated routing", true, false, func(c *runCtx) error {
 		v, err := experiments.RunComplianceValidation(c.env)
@@ -338,12 +298,7 @@ func main() {
 		iters   = flag.Int("iters", 2, "orchestrator learning iterations")
 		list    = flag.Bool("list", false, "print experiment ids with descriptions and exit")
 		dump    = flag.String("metrics-dump", "", `append one JSON obs snapshot per experiment to this file ("-" = stdout)`)
-		resOut  = flag.String("resolve-out", "", "write the resolve experiment's result as JSON to this file")
-		scOut   = flag.String("scale-out", "", "write the scale experiment's result as JSON to this file")
-		dltOut  = flag.String("delta-out", "", "write the delta experiment's result as JSON to this file")
-		tntOut  = flag.String("tenants-out", "", "write the tenants experiment's result as JSON to this file")
-		detOut  = flag.String("detect-out", "", "write the detect experiment's result as JSON to this file")
-		dpOut   = flag.String("datapath-out", "", "write the datapath experiment's result as JSON to this file")
+		outDir  = flag.String("out", "", "directory to write BENCH_<EXP>.json into, for each experiment run that has a JSON result (delta, tenants, detect, datapath, scale)")
 		workers = flag.Int("workers", 0, "solver worker count for the scale sweep (0 = GOMAXPROCS)")
 		skip    = flag.Bool("skip-slow", false, "skip solver-sweep experiments (explicit SKIP lines)")
 		budget  = flag.Duration("time-budget", 0, "stop starting new experiments once this much wall time has elapsed (0 = unlimited)")
@@ -402,9 +357,7 @@ func main() {
 		dumpFile = f
 	}
 
-	ctx := &runCtx{seed: *seed, iters: *iters, resolveOut: *resOut,
-		scaleOut: *scOut, deltaOut: *dltOut, tenantsOut: *tntOut,
-		detectOut: *detOut, datapathOut: *dpOut, workers: *workers}
+	ctx := &runCtx{seed: *seed, iters: *iters, outDir: *outDir, workers: *workers}
 	needEnv := false
 	for _, e := range experimentList {
 		if e.needsEnv && want(e.id) && !(*skip && e.slow) {

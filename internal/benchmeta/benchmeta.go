@@ -12,7 +12,7 @@ import (
 )
 
 // Meta is the shared provenance header embedded in every BENCH_*.json
-// report (propagate, resolve, obs, scale).
+// report.
 type Meta struct {
 	GitCommit   string `json:"git_commit,omitempty"`
 	GeneratedAt string `json:"generated_at,omitempty"`

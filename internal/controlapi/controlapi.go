@@ -17,6 +17,7 @@ package controlapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -177,10 +178,23 @@ type SolveResponse struct {
 	Announced      bool   `json:"announced"`
 }
 
+// maxBodyBytes bounds every request body the API decodes.
+const maxBodyBytes = 1 << 20
+
+// bodyErrStatus maps a request-body decode error to its reply status:
+// 413 when the body ran past maxBodyBytes, 400 otherwise.
+func bodyErrStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		writeErr(w, bodyErrStatus(err), err)
 		return
 	}
 	if req.Budget < 1 {

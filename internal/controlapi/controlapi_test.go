@@ -3,8 +3,10 @@ package controlapi
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,6 +118,24 @@ func TestSolveValidation(t *testing.T) {
 	if rec := do(t, h, "GET", "/solve", nil, nil); rec.Code == http.StatusOK {
 		t.Error("GET /solve should not succeed")
 	}
+	// A body past the size limit is refused before any solve runs, even
+	// when it would decode to a valid request.
+	req = httptest.NewRequest("POST", "/solve", oversizedBody(`"budget":4,"iterations":1}`))
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body = %d, want 413", rec.Code)
+	}
+	var st StatusResponse
+	if do(t, h, "GET", "/status", nil, &st); st.Prefixes != 0 {
+		t.Errorf("oversized /solve ran a solve: %d prefixes", st.Prefixes)
+	}
+}
+
+// oversizedBody is a JSON object that decodes like "{"+rest but is
+// padded with whitespace to twice the API's body limit.
+func oversizedBody(rest string) io.Reader {
+	return strings.NewReader("{" + strings.Repeat(" ", 2*maxBodyBytes) + rest)
 }
 
 func TestSolveAnnouncesToRouteServer(t *testing.T) {

@@ -87,11 +87,11 @@ func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 		}
 		expect = v
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	var spec tenant.Spec
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+		writeErr(w, bodyErrStatus(err), fmt.Errorf("bad spec: %w", err))
 		return
 	}
 	created := false

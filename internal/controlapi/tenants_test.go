@@ -131,6 +131,19 @@ func TestTenantPutValidation(t *testing.T) {
 		t.Errorf("unknown field accepted: %d", rec.Code)
 	}
 
+	// A body past the size limit is refused and creates nothing, even
+	// when it would decode to a valid spec.
+	req := httptest.NewRequest("PUT", "/tenants/acme",
+		oversizedBody(`"scale":"small","seed":1,"tick_ms":1,"paused":true}`))
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec = %d, want 413", rec.Code)
+	}
+	if rec := do(t, h, "GET", "/tenants/acme", nil, nil); rec.Code != http.StatusNotFound {
+		t.Errorf("oversized spec created a tenant: GET = %d", rec.Code)
+	}
+
 	// Bad tenant ID.
 	rec = putTenant(t, h, "Bad%20Id", specSmall(1), "")
 	if rec.Code != http.StatusBadRequest {

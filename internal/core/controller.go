@@ -56,24 +56,13 @@ type ControllerParams struct {
 	// Solver parameterizes the underlying orchestrator (budget, D_reuse,
 	// Obs registry, Trace).
 	Solver Params
-	// FullSolveFraction is the dirty-prefix fraction above which repair
-	// falls back to a full re-solve (0 uses DefaultFullSolveFraction).
-	FullSolveFraction float64
-	// ForceFullSolve recomputes from scratch on every dirtying sync —
-	// the control arm of the repair-vs-full benchmark.
-	ForceFullSolve bool
-	// FullAnycastRefresh disables the incremental anycast refresh: every
-	// dirtying sync re-reads every UG's anycast latency instead of only
-	// the states the resolve diff and spike set can have moved. Combined
-	// with World.SetDeltaResolve(false) this reproduces the pre-delta
-	// repair path — the baseline arm of the resolve benchmark.
-	FullAnycastRefresh bool
 }
 
-// DefaultFullSolveFraction: repairing more than half the prefixes does
+// fullSolveFraction is the dirty-prefix fraction above which Sync
+// re-solves from scratch: repairing more than half the prefixes does
 // roughly a full solve's work anyway, minus the tail-growth savings, so
 // past that point pay for the cold solve's global ordering instead.
-const DefaultFullSolveFraction = 0.5
+const fullSolveFraction = 0.5
 
 // SyncReport describes what one Sync did.
 type SyncReport struct {
@@ -97,7 +86,6 @@ type SyncReport struct {
 type Controller struct {
 	w *netsim.World
 	o *Orchestrator
-	p ControllerParams
 
 	dark []bool
 	cfg  Config
@@ -129,9 +117,6 @@ type Controller struct {
 // dropped (as in SimInputs); UGs losing coverage later go dark and
 // return when their routes do.
 func NewController(w *netsim.World, ugs *usergroup.Set, p ControllerParams) (*Controller, error) {
-	if p.FullSolveFraction <= 0 {
-		p.FullSolveFraction = DefaultFullSolveFraction
-	}
 	in, _, err := SimInputs(w, ugs, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: controller inputs: %w", err)
@@ -143,7 +128,6 @@ func NewController(w *netsim.World, ugs *usergroup.Set, p ControllerParams) (*Co
 	c := &Controller{
 		w:      w,
 		o:      o,
-		p:      p,
 		dark:   make([]bool, len(o.states)),
 		anyIng: make([]bgp.IngressID, len(o.states)),
 		byAS:   make(map[topology.ASN][]int32, len(o.states)),
@@ -260,7 +244,7 @@ func (c *Controller) Sync() (Config, SyncReport, error) {
 		// Nothing dirty and no free budget: config stands.
 		c.rm.noops.Inc()
 		sp.SetAttr("outcome", "clean")
-	case c.p.ForceFullSolve || n == 0 || rep.DirtyFraction > c.p.FullSolveFraction:
+	case n == 0 || rep.DirtyFraction > fullSolveFraction:
 		rep.FullSolve = true
 		c.cfg = c.o.computeConfig(sp, c.live, c.dark)
 		c.rm.fullSolves.Inc()
@@ -327,7 +311,7 @@ func (c *Controller) refreshAnycast(latTouched map[bgp.IngressID]bool) ([]int, e
 		return nil, fmt.Errorf("core: refresh anycast: %w", err)
 	}
 	day := c.w.Day()
-	full := c.p.FullAnycastRefresh || c.anyRes == nil || day != c.anyDay
+	full := c.anyRes == nil || day != c.anyDay
 
 	var changed []int
 	refresh := func(i int) error {
@@ -426,24 +410,11 @@ func (c *Controller) dirtyPrefixes(touched, cameUp map[bgp.IngressID]bool, chang
 		if dirty[pi] {
 			continue
 		}
-		// Usability of S per state is model-only; with warm reuse on,
-		// read it off the cached contribution vector (NaN = unusable)
-		// instead of re-evaluating Eq. (2) per suspect.
-		var vec []float64
-		if !c.o.params.ColdRepair {
-			vec = c.o.frozenVec(S)
-		}
+		// Usability of S per state is model-only: read it off the cached
+		// contribution vector (NaN = unusable).
+		vec := c.o.frozenVec(S)
 		for _, i := range suspect {
-			if c.dark[i] {
-				continue
-			}
-			usable := false
-			if vec != nil {
-				usable = !math.IsNaN(vec[i])
-			} else {
-				usable = c.o.states[i].expect(S, c.o.params.ReuseKm).Usable()
-			}
-			if usable {
+			if !c.dark[i] && !math.IsNaN(vec[i]) {
 				dirty[pi] = true
 				break
 			}
@@ -459,38 +430,23 @@ func (c *Controller) dirtyPrefixes(touched, cameUp map[bgp.IngressID]bool, chang
 }
 
 // stateValues returns each non-dark state's current modeled value: the
-// minimum of its anycast baseline and its expectation for every prefix.
-// With warm reuse on, the per-prefix expectations come from the cached
-// contribution vectors (strict-< folding, so the NaN sentinel loses
-// exactly like Usable()==false does on the cold path).
+// minimum of its anycast baseline and its expectation for every prefix,
+// folded from the cached contribution vectors (strict <, so the NaN
+// sentinel for "unusable" loses).
 func (c *Controller) stateValues() []float64 {
 	vals := make([]float64, len(c.o.states))
-	if !c.o.params.ColdRepair {
-		vecs := make([][]float64, len(c.cfg.Prefixes))
-		for pi, S := range c.cfg.Prefixes {
-			vecs[pi] = c.o.frozenVec(S)
-		}
-		for i, st := range c.o.states {
-			vals[i] = st.anycast
-			if c.dark[i] {
-				continue
-			}
-			for _, vec := range vecs {
-				if vec[i] < vals[i] {
-					vals[i] = vec[i]
-				}
-			}
-		}
-		return vals
+	vecs := make([][]float64, len(c.cfg.Prefixes))
+	for pi, S := range c.cfg.Prefixes {
+		vecs[pi] = c.o.frozenVec(S)
 	}
 	for i, st := range c.o.states {
 		vals[i] = st.anycast
 		if c.dark[i] {
 			continue
 		}
-		for _, S := range c.cfg.Prefixes {
-			if e := st.expect(S, c.o.params.ReuseKm); e.Usable() && e.Mean < vals[i] {
-				vals[i] = e.Mean
+		for _, vec := range vecs {
+			if vec[i] < vals[i] {
+				vals[i] = vec[i]
 			}
 		}
 	}

@@ -2,16 +2,15 @@ package core
 
 // Controller tests: the event→dirty-set mapping for all 7 netsim event
 // kinds, differential against a cold full solve on the post-event world.
-// Each scenario drives TWO same-seed rigs through the same events: a
-// repair controller (warm-start path under test) and a ForceFullSolve
-// twin whose config must match the cold solve byte-for-byte — proving
-// the controller's incrementally refreshed model (anycast baselines,
-// dark mask, live filter) is exactly the model a restarted batch
-// operator would build. The repair arm is held to a benefit tolerance
-// instead: mid-outage, frozen clean prefixes cost a few percent versus
-// a global re-solve (that is the price of incrementality; the
-// dirty-fraction threshold bounds it, and the chaos convergence test
-// asserts the 1% criterion once schedules recover).
+// After each scenario a full compute on the controller's own
+// incrementally refreshed model (anycast baselines, dark mask, live
+// filter) must match the cold solve byte-for-byte — proving that model
+// is exactly the one a restarted batch operator would build. The
+// repaired config is held to a benefit tolerance instead: mid-outage,
+// frozen clean prefixes cost a few percent versus a global re-solve
+// (that is the price of incrementality; the dirty-fraction threshold
+// bounds it, and the chaos convergence test asserts the 1% criterion
+// once schedules recover).
 
 import (
 	"bytes"
@@ -116,60 +115,41 @@ func assertNoneContain(t *testing.T, cfg Config, ids ...bgp.IngressID) {
 	}
 }
 
-// ctrlRig is a pair of same-seed worlds: one driven through the repair
-// controller under test, the twin through a ForceFullSolve controller.
+// ctrlRig is a world and the controller under test.
 type ctrlRig struct {
-	t      *testing.T
-	b, b2  *testBench
-	c, c2  *Controller
-	lastRp SyncReport
+	t *testing.T
+	b *testBench
+	c *Controller
 }
 
 func newCtrlRig(t *testing.T, seed int64) *ctrlRig {
 	t.Helper()
-	r := &ctrlRig{t: t, b: newBench(t, seed), b2: newBench(t, seed)}
+	r := &ctrlRig{t: t, b: newBench(t, seed)}
 	r.c = newTestController(t, r.b)
-	c2, err := NewController(r.b2.world, r.b2.ugs, ControllerParams{
-		Solver: DefaultParams(ctrlBudget), ForceFullSolve: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c2.Stop)
-	r.c2 = c2
 	return r
 }
 
-// apply mirrors one event into both worlds.
 func (r *ctrlRig) apply(ev netsim.Event) {
 	r.t.Helper()
 	if err := r.b.world.ApplyEvent(ev); err != nil {
 		r.t.Fatal(err)
 	}
-	if err := r.b2.world.ApplyEvent(ev); err != nil {
-		r.t.Fatal(err)
-	}
 }
 
-// sync syncs both controllers and returns the repair arm's result.
 func (r *ctrlRig) sync() (Config, SyncReport) {
 	r.t.Helper()
-	if _, _, err := r.c2.Sync(); err != nil {
-		r.t.Fatal(err)
-	}
 	cfg, rep, err := r.c.Sync()
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	r.lastRp = rep
 	return cfg, rep
 }
 
 // TestControllerDirtySetPerKind drives each of the 7 event kinds through
 // a fresh rig and asserts (a) the per-kind dirty-set rules, (b) the
-// exact differential — the full-solve twin's config byte-identical to a
-// cold solve on the post-event world — and (c) the repair arm's benefit
-// within tolerance of cold.
+// exact differential — a full compute on the controller's refreshed
+// model byte-identical to a cold solve on the post-event world — and
+// (c) the synced config's benefit within tolerance of cold.
 func TestControllerDirtySetPerKind(t *testing.T) {
 	type scenario struct {
 		name string
@@ -321,23 +301,19 @@ func TestControllerDirtySetPerKind(t *testing.T) {
 			if before.NumPrefixes() == 0 {
 				t.Fatal("controller produced empty initial config")
 			}
-			if !bytes.Equal(configBytes(before), configBytes(r.c2.Config())) {
-				t.Fatal("same-seed rigs disagree on the initial config")
-			}
 			after, _ := sc.run(t, r, before)
 			if err := after.Validate(r.b.world.Deploy); err != nil {
 				t.Fatalf("synced config invalid: %v", err)
 			}
-			// Exact differential: the full-solve twin must land on the
-			// cold solve byte-for-byte (its refreshed model IS the cold
-			// model).
-			cold2 := coldConfig(t, r.b2)
-			if !bytes.Equal(configBytes(r.c2.Config()), configBytes(cold2)) {
-				t.Errorf("full-solve twin diverged from cold solve:\n twin %v\n cold %v",
-					r.c2.Config().Prefixes, cold2.Prefixes)
+			// Exact differential: a full compute on the controller's
+			// refreshed model must land on the cold solve byte-for-byte
+			// (the refreshed model IS the cold model).
+			cold := coldConfig(t, r.b)
+			if full := r.c.o.computeConfig(nil, r.c.live, r.c.dark); !bytes.Equal(configBytes(full), configBytes(cold)) {
+				t.Errorf("full compute on the refreshed model diverged from cold solve:\n full %v\n cold %v",
+					full.Prefixes, cold.Prefixes)
 			}
 			// Tolerance differential for the warm-start path.
-			cold := coldConfig(t, r.b)
 			got, want := benefitOf(t, r.b, after), benefitOf(t, r.b, cold)
 			if got < repairTolerance*want-1e-9 {
 				t.Errorf("synced benefit %.3f below %.0f%% of cold solve %.3f",
@@ -371,30 +347,6 @@ func TestControllerRepairRoundTrip(t *testing.T) {
 	got := benefitOf(t, bench, c.Config())
 	if got < 0.99*beforeBenefit-1e-9 {
 		t.Errorf("post-recovery benefit %.3f below 99%% of initial %.3f", got, beforeBenefit)
-	}
-}
-
-// TestControllerForceFullSolve: the benchmark control arm must take the
-// full-solve path on every dirtying sync.
-func TestControllerForceFullSolve(t *testing.T) {
-	bench := newBench(t, 71)
-	c, err := NewController(bench.world, bench.ugs, ControllerParams{
-		Solver: DefaultParams(ctrlBudget), ForceFullSolve: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	x := c.Config().Prefixes[0][0]
-	if err := bench.world.ApplyEvent(netsim.Event{Kind: netsim.EventPeeringDown, Ingress: x}); err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err := c.Sync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.FullSolve || rep.Repaired {
-		t.Errorf("ForceFullSolve sync report %+v, want FullSolve", rep)
 	}
 }
 

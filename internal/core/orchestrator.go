@@ -34,12 +34,6 @@ type Params struct {
 	ExactGreedy bool
 	// MaxPeeringsPerPrefix caps reuse breadth per prefix (0 = no cap).
 	MaxPeeringsPerPrefix int
-	// ColdRepair disables the warm-reuse caches (frozen prefix
-	// contribution vectors and grow-result memoization in warmcache.go)
-	// so every computeConfig/repairConfig evaluates Eq. (2) from scratch
-	// — the pre-delta solver behaviour. The resolve benchmark's baseline
-	// arm sets it; configurations are byte-identical either way.
-	ColdRepair bool
 	// Workers is the worker count for the sharded grow/freeze loops
 	// (0 = GOMAXPROCS, 1 = fully sequential). Any value produces
 	// byte-identical configurations: each per-candidate marginal is
@@ -100,8 +94,8 @@ type Orchestrator struct {
 
 	m solveMetrics
 
-	// warm holds the repair path's exact-reuse caches (warmcache.go);
-	// Learn invalidates it. Unused when params.ColdRepair is set.
+	// warm holds the exact-reuse caches (warmcache.go); Learn
+	// invalidates it.
 	warm warmCache
 
 	reports []IterationReport
@@ -385,43 +379,20 @@ func (o *Orchestrator) candidatePeerings(live func(bgp.IngressID) bool) []bgp.In
 }
 
 // freezePrefix folds prefix S's contribution into bestFrozen, skipping
-// dark states. With warm reuse on, the per-state Eq. (2) means come
-// from a cached contribution vector (computed once per distinct prefix
-// set until the model changes) and folding is a plain min scan.
+// dark states. The per-state Eq. (2) means come from a cached
+// contribution vector (computed once per distinct prefix set until the
+// model changes), so folding is a plain min scan.
 func (o *Orchestrator) freezePrefix(S []bgp.IngressID, bestFrozen []float64, dark []bool) {
-	if o.params.ColdRepair {
-		o.freezePrefixCold(S, bestFrozen, dark)
-		return
-	}
 	vec := o.frozenVec(S)
 	for i := range bestFrozen {
 		if dark != nil && dark[i] {
 			continue
 		}
-		// Same strict-< update as the cold path; the NaN sentinel for
-		// "unusable" loses every comparison, like Usable()==false.
+		// The NaN sentinel for "unusable" loses the strict <.
 		if vec[i] < bestFrozen[i] {
 			bestFrozen[i] = vec[i]
 		}
 	}
-}
-
-// freezePrefixCold folds prefix S's contribution into bestFrozen by
-// evaluating Eq. (2) per state. The per-state updates are independent
-// (index-disjoint writes), so they run sharded.
-func (o *Orchestrator) freezePrefixCold(S []bgp.IngressID, bestFrozen []float64, dark []bool) {
-	workers := o.workerCount()
-	scs := growScratches(workers)
-	defer putScratches(scs)
-	parallelWorkers(len(o.states), workers, func(w, i int) {
-		if dark != nil && dark[i] {
-			return
-		}
-		st := o.states[i]
-		if e := st.expectSc(scs[w], S, o.params.ReuseKm); e.Usable() && e.Mean < bestFrozen[i] {
-			bestFrozen[i] = e.Mean
-		}
-	})
 }
 
 // frozenVec returns prefix S's contribution vector: each state's
@@ -454,9 +425,6 @@ func (o *Orchestrator) frozenVec(S []bgp.IngressID) []float64 {
 // NaN when unusable. growPrefix's initial sweep — the bulk of a grow —
 // probes exactly these values, so the table turns it into a table walk.
 func (o *Orchestrator) singletonRows() [][]float64 {
-	if o.in.Deploy == nil {
-		return nil // hand-built test orchestrator; grow computes cold
-	}
 	if rows := o.warm.lookupSingle(); rows != nil {
 		return rows
 	}
@@ -511,30 +479,30 @@ func putScratches(scs []*exScratch) {
 // warm-start repair path does).
 //
 // The result is a deterministic function of (candidates, frozen base,
-// dark mask) for a fixed learned model, so with warm reuse on an exact
-// input match returns the memoized set — the common case under churn,
-// where recovery events restore a previously grown state bit-for-bit.
+// dark mask) for a fixed learned model, so an exact input match returns
+// the memoized set — the common case under churn, where recovery events
+// restore a previously grown state bit-for-bit.
 func (o *Orchestrator) growPrefix(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
-	if o.params.ColdRepair {
-		return o.growPrefixCold(allPeerings, bestFrozen, dark, nil)
-	}
 	key := growHash(allPeerings, bestFrozen, dark)
 	if S, ok := o.warm.lookupGrow(key, allPeerings, bestFrozen, dark); ok {
 		return S
 	}
-	S := o.growPrefixCold(allPeerings, bestFrozen, dark, o.singletonRows())
+	S := o.growUncached(allPeerings, bestFrozen, dark)
 	o.warm.storeGrow(key, allPeerings, bestFrozen, dark, S)
 	return S
 }
 
-// growPrefixCold is the uncached greedy grow loop. single, when
-// non-nil, is the singleton expectation table used to read the initial
-// sweep's Eq. (2) probes (each probe set there is exactly one peering)
-// instead of recomputing them; the resulting marginals are bit-equal.
-func (o *Orchestrator) growPrefixCold(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool, single [][]float64) []bgp.IngressID {
+// growUncached is the greedy grow loop behind growPrefix's memo: lazy
+// evaluation over the singleton table and the incremental Eq. (2) form.
+func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
+	if o.params.ExactGreedy {
+		return o.growExact(allPeerings, bestFrozen, dark)
+	}
 	workers := o.workerCount()
-	scs := growScratches(workers)
-	defer putScratches(scs)
+	// Only the sequential part of the loop (stale refreshes, accepts on
+	// states with learned facts) evaluates expectSc.
+	sc := exPool.Get().(*exScratch)
+	defer exPool.Put(sc)
 
 	var S []bgp.IngressID
 	inS := make(map[bgp.IngressID]bool)
@@ -543,12 +511,212 @@ func (o *Orchestrator) growPrefixCold(allPeerings []bgp.IngressID, bestFrozen []
 	for i := range curE {
 		curE[i] = math.Inf(1)
 	}
+	// rowOf(x)[k] is Eq. (2)'s mean for state statesFor(x)[k] under {x}.
+	// A peering past the table has no compliant state: its row is never
+	// indexed.
+	single := o.singletonRows()
+	rowOf := func(x bgp.IngressID) []float64 {
+		if int(x) < len(single) {
+			return single[x]
+		}
+		return nil
+	}
+	reuse := o.params.ReuseKm
 
-	// marginalOf evaluates one candidate wholly on one worker: the float
+	// marginalSingle is a candidate's marginal during the initial sweep
+	// (S empty, so the probe set is exactly {x}), read from the singleton
+	// table. One candidate is evaluated wholly on one worker and the float
 	// sum over statesFor(x) runs in fixed index order regardless of how
 	// candidates are scheduled, so results are worker-count independent.
-	// The S+x probe set is composed in the worker's scratch to avoid the
-	// per-probe append allocation.
+	marginalSingle := func(x bgp.IngressID) float64 {
+		row := rowOf(x)
+		var delta float64
+		for k, i := range o.statesFor(x) {
+			if dark != nil && dark[i] {
+				continue
+			}
+			st := o.states[i]
+			oldVal := math.Min(bestFrozen[i], curE[i])
+			newE := math.Inf(1)
+			if v := row[k]; !math.IsNaN(v) {
+				newE = v
+			}
+			newVal := math.Min(bestFrozen[i], newE)
+			delta += st.ug.Weight * (oldVal - newVal)
+		}
+		return delta
+	}
+
+	// Incremental Eq. (2): per state, the (popDist, est) pairs of S's
+	// compliant members in accept order — exactly the values expectSc
+	// reads for that state, in the order it reads them, so means are
+	// bit-equal with no per-probe binary searches. The incremental form
+	// has no preference-dominance filtering, so states with learned facts
+	// (st.beats non-empty) fall back to expectSc. The singleton table
+	// supplies each member's est (a one-peering set's mean IS its est:
+	// alone it is never dominated and always within its own reuse radius).
+	incD := make([][]float64, len(o.states))
+	incE := make([][]float64, len(o.states))
+	// evalInc is Eq. (2)'s mean over state i's incremental pairs, plus an
+	// optional probe member (dx, ex) ordered last, as in the set S+x.
+	evalInc := func(i int32, dx, ex float64, probe bool) (float64, bool) {
+		dists, ests := incD[i], incE[i]
+		minDist := math.Inf(1)
+		for _, d := range dists {
+			if d < minDist {
+				minDist = d
+			}
+		}
+		if probe && dx < minDist {
+			minDist = dx
+		}
+		var sum float64
+		n := 0
+		for j, e := range ests {
+			if math.IsNaN(e) {
+				continue
+			}
+			if dists[j] <= minDist+reuse {
+				sum += e
+				n++
+			}
+		}
+		if probe && !math.IsNaN(ex) && dx <= minDist+reuse {
+			sum += ex
+			n++
+		}
+		if n == 0 {
+			return 0, false
+		}
+		return sum / float64(n), true
+	}
+	marginalInc := func(x bgp.IngressID) float64 {
+		row := rowOf(x)
+		var delta float64
+		for k, i := range o.statesFor(x) {
+			if dark != nil && dark[i] {
+				continue
+			}
+			st := o.states[i]
+			oldVal := math.Min(bestFrozen[i], curE[i])
+			newE := math.Inf(1)
+			if len(st.beats) == 0 {
+				if m, ok := evalInc(i, st.popDist[x], row[k], true); ok {
+					newE = m
+				}
+			} else {
+				// The S+x probe set is composed in the scratch to avoid a
+				// per-probe append allocation.
+				sx := append(sc.sx[:0], S...)
+				sx = append(sx, x)
+				sc.sx = sx
+				if e := st.expectSc(sc, sx, reuse); e.Usable() {
+					newE = e.Mean
+				}
+			}
+			newVal := math.Min(bestFrozen[i], newE)
+			delta += st.ug.Weight * (oldVal - newVal)
+		}
+		return delta
+	}
+	acceptInc := func(x bgp.IngressID) {
+		S = append(S, x)
+		inS[x] = true
+		row := rowOf(x)
+		for k, i := range o.statesFor(x) {
+			st := o.states[i]
+			incD[i] = append(incD[i], st.popDist[x])
+			incE[i] = append(incE[i], row[k])
+			if len(st.beats) == 0 {
+				if m, ok := evalInc(i, 0, 0, false); ok {
+					curE[i] = m
+				} else {
+					curE[i] = math.Inf(1)
+				}
+			} else if e := st.expectSc(sc, S, reuse); e.Usable() {
+				curE[i] = e.Mean
+			} else {
+				curE[i] = math.Inf(1)
+			}
+		}
+	}
+
+	// Lazy greedy: cache marginals, re-evaluate only the top candidate.
+	// The initial sweep — the bulk of the work — is sharded; results land
+	// in candidate order so the heap is built from the same sequence a
+	// serial sweep would produce.
+	//
+	// stateVer tracks the version at which each state's curE last moved.
+	// A stale candidate whose compliant states were all untouched since
+	// its version would recompute the exact marginal it already carries
+	// — its value reads only curE and bestFrozen over statesFor(x) — so
+	// it is re-stamped current without re-evaluating.
+	stateVer := make([]int, len(o.states))
+	version := 0
+	margs := make([]float64, len(allPeerings))
+	parallelWorkers(len(allPeerings), workers, func(_, k int) {
+		margs[k] = marginalSingle(allPeerings[k])
+	})
+	h := make(candHeap, 0, len(allPeerings))
+	for k, x := range allPeerings {
+		h = append(h, candItem{ing: x, marginal: margs[k], version: version})
+	}
+	heap.Init(&h)
+	for h.Len() > 0 {
+		if o.params.MaxPeeringsPerPrefix > 0 && len(S) >= o.params.MaxPeeringsPerPrefix {
+			break
+		}
+		top := heap.Pop(&h).(candItem)
+		if inS[top.ing] {
+			continue
+		}
+		if top.version != version {
+			fresh := true
+			for _, i := range o.statesFor(top.ing) {
+				if stateVer[i] > top.version {
+					fresh = false
+					break
+				}
+			}
+			if !fresh {
+				// Stale cached marginal: refresh; the heap decides whether
+				// it is still the best candidate.
+				top.marginal = marginalInc(top.ing)
+			}
+			top.version = version
+			heap.Push(&h, top)
+			continue
+		}
+		if top.marginal <= 0 {
+			break
+		}
+		o.m.acceptedMarginal.Observe(top.marginal)
+		acceptInc(top.ing)
+		version++
+		// Conservative: every state the accept re-evaluated counts as
+		// moved (extra recomputes are harmless; missed moves are not).
+		for _, i := range o.statesFor(top.ing) {
+			stateVer[i] = version
+		}
+	}
+	return S
+}
+
+// growExact is growUncached without lazy evaluation (Params.ExactGreedy):
+// every remaining candidate's marginal is recomputed from Eq. (2) over
+// S+x at every step.
+func (o *Orchestrator) growExact(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
+	workers := o.workerCount()
+	scs := growScratches(workers)
+	defer putScratches(scs)
+
+	var S []bgp.IngressID
+	inS := make(map[bgp.IngressID]bool)
+	curE := make([]float64, len(o.states))
+	for i := range curE {
+		curE[i] = math.Inf(1)
+	}
+
 	marginalOf := func(sc *exScratch, x bgp.IngressID) float64 {
 		sx := append(sc.sx[:0], S...)
 		sx = append(sx, x)
@@ -587,242 +755,32 @@ func (o *Orchestrator) growPrefixCold(allPeerings []bgp.IngressID, bestFrozen []
 	}
 
 	margs := make([]float64, len(allPeerings))
-	if o.params.ExactGreedy {
-		for {
-			if o.params.MaxPeeringsPerPrefix > 0 && len(S) >= o.params.MaxPeeringsPerPrefix {
-				break
-			}
-			// Recompute every candidate sharded, then argmax sequentially
-			// in candidate order (ties keep the first, like a serial scan).
-			parallelWorkers(len(allPeerings), workers, func(w, k int) {
-				if x := allPeerings[k]; !inS[x] {
-					margs[k] = marginalOf(scs[w], x)
-				}
-			})
-			bestX := bgp.InvalidIngress
-			bestM := 0.0
-			for k, x := range allPeerings {
-				if inS[x] {
-					continue
-				}
-				if margs[k] > bestM {
-					bestM, bestX = margs[k], x
-				}
-			}
-			if bestX == bgp.InvalidIngress {
-				break
-			}
-			o.m.acceptedMarginal.Observe(bestM)
-			accept(bestX)
-		}
-		return S
-	}
-
-	// marginalSingle is marginalOf for the initial sweep (S empty, so
-	// the probe set is exactly {x}) reading Eq. (2) from the singleton
-	// table: same per-state values, same index order, same float sum.
-	marginalSingle := func(x bgp.IngressID) float64 {
-		var row []float64
-		if int(x) < len(single) {
-			row = single[x]
-		}
-		var delta float64
-		for k, i := range o.statesFor(x) {
-			if dark != nil && dark[i] {
-				continue
-			}
-			st := o.states[i]
-			oldVal := math.Min(bestFrozen[i], curE[i])
-			newE := math.Inf(1)
-			if v := row[k]; !math.IsNaN(v) {
-				newE = v
-			}
-			newVal := math.Min(bestFrozen[i], newE)
-			delta += st.ug.Weight * (oldVal - newVal)
-		}
-		return delta
-	}
-
-	// Warm incremental Eq. (2): per state, the (popDist, est) pairs of
-	// S's compliant members in accept order — exactly the values expectSc
-	// reads for that state, in the order it reads them, so means are
-	// bit-equal with no per-probe binary searches. The incremental form
-	// has no preference-dominance filtering, so states with learned facts
-	// (st.beats non-empty) fall back to expectSc. The singleton table
-	// supplies each member's est (a one-peering set's mean IS its est:
-	// alone it is never dominated and always within its own reuse radius).
-	reuse := o.params.ReuseKm
-	var incD, incE [][]float64
-	if single != nil {
-		incD = make([][]float64, len(o.states))
-		incE = make([][]float64, len(o.states))
-	}
-	// evalInc is Eq. (2)'s mean over state i's incremental pairs, plus an
-	// optional probe member (dx, ex) ordered last like marginalOf's S+x.
-	evalInc := func(i int32, dx, ex float64, probe bool) (float64, bool) {
-		dists, ests := incD[i], incE[i]
-		minDist := math.Inf(1)
-		for _, d := range dists {
-			if d < minDist {
-				minDist = d
-			}
-		}
-		if probe && dx < minDist {
-			minDist = dx
-		}
-		var sum float64
-		n := 0
-		for j, e := range ests {
-			if math.IsNaN(e) {
-				continue
-			}
-			if dists[j] <= minDist+reuse {
-				sum += e
-				n++
-			}
-		}
-		if probe && !math.IsNaN(ex) && dx <= minDist+reuse {
-			sum += ex
-			n++
-		}
-		if n == 0 {
-			return 0, false
-		}
-		return sum / float64(n), true
-	}
-	marginalInc := func(sc *exScratch, x bgp.IngressID) float64 {
-		var row []float64
-		if int(x) < len(single) {
-			row = single[x]
-		}
-		var delta float64
-		for k, i := range o.statesFor(x) {
-			if dark != nil && dark[i] {
-				continue
-			}
-			st := o.states[i]
-			oldVal := math.Min(bestFrozen[i], curE[i])
-			newE := math.Inf(1)
-			if len(st.beats) == 0 {
-				if m, ok := evalInc(i, st.popDist[x], row[k], true); ok {
-					newE = m
-				}
-			} else {
-				sx := append(sc.sx[:0], S...)
-				sx = append(sx, x)
-				sc.sx = sx
-				if e := st.expectSc(sc, sx, reuse); e.Usable() {
-					newE = e.Mean
-				}
-			}
-			newVal := math.Min(bestFrozen[i], newE)
-			delta += st.ug.Weight * (oldVal - newVal)
-		}
-		return delta
-	}
-	acceptInc := func(x bgp.IngressID) {
-		S = append(S, x)
-		inS[x] = true
-		var row []float64
-		if int(x) < len(single) {
-			row = single[x]
-		}
-		for k, i := range o.statesFor(x) {
-			st := o.states[i]
-			incD[i] = append(incD[i], st.popDist[x])
-			incE[i] = append(incE[i], row[k])
-			if len(st.beats) == 0 {
-				if m, ok := evalInc(i, 0, 0, false); ok {
-					curE[i] = m
-				} else {
-					curE[i] = math.Inf(1)
-				}
-			} else if e := st.expectSc(scs[0], S, reuse); e.Usable() {
-				curE[i] = e.Mean
-			} else {
-				curE[i] = math.Inf(1)
-			}
-		}
-	}
-
-	// Lazy greedy: cache marginals, re-evaluate only the top candidate.
-	// The initial sweep — the bulk of the work — is sharded; results land
-	// in candidate order so the heap is built from the same sequence a
-	// serial sweep would produce.
-	//
-	// stateVer (warm path only) tracks the version at which each state's
-	// curE last moved. A stale candidate whose compliant states were all
-	// untouched since its version would recompute the exact marginal it
-	// already carries — its value reads only curE and bestFrozen over
-	// statesFor(x) — so it is re-stamped current without re-evaluating.
-	var stateVer []int
-	if single != nil {
-		stateVer = make([]int, len(o.states))
-	}
-	version := 0
-	parallelWorkers(len(allPeerings), workers, func(w, k int) {
-		if single != nil {
-			margs[k] = marginalSingle(allPeerings[k])
-		} else {
-			margs[k] = marginalOf(scs[w], allPeerings[k])
-		}
-	})
-	h := make(candHeap, 0, len(allPeerings))
-	for k, x := range allPeerings {
-		h = append(h, candItem{ing: x, marginal: margs[k], version: version})
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
+	for {
 		if o.params.MaxPeeringsPerPrefix > 0 && len(S) >= o.params.MaxPeeringsPerPrefix {
 			break
 		}
-		top := heap.Pop(&h).(candItem)
-		if inS[top.ing] {
-			continue
-		}
-		if top.version != version {
-			if stateVer != nil {
-				fresh := true
-				for _, i := range o.statesFor(top.ing) {
-					if stateVer[i] > top.version {
-						fresh = false
-						break
-					}
-				}
-				if fresh {
-					top.version = version
-					heap.Push(&h, top)
-					continue
-				}
+		// Recompute every candidate sharded, then argmax sequentially
+		// in candidate order (ties keep the first, like a serial scan).
+		parallelWorkers(len(allPeerings), workers, func(w, k int) {
+			if x := allPeerings[k]; !inS[x] {
+				margs[k] = marginalOf(scs[w], x)
 			}
-			// Stale cached marginal: refresh and reinsert; the heap
-			// decides whether it is still the best candidate.
-			if single != nil {
-				top.marginal = marginalInc(scs[0], top.ing)
-			} else {
-				top.marginal = marginalOf(scs[0], top.ing)
+		})
+		bestX := bgp.InvalidIngress
+		bestM := 0.0
+		for k, x := range allPeerings {
+			if inS[x] {
+				continue
 			}
-			top.version = version
-			heap.Push(&h, top)
-			continue
+			if margs[k] > bestM {
+				bestM, bestX = margs[k], x
+			}
 		}
-		if top.marginal <= 0 {
+		if bestX == bgp.InvalidIngress {
 			break
 		}
-		o.m.acceptedMarginal.Observe(top.marginal)
-		if single != nil {
-			acceptInc(top.ing)
-		} else {
-			accept(top.ing)
-		}
-		version++
-		if stateVer != nil {
-			// Conservative: every state the accept re-evaluated counts as
-			// moved (extra recomputes are harmless; missed moves are not).
-			for _, i := range o.statesFor(top.ing) {
-				stateVer[i] = version
-			}
-		}
+		o.m.acceptedMarginal.Observe(bestM)
+		accept(bestX)
 	}
 	return S
 }

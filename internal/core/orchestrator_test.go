@@ -8,6 +8,7 @@ import (
 	"painter/internal/advertise"
 	"painter/internal/bgp"
 	"painter/internal/cloud"
+	"painter/internal/geo"
 	"painter/internal/netsim"
 	"painter/internal/topology"
 	"painter/internal/usergroup"
@@ -536,7 +537,17 @@ func TestGrowPrefixTieBreaksByIngressID(t *testing.T) {
 		map[bgp.IngressID]float64{5: 0, 3: 0, 9: 0})
 	byIngress := make([][]int32, 10)
 	byIngress[3], byIngress[5], byIngress[9] = []int32{0}, []int32{0}, []int32{0}
+	// The grow loop reads its singleton table per deployment peering.
+	var peerings []cloud.Peering
+	for _, id := range cands {
+		peerings = append(peerings, cloud.Peering{ID: id, PoP: 1, PeerASN: 100, ClassAtPeer: bgp.ClassPeer})
+	}
+	d, err := cloud.New(64500, []cloud.PoP{{ID: 1, Metro: geo.Metros()[0].Code}}, peerings)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o := &Orchestrator{
+		in:        Inputs{Deploy: d},
 		params:    Params{PrefixBudget: 1, ReuseKm: 3000},
 		states:    []*ugState{st},
 		byIngress: byIngress,

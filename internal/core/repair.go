@@ -130,31 +130,19 @@ func (o *Orchestrator) repairConfig(parent *span.Span, cfg Config, dirty []int, 
 
 // improvedStates returns the indices of non-dark UG states whose Eq. (2)
 // expectation under S beats their frozen best — the states whose value a
-// placement of S would actually change. With warm reuse on it reads the
-// cached contribution vector (NaN sentinel loses the strict <, exactly
-// like Usable()==false).
+// placement of S would actually change. It reads the cached contribution
+// vector (the NaN sentinel for "unusable" loses the strict <).
 func (o *Orchestrator) improvedStates(S []bgp.IngressID, bestFrozen []float64, dark []bool) []int {
 	if len(S) == 0 {
 		return nil
 	}
 	var out []int
-	if !o.params.ColdRepair {
-		vec := o.frozenVec(S)
-		for i := range o.states {
-			if dark != nil && dark[i] {
-				continue
-			}
-			if vec[i] < bestFrozen[i] {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	for i, st := range o.states {
+	vec := o.frozenVec(S)
+	for i := range o.states {
 		if dark != nil && dark[i] {
 			continue
 		}
-		if e := st.expect(S, o.params.ReuseKm); e.Usable() && e.Mean < bestFrozen[i] {
+		if vec[i] < bestFrozen[i] {
 			out = append(out, i)
 		}
 	}

@@ -49,9 +49,6 @@ func refFreeze(o *Orchestrator, S []bgp.IngressID, bestFrozen []float64, dark []
 // refImproved lists the non-dark states S would improve over bestFrozen.
 func refImproved(o *Orchestrator, S []bgp.IngressID, bestFrozen []float64, dark []bool) []int {
 	var out []int
-	if len(S) == 0 {
-		return out
-	}
 	for i := range o.states {
 		if dark != nil && dark[i] {
 			continue
@@ -363,58 +360,49 @@ func TestWarmPathMatchesReference(t *testing.T) {
 		p.MaxPeeringsPerPrefix = tc.maxPer
 		p.MaxIterations = 2
 		p.MinIterBenefitGain = -1 // run both learning rounds
-		// The parent's cold arms: every entry point must agree with the
-		// reference with the warm layer switched off too.
-		pCold := p
-		pCold.ColdRepair = true
-		for _, arm := range []struct {
-			name string
-			p    Params
-		}{{"warm", p}, {"cold", pCold}} {
-			b := newBench(t, tc.seed)
-			in := b.in
-			if tc.gaps {
-				est := in.EstLatencyMs
-				in.EstLatencyMs = func(ug usergroup.UG, ing bgp.IngressID) (float64, bool) {
-					if (int(ug.ID)*31+int(ing))%5 == 0 {
-						return 0, false
-					}
-					return est(ug, ing)
+		b := newBench(t, tc.seed)
+		in := b.in
+		if tc.gaps {
+			est := in.EstLatencyMs
+			in.EstLatencyMs = func(ug usergroup.UG, ing bgp.IngressID) (float64, bool) {
+				if (int(ug.ID)*31+int(ing))%5 == 0 {
+					return 0, false
 				}
+				return est(ug, ing)
 			}
-			o, err := New(in, b.exec, arm.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			phase := func(s string) string {
-				return fmt.Sprintf("seed %d workers %d %s/%s", tc.seed, tc.workers, arm.name, s)
-			}
-			rng := rand.New(rand.NewSource(tc.seed*31 + int64(tc.workers)))
-			checkWarmAgainstReference(t, phase("unlearned"), o, rng, 4)
-
-			// Solve learns preference facts and measured latencies; every
-			// cache entry built above is now stale and must not be served.
-			cfg, err := o.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.ContainsFunc(o.states, func(st *ugState) bool { return len(st.beats) > 0 }) {
-				t.Fatal("Solve learned no preference facts; the expectSc fallback is not exercised")
-			}
-			checkWarmAgainstReference(t, phase("learned"), o, rng, 4)
-
-			// One more Learn, on a config the model has not seen executed:
-			// the caches the learned phase filled must be invalidated.
-			probe := Config{Prefixes: [][]bgp.IngressID{
-				slices.Clone(o.in.Deploy.AllPeeringIDs()[:4]),
-				slices.Clone(cfg.Prefixes[0]),
-			}}
-			obs, err := b.exec.Execute(probe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.Learn(probe, obs)
-			checkWarmAgainstReference(t, phase("relearned"), o, rng, 3)
 		}
+		o, err := New(in, b.exec, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phase := func(s string) string {
+			return fmt.Sprintf("seed %d workers %d: %s", tc.seed, tc.workers, s)
+		}
+		rng := rand.New(rand.NewSource(tc.seed*31 + int64(tc.workers)))
+		checkWarmAgainstReference(t, phase("unlearned"), o, rng, 4)
+
+		// Solve learns preference facts and measured latencies; every
+		// cache entry built above is now stale and must not be served.
+		cfg, err := o.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(o.states, func(st *ugState) bool { return len(st.beats) > 0 }) {
+			t.Fatal("Solve learned no preference facts; the expectSc fallback is not exercised")
+		}
+		checkWarmAgainstReference(t, phase("learned"), o, rng, 4)
+
+		// One more Learn, on a config the model has not seen executed:
+		// the caches the learned phase filled must be invalidated.
+		probe := Config{Prefixes: [][]bgp.IngressID{
+			slices.Clone(o.in.Deploy.AllPeeringIDs()[:4]),
+			slices.Clone(cfg.Prefixes[0]),
+		}}
+		obs, err := b.exec.Execute(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Learn(probe, obs)
+		checkWarmAgainstReference(t, phase("relearned"), o, rng, 3)
 	}
 }

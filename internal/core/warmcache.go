@@ -1,6 +1,6 @@
 package core
 
-// Warm-reuse caches for the repair path. Both caches exploit the same
+// Warm-reuse caches for the solver. Both caches exploit the same
 // fact: expectSc depends only on the learned routing model (compliant
 // sets, estimates, preference facts) — never on anycast baselines,
 // liveness, or the dark mask — so between Learn calls every Eq. (2)
@@ -22,10 +22,10 @@ package core
 //     grown peering set without re-running the greedy sweep.
 //
 // Hits require exact input equality (float bit equality via ==, so a
-// NaN anywhere simply never matches), making cached and cold results
-// byte-identical; Params.ColdRepair disables both layers (the resolve
-// benchmark's baseline arm). Learn invalidates everything by bumping
-// the model version. Entries are bounded by total retained floats;
+// NaN anywhere simply never matches), so a cached result is
+// byte-identical to recomputing it (pinned against a plain Eq. (2)
+// reference by warm_differential_test.go). Learn invalidates
+// everything. Entries are bounded by total retained floats;
 // overflow clears the cache (deterministic, and recovery re-warms it
 // within one churn cycle).
 

@@ -19,11 +19,9 @@ package experiments
 //     records the re-homing contract alongside the throughput numbers.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/netip"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -526,14 +524,4 @@ func (r *DatapathBenchResult) Table() Table {
 		})
 	}
 	return t
-}
-
-// WriteJSON writes the result to path as indented JSON.
-func (r *DatapathBenchResult) WriteJSON(path string) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	return os.WriteFile(path, b, 0o644)
 }

@@ -12,9 +12,8 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
+	"sort"
 	"time"
 
 	"painter/internal/benchmeta"
@@ -297,12 +296,13 @@ func (r *DeltaBenchResult) Table() Table {
 	return t
 }
 
-// WriteJSON writes the result to path as indented JSON.
-func (r *DeltaBenchResult) WriteJSON(path string) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+// quantile returns the q-quantile of xs (nearest-rank on a sorted copy).
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
 	}
-	b = append(b, '\n')
-	return os.WriteFile(path, b, 0o644)
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	i := int(q * float64(len(s)-1))
+	return s[i]
 }

@@ -10,9 +10,7 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"painter/internal/benchmeta"
@@ -276,14 +274,4 @@ func (r *DetectBenchResult) Table() Table {
 	t.Rows = append(t.Rows, []string{"median / max detect", "",
 		fmt.Sprintf("%.0f / %.0f", r.MedianDetectTicks, r.MaxDetectTicks), ""})
 	return t
-}
-
-// WriteJSON writes the result to path as indented JSON.
-func (r *DetectBenchResult) WriteJSON(path string) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	return os.WriteFile(path, b, 0o644)
 }

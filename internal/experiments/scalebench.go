@@ -8,9 +8,7 @@ package experiments
 // retained bytes per UG flat as the population grows.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -174,14 +172,4 @@ func (r *ScaleBenchReport) Table() Table {
 		})
 	}
 	return t
-}
-
-// WriteJSON writes the report to path as indented JSON.
-func (r *ScaleBenchReport) WriteJSON(path string) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	return os.WriteFile(path, b, 0o644)
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"painter/internal/bgp"
 	"painter/internal/geo"
@@ -281,6 +282,10 @@ func (s *System) Estimator() func(u usergroup.UG, ing bgp.IngressID) (float64, b
 		sort.Float64s(pool)
 		return pool
 	}
+	// The orchestrator builds its per-UG state on a worker pool, so the
+	// estimator is called concurrently; pools are computed outside the
+	// lock (they are a pure function of the UG).
+	var poolMu sync.Mutex
 	poolCache := make(map[usergroup.ID][]float64)
 
 	return func(u usergroup.UG, ing bgp.IngressID) (float64, bool) {
@@ -291,10 +296,14 @@ func (s *System) Estimator() func(u usergroup.UG, ing bgp.IngressID) (float64, b
 		if !ok {
 			return 0, false
 		}
+		poolMu.Lock()
 		pool, ok := poolCache[u.ID]
+		poolMu.Unlock()
 		if !ok {
 			pool = improvementPool(u, anycast)
+			poolMu.Lock()
 			poolCache[u.ID] = pool
+			poolMu.Unlock()
 		}
 		if len(pool) == 0 {
 			return 0, false

@@ -2,6 +2,7 @@ package measurement
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"painter/internal/bgp"
@@ -246,6 +247,37 @@ func TestEstimatorDeterministic(t *testing.T) {
 		b, okB := e2(u, ing)
 		if okA != okB || a != b {
 			t.Fatalf("estimator nondeterministic for ingress %d: %v/%v vs %v/%v", ing, a, okA, b, okB)
+		}
+	}
+}
+
+// TestEstimatorConcurrentUse: the orchestrator calls one estimator from
+// its worker pool, so concurrent callers must get the sequential answers
+// (and, under -race, touch no unsynchronized state).
+func TestEstimatorConcurrentUse(t *testing.T) {
+	s, w, ugs := testSystem(t)
+	shared, serial := s.Estimator(), s.Estimator()
+	ings := w.Deploy.AllPeeringIDs()[:6]
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(ugs.UGs); i += 2 { // pairs of goroutines share UGs
+				for _, ing := range ings {
+					shared(ugs.UGs[i], ing)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, u := range ugs.UGs {
+		for _, ing := range ings {
+			a, okA := shared(u, ing)
+			b, okB := serial(u, ing)
+			if okA != okB || a != b {
+				t.Fatalf("UG %d ingress %d: shared estimator %v/%v, serial %v/%v", u.ID, ing, a, okA, b, okB)
+			}
 		}
 	}
 }

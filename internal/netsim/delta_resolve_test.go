@@ -1,15 +1,16 @@
 package netsim
 
 // Differential and frontier tests for delta-served resolves: a world
-// serving cache misses with PropagateDelta (the default) must answer
-// every query identically to a twin world forced onto full propagation,
-// across every event kind and across randomized chaos schedules. The
+// serving cache misses with PropagateDelta must answer every query
+// identically to a full propagation over a twin world's state, across
+// every event kind and across randomized chaos schedules. The
 // per-kind table also pins the cache mechanics — which kinds are served
 // by delta repair, which are pure hits, and which never touch the
 // propagation cache at all.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"painter/internal/bgp"
@@ -19,8 +20,8 @@ import (
 )
 
 // deltaWorldPair builds twin worlds over one topology/deployment/seed:
-// the first serves misses by delta propagation (default), the second is
-// forced onto full propagation as the control arm.
+// the first is the world under test, the second only tracks the same
+// events and days so controlResolve can answer from its state.
 func deltaWorldPair(t *testing.T, trial int64) (*World, *World) {
 	t.Helper()
 	g, err := topology.Generate(topology.GenConfig{
@@ -46,8 +47,18 @@ func deltaWorldPair(t *testing.T, trial int64) (*World, *World) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw.SetDeltaResolve(false)
 	return dw, cw
+}
+
+// controlResolve answers a resolve on the control world by a full
+// propagation of its live peerings, bypassing the propagation cache and
+// the stale base pool.
+func controlResolve(cw *World, peerings []bgp.IngressID) (map[topology.ASN]bgp.Route, error) {
+	inj, err := cw.Deploy.Injections(cw.filterLive(slices.Clone(peerings)))
+	if err != nil {
+		return nil, err
+	}
+	return bgp.Propagate(cw.Graph, inj, cw.TieBreaker())
 }
 
 // mustResolveEqual resolves the same peerings on both worlds and fails
@@ -58,7 +69,7 @@ func mustResolveEqual(t *testing.T, dw, cw *World, peerings []bgp.IngressID, ctx
 	if err != nil {
 		t.Fatalf("%s: delta world resolve: %v", ctx, err)
 	}
-	b, err := cw.ResolveIngress(peerings)
+	b, err := controlResolve(cw, peerings)
 	if err != nil {
 		t.Fatalf("%s: control world resolve: %v", ctx, err)
 	}
@@ -314,7 +325,7 @@ func TestAnycastShift(t *testing.T) {
 	if len(changed3) != want {
 		t.Fatalf("changed set has %d ASes, selection diff has %d", len(changed3), want)
 	}
-	ctrl, err := cw.ResolveIngress(cw.Deploy.AllPeeringIDs())
+	ctrl, err := controlResolve(cw, cw.Deploy.AllPeeringIDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,8 +414,8 @@ func assertCatchmentsEqual(t *testing.T, step int, a, b *Catchment) {
 }
 
 // TestStaleBasePoolLifecycle pins the stale-pool bookkeeping: a flip
-// moves the evicted entry into the pool, SetDay clears it, and
-// disabling delta resolve drops it.
+// moves the evicted entry into the pool, a second flip accumulates on
+// it, and SetDay clears it.
 func TestStaleBasePoolLifecycle(t *testing.T) {
 	dw, _ := deltaWorldPair(t, 41)
 	all := dw.Deploy.AllPeeringIDs()

@@ -102,11 +102,6 @@ type World struct {
 	resolveMu    sync.Mutex
 	resolveCache map[uint64][]*resolveEntry
 	resolveCount int
-	// deltaResolve serves cache misses by delta propagation from the
-	// closest cached base when one is close enough (on by default); off
-	// restores the pre-delta behaviour — every miss runs a full
-	// propagation — and is the control arm of the delta benchmarks.
-	deltaResolve bool
 	// staleBases retains recently evicted resolve entries as delta
 	// bases: a pref flip drops the cache entries containing its ingress
 	// (their selections are stale) but each dropped Result is still an
@@ -292,7 +287,6 @@ func NewWithConfig(g *topology.Graph, d *cloud.Deployment, seed int64, cfg Confi
 		asHomeOK: make([]bool, idx.Len()),
 
 		resolveCache: make(map[uint64][]*resolveEntry),
-		deltaResolve: true,
 		prefRows:     make([][]float64, idx.Len()),
 		ancRows:      make([][]int32, idx.Len()),
 		polRows:      make([][]bgp.IngressID, idx.Len()),
@@ -660,20 +654,6 @@ func (w *World) ResolveIngressResult(peerings []bgp.IngressID) (*bgp.Result, err
 	return e.res, e.err
 }
 
-// SetDeltaResolve toggles serving resolve-cache misses by delta
-// propagation from the closest cached base (on by default). Turning it
-// off restores the pre-delta behaviour — every miss runs a full
-// propagation — and drops the stale base pool; this is the control arm
-// of the delta benchmarks. Not safe concurrently with queries.
-func (w *World) SetDeltaResolve(on bool) {
-	w.resolveMu.Lock()
-	w.deltaResolve = on
-	if !on {
-		w.staleBases = nil
-	}
-	w.resolveMu.Unlock()
-}
-
 // sortBuf is the pooled scratch for canonicalizing a resolve's peering
 // set without allocating per call.
 type sortBuf struct{ ids []bgp.IngressID }
@@ -780,9 +760,6 @@ func (w *World) resolveEntryFor(peerings []bgp.IngressID, parent *span.Span) *re
 func (w *World) findDeltaBase(day int, sorted []bgp.IngressID) (*bgp.Result, []topology.ASN) {
 	w.resolveMu.Lock()
 	defer w.resolveMu.Unlock()
-	if !w.deltaResolve {
-		return nil, nil
-	}
 	var best *bgp.Result
 	var bestFlips []topology.ASN
 	bestSD := -1

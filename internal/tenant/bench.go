@@ -11,11 +11,9 @@ package tenant
 // responsiveness.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -210,14 +208,4 @@ func (r *BenchResult) Table() experiments.Table {
 		})
 	}
 	return t
-}
-
-// WriteJSON writes the result to path as indented JSON.
-func (r *BenchResult) WriteJSON(path string) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	return os.WriteFile(path, b, 0o644)
 }

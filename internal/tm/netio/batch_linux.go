@@ -83,7 +83,7 @@ type batchConn struct {
 	gsoOOB []byte       // cmsg scratch for writeGSO, under wmu
 }
 
-func newBatchConn(u *net.UDPConn, batch int, gso bool) (Conn, error) {
+func newBatchConn(u *net.UDPConn, batch int) (Conn, error) {
 	raw, err := u.SyscallConn()
 	if err != nil {
 		return nil, err
@@ -97,18 +97,19 @@ func newBatchConn(u *net.UDPConn, batch int, gso bool) (Conn, error) {
 	c := &batchConn{
 		u: u, raw: raw, addr: ap, batch: batch,
 		rd: newScratch(batch, false), wr: newScratch(batch, false),
+		// Both offload halves are probed at run time: a kernel that
+		// refuses UDP_SEGMENT clears gsoOK on the first send, one without
+		// UDP_GRO leaves gro off, and the plain mmsg paths carry on.
+		gsoOK:  true,
+		gsoBuf: make([]byte, 0, maxGSOBytes),
+		gsoOOB: make([]byte, syscall.CmsgSpace(2)),
 	}
-	if gso {
-		c.gsoOK = true
-		c.gsoBuf = make([]byte, 0, maxGSOBytes)
-		c.gsoOOB = make([]byte, syscall.CmsgSpace(2))
-		if c.gro = enableGRO(raw); c.gro {
-			c.gr = newScratch(batch, true)
-			c.pend = make([]groPending, 0, batch)
-			c.groBufs = make([][]byte, batch)
-			for i := range c.groBufs {
-				c.groBufs[i] = make([]byte, MaxDatagram)
-			}
+	if c.gro = enableGRO(raw); c.gro {
+		c.gr = newScratch(batch, true)
+		c.pend = make([]groPending, 0, batch)
+		c.groBufs = make([][]byte, batch)
+		for i := range c.groBufs {
+			c.groBufs[i] = make([]byte, MaxDatagram)
 		}
 	}
 	return c, nil

@@ -4,7 +4,9 @@ package netio
 
 import (
 	"fmt"
+	"net"
 	"net/netip"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -169,26 +171,52 @@ func TestGSONonUniformFallback(t *testing.T) {
 	}
 }
 
-// TestDisableGSO checks the bench's control knob: a group with
-// DisableGSO set reports no offload and still moves uniform batches
-// through plain sendmmsg/recvmmsg.
-func TestDisableGSO(t *testing.T) {
-	tx, rx := gsoPair(t,
-		Config{Sockets: 1, Batch: 64, DisableGSO: true},
-		Config{Sockets: 1, Batch: 64, DisableGSO: true})
+// plainBatchConn binds a loopback socket and returns its batchConn in
+// the state a kernel without segmentation offload leaves it in:
+// UDP_SEGMENT refused (gsoOK cleared) and UDP_GRO never granted.
+func plainBatchConn(t *testing.T) *batchConn {
+	t.Helper()
+	u, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { u.Close() })
+	conn, err := newBatchConn(u, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := conn.(*batchConn)
+	c.gsoOK = false
+	if c.gro {
+		var serr error
+		if err := c.raw.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 0)
+		}); err != nil || serr != nil {
+			t.Fatalf("clear UDP_GRO: %v %v", err, serr)
+		}
+		c.gro = false
+	}
+	return c
+}
+
+// TestPlainMmsgFallback moves a uniform batch — one GSO would take —
+// through plain sendmmsg/recvmmsg, the path that runs when the kernel
+// offers no UDP_SEGMENT/UDP_GRO.
+func TestPlainMmsgFallback(t *testing.T) {
+	tx, rx := plainBatchConn(t), plainBatchConn(t)
 	if tx.GSO() || rx.GSO() {
-		t.Fatal("DisableGSO group still reports GSO active")
+		t.Fatal("conn without offload still reports GSO active")
 	}
 	const n = 16
 	ms := make([]Message, n)
 	for i := range ms {
 		p := []byte(fmt.Sprintf("plain-%02d", i))
-		ms[i] = Message{Buf: p, N: len(p), Addr: rx.Addr()}
+		ms[i] = Message{Buf: p, N: len(p), Addr: rx.LocalAddr()}
 	}
-	if sent, err := tx.Conns()[0].WriteBatch(ms); err != nil || sent != n {
+	if sent, err := tx.WriteBatch(ms); err != nil || sent != n {
 		t.Fatalf("WriteBatch = %d, %v; want %d, nil", sent, err, n)
 	}
-	got := collect(t, rx.Conns()[0], n, 16, 5*time.Second)
+	got := collect(t, rx, n, 16, 5*time.Second)
 	for i := 0; i < n; i++ {
 		want := fmt.Sprintf("plain-%02d", i)
 		if got[want] != 1 {

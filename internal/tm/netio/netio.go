@@ -65,11 +65,6 @@ type Config struct {
 	// forces the single-packet path even where batching is available
 	// (the "portable arm" for benchmarks).
 	Batch int
-	// DisableGSO turns off the UDP_SEGMENT/UDP_GRO fast path on batched
-	// conns, leaving pure sendmmsg/recvmmsg. Benchmarks use it to
-	// separate syscall amortization from in-kernel segmentation
-	// offload; production configs leave it false.
-	DisableGSO bool
 }
 
 func (c Config) normalized() Config {
@@ -198,7 +193,7 @@ func tune(u *net.UDPConn) {
 // size.
 func wrapConn(u *net.UDPConn, cfg Config) Conn {
 	if cfg.Batch > 1 && batchAvailable {
-		if c, err := newBatchConn(u, cfg.Batch, !cfg.DisableGSO); err == nil {
+		if c, err := newBatchConn(u, cfg.Batch); err == nil {
 			return c
 		}
 	}

@@ -9,6 +9,6 @@ import (
 
 const batchAvailable = false
 
-func newBatchConn(u *net.UDPConn, batch int, gso bool) (Conn, error) {
+func newBatchConn(u *net.UDPConn, batch int) (Conn, error) {
 	return nil, errors.New("netio: batched I/O unavailable on this platform")
 }
