@@ -343,7 +343,9 @@ func TestExpectationFiltering(t *testing.T) {
 	}
 	// Learned preference: 2 beats 1 → 1 excluded everywhere (a fact),
 	// mean = 30, range tightens to [30,100].
-	st.beats[2] = map[bgp.IngressID]bool{1: true}
+	if n := st.learn([]bgp.IngressID{1, 2}, 2, 30); n != 1 || !hasFact(st, 2, 1) {
+		t.Fatalf("learn recorded %d facts (2 beats 1: %v), want the one", n, hasFact(st, 2, 1))
+	}
 	e = st.expect([]bgp.IngressID{1, 2, 3}, 3000)
 	if math.Abs(e.Mean-30) > 1e-9 || e.N != 1 {
 		t.Errorf("after preference: %+v, want mean 30 over 1", e)
@@ -356,8 +358,10 @@ func TestExpectationFiltering(t *testing.T) {
 	if e.Usable() {
 		t.Error("prefix with no compliant ingress must be unusable")
 	}
-	// Huge reuse distance admits everything (no preference): clear prefs.
-	st.beats = map[bgp.IngressID]map[bgp.IngressID]bool{}
+	// Huge reuse distance admits everything (a state without the fact).
+	st = flatState(usergroup.UG{}, 50,
+		map[bgp.IngressID]float64{1: 10, 2: 30, 3: 100},
+		map[bgp.IngressID]float64{1: 100, 2: 500, 3: 9000})
 	e = st.expect([]bgp.IngressID{1, 2, 3}, 1e9)
 	if e.N != 3 || math.Abs(e.Mean-140.0/3) > 1e-9 {
 		t.Errorf("unfiltered expect = %+v", e)
@@ -382,11 +386,14 @@ func TestLearnUpdatesFactsAndEstimates(t *testing.T) {
 	// Routing change: now 1 wins; the contradicting "2 beats 1" fact must
 	// be removed.
 	st.learn([]bgp.IngressID{1, 2}, 1, 9)
-	if st.beats[2][1] {
+	if hasFact(st, 2, 1) {
 		t.Error("contradicted fact '2 beats 1' not removed")
 	}
-	if !st.beats[1][2] {
+	if !hasFact(st, 1, 2) {
 		t.Error("new fact '1 beats 2' not recorded")
+	}
+	if n := factCount(st); n != 2 {
+		t.Errorf("%d facts stored, want 2 (2 beats 3, 1 beats 2)", n)
 	}
 }
 

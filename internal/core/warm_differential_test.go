@@ -5,13 +5,13 @@ package core
 // vectors, the singleton expectation table, the incremental Eq. (2) form
 // inside the lazy loop, stale-candidate re-stamping and grow-result
 // memoization. This file keeps the plain form of each — Eq. (2)
-// evaluated per (state, set) through ugState.expect, every stale
-// marginal recomputed — and pins the production results to it byte for
-// byte: per primitive over randomized (candidates, frozen base, dark
-// mask), and end to end through computeConfig and repairConfig, before
-// learning, after learning (states with preference facts take the
-// expectSc fallback inside the incremental path), on a repeated call
-// (memo hit) and after a further Learn (invalidation).
+// evaluated per (state, set) by refExpect over the test-owned mirror of
+// the routing model (ref_model_test.go), every stale marginal recomputed
+// — and pins the production results to it byte for byte: per primitive
+// over randomized (candidates, frozen base, dark mask), and end to end
+// through computeConfig and repairConfig, before learning, after
+// learning (preference facts filter the incremental path's members), on
+// a repeated call (memo hit) and after a further Learn (invalidation).
 
 import (
 	"bytes"
@@ -29,31 +29,31 @@ import (
 
 // refMean is Eq. (2)'s mean for one state and set, ok=false when the
 // set is unusable for the state.
-func refMean(o *Orchestrator, i int, S []bgp.IngressID) (float64, bool) {
-	e := o.states[i].expect(S, o.params.ReuseKm)
+func refMean(m *refModel, i int, S []bgp.IngressID) (float64, bool) {
+	e := refExpect(m.states[i], S, m.o.params.ReuseKm)
 	return e.Mean, e.Usable()
 }
 
 // refFreeze folds S's contribution into bestFrozen.
-func refFreeze(o *Orchestrator, S []bgp.IngressID, bestFrozen []float64, dark []bool) {
-	for i := range o.states {
+func refFreeze(m *refModel, S []bgp.IngressID, bestFrozen []float64, dark []bool) {
+	for i := range m.states {
 		if dark != nil && dark[i] {
 			continue
 		}
-		if m, ok := refMean(o, i, S); ok && m < bestFrozen[i] {
-			bestFrozen[i] = m
+		if mean, ok := refMean(m, i, S); ok && mean < bestFrozen[i] {
+			bestFrozen[i] = mean
 		}
 	}
 }
 
 // refImproved lists the non-dark states S would improve over bestFrozen.
-func refImproved(o *Orchestrator, S []bgp.IngressID, bestFrozen []float64, dark []bool) []int {
+func refImproved(m *refModel, S []bgp.IngressID, bestFrozen []float64, dark []bool) []int {
 	var out []int
-	for i := range o.states {
+	for i := range m.states {
 		if dark != nil && dark[i] {
 			continue
 		}
-		if m, ok := refMean(o, i, S); ok && m < bestFrozen[i] {
+		if mean, ok := refMean(m, i, S); ok && mean < bestFrozen[i] {
 			out = append(out, i)
 		}
 	}
@@ -62,15 +62,16 @@ func refImproved(o *Orchestrator, S []bgp.IngressID, bestFrozen []float64, dark 
 
 // refGrow is the lazy greedy grow loop with every marginal computed
 // from Eq. (2) over S+x and every stale heap entry recomputed.
-func refGrow(o *Orchestrator, cands []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
+func refGrow(m *refModel, cands []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
+	o := m.o
 	var S []bgp.IngressID
 	curE := make([]float64, len(o.states))
 	for i := range curE {
 		curE[i] = math.Inf(1)
 	}
 	value := func(i int, set []bgp.IngressID) float64 {
-		if m, ok := refMean(o, i, set); ok {
-			return m
+		if mean, ok := refMean(m, i, set); ok {
+			return mean
 		}
 		return math.Inf(1)
 	}
@@ -124,17 +125,18 @@ func anycastBase(o *Orchestrator) []float64 {
 }
 
 // refCompute is computeConfig over the reference primitives.
-func refCompute(o *Orchestrator, live func(bgp.IngressID) bool, dark []bool) Config {
+func refCompute(m *refModel, live func(bgp.IngressID) bool, dark []bool) Config {
+	o := m.o
 	bestFrozen := anycastBase(o)
 	cands := o.candidatePeerings(live)
 	var cfg Config
 	for p := 0; p < o.params.PrefixBudget; p++ {
-		S := refGrow(o, cands, bestFrozen, dark)
+		S := refGrow(m, cands, bestFrozen, dark)
 		if len(S) == 0 {
 			break
 		}
 		cfg.Prefixes = append(cfg.Prefixes, S)
-		refFreeze(o, S, bestFrozen, dark)
+		refFreeze(m, S, bestFrozen, dark)
 	}
 	return cfg
 }
@@ -143,13 +145,14 @@ func refCompute(o *Orchestrator, live func(bgp.IngressID) bool, dark []bool) Con
 // regrow against the clean-only base, kept when the improved-state sets
 // are disjoint, otherwise sequential regrow in index order; then empty
 // prefixes drop and the tail grows up to the budget.
-func refRepair(o *Orchestrator, cfg Config, dirty []int, live func(bgp.IngressID) bool, dark []bool) Config {
+func refRepair(m *refModel, cfg Config, dirty []int, live func(bgp.IngressID) bool, dark []bool) Config {
+	o := m.o
 	order := slices.Clone(dirty)
 	sort.Ints(order)
 	bestFrozen := anycastBase(o)
 	for i, S := range cfg.Prefixes {
 		if !slices.Contains(order, i) {
-			refFreeze(o, S, bestFrozen, dark)
+			refFreeze(m, S, bestFrozen, dark)
 		}
 	}
 	cands := o.candidatePeerings(live)
@@ -157,19 +160,19 @@ func refRepair(o *Orchestrator, cfg Config, dirty []int, live func(bgp.IngressID
 	grown := make([][]bgp.IngressID, len(order))
 	improved := make([][]int, len(order))
 	for k := range order {
-		grown[k] = refGrow(o, cands, bestFrozen, dark)
-		improved[k] = refImproved(o, grown[k], bestFrozen, dark)
+		grown[k] = refGrow(m, cands, bestFrozen, dark)
+		improved[k] = refImproved(m, grown[k], bestFrozen, dark)
 	}
 	if disjoint(improved) {
 		for k, idx := range order {
 			out.Prefixes[idx] = grown[k]
-			refFreeze(o, grown[k], bestFrozen, dark)
+			refFreeze(m, grown[k], bestFrozen, dark)
 		}
 	} else {
 		for _, idx := range order {
-			S := refGrow(o, cands, bestFrozen, dark)
+			S := refGrow(m, cands, bestFrozen, dark)
 			out.Prefixes[idx] = S
-			refFreeze(o, S, bestFrozen, dark)
+			refFreeze(m, S, bestFrozen, dark)
 		}
 	}
 	kept := out.Prefixes[:0]
@@ -180,12 +183,12 @@ func refRepair(o *Orchestrator, cfg Config, dirty []int, live func(bgp.IngressID
 	}
 	out.Prefixes = kept
 	for len(out.Prefixes) < o.params.PrefixBudget {
-		S := refGrow(o, cands, bestFrozen, dark)
+		S := refGrow(m, cands, bestFrozen, dark)
 		if len(S) == 0 {
 			break
 		}
 		out.Prefixes = append(out.Prefixes, S)
-		refFreeze(o, S, bestFrozen, dark)
+		refFreeze(m, S, bestFrozen, dark)
 	}
 	return out
 }
@@ -211,8 +214,9 @@ func randomSubset[T any](rng *rand.Rand, xs []T, p float64) []T {
 // checkWarmAgainstReference draws randomized inputs and compares every
 // warm entry point with its reference. rounds controls how many
 // primitive draws run; the config-level comparison runs once per call.
-func checkWarmAgainstReference(t *testing.T, phase string, o *Orchestrator, rng *rand.Rand, rounds int) {
+func checkWarmAgainstReference(t *testing.T, phase string, m *refModel, rng *rand.Rand, rounds int) {
 	t.Helper()
+	o := m.o
 	all := o.in.Deploy.AllPeeringIDs()
 	n := len(o.states)
 
@@ -241,7 +245,7 @@ func checkWarmAgainstReference(t *testing.T, phase string, o *Orchestrator, rng 
 		for pass := 0; pass < 2; pass++ {
 			vec := o.frozenVec(S)
 			for i := range o.states {
-				m, ok := refMean(o, i, S)
+				m, ok := refMean(m, i, S)
 				if ok != !math.IsNaN(vec[i]) || (ok && math.Float64bits(m) != math.Float64bits(vec[i])) {
 					t.Fatalf("%s pass %d: frozenVec(%v)[%d] = %v, reference (%v, usable %v)",
 						phase, pass, S, i, vec[i], m, ok)
@@ -259,7 +263,7 @@ func checkWarmAgainstReference(t *testing.T, phase string, o *Orchestrator, rng 
 	// Queries whose inputs are the same in every phase: a cache entry
 	// that survived a Learn would be served here.
 	checkVec(all[:min(5, len(all))])
-	sameConfig("unrestricted computeConfig", o.computeConfig(nil, nil, nil), refCompute(o, nil, nil))
+	sameConfig("unrestricted computeConfig", o.computeConfig(nil, nil, nil), refCompute(m, nil, nil))
 
 	for round := 0; round < rounds; round++ {
 		dark := randomDark()
@@ -274,21 +278,21 @@ func checkWarmAgainstReference(t *testing.T, phase string, o *Orchestrator, rng 
 		for k := rng.Intn(4); k > 0; k-- {
 			S := randomSet()
 			checkVec(S)
-			refFreeze(o, S, wantBase, dark)
+			refFreeze(m, S, wantBase, dark)
 			o.freezePrefix(S, gotBase, dark)
 			if !sameBits(gotBase, wantBase) {
 				t.Fatalf("%s round %d: freezePrefix(%v) diverges from reference", phase, round, S)
 			}
 		}
 
-		want := refGrow(o, cands, wantBase, dark)
+		want := refGrow(m, cands, wantBase, dark)
 		for pass := 0; pass < 2; pass++ { // second pass: memo hit
 			if got := o.growPrefix(cands, gotBase, dark); !slices.Equal(got, want) {
 				t.Fatalf("%s round %d pass %d: growPrefix = %v, reference %v", phase, round, pass, got, want)
 			}
 		}
 		for _, S := range [][]bgp.IngressID{want, randomSet(), nil} {
-			if got, ref := o.improvedStates(S, gotBase, dark), refImproved(o, S, wantBase, dark); !slices.Equal(got, ref) {
+			if got, ref := o.improvedStates(S, gotBase, dark), refImproved(m, S, wantBase, dark); !slices.Equal(got, ref) {
 				t.Fatalf("%s round %d: improvedStates(%v) = %v, reference %v", phase, round, S, got, ref)
 			}
 		}
@@ -302,7 +306,7 @@ func checkWarmAgainstReference(t *testing.T, phase string, o *Orchestrator, rng 
 		down[id] = true
 	}
 	live := func(id bgp.IngressID) bool { return !down[id] }
-	wantCfg := refCompute(o, live, dark)
+	wantCfg := refCompute(m, live, dark)
 	for pass := 0; pass < 2; pass++ {
 		sameConfig("computeConfig", o.computeConfig(nil, live, dark), wantCfg)
 	}
@@ -330,7 +334,7 @@ func checkWarmAgainstReference(t *testing.T, phase string, o *Orchestrator, rng 
 				dirty = append(dirty, pi)
 			}
 		}
-		wantRep := refRepair(o, base, dirty, live2, dark)
+		wantRep := refRepair(m, base, dirty, live2, dark)
 		for pass := 0; pass < 2; pass++ {
 			sameConfig(fmt.Sprintf("trial %d repairConfig(dirty %v)", trial, dirty),
 				o.repairConfig(nil, base, dirty, live2, dark), wantRep)
@@ -371,15 +375,18 @@ func TestWarmPathMatchesReference(t *testing.T) {
 				return est(ug, ing)
 			}
 		}
-		o, err := New(in, b.exec, p)
+		exec := &mirrorExec{inner: b.exec}
+		o, err := New(in, exec, p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := newRefModel(o)
+		exec.m = m
 		phase := func(s string) string {
 			return fmt.Sprintf("seed %d workers %d: %s", tc.seed, tc.workers, s)
 		}
 		rng := rand.New(rand.NewSource(tc.seed*31 + int64(tc.workers)))
-		checkWarmAgainstReference(t, phase("unlearned"), o, rng, 4)
+		checkWarmAgainstReference(t, phase("unlearned"), m, rng, 4)
 
 		// Solve learns preference facts and measured latencies; every
 		// cache entry built above is now stale and must not be served.
@@ -387,10 +394,14 @@ func TestWarmPathMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.ContainsFunc(o.states, func(st *ugState) bool { return len(st.beats) > 0 }) {
-			t.Fatal("Solve learned no preference facts; the expectSc fallback is not exercised")
+		learned := 0
+		for _, rep := range o.Reports() {
+			learned += rep.FactsLearned
 		}
-		checkWarmAgainstReference(t, phase("learned"), o, rng, 4)
+		if learned == 0 || learned != exec.facts {
+			t.Fatalf("Solve reports %d new preference facts, the mirror learned %d; want equal and non-zero", learned, exec.facts)
+		}
+		checkWarmAgainstReference(t, phase("learned"), m, rng, 4)
 
 		// One more Learn, on a config the model has not seen executed:
 		// the caches the learned phase filled must be invalidated.
@@ -402,7 +413,9 @@ func TestWarmPathMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Learn(probe, obs)
-		checkWarmAgainstReference(t, phase("relearned"), o, rng, 3)
+		if got, want := o.Learn(probe, obs), m.learn(probe, obs); got != want {
+			t.Fatalf("Learn on the probe config recorded %d facts, the mirror %d", got, want)
+		}
+		checkWarmAgainstReference(t, phase("relearned"), m, rng, 3)
 	}
 }
