@@ -8,6 +8,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -100,11 +102,45 @@ type ugState struct {
 	// indexed with deployment peering IDs.
 	popDist []float64
 	anycast float64
-	// beats[i][j] records the learned fact "this UG routes to i over j
-	// when both are available" (§3.1 preference learning). Lazily
-	// allocated: nil until the first fact.
-	beats map[bgp.IngressID]map[bgp.IngressID]bool
+	// Learned preference facts (§3.1: "this UG routes to i over j when
+	// both are available"), as one bitset row over compliant ranks per
+	// ingress that has won an observation: bit j of rank i's row is set
+	// when compliant[i] beats compliant[j]. rows holds the rows back to
+	// back, words uint64s each, in order of first win; rowOf[r] is 1 + the
+	// index of rank r's row, 0 while compliant[r] has never won. All nil
+	// until the first observation. An ingress never beats itself, so the
+	// OR of the rows of a set's members has bit j set exactly when some
+	// other member dominates j.
+	rows  []uint64
+	rowOf []int32
+	words int
 }
+
+// factRow returns rank r's preference row, nil when compliant[r] has
+// never won an observation.
+func (st *ugState) factRow(r int) []uint64 {
+	if st.rowOf == nil || st.rowOf[r] == 0 {
+		return nil
+	}
+	k := int(st.rowOf[r])
+	return st.rows[(k-1)*st.words : k*st.words]
+}
+
+// winnerRow is factRow that gives rank r a (zero) row if it has none.
+func (st *ugState) winnerRow(r int) []uint64 {
+	if st.rowOf == nil {
+		st.rowOf = make([]int32, len(st.compliant))
+		st.words = (len(st.compliant) + 63) / 64
+	}
+	if st.rowOf[r] == 0 {
+		st.rows = append(st.rows, make([]uint64, st.words)...)
+		st.rowOf[r] = int32(len(st.rows) / st.words)
+	}
+	return st.factRow(r)
+}
+
+// hasBit reports whether bit r of row is set.
+func hasBit(row []uint64, r int32) bool { return row[r>>6]&(1<<(r&63)) != 0 }
 
 // rank returns the index of ing in the sorted compliant set, or -1.
 func (st *ugState) rank(ing bgp.IngressID) int {
@@ -135,7 +171,8 @@ func (st *ugState) estOf(ing bgp.IngressID) (float64, bool) {
 
 // insertCompliant adds an observed-but-unmodeled ingress to the
 // compliant set (copy-on-write when the set is shared) and returns its
-// rank. The new estimate slot starts NaN.
+// rank. The new estimate slot starts NaN, and every stored fact about a
+// rank at or above the new one moves up with it.
 func (st *ugState) insertCompliant(ing bgp.IngressID) int {
 	pos := sort.Search(len(st.compliant), func(i int) bool { return st.compliant[i] >= ing })
 	nc := make([]bgp.IngressID, len(st.compliant)+1)
@@ -147,6 +184,23 @@ func (st *ugState) insertCompliant(ing bgp.IngressID) int {
 	ne[pos] = math.NaN()
 	copy(ne[pos+1:], st.est[pos:])
 	st.compliant, st.est, st.ownsComp = nc, ne, true
+	if st.rowOf != nil {
+		st.rowOf = slices.Insert(st.rowOf, pos, 0)
+		words := (len(nc) + 63) / 64
+		rows := make([]uint64, len(st.rows)/st.words*words)
+		for k := 0; k < len(st.rows)/st.words; k++ {
+			for w, bitsLeft := range st.rows[k*st.words : (k+1)*st.words] {
+				for ; bitsLeft != 0; bitsLeft &= bitsLeft - 1 {
+					j := w*64 + bits.TrailingZeros64(bitsLeft)
+					if j >= pos {
+						j++
+					}
+					rows[k*words+j>>6] |= 1 << (j & 63)
+				}
+			}
+		}
+		st.rows, st.words = rows, words
+	}
 	return pos
 }
 
@@ -247,12 +301,13 @@ type Expectation struct {
 // Usable reports whether the prefix is usable by the UG at all.
 func (e Expectation) Usable() bool { return e.N > 0 }
 
-// exScratch holds the grow loop's reusable buffers: candidate ranks for
-// expectSc and the S+x composition slice for marginal probes. One per
-// worker (or from exPool for non-hot callers); never shared between
-// concurrent goroutines.
+// exScratch holds expectSc's reusable buffers — candidate ranks and the
+// dominance mask — plus the S+x composition slice of growExact's
+// marginal probes. One per worker (or from exPool for non-hot callers);
+// never shared between concurrent goroutines.
 type exScratch struct {
 	ranks []int32
+	dom   []uint64
 	sx    []bgp.IngressID
 }
 
@@ -301,26 +356,24 @@ func (st *ugState) expectSc(sc *exScratch, peerings []bgp.IngressID, reuseKm flo
 	if len(ranks) == 0 {
 		return Expectation{}
 	}
+	// Preference dominance: j is dropped when some other candidate beats
+	// it, i.e. when bit j is set in the OR of the candidates' rows.
+	var dom []uint64
+	if len(st.rows) > 0 {
+		dom = append(sc.dom[:0], make([]uint64, st.words)...)
+		sc.dom = dom
+		for _, ri := range ranks {
+			for w, b := range st.factRow(int(ri)) {
+				dom[w] |= b
+			}
+		}
+	}
 	var sum float64
 	n := 0
 	e := Expectation{Min: math.Inf(1), Max: math.Inf(-1)}
 	for _, rj := range ranks {
-		// Preference dominance: drop j if some other candidate i beats j.
-		if len(st.beats) > 0 {
-			j := st.compliant[rj]
-			dominated := false
-			for _, ri := range ranks {
-				if ri == rj {
-					continue
-				}
-				if bi := st.beats[st.compliant[ri]]; bi != nil && bi[j] {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				continue
-			}
+		if dom != nil && hasBit(dom, rj) {
+			continue
 		}
 		ms := st.est[rj]
 		if math.IsNaN(ms) {
@@ -360,24 +413,20 @@ func (st *ugState) learn(peerings []bgp.IngressID, chosen bgp.IngressID, measure
 		r = st.insertCompliant(chosen)
 	}
 	st.est[r] = measuredMs // est is always privately owned; only compliant can be shared
-	if st.beats == nil {
-		st.beats = make(map[bgp.IngressID]map[bgp.IngressID]bool)
-	}
-	if st.beats[chosen] == nil {
-		st.beats[chosen] = make(map[bgp.IngressID]bool)
-	}
+	row := st.winnerRow(r)
 	facts := 0
 	for _, other := range peerings {
-		if other == chosen || st.rank(other) < 0 {
+		ro := st.rank(other)
+		if other == chosen || ro < 0 {
 			continue
 		}
-		if !st.beats[chosen][other] {
-			st.beats[chosen][other] = true
+		if !hasBit(row, int32(ro)) {
+			row[ro>>6] |= 1 << (ro & 63)
 			facts++
 		}
 		// Remove the contradicting fact if present.
-		if st.beats[other] != nil && st.beats[other][chosen] {
-			delete(st.beats[other], chosen)
+		if back := st.factRow(ro); back != nil {
+			back[r>>6] &^= 1 << (r & 63)
 		}
 	}
 	return facts

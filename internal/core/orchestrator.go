@@ -419,20 +419,28 @@ func (o *Orchestrator) frozenVec(S []bgp.IngressID) []float64 {
 	return vec
 }
 
+// singleTable is the per-ingress view of the model the grow loop reads:
+// for state statesFor(ing)[k], mean[ing][k] is Eq. (2)'s mean under the
+// one-peering set {ing} (NaN when unusable) and rank[ing][k] is ing's
+// rank in that state's compliant set.
+type singleTable struct {
+	mean [][]float64
+	rank [][]int32
+}
+
 // singletonRows returns (building on first use per model version) the
-// per-ingress singleton expectation table: rows[ing][k] is Eq. (2)'s
-// mean for state statesFor(ing)[k] under the one-peering set {ing},
-// NaN when unusable. growPrefix's initial sweep — the bulk of a grow —
-// probes exactly these values, so the table turns it into a table walk.
-func (o *Orchestrator) singletonRows() [][]float64 {
-	if rows := o.warm.lookupSingle(); rows != nil {
-		return rows
+// singleton table. growPrefix's initial sweep — the bulk of a grow —
+// probes exactly the singleton means, so the table turns it into a table
+// walk; the ranks spare every later probe its binary search.
+func (o *Orchestrator) singletonRows() *singleTable {
+	if t := o.warm.lookupSingle(); t != nil {
+		return t
 	}
 	// Only deployment peerings get rows: they are the only grow
 	// candidates, and expectSc's popDist lookup is only defined for
 	// deployment IDs (learned compliance corrections can index states
 	// under foreign ingress IDs).
-	rows := make([][]float64, len(o.byIngress))
+	t := &singleTable{mean: make([][]float64, len(o.byIngress)), rank: make([][]int32, len(o.byIngress))}
 	sc := exPool.Get().(*exScratch)
 	defer exPool.Put(sc)
 	one := make([]bgp.IngressID, 1)
@@ -441,18 +449,20 @@ func (o *Orchestrator) singletonRows() [][]float64 {
 		if len(idxs) == 0 {
 			continue
 		}
-		row := make([]float64, len(idxs))
+		mean, rank := make([]float64, len(idxs)), make([]int32, len(idxs))
 		one[0] = ing
 		for k, i := range idxs {
-			if e := o.states[i].expectSc(sc, one, o.params.ReuseKm); e.Usable() {
-				row[k] = e.Mean
+			st := o.states[i]
+			rank[k] = int32(st.rank(ing))
+			if e := st.expectSc(sc, one, o.params.ReuseKm); e.Usable() {
+				mean[k] = e.Mean
 			} else {
-				row[k] = math.NaN()
+				mean[k] = math.NaN()
 			}
 		}
-		rows[ing] = row
+		t.mean[ing], t.rank[ing] = mean, rank
 	}
-	return o.warm.storeSingle(rows)
+	return o.warm.storeSingle(t)
 }
 
 // growScratches checks out one expectation scratch per worker.
@@ -492,6 +502,74 @@ func (o *Orchestrator) growPrefix(allPeerings []bgp.IngressID, bestFrozen []floa
 	return S
 }
 
+// incMember is one accepted peering as one state sees it: the values
+// expectSc would read for it, plus its rank for the dominance test.
+type incMember struct {
+	dist, est float64
+	rank      int32
+}
+
+// growScratch is the lazy grow loop's working memory, sized to the
+// model once and reset per grow (warmCache keeps returned scratches
+// until the next Learn). Between grows everything is at its initial
+// value: curE +Inf, stateVer 0, members empty, masks zero, inS false.
+type growScratch struct {
+	// inS[ing] marks the peerings accepted into the growing prefix.
+	inS []bool
+	// curE[i] is Eq. (2) for the growing prefix, +Inf when unusable.
+	curE []float64
+	// stateVer[i] is the version at which curE[i] last moved.
+	stateVer []int
+	// members[i] lists the growing prefix's peerings compliant for state
+	// i, in accept order; mask[i] is the OR of their preference rows (nil
+	// for a state without learned facts, whose rows would all be empty).
+	members [][]incMember
+	mask    [][]uint64
+	// touched lists the states with members, for the reset.
+	touched []int32
+	margs   []float64
+	heap    candHeap
+}
+
+func (o *Orchestrator) newGrowScratch() *growScratch {
+	n := len(o.states)
+	gs := &growScratch{
+		inS:      make([]bool, len(o.byIngress)),
+		curE:     make([]float64, n),
+		stateVer: make([]int, n),
+		members:  make([][]incMember, n),
+		mask:     make([][]uint64, n),
+	}
+	words := 0
+	for i, st := range o.states {
+		gs.curE[i] = math.Inf(1)
+		if len(st.rows) > 0 {
+			words += st.words
+		}
+	}
+	slab := make([]uint64, words)
+	for i, st := range o.states {
+		if len(st.rows) > 0 {
+			gs.mask[i], slab = slab[:st.words:st.words], slab[st.words:]
+		}
+	}
+	return gs
+}
+
+// reset undoes one grow of prefix S.
+func (gs *growScratch) reset(S []bgp.IngressID) {
+	for _, x := range S {
+		gs.inS[x] = false
+	}
+	for _, i := range gs.touched {
+		gs.curE[i] = math.Inf(1)
+		gs.stateVer[i] = 0
+		gs.members[i] = gs.members[i][:0]
+		clear(gs.mask[i])
+	}
+	gs.touched = gs.touched[:0]
+}
+
 // growUncached is the greedy grow loop behind growPrefix's memo: lazy
 // evaluation over the singleton table and the incremental Eq. (2) form.
 func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
@@ -499,28 +577,13 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 		return o.growExact(allPeerings, bestFrozen, dark)
 	}
 	workers := o.workerCount()
-	// Only the sequential part of the loop (stale refreshes, accepts on
-	// states with learned facts) evaluates expectSc.
-	sc := exPool.Get().(*exScratch)
-	defer exPool.Put(sc)
-
-	var S []bgp.IngressID
-	inS := make(map[bgp.IngressID]bool)
-	// curE[i] is Eq(2) for the growing prefix, +Inf when unusable.
-	curE := make([]float64, len(o.states))
-	for i := range curE {
-		curE[i] = math.Inf(1)
-	}
-	// rowOf(x)[k] is Eq. (2)'s mean for state statesFor(x)[k] under {x}.
-	// A peering past the table has no compliant state: its row is never
-	// indexed.
 	single := o.singletonRows()
-	rowOf := func(x bgp.IngressID) []float64 {
-		if int(x) < len(single) {
-			return single[x]
-		}
-		return nil
+	gs := o.warm.takeScratch()
+	if gs == nil {
+		gs = o.newGrowScratch()
 	}
+	var S []bgp.IngressID
+	curE, stateVer := gs.curE, gs.stateVer
 	reuse := o.params.ReuseKm
 
 	// marginalSingle is a candidate's marginal during the initial sweep
@@ -528,8 +591,9 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 	// table. One candidate is evaluated wholly on one worker and the float
 	// sum over statesFor(x) runs in fixed index order regardless of how
 	// candidates are scheduled, so results are worker-count independent.
+	// A peering past the table has no compliant state: its rows are never
+	// indexed.
 	marginalSingle := func(x bgp.IngressID) float64 {
-		row := rowOf(x)
 		var delta float64
 		for k, i := range o.statesFor(x) {
 			if dark != nil && dark[i] {
@@ -538,7 +602,7 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 			st := o.states[i]
 			oldVal := math.Min(bestFrozen[i], curE[i])
 			newE := math.Inf(1)
-			if v := row[k]; !math.IsNaN(v) {
+			if v := single.mean[x][k]; !math.IsNaN(v) {
 				newE = v
 			}
 			newVal := math.Min(bestFrozen[i], newE)
@@ -547,42 +611,43 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 		return delta
 	}
 
-	// Incremental Eq. (2): per state, the (popDist, est) pairs of S's
-	// compliant members in accept order — exactly the values expectSc
-	// reads for that state, in the order it reads them, so means are
-	// bit-equal with no per-probe binary searches. The incremental form
-	// has no preference-dominance filtering, so states with learned facts
-	// (st.beats non-empty) fall back to expectSc. The singleton table
-	// supplies each member's est (a one-peering set's mean IS its est:
-	// alone it is never dominated and always within its own reuse radius).
-	incD := make([][]float64, len(o.states))
-	incE := make([][]float64, len(o.states))
-	// evalInc is Eq. (2)'s mean over state i's incremental pairs, plus an
-	// optional probe member (dx, ex) ordered last, as in the set S+x.
-	evalInc := func(i int32, dx, ex float64, probe bool) (float64, bool) {
-		dists, ests := incD[i], incE[i]
+	// Incremental Eq. (2): per state, S's compliant members in accept
+	// order — exactly the values expectSc reads for that state, in the
+	// order it reads them, so means are bit-equal with no per-probe binary
+	// searches — and the OR of their preference rows, so the dominance
+	// filter is a bit test per member. The singleton table supplies each
+	// member's est (a one-peering set's mean IS its est: alone it is never
+	// dominated and always within its own reuse radius) and rank.
+	//
+	// evalInc is Eq. (2)'s mean over state i's members, plus an optional
+	// probe member x ordered last, as in the set S+x; xRow is x's own
+	// preference row (nil: none). As in expectSc, the reuse radius is
+	// measured from the nearest member before dominance drops any.
+	evalInc := func(i int32, x incMember, xRow []uint64, probe bool) (float64, bool) {
+		members, mask := gs.members[i], gs.mask[i]
 		minDist := math.Inf(1)
-		for _, d := range dists {
-			if d < minDist {
+		for k := range members {
+			if d := members[k].dist; d < minDist {
 				minDist = d
 			}
 		}
-		if probe && dx < minDist {
-			minDist = dx
+		if probe && x.dist < minDist {
+			minDist = x.dist
 		}
 		var sum float64
 		n := 0
-		for j, e := range ests {
-			if math.IsNaN(e) {
+		for k := range members {
+			m := &members[k]
+			if mask != nil && (hasBit(mask, m.rank) || (xRow != nil && hasBit(xRow, m.rank))) {
 				continue
 			}
-			if dists[j] <= minDist+reuse {
-				sum += e
+			if !math.IsNaN(m.est) && m.dist <= minDist+reuse {
+				sum += m.est
 				n++
 			}
 		}
-		if probe && !math.IsNaN(ex) && dx <= minDist+reuse {
-			sum += ex
+		if probe && !(mask != nil && hasBit(mask, x.rank)) && !math.IsNaN(x.est) && x.dist <= minDist+reuse {
+			sum += x.est
 			n++
 		}
 		if n == 0 {
@@ -590,8 +655,10 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 		}
 		return sum / float64(n), true
 	}
+	memberOf := func(st *ugState, x bgp.IngressID, k int) incMember {
+		return incMember{dist: st.popDist[x], est: single.mean[x][k], rank: single.rank[x][k]}
+	}
 	marginalInc := func(x bgp.IngressID) float64 {
-		row := rowOf(x)
 		var delta float64
 		for k, i := range o.statesFor(x) {
 			if dark != nil && dark[i] {
@@ -600,19 +667,9 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 			st := o.states[i]
 			oldVal := math.Min(bestFrozen[i], curE[i])
 			newE := math.Inf(1)
-			if len(st.beats) == 0 {
-				if m, ok := evalInc(i, st.popDist[x], row[k], true); ok {
-					newE = m
-				}
-			} else {
-				// The S+x probe set is composed in the scratch to avoid a
-				// per-probe append allocation.
-				sx := append(sc.sx[:0], S...)
-				sx = append(sx, x)
-				sc.sx = sx
-				if e := st.expectSc(sc, sx, reuse); e.Usable() {
-					newE = e.Mean
-				}
+			m := memberOf(st, x, k)
+			if mean, ok := evalInc(i, m, st.factRow(int(m.rank)), true); ok {
+				newE = mean
 			}
 			newVal := math.Min(bestFrozen[i], newE)
 			delta += st.ug.Weight * (oldVal - newVal)
@@ -621,20 +678,19 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 	}
 	acceptInc := func(x bgp.IngressID) {
 		S = append(S, x)
-		inS[x] = true
-		row := rowOf(x)
+		gs.inS[x] = true
 		for k, i := range o.statesFor(x) {
 			st := o.states[i]
-			incD[i] = append(incD[i], st.popDist[x])
-			incE[i] = append(incE[i], row[k])
-			if len(st.beats) == 0 {
-				if m, ok := evalInc(i, 0, 0, false); ok {
-					curE[i] = m
-				} else {
-					curE[i] = math.Inf(1)
-				}
-			} else if e := st.expectSc(sc, S, reuse); e.Usable() {
-				curE[i] = e.Mean
+			m := memberOf(st, x, k)
+			if len(gs.members[i]) == 0 {
+				gs.touched = append(gs.touched, i)
+			}
+			gs.members[i] = append(gs.members[i], m)
+			for w, b := range st.factRow(int(m.rank)) {
+				gs.mask[i][w] |= b
+			}
+			if mean, ok := evalInc(i, incMember{}, nil, false); ok {
+				curE[i] = mean
 			} else {
 				curE[i] = math.Inf(1)
 			}
@@ -651,23 +707,26 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 	// its version would recompute the exact marginal it already carries
 	// — its value reads only curE and bestFrozen over statesFor(x) — so
 	// it is re-stamped current without re-evaluating.
-	stateVer := make([]int, len(o.states))
 	version := 0
-	margs := make([]float64, len(allPeerings))
+	margs := append(gs.margs[:0], make([]float64, len(allPeerings))...)
 	parallelWorkers(len(allPeerings), workers, func(_, k int) {
 		margs[k] = marginalSingle(allPeerings[k])
 	})
-	h := make(candHeap, 0, len(allPeerings))
+	h := gs.heap[:0]
 	for k, x := range allPeerings {
 		h = append(h, candItem{ing: x, marginal: margs[k], version: version})
+		if int(x) >= len(gs.inS) { // a candidate no state is indexed under
+			gs.inS = append(gs.inS, make([]bool, int(x)+1-len(gs.inS))...)
+		}
 	}
+	gs.margs, gs.heap = margs, h
 	heap.Init(&h)
 	for h.Len() > 0 {
 		if o.params.MaxPeeringsPerPrefix > 0 && len(S) >= o.params.MaxPeeringsPerPrefix {
 			break
 		}
 		top := heap.Pop(&h).(candItem)
-		if inS[top.ing] {
+		if gs.inS[top.ing] {
 			continue
 		}
 		if top.version != version {
@@ -699,6 +758,8 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 			stateVer[i] = version
 		}
 	}
+	gs.reset(S)
+	o.warm.putScratch(gs)
 	return S
 }
 

@@ -315,7 +315,6 @@ func flatState(ug usergroup.UG, anycast float64,
 		est:       make([]float64, len(ids)),
 		popDist:   make([]float64, maxID+1),
 		anycast:   anycast,
-		beats:     map[bgp.IngressID]map[bgp.IngressID]bool{},
 	}
 	for r, ing := range ids {
 		st.est[r] = est[ing]

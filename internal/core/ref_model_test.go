@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -171,12 +172,19 @@ func (e *mirrorExec) Execute(cfg Config) ([]Observation, error) {
 
 // hasFact and factCount are the tests' only view of how ugState stores
 // learned preferences.
-func hasFact(st *ugState, winner, loser bgp.IngressID) bool { return st.beats[winner][loser] }
+func hasFact(st *ugState, winner, loser bgp.IngressID) bool {
+	rw, rl := st.rank(winner), st.rank(loser)
+	if rw < 0 || rl < 0 {
+		return false
+	}
+	row := st.factRow(rw)
+	return row != nil && hasBit(row, int32(rl))
+}
 
 func factCount(st *ugState) int {
 	n := 0
-	for _, losers := range st.beats {
-		n += len(losers)
+	for _, w := range st.rows {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

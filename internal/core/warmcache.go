@@ -64,16 +64,40 @@ type warmCache struct {
 	mu     sync.Mutex
 	grow   map[uint64][]*growEntry
 	freeze map[uint64][]*freezeEntry
-	// single is the per-ingress singleton expectation table (built by
+	// single is the per-ingress singleton table (built by
 	// singletonRows); nil until first use, cleared on invalidate.
-	single [][]float64
-	floats int
+	single *singleTable
+	// scratch holds the grow loop's idle working memory, one entry per
+	// grow that has ever run concurrently. Its mask layout follows the
+	// states' preference rows, so invalidate drops it.
+	scratch []*growScratch
+	floats  int
 }
 
 // invalidate drops everything; called when Learn changes the model.
 func (c *warmCache) invalidate() {
 	c.mu.Lock()
-	c.grow, c.freeze, c.single, c.floats = nil, nil, nil, 0
+	c.grow, c.freeze, c.single, c.scratch, c.floats = nil, nil, nil, nil, 0
+	c.mu.Unlock()
+}
+
+// takeScratch hands out an idle grow scratch, nil when there is none.
+func (c *warmCache) takeScratch() *growScratch {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.scratch)
+	if n == 0 {
+		return nil
+	}
+	gs := c.scratch[n-1]
+	c.scratch = c.scratch[:n-1]
+	return gs
+}
+
+// putScratch returns a reset scratch for the next grow.
+func (c *warmCache) putScratch(gs *growScratch) {
+	c.mu.Lock()
+	c.scratch = append(c.scratch, gs)
 	c.mu.Unlock()
 }
 
@@ -85,7 +109,7 @@ func (c *warmCache) reserveLocked(n int) {
 }
 
 // lookupSingle returns the singleton table, or nil if not built yet.
-func (c *warmCache) lookupSingle() [][]float64 {
+func (c *warmCache) lookupSingle() *singleTable {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.single
@@ -95,11 +119,11 @@ func (c *warmCache) lookupSingle() [][]float64 {
 // identical tables) and returns the retained one. The table survives
 // cap-overflow clears of the entry caches — it is model-sized, not
 // churn-sized — and only invalidate drops it.
-func (c *warmCache) storeSingle(rows [][]float64) [][]float64 {
+func (c *warmCache) storeSingle(t *singleTable) *singleTable {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.single == nil {
-		c.single = rows
+		c.single = t
 	}
 	return c.single
 }
