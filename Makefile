@@ -7,9 +7,12 @@ GO ?= go
 # engine's differential and metamorphic suites are its correctness
 # argument. The tenant control plane carries its own: spec validation,
 # the store's optimistic concurrency, and the reconcile state machine
-# are all small, fully-exercisable surfaces.
+# are all small, fully-exercisable surfaces. The solver core's floor
+# guards the grow loop and the learned-preference store, whose
+# differential, golden and fuzz suites are what keep configurations
+# byte-identical.
 COVER_FLOORS = painter/internal/netsim:70 painter/internal/tm:70 painter/internal/chaos:70 \
-	painter/internal/bgp:85 painter/internal/tenant:80
+	painter/internal/bgp:85 painter/internal/tenant:80 painter/internal/core:80
 
 # Native fuzz targets smoke-tested by `make fuzz` (one -fuzz per run).
 FUZZ_TIME ?= 10s
@@ -47,8 +50,9 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./internal/tm/ ./internal/tm/netio/ ./internal/tmproto/ ./internal/bgp/ ./internal/routeserver/ ./internal/netsim/emul/ ./internal/core/ ./internal/netsim/ ./internal/chaos/ ./internal/chaos/tmchaos/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/history/ ./internal/obs/alert/ ./internal/controlapi/ ./internal/usergroup/ ./internal/tenant/ ./internal/measurement/
 
-# Short fuzzing smoke on the wire decoders: each target runs for
-# FUZZ_TIME (go test allows one -fuzz pattern per invocation).
+# Short fuzzing smoke on the wire decoders, the delta engine, the alert
+# rule parser and the solver's learned-preference store: each target
+# runs for FUZZ_TIME (go test allows one -fuzz pattern per invocation).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZ_TIME) ./internal/tmproto/
 	$(GO) test -run='^$$' -fuzz=FuzzGREDecode -fuzztime=$(FUZZ_TIME) ./internal/tmproto/
@@ -58,6 +62,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=$(FUZZ_TIME) ./internal/bgp/
 	$(GO) test -run='^$$' -fuzz=FuzzPropagateDelta -fuzztime=$(FUZZ_TIME) ./internal/bgp/
 	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZ_TIME) ./internal/obs/alert/
+	$(GO) test -run='^$$' -fuzz=FuzzLearnExpect -fuzztime=$(FUZZ_TIME) ./internal/core/
 
 # Coverage with a per-package floor (the COVER_FLOORS table).
 cover:

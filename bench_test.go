@@ -212,6 +212,33 @@ func BenchmarkOrchestratorSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveLearned is the whole of Algorithm 1's outer loop — four
+// advertise/measure/learn rounds against the simulated world — so, unlike
+// the offline solves around it, iterations two to four grow every prefix
+// over states that carry learned preference facts.
+func BenchmarkSolveLearned(b *testing.B) {
+	env := getEnv(b)
+	params := core.DefaultParams(8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, err := core.New(env.Inputs, core.NewWorldExecutor(env.World, env.UGs, 0, 7), params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := o.Solve(); err != nil {
+			b.Fatal(err)
+		}
+		facts := 0
+		for _, rep := range o.Reports() {
+			facts += rep.FactsLearned
+		}
+		if facts == 0 {
+			b.Fatal("solve learned no preference facts")
+		}
+		b.ReportMetric(float64(facts), "facts/op")
+	}
+}
+
 // BenchmarkFailoverDetection runs repeated failovers and reports the
 // distribution the §5.2.3 text cites (detection typically ≈1.3 RTT).
 func BenchmarkFailoverDetection(b *testing.B) {

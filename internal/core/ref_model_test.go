@@ -266,9 +266,15 @@ func (s learnScript) run() error {
 // ids is shorthand for ingress-ID literals.
 func ids(xs ...bgp.IngressID) []bgp.IngressID { return xs }
 
+// namedScript is one hand-written scenario.
+type namedScript struct {
+	name string
+	learnScript
+}
+
 // learnScriptCases are the hand-written scenarios; they also seed
-// FuzzLearnExpect.
-func learnScriptCases() map[string]learnScript {
+// FuzzLearnExpect. The two-word case comes last.
+func learnScriptCases() []namedScript {
 	nan := math.NaN()
 	// Eight ingresses 0..7; 0 and 5 start non-compliant. Distances put 3
 	// far outside a 3,000 km reuse radius of the rest.
@@ -284,11 +290,11 @@ func learnScriptCases() map[string]learnScript {
 			},
 		}
 	}
-	cases := map[string]learnScript{}
+	var cases []namedScript
 	add := func(name string, steps ...learnStep) {
 		s := base()
 		s.steps = steps
-		cases[name] = s
+		cases = append(cases, namedScript{name, s})
 	}
 	add("unlearned")
 	add("repeat observation",
@@ -331,14 +337,13 @@ func learnScriptCases() map[string]learnScript {
 		{ids(40, 64, 70, 71), 40, 3},
 		{ids(64, 70), 64, 6},
 	}
-	cases["two words"] = wide
-	return cases
+	return append(cases, namedScript{"two words", wide})
 }
 
 func TestExpectMatchesReference(t *testing.T) {
-	for name, s := range learnScriptCases() {
+	for _, s := range learnScriptCases() {
 		if err := s.run(); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", s.name, err)
 		}
 	}
 }

@@ -419,3 +419,21 @@ func TestWarmPathMatchesReference(t *testing.T) {
 		checkWarmAgainstReference(t, phase("relearned"), m, rng, 3)
 	}
 }
+
+// TestWarmCacheCountsWholeGrowEntry: a memoized grow retains its
+// candidates, dark mask and result beside the frozen base; all of them
+// count toward maxWarmFloats, in 8-byte words.
+func TestWarmCacheCountsWholeGrowEntry(t *testing.T) {
+	var c warmCache
+	cands := make([]bgp.IngressID, 101)
+	frozen := make([]float64, 1000)
+	dark := make([]bool, 1000)
+	c.storeGrow(growHash(cands, frozen, dark), cands, frozen, dark, ids(1, 2, 3))
+	if want := 1000 + (101+3+1)/2 + 125; c.floats != want {
+		t.Errorf("one grow entry reserved %d words, want %d (frozen + IDs/2 + dark/8)", c.floats, want)
+	}
+	c.storeGrow(growHash(cands, frozen, dark), cands, frozen, dark, ids(1, 2, 3))
+	if want := 1000 + (101+3+1)/2 + 125; c.floats != want {
+		t.Errorf("a repeated store reserved again: %d words, want %d", c.floats, want)
+	}
+}

@@ -37,8 +37,8 @@ import (
 	"painter/internal/bgp"
 )
 
-// maxWarmFloats bounds the floats retained across all cache entries
-// (~32 MB); exceeding it clears the cache.
+// maxWarmFloats bounds what all cache entries retain, in float-sized
+// (8-byte) words (~32 MB); exceeding it clears the cache.
 const maxWarmFloats = 4 << 20
 
 type growEntry struct {
@@ -190,7 +190,8 @@ func (c *warmCache) storeGrow(key uint64, cands []bgp.IngressID, frozen []float6
 			return // a concurrent speculative regrow already stored it
 		}
 	}
-	c.reserveLocked(len(frozen))
+	// Candidates and the grown set are 4-byte IDs, the dark mask bytes.
+	c.reserveLocked(len(frozen) + (len(cands)+len(S)+1)/2 + (len(dark)+7)/8)
 	if c.grow == nil {
 		c.grow = make(map[uint64][]*growEntry)
 	}
