@@ -186,16 +186,17 @@ func (st *ugState) insertCompliant(ing bgp.IngressID) int {
 	st.compliant, st.est, st.ownsComp = nc, ne, true
 	if st.rowOf != nil {
 		st.rowOf = slices.Insert(st.rowOf, pos, 0)
-		words := (len(nc) + 63) / 64
-		rows := make([]uint64, len(st.rows)/st.words*words)
-		for k := 0; k < len(st.rows)/st.words; k++ {
-			for w, bitsLeft := range st.rows[k*st.words : (k+1)*st.words] {
-				for ; bitsLeft != 0; bitsLeft &= bitsLeft - 1 {
-					j := w*64 + bits.TrailingZeros64(bitsLeft)
+		words, nrows := (len(nc)+63)/64, len(st.rows)/st.words
+		rows := make([]uint64, nrows*words)
+		for k := 0; k < nrows; k++ {
+			row := rows[k*words : (k+1)*words]
+			for w, word := range st.rows[k*st.words : (k+1)*st.words] {
+				for ; word != 0; word &= word - 1 {
+					j := w*64 + bits.TrailingZeros64(word)
 					if j >= pos {
 						j++
 					}
-					rows[k*words+j>>6] |= 1 << (j & 63)
+					row[j>>6] |= 1 << (j & 63)
 				}
 			}
 		}
