@@ -512,7 +512,8 @@ type incMember struct {
 // growScratch is the lazy grow loop's working memory, sized to the
 // model once and reset per grow (warmCache keeps returned scratches
 // until the next Learn). Between grows everything is at its initial
-// value: curE +Inf, stateVer 0, members empty, masks zero, inS false.
+// value: curE and minDist +Inf, stateVer 0, members empty, masks zero,
+// inS false.
 type growScratch struct {
 	// inS[ing] marks the peerings accepted into the growing prefix.
 	inS []bool
@@ -521,9 +522,11 @@ type growScratch struct {
 	// stateVer[i] is the version at which curE[i] last moved.
 	stateVer []int
 	// members[i] lists the growing prefix's peerings compliant for state
-	// i, in accept order; mask[i] is the OR of their preference rows (nil
-	// for a state without learned facts, whose rows would all be empty).
+	// i, in accept order; minDist[i] is the distance to the nearest of
+	// them, and mask[i] the OR of their preference rows (nil for a state
+	// without learned facts, whose rows would all be empty).
 	members [][]incMember
+	minDist []float64
 	mask    [][]uint64
 	// touched lists the states with members, for the reset.
 	touched []int32
@@ -538,11 +541,12 @@ func (o *Orchestrator) newGrowScratch() *growScratch {
 		curE:     make([]float64, n),
 		stateVer: make([]int, n),
 		members:  make([][]incMember, n),
+		minDist:  make([]float64, n),
 		mask:     make([][]uint64, n),
 	}
 	words := 0
 	for i, st := range o.states {
-		gs.curE[i] = math.Inf(1)
+		gs.curE[i], gs.minDist[i] = math.Inf(1), math.Inf(1)
 		if len(st.rows) > 0 {
 			words += st.words
 		}
@@ -562,7 +566,7 @@ func (gs *growScratch) reset(S []bgp.IngressID) {
 		gs.inS[x] = false
 	}
 	for _, i := range gs.touched {
-		gs.curE[i] = math.Inf(1)
+		gs.curE[i], gs.minDist[i] = math.Inf(1), math.Inf(1)
 		gs.stateVer[i] = 0
 		gs.members[i] = gs.members[i][:0]
 		clear(gs.mask[i])
@@ -593,7 +597,14 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 	// candidates are scheduled, so results are worker-count independent.
 	// A peering past the table has no compliant state: its rows are never
 	// indexed.
+	rowsOf := func(x bgp.IngressID) ([]float64, []int32) {
+		if int(x) < len(single.mean) {
+			return single.mean[x], single.rank[x]
+		}
+		return nil, nil
+	}
 	marginalSingle := func(x bgp.IngressID) float64 {
+		means, _ := rowsOf(x)
 		var delta float64
 		for k, i := range o.statesFor(x) {
 			if dark != nil && dark[i] {
@@ -602,7 +613,7 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 			st := o.states[i]
 			oldVal := math.Min(bestFrozen[i], curE[i])
 			newE := math.Inf(1)
-			if v := single.mean[x][k]; !math.IsNaN(v) {
+			if v := means[k]; !math.IsNaN(v) {
 				newE = v
 			}
 			newVal := math.Min(bestFrozen[i], newE)
@@ -624,13 +635,7 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 	// preference row (nil: none). As in expectSc, the reuse radius is
 	// measured from the nearest member before dominance drops any.
 	evalInc := func(i int32, x incMember, xRow []uint64, probe bool) (float64, bool) {
-		members, mask := gs.members[i], gs.mask[i]
-		minDist := math.Inf(1)
-		for k := range members {
-			if d := members[k].dist; d < minDist {
-				minDist = d
-			}
-		}
+		members, mask, minDist := gs.members[i], gs.mask[i], gs.minDist[i]
 		if probe && x.dist < minDist {
 			minDist = x.dist
 		}
@@ -655,10 +660,8 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 		}
 		return sum / float64(n), true
 	}
-	memberOf := func(st *ugState, x bgp.IngressID, k int) incMember {
-		return incMember{dist: st.popDist[x], est: single.mean[x][k], rank: single.rank[x][k]}
-	}
 	marginalInc := func(x bgp.IngressID) float64 {
+		means, ranks := rowsOf(x)
 		var delta float64
 		for k, i := range o.statesFor(x) {
 			if dark != nil && dark[i] {
@@ -667,7 +670,7 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 			st := o.states[i]
 			oldVal := math.Min(bestFrozen[i], curE[i])
 			newE := math.Inf(1)
-			m := memberOf(st, x, k)
+			m := incMember{dist: st.popDist[x], est: means[k], rank: ranks[k]}
 			if mean, ok := evalInc(i, m, st.factRow(int(m.rank)), true); ok {
 				newE = mean
 			}
@@ -679,13 +682,17 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 	acceptInc := func(x bgp.IngressID) {
 		S = append(S, x)
 		gs.inS[x] = true
+		means, ranks := rowsOf(x)
 		for k, i := range o.statesFor(x) {
 			st := o.states[i]
-			m := memberOf(st, x, k)
+			m := incMember{dist: st.popDist[x], est: means[k], rank: ranks[k]}
 			if len(gs.members[i]) == 0 {
 				gs.touched = append(gs.touched, i)
 			}
 			gs.members[i] = append(gs.members[i], m)
+			if m.dist < gs.minDist[i] {
+				gs.minDist[i] = m.dist
+			}
 			for w, b := range st.factRow(int(m.rank)) {
 				gs.mask[i][w] |= b
 			}
