@@ -120,7 +120,7 @@ func fuzzSeedScripts() []namedScript {
 // TestFuzzSeedsRoundTrip pins the seed corpus to the scenarios it is
 // meant to carry: decoding a seed gives back the script that produced it.
 func TestFuzzSeedsRoundTrip(t *testing.T) {
-	nanTo := func(s learnScript) learnScript { // NaN != NaN under DeepEqual
+	noNaN := func(s learnScript) learnScript { // NaN != NaN under DeepEqual
 		for id := range s.est {
 			if math.IsNaN(s.est[id]) || !s.compliant[id] {
 				s.est[id] = -1
@@ -138,7 +138,7 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 		if err := got.run(); err != nil {
 			t.Errorf("%s: %v", s.name, err)
 		}
-		if !reflect.DeepEqual(nanTo(got), nanTo(s.learnScript)) {
+		if !reflect.DeepEqual(noNaN(got), noNaN(s.learnScript)) {
 			t.Errorf("%s: seed decodes to\n%+v\nwant\n%+v", s.name, got, s.learnScript)
 		}
 	}

@@ -142,6 +142,8 @@ func (st *ugState) winnerRow(r int) []uint64 {
 // hasBit reports whether bit r of row is set.
 func hasBit(row []uint64, r int32) bool { return row[r>>6]&(1<<(r&63)) != 0 }
 
+func setBit(row []uint64, r int) { row[r>>6] |= 1 << (r & 63) }
+
 // rank returns the index of ing in the sorted compliant set, or -1.
 func (st *ugState) rank(ing bgp.IngressID) int {
 	lo, hi := 0, len(st.compliant)
@@ -196,7 +198,7 @@ func (st *ugState) insertCompliant(ing bgp.IngressID) int {
 					if j >= pos {
 						j++
 					}
-					row[j>>6] |= 1 << (j & 63)
+					setBit(row, j)
 				}
 			}
 		}
@@ -422,7 +424,7 @@ func (st *ugState) learn(peerings []bgp.IngressID, chosen bgp.IngressID, measure
 			continue
 		}
 		if !hasBit(row, int32(ro)) {
-			row[ro>>6] |= 1 << (ro & 63)
+			setBit(row, ro)
 			facts++
 		}
 		// Remove the contradicting fact if present.

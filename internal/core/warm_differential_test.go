@@ -428,12 +428,11 @@ func TestWarmCacheCountsWholeGrowEntry(t *testing.T) {
 	cands := make([]bgp.IngressID, 101)
 	frozen := make([]float64, 1000)
 	dark := make([]bool, 1000)
-	c.storeGrow(growHash(cands, frozen, dark), cands, frozen, dark, ids(1, 2, 3))
-	if want := 1000 + (101+3+1)/2 + 125; c.floats != want {
-		t.Errorf("one grow entry reserved %d words, want %d (frozen + IDs/2 + dark/8)", c.floats, want)
-	}
-	c.storeGrow(growHash(cands, frozen, dark), cands, frozen, dark, ids(1, 2, 3))
-	if want := 1000 + (101+3+1)/2 + 125; c.floats != want {
-		t.Errorf("a repeated store reserved again: %d words, want %d", c.floats, want)
+	const want = 1000 + (101+3+1)/2 + 125 // frozen + IDs/2 + dark/8
+	for pass := 0; pass < 2; pass++ {     // the repeated store must not reserve again
+		c.storeGrow(growHash(cands, frozen, dark), cands, frozen, dark, ids(1, 2, 3))
+		if c.floats != want {
+			t.Errorf("store %d: %d words reserved, want %d", pass, c.floats, want)
+		}
 	}
 }
