@@ -17,18 +17,12 @@ COVER_FLOORS = painter/internal/netsim:70 painter/internal/tm:70 painter/interna
 # Native fuzz targets smoke-tested by `make fuzz` (one -fuzz per run).
 FUZZ_TIME ?= 10s
 
-.PHONY: all build build-obsstrip vet test race fuzz cover lint bench bench-smoke bench-check bench-json bench-obs experiments examples clean
+.PHONY: all build vet test race fuzz cover lint bench bench-smoke bench-check experiments examples clean
 
-all: build build-obsstrip vet test
+all: build vet test
 
 build:
 	$(GO) build ./...
-
-# The obsstrip build compiles all tracing out; building and vetting it
-# keeps both halves of the build-tag pair honest.
-build-obsstrip:
-	$(GO) build -tags obsstrip ./...
-	$(GO) vet -tags obsstrip ./...
 
 vet:
 	$(GO) vet ./...
@@ -92,24 +86,6 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke
-
-# Regenerate the per-experiment BENCH_*.json files: delta-vs-full
-# propagation by changed-catchment size, the solve wall-clock/memory
-# sweep across small/peering/azure scales, multi-tenant churn, detection
-# latency, and the TM datapath — one process each, so no experiment
-# measures in a heap another one grew.
-bench-json:
-	@for e in delta scale tenants detect datapath; do \
-		$(GO) run ./cmd/painter-bench -exp $$e -scale peering -out . || exit 1; \
-	done
-
-# Measure observability overhead on the propagation hot path: live obs
-# vs the no-op default, plus the -tags obsstrip compile-time-stripped
-# build. Both invocations merge into one BENCH_OBS.json.
-bench-obs:
-	rm -f BENCH_OBS.json
-	$(GO) run ./cmd/benchobs -modes noop,live,history_on,trace_off,trace_sampled,trace_full -out BENCH_OBS.json
-	$(GO) run -tags obsstrip ./cmd/benchobs -modes stripped -out BENCH_OBS.json
 
 # Regenerate every table/figure at prototype (PEERING) scale.
 experiments:

@@ -11,7 +11,9 @@
 //	painter-bench -exp fig6a -metrics-dump obs.jsonl
 //	painter-bench -exp all -scale azure -skip-slow   # sweeps become SKIP lines
 //	painter-bench -exp all -time-budget 5m           # stop starting new experiments after 5m
-//	painter-bench -exp scale,delta -out .            # also write ./BENCH_SCALE.json, ./BENCH_DELTA.json
+//
+// Performance is measured elsewhere: the benchmark is bench/ +
+// BENCHMARK.json (bash bench/run.sh, -trace 1 for the per-layer pass).
 package main
 
 import (
@@ -19,15 +21,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"painter/internal/benchmeta"
 	"painter/internal/bgp"
 	"painter/internal/experiments"
 	"painter/internal/obs"
-	"painter/internal/tenant"
 )
 
 // runCtx carries shared state into experiment run functions.
@@ -35,38 +34,9 @@ type runCtx struct {
 	env   *experiments.Env
 	seed  int64
 	iters int
-	// outDir, when set, makes every experiment that has a JSON result
-	// write it to outDir/BENCH_<EXP>.json.
-	outDir string
-	// workers is the solver worker count for the scale sweep.
-	workers int
 	// fig6aRows is cached so fig14 (a re-projection of the same sweep)
 	// reuses fig6a's rows instead of re-solving.
 	fig6aRows []experiments.Fig6aResult
-}
-
-// emit writes an experiment's JSON result to outDir/BENCH_<EXP>.json,
-// stamping its provenance header first; without -out it does nothing.
-func (c *runCtx) emit(exp string, v any, meta *benchmeta.Meta) error {
-	if c.outDir == "" {
-		return nil
-	}
-	*meta = benchmeta.Collect()
-	path := filepath.Join(c.outDir, "BENCH_"+strings.ToUpper(exp)+".json")
-	if err := writeJSON(path, v); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
-// writeJSON writes v to path as indented JSON.
-func writeJSON(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 func (c *runCtx) fig6a() ([]experiments.Fig6aResult, error) {
@@ -221,47 +191,21 @@ var experimentList = []experiment{
 		fmt.Println(res.Table())
 		return nil
 	}},
-	{"delta", "delta vs full BGP propagation by changed-catchment size", true, true, func(c *runCtx) error {
-		res, err := experiments.RunDeltaBench(c.env, experiments.DeltaBenchConfig{Seed: c.seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table())
-		return c.emit("delta", res, &res.Meta)
-	}},
-	{"tenants", "multi-tenant steady-state churn: events/sec and sync latency vs tenant count", false, true, func(c *runCtx) error {
-		res, err := tenant.RunBench(tenant.BenchConfig{Seed: c.seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table())
-		return c.emit("tenants", res, &res.Meta)
-	}},
 	{"detect", "catchment-drift detection latency under PoP outages (twin-run determinism check)", true, true, func(c *runCtx) error {
-		res, err := experiments.RunDetectBench(c.env, experiments.DetectBenchConfig{Seed: c.seed})
+		res, err := experiments.RunDetectBench(c.env, experiments.DetectBenchConfig{})
 		if err != nil {
 			return err
 		}
 		fmt.Println(res.Table())
-		return c.emit("detect", res, &res.Meta)
-	}},
-	{"datapath", "TM datapath pps (batched vs portable vs GRE) + failover at 10⁵ flows", false, false, func(c *runCtx) error {
-		res, err := experiments.RunDatapathBench(experiments.DatapathBenchConfig{Seed: c.seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table())
-		return c.emit("datapath", res, &res.Meta)
+		return nil
 	}},
 	{"scale", "solve wall-clock and memory across small/peering/azure", false, true, func(c *runCtx) error {
-		rep, err := experiments.RunScaleBench(experiments.ScaleBenchConfig{
-			Seed: c.seed, Workers: c.workers,
-		})
+		rep, err := experiments.RunScaleBench(experiments.ScaleBenchConfig{Seed: c.seed})
 		if err != nil {
 			return err
 		}
 		fmt.Println(rep.Table())
-		return c.emit("scale", rep, &rep.Meta)
+		return nil
 	}},
 	{"validation", "policy-compliance validation of simulated routing", true, false, func(c *runCtx) error {
 		v, err := experiments.RunComplianceValidation(c.env)
@@ -298,8 +242,6 @@ func main() {
 		iters   = flag.Int("iters", 2, "orchestrator learning iterations")
 		list    = flag.Bool("list", false, "print experiment ids with descriptions and exit")
 		dump    = flag.String("metrics-dump", "", `append one JSON obs snapshot per experiment to this file ("-" = stdout)`)
-		outDir  = flag.String("out", "", "directory to write BENCH_<EXP>.json into, for each experiment run that has a JSON result (delta, tenants, detect, datapath, scale)")
-		workers = flag.Int("workers", 0, "solver worker count for the scale sweep (0 = GOMAXPROCS)")
 		skip    = flag.Bool("skip-slow", false, "skip solver-sweep experiments (explicit SKIP lines)")
 		budget  = flag.Duration("time-budget", 0, "stop starting new experiments once this much wall time has elapsed (0 = unlimited)")
 	)
@@ -357,7 +299,7 @@ func main() {
 		dumpFile = f
 	}
 
-	ctx := &runCtx{seed: *seed, iters: *iters, outDir: *outDir, workers: *workers}
+	ctx := &runCtx{seed: *seed, iters: *iters}
 	needEnv := false
 	for _, e := range experimentList {
 		if e.needsEnv && want(e.id) && !(*skip && e.slow) {

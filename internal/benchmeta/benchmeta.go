@@ -1,8 +1,7 @@
-// Package benchmeta stamps benchmark JSON artifacts with provenance:
-// the git commit they were produced at and the generation timestamp.
-// Deterministic library code never calls Collect — reports embed Meta
-// zero-valued, and the cmd layer stamps it immediately before writing,
-// so solver and simulator outputs stay reproducible run-to-run.
+// Package benchmeta stamps the benchmark's result files (bench/) with
+// provenance: the git commit they were produced at and the generation
+// timestamp. Deterministic library code never calls Collect, so solver
+// and simulator outputs stay reproducible run-to-run.
 package benchmeta
 
 import (
@@ -11,8 +10,7 @@ import (
 	"time"
 )
 
-// Meta is the shared provenance header embedded in every BENCH_*.json
-// report.
+// Meta is the provenance header of a bench/results/ file.
 type Meta struct {
 	GitCommit   string `json:"git_commit,omitempty"`
 	GeneratedAt string `json:"generated_at,omitempty"`

@@ -161,12 +161,10 @@ func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, fli
 		return nil, nil, fmt.Errorf("bgp: PropagateDelta base is from a different graph")
 	}
 
-	var m *propagateMetrics
+	m := propObs.Load()
 	var start time.Time
-	if obsEnabled {
-		if m = propObs.Load(); m != nil {
-			start = time.Now()
-		}
+	if m != nil {
+		start = time.Now()
 	}
 
 	// Fast path: identical injections (order-sensitive — callers pass

@@ -8,10 +8,10 @@ package bgp
 //     predictable branch per Propagate call — nothing per route.
 //   - Candidate/bucket accounting is per-bucket, not per-candidate, and
 //     only runs when instrumentation is live.
-//   - Building with -tags obsstrip sets obsEnabled = false (see
-//     obs_enabled.go / obs_stripped.go) and dead-code-eliminates even
-//     the branch, producing the fully uninstrumented baseline that
-//     make bench-obs compares against.
+//   - What the instruments cost is measured end to end: the benchmark's
+//     traced pass (bash bench/run.sh -trace 1) reports
+//     proc.trace_overhead_pct, the same operations with tracing off,
+//     then on.
 
 import (
 	"sync/atomic"

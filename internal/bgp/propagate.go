@@ -266,13 +266,11 @@ func PropagateResult(g *topology.Graph, injections []Injection, tb TieBreaker) (
 
 	// Instrumentation is one pointer load when disabled; candidate and
 	// bucket accounting below is per-bucket and only when m != nil.
-	var m *propagateMetrics
+	m := propObs.Load()
 	var start time.Time
 	var cands, maxBucket int
-	if obsEnabled {
-		if m = propObs.Load(); m != nil {
-			start = time.Now()
-		}
+	if m != nil {
+		start = time.Now()
 	}
 
 	idx := g.Index()

@@ -13,27 +13,9 @@ import (
 	"painter/internal/topology"
 )
 
-// PropagateTraced is Propagate wrapped in a child span of parent
-// recording injection count, settled-AS count, and any error. A nil
-// parent (tracing off, or an unsampled trace) delegates directly.
-func PropagateTraced(g *topology.Graph, injections []Injection, tb TieBreaker, parent *span.Span) (map[topology.ASN]Route, error) {
-	if parent == nil {
-		return Propagate(g, injections, tb)
-	}
-	s := parent.StartChild("bgp.propagate",
-		span.A("injections", strconv.Itoa(len(injections))))
-	out, err := Propagate(g, injections, tb)
-	if err != nil {
-		s.SetAttr("error", err.Error())
-	} else {
-		s.SetAttr("settled", strconv.Itoa(len(out)))
-	}
-	s.Finish()
-	return out, err
-}
-
-// PropagateResultTraced is PropagateResult under the same span shape as
-// PropagateTraced.
+// PropagateResultTraced is PropagateResult wrapped in a child span of
+// parent recording injection count, settled-AS count, and any error. A
+// nil parent (tracing off, or an unsampled trace) delegates directly.
 func PropagateResultTraced(g *topology.Graph, injections []Injection, tb TieBreaker, parent *span.Span) (*Result, error) {
 	if parent == nil {
 		return PropagateResult(g, injections, tb)

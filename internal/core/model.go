@@ -434,9 +434,3 @@ func (st *ugState) learn(peerings []bgp.IngressID, chosen bgp.IngressID, measure
 	}
 	return facts
 }
-
-// sortedCompliant returns the UG's compliant ingresses in ID order as a
-// fresh slice.
-func (st *ugState) sortedCompliant() []bgp.IngressID {
-	return append([]bgp.IngressID(nil), st.compliant...)
-}

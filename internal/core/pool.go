@@ -1,16 +1,5 @@
 package core
 
-// Work-stealing index pool: the engine under every parallel loop in the
-// orchestrator (candidate marginals, state freezes, prefix resolution,
-// speculative repair). The index space [0,n) is split into one
-// contiguous range per worker; a worker takes indices from the front of
-// its own range with a CAS and, when empty, steals the back half of the
-// largest remaining range. Each index is processed exactly once by
-// exactly one worker, so any per-index computation whose result depends
-// only on the index (not on scheduling) is deterministic — the property
-// the sharded solve relies on for byte-identical configs at any worker
-// count.
-
 import (
 	"math"
 	"runtime"
@@ -18,125 +7,40 @@ import (
 	"sync/atomic"
 )
 
-// stealRange is one worker's [lo,hi) range, packed lo<<32|hi into a
-// single atomic word so take and steal are single CASes. The pad keeps
-// neighboring ranges on separate cache lines.
-type stealRange struct {
-	bounds atomic.Uint64
-	_      [7]uint64
-}
-
-func packRange(lo, hi int) uint64 { return uint64(uint32(lo))<<32 | uint64(uint32(hi)) }
-
-func unpackRange(b uint64) (lo, hi int) { return int(uint32(b >> 32)), int(uint32(b)) }
-
-// take claims the next index from the front of r (ok=false when empty).
-func (r *stealRange) take() (int, bool) {
-	for {
-		b := r.bounds.Load()
-		lo, hi := unpackRange(b)
-		if lo >= hi {
-			return 0, false
-		}
-		if r.bounds.CompareAndSwap(b, packRange(lo+1, hi)) {
-			return lo, true
-		}
-	}
-}
-
-// parallelWorkers runs fn(worker, i) for every i in [0,n) on the
-// work-stealing pool with the given worker count (0 → GOMAXPROCS,
-// clamped to n). The worker argument is a stable id in [0,workers) so
-// fn can use worker-local scratch without locking. fn must be safe for
-// concurrent invocation across distinct indices; writes should go to
-// index-disjoint slots.
+// parallelWorkers runs fn(worker, i) for every i in [0,n): workers
+// goroutines (0 → GOMAXPROCS, clamped to n) pull the next index from
+// one shared counter. Each index runs exactly once, so a computation
+// that depends only on its index is deterministic — what the sharded
+// solve relies on for byte-identical configs at any worker count. The
+// worker argument is a stable id in [0,workers) for lock-free
+// worker-local scratch. fn must be safe for concurrent invocation
+// across distinct indices; writes should go to index-disjoint slots.
 func parallelWorkers(n, workers int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	ranges := make([]stealRange, workers)
-	per, rem := n/workers, n%workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + per
-		if w < rem {
-			hi++
-		}
-		ranges[w].bounds.Store(packRange(lo, hi))
-		lo = hi
-	}
+	workers = min(workers, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i, ok := ranges[w].take()
-				if !ok {
-					i, ok = stealInto(ranges, w)
-					if !ok {
-						return
-					}
-				}
-				fn(w, i)
-			}
-		}(w)
+	work := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(w, i)
+		}
 	}
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0) // the caller is worker 0
 	wg.Wait()
 }
 
-// stealInto moves the back half of the largest other range into worker
-// w's (empty) range and claims that half's first index. It returns
-// ok=false when no range holds two or more indices: a single remaining
-// index is left to its owner, which is still live (a worker exits only
-// after its own range is empty and nothing is stealable, and only the
-// owner ever refills its range).
-func stealInto(ranges []stealRange, w int) (int, bool) {
-	for {
-		best, bestLen := -1, 1 // require >= 2 so the victim keeps work
-		var bestB uint64
-		for v := range ranges {
-			if v == w {
-				continue
-			}
-			b := ranges[v].bounds.Load()
-			lo, hi := unpackRange(b)
-			if hi-lo > bestLen {
-				best, bestLen, bestB = v, hi-lo, b
-			}
-		}
-		if best < 0 {
-			return 0, false
-		}
-		lo, hi := unpackRange(bestB)
-		mid := lo + (hi-lo+1)/2 // victim keeps the (larger) front half
-		if !ranges[best].bounds.CompareAndSwap(bestB, packRange(lo, mid)) {
-			continue // victim raced us; rescan
-		}
-		ranges[w].bounds.Store(packRange(mid+1, hi))
-		return mid, true
-	}
-}
-
-// parallelFor runs fn(0..n-1) on the work-stealing pool with GOMAXPROCS
-// workers and waits for all of them. If any calls fail, the error for
-// the lowest index is returned — the same error a serial loop would
-// surface first — keeping failure behaviour deterministic.
-//
-// fn must be safe for concurrent invocation; writes it makes should go
-// to index-disjoint slots so callers can reassemble results in order.
+// parallelFor runs fn(0..n-1) on GOMAXPROCS workers and waits for all
+// of them. If any calls fail, the error for the lowest index is returned
+// — the one a serial loop would surface first — so failure is deterministic.
 func parallelFor(n int, fn func(i int) error) error {
 	var (
 		mu       sync.Mutex

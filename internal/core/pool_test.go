@@ -42,28 +42,45 @@ func TestParallelWorkersWorkerIDsStable(t *testing.T) {
 	})
 }
 
-func TestParallelWorkersStealsUnderSkew(t *testing.T) {
-	// One pathological index sleeps; with >1 workers the rest of that
-	// worker's initial range must still complete (stolen by idle peers)
-	// well before the sleeper finishes.
+func TestParallelWorkersNoIdleUnderSkew(t *testing.T) {
+	// Index 0 costs as much as all the others together: it returns only
+	// once they are done, so a pool that had bound the rest of a range to
+	// its worker would hang here. Each worker's first call waits for every
+	// other worker to have made one, so no worker sits idle while indices
+	// remain (n >= 4*workers).
 	const n, workers = 64, 4
-	var done int32
-	start := time.Now()
-	parallelWorkers(n, workers, func(worker, i int) {
-		if i == 0 {
-			time.Sleep(50 * time.Millisecond)
+	var (
+		arrived, done atomic.Int32
+		first         [workers]bool // worker-local: only worker w touches first[w]
+		allArrived    = make(chan struct{})
+		othersDone    = make(chan struct{})
+	)
+	wait := func(ch chan struct{}, what string) {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Errorf("timed out waiting for %s", what)
 		}
-		atomic.AddInt32(&done, 1)
-	})
-	if done != n {
-		t.Fatalf("completed %d of %d", done, n)
 	}
-	// Serial execution would cost 50ms + 63 fast items on one goroutine;
-	// this is a smoke check that the pool didn't serialize behind the
-	// sleeper when parallelism is available (GOMAXPROCS may be 1 in CI,
-	// where goroutines still interleave during the sleep).
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("pool took %v, stealing is broken", elapsed)
+	parallelWorkers(n, workers, func(worker, i int) {
+		if !first[worker] {
+			first[worker] = true
+			if arrived.Add(1) == workers {
+				close(allArrived)
+			}
+			wait(allArrived, "every worker to take an index")
+		}
+		if i == 0 {
+			wait(othersDone, "the other indices to finish around the slow one")
+			return
+		}
+		if done.Add(1) == n-1 {
+			close(othersDone)
+		}
+	})
+	if arrived.Load() != workers || done.Load() != n-1 {
+		t.Fatalf("%d of %d workers took an index, %d of %d fast indices ran",
+			arrived.Load(), workers, done.Load(), n-1)
 	}
 }
 

@@ -13,19 +13,16 @@ import (
 	"fmt"
 	"time"
 
-	"painter/internal/benchmeta"
 	"painter/internal/cloud"
 	"painter/internal/netsim"
 	"painter/internal/obs"
 	"painter/internal/obs/alert"
 	"painter/internal/obs/history"
+	"painter/internal/stats"
 )
 
 // DetectBenchConfig parameterizes the benchmark.
 type DetectBenchConfig struct {
-	// Seed offsets the twin world (the schedule itself is derived from
-	// the catchment, not a RNG).
-	Seed int64
 	// Trials is the number of PoP outages injected (default 6, capped
 	// at the deployment's PoP count).
 	Trials int
@@ -58,47 +55,44 @@ func (c *DetectBenchConfig) defaults() {
 
 // DetectTrial is one injected outage.
 type DetectTrial struct {
-	Event string `json:"event"`
+	Event string
 	// Share is the victim PoP's anycast share just before the outage —
 	// the drift magnitude the detector has to notice.
-	Share      float64 `json:"share"`
-	InjectTick uint64  `json:"inject_tick"`
+	Share float64
 	// DetectTicks is firing-tick minus inject-tick; -1 when the alert
 	// never fired within MaxTicks.
-	DetectTicks int `json:"detect_ticks"`
+	DetectTicks int
 	// ResolveTicks is ticks from recovery to the alert resolving (the
-	// EWMA re-converging); -1 when it stayed firing past MaxTicks.
-	ResolveTicks int `json:"resolve_ticks"`
+	// EWMA re-converging); -1 when the outage was never detected or the
+	// alert stayed firing past 4*MaxTicks.
+	ResolveTicks int
 }
 
-// DetectBenchResult marshals to BENCH_DETECT.json. Meta stays zero here;
-// cmd/painter-bench stamps it just before writing.
+// DetectBenchResult is the detection figure: one point per outage,
+// recall, and latency over the detected outages only.
 type DetectBenchResult struct {
-	benchmeta.Meta
-	Scale    string `json:"scale"`
-	Seed     int64  `json:"seed"`
-	PoPs     int    `json:"pops"`
-	UGs      int    `json:"ugs"`
-	Trials   int    `json:"trials"`
-	Detected int    `json:"detected"`
+	Scale    string
+	PoPs     int
+	UGs      int
+	Trials   int
+	Detected int
 
-	MedianDetectTicks  float64 `json:"median_detect_ticks"`
-	MaxDetectTicks     float64 `json:"max_detect_ticks"`
-	MedianResolveTicks float64 `json:"median_resolve_ticks"`
+	// Medians and the maximum are over detected trials; 0 when none was.
+	MedianDetectTicks  float64
+	MaxDetectTicks     float64
+	MedianResolveTicks float64
 
 	// Deterministic reports whether two same-seed runs produced
 	// byte-identical alert transition streams and history rings.
-	Deterministic bool `json:"deterministic"`
+	Deterministic bool
 
-	ElapsedSec float64       `json:"elapsed_sec"`
-	Points     []DetectTrial `json:"points"`
+	Points []DetectTrial
 }
 
 // RunDetectBench runs the outage schedule twice from the same seed and
 // reports detection latency plus the determinism verdict.
 func RunDetectBench(env *Env, cfg DetectBenchConfig) (*DetectBenchResult, error) {
 	cfg.defaults()
-	start := time.Now()
 	res, stream1, ring1, err := runDetectOnce(env, cfg)
 	if err != nil {
 		return nil, err
@@ -108,7 +102,6 @@ func RunDetectBench(env *Env, cfg DetectBenchConfig) (*DetectBenchResult, error)
 		return nil, fmt.Errorf("experiments: detect twin run: %w", err)
 	}
 	res.Deterministic = bytes.Equal(stream1, stream2) && bytes.Equal(ring1, ring2)
-	res.ElapsedSec = time.Since(start).Seconds()
 	return res, nil
 }
 
@@ -132,25 +125,18 @@ func runDetectOnce(env *Env, cfg DetectBenchConfig) (*DetectBenchResult, []byte,
 		alert.CatchmentDriftRules(cfg.Band, cfg.Warmup, cfg.ForTicks),
 		alert.Options{})
 
-	// tick advances the rig one controller tick: refresh the catchment,
+	// step advances the rig one controller tick: refresh the catchment,
 	// publish it, sample history, judge the rules.
 	var catch *netsim.Catchment
-	tick := func() (uint64, error) {
+	step := func() error {
 		c, err := ca.Update()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		catch = c
 		cg.Set(c)
-		return hist.Sample(), nil
-	}
-	step := func() (uint64, error) {
-		t, err := tick()
-		if err != nil {
-			return 0, err
-		}
-		eng.Eval(t)
-		return t, nil
+		eng.Eval(hist.Sample())
+		return nil
 	}
 	drifting := func() bool {
 		for _, sv := range eng.Firing() {
@@ -162,11 +148,11 @@ func runDetectOnce(env *Env, cfg DetectBenchConfig) (*DetectBenchResult, []byte,
 	}
 
 	res := &DetectBenchResult{
-		Scale: env.Scale.String(), Seed: cfg.Seed,
-		PoPs: len(env.Deploy.PoPs), UGs: env.AllUGs.Len(),
+		Scale: env.Scale.String(),
+		PoPs:  len(env.Deploy.PoPs), UGs: env.AllUGs.Len(),
 	}
 	for i := 0; i < cfg.Warmup; i++ {
-		if _, err := step(); err != nil {
+		if err := step(); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -188,17 +174,15 @@ func runDetectOnce(env *Env, cfg DetectBenchConfig) (*DetectBenchResult, []byte,
 			return nil, nil, nil, err
 		}
 		pt := DetectTrial{Event: ev.String(), Share: share, DetectTicks: -1, ResolveTicks: -1}
-		t, err := step()
-		if err != nil {
+		if err := step(); err != nil {
 			return nil, nil, nil, err
 		}
-		pt.InjectTick = t
 		for waited := 1; waited <= cfg.MaxTicks; waited++ {
 			if drifting() {
 				pt.DetectTicks = waited
 				break
 			}
-			if _, err := step(); err != nil {
+			if err := step(); err != nil {
 				return nil, nil, nil, err
 			}
 		}
@@ -208,16 +192,18 @@ func runDetectOnce(env *Env, cfg DetectBenchConfig) (*DetectBenchResult, []byte,
 		}
 		// Recovery: restore the PoP and wait for the EWMA to re-converge
 		// and the alert (recovery shifts shares back, so it may re-arm
-		// briefly) to leave the firing state.
+		// briefly) to leave the firing state. An outage nobody detected
+		// has nothing to resolve, but the wait still runs so the next
+		// trial starts from a settled baseline.
 		if err := w.ApplyEvent(netsim.Event{Kind: netsim.EventPoPUp, PoP: victim}); err != nil {
 			return nil, nil, nil, err
 		}
 		for waited := 1; waited <= 4*cfg.MaxTicks; waited++ {
-			if _, err := step(); err != nil {
+			if err := step(); err != nil {
 				return nil, nil, nil, err
 			}
 			if !drifting() {
-				if pt.ResolveTicks < 0 {
+				if pt.DetectTicks >= 0 {
 					pt.ResolveTicks = waited
 					resolves = append(resolves, float64(waited))
 				}
@@ -227,16 +213,17 @@ func runDetectOnce(env *Env, cfg DetectBenchConfig) (*DetectBenchResult, []byte,
 		// Let the baseline settle before the next trial so trials stay
 		// independent.
 		for i := 0; i < cfg.Warmup; i++ {
-			if _, err := step(); err != nil {
+			if err := step(); err != nil {
 				return nil, nil, nil, err
 			}
 		}
 		res.Trials++
 		res.Points = append(res.Points, pt)
 	}
-	res.MedianDetectTicks = quantile(detects, 0.5)
-	res.MaxDetectTicks = quantile(detects, 1.0)
-	res.MedianResolveTicks = quantile(resolves, 0.5)
+	// stats.ErrEmpty (nothing detected) leaves the zero value.
+	res.MedianDetectTicks, _ = stats.Median(detects)
+	res.MaxDetectTicks, _ = stats.Percentile(detects, 100)
+	res.MedianResolveTicks, _ = stats.Median(resolves)
 	return res, eng.Result().Bytes(), hist.Bytes(), nil
 }
 
@@ -259,8 +246,8 @@ func heaviestPoP(c *netsim.Catchment, skip map[cloud.PoPID]bool) (cloud.PoPID, f
 // Table renders the result for painter-bench.
 func (r *DetectBenchResult) Table() Table {
 	t := Table{
-		Title: fmt.Sprintf("catchment-drift detection latency (%s scale, %d/%d detected, deterministic=%v)",
-			r.Scale, r.Detected, r.Trials, r.Deterministic),
+		Title: fmt.Sprintf("catchment-drift detection latency (%s scale, %d PoPs, %d UGs, %d/%d detected, deterministic=%v)",
+			r.Scale, r.PoPs, r.UGs, r.Detected, r.Trials, r.Deterministic),
 		Header: []string{"event", "share", "detectTicks", "resolveTicks"},
 	}
 	for _, p := range r.Points {
@@ -271,7 +258,10 @@ func (r *DetectBenchResult) Table() Table {
 			fmt.Sprintf("%d", p.ResolveTicks),
 		})
 	}
-	t.Rows = append(t.Rows, []string{"median / max detect", "",
-		fmt.Sprintf("%.0f / %.0f", r.MedianDetectTicks, r.MaxDetectTicks), ""})
+	t.Rows = append(t.Rows,
+		[]string{"recall (detected/trials)", "", fmt.Sprintf("%d/%d", r.Detected, r.Trials), ""},
+		[]string{"median / max over detected", "",
+			fmt.Sprintf("%.1f / %.0f", r.MedianDetectTicks, r.MaxDetectTicks),
+			fmt.Sprintf("%.1f", r.MedianResolveTicks)})
 	return t
 }

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"time"
 
-	"painter/internal/benchmeta"
 	"painter/internal/core"
 )
 
@@ -20,45 +19,43 @@ import (
 type ScaleBenchConfig struct {
 	Seed   int64
 	Scales []Scale
-	// Workers is the solver worker count (0 = GOMAXPROCS).
-	Workers int
-	// Budget caps the prefix budget per scale (default min(8, peerings))
-	// so the sweep measures scaling of the grow loop, not budget size.
-	Budget int
 }
+
+// scaleBenchBudget caps the prefix budget at every scale so the sweep
+// measures scaling of the grow loop, not budget size.
+const scaleBenchBudget = 8
 
 // ScaleBenchRow is one scale's numbers.
 type ScaleBenchRow struct {
-	Scale    string `json:"scale"`
-	ASes     int    `json:"ases"`
-	Peerings int    `json:"peerings"`
-	PoPs     int    `json:"pops"`
-	UGs      int    `json:"ugs"`
-	Budget   int    `json:"budget"`
-	Prefixes int    `json:"prefixes"`
+	Scale    string
+	ASes     int
+	Peerings int
+	PoPs     int
+	UGs      int
+	Budget   int
+	Prefixes int
 
 	// BuildMs is environment construction (topology, deployment, world,
 	// UGs, anycast baseline); SolveMs is the full solve: orchestrator
 	// construction plus every advertise→measure→learn iteration.
-	BuildMs float64 `json:"build_ms"`
-	SolveMs float64 `json:"solve_ms"`
+	BuildMs float64
+	SolveMs float64
 
 	// BytesPerUG is the retained heap delta across the solve (post-GC)
 	// divided by UG count — the resident cost of solver + warmed
 	// simulator hot state per user group.
-	BytesPerUG float64 `json:"bytes_per_ug"`
+	BytesPerUG float64
 	// SolveMallocs counts heap allocations during the solve.
-	SolveMallocs uint64 `json:"solve_mallocs"`
+	SolveMallocs uint64
 
-	PredictedBenefit float64 `json:"predicted_benefit"`
+	// PredictedBenefit is Eq. (1)'s mean for the solved configuration.
+	PredictedBenefit float64
 }
 
-// ScaleBenchReport is the BENCH_SCALE.json schema.
+// ScaleBenchReport is the sweep: one row per scale.
 type ScaleBenchReport struct {
-	benchmeta.Meta
-	Seed    int64           `json:"seed"`
-	Workers int             `json:"workers"`
-	Rows    []ScaleBenchRow `json:"rows"`
+	Seed int64
+	Rows []ScaleBenchRow
 }
 
 // RunScaleBench runs the sweep. Each scale is built fresh so earlier
@@ -67,7 +64,7 @@ func RunScaleBench(cfg ScaleBenchConfig) (*ScaleBenchReport, error) {
 	if len(cfg.Scales) == 0 {
 		cfg.Scales = []Scale{ScaleSmall, ScalePEERING, ScaleAzure}
 	}
-	rep := &ScaleBenchReport{Seed: cfg.Seed, Workers: cfg.Workers}
+	rep := &ScaleBenchReport{Seed: cfg.Seed}
 	for _, sc := range cfg.Scales {
 		row, err := runScaleOnce(sc, cfg)
 		if err != nil {
@@ -86,17 +83,10 @@ func runScaleOnce(sc Scale, cfg ScaleBenchConfig) (ScaleBenchRow, error) {
 	}
 	buildMs := msSince(t0)
 
-	budget := cfg.Budget
-	if budget <= 0 {
-		budget = 8
-	}
-	if n := len(env.Deploy.AllPeeringIDs()); budget > n {
-		budget = n
-	}
+	budget := min(scaleBenchBudget, len(env.Deploy.AllPeeringIDs()))
 	params := core.DefaultParams(budget)
 	params.MaxPeeringsPerPrefix = 16
 	params.MaxIterations = 2
-	params.Workers = cfg.Workers
 
 	exec := core.NewWorldExecutor(env.World, env.UGs, 0, cfg.Seed+5)
 
@@ -154,8 +144,8 @@ func msSince(t time.Time) float64 {
 // Table renders the report for painter-bench.
 func (r *ScaleBenchReport) Table() Table {
 	t := Table{
-		Title:  fmt.Sprintf("scale sweep (seed %d, workers %d)", r.Seed, r.Workers),
-		Header: []string{"scale", "ases", "peerings", "pops", "ugs", "budget", "build ms", "solve ms", "bytes/ug", "mallocs"},
+		Title:  fmt.Sprintf("scale sweep (seed %d)", r.Seed),
+		Header: []string{"scale", "ases", "peerings", "pops", "ugs", "budget", "prefixes", "build ms", "solve ms", "bytes/ug", "mallocs", "predicted ms"},
 	}
 	for _, row := range r.Rows {
 		t.Rows = append(t.Rows, []string{
@@ -165,10 +155,12 @@ func (r *ScaleBenchReport) Table() Table {
 			fmt.Sprintf("%d", row.PoPs),
 			fmt.Sprintf("%d", row.UGs),
 			fmt.Sprintf("%d", row.Budget),
+			fmt.Sprintf("%d", row.Prefixes),
 			fmt.Sprintf("%.0f", row.BuildMs),
 			fmt.Sprintf("%.0f", row.SolveMs),
 			fmt.Sprintf("%.0f", row.BytesPerUG),
 			fmt.Sprintf("%d", row.SolveMallocs),
+			fmt.Sprintf("%.2f", row.PredictedBenefit),
 		})
 	}
 	return t

@@ -10,8 +10,6 @@
 //     implementations. Unsampled roots return nil, so a disabled or
 //     sampled-out call site pays one nil check per operation and zero
 //     allocations.
-//   - Strippable: building with -tags obsstrip turns New into a
-//     constant-nil constructor and lets the linker drop the subsystem.
 //
 // Finished spans land in a bounded ring buffer (the flight recorder,
 // see ring.go) holding the last N spans per process; export.go renders
@@ -88,12 +86,8 @@ type Tracer struct {
 	base []Attr
 }
 
-// New builds a Tracer, or nil under -tags obsstrip (every method is
-// nil-safe, so callers never need to check).
+// New builds a Tracer.
 func New(cfg Config) *Tracer {
-	if !spanEnabled {
-		return nil
-	}
 	t := &Tracer{
 		sample:  1,
 		clock:   cfg.Clock,

@@ -7,16 +7,6 @@ import (
 	"testing"
 )
 
-// requireTracing skips tests that need a live tracer when built with
-// -tags obsstrip (where New returns nil by design). TestNilSafety and
-// TestRingWraparoundAndBoundedMemory's recorder paths still run there.
-func requireTracing(t *testing.T) {
-	t.Helper()
-	if !spanEnabled {
-		t.Skip("tracing compiled out (obsstrip)")
-	}
-}
-
 // fakeClock is a deterministic nanosecond clock advancing a fixed step
 // per reading.
 func fakeClock(step int64) func() int64 {
@@ -40,7 +30,6 @@ func buildTrace(t *Tracer) {
 }
 
 func TestSameSeedByteIdenticalExport(t *testing.T) {
-	requireTracing(t)
 	var a, b bytes.Buffer
 	for i, buf := range []*bytes.Buffer{&a, &b} {
 		tr := New(Config{Seed: 7, Process: "test", Clock: fakeClock(1000)})
@@ -69,7 +58,6 @@ func TestSameSeedByteIdenticalExport(t *testing.T) {
 }
 
 func TestParentLinksAndContext(t *testing.T) {
-	requireTracing(t)
 	tr := New(Config{Seed: 1, Clock: fakeClock(10)})
 	root := tr.StartRoot("root")
 	child := root.StartChild("child")
@@ -98,7 +86,6 @@ func TestParentLinksAndContext(t *testing.T) {
 }
 
 func TestRemoteStitching(t *testing.T) {
-	requireTracing(t)
 	edge := New(Config{Seed: 2, Clock: fakeClock(5)})
 	pop := New(Config{Seed: 3, Clock: fakeClock(5)})
 	s := edge.StartRoot("edge.op")
@@ -121,7 +108,6 @@ func TestRemoteStitching(t *testing.T) {
 }
 
 func TestHeadSampling(t *testing.T) {
-	requireTracing(t)
 	tr := New(Config{Seed: 4, Sample: 4, Clock: fakeClock(1)})
 	kept := 0
 	for i := 0; i < 40; i++ {
@@ -171,7 +157,6 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestRingWraparoundAndBoundedMemory(t *testing.T) {
-	requireTracing(t)
 	const size = 8
 	tr := New(Config{Seed: 5, Ring: size, Clock: fakeClock(1)})
 	rec := tr.Recorder()
@@ -203,7 +188,6 @@ func TestRingWraparoundAndBoundedMemory(t *testing.T) {
 }
 
 func TestChromeSchemaRoundTrip(t *testing.T) {
-	requireTracing(t)
 	tr := New(Config{Seed: 6, Process: "roundtrip", Clock: fakeClock(250)})
 	buildTrace(tr)
 	var buf bytes.Buffer
@@ -262,7 +246,6 @@ func TestChromeSchemaRoundTrip(t *testing.T) {
 }
 
 func TestDoubleFinishAndLateAttr(t *testing.T) {
-	requireTracing(t)
 	tr := New(Config{Seed: 9, Clock: fakeClock(3)})
 	s := tr.StartRoot("once")
 	s.Finish()

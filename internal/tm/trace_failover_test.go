@@ -69,9 +69,6 @@ func findRecs(recs []span.Record, name string, trace uint64) []span.Record {
 func TestFailoverProducesConnectedTrace(t *testing.T) {
 	edgeTr := span.New(span.Config{Seed: 101, Sample: 1, Process: "tm-edge"})
 	popTr := span.New(span.Config{Seed: 202, Sample: 1, Process: "tm-pop"})
-	if edgeTr == nil || popTr == nil {
-		t.Skip("tracing compiled out (obsstrip)")
-	}
 
 	// One PoP behind two tunnels of different latency — the §3.2 anycast
 	// + unicast pair. Killing the selected tunnel re-pins the flow onto
