@@ -17,7 +17,7 @@ COVER_FLOORS = painter/internal/netsim:70 painter/internal/tm:70 painter/interna
 # Native fuzz targets smoke-tested by `make fuzz` (one -fuzz per run).
 FUZZ_TIME ?= 10s
 
-.PHONY: all build vet test race fuzz cover lint bench bench-smoke bench-check experiments examples clean
+.PHONY: all build vet test race tm-stress fuzz cover lint bench bench-smoke bench-check bench-e2e experiments examples clean
 
 all: build vet test
 
@@ -43,6 +43,12 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./internal/tm/ ./internal/tm/netio/ ./internal/tmproto/ ./internal/bgp/ ./internal/routeserver/ ./internal/netsim/emul/ ./internal/core/ ./internal/netsim/ ./internal/chaos/ ./internal/chaos/tmchaos/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/history/ ./internal/obs/alert/ ./internal/controlapi/ ./internal/usergroup/ ./internal/tenant/ ./internal/measurement/
+
+# The TM's failure-detection tests run on real sockets and the wall
+# clock, with bounds a few milliseconds wide: twenty runs under the race
+# detector find the scheduling a single run does not.
+tm-stress:
+	$(GO) test -race -count=20 -run 'Failover|Detect|Loss|Recovery' ./internal/tm/
 
 # Short fuzzing smoke on the wire decoders, the delta engine, the alert
 # rule parser and the solver's learned-preference store: each target
@@ -86,6 +92,12 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke
+
+# The benchmark as the driver runs it: all four workloads, 30 s each,
+# one driver line per workload; exits non-zero if any operation failed.
+# A performance PR pastes the four lines.
+bench-e2e:
+	bash bench/run.sh -seconds 30
 
 # Regenerate every table/figure at prototype (PEERING) scale.
 experiments:

@@ -246,9 +246,20 @@ func TestFig10Failover(t *testing.T) {
 	cfg := DefaultFig10Config()
 	cfg.PreFail = 800 * time.Millisecond
 	cfg.PostFail = 1200 * time.Millisecond
-	res, err := RunFig10(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The paper's ≈1.3 RTT, with room for the probe that happens to
+	// leave just after the cut and for loopback scheduling. The bound is
+	// a few milliseconds of wall clock: a host stall in one run says
+	// nothing about the rule, so a late detection earns a fresh run.
+	var res *Fig10Result
+	for attempt := 1; attempt <= 3; attempt++ {
+		var err error
+		if res, err = RunFig10(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if res.DetectedAfter > 0 && res.DetectionRTTs <= 1.6 {
+			break
+		}
+		t.Logf("attempt %d: detected after %v = %.2f RTT", attempt, res.DetectedAfter, res.DetectionRTTs)
 	}
 	if len(res.Samples) < 10 {
 		t.Fatalf("too few samples: %d", len(res.Samples))
@@ -261,6 +272,9 @@ func TestFig10Failover(t *testing.T) {
 	}
 	if res.SwitchedAfter > 500*time.Millisecond {
 		t.Errorf("switch took %v, want RTT-timescale", res.SwitchedAfter)
+	}
+	if res.DetectionRTTs > 1.6 {
+		t.Errorf("detected after %v = %.2f RTT of the dead path, want <= 1.6", res.DetectedAfter, res.DetectionRTTs)
 	}
 	if res.TotalBGPUpdates < 10 {
 		t.Errorf("BGP collector saw %d updates, want a reconvergence burst", res.TotalBGPUpdates)

@@ -10,10 +10,7 @@ package tm
 //  2. Flow purging only ran on packet arrival, so idle flows on a
 //     quiesced PoP were retained indefinitely. Purging now runs on a
 //     dedicated ticker.
-//  3. The outstanding-probe GC could evict a sequence a destination was
-//     still awaiting, and its cutoff comparison broke at uint32
-//     wraparound.
-//  4. ProbesSent counted failed sends, skewing any detector gated on
+//  3. ProbesSent counted failed sends, skewing any detector gated on
 //     probe output.
 
 import (
@@ -22,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"painter/internal/obs/span"
 	"painter/internal/tmproto"
 )
 
@@ -179,91 +175,6 @@ func TestIdleFlowsPurgedWithoutTraffic(t *testing.T) {
 	if s.Purged < 1 {
 		t.Fatalf("Purged = %d, want >= 1", s.Purged)
 	}
-}
-
-// gcTestEdge builds an Edge skeleton without running loops, so the GC
-// can be driven deterministically under e.mu.
-func gcTestEdge() *Edge {
-	return &Edge{
-		cfg:        DefaultEdgeConfig(),
-		dests:      make(map[string]*destState),
-		seqOwner:   make(map[uint32]probeRecord),
-		probeSpans: make(map[uint32]*span.Span),
-		flows:      newFlowMap[*destState](),
-		closed:     make(chan struct{}),
-	}
-}
-
-// TestSeqOwnerGCKeepsAwaitedSeq: the registry GC must never evict a
-// sequence some destination is still awaiting — pre-fix a slow-RTT
-// destination under wide probe fan-out lost its outstanding seq and
-// could never be attributed a reply again (false quarantine).
-func TestSeqOwnerGCKeepsAwaitedSeq(t *testing.T) {
-	e := gcTestEdge()
-	slow := &destState{dest: tmproto.Destination{Addr: netip.MustParseAddr("127.0.0.1"), Port: 1}}
-	slow.awaiting = true
-	slow.awaitingSeq = 10 // ancient, but still outstanding
-	e.dests["slow"] = slow
-
-	e.mu.Lock()
-	e.seqOwner[10] = probeRecord{key: "slow", sentAt: time.Now()}
-	for s := uint32(100); len(e.seqOwner) <= 8192; s++ {
-		e.seqOwner[s] = probeRecord{key: "fast", sentAt: time.Now()}
-		e.seq = s
-	}
-	e.gcSeqOwnerLocked()
-	_, kept := e.seqOwner[10]
-	e.mu.Unlock()
-	if !kept {
-		t.Fatal("GC evicted a sequence its destination is still awaiting")
-	}
-}
-
-// TestSeqOwnerGCWraparound: the cutoff comparison must use serial-number
-// arithmetic. Pre-fix `s < cut` with cut computed by uint32 subtraction
-// meant that right after the sequence counter wrapped, cut underflowed
-// to ~2^32 and the GC deleted essentially every entry — including the
-// newest ones.
-func TestSeqOwnerGCWraparound(t *testing.T) {
-	if seqBefore(0x20, 0x10) {
-		t.Fatal("0x20 is not before 0x10")
-	}
-	if !seqBefore(0x10, 0x20) {
-		t.Fatal("0x10 is before 0x20")
-	}
-	// Across the wrap: 0xffffff00 was issued just before seq wrapped to
-	// small values, so it IS before 0x10.
-	if !seqBefore(0xffffff00, 0x10) {
-		t.Fatal("pre-wrap seq should order before post-wrap cut")
-	}
-
-	e := gcTestEdge()
-	e.mu.Lock()
-	// The counter just wrapped: newest seqs are small, the window spans
-	// the wrap. cut = 100 - 4096 underflows; entries just behind the cut
-	// (recent pre-wrap) and post-wrap entries must survive.
-	e.seq = 100
-	for s := uint32(0); s <= 100; s++ { // post-wrap, newest
-		e.seqOwner[s] = probeRecord{key: "d"}
-	}
-	for s := uint32(0); len(e.seqOwner) <= 8192; s++ { // fills the window pre-wrap
-		e.seqOwner[0xffffffff-s] = probeRecord{key: "d"}
-		if len(e.seqOwner) > 8192 {
-			break
-		}
-	}
-	e.gcSeqOwnerLocked()
-	for s := uint32(0); s <= 100; s++ {
-		if _, ok := e.seqOwner[s]; !ok {
-			e.mu.Unlock()
-			t.Fatalf("GC deleted post-wrap seq %d (the newest entries)", s)
-		}
-	}
-	if _, ok := e.seqOwner[0xffffffff]; !ok {
-		e.mu.Unlock()
-		t.Fatal("GC deleted a recent pre-wrap seq inside the window")
-	}
-	e.mu.Unlock()
 }
 
 // TestProbesSentExcludesSendErrors: a destination whose socket writes

@@ -22,14 +22,19 @@ type EdgeConfig struct {
 	// PAINTER prefixes plus the anycast destination). May be replaced at
 	// runtime via ResolveFrom or SetDestinations.
 	Destinations []tmproto.Destination
-	// ProbeInterval is the idle cadence between probes per destination;
-	// the prober is additionally self-clocked: a reply immediately
-	// schedules the next probe, so the effective cadence is ≈max(RTT,
-	// ProbeInterval).
+	// ProbeInterval is the cadence of probes to each live destination,
+	// whether or not earlier ones were answered. Probes leave on a
+	// ProbeInterval/4 tick, so consecutive sends are 1–1.25 intervals
+	// apart.
 	ProbeInterval time.Duration
-	// FailureRTTMultiple: a destination is declared dead when a probe
-	// goes unanswered for FailureRTTMultiple × smoothed RTT (floor
-	// MinFailureTimeout). 1.3 reproduces the paper's detection times.
+	// FailureRTTMultiple: a live destination is declared dead once its
+	// oldest unanswered probe was sent more than FailureRTTMultiple ×
+	// smoothed RTT ago and no later probe has been answered. The clock
+	// runs from that probe's send time, not from the last reply. Two
+	// floors apply: MinFailureTimeout, and the send gap to the probe's
+	// successor plus sRTT + 4·rttvar, so that one lost probe is never a
+	// death: its successor always gets a full round trip. 1.3
+	// reproduces the paper's detection times.
 	FailureRTTMultiple float64
 	MinFailureTimeout  time.Duration
 	// SwitchHysteresisMs: switch the preferred destination only when the
@@ -148,6 +153,7 @@ type Event struct {
 // everything else is guarded by e.mu.
 type destState struct {
 	dest   tmproto.Destination
+	key    string // destKey(dest), the e.dests key, formatted once
 	addr   netip.AddrPort
 	gre    bool
 	greKey uint32
@@ -158,11 +164,15 @@ type destState struct {
 	removed atomic.Bool
 
 	rttEWMA     float64 // ms, guarded by e.mu
+	rttVar      float64 // ms, Jacobson mean deviation of the RTT samples
 	lastReply   time.Time
 	lastProbe   time.Time
-	awaitingSeq uint32
-	awaiting    bool
 	everReplied bool
+	// probes are the outstanding probes in send order, oldest first. A
+	// reply retires its probe and every older one; what is left at the
+	// head is the oldest probe no later evidence of life supersedes,
+	// and its send time is what failure detection runs from.
+	probes []probeRecord
 
 	// Dead-destination recovery probing (exponential backoff).
 	deadProbes   int       // unanswered probes since declared dead
@@ -173,33 +183,48 @@ type destState struct {
 func (ds *destState) alive() bool     { return ds.aliveFlag.Load() }
 func (ds *destState) setAlive(v bool) { ds.aliveFlag.Store(v) }
 
-// probeRecord is one outstanding probe: which destination it went to
-// and when it left, recorded with the local monotonic clock. RTT is
-// computed from sentAt, never from the wall-clock timestamp echoed on
-// the wire — a stepped clock (NTP correction) must not corrupt the RTT
-// EWMA or discard live replies.
+// rtt is the smoothed RTT as a duration. Caller holds e.mu.
+func (ds *destState) rtt() time.Duration { return msDuration(ds.rttEWMA) }
+
+func msDuration(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
+func durationMs(d time.Duration) float64  { return float64(d) / float64(time.Millisecond) }
+
+// probeRecord is one outstanding probe: its sequence number and when
+// it left, recorded with the local monotonic clock. RTT is computed
+// from sentAt, never from the wall-clock timestamp echoed on the wire —
+// a stepped clock (NTP correction) must not corrupt the RTT EWMA or
+// discard live replies.
 type probeRecord struct {
-	key    string
+	seq    uint32
 	sentAt time.Time
+	span   *span.Span // the probe's open span; nil when untraced
 }
+
+// maxDeadOutstanding bounds a dead destination's outstanding probes: a
+// live one holds at most a failure timeout's worth and is then declared
+// dead, but recovery probing never stops, so only the newest few stay
+// attributable.
+const maxDeadOutstanding = 16
 
 // Edge is a running TM-Edge.
 type Edge struct {
 	cfg   EdgeConfig
 	group *netio.Group
+	// out is the socket used for originated traffic (probes, data).
+	// Replies arrive on whichever group socket the kernel hashes them to.
+	out netio.Conn
 
 	mu       sync.Mutex
 	dests    map[string]*destState // keyed by addr string
 	selected string                // addr of current best destination
 	// lastSelected remembers the previous selection even after its
 	// destination died, so failovers triggered by death are attributed.
-	lastSelected *tmproto.Destination
+	lastSelected *destState
 	seq          uint32
-	seqOwner     map[uint32]probeRecord
+	// owner maps each outstanding probe's sequence number to its
+	// destination: exactly the sequences in the destinations' probes.
+	owner map[uint32]*destState
 
-	// probeSpans holds the open span of each outstanding traced probe,
-	// keyed by sequence number and bounded by the same GC as seqOwner.
-	probeSpans map[uint32]*span.Span
 	// failover is the open root span of the failover in progress (dead
 	// detection through flow re-pin); nil when none. Guarded by mu.
 	failover *span.Span
@@ -243,6 +268,28 @@ type EdgeStats struct {
 
 // NewEdge starts a TM-Edge with the given configuration.
 func NewEdge(cfg EdgeConfig) (*Edge, error) {
+	cfg = cfg.withDefaults()
+	group, err := netio.Listen("127.0.0.1:0", netio.Config{Sockets: cfg.Sockets, Batch: cfg.Batch})
+	if err != nil {
+		return nil, fmt.Errorf("tm: edge listen: %w", err)
+	}
+	e := newEdge(cfg, group.Conns()[0])
+	e.group = group
+	if err := e.SetDestinations(cfg.Destinations); err != nil {
+		_ = group.Close()
+		return nil, err
+	}
+	e.m = newEdgeMetrics(cfg.Obs, e)
+	for _, c := range group.Conns() {
+		e.wg.Add(1)
+		go e.readLoop(c)
+	}
+	e.wg.Add(1)
+	go e.probeLoop()
+	return e, nil
+}
+
+func (cfg EdgeConfig) withDefaults() EdgeConfig {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 50 * time.Millisecond
 	}
@@ -261,36 +308,23 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	if cfg.QuarantineAfter <= 0 {
 		cfg.QuarantineAfter = 3
 	}
-	group, err := netio.Listen("127.0.0.1:0", netio.Config{Sockets: cfg.Sockets, Batch: cfg.Batch})
-	if err != nil {
-		return nil, fmt.Errorf("tm: edge listen: %w", err)
-	}
-	e := &Edge{
-		cfg:        cfg,
-		group:      group,
-		dests:      make(map[string]*destState),
-		seqOwner:   make(map[uint32]probeRecord),
-		probeSpans: make(map[uint32]*span.Span),
-		flows:      newFlowMap[*destState](),
-		closed:     make(chan struct{}),
-	}
-	if err := e.SetDestinations(cfg.Destinations); err != nil {
-		_ = group.Close()
-		return nil, err
-	}
-	e.m = newEdgeMetrics(cfg.Obs, e)
-	for _, c := range group.Conns() {
-		e.wg.Add(1)
-		go e.readLoop(c)
-	}
-	e.wg.Add(1)
-	go e.probeLoop()
-	return e, nil
+	return cfg
 }
 
-// conn returns the socket used for originated traffic (probes, data).
-// Replies arrive on whichever group socket the kernel hashes them to.
-func (e *Edge) conn() netio.Conn { return e.group.Conns()[0] }
+// newEdge builds the edge's state around the socket it originates
+// traffic on and starts nothing: the probe state machine is then driven
+// by probeRound and handleProbeReply alone, which is how the tests run
+// it without sockets.
+func newEdge(cfg EdgeConfig, out netio.Conn) *Edge {
+	return &Edge{
+		cfg:    cfg,
+		out:    out,
+		dests:  make(map[string]*destState),
+		owner:  make(map[uint32]*destState),
+		flows:  newFlowMap[*destState](),
+		closed: make(chan struct{}),
+	}
+}
 
 // Addr returns the edge's local UDP address.
 func (e *Edge) Addr() string { return e.group.Addr().String() }
@@ -312,6 +346,7 @@ func (e *Edge) SetDestinations(dests []tmproto.Destination) error {
 		}
 		e.dests[key] = &destState{
 			dest:   d,
+			key:    key,
 			addr:   netip.AddrPortFrom(d.Addr, d.Port),
 			gre:    d.GRE,
 			greKey: d.PoP,
@@ -320,6 +355,7 @@ func (e *Edge) SetDestinations(dests []tmproto.Destination) error {
 	for key, ds := range e.dests {
 		if !seen[key] {
 			ds.removed.Store(true)
+			e.retireLocked(ds, len(ds.probes), "lost")
 			delete(e.dests, key)
 			if e.selected == key {
 				e.selected = ""
@@ -394,9 +430,10 @@ func (e *Edge) Close() error {
 	e.mu.Lock()
 	e.failover.Finish()
 	e.failover = nil
-	for s, ps := range e.probeSpans {
-		delete(e.probeSpans, s)
-		ps.Finish()
+	for _, ds := range e.dests {
+		for _, r := range ds.probes {
+			r.span.Finish()
+		}
 	}
 	e.mu.Unlock()
 	return err
@@ -417,17 +454,21 @@ type DestinationStatus struct {
 func (e *Edge) Status() []DestinationStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]DestinationStatus, 0, len(e.dests))
-	for key, ds := range e.dests {
-		out = append(out, DestinationStatus{
+	states := make([]*destState, 0, len(e.dests))
+	for _, ds := range e.dests {
+		states = append(states, ds)
+	}
+	sort.Slice(states, func(i, j int) bool { return states[i].key < states[j].key })
+	out := make([]DestinationStatus, len(states))
+	for i, ds := range states {
+		out[i] = DestinationStatus{
 			Dest:        ds.dest,
 			Alive:       ds.alive(),
-			RTT:         time.Duration(ds.rttEWMA * float64(time.Millisecond)),
-			Selected:    key == e.selected,
+			RTT:         ds.rtt(),
+			Selected:    ds.key == e.selected,
 			Quarantined: ds.quarantined,
-		})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return destKey(out[i].Dest) < destKey(out[j].Dest) })
 	return out
 }
 
@@ -492,7 +533,7 @@ func (e *Edge) sendSlow(flow tmproto.FlowKey, payload []byte) error {
 		if e.failover != nil {
 			rp := e.failover.StartChild("tm.edge.repin",
 				span.A("flow", flow.String()),
-				span.A("dest", destKey(sel.dest)))
+				span.A("dest", sel.key))
 			trace = tmproto.TraceContext(rp.Context())
 			rp.Finish()
 			e.failover.Finish()
@@ -514,7 +555,7 @@ func (e *Edge) sendData(ds *destState, flow tmproto.FlowKey, payload []byte, tra
 	if ds.gre {
 		out = tmproto.AppendGRE(make([]byte, 0, tmproto.GREOverhead+len(out)), ds.greKey, e.greSeq.Add(1), out)
 	}
-	if _, err := e.conn().WriteBatch([]netio.Message{{Buf: out, N: len(out), Addr: ds.addr}}); err != nil {
+	if _, err := e.out.WriteBatch([]netio.Message{{Buf: out, N: len(out), Addr: ds.addr}}); err != nil {
 		e.st.sendErrors.Add(1)
 		e.m.sendErrors.Inc()
 		return err
@@ -542,7 +583,7 @@ func (e *Edge) sortedDestsLocked() []*destState {
 		if ri != rj {
 			return ri < rj
 		}
-		return destKey(out[i].dest) < destKey(out[j].dest)
+		return out[i].key < out[j].key
 	})
 	return out
 }
@@ -556,75 +597,63 @@ func (e *Edge) probeLoop() {
 		select {
 		case <-e.closed:
 			return
-		case now := <-tick.C:
-			e.probeRound(now)
+		case <-tick.C:
+			// The round's clock is read when the round runs, not when the
+			// ticker fired: it is stamped into the probes as their send
+			// time, and a tick that waited for the processor would start
+			// every RTT sample and failure deadline early.
+			e.probeRound(time.Now())
 		}
 	}
 }
 
-// probeRound sends due probes and expires silent destinations.
+// failureTimeout is how long a probe of ds, whose successor left gap
+// after it, may stay unanswered before ds is declared dead:
+//
+//	max(FailureRTTMultiple·sRTT, MinFailureTimeout, gap + sRTT + 4·rttvar)
+//
+// The last term ends a round-trip estimate after the successor left, so
+// a single lost probe, at any ratio of probe interval to RTT, leaves
+// its successor time to answer.
+func (e *Edge) failureTimeout(ds *destState, gap time.Duration) time.Duration {
+	t := msDuration(e.cfg.FailureRTTMultiple * ds.rttEWMA)
+	if t < e.cfg.MinFailureTimeout {
+		t = e.cfg.MinFailureTimeout
+	}
+	if oneLoss := gap + msDuration(ds.rttEWMA+4*ds.rttVar); t < oneLoss {
+		t = oneLoss
+	}
+	return t
+}
+
+// probeRound expires silent destinations and sends due probes; now is
+// the send time of those probes.
 func (e *Edge) probeRound(now time.Time) {
 	var sends []netio.Message
 	var events []Event
 
 	e.mu.Lock()
-	for key, ds := range e.dests {
-		timeout := time.Duration(e.cfg.FailureRTTMultiple * ds.rttEWMA * float64(time.Millisecond))
-		if timeout < e.cfg.MinFailureTimeout {
-			timeout = e.cfg.MinFailureTimeout
-		}
-		// The silence threshold must allow one full probe interval plus
-		// a round trip, or a single in-flight probe would read as death.
-		if floor := e.cfg.ProbeInterval + time.Duration(ds.rttEWMA*float64(time.Millisecond)); timeout < floor {
-			timeout = floor
-		}
-		// Death check: probes outstanding and no reply for longer than
-		// the timeout. Keying on silence-since-last-reply (rather than
-		// on a single probe) makes isolated packet loss survivable: the
-		// prober pipelines probes below, so a healthy-but-lossy path
-		// keeps producing replies.
-		if ds.awaiting && ds.alive() && now.Sub(ds.lastReply) > timeout {
-			ds.setAlive(false)
-			ds.deadProbes = 0
-			ds.quarantined = false
-			ds.nextRecovery = now // first recovery probe goes out at once
-			e.m.failoverDetectionMs.Observe(float64(now.Sub(ds.lastReply)) / float64(time.Millisecond))
-			// The unanswered probe's own span (a separate trace) ends
-			// here, marked timed out.
-			if ps := e.probeSpans[ds.awaitingSeq]; ps != nil {
-				delete(e.probeSpans, ds.awaitingSeq)
-				ps.SetAttr("timeout", "true")
-				ps.Finish()
-			}
-			// Open the failover trace: one root spanning dead detection
-			// through re-selection and (if a pinned flow existed) the
-			// re-pin whose data packet stitches the PoP's re-home in.
-			e.failover.Finish() // a still-open previous chain ends now
-			e.failover = e.cfg.Tracer.StartRoot("tm.edge.failover",
-				span.A("dest", destKey(ds.dest)))
-			probeSpan := e.failover.StartChild("tm.edge.probe",
-				span.A("seq", fmt.Sprint(ds.awaitingSeq)),
-				span.A("silent_ms", fmt.Sprintf("%.1f", float64(now.Sub(ds.lastReply))/float64(time.Millisecond))))
-			probeSpan.Finish()
-			dead := e.failover.StartChild("tm.edge.dead",
-				span.A("dest", destKey(ds.dest)),
-				span.A("silent_ms", fmt.Sprintf("%.1f", float64(now.Sub(ds.lastReply))/float64(time.Millisecond))))
-			dead.Finish()
-			events = append(events, Event{
-				Kind: EventDestDead, Dest: ds.dest, At: now,
-				SinceLastReply: now.Sub(ds.lastReply),
-				RTT:            time.Duration(ds.rttEWMA * float64(time.Millisecond)),
-				Trace:          e.failover.Context(),
-			})
-			if e.selected == key {
-				e.selected = ""
+	for _, ds := range e.dests {
+		// Death check, keyed on the oldest outstanding probe: nothing
+		// sent since has been answered (a reply retires every older
+		// probe), so its age is how long the path has verifiably been
+		// silent, counted from when the question was asked. The last
+		// reply's arrival says nothing of the sort: replies already on
+		// the return leg keep arriving for half an RTT after a path is
+		// cut. Until the successor has left there is no gap to measure
+		// and one probe's silence proves nothing.
+		if ds.alive() && len(ds.probes) >= 2 {
+			oldest := ds.probes[0]
+			gap := ds.probes[1].sentAt.Sub(oldest.sentAt)
+			if now.Sub(oldest.sentAt) > e.failureTimeout(ds, gap) {
+				events = append(events, e.declareDeadLocked(ds, now))
 			}
 		}
 		// Probes are pipelined at the probe interval regardless of
 		// outstanding state: a lost probe must not silence the prober.
-		// Earlier probes stay registered in seqOwner so a late reply —
-		// e.g. from a destination whose true RTT exceeds the initial
-		// timeout — still marks the destination alive.
+		// Unanswered probes stay outstanding past a death verdict, so a
+		// late reply — e.g. from a destination whose true RTT exceeds
+		// the timeout in force — still marks the destination alive.
 		//
 		// Dead destinations are probed on an exponential-backoff
 		// schedule instead, so a withdrawn prefix is not hammered at the
@@ -636,49 +665,50 @@ func (e *Edge) probeRound(now time.Time) {
 		} else {
 			due = !now.Before(ds.nextRecovery)
 		}
-		if due {
-			e.seq++
-			seq := e.seq
-			ds.awaitingSeq = seq
-			ds.awaiting = true
-			ds.lastProbe = now
-			// Record the send time locally: RTT is computed with the
-			// monotonic clock on reply, never from the wall-clock
-			// timestamp echoed over the wire.
-			e.seqOwner[seq] = probeRecord{key: key, sentAt: now}
-			e.gcSeqOwnerLocked()
-			if !ds.alive() {
-				ds.deadProbes++
-				backoff := e.backoffAfter(ds.deadProbes, seq)
-				ds.nextRecovery = now.Add(backoff)
-				e.m.backoffMs.Observe(float64(backoff) / float64(time.Millisecond))
-				if !ds.quarantined && ds.deadProbes >= e.cfg.QuarantineAfter {
-					ds.quarantined = true
-					e.st.quarantines.Add(1)
-					events = append(events, Event{
-						Kind: EventDestQuarantined, Dest: ds.dest, At: now,
-						Backoff: backoff,
-					})
-				}
-			}
-			wp := tmproto.Probe{Seq: seq, SentUnixNano: now.UnixNano()}
-			if e.cfg.Tracer != nil {
-				// One (head-sampled) trace per probe round trip; the
-				// context travels on the wire and comes back in the
-				// echoed reply, so the PoP's handling stitches in.
-				if ps := e.cfg.Tracer.StartRoot("tm.edge.probe",
-					span.A("dest", key),
-					span.A("seq", fmt.Sprint(seq))); ps != nil {
-					e.probeSpans[seq] = ps
-					wp.Trace = tmproto.TraceContext(ps.Context())
-				}
-			}
-			pkt := tmproto.AppendProbe(nil, wp, false)
-			if ds.gre {
-				pkt = tmproto.AppendGRE(make([]byte, 0, tmproto.GREOverhead+len(pkt)), ds.greKey, e.greSeq.Add(1), pkt)
-			}
-			sends = append(sends, netio.Message{Buf: pkt, N: len(pkt), Addr: ds.addr})
+		if !due {
+			continue
 		}
+		e.seq++
+		seq := e.seq
+		ds.lastProbe = now
+		if !ds.alive() {
+			if over := len(ds.probes) + 1 - maxDeadOutstanding; over > 0 {
+				e.retireLocked(ds, over, "lost")
+			}
+			ds.deadProbes++
+			backoff := e.backoffAfter(ds.deadProbes, seq)
+			ds.nextRecovery = now.Add(backoff)
+			e.m.backoffMs.Observe(durationMs(backoff))
+			if !ds.quarantined && ds.deadProbes >= e.cfg.QuarantineAfter {
+				ds.quarantined = true
+				e.st.quarantines.Add(1)
+				events = append(events, Event{
+					Kind: EventDestQuarantined, Dest: ds.dest, At: now,
+					Backoff: backoff,
+				})
+			}
+		}
+		wp := tmproto.Probe{Seq: seq, SentUnixNano: now.UnixNano()}
+		var ps *span.Span
+		if e.cfg.Tracer != nil {
+			// One (head-sampled) trace per probe round trip; the context
+			// travels on the wire and comes back in the echoed reply, so
+			// the PoP's handling stitches in.
+			ps = e.cfg.Tracer.StartRoot("tm.edge.probe",
+				span.A("dest", ds.key),
+				span.A("seq", fmt.Sprint(seq)))
+			wp.Trace = tmproto.TraceContext(ps.Context())
+		}
+		// The send time is recorded locally: RTT and the failure
+		// deadline run on the monotonic clock, never on the wall-clock
+		// timestamp echoed over the wire.
+		ds.probes = append(ds.probes, probeRecord{seq: seq, sentAt: now, span: ps})
+		e.owner[seq] = ds
+		pkt := tmproto.AppendProbe(nil, wp, false)
+		if ds.gre {
+			pkt = tmproto.AppendGRE(make([]byte, 0, tmproto.GREOverhead+len(pkt)), ds.greKey, e.greSeq.Add(1), pkt)
+		}
+		sends = append(sends, netio.Message{Buf: pkt, N: len(pkt), Addr: ds.addr})
 	}
 	events = append(events, e.reselectLocked(now)...)
 	e.mu.Unlock()
@@ -687,14 +717,68 @@ func (e *Edge) probeRound(now time.Time) {
 	e.emit(events)
 }
 
+// declareDeadLocked marks a live destination dead on the evidence of
+// its oldest outstanding probe and opens the failover trace. Caller
+// holds e.mu.
+func (e *Edge) declareDeadLocked(ds *destState, now time.Time) Event {
+	oldest := ds.probes[0]
+	unansweredMs := durationMs(now.Sub(oldest.sentAt))
+	silent := now.Sub(ds.lastReply)
+	ds.setAlive(false)
+	ds.deadProbes = 0
+	ds.quarantined = false
+	ds.nextRecovery = now // first recovery probe goes out at once
+	e.m.failoverDetectionMs.Observe(unansweredMs)
+	// The unanswered probe's own span (a separate trace) ends here,
+	// marked timed out; the probe itself stays outstanding.
+	oldest.span.SetAttr("timeout", "true")
+	oldest.span.Finish()
+	// Open the failover trace: one root spanning dead detection
+	// through re-selection and (if a pinned flow existed) the
+	// re-pin whose data packet stitches the PoP's re-home in.
+	e.failover.Finish() // a still-open previous chain ends now
+	e.failover = e.cfg.Tracer.StartRoot("tm.edge.failover",
+		span.A("dest", ds.key))
+	silentMs := fmt.Sprintf("%.1f", durationMs(silent))
+	probeSpan := e.failover.StartChild("tm.edge.probe",
+		span.A("seq", fmt.Sprint(oldest.seq)),
+		span.A("unanswered_ms", fmt.Sprintf("%.1f", unansweredMs)),
+		span.A("silent_ms", silentMs))
+	probeSpan.Finish()
+	dead := e.failover.StartChild("tm.edge.dead",
+		span.A("dest", ds.key),
+		span.A("silent_ms", silentMs))
+	dead.Finish()
+	if e.selected == ds.key {
+		e.selected = ""
+	}
+	return Event{
+		Kind: EventDestDead, Dest: ds.dest, At: now,
+		SinceLastReply: silent,
+		RTT:            ds.rtt(),
+		Trace:          e.failover.Context(),
+	}
+}
+
+// retireLocked drops ds's n oldest outstanding probes. The span of a
+// traced one that is still open ends marked with why, so an unanswered
+// probe cannot leak its span. Caller holds e.mu.
+func (e *Edge) retireLocked(ds *destState, n int, why string) {
+	for _, r := range ds.probes[:n] {
+		delete(e.owner, r.seq)
+		r.span.SetAttr(why, "true")
+		r.span.Finish()
+	}
+	ds.probes = ds.probes[n:]
+}
+
 // writeProbes flushes a probe batch, counting successes and failures
 // separately: ProbesSent moves only for datagrams that actually left
 // the socket, send failures land in SendErrors. A poisoned message is
 // skipped and the rest of the batch still goes out.
 func (e *Edge) writeProbes(sends []netio.Message) {
-	conn := e.conn()
 	for len(sends) > 0 {
-		sent, err := conn.WriteBatch(sends)
+		sent, err := e.out.WriteBatch(sends)
 		if sent > 0 {
 			e.st.probesSent.Add(uint64(sent))
 			e.m.probesSent.Add(uint64(sent))
@@ -718,8 +802,8 @@ func (e *Edge) reselectLocked(now time.Time) []Event {
 			cands = append(cands, DestinationStatus{
 				Dest:     ds.dest,
 				Alive:    true,
-				RTT:      time.Duration(ds.rttEWMA * float64(time.Millisecond)),
-				Selected: destKey(ds.dest) == e.selected,
+				RTT:      ds.rtt(),
+				Selected: ds.key == e.selected,
 			})
 			states = append(states, ds)
 		}
@@ -742,15 +826,15 @@ func (e *Edge) reselectLocked(now time.Time) []Event {
 		return nil
 	}
 	best := states[sel]
-	prev := e.lastSelected
-	if prev != nil && destKey(*prev) == destKey(best.dest) {
-		// Re-selecting the same destination (e.g. after a blip) is not a
-		// failover.
-		prev = nil
+	var prev *tmproto.Destination
+	// Re-selecting the same destination (e.g. after a blip) is not a
+	// failover.
+	if last := e.lastSelected; last != nil && last.key != best.key {
+		d := last.dest
+		prev = &d
 	}
-	e.selected = destKey(best.dest)
-	d := best.dest
-	e.lastSelected = &d
+	e.selected = best.key
+	e.lastSelected = best
 	if e.failover != nil {
 		rs := e.failover.StartChild("tm.edge.reselect",
 			span.A("dest", e.selected),
@@ -763,7 +847,7 @@ func (e *Edge) reselectLocked(now time.Time) []Event {
 	}
 	return []Event{{
 		Kind: EventSelected, Dest: best.dest, Prev: prev, At: now,
-		RTT:   time.Duration(best.rttEWMA * float64(time.Millisecond)),
+		RTT:   best.rtt(),
 		Trace: e.failover.Context(),
 	}}
 }
@@ -795,40 +879,6 @@ func (e *Edge) backoffAfter(n int, seq uint32) time.Duration {
 // half the sequence space behind cut, so the comparison stays correct
 // when the uint32 counter wraps.
 func seqBefore(s, cut uint32) bool { return int32(s-cut) < 0 }
-
-// gcSeqOwnerLocked bounds the outstanding-probe registry: when it grows
-// past 8192 entries, entries older than half the window are dropped —
-// except any sequence a destination is still awaiting. Evicting an
-// awaited sequence would make that destination's reply unattributable,
-// reading a live-but-slow destination as permanently silent (false
-// quarantine under wide fan-out). Caller holds e.mu.
-func (e *Edge) gcSeqOwnerLocked() {
-	const maxEntries = 8192
-	if len(e.seqOwner) <= maxEntries {
-		return
-	}
-	awaited := make(map[uint32]bool, len(e.dests))
-	for _, ds := range e.dests {
-		if ds.awaiting {
-			awaited[ds.awaitingSeq] = true
-		}
-	}
-	cut := e.seq - maxEntries/2
-	for s := range e.seqOwner {
-		if seqBefore(s, cut) && !awaited[s] {
-			delete(e.seqOwner, s)
-		}
-	}
-	// probeSpans is bounded by the same cut, so an unanswered traced
-	// probe cannot leak its span forever.
-	for s, ps := range e.probeSpans {
-		if seqBefore(s, cut) && !awaited[s] {
-			delete(e.probeSpans, s)
-			ps.SetAttr("lost", "true")
-			ps.Finish()
-		}
-	}
-}
 
 func (e *Edge) emit(events []Event) {
 	for _, ev := range events {
@@ -872,7 +922,7 @@ func (e *Edge) readLoop(conn netio.Conn) {
 				if err != nil {
 					continue
 				}
-				e.handleProbeReply(p)
+				e.handleProbeReply(time.Now(), p)
 			case tmproto.TypeData:
 				d, err := tmproto.ParseData(inner)
 				if err != nil {
@@ -889,58 +939,64 @@ func (e *Edge) readLoop(conn netio.Conn) {
 	}
 }
 
-// handleProbeReply attributes a reply to its outstanding probe. RTT is
-// time.Since the locally recorded send time — monotonic, so a wall
-// clock stepped forward cannot inflate the EWMA and one stepped
+// handleProbeReply attributes a reply, received at now, to its
+// outstanding probe and retires that probe and every older one of the
+// same destination: later evidence of life supersedes earlier silence.
+// RTT is now minus the locally recorded send time — monotonic, so a
+// wall clock stepped forward cannot inflate the EWMA and one stepped
 // backward cannot make a live reply look like it arrived before it was
 // sent (which previously discarded the reply and left the destination
-// awaiting, to be declared dead while answering every probe).
-func (e *Edge) handleProbeReply(p tmproto.Probe) {
-	now := time.Now()
+// awaiting, to be declared dead while answering every probe). A reply
+// whose probe is no longer outstanding — retired by a later reply, or
+// aged out of a dead destination's ring — is counted and otherwise
+// ignored.
+func (e *Edge) handleProbeReply(now time.Time, p tmproto.Probe) {
 	var events []Event
 	e.mu.Lock()
-	rec, ok := e.seqOwner[p.Seq]
+	ds := e.owner[p.Seq]
 	var rttMs float64
-	if ok {
-		rttMs = float64(now.Sub(rec.sentAt)) / float64(time.Millisecond)
+	if ds != nil {
+		// Probes are in send order, so everything up to and including
+		// p.Seq is a prefix of the ring; owner guarantees p.Seq is in it.
+		n := 0
+		for n < len(ds.probes) && !seqBefore(p.Seq, ds.probes[n].seq) {
+			n++
+		}
+		rec := ds.probes[n-1]
+		rttMs = durationMs(now.Sub(rec.sentAt))
 		if rttMs < 0 {
 			rttMs = 0 // monotonic time never goes back; defensive only
 		}
-	}
-	if ps := e.probeSpans[p.Seq]; ps != nil {
-		delete(e.probeSpans, p.Seq)
-		if ok {
-			ps.SetAttr("rtt_ms", fmt.Sprintf("%.2f", rttMs))
+		if rec.span != nil {
+			rec.span.SetAttr("rtt_ms", fmt.Sprintf("%.2f", rttMs))
+			rec.span.Finish()
 		}
-		ps.Finish()
-	}
-	if ok {
-		delete(e.seqOwner, p.Seq)
-		if ds := e.dests[rec.key]; ds != nil {
-			ds.awaiting = false
-			ds.lastReply = now
-			if !ds.everReplied {
-				ds.rttEWMA = rttMs
-				ds.everReplied = true
-			} else {
-				const alpha = 0.3
-				ds.rttEWMA = (1-alpha)*ds.rttEWMA + alpha*rttMs
-			}
-			if !ds.alive() {
-				ds.setAlive(true)
-				ds.deadProbes = 0
-				ds.quarantined = false
-				ds.nextRecovery = time.Time{}
-				events = append(events, Event{Kind: EventDestAlive, Dest: ds.dest, At: now,
-					RTT: time.Duration(ds.rttEWMA * float64(time.Millisecond))})
-			}
-			events = append(events, e.reselectLocked(now)...)
+		e.retireLocked(ds, n, "superseded")
+
+		ds.lastReply = now
+		if !ds.everReplied {
+			// RFC 6298's first sample: the deviation starts wide and
+			// narrows as samples agree.
+			ds.rttEWMA, ds.rttVar = rttMs, rttMs/2
+			ds.everReplied = true
+		} else {
+			const alpha, beta = 0.3, 0.25
+			ds.rttVar = (1-beta)*ds.rttVar + beta*math.Abs(ds.rttEWMA-rttMs)
+			ds.rttEWMA = (1-alpha)*ds.rttEWMA + alpha*rttMs
 		}
+		if !ds.alive() {
+			ds.setAlive(true)
+			ds.deadProbes = 0
+			ds.quarantined = false
+			ds.nextRecovery = time.Time{}
+			events = append(events, Event{Kind: EventDestAlive, Dest: ds.dest, At: now, RTT: ds.rtt()})
+		}
+		events = append(events, e.reselectLocked(now)...)
 	}
 	e.mu.Unlock()
 	e.st.repliesRcvd.Add(1)
 	e.m.repliesRcvd.Inc()
-	if ok {
+	if ds != nil {
 		e.m.probeRTTMs.Observe(rttMs)
 	}
 	e.emit(events)

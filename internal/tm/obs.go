@@ -33,7 +33,7 @@ func newEdgeMetrics(r *obs.Registry, e *Edge) edgeMetrics {
 	}
 	m := edgeMetrics{
 		probeRTTMs:          r.Histogram("tm_edge_probe_rtt_ms", "probe round-trip time per reply (ms)"),
-		failoverDetectionMs: r.Histogram("tm_edge_failover_detection_ms", "silence before a destination was declared dead (ms)"),
+		failoverDetectionMs: r.Histogram("tm_edge_failover_detection_ms", "age of the oldest unanswered probe when its destination was declared dead (ms)"),
 		backoffMs:           r.Histogram("tm_edge_backoff_ms", "recovery-probe backoff intervals scheduled for dead destinations (ms)"),
 
 		probesSent:  r.Counter("tm_edge_probes_sent_total", "probes sent"),
