@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"painter/internal/bgp"
 	"painter/internal/core"
 	"painter/internal/netsim"
 	"painter/internal/usergroup"
@@ -70,15 +69,14 @@ func runControllerUnderChaos(t *testing.T, seed int64) (runBytes []byte, ctrlBen
 		t.Fatal(err)
 	}
 
-	in, _, err := core.SimInputs(w, ugs, nil)
+	// A fresh controller's initial config is the cold solve over the
+	// world's current inputs and live peerings.
+	coldCtrl, err := core.NewController(w, ugs, core.ControllerParams{Solver: core.DefaultParams(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := core.New(in, nil, core.DefaultParams(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := o.ComputeConfigLive(func(id bgp.IngressID) bool { return !w.IngressDown(id) })
+	coldCtrl.Stop()
+	cold := coldCtrl.Config()
 	coldEval, err := core.Evaluate(w, ugs, cold)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,9 @@ package core
 // work the greedy allocator already did for the untouched prefixes. The
 // Controller subscribes to a netsim.World's event stream, maps each
 // event to the dirty set of prefixes it can actually change, and runs a
-// warm-start repair (RepairConfig) that regrows only those, falling
-// back to a full re-solve when the dirty fraction crosses a threshold.
+// warm-start repair (repairConfig) that regrows only those, falling
+// back to a full re-solve — the repair of the empty configuration — when
+// the dirty fraction crosses a threshold.
 //
 // Dirty-set rules (derived from what each event kind can change in the
 // offline model — estimates come from steady-state base latencies and

@@ -52,7 +52,7 @@ func coldConfig(t *testing.T, b *testBench) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o.ComputeConfigLive(func(id bgp.IngressID) bool { return !b.world.IngressDown(id) })
+	return o.computeConfig(nil, func(id bgp.IngressID) bool { return !b.world.IngressDown(id) }, nil)
 }
 
 func benefitOf(t *testing.T, b *testBench, cfg Config) float64 {

@@ -305,63 +305,6 @@ func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *candHeap) Push(x any)   { *h = append(*h, x.(candItem)) }
 func (h *candHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
-// ComputeConfig runs one full pass of Algorithm 1's two inner loops with
-// the current routing model, returning the chosen configuration.
-func (o *Orchestrator) ComputeConfig() Config { return o.computeConfig(nil, nil, nil) }
-
-// ComputeConfigLive is ComputeConfig restricted to peerings for which
-// live returns true (nil live = all peerings). The continuous controller
-// uses it so a full re-solve after failures never places a withdrawn
-// peering.
-func (o *Orchestrator) ComputeConfigLive(live func(bgp.IngressID) bool) Config {
-	return o.computeConfig(nil, live, nil)
-}
-
-// computeConfig is ComputeConfig with one span per prefix placement hung
-// off parent (nil parent: no tracing, one branch per prefix), an
-// optional live-peering filter, and an optional dark mask excluding UG
-// states from the benefit model (states whose AS currently has no
-// anycast route; the continuous controller marks them during outages,
-// mirroring how SimInputs drops uncovered UGs from a cold solve).
-func (o *Orchestrator) computeConfig(parent *span.Span, live func(bgp.IngressID) bool, dark []bool) Config {
-	// Per-UG frozen best across anycast + completed prefixes.
-	bestFrozen := make([]float64, len(o.states))
-	for i, st := range o.states {
-		bestFrozen[i] = st.anycast
-	}
-
-	var cfg Config
-	allPeerings := o.candidatePeerings(live)
-
-	for p := 0; p < o.params.PrefixBudget; p++ {
-		var growStart time.Time
-		if o.m.on() {
-			growStart = time.Now()
-		}
-		var placeSpan *span.Span
-		if parent != nil {
-			placeSpan = parent.StartChild("core.place_prefix",
-				span.A("prefix", strconv.Itoa(p)))
-		}
-		S := o.growPrefix(allPeerings, bestFrozen, dark)
-		if placeSpan != nil {
-			placeSpan.SetAttr("peerings", strconv.Itoa(len(S)))
-			placeSpan.Finish()
-		}
-		if o.m.on() {
-			o.m.prefixGrowSeconds.Observe(time.Since(growStart).Seconds())
-		}
-		if len(S) == 0 {
-			break // no peering offers positive benefit: further prefixes won't either
-		}
-		o.m.prefixesPlaced.Inc()
-		cfg.Prefixes = append(cfg.Prefixes, S)
-		// Freeze this prefix's contribution into bestFrozen.
-		o.freezePrefix(S, bestFrozen, dark)
-	}
-	return cfg
-}
-
 // candidatePeerings returns the deployment's peerings filtered by live
 // (nil = all), in deployment (ID) order.
 func (o *Orchestrator) candidatePeerings(live func(bgp.IngressID) bool) []bgp.IngressID {
@@ -483,10 +426,8 @@ func putScratches(scs []*exScratch) {
 // growPrefix implements the inner while-loop: advertise one prefix via
 // as many peerings as keep marginal benefit positive, in ranked order of
 // modeled improvement. Candidates come from allPeerings; dark states
-// (nil = none) contribute no marginal benefit. growPrefix does not
-// mutate orchestrator state (the warm cache is internally locked), so
-// distinct calls with disjoint outputs may run concurrently (the
-// warm-start repair path does).
+// (nil = none) contribute no marginal benefit. growPrefix mutates no
+// orchestrator state beyond the warm cache.
 //
 // The result is a deterministic function of (candidates, frozen base,
 // dark mask) for a fixed learned model, so an exact input match returns
@@ -510,7 +451,7 @@ type incMember struct {
 }
 
 // growScratch is the lazy grow loop's working memory, sized to the
-// model once and reset per grow (warmCache keeps returned scratches
+// model once and reset per grow (warmCache keeps the returned scratch
 // until the next Learn). Between grows everything is at its initial
 // value: curE and minDist +Inf, stateVer 0, members empty, masks zero,
 // inS false.

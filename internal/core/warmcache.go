@@ -58,8 +58,8 @@ type freezeEntry struct {
 	vec []float64
 }
 
-// warmCache is safe for concurrent use: the speculative regrow path
-// calls growPrefix from the worker pool.
+// warmCache is internally locked, so concurrent lookups and stores are
+// safe; the solver itself grows one prefix at a time.
 type warmCache struct {
 	mu     sync.Mutex
 	grow   map[uint64][]*growEntry
@@ -67,10 +67,10 @@ type warmCache struct {
 	// single is the per-ingress singleton table (built by
 	// singletonRows); nil until first use, cleared on invalidate.
 	single *singleTable
-	// scratch holds the grow loop's idle working memory, one entry per
-	// grow that has ever run concurrently. Its mask layout follows the
-	// states' preference rows, so invalidate drops it.
-	scratch []*growScratch
+	// scratch is the grow loop's idle working memory (nil while a grow
+	// holds it). Its mask layout follows the states' preference rows, so
+	// invalidate drops it.
+	scratch *growScratch
 	floats  int
 }
 
@@ -81,23 +81,19 @@ func (c *warmCache) invalidate() {
 	c.mu.Unlock()
 }
 
-// takeScratch hands out an idle grow scratch, nil when there is none.
+// takeScratch hands out the idle grow scratch, nil when there is none.
 func (c *warmCache) takeScratch() *growScratch {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.scratch)
-	if n == 0 {
-		return nil
-	}
-	gs := c.scratch[n-1]
-	c.scratch = c.scratch[:n-1]
+	gs := c.scratch
+	c.scratch = nil
 	return gs
 }
 
 // putScratch returns a reset scratch for the next grow.
 func (c *warmCache) putScratch(gs *growScratch) {
 	c.mu.Lock()
-	c.scratch = append(c.scratch, gs)
+	c.scratch = gs
 	c.mu.Unlock()
 }
 
@@ -187,7 +183,7 @@ func (c *warmCache) storeGrow(key uint64, cands []bgp.IngressID, frozen []float6
 	defer c.mu.Unlock()
 	for _, e := range c.grow[key] {
 		if e.matches(cands, frozen, dark) {
-			return // a concurrent speculative regrow already stored it
+			return // already stored: a repeat must not reserve again
 		}
 	}
 	// Candidates and the grown set are 4-byte IDs, the dark mask bytes.

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"painter/internal/bgp"
 	"painter/internal/chaos"
 	"painter/internal/cloud"
 	"painter/internal/core"
@@ -313,15 +312,14 @@ func coldSolveBenefit(t *testing.T, spec Spec) float64 {
 			t.Fatal(err)
 		}
 	}
-	in, _, err := core.SimInputs(w, ugs, nil)
+	// A fresh controller's initial config is the cold solve over the
+	// world's current inputs and live peerings.
+	coldCtrl, err := core.NewController(w, ugs, core.ControllerParams{Solver: core.DefaultParams(resolveBudget(spec, d))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := core.New(in, nil, core.DefaultParams(resolveBudget(spec, d)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := o.ComputeConfigLive(func(id bgp.IngressID) bool { return !w.IngressDown(id) })
+	coldCtrl.Stop()
+	cold := coldCtrl.Config()
 	ev, err := core.Evaluate(w, ugs, cold)
 	if err != nil {
 		t.Fatal(err)
