@@ -356,42 +356,6 @@ func BenchmarkAblationExhaustive(b *testing.B) {
 
 // --- Microbenchmarks of the load-bearing machinery ---------------------------
 
-// BenchmarkPropagate measures the dense route-propagation engine on the
-// full peering set; BenchmarkPropagateReference measures the retained
-// map-based oracle on identical inputs.
-func BenchmarkPropagate(b *testing.B) {
-	env := getEnv(b)
-	inj, err := env.Deploy.Injections(env.Deploy.AllPeeringIDs())
-	if err != nil {
-		b.Fatal(err)
-	}
-	tb := env.World.TieBreaker()
-	env.Graph.Index() // pre-build the shared index, as in steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bgp.Propagate(env.Graph, inj, tb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPropagateReference(b *testing.B) {
-	env := getEnv(b)
-	inj, err := env.Deploy.Injections(env.Deploy.AllPeeringIDs())
-	if err != nil {
-		b.Fatal(err)
-	}
-	tb := env.World.TieBreaker()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bgp.PropagateReference(env.Graph, inj, tb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPolicyCompliant(b *testing.B) {
 	env := getEnv(b)
 	ugs := env.UGs.UGs

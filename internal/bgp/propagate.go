@@ -243,8 +243,9 @@ func (q *bucketQueue) reset() {
 // hierarchy, across one peer hop, down to customers) over the graph's
 // dense index: selection state lives in flat arrays indexed by dense AS
 // id, and pending candidates sit in a bucket queue keyed by path length.
-// PropagateReference is the retained map-based original; the two select
-// identical routes under any tie-breaker (see the differential tests).
+// The map-based original survives as the test-only PropagateReference
+// (reference_test.go); the two select identical routes under any
+// tie-breaker (see the differential tests).
 func Propagate(g *topology.Graph, injections []Injection, tb TieBreaker) (map[topology.ASN]Route, error) {
 	res, err := PropagateResult(g, injections, tb)
 	if err != nil {

@@ -1,6 +1,13 @@
 package bgp
 
+// Two oracles for Propagate, both test-only: referencePropagate iterates
+// the BGP decision process to a fixpoint from first principles, and
+// PropagateReference is the map-based original of the dense engine, the
+// differential oracle the external bgp_test suites compare against.
+
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"painter/internal/stats"
@@ -174,4 +181,232 @@ func TestPropagateMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// PropagateReference is the original map-based implementation of
+// Propagate, retained verbatim as the differential-testing oracle for
+// the dense engine. It runs the same three-phase BFS (up the customer
+// hierarchy, across one peer hop, down to customers) using per-level
+// maps and per-level key sorts; Propagate must select exactly the same
+// route for every AS under any tie-breaker.
+func PropagateReference(g *topology.Graph, injections []Injection, tb TieBreaker) (map[topology.ASN]Route, error) {
+	if tb == nil {
+		tb = MinIngressTieBreaker
+	}
+	for _, inj := range injections {
+		if !g.Has(inj.Neighbor) {
+			return nil, fmt.Errorf("bgp: injection neighbor %v not in topology", inj.Neighbor)
+		}
+		if inj.Ingress < 0 {
+			return nil, fmt.Errorf("bgp: invalid ingress id %d", inj.Ingress)
+		}
+		if inj.Prepend < 0 || inj.Prepend > 16 {
+			return nil, fmt.Errorf("bgp: prepend %d out of range [0,16]", inj.Prepend)
+		}
+	}
+
+	selected := make(map[topology.ASN]Route)
+
+	settle := func(as topology.ASN, cands []Route) Route {
+		// Deterministic candidate order so tie-breakers see a stable view.
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].Ingress != cands[j].Ingress {
+				return cands[i].Ingress < cands[j].Ingress
+			}
+			return cands[i].Via < cands[j].Via
+		})
+		r := cands[tb(as, cands)]
+		selected[as] = r
+		return r
+	}
+
+	// --- Phase 1: customer routes propagate up provider chains.
+	// Level-synchronous BFS keyed by path length (prepending makes
+	// starting lengths differ across injections).
+	levels := make(map[int]map[topology.ASN][]Route)
+	addLevel := func(l int, as topology.ASN, r Route) {
+		m := levels[l]
+		if m == nil {
+			m = make(map[topology.ASN][]Route)
+			levels[l] = m
+		}
+		m[as] = append(m[as], r)
+	}
+	maxLevel := 0
+	for _, inj := range injections {
+		if inj.Class != ClassCustomer {
+			continue
+		}
+		l := 1 + inj.Prepend
+		addLevel(l, inj.Neighbor, Route{
+			Ingress: inj.Ingress, PathLen: l, Class: ClassCustomer, Via: inj.Neighbor,
+		})
+		if l > maxLevel {
+			maxLevel = l
+		}
+	}
+	for l := 1; l <= maxLevel; l++ {
+		m := levels[l]
+		if m == nil {
+			continue
+		}
+		// Settle this level in deterministic ASN order.
+		for _, as := range sortedKeys(m) {
+			if _, done := selected[as]; done {
+				continue
+			}
+			r := settle(as, m[as])
+			// Export customer route to providers (stay in phase 1).
+			for _, p := range g.AS(as).Providers {
+				if _, done := selected[p]; !done {
+					addLevel(r.PathLen+1, p, Route{
+						Ingress: r.Ingress, PathLen: r.PathLen + 1, Class: ClassCustomer, Via: as,
+					})
+					if r.PathLen+1 > maxLevel {
+						maxLevel = r.PathLen + 1
+					}
+				}
+			}
+		}
+		delete(levels, l)
+	}
+
+	// --- Phase 2: one hop across peer links.
+	// Sources: all ASes settled with a customer route, plus direct peer
+	// injections.
+	peerCands := make(map[topology.ASN][]Route)
+	for _, inj := range injections {
+		if inj.Class != ClassPeer {
+			continue
+		}
+		if _, done := selected[inj.Neighbor]; done {
+			continue
+		}
+		peerCands[inj.Neighbor] = append(peerCands[inj.Neighbor], Route{
+			Ingress: inj.Ingress, PathLen: 1 + inj.Prepend, Class: ClassPeer, Via: inj.Neighbor,
+		})
+	}
+	for _, as := range sortedKeys(selected) {
+		r := selected[as]
+		if r.Class != ClassCustomer {
+			continue
+		}
+		for _, p := range g.AS(as).Peers {
+			if _, done := selected[p]; !done {
+				peerCands[p] = append(peerCands[p], Route{
+					Ingress: r.Ingress, PathLen: r.PathLen + 1, Class: ClassPeer, Via: as,
+				})
+			}
+		}
+	}
+	// Settle peer routes by shortest path length.
+	settleByLen(peerCands, selected, settle)
+
+	// --- Phase 3: routes propagate down provider→customer edges.
+	// Dijkstra-like by path length; sources are all settled ASes plus
+	// provider-class injections.
+	down := make(map[topology.ASN][]Route)
+	for _, inj := range injections {
+		if inj.Class != ClassProvider {
+			continue
+		}
+		if _, done := selected[inj.Neighbor]; done {
+			continue
+		}
+		down[inj.Neighbor] = append(down[inj.Neighbor], Route{
+			Ingress: inj.Ingress, PathLen: 1 + inj.Prepend, Class: ClassProvider, Via: inj.Neighbor,
+		})
+	}
+	// Frontier: settled ASes exporting to their customers.
+	frontier := sortedKeys(selected)
+	for _, as := range frontier {
+		r := selected[as]
+		for _, c := range g.AS(as).Customers {
+			if _, done := selected[c]; !done {
+				down[c] = append(down[c], Route{
+					Ingress: r.Ingress, PathLen: r.PathLen + 1, Class: ClassProvider, Via: as,
+				})
+			}
+		}
+	}
+	// Iteratively settle the shortest unsettled candidates and export
+	// further down.
+	for len(down) > 0 {
+		// Find minimum pending path length.
+		minLen := -1
+		for _, cands := range down {
+			for _, c := range cands {
+				if minLen == -1 || c.PathLen < minLen {
+					minLen = c.PathLen
+				}
+			}
+		}
+		next := make(map[topology.ASN][]Route)
+		for _, as := range sortedKeys(down) {
+			cands := down[as]
+			if _, done := selected[as]; done {
+				continue
+			}
+			var atMin []Route
+			var later []Route
+			for _, c := range cands {
+				if c.PathLen == minLen {
+					atMin = append(atMin, c)
+				} else {
+					later = append(later, c)
+				}
+			}
+			if len(atMin) == 0 {
+				// Merge with any exports already appended by ASes settled
+				// earlier in this round; assigning would drop them based
+				// on ASN processing order, losing equal-length candidates.
+				next[as] = append(next[as], later...)
+				continue
+			}
+			r := settle(as, atMin)
+			for _, cu := range g.AS(as).Customers {
+				if _, done := selected[cu]; !done {
+					next[cu] = append(next[cu], Route{
+						Ingress: r.Ingress, PathLen: r.PathLen + 1, Class: ClassProvider, Via: as,
+					})
+				}
+			}
+		}
+		down = next
+	}
+
+	return selected, nil
+}
+
+// settleByLen settles candidates class-tied routes by increasing path
+// length (peer phase helper). No further export happens here.
+func settleByLen(cands map[topology.ASN][]Route, selected map[topology.ASN]Route, settle func(topology.ASN, []Route) Route) {
+	for _, as := range sortedKeys(cands) {
+		if _, done := selected[as]; done {
+			continue
+		}
+		cs := cands[as]
+		minLen := cs[0].PathLen
+		for _, c := range cs[1:] {
+			if c.PathLen < minLen {
+				minLen = c.PathLen
+			}
+		}
+		var atMin []Route
+		for _, c := range cs {
+			if c.PathLen == minLen {
+				atMin = append(atMin, c)
+			}
+		}
+		settle(as, atMin)
+	}
+}
+
+func sortedKeys[V any](m map[topology.ASN]V) []topology.ASN {
+	out := make([]topology.ASN, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -146,6 +146,14 @@ func TestManyConcurrentFlows(t *testing.T) {
 	}
 }
 
+// DiscardService consumes payloads without replying — the ingest-side
+// workload for flow-table load tests, where echoing would measure the
+// echo path instead of the datapath under test.
+type DiscardService struct{}
+
+// Handle implements Service.
+func (DiscardService) Handle(tmproto.FlowKey, []byte, func([]byte) error) {}
+
 // TestHundredThousandFlows drives 10⁵ distinct flows into a PoP through
 // the batched client path and checks the sharded Known Flows table holds
 // all of them. Injection bypasses the emul relay (a per-packet goroutine

@@ -37,14 +37,6 @@ func (EchoService) Handle(_ tmproto.FlowKey, payload []byte, reply func([]byte) 
 	_ = reply(payload)
 }
 
-// DiscardService consumes payloads without replying — the ingest-side
-// workload for pps benchmarks, where echoing would measure the echo
-// path instead of the datapath under test.
-type DiscardService struct{}
-
-// Handle implements Service.
-func (DiscardService) Handle(tmproto.FlowKey, []byte, func([]byte) error) {}
-
 // PoPConfig configures a TM-PoP.
 type PoPConfig struct {
 	// ListenAddr is the UDP address to bind ("127.0.0.1:0" for tests).
