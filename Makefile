@@ -17,12 +17,19 @@ COVER_FLOORS = painter/internal/netsim:70 painter/internal/tm:70 painter/interna
 # Native fuzz targets smoke-tested by `make fuzz` (one -fuzz per run).
 FUZZ_TIME ?= 10s
 
-.PHONY: all build vet test race tm-stress fuzz cover lint bench bench-smoke bench-check bench-e2e experiments examples clean
+.PHONY: all build loc vet test race tm-stress fuzz cover lint bench bench-smoke bench-check bench-e2e experiments examples clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# Size of the product: non-test Go lines outside the benchmark module
+# (bench/, .bench_build/), and exported top-level funcs and methods.
+loc:
+	@files=$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'); \
+	echo "non-test Go lines: $$(cat $$files | wc -l)"; \
+	echo "exported funcs:    $$(cat $$files | grep -cE '^func (\([^)]*\) )?[A-Z]')"
 
 vet:
 	$(GO) vet ./...
