@@ -215,10 +215,25 @@ func BenchmarkOrchestratorSolve(b *testing.B) {
 // BenchmarkSolveLearned is the whole of Algorithm 1's outer loop — four
 // advertise/measure/learn rounds against the simulated world — so, unlike
 // the offline solves around it, iterations two to four grow every prefix
-// over states that carry learned preference facts.
+// over states that carry learned preference facts. The small run is the
+// test-scale loop; the peering run is the benchmark's solve-cold solve
+// (prototype scale, world seed 7, budget 61), where the grow loop
+// dominates.
 func BenchmarkSolveLearned(b *testing.B) {
-	env := getEnv(b)
-	params := core.DefaultParams(8)
+	b.Run("small", func(b *testing.B) {
+		benchSolveLearned(b, getEnv(b), 8)
+	})
+	b.Run("peering", func(b *testing.B) {
+		env, err := experiments.NewEnv(experiments.ScalePEERING, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSolveLearned(b, env, 61)
+	})
+}
+
+func benchSolveLearned(b *testing.B, env *experiments.Env, budget int) {
+	params := core.DefaultParams(budget)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o, err := core.New(env.Inputs, core.NewWorldExecutor(env.World, env.UGs, 0, 7), params)

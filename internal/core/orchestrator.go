@@ -84,9 +84,12 @@ type Orchestrator struct {
 	params Params
 	states []*ugState
 	// byIngress is an inverted index: peering → indices of UGs for which
-	// that peering is policy-compliant (the sparsity that makes the
-	// computation fast, §4). Indexed by raw IngressID; rows are grown on
-	// demand when learning corrects the compliance model.
+	// that peering is policy-compliant. §4 counts on a peering touching
+	// few UGs, but at prototype scale one is compliant for over half of
+	// them; the sparsity that pays is the grow loop's frozen floor
+	// (growUncached), which skips every UG a candidate can no longer
+	// improve on. Indexed by raw IngressID; rows are grown on demand when
+	// learning corrects the compliance model.
 	byIngress [][]int32
 	// stateIdx maps UG ID → index into states, built once so Learn and
 	// RealizedBenefit don't rebuild lookup maps per iteration.
@@ -469,6 +472,11 @@ type growScratch struct {
 	members [][]incMember
 	minDist []float64
 	mask    [][]uint64
+	// minEst[i] is the least non-NaN est among state i's members.
+	minEst []float64
+	// finiteWeights holds when every state's weight is finite, the frozen
+	// floor's precondition (growUncached).
+	finiteWeights bool
 	// touched lists the states with members, for the reset.
 	touched []int32
 	margs   []float64
@@ -478,18 +486,23 @@ type growScratch struct {
 func (o *Orchestrator) newGrowScratch() *growScratch {
 	n := len(o.states)
 	gs := &growScratch{
-		inS:      make([]bool, len(o.byIngress)),
-		curE:     make([]float64, n),
-		stateVer: make([]int, n),
-		members:  make([][]incMember, n),
-		minDist:  make([]float64, n),
-		mask:     make([][]uint64, n),
+		inS:           make([]bool, len(o.byIngress)),
+		curE:          make([]float64, n),
+		stateVer:      make([]int, n),
+		members:       make([][]incMember, n),
+		minDist:       make([]float64, n),
+		mask:          make([][]uint64, n),
+		minEst:        make([]float64, n),
+		finiteWeights: true,
 	}
 	words := 0
 	for i, st := range o.states {
-		gs.curE[i], gs.minDist[i] = math.Inf(1), math.Inf(1)
+		gs.curE[i], gs.minDist[i], gs.minEst[i] = math.Inf(1), math.Inf(1), math.Inf(1)
 		if len(st.rows) > 0 {
 			words += st.words
+		}
+		if math.IsInf(st.ug.Weight, 0) || math.IsNaN(st.ug.Weight) {
+			gs.finiteWeights = false
 		}
 	}
 	slab := make([]uint64, words)
@@ -507,7 +520,7 @@ func (gs *growScratch) reset(S []bgp.IngressID) {
 		gs.inS[x] = false
 	}
 	for _, i := range gs.touched {
-		gs.curE[i], gs.minDist[i] = math.Inf(1), math.Inf(1)
+		gs.curE[i], gs.minDist[i], gs.minEst[i] = math.Inf(1), math.Inf(1), math.Inf(1)
 		gs.stateVer[i] = 0
 		gs.members[i] = gs.members[i][:0]
 		clear(gs.mask[i])
@@ -517,6 +530,24 @@ func (gs *growScratch) reset(S []bgp.IngressID) {
 
 // growUncached is the greedy grow loop behind growPrefix's memo: lazy
 // evaluation over the singleton table and the incremental Eq. (2) form.
+//
+// Frozen floor. State i adds w·(min(bf, curE) − min(bf, newE)) to a
+// marginal, bf = bestFrozen[i]. When bf is at or below every mean the
+// loop can form for i, both minima are bf, the term is ±0.0 and adding it
+// leaves the sum's bits unchanged (a sum from +0.0 is never −0.0), so it
+// is skipped before the state is touched:
+//   - Initial sweep (S empty, curE +Inf): the probe's mean is x's own
+//     estimate, so the test is !(est < bf), exactly.
+//   - Stale refresh: every mean for i averages a subset of S's estimates
+//     and x's, all ≥ lo, the least non-NaN of them (minEst[i] and x's).
+//     Their float sum is ≥ k·lo·(1−2⁻⁵³)^(k−1), so with bf·(1+1e-9) ≤ lo
+//     the quotient is ≥ bf for k ≤ 2²⁰ (guarded by the candidate count)
+//     and rounding keeps it there. The slack is needed: the mean of equal
+//     estimates, as two peerings at one PoP give a UG, can round an ulp
+//     below them, and a bare bf ≤ lo would zero that ulp of benefit.
+//
+// Both tests need a finite bf (Inf − Inf is NaN) and finite weights
+// (Inf·0 is NaN); the refresh test also needs bf normal and positive.
 func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
 	if o.params.ExactGreedy {
 		return o.growExact(allPeerings, bestFrozen, dark)
@@ -528,8 +559,9 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 		gs = o.newGrowScratch()
 	}
 	var S []bgp.IngressID
-	curE, stateVer := gs.curE, gs.stateVer
+	curE, stateVer, minEst := gs.curE, gs.stateVer, gs.minEst
 	reuse := o.params.ReuseKm
+	prune := gs.finiteWeights && len(allPeerings) <= 1<<20
 
 	// marginalSingle is a candidate's marginal during the initial sweep
 	// (S empty, so the probe set is exactly {x}), read from the singleton
@@ -550,6 +582,9 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 		for k, i := range o.statesFor(x) {
 			if dark != nil && dark[i] {
 				continue
+			}
+			if bf := bestFrozen[i]; prune && !(means[k] < bf) && math.Abs(bf) <= math.MaxFloat64 {
+				continue // frozen floor
 			}
 			st := o.states[i]
 			oldVal := math.Min(bestFrozen[i], curE[i])
@@ -608,6 +643,15 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 			if dark != nil && dark[i] {
 				continue
 			}
+			if prune {
+				bf, lo := bestFrozen[i], minEst[i]
+				if means[k] < lo {
+					lo = means[k]
+				}
+				if bf >= 0x1p-1022 && bf <= math.MaxFloat64 && bf*(1+1e-9) <= lo {
+					continue // frozen floor
+				}
+			}
 			st := o.states[i]
 			oldVal := math.Min(bestFrozen[i], curE[i])
 			newE := math.Inf(1)
@@ -633,6 +677,9 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 			gs.members[i] = append(gs.members[i], m)
 			if m.dist < gs.minDist[i] {
 				gs.minDist[i] = m.dist
+			}
+			if m.est < minEst[i] {
+				minEst[i] = m.est
 			}
 			for w, b := range st.factRow(int(m.rank)) {
 				gs.mask[i][w] |= b

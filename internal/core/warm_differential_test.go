@@ -24,6 +24,8 @@ import (
 	"testing"
 
 	"painter/internal/bgp"
+	"painter/internal/cloud"
+	"painter/internal/geo"
 	"painter/internal/usergroup"
 )
 
@@ -390,6 +392,83 @@ func TestWarmPathMatchesReference(t *testing.T) {
 			t.Fatalf("Learn on the probe config recorded %d facts, the mirror %d", got, want)
 		}
 		checkWarmAgainstReference(t, phase("relearned"), m, rng, 3)
+	}
+}
+
+// TestGrowPrefixFrozenFloorEdges pins the grow loop's frozen-floor
+// pruning at its two edges against refGrow, which prunes nothing.
+//   - Equal estimates: state 0 sees peerings 1, 2 and 3 at 10.7 ms and
+//     already has 10.7 frozen. The float mean of three 10.7s is one ulp
+//     below 10.7, so once 1 and 2 are in, 3's marginal is that ulp: a
+//     floor test without slack would call it zero and stop early.
+//   - +Inf in the frozen base: states 3 and 4 see peerings 4 and 5
+//     without an estimate, so their terms are Inf − Inf = NaN, and a NaN
+//     marginal is accepted when it tops the heap. State 5 moves when 1 is
+//     accepted, so 4's NaN is recomputed in the stale refresh as well as
+//     the initial sweep.
+//
+// A third run gives state 0 an infinite weight: its zero terms become
+// Inf·0 = NaN, so nothing may be pruned at all.
+func TestGrowPrefixFrozenFloorEdges(t *testing.T) {
+	m := 10.7
+	if (m+m+m)/3 >= m {
+		t.Fatalf("the mean of three %v does not round below it; the case tests nothing", m)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	type ests = map[bgp.IngressID]float64
+	states := []struct {
+		est  ests
+		base float64
+	}{
+		{ests{1: m, 2: m, 3: m}, m},
+		{ests{1: 5}, 50},
+		{ests{2: 10}, 50},
+		{ests{4: nan}, inf},
+		{ests{5: nan}, inf},
+		{ests{1: 20, 4: 30}, 50},
+	}
+	cands := ids(1, 2, 3, 4, 5)
+	var peerings []cloud.Peering
+	for _, id := range cands {
+		peerings = append(peerings, cloud.Peering{ID: id, PoP: 1, PeerASN: 100, ClassAtPeer: bgp.ClassPeer})
+	}
+	d, err := cloud.New(64500, []cloud.PoP{{ID: 1, Metro: geo.Metros()[0].Code}}, peerings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		workers int
+		weight0 float64
+	}{{1, 1}, {4, 1}, {1, inf}} {
+		o := &Orchestrator{
+			in:        Inputs{Deploy: d},
+			params:    Params{PrefixBudget: 1, ReuseKm: 3000, Workers: run.workers},
+			byIngress: make([][]int32, 6),
+		}
+		ref := &refModel{o: o}
+		var base []float64
+		for i, s := range states {
+			dist := ests{}
+			for ing := range s.est {
+				dist[ing] = 0
+				o.byIngress[ing] = append(o.byIngress[ing], int32(i))
+			}
+			w := 1.0
+			if i == 0 {
+				w = run.weight0
+			}
+			st := flatState(usergroup.UG{ID: usergroup.ID(i), Weight: w}, 50, s.est, dist)
+			o.states = append(o.states, st)
+			ref.states = append(ref.states, newRefState(st))
+			base = append(base, s.base)
+		}
+		want := refGrow(ref, cands, base, nil)
+		if run.weight0 == 1 && (!slices.Contains(want, 3) || !slices.Contains(want, 4)) {
+			t.Fatalf("reference grew %v; want both 3 (the ulp marginal) and 4 (the NaN marginal) in it", want)
+		}
+		if got := o.growPrefix(cands, base, nil); !slices.Equal(got, want) {
+			t.Fatalf("%+v: growPrefix = %v, reference %v", run, got, want)
+		}
 	}
 }
 
