@@ -17,7 +17,7 @@ COVER_FLOORS = painter/internal/netsim:70 painter/internal/tm:70 painter/interna
 # Native fuzz targets smoke-tested by `make fuzz` (one -fuzz per run).
 FUZZ_TIME ?= 10s
 
-.PHONY: all build loc vet test race tm-stress fuzz cover lint bench bench-smoke bench-check bench-e2e experiments examples clean
+.PHONY: all build loc vet test race tm-stress fuzz cover lint bench bench-smoke bench-check bench-e2e profile-solve experiments examples clean
 
 all: build vet test
 
@@ -92,6 +92,15 @@ bench:
 # in benchmark code without paying for real measurement. CI runs this.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# CPU profile of the peering-scale learned solve (solve-cold's instance,
+# four learning rounds) at one and two cores, printed as the 30 heaviest
+# nodes by cumulative time. The profile stays in results/solve-cpu.prof.
+profile-solve:
+	@mkdir -p results
+	$(GO) test -run='^$$' -bench='SolveLearned/peering' -benchtime=4x -cpu=1,2 \
+		-cpuprofile=results/solve-cpu.prof -o results/painter.test .
+	$(GO) tool pprof -top -cum -nodecount=30 results/painter.test results/solve-cpu.prof
 
 # The benchmark (BENCHMARK.json, bench/) is a module of its own, so the
 # root `go test ./...` does not reach it: vet and test it from its

@@ -242,12 +242,13 @@ func TestControllerDirtySetPerKind(t *testing.T) {
 			}
 			// The victim's usable prefixes must all be dirty.
 			want := make(map[int]bool)
+			sc := new(exScratch)
 			for _, st := range r.c.o.states {
 				if st.ug.ID != victim {
 					continue
 				}
 				for pi, S := range before.Prefixes {
-					if e := st.expect(S, r.c.o.params.ReuseKm); e.Usable() {
+					if e := st.expectSc(sc, S, r.c.o.params.ReuseKm); e.Usable() {
 						want[pi] = true
 					}
 				}

@@ -306,8 +306,8 @@ func (e Expectation) Usable() bool { return e.N > 0 }
 
 // exScratch holds expectSc's reusable buffers — candidate ranks and the
 // dominance mask — plus the S+x composition slice of growExact's
-// marginal probes. One per worker (or from exPool for non-hot callers);
-// never shared between concurrent goroutines.
+// marginal probes. One per worker, from exPool; never shared between
+// concurrent goroutines.
 type exScratch struct {
 	ranks []int32
 	dom   []uint64
@@ -315,15 +315,6 @@ type exScratch struct {
 }
 
 var exPool = sync.Pool{New: func() any { return new(exScratch) }}
-
-// expect is expectSc with pooled scratch — for callers off the grow hot
-// path (controller dirty-tracking, prediction, tests).
-func (st *ugState) expect(peerings []bgp.IngressID, reuseKm float64) Expectation {
-	sc := exPool.Get().(*exScratch)
-	e := st.expectSc(sc, peerings, reuseKm)
-	exPool.Put(sc)
-	return e
-}
 
 // expectSc computes Eq. (2)'s inner expectation for one UG and one
 // prefix peering set, allocation-free. Filtering order follows §3.1:

@@ -140,8 +140,8 @@ func New(in Inputs, exec Executor, p Params) (*Orchestrator, error) {
 	if p.PrefixBudget < 1 {
 		return nil, fmt.Errorf("core: prefix budget must be >= 1")
 	}
-	if p.ReuseKm < 0 {
-		return nil, fmt.Errorf("core: negative ReuseKm")
+	if !(p.ReuseKm >= 0) { // NaN would make every prefix unusable
+		return nil, fmt.Errorf("core: ReuseKm must be >= 0, got %v", p.ReuseKm)
 	}
 	if p.MaxIterations < 1 {
 		p.MaxIterations = 1
@@ -325,9 +325,8 @@ func (o *Orchestrator) candidatePeerings(live func(bgp.IngressID) bool) []bgp.In
 }
 
 // freezePrefix folds prefix S's contribution into bestFrozen, skipping
-// dark states. The per-state Eq. (2) means come from a cached
-// contribution vector (computed once per distinct prefix set until the
-// model changes), so folding is a plain min scan.
+// dark states. The per-state Eq. (2) means come from S's cached stats,
+// so folding is a plain min scan.
 func (o *Orchestrator) freezePrefix(S []bgp.IngressID, bestFrozen []float64, dark []bool) {
 	vec := o.frozenVec(S)
 	for i := range bestFrozen {
@@ -342,27 +341,28 @@ func (o *Orchestrator) freezePrefix(S []bgp.IngressID, bestFrozen []float64, dar
 }
 
 // frozenVec returns prefix S's contribution vector: each state's
-// Eq. (2) mean, NaN where the prefix is unusable (Mean is a finite
-// average of estimates whenever Usable, so NaN is unambiguous). Cached
-// by set content; the vector is shared and read-only.
-func (o *Orchestrator) frozenVec(S []bgp.IngressID) []float64 {
+// Eq. (2) mean, NaN where the prefix is unusable (shared, read-only).
+func (o *Orchestrator) frozenVec(S []bgp.IngressID) []float64 { return o.statsOf(S).mean }
+
+// statsOf returns prefix S's Eq. (2) stats, cached by set content until
+// the model changes. The grow loop publishes every set it grows
+// (publishStats); any other set is evaluated here, once.
+func (o *Orchestrator) statsOf(S []bgp.IngressID) prefixStats {
 	key := setHash(S)
-	if vec, ok := o.warm.lookupFreeze(key, S); ok {
-		return vec
+	if ps, ok := o.warm.lookupFreeze(key, S); ok {
+		return ps
 	}
-	vec := make([]float64, len(o.states))
+	ps := newPrefixStats(len(o.states))
 	workers := o.workerCount()
 	scs := growScratches(workers)
 	defer putScratches(scs)
 	parallelWorkers(len(o.states), workers, func(w, i int) {
 		if e := o.states[i].expectSc(scs[w], S, o.params.ReuseKm); e.Usable() {
-			vec[i] = e.Mean
-		} else {
-			vec[i] = math.NaN()
+			ps.mean[i], ps.min[i], ps.max[i] = e.Mean, e.Min, e.Max
 		}
 	})
-	o.warm.storeFreeze(key, S, vec)
-	return vec
+	o.warm.storeFreeze(key, S, ps)
+	return ps
 }
 
 // singleTable is the per-ingress view of the model the grow loop reads:
@@ -383,27 +383,27 @@ func (o *Orchestrator) singletonRows() *singleTable {
 		return t
 	}
 	// Only deployment peerings get rows: they are the only grow
-	// candidates, and expectSc's popDist lookup is only defined for
-	// deployment IDs (learned compliance corrections can index states
-	// under foreign ingress IDs).
+	// candidates, and popDist is only defined for deployment IDs (learned
+	// compliance corrections can index states under foreign ingress IDs).
 	t := &singleTable{mean: make([][]float64, len(o.byIngress)), rank: make([][]int32, len(o.byIngress))}
-	sc := exPool.Get().(*exScratch)
-	defer exPool.Put(sc)
-	one := make([]bgp.IngressID, 1)
+	reuse := o.params.ReuseKm
 	for _, ing := range o.in.Deploy.AllPeeringIDs() {
 		idxs := o.statesFor(ing)
 		if len(idxs) == 0 {
 			continue
 		}
 		mean, rank := make([]float64, len(idxs)), make([]int32, len(idxs))
-		one[0] = ing
 		for k, i := range idxs {
 			st := o.states[i]
-			rank[k] = int32(st.rank(ing))
-			if e := st.expectSc(sc, one, o.params.ReuseKm); e.Usable() {
-				mean[k] = e.Mean
-			} else {
-				mean[k] = math.NaN()
+			r := st.rank(ing)
+			rank[k] = int32(r)
+			// expectSc({ing}): a rank's row never holds its own bit, so the
+			// lone member is never dominated, is its own nearest member,
+			// and its estimate is the mean unless NaN or outside the radius
+			// (with New's radius >= 0, d <= d+reuse fails only for NaN d).
+			mean[k] = math.NaN()
+			if ms, d := st.est[r], st.popDist[ing]; !math.IsNaN(ms) && d <= d+reuse {
+				mean[k] = ms
 			}
 		}
 		t.mean[ing], t.rank[ing] = mean, rank
@@ -455,9 +455,9 @@ type incMember struct {
 
 // growScratch is the lazy grow loop's working memory, sized to the
 // model once and reset per grow (warmCache keeps the returned scratch
-// until the next Learn). Between grows everything is at its initial
-// value: curE and minDist +Inf, stateVer 0, members empty, masks zero,
-// inS false.
+// until the next Learn). Between grows everything but thr is at its
+// initial value: curE and minDist +Inf, stateVer 0, members empty, masks
+// zero, inS false.
 type growScratch struct {
 	// inS[ing] marks the peerings accepted into the growing prefix.
 	inS []bool
@@ -474,6 +474,9 @@ type growScratch struct {
 	mask    [][]uint64
 	// minEst[i] is the least non-NaN est among state i's members.
 	minEst []float64
+	// thr[i] is the stale refresh's skip threshold for state i, filled at
+	// the start of each grow (growUncached).
+	thr []float64
 	// finiteWeights holds when every state's weight is finite, the frozen
 	// floor's precondition (growUncached).
 	finiteWeights bool
@@ -493,6 +496,7 @@ func (o *Orchestrator) newGrowScratch() *growScratch {
 		minDist:       make([]float64, n),
 		mask:          make([][]uint64, n),
 		minEst:        make([]float64, n),
+		thr:           make([]float64, n),
 		finiteWeights: true,
 	}
 	words := 0
@@ -548,6 +552,9 @@ func (gs *growScratch) reset(S []bgp.IngressID) {
 //
 // Both tests need a finite bf (Inf − Inf is NaN) and finite weights
 // (Inf·0 is NaN); the refresh test also needs bf normal and positive.
+// The refresh folds the dark check and the floor into one compare,
+// thr[i] ≤ lo: thr[i] is −Inf for a dark state, bf·(1+1e-9) where the
+// floor applies and NaN otherwise, and lo is never NaN.
 func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
 	if o.params.ExactGreedy {
 		return o.growExact(allPeerings, bestFrozen, dark)
@@ -562,6 +569,17 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 	curE, stateVer, minEst := gs.curE, gs.stateVer, gs.minEst
 	reuse := o.params.ReuseKm
 	prune := gs.finiteWeights && len(allPeerings) <= 1<<20
+	thr := gs.thr
+	for i, bf := range bestFrozen {
+		switch {
+		case dark != nil && dark[i]:
+			thr[i] = math.Inf(-1)
+		case prune && bf >= 0x1p-1022 && bf <= math.MaxFloat64:
+			thr[i] = bf * (1 + 1e-9)
+		default:
+			thr[i] = math.NaN()
+		}
+	}
 
 	// marginalSingle is a candidate's marginal during the initial sweep
 	// (S empty, so the probe set is exactly {x}), read from the singleton
@@ -640,17 +658,12 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 		means, ranks := rowsOf(x)
 		var delta float64
 		for k, i := range o.statesFor(x) {
-			if dark != nil && dark[i] {
-				continue
+			lo := minEst[i]
+			if means[k] < lo {
+				lo = means[k]
 			}
-			if prune {
-				bf, lo := bestFrozen[i], minEst[i]
-				if means[k] < lo {
-					lo = means[k]
-				}
-				if bf >= 0x1p-1022 && bf <= math.MaxFloat64 && bf*(1+1e-9) <= lo {
-					continue // frozen floor
-				}
+			if thr[i] <= lo {
+				continue // dark, or the frozen floor
 			}
 			st := o.states[i]
 			oldVal := math.Min(bestFrozen[i], curE[i])
@@ -753,9 +766,60 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 			stateVer[i] = version
 		}
 	}
+	if len(S) > 0 {
+		o.publishStats(S, gs)
+	}
 	gs.reset(S)
 	o.warm.putScratch(gs)
 	return S
+}
+
+// publishStats caches the grown prefix S's Eq. (2) stats, read off the
+// grow scratch before its reset. State i's members are S's peerings
+// compliant for it, in S order, and mask[i] is the OR of their rows:
+// expectSc's candidates and dominance mask. So the walk below — skip
+// masked members and NaN estimates, fold Min and Max over the rest, and
+// add to the mean those within ReuseKm of minDist[i], the nearest member
+// before dominance — is expectSc's, in its order, and bit-equal. It reads
+// st.est, not the member's est: that is the singleton mean, NaN when the
+// member fails its own reuse test, yet the estimate still widens Min and
+// Max. States without members have no compliant peering in S and stay
+// unusable.
+func (o *Orchestrator) publishStats(S []bgp.IngressID, gs *growScratch) {
+	key := setHash(S)
+	if _, ok := o.warm.lookupFreeze(key, S); ok {
+		return
+	}
+	ps := newPrefixStats(len(o.states))
+	for _, i := range gs.touched {
+		st, mask, lim := o.states[i], gs.mask[i], gs.minDist[i]+o.params.ReuseKm
+		lo, hi := math.Inf(1), math.Inf(-1)
+		var sum float64
+		n := 0
+		for _, m := range gs.members[i] {
+			if mask != nil && hasBit(mask, m.rank) {
+				continue
+			}
+			ms := st.est[m.rank]
+			if math.IsNaN(ms) {
+				continue
+			}
+			if ms < lo {
+				lo = ms
+			}
+			if ms > hi {
+				hi = ms
+			}
+			if m.dist <= lim {
+				sum += ms
+				n++
+			}
+		}
+		if n > 0 {
+			ps.mean[i], ps.min[i], ps.max[i] = sum/float64(n), lo, hi
+		}
+	}
+	o.warm.storeFreeze(key, S, ps)
 }
 
 // growExact is growUncached without lazy evaluation (Params.ExactGreedy):
@@ -853,20 +917,29 @@ func (o *Orchestrator) growExact(allPeerings []bgp.IngressID, bestFrozen []float
 // prefix), so the upper bound takes min over prefixes of each prefix's
 // optimistic latency; in the worst case the UG lands on the worst
 // active ingress of its chosen (best-mean) prefix, floored at anycast.
+//
+// Each prefix's per-state stats come from the warm cache, where the grow
+// loop published them, so predicting a freshly computed config evaluates
+// no Eq. (2) at all.
 func (o *Orchestrator) PredictBenefit(cfg Config) (mean, lower, upper float64) {
-	for _, st := range o.states {
+	stats := make([]prefixStats, len(cfg.Prefixes))
+	for p, S := range cfg.Prefixes {
+		stats[p] = o.statsOf(S)
+	}
+	for i, st := range o.states {
 		valMean, valMin, valMax := st.anycast, st.anycast, st.anycast
-		for _, S := range cfg.Prefixes {
-			e := st.expect(S, o.params.ReuseKm)
-			if !e.Usable() {
+		for _, ps := range stats {
+			// A usable Min is never NaN: NaN marks an unusable prefix.
+			lo := ps.min[i]
+			if math.IsNaN(lo) {
 				continue
 			}
-			if e.Min < valMin {
-				valMin = e.Min
+			if lo < valMin {
+				valMin = lo
 			}
-			if e.Mean < valMean {
-				valMean = e.Mean
-				valMax = math.Min(e.Max, st.anycast)
+			if ps.mean[i] < valMean {
+				valMean = ps.mean[i]
+				valMax = math.Min(ps.max[i], st.anycast)
 			}
 		}
 		w := st.ug.Weight

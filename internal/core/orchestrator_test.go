@@ -280,8 +280,20 @@ func TestParamValidation(t *testing.T) {
 	if _, err := New(b.in, nil, Params{PrefixBudget: 0}); err == nil {
 		t.Error("zero budget should fail")
 	}
-	if _, err := New(b.in, nil, Params{PrefixBudget: 1, ReuseKm: -5}); err == nil {
-		t.Error("negative ReuseKm should fail")
+	// A NaN radius fails every reuse test, so every prefix would be
+	// unusable and Solve would place nothing without an error.
+	for _, r := range []float64{-5, math.NaN()} {
+		if _, err := New(b.in, nil, Params{PrefixBudget: 1, ReuseKm: r}); err == nil {
+			t.Errorf("ReuseKm %v should fail", r)
+		}
+	}
+	// +Inf switches the D_reuse exclusion off; it is a valid radius.
+	o, err := New(b.in, nil, Params{PrefixBudget: 1, ReuseKm: math.Inf(1)})
+	if err != nil {
+		t.Fatalf("ReuseKm +Inf: %v", err)
+	}
+	if cfg, err := o.Solve(); err != nil || cfg.NumPrefixes() != 1 {
+		t.Errorf("ReuseKm +Inf: Solve = %d prefixes, %v; want 1", cfg.NumPrefixes(), err)
 	}
 	if _, err := New(Inputs{}, nil, DefaultParams(1)); err == nil {
 		t.Error("incomplete inputs should fail")
@@ -333,7 +345,8 @@ func TestExpectationFiltering(t *testing.T) {
 	// All three advertised, reuse 3000km: ingress 3 (9000km vs min 100km)
 	// is excluded from the mean by D_reuse but still widens the
 	// uncertainty range (the exclusion is an assumption, not a fact).
-	e := st.expect([]bgp.IngressID{1, 2, 3}, 3000)
+	sc := new(exScratch)
+	e := st.expectSc(sc, []bgp.IngressID{1, 2, 3}, 3000)
 	if !e.Usable() || math.Abs(e.Mean-20) > 1e-9 || e.N != 2 {
 		t.Errorf("expect = %+v, want mean 20 over 2", e)
 	}
@@ -345,7 +358,7 @@ func TestExpectationFiltering(t *testing.T) {
 	if n := st.learn([]bgp.IngressID{1, 2}, 2, 30); n != 1 || !hasFact(st, 2, 1) {
 		t.Fatalf("learn recorded %d facts (2 beats 1: %v), want the one", n, hasFact(st, 2, 1))
 	}
-	e = st.expect([]bgp.IngressID{1, 2, 3}, 3000)
+	e = st.expectSc(sc, []bgp.IngressID{1, 2, 3}, 3000)
 	if math.Abs(e.Mean-30) > 1e-9 || e.N != 1 {
 		t.Errorf("after preference: %+v, want mean 30 over 1", e)
 	}
@@ -353,7 +366,7 @@ func TestExpectationFiltering(t *testing.T) {
 		t.Errorf("bounds after fact = [%v,%v], want [30,100]", e.Min, e.Max)
 	}
 	// Non-compliant-only advertisement: unusable.
-	e = st.expect([]bgp.IngressID{99}, 3000)
+	e = st.expectSc(sc, []bgp.IngressID{99}, 3000)
 	if e.Usable() {
 		t.Error("prefix with no compliant ingress must be unusable")
 	}
@@ -361,7 +374,7 @@ func TestExpectationFiltering(t *testing.T) {
 	st = flatState(usergroup.UG{}, 50,
 		map[bgp.IngressID]float64{1: 10, 2: 30, 3: 100},
 		map[bgp.IngressID]float64{1: 100, 2: 500, 3: 9000})
-	e = st.expect([]bgp.IngressID{1, 2, 3}, 1e9)
+	e = st.expectSc(sc, []bgp.IngressID{1, 2, 3}, 1e9)
 	if e.N != 3 || math.Abs(e.Mean-140.0/3) > 1e-9 {
 		t.Errorf("unfiltered expect = %+v", e)
 	}

@@ -154,15 +154,47 @@ func (m *refModel) learn(cfg Config, obs []Observation) int {
 	return facts
 }
 
+// refPredict is PredictBenefit over refExpect: Eq. (1) with each UG's
+// best prefix mean, its best optimistic latency and the worst latency of
+// its best-mean prefix, all against the anycast baseline.
+func refPredict(m *refModel, cfg Config) (mean, lower, upper float64) {
+	for i, rs := range m.states {
+		st := m.o.states[i]
+		valMean, valMin, valMax := st.anycast, st.anycast, st.anycast
+		for _, S := range cfg.Prefixes {
+			e := refExpect(rs, S, m.o.params.ReuseKm)
+			if !e.Usable() {
+				continue
+			}
+			if e.Min < valMin {
+				valMin = e.Min
+			}
+			if e.Mean < valMean {
+				valMean, valMax = e.Mean, math.Min(e.Max, st.anycast)
+			}
+		}
+		w := st.ug.Weight
+		mean += w * (st.anycast - valMean)
+		upper += w * (st.anycast - valMin)
+		lower += w * (st.anycast - valMax)
+	}
+	return mean, lower, upper
+}
+
 // mirrorExec feeds the mirror every round Solve learns from: Solve
 // passes each Execute's configuration and observations straight to Learn.
+// Before learning, it records refPredict of the configuration, which is
+// what Solve has just predicted for it.
 type mirrorExec struct {
 	inner Executor
 	m     *refModel
 	facts int
+	preds [][3]float64
 }
 
 func (e *mirrorExec) Execute(cfg Config) ([]Observation, error) {
+	mean, lower, upper := refPredict(e.m, cfg)
+	e.preds = append(e.preds, [3]float64{mean, lower, upper})
 	obs, err := e.inner.Execute(cfg)
 	if err == nil {
 		e.facts += e.m.learn(cfg, obs)

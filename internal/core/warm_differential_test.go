@@ -36,6 +36,23 @@ func refMean(m *refModel, i int, S []bgp.IngressID) (float64, bool) {
 	return e.Mean, e.Usable()
 }
 
+// statsDiff reports the first state whose cached stats for S differ
+// from refExpect's (mean, min, max) bit for bit; NaN in all three must
+// mark exactly the states for which S is unusable.
+func statsDiff(m *refModel, S []bgp.IngressID, ps prefixStats) error {
+	for i, rs := range m.states {
+		e := refExpect(rs, S, m.o.params.ReuseKm)
+		want := []float64{math.NaN(), math.NaN(), math.NaN()}
+		if e.Usable() {
+			want = []float64{e.Mean, e.Min, e.Max}
+		}
+		if got := []float64{ps.mean[i], ps.min[i], ps.max[i]}; !sameBits(got, want) {
+			return fmt.Errorf("state %d: (mean, min, max) of %v = %v, reference %v", i, S, got, want)
+		}
+	}
+	return nil
+}
+
 // refFreeze folds S's contribution into bestFrozen.
 func refFreeze(m *refModel, S []bgp.IngressID, bestFrozen []float64, dark []bool) {
 	for i := range m.states {
@@ -213,18 +230,13 @@ func checkWarmAgainstReference(t *testing.T, phase string, m *refModel, rng *ran
 		return S
 	}
 
-	// checkVec compares S's contribution vector with the reference,
-	// twice: the second call is a cache hit.
+	// checkVec compares S's stats with the reference, twice: the second
+	// call is a cache hit.
 	checkVec := func(S []bgp.IngressID) {
 		t.Helper()
 		for pass := 0; pass < 2; pass++ {
-			vec := o.frozenVec(S)
-			for i := range o.states {
-				m, ok := refMean(m, i, S)
-				if ok != !math.IsNaN(vec[i]) || (ok && math.Float64bits(m) != math.Float64bits(vec[i])) {
-					t.Fatalf("%s pass %d: frozenVec(%v)[%d] = %v, reference (%v, usable %v)",
-						phase, pass, S, i, vec[i], m, ok)
-				}
+			if err := statsDiff(m, S, o.statsOf(S)); err != nil {
+				t.Fatalf("%s pass %d: statsOf: %v", phase, pass, err)
 			}
 		}
 	}
@@ -376,6 +388,21 @@ func TestWarmPathMatchesReference(t *testing.T) {
 		if learned == 0 || learned != exec.facts {
 			t.Fatalf("Solve reports %d new preference facts, the mirror learned %d; want equal and non-zero", learned, exec.facts)
 		}
+		// Each round's prediction, made from the grow loop's published
+		// stats, against refPredict under the model of that round; then
+		// every round's config again under the learned model, whose cache
+		// Learn emptied.
+		for k, rep := range o.Reports() {
+			got := [3]float64{rep.PredictedBenefit, rep.PredictedLower, rep.PredictedUpper}
+			if !sameBits(got[:], exec.preds[k][:]) {
+				t.Fatalf("%s: iteration %d predicted %v, reference %v", phase("solve"), rep.Iteration, got, exec.preds[k])
+			}
+			mean, lower, upper := o.PredictBenefit(rep.Config)
+			wMean, wLower, wUpper := refPredict(m, rep.Config)
+			if got, want := []float64{mean, lower, upper}, []float64{wMean, wLower, wUpper}; !sameBits(got, want) {
+				t.Fatalf("%s: PredictBenefit(iteration %d config) = %v, reference %v", phase("learned"), rep.Iteration, got, want)
+			}
+		}
 		checkWarmAgainstReference(t, phase("learned"), m, rng, 4)
 
 		// One more Learn, on a config the model has not seen executed:
@@ -469,6 +496,189 @@ func TestGrowPrefixFrozenFloorEdges(t *testing.T) {
 		if got := o.growPrefix(cands, base, nil); !slices.Equal(got, want) {
 			t.Fatalf("%+v: growPrefix = %v, reference %v", run, got, want)
 		}
+	}
+}
+
+// dropEntries empties the warm cache's grow and freeze entries but keeps
+// the singleton table and the parked grow scratch, so the next growPrefix
+// runs the grow loop and its published stats are the only entry for the
+// set it grows.
+func dropEntries(c *warmCache) {
+	c.mu.Lock()
+	c.grow, c.freeze, c.floats = nil, nil, 0
+	c.mu.Unlock()
+}
+
+// TestPublishedStatsMatchReference: the grow loop publishes every set it
+// grows as (mean, min, max) per state, and the entry equals refExpect's
+// bit for bit, NaN exactly where the set is unusable. The learned model
+// has dominated members, a NaN measurement, and a compliance correction
+// that Learn appended to a byIngress row behind higher state indices.
+func TestPublishedStatsMatchReference(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := DefaultParams(6)
+		p.Workers = workers
+		p.MaxIterations = 2
+		p.MinIterBenefitGain = -1
+		b := newBench(t, 41)
+		exec := &mirrorExec{inner: b.exec}
+		o, err := New(b.in, exec, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newRefModel(o)
+		exec.m = m
+		cfg, err := o.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// State ci is observed on x, a peering of the first prefix it was
+		// not modeled to reach and that a higher state index reaches: x
+		// becomes compliant for it at 1 ms and beats the prefix's other
+		// members. State ni measures NaN on y, another member.
+		S0 := cfg.Prefixes[0]
+		x, ci := bgp.InvalidIngress, -1
+		for _, cand := range S0 {
+			rows := o.statesFor(cand)
+			for i, st := range o.states {
+				if ci < 0 && st.rank(cand) < 0 && int32(i) < rows[len(rows)-1] {
+					x, ci = cand, i
+				}
+			}
+		}
+		if ci < 0 || len(S0) < 2 {
+			t.Fatalf("first prefix %v: no peering to correct the model with", S0)
+		}
+		y := S0[0]
+		if y == x {
+			y = S0[1]
+		}
+		ni := int(o.statesFor(y)[0])
+		if ni == ci {
+			ni = int(o.statesFor(y)[1])
+		}
+		probe := Config{Prefixes: [][]bgp.IngressID{S0}}
+		obs := []Observation{
+			{UG: o.states[ci].ug.ID, Prefix: 0, Ingress: x, LatencyMs: 1},
+			{UG: o.states[ni].ug.ID, Prefix: 0, Ingress: y, LatencyMs: math.NaN()},
+		}
+		o.Learn(probe, obs)
+		m.learn(probe, obs)
+		if slices.IsSorted(o.statesFor(x)) {
+			t.Fatalf("state %d was appended to peering %d's row in order; want an out-of-order tail", ci, x)
+		}
+
+		rng := rand.New(rand.NewSource(int64(workers)))
+		all := o.in.Deploy.AllPeeringIDs()
+		base := anycastBase(o)
+		sawCorrected, sawNaN, sawDominated := false, false, false
+		for round := 0; round < 8; round++ {
+			var dark []bool
+			cands := all
+			if round > 0 {
+				cands = randomSubset(rng, all, 0.8)
+				dark = make([]bool, len(o.states))
+				for i := range dark {
+					dark[i] = i != ci && i != ni && rng.Float64() < 0.15
+				}
+			}
+			dropEntries(&o.warm)
+			S := o.growPrefix(cands, base, dark)
+			if len(S) == 0 {
+				break
+			}
+			ps, ok := o.warm.lookupFreeze(setHash(S), S)
+			if !ok {
+				t.Fatalf("workers %d round %d: grew %v but published no stats", workers, round, S)
+			}
+			if err := statsDiff(m, S, ps); err != nil {
+				t.Fatalf("workers %d round %d: %v", workers, round, err)
+			}
+			sawCorrected = sawCorrected || slices.Contains(S, x)
+			sawNaN = sawNaN || slices.Contains(S, y)
+			for _, rs := range m.states {
+				for _, k := range S {
+					sawDominated = sawDominated || slices.ContainsFunc(S, func(j bgp.IngressID) bool {
+						return rs.compliant[j] && rs.compliant[k] && rs.beats[k][j]
+					})
+				}
+			}
+			o.freezePrefix(S, base, nil)
+		}
+		if !sawCorrected || !sawNaN || !sawDominated {
+			t.Fatalf("workers %d: grown sets held the corrected peering %d: %v, the NaN one %d: %v, a dominated member: %v; want all",
+				workers, x, sawCorrected, y, sawNaN, sawDominated)
+		}
+	}
+
+	// A member that fails its own reuse test: peering 2's distance is NaN
+	// for state 0, so its singleton mean there is NaN, yet its 20 ms
+	// estimate is Eq. (2)'s Max over {1, 2}. State 1 makes 2 worth growing.
+	d, err := cloud.New(64500, []cloud.PoP{{ID: 1, Metro: geo.Metros()[0].Code}}, []cloud.Peering{
+		{ID: 1, PoP: 1, PeerASN: 100, ClassAtPeer: bgp.ClassPeer},
+		{ID: 2, PoP: 1, PeerASN: 101, ClassAtPeer: bgp.ClassPeer},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &Orchestrator{
+		in:        Inputs{Deploy: d},
+		params:    Params{PrefixBudget: 1, ReuseKm: 3000, Workers: 1},
+		byIngress: [][]int32{nil, {0}, {0, 1}},
+		states: []*ugState{
+			flatState(usergroup.UG{ID: 0, Weight: 1}, 50,
+				map[bgp.IngressID]float64{1: 10, 2: 20}, map[bgp.IngressID]float64{1: 0, 2: math.NaN()}),
+			flatState(usergroup.UG{ID: 1, Weight: 1}, 50,
+				map[bgp.IngressID]float64{2: 5}, map[bgp.IngressID]float64{2: 0}),
+		},
+	}
+	ref := newRefModel(o)
+	S := o.growPrefix(ids(1, 2), []float64{50, 50}, nil)
+	if len(S) != 2 {
+		t.Fatalf("grew %v, want both peerings", S)
+	}
+	ps, _ := o.warm.lookupFreeze(setHash(S), S)
+	if err := statsDiff(ref, S, ps); err != nil {
+		t.Fatal(err)
+	}
+	if ps.max[0] != 20 {
+		t.Fatalf("state 0's Max over %v = %v, want 20", S, ps.max[0])
+	}
+}
+
+// TestPredictReadsPublishedStats: predicting a freshly computed config
+// evaluates no Eq. (2), because computeConfig left every prefix's stats in
+// the cache; a prefix set the cache has not seen costs one entry.
+func TestPredictReadsPublishedStats(t *testing.T) {
+	b := newBench(t, 41)
+	o, err := New(b.in, nil, DefaultParams(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := o.computeConfig(nil, nil, nil)
+	if cfg.NumPrefixes() == 0 {
+		t.Fatal("computeConfig placed no prefix")
+	}
+	entries := func() (n, floats int) {
+		o.warm.mu.Lock()
+		defer o.warm.mu.Unlock()
+		for _, es := range o.warm.freeze {
+			n += len(es)
+		}
+		return n, o.warm.floats
+	}
+	n0, f0 := entries()
+	o.PredictBenefit(cfg)
+	if n, f := entries(); n != n0 || f != f0 {
+		t.Fatalf("PredictBenefit of the computed config: %d freeze entries and %d floats, want %d and %d", n, f, n0, f0)
+	}
+	unseen := cfg.Clone()
+	unseen.Prefixes = append(unseen.Prefixes, o.in.Deploy.AllPeeringIDs()[:3])
+	o.PredictBenefit(unseen)
+	if n, f := entries(); n != n0+1 || f != f0+3*len(o.states) {
+		t.Fatalf("PredictBenefit with one unseen set: %d freeze entries and %d floats, want %d and %d",
+			n, f, n0+1, f0+3*len(o.states))
 	}
 }
 

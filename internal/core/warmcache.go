@@ -13,10 +13,11 @@ package core
 //
 // Two layers:
 //
-//   - frozen contribution vectors: freezePrefix's per-state Eq. (2)
-//     means for one prefix set, cached by set content. Rebuilding the
-//     repair path's frozen base becomes a min-fold over cached vectors
-//     instead of |clean prefixes| x |states| expectSc calls.
+//   - prefix stats: each state's Eq. (2) (mean, min, max) for one
+//     prefix set, cached by set content. The grow loop publishes the set
+//     it grew, so freezing it, rebuilding the repair path's frozen base
+//     and predicting a config's benefit are folds over cached vectors
+//     instead of |prefixes| x |states| expectSc calls.
 //   - grow results: growPrefix is deterministic in (candidates, frozen
 //     base, dark mask, model); an exact match returns the previously
 //     grown peering set without re-running the greedy sweep.
@@ -54,8 +55,25 @@ func (e *growEntry) matches(cands []bgp.IngressID, frozen []float64, dark []bool
 }
 
 type freezeEntry struct {
-	S   []bgp.IngressID
-	vec []float64
+	S     []bgp.IngressID
+	stats prefixStats
+}
+
+// prefixStats is Eq. (2) for one prefix set, state by state: the
+// Expectation's Mean, Min and Max, all three NaN where the set is
+// unusable (a usable Min is never NaN, so the sentinel is unambiguous).
+// The three vectors are views of one buffer.
+type prefixStats struct {
+	mean, min, max []float64
+}
+
+// newPrefixStats returns stats for n states, all unusable.
+func newPrefixStats(n int) prefixStats {
+	buf := make([]float64, 3*n)
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	return prefixStats{mean: buf[:n:n], min: buf[n : 2*n : 2*n], max: buf[2*n:]}
 }
 
 // warmCache is internally locked, so concurrent lookups and stores are
@@ -199,20 +217,20 @@ func (c *warmCache) storeGrow(key uint64, cands []bgp.IngressID, frozen []float6
 	})
 }
 
-// lookupFreeze returns the cached contribution vector for a prefix set
-// (shared, read-only).
-func (c *warmCache) lookupFreeze(key uint64, S []bgp.IngressID) ([]float64, bool) {
+// lookupFreeze returns the cached stats for a prefix set (shared,
+// read-only).
+func (c *warmCache) lookupFreeze(key uint64, S []bgp.IngressID) (prefixStats, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.freeze[key] {
 		if slices.Equal(e.S, S) {
-			return e.vec, true
+			return e.stats, true
 		}
 	}
-	return nil, false
+	return prefixStats{}, false
 }
 
-func (c *warmCache) storeFreeze(key uint64, S []bgp.IngressID, vec []float64) {
+func (c *warmCache) storeFreeze(key uint64, S []bgp.IngressID, stats prefixStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.freeze[key] {
@@ -220,12 +238,12 @@ func (c *warmCache) storeFreeze(key uint64, S []bgp.IngressID, vec []float64) {
 			return
 		}
 	}
-	c.reserveLocked(len(vec))
+	c.reserveLocked(3 * len(stats.mean))
 	if c.freeze == nil {
 		c.freeze = make(map[uint64][]*freezeEntry)
 	}
 	c.freeze[key] = append(c.freeze[key], &freezeEntry{
-		S:   append([]bgp.IngressID(nil), S...),
-		vec: vec,
+		S:     append([]bgp.IngressID(nil), S...),
+		stats: stats,
 	})
 }
