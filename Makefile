@@ -25,11 +25,13 @@ build:
 	$(GO) build ./...
 
 # Size of the product: non-test Go lines outside the benchmark module
-# (bench/, .bench_build/), and exported top-level funcs and methods.
+# (bench/, .bench_build/), and top-level funcs and methods, exported and
+# package-local (so unexporting surface shows as a move between them).
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'); \
 	echo "non-test Go lines: $$(cat $$files | wc -l)"; \
-	echo "exported funcs:    $$(cat $$files | grep -cE '^func (\([^)]*\) )?[A-Z]')"
+	echo "exported funcs:    $$(cat $$files | grep -cE '^func (\([^)]*\) )?[A-Z]')"; \
+	echo "unexported funcs:  $$(cat $$files | grep -cE '^func (\([^)]*\) )?[a-z_]')"
 
 vet:
 	$(GO) vet ./...

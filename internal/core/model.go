@@ -11,7 +11,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"painter/internal/advertise"
 	"painter/internal/bgp"
@@ -304,17 +303,12 @@ type Expectation struct {
 // Usable reports whether the prefix is usable by the UG at all.
 func (e Expectation) Usable() bool { return e.N > 0 }
 
-// exScratch holds expectSc's reusable buffers — candidate ranks and the
-// dominance mask — plus the S+x composition slice of growExact's
-// marginal probes. One per worker, from exPool; never shared between
-// concurrent goroutines.
+// exScratch holds expectSc's reusable buffers: candidate ranks and the
+// dominance mask. Never shared between concurrent goroutines.
 type exScratch struct {
 	ranks []int32
 	dom   []uint64
-	sx    []bgp.IngressID
 }
-
-var exPool = sync.Pool{New: func() any { return new(exScratch) }}
 
 // expectSc computes Eq. (2)'s inner expectation for one UG and one
 // prefix peering set, allocation-free. Filtering order follows §3.1:

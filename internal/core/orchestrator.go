@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
@@ -28,9 +27,11 @@ type Params struct {
 	// previous iteration's benefit (§3.1: "terminate learning when
 	// little marginal benefit increase").
 	MinIterBenefitGain float64
-	// ExactGreedy recomputes every candidate's marginal at every step
-	// instead of using lazy evaluation. Slower; used for the ablation
-	// bench validating the lazy optimization.
+	// ExactGreedy makes the grow loop refresh every moved candidate and
+	// rebuild its heap after each accept, so each accept is the argmax of
+	// the current marginals. Off, it is lazy greedy, which refreshes only
+	// stale heap tops: over a non-submodular Eq. (2), a different
+	// heuristic. Slower; the ablation figure compares the two.
 	ExactGreedy bool
 	// MaxPeeringsPerPrefix caps reuse breadth per prefix (0 = no cap).
 	MaxPeeringsPerPrefix int
@@ -282,32 +283,6 @@ func (o *Orchestrator) Solve() (Config, error) {
 
 // --- Greedy configuration computation (Algorithm 1 inner loops) -----------
 
-// candHeap is a max-heap of cached candidate marginals for lazy greedy.
-type candItem struct {
-	ing      bgp.IngressID
-	marginal float64
-	version  int
-}
-type candHeap []candItem
-
-func (h candHeap) Len() int { return len(h) }
-
-// Less orders by marginal benefit, breaking ties by IngressID so
-// equal-marginal candidates pop in a total, input-independent order.
-// Without the tie-break the pop order of ties depends on heap-internal
-// layout — deterministic for one call sequence, but a latent hole for
-// the warm-start repair path, which grows prefixes from differently
-// ordered candidate slices than a cold solve.
-func (h candHeap) Less(i, j int) bool {
-	if h[i].marginal != h[j].marginal {
-		return h[i].marginal > h[j].marginal
-	}
-	return h[i].ing < h[j].ing
-}
-func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x any)   { *h = append(*h, x.(candItem)) }
-func (h *candHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
 // candidatePeerings returns the deployment's peerings filtered by live
 // (nil = all), in deployment (ID) order.
 func (o *Orchestrator) candidatePeerings(live func(bgp.IngressID) bool) []bgp.IngressID {
@@ -346,18 +321,16 @@ func (o *Orchestrator) frozenVec(S []bgp.IngressID) []float64 { return o.statsOf
 
 // statsOf returns prefix S's Eq. (2) stats, cached by set content until
 // the model changes. The grow loop publishes every set it grows
-// (publishStats); any other set is evaluated here, once.
+// (publish); any other set is evaluated here, once.
 func (o *Orchestrator) statsOf(S []bgp.IngressID) prefixStats {
 	key := setHash(S)
 	if ps, ok := o.warm.lookupFreeze(key, S); ok {
 		return ps
 	}
 	ps := newPrefixStats(len(o.states))
-	workers := o.workerCount()
-	scs := growScratches(workers)
-	defer putScratches(scs)
-	parallelWorkers(len(o.states), workers, func(w, i int) {
-		if e := o.states[i].expectSc(scs[w], S, o.params.ReuseKm); e.Usable() {
+	scs := make([]exScratch, o.workerCount())
+	parallelWorkers(len(o.states), len(scs), func(w, i int) {
+		if e := o.states[i].expectSc(&scs[w], S, o.params.ReuseKm); e.Usable() {
 			ps.mean[i], ps.min[i], ps.max[i] = e.Mean, e.Min, e.Max
 		}
 	})
@@ -409,500 +382,6 @@ func (o *Orchestrator) singletonRows() *singleTable {
 		t.mean[ing], t.rank[ing] = mean, rank
 	}
 	return o.warm.storeSingle(t)
-}
-
-// growScratches checks out one expectation scratch per worker.
-func growScratches(workers int) []*exScratch {
-	scs := make([]*exScratch, workers)
-	for w := range scs {
-		scs[w] = exPool.Get().(*exScratch)
-	}
-	return scs
-}
-
-func putScratches(scs []*exScratch) {
-	for _, sc := range scs {
-		exPool.Put(sc)
-	}
-}
-
-// growPrefix implements the inner while-loop: advertise one prefix via
-// as many peerings as keep marginal benefit positive, in ranked order of
-// modeled improvement. Candidates come from allPeerings; dark states
-// (nil = none) contribute no marginal benefit. growPrefix mutates no
-// orchestrator state beyond the warm cache.
-//
-// The result is a deterministic function of (candidates, frozen base,
-// dark mask) for a fixed learned model, so an exact input match returns
-// the memoized set — the common case under churn, where recovery events
-// restore a previously grown state bit-for-bit.
-func (o *Orchestrator) growPrefix(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
-	key := growHash(allPeerings, bestFrozen, dark)
-	if S, ok := o.warm.lookupGrow(key, allPeerings, bestFrozen, dark); ok {
-		return S
-	}
-	S := o.growUncached(allPeerings, bestFrozen, dark)
-	o.warm.storeGrow(key, allPeerings, bestFrozen, dark, S)
-	return S
-}
-
-// incMember is one accepted peering as one state sees it: the values
-// expectSc would read for it, plus its rank for the dominance test.
-type incMember struct {
-	dist, est float64
-	rank      int32
-}
-
-// growScratch is the lazy grow loop's working memory, sized to the
-// model once and reset per grow (warmCache keeps the returned scratch
-// until the next Learn). Between grows everything but thr is at its
-// initial value: curE and minDist +Inf, stateVer 0, members empty, masks
-// zero, inS false.
-type growScratch struct {
-	// inS[ing] marks the peerings accepted into the growing prefix.
-	inS []bool
-	// curE[i] is Eq. (2) for the growing prefix, +Inf when unusable.
-	curE []float64
-	// stateVer[i] is the version at which curE[i] last moved.
-	stateVer []int
-	// members[i] lists the growing prefix's peerings compliant for state
-	// i, in accept order; minDist[i] is the distance to the nearest of
-	// them, and mask[i] the OR of their preference rows (nil for a state
-	// without learned facts, whose rows would all be empty).
-	members [][]incMember
-	minDist []float64
-	mask    [][]uint64
-	// minEst[i] is the least non-NaN est among state i's members.
-	minEst []float64
-	// thr[i] is the stale refresh's skip threshold for state i, filled at
-	// the start of each grow (growUncached).
-	thr []float64
-	// finiteWeights holds when every state's weight is finite, the frozen
-	// floor's precondition (growUncached).
-	finiteWeights bool
-	// touched lists the states with members, for the reset.
-	touched []int32
-	margs   []float64
-	heap    candHeap
-}
-
-func (o *Orchestrator) newGrowScratch() *growScratch {
-	n := len(o.states)
-	gs := &growScratch{
-		inS:           make([]bool, len(o.byIngress)),
-		curE:          make([]float64, n),
-		stateVer:      make([]int, n),
-		members:       make([][]incMember, n),
-		minDist:       make([]float64, n),
-		mask:          make([][]uint64, n),
-		minEst:        make([]float64, n),
-		thr:           make([]float64, n),
-		finiteWeights: true,
-	}
-	words := 0
-	for i, st := range o.states {
-		gs.curE[i], gs.minDist[i], gs.minEst[i] = math.Inf(1), math.Inf(1), math.Inf(1)
-		if len(st.rows) > 0 {
-			words += st.words
-		}
-		if math.IsInf(st.ug.Weight, 0) || math.IsNaN(st.ug.Weight) {
-			gs.finiteWeights = false
-		}
-	}
-	slab := make([]uint64, words)
-	for i, st := range o.states {
-		if len(st.rows) > 0 {
-			gs.mask[i], slab = slab[:st.words:st.words], slab[st.words:]
-		}
-	}
-	return gs
-}
-
-// reset undoes one grow of prefix S.
-func (gs *growScratch) reset(S []bgp.IngressID) {
-	for _, x := range S {
-		gs.inS[x] = false
-	}
-	for _, i := range gs.touched {
-		gs.curE[i], gs.minDist[i], gs.minEst[i] = math.Inf(1), math.Inf(1), math.Inf(1)
-		gs.stateVer[i] = 0
-		gs.members[i] = gs.members[i][:0]
-		clear(gs.mask[i])
-	}
-	gs.touched = gs.touched[:0]
-}
-
-// growUncached is the greedy grow loop behind growPrefix's memo: lazy
-// evaluation over the singleton table and the incremental Eq. (2) form.
-//
-// Frozen floor. State i adds w·(min(bf, curE) − min(bf, newE)) to a
-// marginal, bf = bestFrozen[i]. When bf is at or below every mean the
-// loop can form for i, both minima are bf, the term is ±0.0 and adding it
-// leaves the sum's bits unchanged (a sum from +0.0 is never −0.0), so it
-// is skipped before the state is touched:
-//   - Initial sweep (S empty, curE +Inf): the probe's mean is x's own
-//     estimate, so the test is !(est < bf), exactly.
-//   - Stale refresh: every mean for i averages a subset of S's estimates
-//     and x's, all ≥ lo, the least non-NaN of them (minEst[i] and x's).
-//     Their float sum is ≥ k·lo·(1−2⁻⁵³)^(k−1), so with bf·(1+1e-9) ≤ lo
-//     the quotient is ≥ bf for k ≤ 2²⁰ (guarded by the candidate count)
-//     and rounding keeps it there. The slack is needed: the mean of equal
-//     estimates, as two peerings at one PoP give a UG, can round an ulp
-//     below them, and a bare bf ≤ lo would zero that ulp of benefit.
-//
-// Both tests need a finite bf (Inf − Inf is NaN) and finite weights
-// (Inf·0 is NaN); the refresh test also needs bf normal and positive.
-// The refresh folds the dark check and the floor into one compare,
-// thr[i] ≤ lo: thr[i] is −Inf for a dark state, bf·(1+1e-9) where the
-// floor applies and NaN otherwise, and lo is never NaN.
-func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
-	if o.params.ExactGreedy {
-		return o.growExact(allPeerings, bestFrozen, dark)
-	}
-	workers := o.workerCount()
-	single := o.singletonRows()
-	gs := o.warm.takeScratch()
-	if gs == nil {
-		gs = o.newGrowScratch()
-	}
-	var S []bgp.IngressID
-	curE, stateVer, minEst := gs.curE, gs.stateVer, gs.minEst
-	reuse := o.params.ReuseKm
-	prune := gs.finiteWeights && len(allPeerings) <= 1<<20
-	thr := gs.thr
-	for i, bf := range bestFrozen {
-		switch {
-		case dark != nil && dark[i]:
-			thr[i] = math.Inf(-1)
-		case prune && bf >= 0x1p-1022 && bf <= math.MaxFloat64:
-			thr[i] = bf * (1 + 1e-9)
-		default:
-			thr[i] = math.NaN()
-		}
-	}
-
-	// marginalSingle is a candidate's marginal during the initial sweep
-	// (S empty, so the probe set is exactly {x}), read from the singleton
-	// table. One candidate is evaluated wholly on one worker and the float
-	// sum over statesFor(x) runs in fixed index order regardless of how
-	// candidates are scheduled, so results are worker-count independent.
-	// A peering past the table has no compliant state: its rows are never
-	// indexed.
-	rowsOf := func(x bgp.IngressID) ([]float64, []int32) {
-		if int(x) < len(single.mean) {
-			return single.mean[x], single.rank[x]
-		}
-		return nil, nil
-	}
-	marginalSingle := func(x bgp.IngressID) float64 {
-		means, _ := rowsOf(x)
-		var delta float64
-		for k, i := range o.statesFor(x) {
-			if dark != nil && dark[i] {
-				continue
-			}
-			if bf := bestFrozen[i]; prune && !(means[k] < bf) && math.Abs(bf) <= math.MaxFloat64 {
-				continue // frozen floor
-			}
-			st := o.states[i]
-			oldVal := math.Min(bestFrozen[i], curE[i])
-			newE := math.Inf(1)
-			if v := means[k]; !math.IsNaN(v) {
-				newE = v
-			}
-			newVal := math.Min(bestFrozen[i], newE)
-			delta += st.ug.Weight * (oldVal - newVal)
-		}
-		return delta
-	}
-
-	// Incremental Eq. (2): per state, S's compliant members in accept
-	// order — exactly the values expectSc reads for that state, in the
-	// order it reads them, so means are bit-equal with no per-probe binary
-	// searches — and the OR of their preference rows, so the dominance
-	// filter is a bit test per member. The singleton table supplies each
-	// member's est (a one-peering set's mean IS its est: alone it is never
-	// dominated and always within its own reuse radius) and rank.
-	//
-	// evalInc is Eq. (2)'s mean over state i's members, plus an optional
-	// probe member x ordered last, as in the set S+x; xRow is x's own
-	// preference row (nil: none). As in expectSc, the reuse radius is
-	// measured from the nearest member before dominance drops any.
-	evalInc := func(i int32, x incMember, xRow []uint64, probe bool) (float64, bool) {
-		members, mask, minDist := gs.members[i], gs.mask[i], gs.minDist[i]
-		if probe && x.dist < minDist {
-			minDist = x.dist
-		}
-		var sum float64
-		n := 0
-		for k := range members {
-			m := &members[k]
-			if mask != nil && (hasBit(mask, m.rank) || (xRow != nil && hasBit(xRow, m.rank))) {
-				continue
-			}
-			if !math.IsNaN(m.est) && m.dist <= minDist+reuse {
-				sum += m.est
-				n++
-			}
-		}
-		if probe && !(mask != nil && hasBit(mask, x.rank)) && !math.IsNaN(x.est) && x.dist <= minDist+reuse {
-			sum += x.est
-			n++
-		}
-		if n == 0 {
-			return 0, false
-		}
-		return sum / float64(n), true
-	}
-	marginalInc := func(x bgp.IngressID) float64 {
-		means, ranks := rowsOf(x)
-		var delta float64
-		for k, i := range o.statesFor(x) {
-			lo := minEst[i]
-			if means[k] < lo {
-				lo = means[k]
-			}
-			if thr[i] <= lo {
-				continue // dark, or the frozen floor
-			}
-			st := o.states[i]
-			oldVal := math.Min(bestFrozen[i], curE[i])
-			newE := math.Inf(1)
-			m := incMember{dist: st.popDist[x], est: means[k], rank: ranks[k]}
-			if mean, ok := evalInc(i, m, st.factRow(int(m.rank)), true); ok {
-				newE = mean
-			}
-			newVal := math.Min(bestFrozen[i], newE)
-			delta += st.ug.Weight * (oldVal - newVal)
-		}
-		return delta
-	}
-	acceptInc := func(x bgp.IngressID) {
-		S = append(S, x)
-		gs.inS[x] = true
-		means, ranks := rowsOf(x)
-		for k, i := range o.statesFor(x) {
-			st := o.states[i]
-			m := incMember{dist: st.popDist[x], est: means[k], rank: ranks[k]}
-			if len(gs.members[i]) == 0 {
-				gs.touched = append(gs.touched, i)
-			}
-			gs.members[i] = append(gs.members[i], m)
-			if m.dist < gs.minDist[i] {
-				gs.minDist[i] = m.dist
-			}
-			if m.est < minEst[i] {
-				minEst[i] = m.est
-			}
-			for w, b := range st.factRow(int(m.rank)) {
-				gs.mask[i][w] |= b
-			}
-			if mean, ok := evalInc(i, incMember{}, nil, false); ok {
-				curE[i] = mean
-			} else {
-				curE[i] = math.Inf(1)
-			}
-		}
-	}
-
-	// Lazy greedy: cache marginals, re-evaluate only the top candidate.
-	// The initial sweep — the bulk of the work — is sharded; results land
-	// in candidate order so the heap is built from the same sequence a
-	// serial sweep would produce.
-	//
-	// stateVer tracks the version at which each state's curE last moved.
-	// A stale candidate whose compliant states were all untouched since
-	// its version would recompute the exact marginal it already carries
-	// — its value reads only curE and bestFrozen over statesFor(x) — so
-	// it is re-stamped current without re-evaluating.
-	version := 0
-	margs := append(gs.margs[:0], make([]float64, len(allPeerings))...)
-	parallelWorkers(len(allPeerings), workers, func(_, k int) {
-		margs[k] = marginalSingle(allPeerings[k])
-	})
-	h := gs.heap[:0]
-	for k, x := range allPeerings {
-		h = append(h, candItem{ing: x, marginal: margs[k], version: version})
-		if int(x) >= len(gs.inS) { // a candidate no state is indexed under
-			gs.inS = append(gs.inS, make([]bool, int(x)+1-len(gs.inS))...)
-		}
-	}
-	gs.margs, gs.heap = margs, h
-	heap.Init(&h)
-	for h.Len() > 0 {
-		if o.params.MaxPeeringsPerPrefix > 0 && len(S) >= o.params.MaxPeeringsPerPrefix {
-			break
-		}
-		top := heap.Pop(&h).(candItem)
-		if gs.inS[top.ing] {
-			continue
-		}
-		if top.version != version {
-			fresh := true
-			for _, i := range o.statesFor(top.ing) {
-				if stateVer[i] > top.version {
-					fresh = false
-					break
-				}
-			}
-			if !fresh {
-				// Stale cached marginal: refresh; the heap decides whether
-				// it is still the best candidate.
-				top.marginal = marginalInc(top.ing)
-			}
-			top.version = version
-			heap.Push(&h, top)
-			continue
-		}
-		if top.marginal <= 0 {
-			break
-		}
-		o.m.acceptedMarginal.Observe(top.marginal)
-		acceptInc(top.ing)
-		version++
-		// Conservative: every state the accept re-evaluated counts as
-		// moved (extra recomputes are harmless; missed moves are not).
-		for _, i := range o.statesFor(top.ing) {
-			stateVer[i] = version
-		}
-	}
-	if len(S) > 0 {
-		o.publishStats(S, gs)
-	}
-	gs.reset(S)
-	o.warm.putScratch(gs)
-	return S
-}
-
-// publishStats caches the grown prefix S's Eq. (2) stats, read off the
-// grow scratch before its reset. State i's members are S's peerings
-// compliant for it, in S order, and mask[i] is the OR of their rows:
-// expectSc's candidates and dominance mask. So the walk below — skip
-// masked members and NaN estimates, fold Min and Max over the rest, and
-// add to the mean those within ReuseKm of minDist[i], the nearest member
-// before dominance — is expectSc's, in its order, and bit-equal. It reads
-// st.est, not the member's est: that is the singleton mean, NaN when the
-// member fails its own reuse test, yet the estimate still widens Min and
-// Max. States without members have no compliant peering in S and stay
-// unusable.
-func (o *Orchestrator) publishStats(S []bgp.IngressID, gs *growScratch) {
-	key := setHash(S)
-	if _, ok := o.warm.lookupFreeze(key, S); ok {
-		return
-	}
-	ps := newPrefixStats(len(o.states))
-	for _, i := range gs.touched {
-		st, mask, lim := o.states[i], gs.mask[i], gs.minDist[i]+o.params.ReuseKm
-		lo, hi := math.Inf(1), math.Inf(-1)
-		var sum float64
-		n := 0
-		for _, m := range gs.members[i] {
-			if mask != nil && hasBit(mask, m.rank) {
-				continue
-			}
-			ms := st.est[m.rank]
-			if math.IsNaN(ms) {
-				continue
-			}
-			if ms < lo {
-				lo = ms
-			}
-			if ms > hi {
-				hi = ms
-			}
-			if m.dist <= lim {
-				sum += ms
-				n++
-			}
-		}
-		if n > 0 {
-			ps.mean[i], ps.min[i], ps.max[i] = sum/float64(n), lo, hi
-		}
-	}
-	o.warm.storeFreeze(key, S, ps)
-}
-
-// growExact is growUncached without lazy evaluation (Params.ExactGreedy):
-// every remaining candidate's marginal is recomputed from Eq. (2) over
-// S+x at every step.
-func (o *Orchestrator) growExact(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
-	workers := o.workerCount()
-	scs := growScratches(workers)
-	defer putScratches(scs)
-
-	var S []bgp.IngressID
-	inS := make(map[bgp.IngressID]bool)
-	curE := make([]float64, len(o.states))
-	for i := range curE {
-		curE[i] = math.Inf(1)
-	}
-
-	marginalOf := func(sc *exScratch, x bgp.IngressID) float64 {
-		sx := append(sc.sx[:0], S...)
-		sx = append(sx, x)
-		sc.sx = sx
-		var delta float64
-		for _, i := range o.statesFor(x) {
-			if dark != nil && dark[i] {
-				continue
-			}
-			st := o.states[i]
-			oldVal := math.Min(bestFrozen[i], curE[i])
-			e := st.expectSc(sc, sx, o.params.ReuseKm)
-			newE := math.Inf(1)
-			if e.Usable() {
-				newE = e.Mean
-			}
-			newVal := math.Min(bestFrozen[i], newE)
-			delta += st.ug.Weight * (oldVal - newVal)
-		}
-		return delta
-	}
-
-	accept := func(x bgp.IngressID) {
-		S = append(S, x)
-		inS[x] = true
-		idxs := o.statesFor(x)
-		parallelWorkers(len(idxs), workers, func(w, k int) {
-			i := idxs[k]
-			st := o.states[i]
-			if e := st.expectSc(scs[w], S, o.params.ReuseKm); e.Usable() {
-				curE[i] = e.Mean
-			} else {
-				curE[i] = math.Inf(1)
-			}
-		})
-	}
-
-	margs := make([]float64, len(allPeerings))
-	for {
-		if o.params.MaxPeeringsPerPrefix > 0 && len(S) >= o.params.MaxPeeringsPerPrefix {
-			break
-		}
-		// Recompute every candidate sharded, then argmax sequentially
-		// in candidate order (ties keep the first, like a serial scan).
-		parallelWorkers(len(allPeerings), workers, func(w, k int) {
-			if x := allPeerings[k]; !inS[x] {
-				margs[k] = marginalOf(scs[w], x)
-			}
-		})
-		bestX := bgp.InvalidIngress
-		bestM := 0.0
-		for k, x := range allPeerings {
-			if inS[x] {
-				continue
-			}
-			if margs[k] > bestM {
-				bestM, bestX = margs[k], x
-			}
-		}
-		if bestX == bgp.InvalidIngress {
-			break
-		}
-		o.m.acceptedMarginal.Observe(bestM)
-		accept(bestX)
-	}
-	return S
 }
 
 // --- Prediction, learning, realized benefit --------------------------------

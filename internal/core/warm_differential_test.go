@@ -66,8 +66,10 @@ func refFreeze(m *refModel, S []bgp.IngressID, bestFrozen []float64, dark []bool
 }
 
 // refGrow is the lazy greedy grow loop with every marginal computed
-// from Eq. (2) over S+x and every stale heap entry recomputed.
-func refGrow(m *refModel, cands []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
+// from Eq. (2) over S+x and every stale heap entry recomputed. With exact
+// set, every remaining entry is recomputed after each accept and the heap
+// re-initialized (Params.ExactGreedy).
+func refGrow(m *refModel, cands []bgp.IngressID, bestFrozen []float64, dark []bool, exact bool) []bgp.IngressID {
 	o := m.o
 	var S []bgp.IngressID
 	curE := make([]float64, len(o.states))
@@ -117,6 +119,12 @@ func refGrow(m *refModel, cands []bgp.IngressID, bestFrozen []float64, dark []bo
 			curE[i] = value(int(i), S)
 		}
 		version++
+		if exact {
+			for k := range h {
+				h[k].marginal, h[k].version = marginal(h[k].ing), version
+			}
+			heap.Init(&h)
+		}
 	}
 	return S
 }
@@ -130,13 +138,13 @@ func anycastBase(o *Orchestrator) []float64 {
 }
 
 // refCompute is computeConfig over the reference primitives.
-func refCompute(m *refModel, live func(bgp.IngressID) bool, dark []bool) Config {
+func refCompute(m *refModel, live func(bgp.IngressID) bool, dark []bool, exact bool) Config {
 	o := m.o
 	bestFrozen := anycastBase(o)
 	cands := o.candidatePeerings(live)
 	var cfg Config
 	for p := 0; p < o.params.PrefixBudget; p++ {
-		S := refGrow(m, cands, bestFrozen, dark)
+		S := refGrow(m, cands, bestFrozen, dark, exact)
 		if len(S) == 0 {
 			break
 		}
@@ -150,7 +158,7 @@ func refCompute(m *refModel, live func(bgp.IngressID) bool, dark []bool) Config 
 // prefixes regrow in index order against the clean-only base, each
 // frozen before the next; then empty prefixes drop and the tail grows up
 // to the budget.
-func refRepair(m *refModel, cfg Config, dirty []int, live func(bgp.IngressID) bool, dark []bool) Config {
+func refRepair(m *refModel, cfg Config, dirty []int, live func(bgp.IngressID) bool, dark []bool, exact bool) Config {
 	o := m.o
 	order := slices.Clone(dirty)
 	sort.Ints(order)
@@ -163,7 +171,7 @@ func refRepair(m *refModel, cfg Config, dirty []int, live func(bgp.IngressID) bo
 	cands := o.candidatePeerings(live)
 	out := cfg.Clone()
 	for _, idx := range order {
-		S := refGrow(m, cands, bestFrozen, dark)
+		S := refGrow(m, cands, bestFrozen, dark, exact)
 		out.Prefixes[idx] = S
 		refFreeze(m, S, bestFrozen, dark)
 	}
@@ -175,7 +183,7 @@ func refRepair(m *refModel, cfg Config, dirty []int, live func(bgp.IngressID) bo
 	}
 	out.Prefixes = kept
 	for len(out.Prefixes) < o.params.PrefixBudget {
-		S := refGrow(m, cands, bestFrozen, dark)
+		S := refGrow(m, cands, bestFrozen, dark, exact)
 		if len(S) == 0 {
 			break
 		}
@@ -203,10 +211,33 @@ func randomSubset[T any](rng *rand.Rand, xs []T, p float64) []T {
 	return out
 }
 
-// checkWarmAgainstReference draws randomized inputs and compares every
-// warm entry point with its reference. rounds controls how many
-// primitive draws run; the config-level comparison runs once per call.
+// checkWarmAgainstReference runs checkWarmMode lazily, then with
+// Params.ExactGreedy, and leaves the orchestrator lazy. The grow memo is
+// keyed by the grow's inputs, not the mode, so the exact pass starts from
+// empty entries, and the lazy pass's entries are put back after it (the
+// model has not changed): the next phase starts from them, as it would
+// without the exact pass, so an entry that survived a Learn is still
+// served and caught there.
 func checkWarmAgainstReference(t *testing.T, phase string, m *refModel, rng *rand.Rand, rounds int) {
+	t.Helper()
+	c := &m.o.warm
+	checkWarmMode(t, phase+", lazy", m, rng, rounds, false)
+	c.mu.Lock()
+	grow, freeze, floats := c.grow, c.freeze, c.floats
+	c.mu.Unlock()
+	dropEntries(c)
+	m.o.params.ExactGreedy = true
+	checkWarmMode(t, phase+", exact", m, rng, rounds, true)
+	m.o.params.ExactGreedy = false
+	c.mu.Lock()
+	c.grow, c.freeze, c.floats = grow, freeze, floats
+	c.mu.Unlock()
+}
+
+// checkWarmMode draws randomized inputs and compares every warm entry
+// point with its reference in one mode. rounds controls how many
+// primitive draws run; the config-level comparison runs once per call.
+func checkWarmMode(t *testing.T, phase string, m *refModel, rng *rand.Rand, rounds int, exact bool) {
 	t.Helper()
 	o := m.o
 	all := o.in.Deploy.AllPeeringIDs()
@@ -250,7 +281,7 @@ func checkWarmAgainstReference(t *testing.T, phase string, m *refModel, rng *ran
 	// Queries whose inputs are the same in every phase: a cache entry
 	// that survived a Learn would be served here.
 	checkVec(all[:min(5, len(all))])
-	sameConfig("unrestricted computeConfig", o.computeConfig(nil, nil, nil), refCompute(m, nil, nil))
+	sameConfig("unrestricted computeConfig", o.computeConfig(nil, nil, nil), refCompute(m, nil, nil, exact))
 
 	for round := 0; round < rounds; round++ {
 		dark := randomDark()
@@ -272,7 +303,7 @@ func checkWarmAgainstReference(t *testing.T, phase string, m *refModel, rng *ran
 			}
 		}
 
-		want := refGrow(m, cands, wantBase, dark)
+		want := refGrow(m, cands, wantBase, dark, exact)
 		for pass := 0; pass < 2; pass++ { // second pass: memo hit
 			if got := o.growPrefix(cands, gotBase, dark); !slices.Equal(got, want) {
 				t.Fatalf("%s round %d pass %d: growPrefix = %v, reference %v", phase, round, pass, got, want)
@@ -288,7 +319,7 @@ func checkWarmAgainstReference(t *testing.T, phase string, m *refModel, rng *ran
 		down[id] = true
 	}
 	live := func(id bgp.IngressID) bool { return !down[id] }
-	wantCfg := refCompute(m, live, dark)
+	wantCfg := refCompute(m, live, dark, exact)
 	for pass := 0; pass < 2; pass++ {
 		sameConfig("computeConfig", o.computeConfig(nil, live, dark), wantCfg)
 	}
@@ -318,7 +349,7 @@ func checkWarmAgainstReference(t *testing.T, phase string, m *refModel, rng *ran
 			}
 		}
 		multi = multi || len(dirty) >= 2
-		wantRep := refRepair(m, base, dirty, live2, dark)
+		wantRep := refRepair(m, base, dirty, live2, dark, exact)
 		for pass := 0; pass < 2; pass++ {
 			sameConfig(fmt.Sprintf("trial %d repairConfig(dirty %v)", trial, dirty),
 				o.repairConfig(nil, base, dirty, live2, dark), wantRep)
@@ -435,7 +466,8 @@ func TestWarmPathMatchesReference(t *testing.T) {
 //     the initial sweep.
 //
 // A third run gives state 0 an infinite weight: its zero terms become
-// Inf·0 = NaN, so nothing may be pruned at all.
+// Inf·0 = NaN, so nothing may be pruned at all. Each run grows lazily and
+// with Params.ExactGreedy.
 func TestGrowPrefixFrozenFloorEdges(t *testing.T) {
 	m := 10.7
 	if (m+m+m)/3 >= m {
@@ -463,13 +495,19 @@ func TestGrowPrefixFrozenFloorEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range []struct {
+	type runCase struct {
 		workers int
 		weight0 float64
-	}{{1, 1}, {4, 1}, {1, inf}} {
+		exact   bool
+	}
+	var runs []runCase
+	for _, exact := range []bool{false, true} {
+		runs = append(runs, runCase{1, 1, exact}, runCase{4, 1, exact}, runCase{1, inf, exact})
+	}
+	for _, run := range runs {
 		o := &Orchestrator{
 			in:        Inputs{Deploy: d},
-			params:    Params{PrefixBudget: 1, ReuseKm: 3000, Workers: run.workers},
+			params:    Params{PrefixBudget: 1, ReuseKm: 3000, Workers: run.workers, ExactGreedy: run.exact},
 			byIngress: make([][]int32, 6),
 		}
 		ref := &refModel{o: o}
@@ -489,9 +527,9 @@ func TestGrowPrefixFrozenFloorEdges(t *testing.T) {
 			ref.states = append(ref.states, newRefState(st))
 			base = append(base, s.base)
 		}
-		want := refGrow(ref, cands, base, nil)
+		want := refGrow(ref, cands, base, nil, run.exact)
 		if run.weight0 == 1 && (!slices.Contains(want, 3) || !slices.Contains(want, 4)) {
-			t.Fatalf("reference grew %v; want both 3 (the ulp marginal) and 4 (the NaN marginal) in it", want)
+			t.Fatalf("%+v: reference grew %v; want both 3 (the ulp marginal) and 4 (the NaN marginal) in it", run, want)
 		}
 		if got := o.growPrefix(cands, base, nil); !slices.Equal(got, want) {
 			t.Fatalf("%+v: growPrefix = %v, reference %v", run, got, want)

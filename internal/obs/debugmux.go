@@ -54,8 +54,3 @@ func MountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
-
-// StartServerWith is StartServer with the extended debug surface.
-func StartServerWith(addr string, cfg MuxConfig) (*MetricsServer, error) {
-	return startServer(addr, NewMuxWith(cfg))
-}

@@ -21,19 +21,16 @@ type MetricsServer struct {
 	addr string
 }
 
-// StartServer listens on addr and serves /metrics (Prometheus text)
-// and /debug/obs (JSON snapshot) for the given registries. Pass
-// "host:0" to bind an ephemeral port; Addr reports the bound address.
-func StartServer(addr string, regs ...*Registry) (*MetricsServer, error) {
-	return startServer(addr, NewMux(regs...))
-}
-
-func startServer(addr string, mux *http.ServeMux) (*MetricsServer, error) {
+// StartServerWith listens on addr and serves NewMuxWith(cfg): /metrics
+// (Prometheus text), /debug/obs (JSON snapshot), /debug/trace and the
+// optional extras. Pass "host:0" to bind an ephemeral port; Addr reports
+// the bound address.
+func StartServerWith(addr string, cfg MuxConfig) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: metrics listen %q: %w", addr, err)
 	}
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: NewMuxWith(cfg), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return &MetricsServer{srv: srv, addr: ln.Addr().String()}, nil
 }

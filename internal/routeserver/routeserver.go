@@ -9,7 +9,6 @@ package routeserver
 
 import (
 	"fmt"
-	"log"
 	"net"
 	"net/netip"
 	"sync"
@@ -280,6 +279,3 @@ func (s *Server) handleUpdate(peer bgp.PeerID, peerAS uint16, u bgp.Update) {
 		})
 	}
 }
-
-// LogfStd adapts the standard logger for Config.Logf.
-func LogfStd(format string, args ...any) { log.Printf(format, args...) }

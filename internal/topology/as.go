@@ -121,9 +121,6 @@ func (a *AS) Neighbors() []ASN {
 	return out
 }
 
-// Degree returns the total number of neighbors.
-func (a *AS) Degree() int { return len(a.Providers) + len(a.Customers) + len(a.Peers) }
-
 // PresentIn reports whether the AS has presence in the given metro.
 func (a *AS) PresentIn(metro string) bool {
 	i := sort.SearchStrings(a.Metros, metro)

@@ -110,17 +110,6 @@ func (g *Graph) ASNs() []ASN {
 	return g.sortedASNs
 }
 
-// ASesOfKind returns all ASes of the given kind, sorted by ASN.
-func (g *Graph) ASesOfKind(k Kind) []*AS {
-	var out []*AS
-	for _, n := range g.ASNs() {
-		if a := g.ases[n]; a.Kind == k {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // CustomerCone returns the set of ASNs in the customer cone of root: root
 // itself plus every AS reachable by repeatedly following provider→customer
 // links (Luckie et al.). By definition an AS carries traffic from its
