@@ -60,8 +60,9 @@ tm-stress:
 	$(GO) test -race -count=20 -run 'Failover|Detect|Loss|Recovery' ./internal/tm/
 
 # Short fuzzing smoke on the wire decoders, the delta engine, the alert
-# rule parser and the solver's learned-preference store: each target
-# runs for FUZZ_TIME (go test allows one -fuzz pattern per invocation).
+# rule parser, the solver's learned-preference store and its grow loop:
+# each target runs for FUZZ_TIME (go test allows one -fuzz pattern per
+# invocation).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZ_TIME) ./internal/tmproto/
 	$(GO) test -run='^$$' -fuzz=FuzzGREDecode -fuzztime=$(FUZZ_TIME) ./internal/tmproto/
@@ -72,6 +73,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPropagateDelta -fuzztime=$(FUZZ_TIME) ./internal/bgp/
 	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZ_TIME) ./internal/obs/alert/
 	$(GO) test -run='^$$' -fuzz=FuzzLearnExpect -fuzztime=$(FUZZ_TIME) ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzGrowAgainstReference -fuzztime=$(FUZZ_TIME) ./internal/core/
 
 # Coverage with a per-package floor (the COVER_FLOORS table).
 cover:
@@ -98,6 +100,9 @@ bench-smoke:
 # CPU profile of the peering-scale learned solve (solve-cold's instance,
 # four learning rounds) at one and two cores, printed as the 30 heaviest
 # nodes by cumulative time. The profile stays in results/solve-cpu.prof.
+# BenchmarkSolveLearned/peering reuses one world across reps, so the
+# simulator's caches are warm after the first: the profile under-weights
+# the executor against solve-cold, which builds a fresh world per op.
 profile-solve:
 	@mkdir -p results
 	$(GO) test -run='^$$' -bench='SolveLearned/peering' -benchtime=4x -cpu=1,2 \

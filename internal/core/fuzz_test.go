@@ -2,10 +2,15 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"painter/internal/bgp"
+	"painter/internal/cloud"
+	"painter/internal/geo"
+	"painter/internal/usergroup"
 )
 
 // The byte form of a learnScript, read left to right (a missing byte
@@ -158,6 +163,182 @@ func FuzzLearnExpect(f *testing.F) {
 		s := decodeLearnScript(data)
 		if err := s.run(); err != nil {
 			t.Fatalf("%v\nscript: %+v", err, s)
+		}
+	})
+}
+
+// growVals are the estimates and frozen bases FuzzGrowAgainstReference
+// draws from: the frozen floor's edge values — NaN, +Inf, zero, a
+// subnormal, a negative — beside ordinary latencies.
+var growVals = []float64{math.NaN(), math.Inf(1), 0, math.SmallestNonzeroFloat64, -3, 10.7, 20, 35, 50}
+
+var (
+	growWeights = []float64{1, 1, 0.5, 2, 0, 3, 1, math.Inf(1)}
+	growDists   = []float64{0, 1000, 2500, 6000}
+)
+
+// growInstance is one small grow-loop scenario: peerings 1..n at one
+// PoP, one UG state per row, and a sequence of grows on one orchestrator.
+type growInstance struct {
+	n      int
+	weight []float64
+	// est[i][x-1] is state i's estimate for peering x, absent when
+	// comp[i][x-1] is false; dist[i][x-1] is its distance.
+	est, dist [][]float64
+	comp      [][]bool
+	// learn[i] >= 0 makes state i route to its learn[i]-th compliant
+	// peering over the rest, measured at learnMs[i].
+	learn   []int
+	learnMs []float64
+	reuse   float64
+	grows   []growStep
+}
+
+type growStep struct {
+	cands []bgp.IngressID
+	base  []float64
+	dark  []bool
+}
+
+// decodeGrowInstance reads a growInstance left to right (a missing byte
+// reads as 0):
+//
+//	n-1, m-1                     n <= 8 peerings, m <= 16 states
+//	m x (weight, n x cell)       cell bit 0: compliant, bits 1-4 the
+//	                             estimate, bits 5-6 the distance
+//	m x learn                    learn%4 == 0: none; else the chosen
+//	                             rank learn/4 and the measurement learn/16
+//	reuse, grows-1               1 <= grows <= 6
+//	per grow: flags              bit 0: a dark byte per state (dark when
+//	                             its low two bits are 0); bit 1: a byte
+//	                             masking the candidates; then a value per
+//	                             state, which replaces the base when bit 2
+//	                             is set or on the first grow, and lowers
+//	                             it otherwise, as freezing a prefix does
+//
+// Values, weights and distances index growVals, growWeights and
+// growDists modulo their length, so every byte string decodes.
+func decodeGrowInstance(data []byte) growInstance {
+	r := &byteReader{data}
+	in := growInstance{n: 1 + r.next()%8}
+	m := 1 + r.next()%16
+	for i := 0; i < m; i++ {
+		in.weight = append(in.weight, growWeights[r.next()%len(growWeights)])
+		est, dist, comp := make([]float64, in.n), make([]float64, in.n), make([]bool, in.n)
+		for x := range est {
+			c := r.next()
+			comp[x], est[x], dist[x] = c&1 != 0, growVals[(c>>1&15)%len(growVals)], growDists[c>>5&3]
+		}
+		in.est, in.dist, in.comp = append(in.est, est), append(in.dist, dist), append(in.comp, comp)
+	}
+	for i := 0; i < m; i++ {
+		l := r.next()
+		in.learn, in.learnMs = append(in.learn, -1), append(in.learnMs, growVals[(l/16)%len(growVals)])
+		if l%4 != 0 {
+			in.learn[i] = l / 4
+		}
+	}
+	in.reuse = growDists[r.next()%len(growDists)]
+	var base []float64
+	for g := 1 + r.next()%6; g > 0; g-- {
+		flags := r.next()
+		step := growStep{base: make([]float64, m)}
+		if flags&1 != 0 {
+			step.dark = make([]bool, m)
+			for i := range step.dark {
+				step.dark[i] = r.next()&3 == 0
+			}
+		}
+		mask := 0xff
+		if flags&2 != 0 {
+			mask = r.next()
+		}
+		for x := 1; x <= in.n; x++ {
+			if mask>>(x-1)&1 != 0 {
+				step.cands = append(step.cands, bgp.IngressID(x))
+			}
+		}
+		for i := range step.base {
+			v := growVals[r.next()%len(growVals)]
+			if base == nil || flags&4 != 0 || v < base[i] {
+				step.base[i] = v
+			} else {
+				step.base[i] = base[i]
+			}
+		}
+		base = step.base
+		in.grows = append(in.grows, step)
+	}
+	return in
+}
+
+// build makes the instance's orchestrator and its reference mirror, both
+// after the learn step.
+func (in growInstance) build(t *testing.T, p Params) (*Orchestrator, *refModel) {
+	var peerings []cloud.Peering
+	for x := 1; x <= in.n; x++ {
+		peerings = append(peerings, cloud.Peering{ID: bgp.IngressID(x), PoP: 1, PeerASN: 100, ClassAtPeer: bgp.ClassPeer})
+	}
+	d, err := cloud.New(64500, []cloud.PoP{{ID: 1, Metro: geo.Metros()[0].Code}}, peerings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &Orchestrator{in: Inputs{Deploy: d}, params: p, byIngress: make([][]int32, in.n+1)}
+	ref := &refModel{o: o}
+	for i, w := range in.weight {
+		est, dist := map[bgp.IngressID]float64{}, map[bgp.IngressID]float64{}
+		for x := 1; x <= in.n; x++ {
+			dist[bgp.IngressID(x)] = in.dist[i][x-1]
+			if in.comp[i][x-1] {
+				est[bgp.IngressID(x)] = in.est[i][x-1]
+				o.byIngress[x] = append(o.byIngress[x], int32(i))
+			}
+		}
+		st := flatState(usergroup.UG{ID: usergroup.ID(i), Weight: w}, 50, est, dist)
+		rs := newRefState(st)
+		if c := in.learn[i]; c >= 0 && len(st.compliant) > 1 {
+			seen := slices.Clone(st.compliant)
+			chosen := seen[c%len(seen)]
+			st.learn(seen, chosen, in.learnMs[i])
+			rs.learn(seen, chosen, in.learnMs[i])
+		}
+		o.states = append(o.states, st)
+		ref.states = append(ref.states, rs)
+	}
+	return o, ref
+}
+
+// FuzzGrowAgainstReference grows a tiny instance several times on one
+// orchestrator, so every grow after the first reuses the scratch and its
+// live index, and compares each grown set with refGrow, lazy and exact.
+// The bases fall and rise between grows, through the values where the
+// frozen floor's threshold is NaN, −Inf (dark) or finite, so the live
+// index's generation rule meets every transition, NaN ones included.
+func FuzzGrowAgainstReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(37))
+	for k := 0; k < 8; k++ {
+		seed := make([]byte, 120+rng.Intn(200))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<10 {
+			return
+		}
+		in := decodeGrowInstance(data)
+		for _, exact := range []bool{false, true} {
+			workers := 1
+			if exact {
+				workers = 2
+			}
+			o, ref := in.build(t, Params{PrefixBudget: 1, ReuseKm: in.reuse, Workers: workers, ExactGreedy: exact})
+			for g, step := range in.grows {
+				want := refGrow(ref, step.cands, step.base, step.dark, exact)
+				if got := o.growUncached(step.cands, step.base, step.dark); !slices.Equal(got, want) {
+					t.Fatalf("exact %v grow %d (cands %v, base %v, dark %v): grew %v, reference %v",
+						exact, g, step.cands, step.base, step.dark, got, want)
+				}
+			}
 		}
 	})
 }

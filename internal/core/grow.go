@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"math"
+	"math/bits"
 
 	"painter/internal/bgp"
 )
@@ -28,8 +29,8 @@ func (o *Orchestrator) growPrefix(allPeerings []bgp.IngressID, bestFrozen []floa
 }
 
 // growUncached is the grow loop behind growPrefix's memo. It is lazy
-// greedy (Minoux 1978): the sweep puts every candidate's marginal over
-// the empty prefix in a max-heap; a popped entry that went stale at an
+// greedy (Minoux 1978): the serial sweep puts every candidate's marginal
+// over the empty prefix in a max-heap; a popped entry that went stale at an
 // accept is refreshed and pushed back, and a fresh top is accepted while
 // its marginal is positive. Lazy evaluation returns the greedy argmax
 // only for a submodular objective, and Eq. (2) is not one: D_reuse is
@@ -51,9 +52,9 @@ func (o *Orchestrator) growPrefix(allPeerings []bgp.IngressID, bestFrozen []floa
 // marginal, bf = bestFrozen[i]. When bf is at or below every mean the
 // loop can form for i, both minima are bf, the term is ±0.0 and adding it
 // leaves the sum's bits unchanged (a sum from +0.0 is never −0.0), so
-// refresh skips it before the state is touched. Every mean for i averages
-// a subset of S's estimates and x's, all ≥ lo, the least non-NaN of them
-// (minEst[i] and x's; +Inf when there is none). Their float sum is
+// the marginal skips it before the state is touched. Every mean for i
+// averages a subset of S's estimates and x's, all ≥ lo, the least non-NaN
+// of them (minEst[i] and x's; +Inf when there is none). Their float sum is
 // ≥ k·lo·(1−2⁻⁵³)^(k−1), so with bf·(1+1e-9) ≤ lo the quotient is ≥ bf
 // for k ≤ 2²⁰ (guarded by the candidate count) and rounding keeps it
 // there. The slack is needed: the mean of equal estimates, as two
@@ -67,14 +68,32 @@ func (o *Orchestrator) growPrefix(allPeerings []bgp.IngressID, bestFrozen []floa
 // into one compare, thr[i] ≤ lo: thr[i] is −Inf for a dark state,
 // bf·(1+1e-9) where the floor applies and NaN otherwise, and lo is never
 // NaN.
+//
+// Live index. The floor is an index, not a test run on every term:
+// live[x] is a bitset over the positions of statesFor(x) that holds at
+// least every term the test keeps. A marginal walks only its set bits, in
+// statesFor order, so it adds exactly the terms a full scan would, in the
+// same order, and is bit-equal. The sweep tests each set bit and clears
+// those it skips. With S empty that test reads only thr[i] and x's
+// singleton mean, so a cleared bit can turn live again in two ways only:
+//   - Within a grow, minEst[i] falls below thr[i]. accept then marks state
+//     i hot and, through the singleton table's pos, sets its bit in every
+//     candidate compliant for it; reset clears the bits the sweep had
+//     cleared, so between grows a swept bitset holds exactly the terms its
+//     sweep kept.
+//   - Across grows, thr[i] rises. begin then bumps the generation, and a
+//     bitset stamped with an older one is reset to all ones when next
+//     swept. A NaN thr clears nothing, so a rise from NaN does not count
+//     and a change to NaN does.
+//
+// The stale refresh and exact mode's refreshAll only read the bitsets.
 func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
 	gs := o.warm.takeScratch()
 	if gs == nil {
 		gs = o.newGrowScratch()
 	}
-	workers := o.workerCount()
 	gs.begin(o.singletonRows(), bestFrozen, dark, len(allPeerings))
-	gs.sweep(allPeerings, workers)
+	gs.sweep(allPeerings)
 	h := &gs.heap
 	for h.Len() > 0 {
 		if o.params.MaxPeeringsPerPrefix > 0 && len(gs.S) >= o.params.MaxPeeringsPerPrefix {
@@ -88,7 +107,7 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 			// Stale cached marginal: refresh; the heap decides whether it
 			// is still the best candidate.
 			if gs.moved(top.ing, top.version) {
-				top.marginal = gs.refresh(top.ing)
+				top.marginal = gs.marginal(top.ing, false)
 			}
 			top.version = gs.version
 			heap.Push(h, top)
@@ -97,10 +116,9 @@ func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []fl
 		if top.marginal <= 0 {
 			break
 		}
-		o.m.acceptedMarginal.Observe(top.marginal)
 		gs.accept(top.ing)
 		if o.params.ExactGreedy {
-			gs.refreshAll(workers)
+			gs.refreshAll(o.workerCount())
 		}
 	}
 	S := gs.S
@@ -148,8 +166,9 @@ type incMember struct {
 // growScratch is the grow loop's state: one grow's inputs and working
 // memory, sized to the model once and reset per grow (warmCache keeps
 // the returned scratch until the next Learn). Between grows everything
-// but thr is at its initial value: no inputs, S empty, version 0, curE
-// and minDist +Inf, stateVer 0, members empty, masks zero, inS false.
+// but thr and the live index is at its initial value: no inputs, S
+// empty, version 0, curE and minDist +Inf, stateVer 0, members empty,
+// masks zero, inS false.
 //
 // Incremental Eq. (2): per state, S's compliant members in accept order
 // — exactly the values expectSc reads for that state, in the order it
@@ -185,6 +204,12 @@ type growScratch struct {
 	minEst []float64
 	// thr[i] is the frozen-floor skip threshold for state i (begin).
 	thr []float64
+	// live[x] is candidate x's live bitset over the positions of
+	// statesFor(x), valid while liveGen[x] is gen (see growUncached's live
+	// index).
+	live    [][]uint64
+	liveGen []uint64
+	gen     uint64
 	// finiteWeights holds when every state's weight is finite, the frozen
 	// floor's precondition.
 	finiteWeights bool
@@ -205,7 +230,19 @@ func (o *Orchestrator) newGrowScratch() *growScratch {
 		mask:          make([][]uint64, n),
 		minEst:        make([]float64, n),
 		thr:           make([]float64, n),
+		live:          make([][]uint64, len(o.byIngress)),
+		liveGen:       make([]uint64, len(o.byIngress)),
+		gen:           1, // every bitset starts stale
 		finiteWeights: true,
+	}
+	liveWords := 0
+	for _, idxs := range o.byIngress {
+		liveWords += (len(idxs) + 63) / 64
+	}
+	live := make([]uint64, liveWords)
+	for x, idxs := range o.byIngress {
+		w := (len(idxs) + 63) / 64
+		gs.live[x], live = live[:w:w], live[w:]
 	}
 	words := 0
 	for i, st := range o.states {
@@ -226,20 +263,28 @@ func (o *Orchestrator) newGrowScratch() *growScratch {
 	return gs
 }
 
-// begin loads one grow's inputs and fills thr (see growUncached's
-// frozen floor); nCands is the candidate count, which bounds |S|.
+// begin loads one grow's inputs, fills thr (see growUncached's frozen
+// floor) and bumps the live index's generation if any thr rose; nCands is
+// the candidate count, which bounds |S|.
 func (gs *growScratch) begin(single *singleTable, bestFrozen []float64, dark []bool, nCands int) {
 	gs.single, gs.bestFrozen = single, bestFrozen
 	prune := gs.finiteWeights && nCands <= 1<<20
+	rose := false
 	for i, bf := range bestFrozen {
+		t := math.NaN()
 		switch {
 		case dark != nil && dark[i]:
-			gs.thr[i] = math.Inf(-1)
+			t = math.Inf(-1)
 		case prune && bf >= 0x1p-1022 && bf <= math.MaxFloat64:
-			gs.thr[i] = bf * (1 + 1e-9)
-		default:
-			gs.thr[i] = math.NaN()
+			t = bf * (1 + 1e-9)
 		}
+		if old := gs.thr[i]; !math.IsNaN(old) && !(t <= old) {
+			rose = true
+		}
+		gs.thr[i] = t
+	}
+	if rose {
+		gs.gen++
 	}
 }
 
@@ -254,20 +299,26 @@ func (gs *growScratch) rows(x bgp.IngressID) ([]float64, []int32) {
 }
 
 // sweep fills the heap with every candidate's marginal over the empty
-// prefix, at version 0. It is sharded; a marginal is computed wholly by
-// one worker into its candidate's slot, so the heap is built from the
-// sequence a serial sweep would produce.
-func (gs *growScratch) sweep(cands []bgp.IngressID, workers int) {
+// prefix, at version 0, resetting each stale live bitset to all ones and
+// clearing every bit the frozen floor skips.
+func (gs *growScratch) sweep(cands []bgp.IngressID) {
 	h := gs.heap[:0]
 	for _, x := range cands {
-		h = append(h, candItem{ing: x})
 		if int(x) >= len(gs.inS) { // a candidate no state is indexed under
 			gs.inS = append(gs.inS, make([]bool, int(x)+1-len(gs.inS))...)
 		}
+		if int(x) < len(gs.live) && gs.liveGen[x] != gs.gen {
+			live := gs.live[x]
+			for w := range live {
+				live[w] = math.MaxUint64
+			}
+			if tail := len(gs.o.statesFor(x)) % 64; tail != 0 {
+				live[len(live)-1] = 1<<tail - 1
+			}
+			gs.liveGen[x] = gs.gen
+		}
+		h = append(h, candItem{ing: x, marginal: gs.marginal(x, true)})
 	}
-	parallelWorkers(len(h), workers, func(_, k int) {
-		h[k].marginal = gs.refresh(h[k].ing)
-	})
 	gs.heap = h
 	heap.Init(&gs.heap)
 }
@@ -304,32 +355,48 @@ func (gs *growScratch) eval(i int32, x incMember, xRow []uint64, probe bool) (fl
 	return sum / float64(n), true
 }
 
-// refresh is x's marginal benefit over the current prefix: the weighted
+// marginal is x's marginal benefit over the current prefix: the weighted
 // drop, over x's non-dark states, of min(bestFrozen, curE) when x joins.
-// The float sum runs over statesFor(x) in fixed index order, so it does
-// not depend on which worker computes it. Safe for concurrent calls
-// between accepts.
-func (gs *growScratch) refresh(x bgp.IngressID) float64 {
+// It walks x's live bits, so the float sum runs over statesFor(x) in
+// fixed index order and does not depend on which worker computes it.
+// With filter set (the sweep) it clears each bit the frozen floor skips;
+// without, it writes nothing and is safe for concurrent calls between
+// accepts.
+func (gs *growScratch) marginal(x bgp.IngressID, filter bool) float64 {
+	if int(x) >= len(gs.live) {
+		return 0 // no compliant state
+	}
 	states, bestFrozen, curE, minEst, thr := gs.o.states, gs.bestFrozen, gs.curE, gs.minEst, gs.thr
+	idxs, live := gs.o.statesFor(x), gs.live[x]
 	means, ranks := gs.rows(x)
 	var delta float64
-	for k, i := range gs.o.statesFor(x) {
-		lo := minEst[i]
-		if means[k] < lo {
-			lo = means[k]
+	for w, word := range live {
+		keep := word
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			k := w<<6 | b
+			i := idxs[k]
+			lo := minEst[i]
+			if means[k] < lo {
+				lo = means[k]
+			}
+			if thr[i] <= lo {
+				keep &^= 1 << b // dark, or the frozen floor
+				continue
+			}
+			st := states[i]
+			oldVal := math.Min(bestFrozen[i], curE[i])
+			newE := math.Inf(1)
+			m := incMember{dist: st.popDist[x], est: means[k], rank: ranks[k]}
+			if mean, ok := gs.eval(i, m, st.factRow(int(m.rank)), true); ok {
+				newE = mean
+			}
+			newVal := math.Min(bestFrozen[i], newE)
+			delta += st.ug.Weight * (oldVal - newVal)
 		}
-		if thr[i] <= lo {
-			continue // dark, or the frozen floor
+		if filter {
+			live[w] = keep
 		}
-		st := states[i]
-		oldVal := math.Min(bestFrozen[i], curE[i])
-		newE := math.Inf(1)
-		m := incMember{dist: st.popDist[x], est: means[k], rank: ranks[k]}
-		if mean, ok := gs.eval(i, m, st.factRow(int(m.rank)), true); ok {
-			newE = mean
-		}
-		newVal := math.Min(bestFrozen[i], newE)
-		delta += st.ug.Weight * (oldVal - newVal)
 	}
 	return delta
 }
@@ -347,7 +414,8 @@ func (gs *growScratch) moved(x bgp.IngressID, v int) bool {
 
 // accept adds x to the prefix and advances the version. Conservatively,
 // every state the accept re-evaluates counts as moved (extra refreshes
-// are harmless; missed moves are not).
+// are harmless; missed moves are not). A state whose minEst first falls
+// below its thr turns hot (heat).
 func (gs *growScratch) accept(x bgp.IngressID) {
 	gs.S = append(gs.S, x)
 	gs.inS[x] = true
@@ -364,6 +432,9 @@ func (gs *growScratch) accept(x bgp.IngressID) {
 			gs.minDist[i] = m.dist
 		}
 		if m.est < gs.minEst[i] {
+			if m.est < gs.thr[i] && gs.minEst[i] >= gs.thr[i] {
+				gs.heat(i, true)
+			}
 			gs.minEst[i] = m.est
 		}
 		for w, b := range st.factRow(int(m.rank)) {
@@ -378,6 +449,30 @@ func (gs *growScratch) accept(x bgp.IngressID) {
 	}
 }
 
+// heat sets (on) or clears state i's bit in the live set of every
+// candidate compliant for it whose own term the sweep skips, which is
+// every bit of i's the sweep can have cleared. accept sets them when i
+// turns hot, as its minEst falls below thr[i]; reset clears them, so a
+// swept bitset is back to the terms its sweep kept, and any other bitset
+// loses only bits the floor skips.
+func (gs *growScratch) heat(i int32, on bool) {
+	st, thr := gs.o.states[i], gs.thr[i]
+	for r, p := range gs.single.pos[i] {
+		if p < 0 {
+			continue
+		}
+		x := st.compliant[r]
+		if gs.single.mean[x][p] < thr {
+			continue // kept by the sweep
+		}
+		if on {
+			setBit(gs.live[x], int(p))
+		} else {
+			gs.live[x][p>>6] &^= 1 << (p & 63)
+		}
+	}
+}
+
 // refreshAll is exact greedy's step (Params.ExactGreedy): after an
 // accept, every heap entry whose states moved is refreshed, sharded, all
 // are stamped current, and the heap is rebuilt, so the next pop is the
@@ -386,7 +481,7 @@ func (gs *growScratch) refreshAll(workers int) {
 	h := gs.heap
 	parallelWorkers(len(h), workers, func(_, k int) {
 		if gs.moved(h[k].ing, h[k].version) {
-			h[k].marginal = gs.refresh(h[k].ing)
+			h[k].marginal = gs.marginal(h[k].ing, false)
 		}
 		h[k].version = gs.version
 	})
@@ -448,6 +543,9 @@ func (gs *growScratch) reset() {
 		gs.inS[x] = false
 	}
 	for _, i := range gs.touched {
+		if gs.minEst[i] < gs.thr[i] {
+			gs.heat(i, false)
+		}
 		gs.curE[i], gs.minDist[i], gs.minEst[i] = math.Inf(1), math.Inf(1), math.Inf(1)
 		gs.stateVer[i] = 0
 		gs.members[i] = gs.members[i][:0]

@@ -15,7 +15,6 @@ type solveMetrics struct {
 	solveSeconds      *obs.Histogram
 	executeSeconds    *obs.Histogram
 	prefixGrowSeconds *obs.Histogram
-	acceptedMarginal  *obs.Histogram
 }
 
 func newSolveMetrics(r *obs.Registry) solveMetrics {
@@ -30,7 +29,6 @@ func newSolveMetrics(r *obs.Registry) solveMetrics {
 		solveSeconds:      r.Histogram("core_solve_seconds", "wall time of one full Solve call"),
 		executeSeconds:    r.Histogram("core_execute_seconds", "wall time of one Executor.Execute call"),
 		prefixGrowSeconds: r.Histogram("core_prefix_grow_seconds", "wall time of growing one prefix's peering set"),
-		acceptedMarginal:  r.Histogram("core_accepted_marginal_benefit_ms", "marginal weighted benefit of each accepted peering (ms)"),
 	}
 }
 

@@ -35,15 +35,18 @@ type Params struct {
 	ExactGreedy bool
 	// MaxPeeringsPerPrefix caps reuse breadth per prefix (0 = no cap).
 	MaxPeeringsPerPrefix int
-	// Workers is the worker count for the sharded grow/freeze loops
-	// (0 = GOMAXPROCS, 1 = fully sequential). Any value produces
-	// byte-identical configurations: each per-candidate marginal is
-	// computed wholly by one worker over a fixed state order, so float
-	// summation order never depends on scheduling.
+	// Workers is the worker count for the sharded loops: ExactGreedy's
+	// refresh of every moved candidate after an accept, and the Eq. (2)
+	// stats of a prefix set the grow loop did not publish (0 =
+	// GOMAXPROCS, 1 = fully sequential). The grow loop's initial sweep is
+	// serial. Any value produces byte-identical configurations: each
+	// per-candidate marginal and per-state stat is computed wholly by one
+	// worker over a fixed order, so float summation order never depends
+	// on scheduling.
 	Workers int
 	// Obs, when non-nil, receives solve-loop metrics (iterations,
-	// prefixes placed, accepted marginal benefit, facts learned, wall
-	// times). Nil disables instrumentation at one-branch cost.
+	// prefixes placed, facts learned, realized benefit, wall times). Nil
+	// disables instrumentation at one-branch cost.
 	Obs *obs.Registry
 	// Trace, when non-nil, records the solve loop's causal structure —
 	// solve → iteration → prefix placement → propagate/resolve — into
@@ -88,9 +91,10 @@ type Orchestrator struct {
 	// that peering is policy-compliant. §4 counts on a peering touching
 	// few UGs, but at prototype scale one is compliant for over half of
 	// them; the sparsity that pays is the grow loop's frozen floor
-	// (growUncached), which skips every UG a candidate can no longer
-	// improve on. Indexed by raw IngressID; rows are grown on demand when
-	// learning corrects the compliance model.
+	// (growUncached), kept as one live bitset per candidate over the
+	// positions of its row, so a marginal visits only the UGs the
+	// candidate may still improve on. Indexed by raw IngressID; rows are
+	// grown on demand when learning corrects the compliance model.
 	byIngress [][]int32
 	// stateIdx maps UG ID → index into states, built once so Learn and
 	// RealizedBenefit don't rebuild lookup maps per iteration.
@@ -341,16 +345,20 @@ func (o *Orchestrator) statsOf(S []bgp.IngressID) prefixStats {
 // singleTable is the per-ingress view of the model the grow loop reads:
 // for state statesFor(ing)[k], mean[ing][k] is Eq. (2)'s mean under the
 // one-peering set {ing} (NaN when unusable) and rank[ing][k] is ing's
-// rank in that state's compliant set.
+// rank in that state's compliant set. pos is the inverse, per state:
+// pos[i][r] is state i's position in statesFor(compliant[r]), −1 where
+// that peering has no row.
 type singleTable struct {
 	mean [][]float64
 	rank [][]int32
+	pos  [][]int32
 }
 
 // singletonRows returns (building on first use per model version) the
 // singleton table. growPrefix's initial sweep — the bulk of a grow —
 // probes exactly the singleton means, so the table turns it into a table
-// walk; the ranks spare every later probe its binary search.
+// walk; the ranks spare every later probe its binary search, and pos
+// lets an accept reach a state's bit in every candidate's live set.
 func (o *Orchestrator) singletonRows() *singleTable {
 	if t := o.warm.lookupSingle(); t != nil {
 		return t
@@ -358,7 +366,19 @@ func (o *Orchestrator) singletonRows() *singleTable {
 	// Only deployment peerings get rows: they are the only grow
 	// candidates, and popDist is only defined for deployment IDs (learned
 	// compliance corrections can index states under foreign ingress IDs).
-	t := &singleTable{mean: make([][]float64, len(o.byIngress)), rank: make([][]int32, len(o.byIngress))}
+	t := &singleTable{mean: make([][]float64, len(o.byIngress)), rank: make([][]int32, len(o.byIngress)),
+		pos: make([][]int32, len(o.states))}
+	n := 0
+	for _, st := range o.states {
+		n += len(st.compliant)
+	}
+	slab := make([]int32, n)
+	for i, st := range o.states {
+		t.pos[i], slab = slab[:len(st.compliant):len(st.compliant)], slab[len(st.compliant):]
+		for r := range t.pos[i] {
+			t.pos[i][r] = -1
+		}
+	}
 	reuse := o.params.ReuseKm
 	for _, ing := range o.in.Deploy.AllPeeringIDs() {
 		idxs := o.statesFor(ing)
@@ -369,7 +389,7 @@ func (o *Orchestrator) singletonRows() *singleTable {
 		for k, i := range idxs {
 			st := o.states[i]
 			r := st.rank(ing)
-			rank[k] = int32(r)
+			rank[k], t.pos[i][r] = int32(r), int32(k)
 			// expectSc({ing}): a rank's row never holds its own bit, so the
 			// lone member is never dominated, is its own nearest member,
 			// and its estimate is the mean unless NaN or outside the radius

@@ -537,6 +537,91 @@ func TestGrowPrefixFrozenFloorEdges(t *testing.T) {
 	}
 }
 
+// TestGrowLiveIndexTight pins the grow loop's live index as tight, not
+// merely safe: after every grow, each candidate's bitset holds exactly
+// the positions whose own term the frozen floor keeps under that grow's
+// thr, with S empty. An index that never cleared a bit, or kept a hot
+// state's bits past the grow, would leave every configuration
+// byte-identical and lose the whole gain, so no output test sees it.
+//
+// The grows are three configuration builds over a learned small-scale
+// model, each prefix frozen before the next: unrestricted; then with
+// dark states and failed peerings, whose thresholds fall to −Inf or
+// rise from a lower base; then unrestricted again, which raises the dark
+// states' thresholds.
+func TestGrowLiveIndexTight(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			p := DefaultParams(6)
+			p.Workers, p.ExactGreedy = workers, exact
+			p.MaxIterations, p.MinIterBenefitGain = 2, -1
+			b := newBench(t, 41)
+			o, err := New(b.in, b.exec, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := o.Solve(); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("exact %v workers %d", exact, workers)
+			all := o.in.Deploy.AllPeeringIDs()
+			dark := make([]bool, len(o.states))
+			for i := range dark {
+				dark[i] = i%7 == 3
+			}
+			var up []bgp.IngressID
+			for k, x := range all {
+				if k%5 != 2 {
+					up = append(up, x)
+				}
+			}
+			kept, cleared := 0, 0
+			for run, in := range []struct {
+				cands []bgp.IngressID
+				dark  []bool
+			}{{all, nil}, {up, dark}, {all, nil}} {
+				base := anycastBase(o)
+				for g := 0; g < p.PrefixBudget; g++ {
+					S := o.growUncached(in.cands, base, in.dark)
+					gs, single := o.warm.scratch, o.singletonRows()
+					for _, x := range in.cands {
+						idxs, live := o.statesFor(x), gs.live[x]
+						if gs.liveGen[x] != gs.gen {
+							t.Fatalf("%s run %d grow %d: candidate %d's bitset is a generation behind", name, run, g, x)
+						}
+						for k, i := range idxs {
+							lo := math.Inf(1)
+							if mean := single.mean[x][k]; mean < lo {
+								lo = mean
+							}
+							want := !(gs.thr[i] <= lo)
+							if hasBit(live, int32(k)) != want {
+								t.Fatalf("%s run %d grow %d: candidate %d position %d (state %d, thr %v, mean %v): bit %v, want %v",
+									name, run, g, x, k, i, gs.thr[i], single.mean[x][k], !want, want)
+							}
+							if want {
+								kept++
+							} else {
+								cleared++
+							}
+						}
+						if n := len(idxs) % 64; n != 0 && live[len(live)-1]>>n != 0 {
+							t.Fatalf("%s run %d grow %d: candidate %d has bits past its %d positions", name, run, g, x, len(idxs))
+						}
+					}
+					if len(S) == 0 {
+						break
+					}
+					o.freezePrefix(S, base, in.dark)
+				}
+			}
+			if kept == 0 || cleared == 0 {
+				t.Fatalf("%s: %d positions kept and %d cleared; want both non-zero", name, kept, cleared)
+			}
+		}
+	}
+}
+
 // dropEntries empties the warm cache's grow and freeze entries but keeps
 // the singleton table and the parked grow scratch, so the next growPrefix
 // runs the grow loop and its published stats are the only entry for the
