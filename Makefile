@@ -25,13 +25,16 @@ build:
 	$(GO) build ./...
 
 # Size of the product: non-test Go lines outside the benchmark module
-# (bench/, .bench_build/), and top-level funcs and methods, exported and
-# package-local (so unexporting surface shows as a move between them).
+# (bench/, .bench_build/), top-level funcs and methods, exported and
+# package-local (so unexporting surface shows as a move between them),
+# and the distinct metric names those files register (string literals
+# passed to .Counter, .Gauge, .GaugeFunc or .Histogram).
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'); \
 	echo "non-test Go lines: $$(cat $$files | wc -l)"; \
 	echo "exported funcs:    $$(cat $$files | grep -cE '^func (\([^)]*\) )?[A-Z]')"; \
-	echo "unexported funcs:  $$(cat $$files | grep -cE '^func (\([^)]*\) )?[a-z_]')"
+	echo "unexported funcs:  $$(cat $$files | grep -cE '^func (\([^)]*\) )?[a-z_]')"; \
+	echo "registered metric names: $$(cat $$files | grep -oE '\.(Counter|Gauge|GaugeFunc|Histogram)\("[^"]*"' | sort -u | wc -l)"
 
 vet:
 	$(GO) vet ./...

@@ -24,7 +24,6 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -39,40 +38,8 @@ import (
 	"painter/internal/tmproto"
 )
 
-type destList []tmproto.Destination
-
-func (d *destList) String() string { return fmt.Sprintf("%d destinations", len(*d)) }
-
-func (d *destList) Set(v string) error {
-	parts := strings.Split(v, ",")
-	if len(parts) < 2 {
-		return fmt.Errorf("want addr:port,popid[,anycast][,gre], got %q", v)
-	}
-	ap, err := netip.ParseAddrPort(parts[0])
-	if err != nil {
-		return err
-	}
-	pop, err := strconv.ParseUint(parts[1], 10, 32)
-	if err != nil {
-		return err
-	}
-	dest := tmproto.Destination{Addr: ap.Addr(), Port: ap.Port(), PoP: uint32(pop)}
-	for _, opt := range parts[2:] {
-		switch opt {
-		case "anycast":
-			dest.Anycast = true
-		case "gre":
-			dest.GRE = true
-		default:
-			return fmt.Errorf("unknown destination option %q (want anycast or gre)", opt)
-		}
-	}
-	*d = append(*d, dest)
-	return nil
-}
-
 func main() {
-	var dests destList
+	var dests daemon.DestList
 	var (
 		resolve  = flag.String("resolve", "", "bootstrap TM-PoP address to resolve destinations from")
 		service  = flag.String("service", "default", "service name for resolution")

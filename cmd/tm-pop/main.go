@@ -14,11 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/netip"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -26,43 +23,10 @@ import (
 	"painter/internal/obs"
 	"painter/internal/obs/history"
 	"painter/internal/tm"
-	"painter/internal/tmproto"
 )
 
-type destList []tmproto.Destination
-
-func (d *destList) String() string { return fmt.Sprintf("%d destinations", len(*d)) }
-
-func (d *destList) Set(v string) error {
-	parts := strings.Split(v, ",")
-	if len(parts) < 2 {
-		return fmt.Errorf("want addr:port,popid[,anycast][,gre], got %q", v)
-	}
-	ap, err := netip.ParseAddrPort(parts[0])
-	if err != nil {
-		return fmt.Errorf("destination address %q: %w", parts[0], err)
-	}
-	pop, err := strconv.ParseUint(parts[1], 10, 32)
-	if err != nil {
-		return fmt.Errorf("pop id %q: %w", parts[1], err)
-	}
-	dest := tmproto.Destination{Addr: ap.Addr(), Port: ap.Port(), PoP: uint32(pop)}
-	for _, opt := range parts[2:] {
-		switch opt {
-		case "anycast":
-			dest.Anycast = true
-		case "gre":
-			dest.GRE = true
-		default:
-			return fmt.Errorf("unknown destination option %q (want anycast or gre)", opt)
-		}
-	}
-	*d = append(*d, dest)
-	return nil
-}
-
 func main() {
-	var dests destList
+	var dests daemon.DestList
 	var (
 		listen   = flag.String("listen", "127.0.0.1:4000", "UDP listen address")
 		popID    = flag.Uint("pop-id", 1, "PoP identifier")

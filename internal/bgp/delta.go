@@ -43,7 +43,6 @@ package bgp
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"painter/internal/topology"
 )
@@ -161,12 +160,6 @@ func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, fli
 		return nil, nil, fmt.Errorf("bgp: PropagateDelta base is from a different graph")
 	}
 
-	m := propObs.Load()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-
 	// Fast path: identical injections (order-sensitive — callers pass
 	// deterministically ordered lists) and no flip touching a settled
 	// AS cannot move any selection.
@@ -182,10 +175,6 @@ func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, fli
 		}
 	}
 	if sameInj && !flipLive {
-		if m != nil {
-			m.deltaTotal.Inc()
-			m.deltaNoops.Inc()
-		}
 		return prev, nil, nil
 	}
 	if !sameInj {
@@ -257,7 +246,6 @@ func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, fli
 			d.heap.push(deltaKey(r.Class, r.PathLen, di))
 		}
 	}
-	frontier := len(d.heap)
 
 	// Drain the frontier in global settle order.
 	for len(d.heap) > 0 {
@@ -278,12 +266,6 @@ func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, fli
 		}
 	}
 
-	if m != nil {
-		m.deltaTotal.Inc()
-		m.deltaSeconds.Observe(time.Since(start).Seconds())
-		m.deltaFrontier.Observe(float64(frontier))
-		m.deltaChanged.Observe(float64(len(changed)))
-	}
 	if len(changed) == 0 && sameInj {
 		// A flip that did not move any winner: prev stands verbatim.
 		return prev, nil, nil

@@ -265,11 +265,9 @@ func PropagateResult(g *topology.Graph, injections []Injection, tb TieBreaker) (
 		return nil, err
 	}
 
-	// Instrumentation is one pointer load when disabled; candidate and
-	// bucket accounting below is per-bucket and only when m != nil.
+	// Instrumentation is one pointer load when disabled.
 	m := propObs.Load()
 	var start time.Time
-	var cands, maxBucket int
 	if m != nil {
 		start = time.Now()
 	}
@@ -341,10 +339,6 @@ func PropagateResult(g *topology.Graph, injections []Injection, tb TieBreaker) (
 		}
 	}
 	for l := 1; l < len(q.buckets); l++ {
-		if m != nil && len(q.buckets[l]) > 0 {
-			cands += len(q.buckets[l])
-			maxBucket = l
-		}
 		settleBucket(q.buckets[l], l, ClassCustomer, exportUp)
 		q.buckets[l] = q.buckets[l][:0]
 	}
@@ -376,12 +370,6 @@ func PropagateResult(g *topology.Graph, injections []Injection, tb TieBreaker) (
 		}
 	}
 	for l := 1; l < len(q.buckets); l++ {
-		if m != nil && len(q.buckets[l]) > 0 {
-			cands += len(q.buckets[l])
-			if l > maxBucket {
-				maxBucket = l
-			}
-		}
 		settleBucket(q.buckets[l], l, ClassPeer, nil)
 		q.buckets[l] = q.buckets[l][:0]
 	}
@@ -413,12 +401,6 @@ func PropagateResult(g *topology.Graph, injections []Injection, tb TieBreaker) (
 		}
 	}
 	for l := 1; l < len(q.buckets); l++ {
-		if m != nil && len(q.buckets[l]) > 0 {
-			cands += len(q.buckets[l])
-			if l > maxBucket {
-				maxBucket = l
-			}
-		}
 		settleBucket(q.buckets[l], l, ClassProvider, exportDown)
 		q.buckets[l] = q.buckets[l][:0]
 	}
@@ -426,9 +408,6 @@ func PropagateResult(g *topology.Graph, injections []Injection, tb TieBreaker) (
 	if m != nil {
 		m.total.Inc()
 		m.seconds.Observe(time.Since(start).Seconds())
-		m.candidates.Observe(float64(cands))
-		m.buckets.Observe(float64(maxBucket))
-		m.settled.Observe(float64(settledCount))
 	}
 	return &Result{
 		idx:          idx,

@@ -121,6 +121,17 @@ func TestMetricsScrapeDuringSolve(t *testing.T) {
 		t.Errorf("core_solve_seconds count=%v sum=%v, want both positive",
 			after["core_solve_seconds_count"], after["core_solve_seconds_sum"])
 	}
+
+	// The realized-benefit gauge is the latest iteration's realized
+	// benefit, the same number /reports ends with.
+	var reports []ReportJSON
+	if rec := do(t, s.Handler(), "GET", "/reports", nil, &reports); rec.Code != 200 || len(reports) == 0 {
+		t.Fatalf("reports = %d, %d entries", rec.Code, len(reports))
+	}
+	last := reports[len(reports)-1].Realized
+	if got, ok := after["core_realized_benefit_ms"]; !ok || got != last {
+		t.Errorf("core_realized_benefit_ms = %v (present %v), want the last report's %v", got, ok, last)
+	}
 }
 
 // TestDebugObsEndpoint checks the JSON snapshot endpoint agrees with

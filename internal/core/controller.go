@@ -149,7 +149,6 @@ func (c *Controller) live(id bgp.IngressID) bool { return !c.w.IngressDown(id) }
 func (c *Controller) enqueue(ev netsim.Event) {
 	c.mu.Lock()
 	c.pending = append(c.pending, ev)
-	c.rm.pendingEvents.Set(float64(len(c.pending)))
 	c.mu.Unlock()
 }
 
@@ -197,7 +196,6 @@ func (c *Controller) Sync() (Config, SyncReport, error) {
 	c.mu.Lock()
 	evs := c.pending
 	c.pending = nil
-	c.rm.pendingEvents.Set(0)
 	c.mu.Unlock()
 
 	rep := SyncReport{Events: len(evs)}

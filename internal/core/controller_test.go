@@ -19,6 +19,7 @@ import (
 
 	"painter/internal/bgp"
 	"painter/internal/netsim"
+	"painter/internal/obs"
 	"painter/internal/usergroup"
 )
 
@@ -29,8 +30,15 @@ const ctrlBudget = 5
 const repairTolerance = 0.90
 
 func newTestController(t *testing.T, b *testBench) *Controller {
+	return newTestControllerObs(t, b, nil)
+}
+
+// newTestControllerObs builds the controller with its metrics on reg.
+func newTestControllerObs(t *testing.T, b *testBench, reg *obs.Registry) *Controller {
 	t.Helper()
-	c, err := NewController(b.world, b.ugs, ControllerParams{Solver: DefaultParams(ctrlBudget)})
+	p := DefaultParams(ctrlBudget)
+	p.Obs = reg
+	c, err := NewController(b.world, b.ugs, ControllerParams{Solver: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +123,25 @@ func assertNoneContain(t *testing.T, cfg Config, ids ...bgp.IngressID) {
 	}
 }
 
-// ctrlRig is a world and the controller under test.
+// ctrlRig is a world and the controller under test, whose metrics go to
+// reg. want tallies the sync reports by the counter each one moves.
 type ctrlRig struct {
-	t *testing.T
-	b *testBench
-	c *Controller
+	t    *testing.T
+	b    *testBench
+	c    *Controller
+	reg  *obs.Registry
+	want map[string]uint64
 }
 
 func newCtrlRig(t *testing.T, seed int64) *ctrlRig {
 	t.Helper()
-	r := &ctrlRig{t: t, b: newBench(t, seed)}
-	r.c = newTestController(t, r.b)
+	r := &ctrlRig{t: t, b: newBench(t, seed), reg: obs.NewRegistry(), want: map[string]uint64{
+		"core_controller_events_total": 0,
+		"core_repairs_total":           0,
+		"core_full_resolves_total":     0,
+		"core_repair_noops_total":      0,
+	}}
+	r.c = newTestControllerObs(t, r.b, r.reg)
 	return r
 }
 
@@ -142,7 +158,32 @@ func (r *ctrlRig) sync() (Config, SyncReport) {
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	r.want["core_controller_events_total"] += uint64(rep.Events)
+	switch {
+	case rep.Repaired:
+		r.want["core_repairs_total"]++
+	case rep.FullSolve:
+		r.want["core_full_resolves_total"]++
+	case rep.Events > 0:
+		r.want["core_repair_noops_total"]++
+	}
 	return cfg, rep
+}
+
+// checkMetrics asserts the controller's counters equal the tally of
+// its sync reports, and that every placed prefix was a timed grow.
+func (r *ctrlRig) checkMetrics() {
+	r.t.Helper()
+	snap := r.reg.Snapshot()
+	for name, n := range r.want {
+		if got := snap.Counters[name]; got != n {
+			r.t.Errorf("%s = %d, the sync reports say %d", name, got, n)
+		}
+	}
+	placed := snap.Counters["core_prefixes_placed_total"]
+	if grows := snap.Histograms["core_prefix_grow_seconds"].Count; placed == 0 || grows < placed {
+		r.t.Errorf("core_prefix_grow_seconds count %d, core_prefixes_placed_total %d: want placed > 0 and a timed grow per placement", grows, placed)
+	}
 }
 
 // TestControllerDirtySetPerKind drives each of the 7 event kinds through
@@ -306,6 +347,7 @@ func TestControllerDirtySetPerKind(t *testing.T) {
 			if err := after.Validate(r.b.world.Deploy); err != nil {
 				t.Fatalf("synced config invalid: %v", err)
 			}
+			r.checkMetrics()
 			// Exact differential: a full compute on the controller's
 			// refreshed model must land on the cold solve byte-for-byte
 			// (the refreshed model IS the cold model).

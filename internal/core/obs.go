@@ -10,10 +10,8 @@ import "painter/internal/obs"
 type solveMetrics struct {
 	iterations        *obs.Counter
 	prefixesPlaced    *obs.Counter
-	factsLearned      *obs.Counter
 	realizedBenefit   *obs.Gauge
 	solveSeconds      *obs.Histogram
-	executeSeconds    *obs.Histogram
 	prefixGrowSeconds *obs.Histogram
 }
 
@@ -24,10 +22,8 @@ func newSolveMetrics(r *obs.Registry) solveMetrics {
 	return solveMetrics{
 		iterations:        r.Counter("core_solve_iterations_total", "advertise-measure-learn rounds completed"),
 		prefixesPlaced:    r.Counter("core_prefixes_placed_total", "prefixes allocated by the greedy inner loop"),
-		factsLearned:      r.Counter("core_facts_learned_total", "preference facts harvested by Learn"),
 		realizedBenefit:   r.Gauge("core_realized_benefit_ms", "weighted realized benefit of the latest iteration (ms)"),
 		solveSeconds:      r.Histogram("core_solve_seconds", "wall time of one full Solve call"),
-		executeSeconds:    r.Histogram("core_execute_seconds", "wall time of one Executor.Execute call"),
 		prefixGrowSeconds: r.Histogram("core_prefix_grow_seconds", "wall time of growing one prefix's peering set"),
 	}
 }
@@ -43,7 +39,6 @@ type repairMetrics struct {
 	noops         *obs.Counter
 	repairSeconds *obs.Histogram
 	dirtyFraction *obs.Gauge
-	pendingEvents *obs.Gauge
 }
 
 func newRepairMetrics(r *obs.Registry) repairMetrics {
@@ -57,7 +52,6 @@ func newRepairMetrics(r *obs.Registry) repairMetrics {
 		noops:         r.Counter("core_repair_noops_total", "syncs that dirtied nothing (traffic-only or absorbed events)"),
 		repairSeconds: r.Histogram("core_repair_seconds", "wall time of one controller sync that recomputed config"),
 		dirtyFraction: r.Gauge("core_repair_dirty_fraction", "dirty prefixes / config prefixes at the latest sync"),
-		pendingEvents: r.Gauge("core_pending_events", "world events queued and not yet consumed by Sync"),
 	}
 }
 

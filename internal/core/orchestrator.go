@@ -214,10 +214,6 @@ func (o *Orchestrator) Solve() (Config, error) {
 			iterSpan.Finish()
 			return cfg, nil
 		}
-		var execStart time.Time
-		if o.m.on() {
-			execStart = time.Now()
-		}
 		execSpan := iterSpan.StartChild("core.execute",
 			span.A("prefixes", strconv.Itoa(cfg.NumPrefixes())))
 		var obs []Observation
@@ -232,13 +228,9 @@ func (o *Orchestrator) Solve() (Config, error) {
 			iterSpan.Finish()
 			return Config{}, fmt.Errorf("core: execute iteration %d: %w", iter+1, err)
 		}
-		if o.m.on() {
-			o.m.executeSeconds.Observe(time.Since(execStart).Seconds())
-		}
 		rep.RealizedBenefit = o.RealizedBenefit(obs)
 		rep.FactsLearned = o.Learn(cfg, obs)
 		o.m.iterations.Inc()
-		o.m.factsLearned.Add(uint64(rep.FactsLearned))
 		o.m.realizedBenefit.Set(rep.RealizedBenefit)
 		o.reports = append(o.reports, rep)
 		iterSpan.SetAttr("facts_learned", strconv.Itoa(rep.FactsLearned))

@@ -1,8 +1,9 @@
-// Package daemon holds the observability plumbing shared by the four
-// standalone commands (painterd, route-server, tm-edge, tm-pop):
-// structured logging flags, tracer construction with head sampling, and
-// the shutdown-time flight-recorder dump. It exists so each main stays
-// a thin flag-to-config adapter instead of quadruplicating this wiring.
+// Package daemon holds the plumbing shared by the four standalone
+// commands (painterd, route-server, tm-edge, tm-pop): structured
+// logging flags, tracer construction with head sampling, the
+// shutdown-time flight-recorder dump, and the TM pair's -dest flag. It
+// exists so each main stays a thin flag-to-config adapter instead of
+// repeating this wiring.
 package daemon
 
 import (

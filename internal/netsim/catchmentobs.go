@@ -13,13 +13,10 @@ import (
 	"painter/internal/obs"
 )
 
-// CatchmentGauges publishes a Catchment as gauges on a registry:
-// catchment_pop_share{pop="N"} per PoP plus catchment_inflated_frac
-// and catchment_ugs.
+// CatchmentGauges publishes a Catchment's per-PoP shares as
+// catchment_pop_share{pop="N"} gauges on a registry.
 type CatchmentGauges struct {
-	share    map[cloud.PoPID]*obs.Gauge
-	inflated *obs.Gauge
-	ugs      *obs.Gauge
+	share map[cloud.PoPID]*obs.Gauge
 }
 
 // NewCatchmentGauges registers one share gauge per PoP of the
@@ -31,9 +28,6 @@ func NewCatchmentGauges(r *obs.Registry, d *cloud.Deployment) *CatchmentGauges {
 			"share of anycast traffic volume landing at this PoP",
 			obs.L("pop", strconv.Itoa(int(p.ID))))
 	}
-	g.inflated = r.Gauge("catchment_inflated_frac",
-		"traffic-weighted share landing beyond the inflation threshold")
-	g.ugs = r.Gauge("catchment_ugs", "user groups with an anycast route")
 	return g
 }
 
@@ -46,6 +40,4 @@ func (g *CatchmentGauges) Set(c *Catchment) {
 	for id, gauge := range g.share {
 		gauge.Set(c.PoPShare[id])
 	}
-	g.inflated.Set(c.InflatedFrac)
-	g.ugs.Set(float64(c.UGs))
 }

@@ -249,10 +249,7 @@ func (w *World) ApplyEvent(ev Event) error {
 	}
 	w.eventSeq++
 	ev.Seq = w.eventSeq
-	w.obs.peeringsDown.Set(float64(w.peeringDownN))
-	w.obs.popsDown.Set(float64(w.popDownN))
 	w.overlayMu.Unlock()
-	w.obs.events[ev.Kind].Inc()
 
 	// Precise cache invalidation (see the package comment above).
 	if len(wentDown) > 0 {
@@ -361,7 +358,6 @@ func (w *World) prefFlipCount(k prefKey) uint64 {
 // cached winner just failed; entries won by other ingresses are still
 // correct (removing a losing candidate cannot change a minimum).
 func (w *World) invalidateBestForDown(ids []bgp.IngressID) {
-	dropped := 0
 	w.polMu.Lock()
 	for _, row := range w.bestRows {
 		for m := range row {
@@ -372,14 +368,12 @@ func (w *World) invalidateBestForDown(ids []bgp.IngressID) {
 			for _, id := range ids {
 				if v.ing == id {
 					*v = bestVal{}
-					dropped++
 					break
 				}
 			}
 		}
 	}
 	w.polMu.Unlock()
-	w.obs.bestInval.Add(uint64(dropped))
 }
 
 // invalidateBestForUp drops BestIngressLatency memo entries a recovered
@@ -435,7 +429,6 @@ func (w *World) invalidateBestForUp(ids []bgp.IngressID) {
 		w.bestRows[s.ai][s.mo] = bestVal{}
 	}
 	w.polMu.Unlock()
-	w.obs.bestInval.Add(uint64(len(stale)))
 }
 
 // dropResolveContaining removes propagation-cache entries whose peering

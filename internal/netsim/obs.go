@@ -1,11 +1,11 @@
 package netsim
 
 // Observability: every World carries an obs.Registry so cache
-// efficiency, the event overlay, and the simulation clock are
-// inspectable in one place. Counters are lock-free atomics; the only
-// hot path they touch (prefScore) sits behind the TieBreaker's
-// per-goroutine memo, so the steady-state cost is one atomic add per
-// world-cache lookup — nothing per propagated route.
+// efficiency and the simulation clock are inspectable in one place.
+// Counters are lock-free atomics; the only hot path they touch
+// (prefScore) sits behind the TieBreaker's per-goroutine memo, so the
+// steady-state cost is one atomic add per world-cache lookup — nothing
+// per propagated route.
 
 import "painter/internal/obs"
 
@@ -25,24 +25,16 @@ type worldObs struct {
 	prefMiss  *obs.Counter
 	prefInval *obs.Counter
 
-	policyHits *obs.Counter
-	policyMiss *obs.Counter
+	bestHits *obs.Counter
+	bestMiss *obs.Counter
 
-	bestHits  *obs.Counter
-	bestMiss  *obs.Counter
-	bestInval *obs.Counter
-
-	events map[EventKind]*obs.Counter
-
-	day          *obs.Gauge
-	peeringsDown *obs.Gauge
-	popsDown     *obs.Gauge
+	day *obs.Gauge
 }
 
 // newWorldObs registers the netsim metric families on a fresh registry.
 func newWorldObs() worldObs {
 	r := obs.NewRegistry()
-	m := worldObs{
+	return worldObs{
 		reg: r,
 
 		resolveHits:  r.Counter("netsim_resolve_cache_hits_total", "propagation-cache hits in ResolveIngress"),
@@ -55,26 +47,11 @@ func newWorldObs() worldObs {
 		prefMiss:  r.Counter("netsim_prefscore_cache_misses_total", "hidden-preference memo misses"),
 		prefInval: r.Counter("netsim_prefscore_cache_invalidations_total", "hidden-preference memo entries dropped by SetDay or pref flips"),
 
-		policyHits: r.Counter("netsim_policy_cache_hits_total", "PolicyCompliant memo hits"),
-		policyMiss: r.Counter("netsim_policy_cache_misses_total", "PolicyCompliant memo misses"),
+		bestHits: r.Counter("netsim_best_ingress_cache_hits_total", "BestIngressLatency memo hits"),
+		bestMiss: r.Counter("netsim_best_ingress_cache_misses_total", "BestIngressLatency memo misses"),
 
-		bestHits:  r.Counter("netsim_best_ingress_cache_hits_total", "BestIngressLatency memo hits"),
-		bestMiss:  r.Counter("netsim_best_ingress_cache_misses_total", "BestIngressLatency memo misses"),
-		bestInval: r.Counter("netsim_best_ingress_cache_invalidations_total", "BestIngressLatency memo entries dropped by failure/recovery events"),
-
-		events: make(map[EventKind]*obs.Counter, 7),
-
-		day:          r.Gauge("netsim_day", "current simulation day"),
-		peeringsDown: r.Gauge("netsim_peerings_down", "peerings currently failed directly (not via PoP outage)"),
-		popsDown:     r.Gauge("netsim_pops_down", "PoPs currently failed"),
+		day: r.Gauge("netsim_day", "current simulation day"),
 	}
-	for _, k := range []EventKind{
-		EventPeeringDown, EventPeeringUp, EventPoPDown, EventPoPUp,
-		EventLatencySpike, EventProbeLoss, EventPrefFlip,
-	} {
-		m.events[k] = r.Counter("netsim_events_total", "world events applied, by kind", obs.L("kind", k.String()))
-	}
-	return m
 }
 
 // Obs returns the world's metrics registry (nil for a zero World).
@@ -97,12 +74,8 @@ type CacheStats struct {
 	PrefScoreMisses        uint64
 	PrefScoreInvalidations uint64
 
-	PolicyHits   uint64
-	PolicyMisses uint64
-
-	BestIngressHits          uint64
-	BestIngressMisses        uint64
-	BestIngressInvalidations uint64
+	BestIngressHits   uint64
+	BestIngressMisses uint64
 }
 
 // CacheStats snapshots every cache counter from the obs registry.
@@ -119,11 +92,7 @@ func (w *World) CacheStats() CacheStats {
 		PrefScoreMisses:        m.prefMiss.Value(),
 		PrefScoreInvalidations: m.prefInval.Value(),
 
-		PolicyHits:   m.policyHits.Value(),
-		PolicyMisses: m.policyMiss.Value(),
-
-		BestIngressHits:          m.bestHits.Value(),
-		BestIngressMisses:        m.bestMiss.Value(),
-		BestIngressInvalidations: m.bestInval.Value(),
+		BestIngressHits:   m.bestHits.Value(),
+		BestIngressMisses: m.bestMiss.Value(),
 	}
 }

@@ -907,11 +907,9 @@ func (w *World) compliantRow(asn topology.ASN) ([]bgp.IngressID, error) {
 	w.polMu.Lock()
 	if r := w.polRows[ai]; r != nil {
 		w.polMu.Unlock()
-		w.obs.policyHits.Inc()
 		return r, nil
 	}
 	w.polMu.Unlock()
-	w.obs.policyMiss.Inc()
 
 	up := w.ancRow(ai)
 	// upPeer: up ∪ peers(up), as dense-ordinal membership bitmaps.

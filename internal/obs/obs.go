@@ -42,7 +42,7 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n. Negative deltas are ignored: counters are monotone.
+// Add adds n; n is unsigned, so a counter only grows.
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return

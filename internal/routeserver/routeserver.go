@@ -12,7 +12,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"painter/internal/bgp"
@@ -34,7 +33,9 @@ type Config struct {
 	// Logf, when set, receives event logs.
 	Logf func(format string, args ...any)
 	// Obs, when non-nil, receives route-server metrics (update/withdraw
-	// counters, session and flap-damping gauges).
+	// counters, session and flap-damping gauges); nil keeps them in a
+	// private registry. Stats reads these counters, so each server
+	// needs a registry of its own.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records one span per update message with
 	// child spans for each announce/withdraw decision, including whether
@@ -53,33 +54,30 @@ type Server struct {
 	sessions map[bgp.PeerID]*session
 	nextPeer uint32
 
-	updates    atomic.Uint64
-	withdraws  atomic.Uint64
-	suppressed atomic.Uint64
-
 	m rsMetrics
 
 	wg     sync.WaitGroup
 	closed chan struct{}
 }
 
-// rsMetrics bundles the route server's obs handles (nil-safe).
+// rsMetrics bundles the route server's obs handles, the one home of
+// the counters Stats reports.
 type rsMetrics struct {
 	updates    *obs.Counter
 	withdraws  *obs.Counter
 	suppressed *obs.Counter
-	sessionsUp *obs.Counter
 }
 
+// newRSMetrics registers the route server's metrics on r, or on a
+// private registry when r is nil.
 func newRSMetrics(r *obs.Registry, s *Server) rsMetrics {
 	if r == nil {
-		return rsMetrics{}
+		r = obs.NewRegistry()
 	}
 	m := rsMetrics{
 		updates:    r.Counter("routeserver_updates_total", "NLRI announcements received"),
 		withdraws:  r.Counter("routeserver_withdraws_total", "prefix withdrawals received"),
 		suppressed: r.Counter("routeserver_suppressed_total", "announcements suppressed by flap damping"),
-		sessionsUp: r.Counter("routeserver_sessions_opened_total", "BGP sessions accepted"),
 	}
 	r.GaugeFunc("routeserver_sessions", "live BGP sessions", func() float64 {
 		s.mu.Lock()
@@ -152,9 +150,9 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	return Stats{
 		Sessions:            n,
-		Updates:             s.updates.Load(),
-		Withdraws:           s.withdraws.Load(),
-		SuppressedAnnounces: s.suppressed.Load(),
+		Updates:             s.m.updates.Value(),
+		Withdraws:           s.m.withdraws.Value(),
+		SuppressedAnnounces: s.m.suppressed.Value(),
 		Prefixes:            s.rib.Size(),
 	}
 }
@@ -210,7 +208,6 @@ func (s *Server) serve(conn net.Conn) {
 	sess := &session{id: id, speaker: sp, remote: conn.RemoteAddr().String()}
 	s.sessions[id] = sess
 	s.mu.Unlock()
-	s.m.sessionsUp.Inc()
 	s.cfg.Logf("routeserver: session %d up with AS%d (%s)", id, sp.PeerOpen.AS, sess.remote)
 
 	sp.OnUpdate = func(u bgp.Update) { s.handleUpdate(id, sp.PeerOpen.AS, u) }
@@ -234,7 +231,6 @@ func (s *Server) handleUpdate(peer bgp.PeerID, peerAS uint16, u bgp.Update) {
 		defer us.Finish()
 	}
 	for _, p := range u.Withdrawn {
-		s.withdraws.Add(1)
 		s.m.withdraws.Inc()
 		if s.dmp != nil {
 			s.dmp.OnWithdraw(p)
@@ -246,7 +242,6 @@ func (s *Server) handleUpdate(peer bgp.PeerID, peerAS uint16, u bgp.Update) {
 		}
 	}
 	for _, p := range u.NLRI {
-		s.updates.Add(1)
 		s.m.updates.Inc()
 		var as *span.Span
 		if us != nil {
@@ -255,7 +250,6 @@ func (s *Server) handleUpdate(peer bgp.PeerID, peerAS uint16, u bgp.Update) {
 		if s.dmp != nil {
 			s.dmp.OnAttrChange(p)
 			if s.dmp.Suppressed(p) {
-				s.suppressed.Add(1)
 				s.m.suppressed.Inc()
 				if as != nil {
 					as.SetAttr("damped", "true")

@@ -3,10 +3,12 @@ package routeserver
 import (
 	"net"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
 	"painter/internal/bgp"
+	"painter/internal/obs"
 )
 
 func startServer(t *testing.T, damping *bgp.DampingConfig) *Server {
@@ -137,4 +139,64 @@ func TestServerDampingSuppressesFlapper(t *testing.T) {
 		_, ok := s.RIB().Best(netip.MustParsePrefix("10.9.0.0/24"))
 		return ok
 	}, "stable prefix should be accepted")
+}
+
+// TestStatsReadRegistry: Stats and the registry are one set of
+// counters, so after announcements, withdrawals and damping every
+// Stats field equals its scraped metric.
+func TestStatsReadRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	damping := bgp.DefaultDampingConfig()
+	s, err := New(Config{
+		ListenAddr: "127.0.0.1:0",
+		LocalAS:    64999,
+		BGPID:      0x0a00f311,
+		HoldTime:   5 * time.Second,
+		Damping:    &damping,
+		Obs:        reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	sp := dialSpeaker(t, s.Addr(), 64500)
+	p := "10.0.0.0/24"
+	for i := 0; i < 4; i++ {
+		announce(t, sp, p, 64500)
+		if err := sp.SendUpdate(bgp.Update{Withdrawn: []netip.Prefix{netip.MustParsePrefix(p)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	announce(t, sp, p, 64500)
+	// The session is one ordered stream: once its last update is in
+	// the RIB, every earlier one has been counted.
+	announce(t, sp, "10.9.0.0/24", 64500)
+	waitFor(t, func() bool {
+		_, ok := s.RIB().Best(netip.MustParsePrefix("10.9.0.0/24"))
+		return ok
+	}, "last announcement not applied")
+
+	st, snap := s.Stats(), reg.Snapshot()
+	if st.SuppressedAnnounces == 0 || st.Withdraws == 0 {
+		t.Fatalf("traffic did not exercise damping and withdrawals: %+v", st)
+	}
+	fields := []struct {
+		field  string
+		stat   float64
+		scrape float64
+	}{
+		{"Updates", float64(st.Updates), float64(snap.Counters["routeserver_updates_total"])},
+		{"Withdraws", float64(st.Withdraws), float64(snap.Counters["routeserver_withdraws_total"])},
+		{"SuppressedAnnounces", float64(st.SuppressedAnnounces), float64(snap.Counters["routeserver_suppressed_total"])},
+		{"Sessions", float64(st.Sessions), snap.Gauges["routeserver_sessions"]},
+		{"Prefixes", float64(st.Prefixes), snap.Gauges["routeserver_rib_prefixes"]},
+	}
+	if n := reflect.TypeOf(st).NumField(); n != len(fields) {
+		t.Errorf("Stats has %d fields, the test's table %d", n, len(fields))
+	}
+	for _, c := range fields {
+		if c.stat != c.scrape {
+			t.Errorf("Stats().%s = %v, registry reads %v", c.field, c.stat, c.scrape)
+		}
+	}
 }

@@ -94,6 +94,51 @@ func scrapeMetrics(t *testing.T, d *daemon, url string) map[string]float64 {
 	return nil
 }
 
+// fleet is the four daemons, each serving its /metrics: a tm-pop, a
+// tm-edge probing it, a route-server and painterd.
+type fleet struct {
+	pop, edge, rs, pd             *daemon
+	popURL, edgeURL, rsURL, pdURL string
+}
+
+// startFleet builds and starts the four daemons. The pop serves before
+// the edge starts, since the edge resolves its destinations through it.
+func startFleet(t *testing.T) fleet {
+	t.Helper()
+	root := repoRoot(t)
+	dir := t.TempDir()
+	popBin := buildBinary(t, root, dir, "cmd/tm-pop")
+	edgeBin := buildBinary(t, root, dir, "cmd/tm-edge")
+	rsBin := buildBinary(t, root, dir, "cmd/route-server")
+	pdBin := buildBinary(t, root, dir, "cmd/painterd")
+	var f fleet
+
+	popAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	popMetrics := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	f.pop = startDaemon(t, "tm-pop", popBin,
+		"-listen", popAddr, "-pop-id", "1", "-dest", popAddr+",1",
+		"-stats-interval", "0", "-metrics-listen", popMetrics)
+	f.popURL = "http://" + popMetrics + "/metrics"
+	scrapeMetrics(t, f.pop, f.popURL)
+
+	edgeMetrics := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	f.edge = startDaemon(t, "tm-edge", edgeBin,
+		"-resolve", popAddr, "-service", "default",
+		"-probe-interval", "20ms", "-metrics-listen", edgeMetrics)
+	f.edgeURL = "http://" + edgeMetrics + "/metrics"
+
+	rsAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	rsMetrics := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	f.rs = startDaemon(t, "route-server", rsBin,
+		"-listen", rsAddr, "-log-interval", "0", "-metrics-listen", rsMetrics)
+	f.rsURL = "http://" + rsMetrics + "/metrics"
+
+	pdAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	f.pd = startDaemon(t, "painterd", pdBin, "-listen", pdAddr, "-scale", "small", "-seed", "3")
+	f.pdURL = "http://" + pdAddr + "/metrics"
+	return f
+}
+
 // TestDaemonMetricsSmoke runs all four daemons, scrapes /metrics on
 // each, and checks the TM pair plus route-server shut down gracefully
 // with a final snapshot flush.
@@ -101,35 +146,19 @@ func TestDaemonMetricsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke test")
 	}
-	root := repoRoot(t)
-	dir := t.TempDir()
-	popBin := buildBinary(t, root, dir, "cmd/tm-pop")
-	edgeBin := buildBinary(t, root, dir, "cmd/tm-edge")
-	rsBin := buildBinary(t, root, dir, "cmd/route-server")
-	pdBin := buildBinary(t, root, dir, "cmd/painterd")
-
-	popAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	popMetrics := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	pop := startDaemon(t, "tm-pop", popBin,
-		"-listen", popAddr, "-pop-id", "1", "-dest", popAddr+",1",
-		"-stats-interval", "0", "-metrics-listen", popMetrics)
-	popSamples := scrapeMetrics(t, pop, "http://"+popMetrics+"/metrics")
+	f := startFleet(t)
+	popSamples := scrapeMetrics(t, f.pop, f.popURL)
 	if _, ok := popSamples["tm_pop_active_flows"]; !ok {
 		t.Errorf("tm-pop exposition missing tm_pop_active_flows: %v", popSamples)
 	}
 
-	edgeMetrics := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	edge := startDaemon(t, "tm-edge", edgeBin,
-		"-resolve", popAddr, "-service", "default",
-		"-probe-interval", "20ms", "-metrics-listen", edgeMetrics)
-	edgeURL := "http://" + edgeMetrics + "/metrics"
-	samples := scrapeMetrics(t, edge, edgeURL)
+	samples := scrapeMetrics(t, f.edge, f.edgeURL)
 	// The edge probes its destination continuously; within a few rounds
 	// the probe counters and RTT histogram must move.
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) && samples["tm_edge_probe_replies_total"] == 0 {
 		time.Sleep(100 * time.Millisecond)
-		samples = scrapeMetrics(t, edge, edgeURL)
+		samples = scrapeMetrics(t, f.edge, f.edgeURL)
 	}
 	if samples["tm_edge_probes_sent_total"] == 0 {
 		t.Error("tm-edge sent no probes")
@@ -144,24 +173,18 @@ func TestDaemonMetricsSmoke(t *testing.T) {
 		t.Error("tm-edge shows no alive destinations")
 	}
 
-	rsAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	rsMetrics := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	rs := startDaemon(t, "route-server", rsBin,
-		"-listen", rsAddr, "-log-interval", "0", "-metrics-listen", rsMetrics)
-	rsSamples := scrapeMetrics(t, rs, "http://"+rsMetrics+"/metrics")
+	rsSamples := scrapeMetrics(t, f.rs, f.rsURL)
 	for _, name := range []string{"routeserver_sessions", "routeserver_rib_prefixes", "routeserver_damped_prefixes"} {
 		if _, ok := rsSamples[name]; !ok {
 			t.Errorf("route-server exposition missing %s", name)
 		}
 	}
 
-	pdAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	pd := startDaemon(t, "painterd", pdBin, "-listen", pdAddr, "-scale", "small", "-seed", "3")
-	pdSamples := scrapeMetrics(t, pd, "http://"+pdAddr+"/metrics")
+	pdSamples := scrapeMetrics(t, f.pd, f.pdURL)
 	if _, ok := pdSamples["netsim_day"]; !ok {
 		t.Errorf("painterd exposition missing netsim_day: %v", pdSamples)
 	}
-	resp, err := http.Get("http://" + pdAddr + "/debug/obs")
+	resp, err := http.Get(strings.TrimSuffix(f.pdURL, "/metrics") + "/debug/obs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +194,8 @@ func TestDaemonMetricsSmoke(t *testing.T) {
 	}
 
 	// Graceful shutdown: SIGTERM → clean exit with a snapshot flush.
-	edge.stopGracefully(t)
-	pop.stopGracefully(t)
-	rs.stopGracefully(t)
-	pd.stopGracefully(t)
+	f.edge.stopGracefully(t)
+	f.pop.stopGracefully(t)
+	f.rs.stopGracefully(t)
+	f.pd.stopGracefully(t)
 }

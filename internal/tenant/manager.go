@@ -56,17 +56,6 @@ type Manager struct {
 	kick     chan struct{}
 	stop     chan struct{}
 	loopDone chan struct{}
-
-	reg          *obs.Registry
-	reconciles   *obs.Counter
-	creates      *obs.Counter
-	inPlaceUpds  *obs.Counter
-	rebuilds     *obs.Counter
-	removes      *obs.Counter
-	failures     *obs.Counter
-	specsGauge   *obs.Gauge
-	runningGauge *obs.Gauge
-	buildSecs    *obs.Histogram
 }
 
 // NewManager builds a Manager with an empty store and starts its
@@ -78,7 +67,6 @@ func NewManager(p Params) *Manager {
 	if p.ReconcileInterval <= 0 {
 		p.ReconcileInterval = 200 * time.Millisecond
 	}
-	reg := obs.NewRegistry()
 	m := &Manager{
 		store:     NewStore(),
 		logger:    p.Logger,
@@ -87,25 +75,6 @@ func NewManager(p Params) *Manager {
 		kick:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
-		reg:       reg,
-		reconciles: reg.Counter("tenant_reconciles_total",
-			"Reconcile passes run."),
-		creates: reg.Counter("tenant_creates_total",
-			"Tenant runtimes built (excluding rebuilds)."),
-		inPlaceUpds: reg.Counter("tenant_updates_inplace_total",
-			"Spec updates applied without a world rebuild."),
-		rebuilds: reg.Counter("tenant_updates_rebuild_total",
-			"Spec updates that tore down and rebuilt the world."),
-		removes: reg.Counter("tenant_removes_total",
-			"Tenant runtimes torn down because their spec was deleted."),
-		failures: reg.Counter("tenant_build_failures_total",
-			"Tenant builds that failed validation-passing specs at runtime."),
-		specsGauge: reg.Gauge("tenant_specs",
-			"Specs currently stored (desired state)."),
-		runningGauge: reg.Gauge("tenant_running",
-			"Tenant runtimes currently in phase Running or Paused."),
-		buildSecs: reg.Histogram("tenant_build_seconds",
-			"Wall time to build one tenant world + controller."),
 	}
 	go m.loop(p.ReconcileInterval)
 	return m
@@ -176,7 +145,6 @@ func (m *Manager) Reconcile() {
 	}
 	m.mu.Unlock()
 
-	m.reconciles.Inc()
 	desired := m.store.List()
 	want := make(map[string]Stored, len(desired))
 	for _, st := range desired {
@@ -196,7 +164,6 @@ func (m *Manager) Reconcile() {
 	sort.Slice(gone, func(i, j int) bool { return gone[i].id < gone[j].id })
 	for _, in := range gone {
 		m.teardown(in, "removed")
-		m.removes.Inc()
 	}
 
 	for _, st := range desired {
@@ -205,7 +172,6 @@ func (m *Manager) Reconcile() {
 		m.mu.Unlock()
 		if in == nil {
 			in = m.create(st)
-			m.creates.Inc()
 			m.mu.Lock()
 			m.instances[st.ID] = in
 			m.mu.Unlock()
@@ -220,7 +186,6 @@ func (m *Manager) Reconcile() {
 		if failed || NeedsRebuild(curSpec, st.Spec) {
 			m.teardown(in, "rebuild")
 			nin := m.create(st)
-			m.rebuilds.Inc()
 			m.mu.Lock()
 			m.instances[st.ID] = nin
 			m.mu.Unlock()
@@ -230,31 +195,9 @@ func (m *Manager) Reconcile() {
 			m.logger.Error("tenant in-place update failed", "tenant", st.ID, "err", err)
 			continue
 		}
-		m.inPlaceUpds.Inc()
 		m.logger.Info("tenant updated in place", "tenant", st.ID,
 			"generation", st.Generation)
 	}
-
-	m.specsGauge.Set(float64(m.store.Len()))
-	m.runningGauge.Set(float64(m.countHealthy()))
-}
-
-func (m *Manager) countHealthy() int {
-	m.mu.Lock()
-	ins := make([]*instance, 0, len(m.instances))
-	for _, in := range m.instances {
-		ins = append(ins, in)
-	}
-	m.mu.Unlock()
-	n := 0
-	for _, in := range ins {
-		in.mu.Lock()
-		if in.phase == PhaseRunning || in.phase == PhasePaused {
-			n++
-		}
-		in.mu.Unlock()
-	}
-	return n
 }
 
 // create builds a runtime for st and starts its tick loop; a build
@@ -262,9 +205,7 @@ func (m *Manager) countHealthy() int {
 func (m *Manager) create(st Stored) *instance {
 	start := time.Now()
 	in, err := buildInstance(st, m.logger, m.trace)
-	m.buildSecs.Observe(time.Since(start).Seconds())
 	if err != nil {
-		m.failures.Inc()
 		m.logger.Error("tenant build failed", "tenant", st.ID, "err", err)
 		return failedInstance(st, m.logger, err)
 	}
@@ -374,9 +315,9 @@ func (m *Manager) Config(id string) (core.Config, bool) {
 	return in.config(), true
 }
 
-// Registries returns every exposition registry the manager owns: its
-// own first, then each tenant's (controller registry, then world
-// registry), sorted by tenant ID. The control API scrapes this on
+// Registries returns every exposition registry the manager owns: each
+// tenant's (controller registry, then world registry), sorted by
+// tenant ID. The control API scrapes this on
 // every /metrics request, so tenants appear and disappear from the
 // exposition as they are reconciled.
 func (m *Manager) Registries() []*obs.Registry {
@@ -387,15 +328,12 @@ func (m *Manager) Registries() []*obs.Registry {
 	}
 	m.mu.Unlock()
 	sort.Slice(ins, func(i, j int) bool { return ins[i].id < ins[j].id })
-	out := []*obs.Registry{m.reg}
+	var out []*obs.Registry
 	for _, in := range ins {
 		out = append(out, in.registries()...)
 	}
 	return out
 }
-
-// Obs returns the manager's own registry (lifecycle counters).
-func (m *Manager) Obs() *obs.Registry { return m.reg }
 
 // TenantAlerts is one tenant's alert view: current instance states plus
 // the recent transition stream (the /alerts payload element).
@@ -485,5 +423,4 @@ func (m *Manager) Close() {
 	for _, in := range ins {
 		m.teardown(in, "shutdown")
 	}
-	m.runningGauge.Set(0)
 }

@@ -380,11 +380,11 @@ func TestManagerRegistriesLabeled(t *testing.T) {
 	}
 	m.Reconcile()
 	regs := m.Registries()
-	// Manager registry first (unlabeled), then the tenant's two.
-	if len(regs) != 3 {
-		t.Fatalf("got %d registries, want 3", len(regs))
+	// The tenant's controller and world registries.
+	if len(regs) != 2 {
+		t.Fatalf("got %d registries, want 2", len(regs))
 	}
-	for _, r := range regs[1:] {
+	for _, r := range regs {
 		ls := r.BaseLabels()
 		if len(ls) != 1 || ls[0].Key != "tenant" || ls[0].Value != "acme" {
 			t.Errorf("tenant registry base labels = %v", ls)
@@ -392,7 +392,7 @@ func TestManagerRegistriesLabeled(t *testing.T) {
 	}
 	m.Remove("acme")
 	m.Reconcile()
-	if got := len(m.Registries()); got != 1 {
-		t.Errorf("registries after removal = %d, want 1", got)
+	if got := len(m.Registries()); got != 0 {
+		t.Errorf("registries after removal = %d, want 0", got)
 	}
 }

@@ -93,9 +93,6 @@ func TestManagerReportsAndStatuses(t *testing.T) {
 	if len(sts) != 2 || sts[0].ID != "acme" || sts[1].ID != "beta" {
 		t.Errorf("statuses = %+v", sts)
 	}
-	if m.Obs() == nil {
-		t.Error("manager has no registry")
-	}
 	if (&ConflictError{ID: "x", Expected: 1, Current: 2}).Error() == "" {
 		t.Error("empty conflict error string")
 	}

@@ -66,8 +66,10 @@ type EdgeConfig struct {
 	// OnEvent, if set, receives state-change events (selection changes,
 	// destination death/recovery).
 	OnEvent func(Event)
-	// Obs, when non-nil, receives edge metrics (probe RTT, failover
-	// detection and backoff histograms, activity counters).
+	// Obs, when non-nil, receives edge metrics (probe RTT and failover
+	// detection histograms, activity counters); nil keeps them in a
+	// private registry. Stats reads these counters, so each edge needs
+	// a registry of its own.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records causal spans: per-probe round trips
 	// (with trace context carried on the wire so the PoP's reply side
@@ -238,18 +240,9 @@ type Edge struct {
 	wg     sync.WaitGroup
 	closed chan struct{}
 
-	m  edgeMetrics
-	st edgeCounters
-}
-
-// edgeCounters are the hot-path counters, atomic so data sends and
-// batched reads never serialize on a stats mutex.
-type edgeCounters struct {
-	probesSent, repliesRcvd atomic.Uint64
-	dataSent, dataRcvd      atomic.Uint64
-	failovers, repins       atomic.Uint64
-	quarantines             atomic.Uint64
-	sendErrors              atomic.Uint64
+	m edgeMetrics
+	// quarantines backs EdgeStats.Quarantines, which no metric exports.
+	quarantines atomic.Uint64
 }
 
 // EdgeStats counts edge activity.
@@ -279,7 +272,6 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		_ = group.Close()
 		return nil, err
 	}
-	e.m = newEdgeMetrics(cfg.Obs, e)
 	for _, c := range group.Conns() {
 		e.wg.Add(1)
 		go e.readLoop(c)
@@ -316,7 +308,7 @@ func (cfg EdgeConfig) withDefaults() EdgeConfig {
 // by probeRound and handleProbeReply alone, which is how the tests run
 // it without sockets.
 func newEdge(cfg EdgeConfig, out netio.Conn) *Edge {
-	return &Edge{
+	e := &Edge{
 		cfg:    cfg,
 		out:    out,
 		dests:  make(map[string]*destState),
@@ -324,6 +316,8 @@ func newEdge(cfg EdgeConfig, out netio.Conn) *Edge {
 		flows:  newFlowMap[*destState](),
 		closed: make(chan struct{}),
 	}
+	e.m = newEdgeMetrics(cfg.Obs, e)
+	return e
 }
 
 // Addr returns the edge's local UDP address.
@@ -406,14 +400,14 @@ func (e *Edge) ResolveFrom(popAddr, service string, timeout time.Duration) error
 // Stats returns a snapshot.
 func (e *Edge) Stats() EdgeStats {
 	return EdgeStats{
-		ProbesSent:    e.st.probesSent.Load(),
-		RepliesRcvd:   e.st.repliesRcvd.Load(),
-		DataSent:      e.st.dataSent.Load(),
-		DataRcvd:      e.st.dataRcvd.Load(),
-		Failovers:     e.st.failovers.Load(),
-		RepinnedFlows: e.st.repins.Load(),
-		Quarantines:   e.st.quarantines.Load(),
-		SendErrors:    e.st.sendErrors.Load(),
+		ProbesSent:    e.m.probesSent.Value(),
+		RepliesRcvd:   e.m.repliesRcvd.Value(),
+		DataSent:      e.m.dataSent.Value(),
+		DataRcvd:      e.m.dataRcvd.Value(),
+		Failovers:     e.m.failovers.Value(),
+		RepinnedFlows: e.m.repins.Value(),
+		Quarantines:   e.quarantines.Load(),
+		SendErrors:    e.m.sendErrors.Value(),
 	}
 }
 
@@ -525,7 +519,6 @@ func (e *Edge) sendSlow(flow tmproto.FlowKey, payload []byte) error {
 		return fmt.Errorf("tm: no alive destination")
 	}
 	if pinned {
-		e.st.repins.Add(1)
 		e.m.repins.Inc()
 		// The re-pin concludes the open failover chain. The data
 		// packet carries the re-pin span's context so the PoP's
@@ -556,11 +549,9 @@ func (e *Edge) sendData(ds *destState, flow tmproto.FlowKey, payload []byte, tra
 		out = tmproto.AppendGRE(make([]byte, 0, tmproto.GREOverhead+len(out)), ds.greKey, e.greSeq.Add(1), out)
 	}
 	if _, err := e.out.WriteBatch([]netio.Message{{Buf: out, N: len(out), Addr: ds.addr}}); err != nil {
-		e.st.sendErrors.Add(1)
 		e.m.sendErrors.Inc()
 		return err
 	}
-	e.st.dataSent.Add(1)
 	e.m.dataSent.Inc()
 	return nil
 }
@@ -678,10 +669,9 @@ func (e *Edge) probeRound(now time.Time) {
 			ds.deadProbes++
 			backoff := e.backoffAfter(ds.deadProbes, seq)
 			ds.nextRecovery = now.Add(backoff)
-			e.m.backoffMs.Observe(durationMs(backoff))
 			if !ds.quarantined && ds.deadProbes >= e.cfg.QuarantineAfter {
 				ds.quarantined = true
-				e.st.quarantines.Add(1)
+				e.quarantines.Add(1)
 				events = append(events, Event{
 					Kind: EventDestQuarantined, Dest: ds.dest, At: now,
 					Backoff: backoff,
@@ -780,13 +770,11 @@ func (e *Edge) writeProbes(sends []netio.Message) {
 	for len(sends) > 0 {
 		sent, err := e.out.WriteBatch(sends)
 		if sent > 0 {
-			e.st.probesSent.Add(uint64(sent))
 			e.m.probesSent.Add(uint64(sent))
 		}
 		if err == nil {
 			return
 		}
-		e.st.sendErrors.Add(1)
 		e.m.sendErrors.Inc()
 		sends = sends[sent+1:] // sends[sent] is the failed message
 	}
@@ -842,7 +830,6 @@ func (e *Edge) reselectLocked(now time.Time) []Event {
 		rs.Finish()
 	}
 	if prev != nil {
-		e.st.failovers.Add(1)
 		e.m.failovers.Inc()
 	}
 	return []Event{{
@@ -882,7 +869,6 @@ func seqBefore(s, cut uint32) bool { return int32(s-cut) < 0 }
 
 func (e *Edge) emit(events []Event) {
 	for _, ev := range events {
-		e.m.events[ev.Kind].Inc()
 		if e.cfg.OnEvent != nil {
 			e.cfg.OnEvent(ev)
 		}
@@ -928,7 +914,6 @@ func (e *Edge) readLoop(conn netio.Conn) {
 				if err != nil {
 					continue
 				}
-				e.st.dataRcvd.Add(1)
 				e.m.dataRcvd.Inc()
 				if e.cfg.OnReturn != nil {
 					payload := append([]byte(nil), d.Payload...)
@@ -994,7 +979,6 @@ func (e *Edge) handleProbeReply(now time.Time, p tmproto.Probe) {
 		events = append(events, e.reselectLocked(now)...)
 	}
 	e.mu.Unlock()
-	e.st.repliesRcvd.Add(1)
 	e.m.repliesRcvd.Inc()
 	if ds != nil {
 		e.m.probeRTTMs.Observe(rttMs)

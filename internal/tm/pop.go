@@ -56,7 +56,8 @@ type PoPConfig struct {
 	// timeline from the PoP side too.
 	OnEvent func(PoPEvent)
 	// Obs, when non-nil, receives PoP metrics (datagram counters and the
-	// active-flows gauge).
+	// active-flows gauge); nil keeps them in a private registry. Stats
+	// reads these counters, so each PoP needs a registry of its own.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records PoP-side spans stitched into the
 	// edge's traces via the wire trace context: probe handling joins
@@ -130,19 +131,7 @@ type PoP struct {
 	purgeWg  sync.WaitGroup
 	closed   chan struct{}
 
-	m  popMetrics
-	st popCounters
-}
-
-// popCounters are the hot-path counters, atomic so neither readers nor
-// workers serialize on a stats mutex.
-type popCounters struct {
-	dataIn, dataOut    atomic.Uint64
-	probes, resolves   atomic.Uint64
-	malformed, unknown atomic.Uint64
-	flowMoves, dropped atomic.Uint64
-	purged             atomic.Uint64
-	overloadWaits      atomic.Uint64
+	m popMetrics
 }
 
 // PoPStats counts datagram handling.
@@ -150,8 +139,9 @@ type PoPStats struct {
 	DataIn, DataOut     uint64
 	Probes              uint64
 	Resolves            uint64
-	Malformed, Unknown  uint64
 	ActiveFlows, Purged int
+	// Malformed counts undecodable or unknown-type datagrams.
+	Malformed uint64
 	// FlowMoves counts Known Flows entries that re-homed to a new edge
 	// address mid-flow (tunnel failover on the client side).
 	FlowMoves uint64
@@ -241,17 +231,16 @@ func (p *PoP) SetDestinations(d []tmproto.Destination) {
 // Stats returns a snapshot of counters.
 func (p *PoP) Stats() PoPStats {
 	return PoPStats{
-		DataIn:         p.st.dataIn.Load(),
-		DataOut:        p.st.dataOut.Load(),
-		Probes:         p.st.probes.Load(),
-		Resolves:       p.st.resolves.Load(),
-		Malformed:      p.st.malformed.Load(),
-		Unknown:        p.st.unknown.Load(),
+		DataIn:         p.m.dataIn.Value(),
+		DataOut:        p.m.dataOut.Value(),
+		Probes:         p.m.probes.Value(),
+		Resolves:       p.m.resolves.Value(),
+		Malformed:      p.m.malformed.Value(),
 		ActiveFlows:    p.flows.Len(),
-		Purged:         int(p.st.purged.Load()),
-		FlowMoves:      p.st.flowMoves.Load(),
-		DroppedReplies: p.st.dropped.Load(),
-		OverloadWaits:  p.st.overloadWaits.Load(),
+		Purged:         int(p.m.purged.Value()),
+		FlowMoves:      p.m.flowMoves.Value(),
+		DroppedReplies: p.m.dropped.Value(),
+		OverloadWaits:  p.m.overloadWaits.Value(),
 	}
 }
 
@@ -311,7 +300,6 @@ func (p *PoP) purge(now time.Time) {
 		return now.Sub(f.lastSeen) > p.cfg.FlowTTL
 	})
 	if n > 0 {
-		p.st.purged.Add(uint64(n))
 		p.m.purged.Add(uint64(n))
 	}
 }
@@ -363,7 +351,6 @@ func (p *PoP) readLoop(conn netio.Conn) {
 			if wire == tmproto.WireGRE {
 				key, _, in, err := tmproto.ParseGRE(b)
 				if err != nil {
-					p.st.malformed.Add(1)
 					p.m.malformed.Inc()
 					continue
 				}
@@ -371,14 +358,12 @@ func (p *PoP) readLoop(conn netio.Conn) {
 			}
 			t, err := tmproto.PeekType(inner)
 			if err != nil {
-				p.st.malformed.Add(1)
 				p.m.malformed.Inc()
 				continue
 			}
 
 			switch t {
 			case tmproto.TypeProbe:
-				p.st.probes.Add(1)
 				p.m.probes.Inc()
 				if p.cfg.Tracer != nil {
 					// A traced probe carries its span context; record this
@@ -399,7 +384,6 @@ func (p *PoP) readLoop(conn netio.Conn) {
 			case tmproto.TypeData:
 				d, err := tmproto.ParseData(inner)
 				if err != nil {
-					p.st.malformed.Add(1)
 					p.m.malformed.Inc()
 					continue
 				}
@@ -412,11 +396,9 @@ func (p *PoP) readLoop(conn netio.Conn) {
 			case tmproto.TypeResolve:
 				r, err := tmproto.ParseResolve(inner)
 				if err != nil {
-					p.st.malformed.Add(1)
 					p.m.malformed.Inc()
 					continue
 				}
-				p.st.resolves.Add(1)
 				p.m.resolves.Inc()
 				p.destMu.Lock()
 				dests := append([]tmproto.Destination(nil), p.dests...)
@@ -432,15 +414,13 @@ func (p *PoP) readLoop(conn netio.Conn) {
 				}
 
 			default:
-				p.st.unknown.Add(1)
-				p.m.unknown.Inc()
+				p.m.malformed.Inc()
 			}
 		}
 
 		// Data-packet counters amortize across the batch like the
 		// syscalls do.
 		if dataK > 0 {
-			p.st.dataIn.Add(dataK)
 			p.m.dataIn.Add(dataK)
 		}
 
@@ -458,7 +438,6 @@ func (p *PoP) readLoop(conn netio.Conn) {
 			select {
 			case p.work <- pb:
 			default:
-				p.st.overloadWaits.Add(1)
 				p.m.overloadWaits.Inc()
 				p.work <- pb // backpressure, not loss
 			}
@@ -494,7 +473,6 @@ func (p *PoP) noteFlow(d tmproto.Data, from netip.AddrPort, wire tmproto.WireMod
 	// address, its previous tunnel died (or the edge re-pinned); re-home
 	// the NAT entry so return traffic follows the live tunnel.
 	if had && prev != from {
-		p.st.flowMoves.Add(1)
 		p.m.flowMoves.Inc()
 		mv := PoPEvent{
 			Kind: PoPFlowMoved, Flow: d.Flow,
@@ -538,7 +516,6 @@ func (p *PoP) worker() {
 func (p *PoP) sendReply(sink *replySink, flow tmproto.FlowKey, resp []byte) error {
 	f, ok := p.flows.Get(flow)
 	if !ok {
-		p.st.dropped.Add(1)
 		p.m.dropped.Inc()
 		p.emit(PoPEvent{Kind: PoPReplyDropped, Flow: flow, At: time.Now()})
 		return fmt.Errorf("tm: flow %v no longer known", flow)
@@ -546,7 +523,6 @@ func (p *PoP) sendReply(sink *replySink, flow tmproto.FlowKey, resp []byte) erro
 	if err := sink.add(flow, resp, f, &p.replySeq); err != nil {
 		return err
 	}
-	p.st.dataOut.Add(1)
 	p.m.dataOut.Inc()
 	return nil
 }

@@ -10,12 +10,14 @@ import (
 	"time"
 
 	"painter/internal/netsim/emul"
+	"painter/internal/obs"
 	"painter/internal/tmproto"
 )
 
 // rig is a full prototype: two PoPs behind latency links, one edge.
 type rig struct {
 	popA, popB   *PoP
+	obsA, obsB   *obs.Registry // the PoPs' registries
 	linkA, linkB *emul.Link
 	edge         *Edge
 	events       chan Event
@@ -47,13 +49,13 @@ func newRig(t *testing.T, delayA, delayB time.Duration, onReturn func(tmproto.Fl
 // newRigCfg additionally lets a test tweak the edge config.
 func newRigCfg(t *testing.T, delayA, delayB time.Duration, onReturn func(tmproto.FlowKey, []byte), tweak func(*EdgeConfig)) *rig {
 	t.Helper()
-	r := &rig{events: make(chan Event, 256)}
+	r := &rig{events: make(chan Event, 256), obsA: obs.NewRegistry(), obsB: obs.NewRegistry()}
 	var err error
-	r.popA, err = NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1})
+	r.popA, err = NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1, Obs: r.obsA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.popB, err = NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 2})
+	r.popB, err = NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 2, Obs: r.obsB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +228,31 @@ func TestFailoverAtRTTTimescale(t *testing.T) {
 		probeInterval = 5 * time.Millisecond
 		bound         = 13*rtt/10 + 5*probeInterval/4 + 10*time.Millisecond // 1.3·RTT + 1.25·ProbeInterval + slack
 	)
-	r := newRigCfg(t, oneWay, 25*time.Millisecond, nil, func(c *EdgeConfig) {
-		c.ProbeInterval = probeInterval
-	})
 	// The bound is a few milliseconds wide and the clock is the wall's:
 	// a host stall during one attempt, or just before it (the deviation
 	// estimate widens the timeout after an RTT spike, as it should), says
-	// nothing about the rule, so a late verdict earns a fresh attempt.
-	var detect, silent time.Duration
+	// nothing about the rule, so a late verdict earns a fresh attempt on
+	// a fresh rig, whose registry then holds that attempt's alone.
+	var (
+		r              *rig
+		detect, silent time.Duration
+		hist           obs.HistSummary
+		deaths         int64
+	)
 	for attempt := 1; attempt <= 3; attempt++ {
+		reg := obs.NewRegistry()
+		var dead atomic.Int64
+		r = newRigCfg(t, oneWay, 25*time.Millisecond, nil, func(c *EdgeConfig) {
+			c.ProbeInterval = probeInterval
+			c.Obs = reg
+			forward := c.OnEvent
+			c.OnEvent = func(ev Event) {
+				if ev.Kind == EventDestDead {
+					dead.Add(1)
+				}
+				forward(ev)
+			}
+		})
 		r.waitSelected(t, 1, 3*time.Second)
 		// Let RTT estimates settle.
 		time.Sleep(300 * time.Millisecond)
@@ -246,23 +264,36 @@ func TestFailoverAtRTTTimescale(t *testing.T) {
 		failAt := time.Now()
 		r.linkA.SetDown(true)
 
-		dead := waitEvent(t, r.events, 2*time.Second, "dest-dead", func(ev Event) bool {
+		ev := waitEvent(t, r.events, 2*time.Second, "dest-dead", func(ev Event) bool {
 			return ev.Kind == EventDestDead && ev.Dest.PoP == 1
 		})
-		detect, silent = dead.At.Sub(failAt), dead.SinceLastReply
+		detect, silent = ev.At.Sub(failAt), ev.SinceLastReply
 		// Edge must then select PoP-B.
 		r.waitSelected(t, 2, 2*time.Second)
-		if detect <= bound && silent <= bound {
+		// Closing stops probing, so the detection histogram and the
+		// death count are final when read.
+		r.edge.Close()
+		hist = reg.Snapshot().Histograms["tm_edge_failover_detection_ms"]
+		deaths = dead.Load()
+		if detect <= bound && silent <= bound && hist.Max <= durationMs(bound) {
 			break
 		}
-		t.Logf("attempt %d: declared dead %v after the cut, %v after the last reply", attempt, detect, silent)
-		r.linkA.SetDown(false)
+		t.Logf("attempt %d: declared dead %v after the cut, %v after the last reply, %.1f ms after the condemning probe",
+			attempt, detect, silent, hist.Max)
 	}
 	if detect > bound {
 		t.Errorf("declared dead %v after the cut, want <= %v (1.3 RTT + 1.25 probe intervals + 10 ms)", detect, bound)
 	}
 	if silent > bound {
 		t.Errorf("declared dead %v after last reply", silent)
+	}
+	// The exported detection latency (§3.2's ~1 RTT) sees every death
+	// the edge announced, each within the same bound.
+	if hist.Count != uint64(deaths) || deaths == 0 {
+		t.Errorf("tm_edge_failover_detection_ms count = %d, want the %d dest-dead events", hist.Count, deaths)
+	}
+	if hist.Max > durationMs(bound) {
+		t.Errorf("tm_edge_failover_detection_ms max = %.1f ms, want <= %v", hist.Max, bound)
 	}
 	if r.edge.Stats().Failovers == 0 {
 		t.Error("failover counter not incremented")
