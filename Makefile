@@ -62,10 +62,9 @@ race:
 tm-stress:
 	$(GO) test -race -count=20 -run 'Failover|Detect|Loss|Recovery' ./internal/tm/
 
-# Short fuzzing smoke on the wire decoders, the delta engine, the alert
-# rule parser, the solver's learned-preference store and its grow loop:
-# each target runs for FUZZ_TIME (go test allows one -fuzz pattern per
-# invocation).
+# Short fuzzing smoke on the wire decoders, the propagation engine, the
+# solver's learned-preference store and its grow loop: each target runs
+# for FUZZ_TIME (go test allows one -fuzz pattern per invocation).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=$(FUZZ_TIME) ./internal/tmproto/
 	$(GO) test -run='^$$' -fuzz=FuzzGREDecode -fuzztime=$(FUZZ_TIME) ./internal/tmproto/
@@ -74,7 +73,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseNotification -fuzztime=$(FUZZ_TIME) ./internal/bgp/
 	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=$(FUZZ_TIME) ./internal/bgp/
 	$(GO) test -run='^$$' -fuzz=FuzzPropagateDelta -fuzztime=$(FUZZ_TIME) ./internal/bgp/
-	$(GO) test -run='^$$' -fuzz=FuzzParseRules -fuzztime=$(FUZZ_TIME) ./internal/obs/alert/
 	$(GO) test -run='^$$' -fuzz=FuzzLearnExpect -fuzztime=$(FUZZ_TIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzGrowAgainstReference -fuzztime=$(FUZZ_TIME) ./internal/core/
 
@@ -129,11 +127,13 @@ bench-e2e:
 experiments:
 	$(GO) run ./cmd/painter-bench -exp all -scale peering -iters 3
 
+# Run all five example mains end to end; CI runs this after the tests.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/fig1-scenario
 	$(GO) run ./examples/failover
 	$(GO) run ./examples/enterprise
+	$(GO) run ./examples/advertise-sweep
 
 clean:
 	$(GO) clean ./...

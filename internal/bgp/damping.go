@@ -167,8 +167,9 @@ func (d *Damper) Penalty(p netip.Prefix) float64 {
 // SafeUpdateInterval returns the minimum spacing between attribute-
 // changing re-advertisements of one prefix that never triggers
 // suppression: the interval at which the steady-state penalty stays
-// below the suppress threshold. The Advertisement Orchestrator uses
-// this to pace learning iterations (§3.1).
+// below the suppress threshold. Nothing paces itself with it yet: only
+// damping_test.go calls it. ROADMAP item 23(b) decides whether the
+// controller adopts it or it goes.
 func (d *Damper) SafeUpdateInterval() time.Duration {
 	// Steady state of penalty P with decay factor f per interval T and
 	// per-flap addition A: P = A / (1 - f), f = 2^(-T/halflife).

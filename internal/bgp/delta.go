@@ -1,28 +1,27 @@
 package bgp
 
-// Incremental delta propagation: repair a previous propagation Result
-// after a small input change instead of re-running the whole-graph
-// engine. Most netsim events (one peering down, one preference flip)
-// perturb only the catchment cone of the change — usually a tiny
-// fraction of the AS graph — so re-deriving just that cone is the big
-// win the continuous controller compounds with prefix-level repair.
+// The propagation engine. Every propagation is a repair: PropagateDelta
+// repairs a previous Result after a small input change (most netsim
+// events perturb only the catchment cone of the change), and
+// PropagateResult is the same repair of the empty Result, where every
+// injection is new.
 //
-// The full engine settles ASes in a fixed global order: phase-major
-// (customer < peer < provider), path-length-minor, realized by three
-// sequential bucket-queue sweeps. Crucially, the tied candidate set an
-// AS sees at its settle bucket depends only on ASes settled at strictly
-// smaller (phase, length) keys — the dependency order is acyclic. The
-// delta engine exploits that:
+// The engine settles ASes in a fixed global order: class-major
+// (customer < peer < provider), path-length-minor. Crucially, the tied
+// candidate set an AS sees at its settle bucket depends only on ASes
+// settled at strictly smaller (class, length) keys — the dependency
+// order is acyclic. The engine exploits that:
 //
-//   - Every (class, pathLen, AS) bucket maps to one uint64 key ordered
-//     exactly like the full engine's evaluation order (deltaKey).
-//   - The change seeds a min-heap frontier: buckets of injections that
-//     differ from prev's (per-neighbor multiset diff), plus the settle
-//     buckets of ASes whose tie-break preferences flipped.
-//   - Popping a key re-derives that AS's tied candidate set AT that
-//     bucket from current neighbor state (candidatesAt reconstructs
-//     precisely the set the full engine's settleBucket would present,
-//     in the same (ingress, via) order), and compares against the
+//   - The frontier is a bucket queue with one bucket of dense AS ids
+//     per (class, path length), drained class-major, length-minor
+//     (settleKey orders the buckets).
+//   - The change seeds the frontier: the arrival buckets of injections
+//     that differ from prev's (per-neighbor multiset diff; from the
+//     empty Result, every injection), plus the settle buckets of ASes
+//     whose tie-break preferences flipped.
+//   - Draining AS y from a bucket re-derives y's tied candidate set AT
+//     that bucket from current neighbor state (candidatesAt, in
+//     ascending (ingress, via) order), and compares against the
 //     previous settle:
 //       * unchanged winner — dependents unaffected, no pushes;
 //       * changed/withdrawn — the AS's old and new export buckets are
@@ -30,105 +29,148 @@ package bgp
 //         reschedules itself at the next bucket it could settle in.
 //   - ASes never reached by a push keep their previous route verbatim.
 //
-// Exactness argument (pinned by the differential suite): when key k
-// pops, every AS's settled-below-k state is final — changed
-// contributors push their old and new export buckets (both > their own
-// settle key), so any bucket whose candidate set differs from prev's is
-// in the heap before it is reached, and an unchanged candidate set
-// at an AS's previous settle bucket implies (inductively) the previous
-// selection stands. Because candidatesAt rebuilds the full tied set,
-// the TieBreaker sees byte-identical inputs to the full engine's — the
+// Exactness argument (pinned by the differential suites against
+// PropagateReference): every push lands in a bucket strictly after the
+// one being drained — exports at PathLen+1, reschedules after the
+// current key — and candidatesAt reads only routes of earlier buckets,
+// so order inside a bucket does not matter and duplicates are absorbed
+// by the per-AS status. When a bucket is drained, every AS's
+// settled-below-it state is final: changed contributors push their old
+// and new export buckets (both after their own settle key), so any
+// bucket whose candidate set differs from prev's is queued before it
+// is reached, and an unchanged candidate set at an AS's previous
+// settle bucket implies (inductively) the previous selection stands.
+// Because candidatesAt rebuilds the full tied set, the TieBreaker sees
+// the inputs a from-scratch propagation would give it — the
 // equivalence holds for arbitrary tie-breakers, not just default ones.
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"painter/internal/topology"
 )
 
-// Delta settle status per AS.
+// Settle status per AS.
 const (
 	dsFinal     uint8 = iota // previous settle presumed to stand
 	dsInvalid                // previous settle revoked; searching for a new bucket
 	dsResettled              // settled under the new inputs; final
 )
 
-// deltaInf is the bucket key of an unsettled AS: after every real key.
-const deltaInf = ^uint64(0)
+// keyInf is the bucket key of an unsettled AS: after every real key.
+const keyInf = ^uint64(0)
 
-// deltaKey packs (class, pathLen, denseID) into one key ordered
-// phase-major, length-minor, exactly the full engine's settle order:
-// class<<62 | pathLen<<31 | id. Path lengths and dense ids both fit 31
-// bits (paths are bounded by the AS count plus max prepend).
-func deltaKey(class RouteClass, pathLen int, as int32) uint64 {
-	return uint64(class)<<62 | uint64(uint32(pathLen))<<31 | uint64(uint32(as))
+// settleKey orders buckets class-major, length-minor: class<<32 |
+// pathLen. Keys are only ever compared for one AS.
+func settleKey(class RouteClass, pathLen int) uint64 {
+	return uint64(class)<<32 | uint64(uint32(pathLen))
 }
 
-func deltaKeyParts(k uint64) (class RouteClass, pathLen int, as int32) {
-	return RouteClass(k >> 62), int(k >> 31 & 0x7fffffff), int32(k & 0x7fffffff)
-}
+// settleQueue is the frontier: dense AS ids bucketed by route class and
+// path length. Buckets are emptied by the drain but never dropped, so
+// their backing arrays are kept across drains and runs.
+type settleQueue [ClassProvider + 1][][]int32
 
-// deltaHeap is a plain binary min-heap of bucket keys. Duplicates are
-// tolerated (pops drain them) — cheaper than an indexed heap at the
-// frontier sizes delta repair sees.
-type deltaHeap []uint64
-
-func (h *deltaHeap) push(k uint64) {
-	s := append(*h, k)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p] <= s[i] {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
+func (q *settleQueue) push(class RouteClass, pathLen int, as int32) {
+	for len(q[class]) <= pathLen {
+		q[class] = append(q[class], nil)
 	}
-	*h = s
+	q[class][pathLen] = append(q[class][pathLen], as)
 }
 
-func (h *deltaHeap) pop() uint64 {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && s[r] < s[l] {
-			l = r
-		}
-		if s[i] <= s[l] {
-			break
-		}
-		s[i], s[l] = s[l], s[i]
-		i = l
-	}
-	*h = s
-	return top
-}
-
-// deltaRun is the mutable state of one PropagateDelta call.
+// deltaRun is the state of one engine run. The fields below the
+// selection arrays are pooled scratch, returned clean by release.
 type deltaRun struct {
 	idx  *topology.Index
-	prev *Result
+	prev *Result // nil: the empty Result
 	tb   TieBreaker
+	inj  []Injection
 
 	sel          []Route
 	settled      []bool
 	settledCount int
-	status       []uint8
-	heap         deltaHeap
-	injAt        map[int32][]Injection // dense id -> current injections there
 
-	scratch     []Route
-	touched     []int32
-	touchedMark []bool
+	status  []uint8
+	touched []int32 // ASes that left dsFinal with a changed selection, each once
+	queue   settleQueue
+	scratch []Route
+	injHead []int32 // dense id -> 1 + index in inj of its first injection, 0 if none
+	injNext []int32 // index in inj -> 1 + index of the next injection at the same AS, 0 if none
+}
+
+var runPool = sync.Pool{New: func() any { return new(deltaRun) }}
+
+// sized returns s resliced to n, reallocating only when it is too short.
+// Pooled slices are kept zeroed up to their capacity.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// newRun takes a pooled run over idx that starts from a copy of prev's
+// selection (nil prev: the empty Result).
+func newRun(idx *topology.Index, prev *Result, injections []Injection, tb TieBreaker) *deltaRun {
+	d := runPool.Get().(*deltaRun)
+	n := idx.Len()
+	d.idx, d.prev, d.tb, d.inj = idx, prev, tb, injections
+	if prev == nil {
+		d.sel, d.settled, d.settledCount = make([]Route, n), make([]bool, n), 0
+	} else {
+		d.sel, d.settled, d.settledCount = slices.Clone(prev.sel), slices.Clone(prev.settled), prev.settledCount
+	}
+	d.status = sized(d.status, n)
+	d.injHead = sized(d.injHead, n)
+	d.injNext = sized(d.injNext, len(injections))
+	for i, inj := range injections {
+		di, _ := idx.ID(inj.Neighbor)
+		d.injNext[i] = d.injHead[di]
+		d.injHead[di] = int32(i + 1)
+	}
+	return d
+}
+
+// release zeroes the pooled scratch and returns the run to the pool.
+func (d *deltaRun) release() {
+	clear(d.status)
+	clear(d.injHead)
+	d.touched = d.touched[:0]
+	d.idx, d.prev, d.tb, d.inj, d.sel, d.settled = nil, nil, nil, nil, nil, nil
+	runPool.Put(d)
+}
+
+// result wraps the run's selection arrays in a Result for injections.
+func (d *deltaRun) result(injections []Injection) *Result {
+	return &Result{
+		idx:          d.idx,
+		sel:          d.sel,
+		settled:      d.settled,
+		settledCount: d.settledCount,
+		inj:          append([]Injection(nil), injections...),
+	}
+}
+
+// seed queues the arrival bucket of one injection.
+func (d *deltaRun) seed(inj Injection) {
+	di, _ := d.idx.ID(inj.Neighbor)
+	d.queue.push(inj.Class, 1+inj.Prepend, di)
+}
+
+// drain settles the frontier in global settle order. No push lands in
+// the bucket being drained, so each bucket is read once.
+func (d *deltaRun) drain() {
+	for c := ClassCustomer; c <= ClassProvider; c++ {
+		for l := 0; l < len(d.queue[c]); l++ {
+			b := d.queue[c][l]
+			for _, y := range b {
+				d.step(c, l, y)
+			}
+			d.queue[c][l] = b[:0]
+		}
+	}
 }
 
 // PropagateDelta computes the routes every AS selects under the given
@@ -145,9 +187,9 @@ type deltaRun struct {
 // can change — identical injections and no flipped AS holds a route —
 // it returns prev itself with a nil changed set and zero allocations.
 //
-// The output is byte-identical to PropagateResult over the same inputs
-// under any tie-breaker; the differential, metamorphic, and fuzz suites
-// in delta_test.go pin that equivalence.
+// The output is byte-identical to PropagateResult and to the test-only
+// PropagateReference over the same inputs under any tie-breaker, as the
+// suites in delta_test.go and delta_fuzz_test.go pin.
 func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, flipped []topology.ASN, tb TieBreaker) (*Result, []topology.ASN, error) {
 	if prev == nil {
 		return nil, nil, fmt.Errorf("bgp: PropagateDelta requires a previous Result")
@@ -183,35 +225,16 @@ func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, fli
 		}
 	}
 
-	n := idx.Len()
-	d := &deltaRun{
-		idx:          idx,
-		prev:         prev,
-		tb:           tb,
-		sel:          slices.Clone(prev.sel),
-		settled:      slices.Clone(prev.settled),
-		settledCount: prev.settledCount,
-		status:       make([]uint8, n),
-		touchedMark:  make([]bool, n),
-		scratch:      make([]Route, 0, 16),
-	}
+	d := newRun(idx, prev, injections, tb)
+	defer d.release()
 
 	// Seed the frontier.
 	if !sameInj {
-		d.injAt = make(map[int32][]Injection, len(injections))
-		for _, inj := range injections {
-			di, _ := idx.ID(inj.Neighbor)
-			d.injAt[di] = append(d.injAt[di], inj)
-		}
 		// Per-neighbor injection multiset diff: every injection present
 		// in exactly one of (prev, new) seeds its arrival bucket.
 		oldS := prev.sortedInjections()
-		newS := append([]Injection(nil), injections...)
-		sortInjections(newS)
-		seed := func(inj Injection) {
-			di, _ := idx.ID(inj.Neighbor)
-			d.heap.push(deltaKey(inj.Class, 1+inj.Prepend, di))
-		}
+		newS := slices.Clone(injections)
+		slices.SortFunc(newS, compareInjections)
 		i, j := 0, 0
 		for i < len(oldS) && j < len(newS) {
 			switch c := compareInjections(oldS[i], newS[j]); {
@@ -219,43 +242,28 @@ func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, fli
 				i++
 				j++
 			case c < 0:
-				seed(oldS[i])
+				d.seed(oldS[i])
 				i++
 			default:
-				seed(newS[j])
+				d.seed(newS[j])
 				j++
 			}
 		}
 		for ; i < len(oldS); i++ {
-			seed(oldS[i])
+			d.seed(oldS[i])
 		}
 		for ; j < len(newS); j++ {
-			seed(newS[j])
-		}
-	} else {
-		d.injAt = make(map[int32][]Injection, len(prev.inj))
-		for _, inj := range prev.inj {
-			di, _ := idx.ID(inj.Neighbor)
-			d.injAt[di] = append(d.injAt[di], inj)
+			d.seed(newS[j])
 		}
 	}
 	for _, as := range flipped {
 		di, _ := idx.ID(as)
 		if prev.settled[di] {
 			r := prev.sel[di]
-			d.heap.push(deltaKey(r.Class, r.PathLen, di))
+			d.queue.push(r.Class, r.PathLen, di)
 		}
 	}
-
-	// Drain the frontier in global settle order.
-	for len(d.heap) > 0 {
-		k := d.heap.pop()
-		for len(d.heap) > 0 && d.heap[0] == k {
-			d.heap.pop()
-		}
-		class, pathLen, y := deltaKeyParts(k)
-		d.step(k, class, pathLen, y)
-	}
+	d.drain()
 
 	// Collect the ASes whose final selection actually differs.
 	slices.Sort(d.touched)
@@ -265,38 +273,25 @@ func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, fli
 			changed = append(changed, idx.ASN(y))
 		}
 	}
-
 	if len(changed) == 0 && sameInj {
 		// A flip that did not move any winner: prev stands verbatim.
 		return prev, nil, nil
 	}
-	return &Result{
-		idx:          idx,
-		sel:          d.sel,
-		settled:      d.settled,
-		settledCount: d.settledCount,
-		inj:          append([]Injection(nil), injections...),
-	}, changed, nil
+	return d.result(injections), changed, nil
 }
 
-// prevKey is the bucket y settled in previously, deltaInf if unsettled.
+// prevKey is the bucket y settled in previously, keyInf if unsettled.
 func (d *deltaRun) prevKey(y int32) uint64 {
-	if !d.prev.settled[y] {
-		return deltaInf
+	if d.prev == nil || !d.prev.settled[y] {
+		return keyInf
 	}
 	r := d.prev.sel[y]
-	return deltaKey(r.Class, r.PathLen, y)
+	return settleKey(r.Class, r.PathLen)
 }
 
-func (d *deltaRun) markTouched(y int32) {
-	if !d.touchedMark[y] {
-		d.touchedMark[y] = true
-		d.touched = append(d.touched, y)
-	}
-}
-
-// step re-evaluates AS y at bucket (class, pathLen), key k.
-func (d *deltaRun) step(k uint64, class RouteClass, pathLen int, y int32) {
+// step re-evaluates AS y at bucket (class, pathLen).
+func (d *deltaRun) step(class RouteClass, pathLen int, y int32) {
+	k := settleKey(class, pathLen)
 	switch d.status[y] {
 	case dsResettled:
 		return // already final under the new inputs
@@ -305,7 +300,7 @@ func (d *deltaRun) step(k uint64, class RouteClass, pathLen int, y int32) {
 		pk := d.prevKey(y)
 		if k > pk {
 			// y settled earlier than this bucket and nothing below pk
-			// invalidated it (that push would have popped first): the
+			// invalidated it (that push would have drained first): the
 			// previous settle stands; this push is irrelevant.
 			return
 		}
@@ -315,19 +310,14 @@ func (d *deltaRun) step(k uint64, class RouteClass, pathLen int, y int32) {
 				return // spurious push; pk still pending if it matters
 			}
 			// y now settles strictly earlier than before.
-			r := cands[d.tb(d.idx.ASN(y), cands)]
-			if pk != deltaInf {
+			if pk != keyInf {
 				// Revoke the old, later settle: its dependents must
 				// re-evaluate the buckets it used to export into.
 				d.pushExports(y, d.prev.sel[y])
-			} else {
-				d.settledCount++
+				d.settledCount--
 			}
-			d.sel[y] = r
-			d.settled[y] = true
-			d.status[y] = dsResettled
-			d.markTouched(y)
-			d.pushExports(y, r)
+			d.touched = append(d.touched, y)
+			d.settle(y, cands)
 			return
 		}
 		// k == pk: y's previous settle bucket is up for re-evaluation.
@@ -337,7 +327,7 @@ func (d *deltaRun) step(k uint64, class RouteClass, pathLen int, y int32) {
 			d.status[y] = dsInvalid
 			d.settled[y] = false
 			d.settledCount--
-			d.markTouched(y)
+			d.touched = append(d.touched, y)
 			d.pushExports(y, d.prev.sel[y])
 			d.reschedule(y, k)
 			return
@@ -348,75 +338,79 @@ func (d *deltaRun) step(k uint64, class RouteClass, pathLen int, y int32) {
 			return // identical winner: dependents see no change
 		}
 		d.sel[y] = r
-		d.markTouched(y)
+		d.touched = append(d.touched, y)
 		// Same bucket means same (class, length): the old and new
 		// export buckets coincide, so one push covers both.
 		d.pushExports(y, r)
 
 	case dsInvalid:
-		cands := d.candidatesAt(y, class, pathLen)
-		if len(cands) == 0 {
+		if cands := d.candidatesAt(y, class, pathLen); len(cands) > 0 {
+			d.settle(y, cands)
+		} else {
 			d.reschedule(y, k)
-			return
 		}
-		r := cands[d.tb(d.idx.ASN(y), cands)]
-		d.sel[y] = r
-		d.settled[y] = true
-		d.settledCount++
-		d.status[y] = dsResettled
-		d.pushExports(y, r)
 	}
 }
 
-// candidatesAt reconstructs the tied candidate set the full engine's
-// settleBucket would present to the TieBreaker for y at (class,
-// pathLen): contributions from neighbors settled one bucket earlier in
-// the phase's export direction, plus matching direct injections, in
-// ascending (ingress, via) order. Contributor state below the current
-// key is final (the invariant the pop order maintains), so reading the
-// working arrays is exact.
-func (d *deltaRun) candidatesAt(y int32, class RouteClass, pathLen int) []Route {
-	cands := d.scratch[:0]
-	add := func(ing IngressID, via int32) {
-		cands = append(cands, Route{Ingress: ing, PathLen: pathLen, Class: class, Via: d.idx.ASN(via)})
-	}
+// settle gives y the tie-breaker's pick of cands as its final route and
+// pushes the buckets that route exports into.
+func (d *deltaRun) settle(y int32, cands []Route) {
+	r := cands[d.tb(d.idx.ASN(y), cands)]
+	d.sel[y] = r
+	d.settled[y] = true
+	d.settledCount++
+	d.status[y] = dsResettled
+	d.pushExports(y, r)
+}
+
+// feeders returns the neighbors y can learn a route of the given class
+// from: its customers, its peers or its providers.
+func (d *deltaRun) feeders(y int32, class RouteClass) []int32 {
 	switch class {
 	case ClassCustomer:
-		// Phase 1: customer routes climb provider links.
-		for _, c := range d.idx.Customers(y) {
-			if d.settled[c] && d.sel[c].Class == ClassCustomer && d.sel[c].PathLen == pathLen-1 {
-				add(d.sel[c].Ingress, c)
-			}
-		}
+		return d.idx.Customers(y)
 	case ClassPeer:
-		// Phase 2: one hop across peer links from customer-settled ASes.
-		for _, p := range d.idx.Peers(y) {
-			if d.settled[p] && d.sel[p].Class == ClassCustomer && d.sel[p].PathLen == pathLen-1 {
-				add(d.sel[p].Ingress, p)
-			}
-		}
-	case ClassProvider:
-		// Phase 3: any settled provider exports down to customers.
-		for _, p := range d.idx.Providers(y) {
-			if d.settled[p] && d.sel[p].PathLen == pathLen-1 {
-				add(d.sel[p].Ingress, p)
-			}
+		return d.idx.Peers(y)
+	}
+	return d.idx.Providers(y)
+}
+
+// feeds reports whether v's selected route reaches the neighbors it
+// feeds as a route of the given class. Valley-free export: only
+// customer-learned routes go up and across; every route goes down.
+func (d *deltaRun) feeds(v int32, class RouteClass) bool {
+	return d.settled[v] && (class == ClassProvider || d.sel[v].Class == ClassCustomer)
+}
+
+// candidatesAt reconstructs the tied candidate set y has at (class,
+// pathLen): routes from feeders settled one bucket earlier, plus
+// matching direct injections, in ascending (ingress, via) order — the
+// deterministic order the TieBreaker contract requires. Contributor
+// state below the current bucket is final (the invariant the drain
+// order maintains), so reading the working arrays is exact.
+func (d *deltaRun) candidatesAt(y int32, class RouteClass, pathLen int) []Route {
+	d.scratch = d.scratch[:0]
+	add := func(ing IngressID, via int32) {
+		d.scratch = append(d.scratch, Route{Ingress: ing, PathLen: pathLen, Class: class, Via: d.idx.ASN(via)})
+	}
+	for _, v := range d.feeders(y, class) {
+		if d.feeds(v, class) && d.sel[v].PathLen == pathLen-1 {
+			add(d.sel[v].Ingress, v)
 		}
 	}
-	for _, inj := range d.injAt[y] {
-		if inj.Class == class && 1+inj.Prepend == pathLen {
+	for j := d.injHead[y]; j != 0; j = d.injNext[j-1] {
+		if inj := d.inj[j-1]; inj.Class == class && 1+inj.Prepend == pathLen {
 			add(inj.Ingress, y)
 		}
 	}
-	// Ascending (ingress, via): dense ids ascend with ASN, so this is
-	// the order sortCands leaves each AS's group in.
+	// Ascending (ingress, via); dense ids ascend with ASN.
+	cands := d.scratch
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && (cands[j].Ingress < cands[j-1].Ingress ||
 			(cands[j].Ingress == cands[j-1].Ingress && cands[j].Via < cands[j-1].Via)); j-- {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
 	}
-	d.scratch = cands
 	return cands
 }
 
@@ -427,64 +421,58 @@ func (d *deltaRun) pushExports(y int32, r Route) {
 	l := r.PathLen + 1
 	if r.Class == ClassCustomer {
 		for _, p := range d.idx.Providers(y) {
-			d.pushTo(p, deltaKey(ClassCustomer, l, p))
+			d.pushTo(p, ClassCustomer, l)
 		}
 		for _, p := range d.idx.Peers(y) {
-			d.pushTo(p, deltaKey(ClassPeer, l, p))
+			d.pushTo(p, ClassPeer, l)
 		}
 	}
 	for _, c := range d.idx.Customers(y) {
-		d.pushTo(c, deltaKey(ClassProvider, l, c))
+		d.pushTo(c, ClassProvider, l)
 	}
 }
 
-// pushTo enqueues bucket k for AS t unless it provably cannot matter:
-// t already resettled (its final bucket is below any future push), or
-// t's unrevoked previous settle is strictly below k (equal must push —
-// the tie set at the settle bucket may have changed).
-func (d *deltaRun) pushTo(t int32, k uint64) {
+// pushTo queues AS t at bucket (class, pathLen) unless it provably
+// cannot matter: t already resettled (its final bucket is below any
+// future push), or t's unrevoked previous settle is strictly below the
+// bucket (equal must push — the tie set at the settle bucket may have
+// changed).
+func (d *deltaRun) pushTo(t int32, class RouteClass, pathLen int) {
 	switch d.status[t] {
 	case dsResettled:
 		return
 	case dsFinal:
-		if k > d.prevKey(t) {
+		if settleKey(class, pathLen) > d.prevKey(t) {
 			return
 		}
 	}
-	d.heap.push(k)
+	d.queue.push(class, pathLen, t)
 }
 
 // reschedule finds the earliest bucket after `after` where y could
 // possibly settle given current neighbor state and injections, and
-// pushes it. Conservative by design: contributors that change later
-// push y themselves (pushes to dsInvalid ASes are never pruned), so a
-// missed future bucket is always re-offered.
+// queues y there. Conservative by design: contributors that change
+// later push y themselves (pushes to dsInvalid ASes are never pruned),
+// so a missed future bucket is always re-offered.
 func (d *deltaRun) reschedule(y int32, after uint64) {
-	best := deltaInf
-	consider := func(k uint64) {
-		if k > after && k < best {
+	best := keyInf
+	consider := func(class RouteClass, pathLen int) {
+		if k := settleKey(class, pathLen); k > after && k < best {
 			best = k
 		}
 	}
-	for _, c := range d.idx.Customers(y) {
-		if d.settled[c] && d.sel[c].Class == ClassCustomer {
-			consider(deltaKey(ClassCustomer, d.sel[c].PathLen+1, y))
+	for c := ClassCustomer; c <= ClassProvider; c++ {
+		for _, v := range d.feeders(y, c) {
+			if d.feeds(v, c) {
+				consider(c, d.sel[v].PathLen+1)
+			}
 		}
 	}
-	for _, p := range d.idx.Peers(y) {
-		if d.settled[p] && d.sel[p].Class == ClassCustomer {
-			consider(deltaKey(ClassPeer, d.sel[p].PathLen+1, y))
-		}
+	for j := d.injHead[y]; j != 0; j = d.injNext[j-1] {
+		inj := d.inj[j-1]
+		consider(inj.Class, 1+inj.Prepend)
 	}
-	for _, p := range d.idx.Providers(y) {
-		if d.settled[p] {
-			consider(deltaKey(ClassProvider, d.sel[p].PathLen+1, y))
-		}
-	}
-	for _, inj := range d.injAt[y] {
-		consider(deltaKey(inj.Class, 1+inj.Prepend, y))
-	}
-	if best != deltaInf {
-		d.heap.push(best)
+	if best != keyInf {
+		d.queue.push(RouteClass(best>>32), int(uint32(best)), y)
 	}
 }

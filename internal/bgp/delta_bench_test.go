@@ -49,8 +49,9 @@ func BenchmarkPropagateDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkPropagateFull is the from-scratch cost of the same input, the
-// denominator of the delta speedup.
+// BenchmarkPropagateFull is the cost of the same input repaired from the
+// empty Result (PropagateResult): the same settle loop with every
+// injection new, the yardstick for what a one-withdrawal repair saves.
 func BenchmarkPropagateFull(b *testing.B) {
 	g, inj, _ := benchSetup(b)
 	sub := append([]bgp.Injection(nil), inj[:len(inj)-1]...)

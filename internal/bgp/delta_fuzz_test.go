@@ -1,11 +1,12 @@
 package bgp_test
 
-// FuzzPropagateDelta: a fuzz-driven differential between the delta and
-// full propagation engines. The fuzzer controls the topology seed and a
-// byte script of input mutations (withdraw / announce / re-prepend /
-// re-home / tie-break flip); after every step the chained delta result
-// must match a fresh full propagation byte for byte. Run via
-// `make fuzz` alongside the wire-codec fuzz targets.
+// FuzzPropagateDelta: a fuzz-driven differential between chained delta
+// repairs, the run from the empty Result and the map-based
+// PropagateReference. The fuzzer controls the topology seed and a byte
+// script of input mutations (withdraw / announce / re-prepend / re-home
+// / tie-break flip); after every step the chained delta result must
+// match a fresh PropagateResult and the reference byte for byte. Run
+// via `make fuzz` alongside the wire-codec fuzz targets.
 
 import (
 	"bytes"
@@ -48,7 +49,7 @@ func FuzzPropagateDelta(f *testing.F) {
 
 		// One byte per mutation: low bits pick the op, high bits the
 		// operand. The chained delta output must match a fresh full
-		// propagation after every step.
+		// propagation and the reference after every step.
 		for pc, b := range script {
 			arg := int(b >> 3)
 			var flipped []topology.ASN
@@ -90,6 +91,9 @@ func FuzzPropagateDelta(f *testing.F) {
 			}
 			if !bytes.Equal(delta.Bytes(), full.Bytes()) {
 				t.Fatalf("step %d (op %d): delta selection diverged from full propagation", pc, b%6)
+			}
+			if !bytes.Equal(delta.Bytes(), referenceBytes(t, g, next, ft.tb())) {
+				t.Fatalf("step %d (op %d): delta selection diverged from PropagateReference", pc, b%6)
 			}
 			inj, prev = next, delta
 		}

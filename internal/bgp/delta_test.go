@@ -1,10 +1,11 @@
 package bgp_test
 
-// Differential and metamorphic tests for PropagateDelta: the delta
-// engine must be byte-identical to the full engine (and, transitively,
-// to PropagateReference) after arbitrary chains of input mutations —
-// injection withdrawals/announcements, prepend and ingress changes, and
-// per-AS tie-break flips — under adversarial tie-breakers. The chains
+// Differential and metamorphic tests for PropagateDelta: a repair must
+// be byte-identical to the run from the empty Result (PropagateResult,
+// the same settle loop) and to the independent PropagateReference after
+// arbitrary chains of input mutations — injection withdrawals and
+// announcements, prepend and ingress changes, and per-AS tie-break
+// flips — under adversarial tie-breakers. The chains
 // double as the metamorphic compose property (delta∘delta over two
 // changes ≡ full over the composed input) and the recovery property
 // (undoing a change reproduces the pre-failure selection byte for
@@ -12,7 +13,10 @@ package bgp_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"painter/internal/bgp"
@@ -122,6 +126,34 @@ func expectedDiff(prev, next map[topology.ASN]bgp.Route) map[topology.ASN]bool {
 	return d
 }
 
+// referenceBytes encodes PropagateReference's selection in the format
+// of Result.Bytes (settled count, then one record per settled AS in
+// ascending ASN order), so the delta suites hold the engine to an
+// independent oracle byte for byte: PropagateResult and PropagateDelta
+// share one settle loop and cannot check each other alone.
+func referenceBytes(t testing.TB, g *topology.Graph, inj []bgp.Injection, tb bgp.TieBreaker) []byte {
+	t.Helper()
+	ref, err := bgp.PropagateReference(g, inj, tb)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	asns := make([]topology.ASN, 0, len(ref))
+	for as := range ref {
+		asns = append(asns, as)
+	}
+	slices.Sort(asns)
+	buf := binary.BigEndian.AppendUint32(nil, uint32(len(ref)))
+	for _, as := range asns {
+		r := ref[as]
+		buf = binary.BigEndian.AppendUint32(buf, uint32(as))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Ingress))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.PathLen))
+		buf = append(buf, byte(r.Class))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Via))
+	}
+	return buf
+}
+
 func assertDeltaMatchesFull(t *testing.T, g *topology.Graph, prev *bgp.Result, inj []bgp.Injection, flipped []topology.ASN, tb bgp.TieBreaker, label string) *bgp.Result {
 	t.Helper()
 	full, err := bgp.PropagateResult(g, inj, tb)
@@ -135,6 +167,9 @@ func assertDeltaMatchesFull(t *testing.T, g *topology.Graph, prev *bgp.Result, i
 	if !bytes.Equal(delta.Bytes(), full.Bytes()) {
 		t.Fatalf("%s: delta selection differs from full propagation (delta settled %d, full %d)",
 			label, delta.Len(), full.Len())
+	}
+	if !bytes.Equal(delta.Bytes(), referenceBytes(t, g, inj, tb)) {
+		t.Fatalf("%s: delta selection differs from PropagateReference", label)
 	}
 	// The changed set must be exactly the selection diff vs the base.
 	want := expectedDiff(prev.Selections(), full.Selections())
@@ -260,6 +295,62 @@ func TestPropagateDeltaRecovery(t *testing.T) {
 	if same != rec || changed3 != nil {
 		t.Fatal("no-op delta did not return the base Result unchanged")
 	}
+}
+
+// TestPropagateConcurrentPooled runs the engine from many goroutines at
+// once over two graphs of different sizes, so the pooled run scratch
+// moves between goroutines, graphs and both entry points (run under
+// -race). Every run must match its serial result byte for byte.
+func TestPropagateConcurrentPooled(t *testing.T) {
+	type job struct {
+		g           *topology.Graph
+		inj, sub    []bgp.Injection
+		base        *bgp.Result
+		full, delta []byte
+	}
+	var jobs []job
+	for i, stubs := range []int{40, 300} {
+		g, err := topology.Generate(topology.GenConfig{
+			Seed: int64(i + 3), Tier1: 4, Tier2: 12, Stubs: stubs,
+			MeanStubProviders: 2.2, Tier2PeerProb: 0.3,
+			EnterpriseFrac: 0.3, ContentFrac: 0.05,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := randomInjections(rand.New(rand.NewSource(int64(i))), g.ASNs(), 10)
+		base, err := bgp.PropagateResult(g, inj, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := inj[:len(inj)-3]
+		delta, _, err := bgp.PropagateDelta(base, g, sub, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{g: g, inj: inj, sub: sub, base: base, full: base.Bytes(), delta: delta.Bytes()})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				j := jobs[(w+i)%len(jobs)]
+				full, err := bgp.PropagateResult(j.g, j.inj, nil)
+				if err != nil || !bytes.Equal(full.Bytes(), j.full) {
+					t.Errorf("worker %d: concurrent PropagateResult diverged (err %v)", w, err)
+					return
+				}
+				delta, _, err := bgp.PropagateDelta(j.base, j.g, j.sub, nil, nil)
+				if err != nil || !bytes.Equal(delta.Bytes(), j.delta) {
+					t.Errorf("worker %d: concurrent PropagateDelta diverged (err %v)", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestPropagateDeltaNoopAllocs pins the empty-frontier fast path at

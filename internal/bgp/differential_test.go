@@ -1,6 +1,6 @@
 package bgp_test
 
-// Differential tests: the dense bucket-queue Propagate must select
+// Differential tests: the dense settle-loop Propagate must select
 // exactly the same route as the retained map-based PropagateReference
 // for every AS, across random topologies, random injection sets (all
 // three classes, with prepends), and several tie-breakers — including

@@ -288,63 +288,6 @@ func TestPropagateNoValleys(t *testing.T) {
 	}
 }
 
-func TestReachableIngresses(t *testing.T) {
-	g := testGraph(t)
-	inj := []Injection{
-		{Neighbor: 10, Class: ClassCustomer, Ingress: 1}, // transit: reaches all
-		{Neighbor: 11, Class: ClassPeer, Ingress: 2},     // only 11 + cone
-		{Neighbor: 13, Class: ClassPeer, Ingress: 3},     // only 13 + cone
-	}
-	cases := []struct {
-		src  topology.ASN
-		want []IngressID
-	}{
-		{100, []IngressID{1}},
-		{101, []IngressID{1, 2}},
-		{102, []IngressID{1, 3}},
-		{11, []IngressID{1, 2}},
-		{1, []IngressID{1}},
-	}
-	for _, c := range cases {
-		got := ReachableIngresses(g, c.src, inj)
-		if len(got) != len(c.want) {
-			t.Errorf("ReachableIngresses(%v) = %v, want %v", c.src, got, c.want)
-			continue
-		}
-		for _, w := range c.want {
-			if !got[w] {
-				t.Errorf("ReachableIngresses(%v) missing %d", c.src, w)
-			}
-		}
-	}
-}
-
-func TestReachableIngressesContainsSelected(t *testing.T) {
-	// Property: whatever route Propagate selects for an AS, its ingress
-	// must be in the AS's policy-compliant reachable set.
-	g, err := topology.Generate(topology.GenConfig{Seed: 13, Tier1: 4, Tier2: 20, Stubs: 250,
-		MeanStubProviders: 2.4, Tier2PeerProb: 0.35, EnterpriseFrac: 0.35, ContentFrac: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := []Injection{
-		{Neighbor: 1000, Class: ClassCustomer, Ingress: 1},
-		{Neighbor: 1003, Class: ClassPeer, Ingress: 2},
-		{Neighbor: 1007, Class: ClassPeer, Ingress: 3},
-		{Neighbor: 1011, Class: ClassCustomer, Ingress: 4},
-	}
-	sel, err := Propagate(g, inj, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n, r := range sel {
-		reach := ReachableIngresses(g, n, inj)
-		if !reach[r.Ingress] {
-			t.Errorf("AS %v selected ingress %d not in reachable set %v", n, r.Ingress, reach)
-		}
-	}
-}
-
 func TestRouteBetter(t *testing.T) {
 	cust := Route{Class: ClassCustomer, PathLen: 5}
 	peerShort := Route{Class: ClassPeer, PathLen: 1}

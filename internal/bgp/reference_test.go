@@ -18,7 +18,7 @@ import (
 // it iterates the BGP decision process to a fixpoint, re-evaluating
 // every AS against its neighbors' current selections under valley-free
 // export rules. It is O(iterations × E) and exists purely to validate
-// the three-phase Propagate against first principles on small graphs.
+// Propagate against first principles on small graphs.
 func referencePropagate(g *topology.Graph, injections []Injection, tb TieBreaker) map[topology.ASN]Route {
 	if tb == nil {
 		tb = MinIngressTieBreaker
@@ -185,9 +185,10 @@ func TestPropagateMatchesReference(t *testing.T) {
 
 // PropagateReference is the original map-based implementation of
 // Propagate, retained verbatim as the differential-testing oracle for
-// the dense engine. It runs the same three-phase BFS (up the customer
-// hierarchy, across one peer hop, down to customers) using per-level
-// maps and per-level key sorts; Propagate must select exactly the same
+// the dense engine. It runs the classic three-phase BFS (up the
+// customer hierarchy, across one peer hop, down to customers) using
+// per-level maps and per-level key sorts — a different algorithm from
+// the engine's settle loop; Propagate must select exactly the same
 // route for every AS under any tie-breaker.
 func PropagateReference(g *topology.Graph, injections []Injection, tb TieBreaker) (map[topology.ASN]Route, error) {
 	if tb == nil {

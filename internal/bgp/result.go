@@ -11,7 +11,9 @@ package bgp
 // under sync.Once.
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"painter/internal/topology"
@@ -123,9 +125,8 @@ func (r *Result) Diff(prev *Result) []topology.ASN {
 // find the per-neighbor differences that seed the frontier.
 func (r *Result) sortedInjections() []Injection {
 	r.sortOnce.Do(func() {
-		s := append([]Injection(nil), r.inj...)
-		sortInjections(s)
-		r.injSorted = s
+		r.injSorted = slices.Clone(r.inj)
+		slices.SortFunc(r.injSorted, compareInjections)
 	})
 	return r.injSorted
 }
@@ -134,61 +135,6 @@ func (r *Result) sortedInjections() []Injection {
 // Prepend) — any total order works for the multiset diff; this one
 // groups per-neighbor differences contiguously.
 func compareInjections(a, b Injection) int {
-	switch {
-	case a.Neighbor != b.Neighbor:
-		if a.Neighbor < b.Neighbor {
-			return -1
-		}
-		return 1
-	case a.Class != b.Class:
-		if a.Class < b.Class {
-			return -1
-		}
-		return 1
-	case a.Ingress != b.Ingress:
-		if a.Ingress < b.Ingress {
-			return -1
-		}
-		return 1
-	case a.Prepend != b.Prepend:
-		if a.Prepend < b.Prepend {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-func sortInjections(s []Injection) {
-	// Insertion sort under a simple quicksort: injection lists are
-	// peering-sized (tens to low thousands) and often nearly sorted.
-	for len(s) > 12 {
-		p := s[len(s)/2]
-		i, j := 0, len(s)-1
-		for i <= j {
-			for compareInjections(s[i], p) < 0 {
-				i++
-			}
-			for compareInjections(p, s[j]) < 0 {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		if j < len(s)-i {
-			sortInjections(s[:j+1])
-			s = s[i:]
-		} else {
-			sortInjections(s[i:])
-			s = s[:j+1]
-		}
-	}
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && compareInjections(s[k], s[k-1]) < 0; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
+	return cmp.Or(cmp.Compare(a.Neighbor, b.Neighbor), cmp.Compare(a.Class, b.Class),
+		cmp.Compare(a.Ingress, b.Ingress), cmp.Compare(a.Prepend, b.Prepend))
 }

@@ -29,14 +29,10 @@ type Inputs struct {
 	Deploy *cloud.Deployment
 	UGs    *usergroup.Set
 
-	// Compliant returns the policy-compliant ingress set for a UG.
-	// Optional when CompliantIDs is set.
-	Compliant func(ug usergroup.UG) (map[bgp.IngressID]bool, error)
-	// CompliantIDs, when non-nil, is preferred over Compliant: it returns
-	// the policy-compliant ingress set as an ascending-sorted slice that
-	// the orchestrator treats as read-only and may share across UGs of
-	// the same AS (the flat-memory path; netsim's CompliantIngressIDs
-	// plugs in directly).
+	// CompliantIDs (required) returns the policy-compliant ingress set
+	// of a UG as an ascending-sorted slice that the orchestrator treats
+	// as read-only and may share across UGs of the same AS (netsim's
+	// CompliantIngressIDs plugs in directly).
 	CompliantIDs func(ug usergroup.UG) ([]bgp.IngressID, error)
 	// EstLatencyMs returns the estimated latency from a UG through an
 	// ingress; ok=false when the measurement system has no target for
@@ -210,7 +206,7 @@ func (st *ugState) insertCompliant(ing bgp.IngressID) int {
 // independent, so they are built on the worker pool; the per-metro
 // PoP-distance rows are built once up front and shared.
 func newUGStates(in Inputs) ([]*ugState, error) {
-	if in.Deploy == nil || in.UGs == nil || (in.Compliant == nil && in.CompliantIDs == nil) ||
+	if in.Deploy == nil || in.UGs == nil || in.CompliantIDs == nil ||
 		in.EstLatencyMs == nil || in.AnycastMs == nil {
 		return nil, fmt.Errorf("core: incomplete Inputs")
 	}
@@ -222,24 +218,11 @@ func newUGStates(in Inputs) ([]*ugState, error) {
 	err = parallelFor(in.UGs.Len(), func(i int) error {
 		ug := in.UGs.UGs[i]
 		st := &ugState{ug: ug, popDist: rows[ug.Metro]}
-		if in.CompliantIDs != nil {
-			ids, err := in.CompliantIDs(ug)
-			if err != nil {
-				return fmt.Errorf("core: compliant(%d): %w", ug.ID, err)
-			}
-			st.compliant = ids // shared, read-only until first correction
-		} else {
-			comp, err := in.Compliant(ug)
-			if err != nil {
-				return fmt.Errorf("core: compliant(%d): %w", ug.ID, err)
-			}
-			st.compliant = make([]bgp.IngressID, 0, len(comp))
-			for ing := range comp {
-				st.compliant = append(st.compliant, ing)
-			}
-			sort.Slice(st.compliant, func(a, b int) bool { return st.compliant[a] < st.compliant[b] })
-			st.ownsComp = true
+		ids, err := in.CompliantIDs(ug)
+		if err != nil {
+			return fmt.Errorf("core: compliant(%d): %w", ug.ID, err)
 		}
+		st.compliant = ids // shared, read-only until first correction
 		any, err := in.AnycastMs(ug)
 		if err != nil {
 			return fmt.Errorf("core: anycast(%d): %w", ug.ID, err)

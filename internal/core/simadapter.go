@@ -149,11 +149,8 @@ func SimInputs(w *netsim.World, ugs *usergroup.Set,
 	in := Inputs{
 		Deploy: w.Deploy,
 		UGs:    covered,
-		Compliant: func(ug usergroup.UG) (map[bgp.IngressID]bool, error) {
-			return w.PolicyCompliant(ug.ASN)
-		},
-		// Flat path: UGs of the same AS share the world's sorted compliant
-		// row directly, no per-UG map materialization.
+		// UGs of the same AS share the world's sorted compliant row
+		// directly, no per-UG map materialization.
 		CompliantIDs: func(ug usergroup.UG) ([]bgp.IngressID, error) {
 			return w.CompliantIngressIDs(ug.ASN)
 		},

@@ -755,8 +755,8 @@ func (w *World) resolveEntryFor(peerings []bgp.IngressID, parent *span.Span) *re
 // it was computed (always empty for live entries: flips evict the
 // entries they can affect). A base is accepted only when the sets
 // overlap substantially — 2*symdiff <= max(4, |union|) — past that
-// point a full propagation is no slower and the delta bookkeeping is
-// waste.
+// point the run from the empty Result (PropagateResult) is no slower
+// than repairing a base that differs in half its injections.
 func (w *World) findDeltaBase(day int, sorted []bgp.IngressID) (*bgp.Result, []topology.ASN) {
 	w.resolveMu.Lock()
 	defer w.resolveMu.Unlock()
@@ -873,10 +873,11 @@ var emptyCompliantRow = []bgp.IngressID{}
 
 // PolicyCompliant returns the set of deployment peerings through which
 // the given AS has any policy-compliant (valley-free) path to the cloud.
-// It is equivalent to bgp.ReachableIngresses over all peerings but uses
-// cached ancestor sets for speed. Results are memoized per ASN (the
-// topology and deployment are immutable); the returned map is a fresh
-// copy the caller may modify.
+// It uses cached ancestor sets; TestPolicyCompliantMatchesBGP checks it
+// for every AS against a per-injection valley-free walk over all
+// peerings (the test oracle reachableIngresses). Results are memoized
+// per ASN (the topology and deployment are immutable); the returned map
+// is a fresh copy the caller may modify.
 func (w *World) PolicyCompliant(asn topology.ASN) (map[bgp.IngressID]bool, error) {
 	row, err := w.compliantRow(asn)
 	if err != nil {

@@ -1,110 +1,13 @@
 package alert
 
-// A line-based rule config format, so alert sets can live in flags and
-// files without pulling in a config language:
-//
-//	# convergence SLO
-//	alert slow_repair threshold series=core_repair_seconds_p99* op=gt value=1.5 window=8 agg=p99 for=2
-//	alert blackout absence series=tm_edge_probe_replies_total gate=tm_edge_probes_sent_total window=5
-//	alert drift ewma series=catchment_pop_share* band=0.08 alpha=0.2 min_samples=8 label.team=ingress
-//
-// ParseRules and FormatRules round-trip: FormatRules(ParseRules(x))
-// re-parses to the same rule set (the fuzz target's property).
-
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
-// ParseRules parses the rule config format. Blank lines and #-comments
-// are skipped; any malformed line fails the whole parse.
-func ParseRules(text string) ([]Rule, error) {
-	var rules []Rule
-	for lineNo, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		r, err := parseRuleLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("alert: line %d: %w", lineNo+1, err)
-		}
-		rules = append(rules, r)
-	}
-	return rules, nil
-}
-
-func parseRuleLine(line string) (Rule, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 3 || fields[0] != "alert" {
-		return Rule{}, fmt.Errorf("want %q, got %q", "alert <name> <kind> k=v...", line)
-	}
-	r := Rule{Name: fields[1], Kind: Kind(fields[2])}
-	switch r.Kind {
-	case KindThreshold, KindAbsence, KindEWMA:
-	default:
-		return Rule{}, fmt.Errorf("unknown kind %q", fields[2])
-	}
-	for _, tok := range fields[3:] {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok || v == "" {
-			return Rule{}, fmt.Errorf("want key=value, got %q", tok)
-		}
-		var err error
-		switch {
-		case k == "series":
-			r.Series = v
-		case k == "gate":
-			r.Gate = v
-		case k == "op":
-			if v != string(OpGT) && v != string(OpLT) {
-				return Rule{}, fmt.Errorf("op must be gt or lt, got %q", v)
-			}
-			r.Op = Op(v)
-		case k == "agg":
-			switch Agg(v) {
-			case AggLast, AggMean, AggRate, AggDelta, AggP99, AggMax:
-				r.Agg = Agg(v)
-			default:
-				return Rule{}, fmt.Errorf("unknown agg %q", v)
-			}
-		case k == "value":
-			r.Value, err = strconv.ParseFloat(v, 64)
-		case k == "alpha":
-			r.Alpha, err = strconv.ParseFloat(v, 64)
-		case k == "band":
-			r.Band, err = strconv.ParseFloat(v, 64)
-		case k == "window":
-			r.Window, err = strconv.Atoi(v)
-		case k == "for":
-			r.For, err = strconv.Atoi(v)
-		case k == "min_samples":
-			r.MinSamples, err = strconv.Atoi(v)
-		case strings.HasPrefix(k, "label."):
-			lk := strings.TrimPrefix(k, "label.")
-			if lk == "" {
-				return Rule{}, fmt.Errorf("empty label key in %q", tok)
-			}
-			if r.Labels == nil {
-				r.Labels = map[string]string{}
-			}
-			r.Labels[lk] = v
-		default:
-			return Rule{}, fmt.Errorf("unknown key %q", k)
-		}
-		if err != nil {
-			return Rule{}, fmt.Errorf("bad %s: %v", k, err)
-		}
-	}
-	if err := r.Validate(); err != nil {
-		return Rule{}, err
-	}
-	return r, nil
-}
-
-// Validate checks a rule is well-formed (whether parsed or built in
-// code).
+// Validate checks a rule is well-formed: names and series are single
+// tokens, each kind has the fields it needs, and counts are not
+// negative.
 func (r Rule) Validate() error {
 	if r.Name == "" || strings.ContainsAny(r.Name, " \t\n") {
 		return fmt.Errorf("rule name %q must be a non-empty token", r.Name)
@@ -140,49 +43,4 @@ func (r Rule) Validate() error {
 		}
 	}
 	return nil
-}
-
-// FormatRules renders rules back into the config format, one line per
-// rule, omitting zero-valued fields.
-func FormatRules(rules []Rule) string {
-	var b strings.Builder
-	for _, r := range rules {
-		fmt.Fprintf(&b, "alert %s %s series=%s", r.Name, r.Kind, r.Series)
-		if r.Gate != "" {
-			fmt.Fprintf(&b, " gate=%s", r.Gate)
-		}
-		if r.Op != "" {
-			fmt.Fprintf(&b, " op=%s", r.Op)
-		}
-		if r.Agg != "" {
-			fmt.Fprintf(&b, " agg=%s", r.Agg)
-		}
-		if r.Value != 0 {
-			fmt.Fprintf(&b, " value=%s", fmtF(r.Value))
-		}
-		if r.Alpha != 0 {
-			fmt.Fprintf(&b, " alpha=%s", fmtF(r.Alpha))
-		}
-		if r.Band != 0 {
-			fmt.Fprintf(&b, " band=%s", fmtF(r.Band))
-		}
-		if r.Window != 0 {
-			fmt.Fprintf(&b, " window=%d", r.Window)
-		}
-		if r.For != 0 {
-			fmt.Fprintf(&b, " for=%d", r.For)
-		}
-		if r.MinSamples != 0 {
-			fmt.Fprintf(&b, " min_samples=%d", r.MinSamples)
-		}
-		for _, k := range sortedKeys(r.Labels) {
-			fmt.Fprintf(&b, " label.%s=%s", k, r.Labels[k])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func fmtF(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

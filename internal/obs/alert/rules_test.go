@@ -1,76 +1,6 @@
 package alert
 
-import (
-	"reflect"
-	"strings"
-	"testing"
-)
-
-const sampleConfig = `
-# convergence SLO
-alert slow_repair threshold series=core_repair_seconds_p99* op=gt value=1.5 window=8 agg=p99 for=2
-
-alert blackout absence series=tm_edge_probe_replies_total gate=tm_edge_probes_sent_total window=5
-alert drift ewma series=catchment_pop_share* band=0.08 alpha=0.2 min_samples=8 label.team=ingress
-`
-
-func TestParseRules(t *testing.T) {
-	rules, err := ParseRules(sampleConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) != 3 {
-		t.Fatalf("parsed %d rules, want 3", len(rules))
-	}
-	if rules[0].Name != "slow_repair" || rules[0].Kind != KindThreshold ||
-		rules[0].Op != OpGT || rules[0].Value != 1.5 || rules[0].Window != 8 ||
-		rules[0].Agg != AggP99 || rules[0].For != 2 {
-		t.Fatalf("rule 0 = %+v", rules[0])
-	}
-	if rules[1].Kind != KindAbsence || rules[1].Gate != "tm_edge_probes_sent_total" {
-		t.Fatalf("rule 1 = %+v", rules[1])
-	}
-	if rules[2].Kind != KindEWMA || rules[2].Band != 0.08 ||
-		rules[2].Labels["team"] != "ingress" {
-		t.Fatalf("rule 2 = %+v", rules[2])
-	}
-}
-
-func TestParseRulesErrors(t *testing.T) {
-	bad := []string{
-		"nonsense",
-		"alert x bogus series=a",
-		"alert x threshold",                     // missing series
-		"alert x threshold series=a op=between", // bad op
-		"alert x threshold series=a value=abc",
-		"alert x threshold series=a window=-1",
-		"alert x absence series=a", // absence needs gate
-		"alert x ewma series=a",    // ewma needs band
-		"alert x ewma series=a band=0.1 alpha=2",
-		"alert x threshold series=a wat=1", // unknown key
-		"alert x threshold series=a agg=median",
-		"alert x threshold series=a label.=v",
-	}
-	for _, line := range bad {
-		if _, err := ParseRules(line); err == nil {
-			t.Errorf("ParseRules(%q) accepted", line)
-		}
-	}
-}
-
-func TestFormatRulesRoundTrip(t *testing.T) {
-	orig, err := ParseRules(sampleConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := ParseRules(FormatRules(orig))
-	if err != nil {
-		t.Fatalf("formatted config failed to parse: %v\n%s", err, FormatRules(orig))
-	}
-	if !reflect.DeepEqual(orig, again) {
-		t.Fatalf("round trip diverged:\n%+v\n%+v", orig, again)
-	}
-}
+import "testing"
 
 func TestDetectorRulesValid(t *testing.T) {
 	var all []Rule
@@ -82,41 +12,4 @@ func TestDetectorRulesValid(t *testing.T) {
 			t.Errorf("detector rule %q invalid: %v", r.Name, err)
 		}
 	}
-	// And they survive the config round trip.
-	again, err := ParseRules(FormatRules(all))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(all, again) {
-		t.Fatalf("detector round trip diverged:\n%+v\n%+v", all, again)
-	}
-}
-
-// FuzzParseRules checks the parser never panics and that accepted
-// configs are format/parse stable: format(parse(format(parse(x))))
-// equals format(parse(x)).
-func FuzzParseRules(f *testing.F) {
-	f.Add(sampleConfig)
-	f.Add("alert a threshold series=x op=lt value=-3.5e2 window=2")
-	f.Add("alert b absence series=x gate=y for=3 label.k=v")
-	f.Add("alert c ewma series=p* band=1 alpha=0.9 min_samples=2")
-	f.Add("# comment only\n\n")
-	f.Add("alert \x00 threshold series=x")
-	f.Fuzz(func(t *testing.T, text string) {
-		rules, err := ParseRules(text)
-		if err != nil {
-			return
-		}
-		form := FormatRules(rules)
-		rules2, err := ParseRules(form)
-		if err != nil {
-			t.Fatalf("formatted config rejected: %v\ninput: %q\nformatted: %q", err, text, form)
-		}
-		if form2 := FormatRules(rules2); form != form2 {
-			t.Fatalf("format not stable:\n%q\n%q", form, form2)
-		}
-		if strings.Count(form, "\n") != len(rules) {
-			t.Fatalf("formatted %d rules into %q", len(rules), form)
-		}
-	})
 }
