@@ -54,7 +54,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race -shuffle=on ./internal/tm/ ./internal/tm/netio/ ./internal/tmproto/ ./internal/bgp/ ./internal/routeserver/ ./internal/netsim/emul/ ./internal/core/ ./internal/netsim/ ./internal/chaos/ ./internal/chaos/tmchaos/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/history/ ./internal/obs/alert/ ./internal/controlapi/ ./internal/usergroup/ ./internal/tenant/ ./internal/measurement/
+	$(GO) test -race -shuffle=on ./internal/tm/ ./internal/tm/netio/ ./internal/tmproto/ ./internal/bgp/ ./internal/routeserver/ ./internal/netsim/emul/ ./internal/core/ ./internal/netsim/ ./internal/chaos/ ./internal/obs/ ./internal/obs/span/ ./internal/obs/history/ ./internal/obs/alert/ ./internal/controlapi/ ./internal/usergroup/ ./internal/tenant/ ./internal/measurement/
 
 # The TM's failure-detection tests run on real sockets and the wall
 # clock, with bounds a few milliseconds wide: twenty runs under the race
@@ -127,13 +127,13 @@ bench-e2e:
 experiments:
 	$(GO) run ./cmd/painter-bench -exp all -scale peering -iters 3
 
-# Run all five example mains end to end; CI runs this after the tests.
+# Run all three example mains end to end; CI runs this after the tests.
+# The figure-shaped walk-throughs are painter-bench experiments
+# (-exp fig6a,fig14 for the advertisement sweep, -exp fig10 for failover).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/fig1-scenario
-	$(GO) run ./examples/failover
 	$(GO) run ./examples/enterprise
-	$(GO) run ./examples/advertise-sweep
 
 clean:
 	$(GO) clean ./...

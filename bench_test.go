@@ -17,6 +17,7 @@ import (
 	"painter/internal/bgp"
 	"painter/internal/core"
 	"painter/internal/experiments"
+	"painter/internal/figures"
 	"painter/internal/tmproto"
 	"painter/internal/topology"
 )
@@ -43,7 +44,7 @@ func getEnv(b *testing.B) *experiments.Env {
 
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig3(); err != nil {
+		if _, err := figures.RunFig3(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +54,7 @@ func BenchmarkFig6a(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig6a(env, []float64{0.05, 0.3, 1.0}, 1); err != nil {
+		if _, err := figures.RunFig6a(env, []float64{0.05, 0.3, 1.0}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +64,7 @@ func BenchmarkFig6b(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig6b(env, []float64{0.1, 1.0}, 2); err != nil {
+		if _, err := figures.RunFig6b(env, []float64{0.1, 1.0}, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,7 +74,7 @@ func BenchmarkFig6c(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig6c(env, 6, 3); err != nil {
+		if _, err := figures.RunFig6c(env, 6, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +84,7 @@ func BenchmarkFig7(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig7(env, []int{4}, 10, 1); err != nil {
+		if _, err := figures.RunFig7(env, []int{4}, 10, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +94,7 @@ func BenchmarkFig9a(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig9a(env); err != nil {
+		if _, err := figures.RunFig9a(env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,20 +104,20 @@ func BenchmarkFig9b(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig9b(env, []float64{0.3, 1.0}, 1); err != nil {
+		if _, err := figures.RunFig9b(env, []float64{0.3, 1.0}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig10(b *testing.B) {
-	cfg := experiments.DefaultFig10Config()
+	cfg := figures.DefaultFig10Config()
 	cfg.PreFail = 500 * time.Millisecond
 	cfg.PostFail = 700 * time.Millisecond
 	cfg.AnycastOutage = 200 * time.Millisecond
 	cfg.ConvergeAfter = 400 * time.Millisecond
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig10(cfg)
+		res, err := figures.RunFig10(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func BenchmarkFig11a(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig11a(env); err != nil {
+		if _, err := figures.RunFig11a(env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,7 +143,7 @@ func BenchmarkFig11b(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig11b(env); err != nil {
+		if _, err := figures.RunFig11b(env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,10 +153,10 @@ func BenchmarkFig12(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig12a(env); err != nil {
+		if _, err := figures.RunFig12a(env); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := experiments.RunFig12b(env); err != nil {
+		if _, err := figures.RunFig12b(env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,7 +179,7 @@ func BenchmarkFig15a(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig15a(env, []float64{0.5, 1.0}, 1); err != nil {
+		if _, err := figures.RunFig15a(env, []float64{0.5, 1.0}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,7 +189,7 @@ func BenchmarkFig15b(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig15b(env, []float64{1000, 3000}, 1); err != nil {
+		if _, err := figures.RunFig15b(env, []float64{1000, 3000}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -257,7 +258,7 @@ func benchSolveLearned(b *testing.B, env *experiments.Env, budget int) {
 // BenchmarkFailoverDetection runs repeated failovers and reports the
 // distribution the §5.2.3 text cites (detection typically ≈1.3 RTT).
 func BenchmarkFailoverDetection(b *testing.B) {
-	cfg := experiments.DefaultFig10Config()
+	cfg := figures.DefaultFig10Config()
 	cfg.PreFail = 400 * time.Millisecond
 	cfg.PostFail = 500 * time.Millisecond
 	cfg.AnycastOutage = 150 * time.Millisecond
@@ -265,7 +266,7 @@ func BenchmarkFailoverDetection(b *testing.B) {
 	var total float64
 	n := 0
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig10(cfg)
+		res, err := figures.RunFig10(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,7 +490,7 @@ func BenchmarkComplianceValidation(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := experiments.RunComplianceValidation(env)
+		v, err := figures.RunComplianceValidation(env)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,6 +26,7 @@ import (
 
 	"painter/internal/bgp"
 	"painter/internal/experiments"
+	"painter/internal/figures"
 	"painter/internal/obs"
 )
 
@@ -36,12 +37,12 @@ type runCtx struct {
 	iters int
 	// fig6aRows is cached so fig14 (a re-projection of the same sweep)
 	// reuses fig6a's rows instead of re-solving.
-	fig6aRows []experiments.Fig6aResult
+	fig6aRows []figures.Fig6aResult
 }
 
-func (c *runCtx) fig6a() ([]experiments.Fig6aResult, error) {
+func (c *runCtx) fig6a() ([]figures.Fig6aResult, error) {
 	if c.fig6aRows == nil {
-		rows, err := experiments.RunFig6a(c.env, nil, c.iters)
+		rows, err := figures.RunFig6a(c.env, nil, c.iters)
 		if err != nil {
 			return nil, err
 		}
@@ -66,172 +67,84 @@ type experiment struct {
 // fig14 so an "all" run computes the shared sweep once.
 var experimentList = []experiment{
 	{"fig3", "latency-vs-geodistance analysis of the measurement corpus", false, false, func(c *runCtx) error {
-		an, err := experiments.RunFig3()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig3Table(an))
-		return nil
+		return show(figures.Fig3Table)(figures.RunFig3())
 	}},
 	{"fig8", "prefix-generalization model comparison", false, false, func(c *runCtx) error {
-		fmt.Println(experiments.Fig8Table(experiments.RunFig8()))
+		fmt.Println(figures.Fig8Table(figures.RunFig8()))
 		return nil
 	}},
 	{"fig10", "TM failover timeline on a live UDP edge/PoP pair", false, false, func(c *runCtx) error {
-		res, err := experiments.RunFig10(experiments.DefaultFig10Config())
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig10Table(res))
-		return nil
+		return show(figures.Fig10Table)(figures.RunFig10(figures.DefaultFig10Config()))
 	}},
 	{"fig6a", "median latency improvement vs prefix budget", true, true, func(c *runCtx) error {
-		rows, err := c.fig6a()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig6aTable(rows))
-		return nil
+		return show(figures.Fig6aTable)(c.fig6a())
 	}},
 	{"fig14", "per-UG improvement distribution (reuses the fig6a sweep)", true, true, func(c *runCtx) error {
-		rows, err := c.fig6a()
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig14Table(rows))
-		return nil
+		return show(figures.Fig14Table)(c.fig6a())
 	}},
 	{"fig6b", "improvement vs number of PoPs", true, true, func(c *runCtx) error {
-		rows, err := experiments.RunFig6b(c.env, nil, c.iters)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig6bTable(rows))
-		return nil
+		return show(figures.Fig6bTable)(figures.RunFig6b(c.env, nil, c.iters))
 	}},
 	{"fig6c", "improvement vs learning iterations at a fixed budget", true, true, func(c *runCtx) error {
 		budget := c.env.Budgets([]float64{0.1})[0]
-		rows, err := experiments.RunFig6c(c.env, budget, 4)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig6cTable(rows))
-		return nil
+		return show(figures.Fig6cTable)(figures.RunFig6c(c.env, budget, 4))
 	}},
 	{"fig7", "latency CDFs at small prefix budgets", true, true, func(c *runCtx) error {
 		budgets := c.env.Budgets([]float64{0.002, 0.021})
-		pts, err := experiments.RunFig7(c.env, budgets, 25, c.iters)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig7Table(pts))
-		return nil
+		return show(figures.Fig7Table)(figures.RunFig7(c.env, budgets, 25, c.iters))
 	}},
 	{"fig9a", "anycast vs unicast ingress latency", true, false, func(c *runCtx) error {
-		rows, err := experiments.RunFig9a(c.env)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig9aTable(rows))
-		return nil
+		return show(figures.Fig9aTable)(figures.RunFig9a(c.env))
 	}},
 	{"fig9b", "PAINTER vs anycast improvement by budget", true, true, func(c *runCtx) error {
-		rows, err := experiments.RunFig9b(c.env, nil, c.iters)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig9bTable(rows))
-		return nil
+		return show(figures.Fig9bTable)(figures.RunFig9b(c.env, nil, c.iters))
 	}},
 	{"fig11a", "failover latency inflation to the next-best ingress", true, false, func(c *runCtx) error {
-		res, err := experiments.RunFig11a(c.env)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig11aTable(res))
-		return nil
+		return show(figures.Fig11aTable)(figures.RunFig11a(c.env))
 	}},
 	{"fig11b", "ingress diversity under failure", true, false, func(c *runCtx) error {
-		res, err := experiments.RunFig11b(c.env)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig11bTable(res))
-		return nil
+		return show(figures.Fig11bTable)(figures.RunFig11b(c.env))
 	}},
 	{"fig12a", "latency during PoP maintenance", true, false, func(c *runCtx) error {
-		rows, err := experiments.RunFig12a(c.env)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig12aTable(rows))
-		return nil
+		return show(figures.Fig12aTable)(figures.RunFig12a(c.env))
 	}},
 	{"fig12b", "latency during peering maintenance", true, false, func(c *runCtx) error {
-		rows, err := experiments.RunFig12b(c.env)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig12bTable(rows))
-		return nil
+		return show(figures.Fig12bTable)(figures.RunFig12b(c.env))
 	}},
 	{"fig15a", "update-rate sensitivity (announcement churn)", true, true, func(c *runCtx) error {
-		rows, err := experiments.RunFig15a(c.env, nil, 1)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Fig15aTable(rows))
-		return nil
+		return show(figures.Fig15aTable)(figures.RunFig15a(c.env, nil, 1))
 	}},
 	{"chaos", "randomized failure injection with TM failover", true, true, func(c *runCtx) error {
-		res, err := experiments.RunChaosFailover(c.env, experiments.ChaosFailoverConfig{Seed: c.seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table())
-		return nil
+		return show((*figures.ChaosFailoverResult).Table)(figures.RunChaosFailover(c.env, figures.ChaosFailoverConfig{Seed: c.seed}))
 	}},
 	{"detect", "catchment-drift detection latency under PoP outages (twin-run determinism check)", true, true, func(c *runCtx) error {
-		res, err := experiments.RunDetectBench(c.env, experiments.DetectBenchConfig{})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Table())
-		return nil
+		return show((*figures.DetectBenchResult).Table)(figures.RunDetectBench(c.env, figures.DetectBenchConfig{}))
 	}},
 	{"scale", "solve wall-clock and memory across small/peering/azure", false, true, func(c *runCtx) error {
-		rep, err := experiments.RunScaleBench(experiments.ScaleBenchConfig{Seed: c.seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Table())
-		return nil
+		return show((*figures.ScaleBenchReport).Table)(figures.RunScaleBench(figures.ScaleBenchConfig{Seed: c.seed}))
 	}},
 	{"validation", "policy-compliance validation of simulated routing", true, false, func(c *runCtx) error {
-		v, err := experiments.RunComplianceValidation(c.env)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.ComplianceValidationTable(v))
-		return nil
+		return show(figures.ComplianceValidationTable)(figures.RunComplianceValidation(c.env))
 	}},
 	{"ablations", "component ablations at a fixed budget", true, true, func(c *runCtx) error {
 		budget := c.env.Budgets([]float64{0.03})[0]
-		rows, err := experiments.RunAblations(c.env, budget)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.AblationTable(rows))
-		return nil
+		return show(figures.AblationTable)(figures.RunAblations(c.env, budget))
 	}},
 	{"fig15b", "prefix-count sensitivity (announcement churn)", true, true, func(c *runCtx) error {
-		rows, err := experiments.RunFig15b(c.env, nil, 1)
+		return show(figures.Fig15bTable)(figures.RunFig15b(c.env, nil, 1))
+	}},
+}
+
+// show returns a printer for one runner's result: it prints the
+// result's table, or passes the runner's error on.
+func show[R any](table func(R) figures.Table) func(R, error) error {
+	return func(res R, err error) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.Fig15bTable(rows))
+		fmt.Println(table(res))
 		return nil
-	}},
+	}
 }
 
 func main() {
@@ -254,16 +167,9 @@ func main() {
 		return
 	}
 
-	var sc experiments.Scale
-	switch *scale {
-	case "small":
-		sc = experiments.ScaleSmall
-	case "peering":
-		sc = experiments.ScalePEERING
-	case "azure":
-		sc = experiments.ScaleAzure
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -42,8 +42,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"painter/internal/controlapi"
@@ -75,16 +73,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sc experiments.Scale
-	switch *scale {
-	case "small":
-		sc = experiments.ScaleSmall
-	case "peering":
-		sc = experiments.ScalePEERING
-	case "azure":
-		sc = experiments.ScaleAzure
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	logger.Info("building environment", "scale", *scale, "seed", *seed)
@@ -142,9 +133,7 @@ func main() {
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
+	daemon.WaitSignal(nil)
 	logger.Info("shutting down", "tenants", mgr.Store().Len())
 	// Snapshot the tenant registries AND alert states before teardown:
 	// Close() force-resolves every alert, so what was firing at the
@@ -159,10 +148,9 @@ func main() {
 	defer cancel()
 	_ = hs.Shutdown(ctx)
 	_ = srv.Close()
-	of.DumpTrace(tracer, logger)
-	// Final observability flush on stderr for log-harvesting supervisors:
-	// tenant counters plus whatever alerts were live when the signal hit.
-	_ = obs.DumpSnapshot(os.Stderr, finalRegs...)
+	// Final flush: tenant counters, then whatever alerts were live when
+	// the signal hit.
+	of.Flush(tracer, logger, finalRegs...)
 	for _, ta := range finalAlerts {
 		for _, sv := range ta.States {
 			if sv.State != alert.StateFiring && sv.State != alert.StatePending {

@@ -10,16 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"painter/internal/bgp"
 	"painter/internal/daemon"
-	"painter/internal/obs"
-	"painter/internal/obs/history"
 	"painter/internal/routeserver"
 )
 
@@ -35,14 +30,8 @@ func main() {
 	of := daemon.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := of.Logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	tracer := of.Tracer("route-server")
-
-	reg := obs.NewRegistry()
+	rt := of.Start("route-server")
+	logger := rt.Logger
 	cfg := routeserver.Config{
 		ListenAddr: *listen,
 		LocalAS:    uint16(*localAS),
@@ -51,8 +40,8 @@ func main() {
 		Logf: func(format string, args ...any) {
 			logger.Info(fmt.Sprintf(format, args...))
 		},
-		Obs:    reg,
-		Tracer: tracer,
+		Obs:    rt.Reg,
+		Tracer: rt.Tracer,
 	}
 	if *damping {
 		d := bgp.DefaultDampingConfig()
@@ -64,37 +53,12 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("listening", "as", *localAS, "addr", srv.Addr(),
-		"damping", *damping, "tracing", tracer != nil)
+		"damping", *damping, "tracing", rt.Tracer != nil)
 
-	// Time-series history: sample the registry on a fixed cadence so
-	// /debug/obs/history serves windowed churn counters (update/withdraw
+	// The history store serves windowed churn counters (update/withdraw
 	// rates over the ring, not just totals).
-	hist := history.New(history.Config{
-		Regs: func() []*obs.Registry { return []*obs.Registry{reg} },
-	})
-	go func() {
-		t := time.NewTicker(*sampleIv)
-		defer t.Stop()
-		for range t.C {
-			hist.Sample()
-		}
-	}()
-
-	var ms *obs.MetricsServer
-	if *metrics != "" {
-		ms, err = obs.StartServerWith(*metrics, obs.MuxConfig{
-			Regs: []*obs.Registry{reg}, Trace: tracer, Pprof: of.Pprof,
-			Extra: map[string]http.Handler{
-				"/debug/obs/history": history.StoreHandler(hist),
-			},
-		})
-		if err != nil {
-			_ = srv.Close()
-			logger.Error("metrics listen failed", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("metrics up", "url", "http://"+ms.Addr()+"/metrics", "pprof", of.Pprof)
-	}
+	rt.Sample(*sampleIv, nil, nil)
+	rt.ServeMetrics(*metrics, nil, srv)
 
 	if *logIv > 0 {
 		go func() {
@@ -115,14 +79,7 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
+	daemon.WaitSignal(nil)
 	logger.Info("shutting down")
-	_ = ms.Shutdown()
-	_ = srv.Close()
-	of.DumpTrace(tracer, logger)
-	// Final observability flush: one merged JSON snapshot on stderr so a
-	// supervisor harvesting logs keeps the last counters.
-	_ = obs.DumpSnapshot(os.Stderr, reg)
+	rt.Shutdown(srv)
 }

@@ -21,19 +21,14 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"net/netip"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"net/http"
-
 	"painter/internal/daemon"
-	"painter/internal/obs"
 	"painter/internal/obs/alert"
-	"painter/internal/obs/history"
 	"painter/internal/tm"
 	"painter/internal/tmproto"
 )
@@ -55,21 +50,15 @@ func main() {
 	of := daemon.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := of.Logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	tracer := of.Tracer("tm-edge")
-
-	reg := obs.NewRegistry()
+	rt := of.Start("tm-edge")
+	logger := rt.Logger
 	cfg := tm.DefaultEdgeConfig()
 	cfg.ProbeInterval = *probeIv
 	cfg.Destinations = dests
 	cfg.Sockets = *sockets
 	cfg.Batch = *batch
-	cfg.Obs = reg
-	cfg.Tracer = tracer
+	cfg.Obs = rt.Reg
+	cfg.Tracer = rt.Tracer
 	cfg.OnEvent = func(ev tm.Event) {
 		switch ev.Kind {
 		case tm.EventSelected:
@@ -107,7 +96,6 @@ func main() {
 		logger.Error("start failed", "err", err)
 		os.Exit(1)
 	}
-	defer edge.Close()
 	if *resolve != "" {
 		if err := edge.ResolveFrom(*resolve, *service, 3*time.Second); err != nil {
 			logger.Error("resolve failed", "from", *resolve, "err", err)
@@ -121,47 +109,17 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("up", "addr", edge.Addr(), "destinations", len(edge.Status()),
-		"tracing", tracer != nil)
+		"tracing", rt.Tracer != nil)
 
-	// History + blackout detection: sample the registry on a fixed
-	// cadence and judge the probe-blackout rule over the counters —
-	// replies flatlining while sends advance means every destination
-	// went silent at once.
-	hist := history.New(history.Config{
-		Regs: func() []*obs.Registry { return []*obs.Registry{reg} },
-	})
-	eng := alert.NewEngine(hist, []alert.Rule{alert.ProbeBlackoutRule(5, 2)},
-		alert.Options{Logger: logger, Tracer: tracer})
-
-	var ms *obs.MetricsServer
-	if *metrics != "" {
-		ms, err = obs.StartServerWith(*metrics, obs.MuxConfig{
-			Regs: []*obs.Registry{reg}, Trace: tracer, Pprof: of.Pprof,
-			Extra: map[string]http.Handler{
-				"/debug/obs/history": history.StoreHandler(hist),
-				"/alerts":            alert.StatesHandler(eng),
-			},
-		})
-		if err != nil {
-			logger.Error("metrics listen failed", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("metrics up", "url", "http://"+ms.Addr()+"/metrics", "pprof", of.Pprof)
-	}
+	// Blackout detection: judge the probe-blackout rule over the sampled
+	// counters — replies flatlining while sends advance means every
+	// destination went silent at once.
+	eng := alert.NewEngine(rt.Hist, []alert.Rule{alert.ProbeBlackoutRule(5, 2)},
+		alert.Options{Logger: logger, Tracer: rt.Tracer})
+	rt.ServeMetrics(*metrics, map[string]http.Handler{"/alerts": alert.StatesHandler(eng)}, edge)
 
 	stop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(*sampleIv)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				eng.Eval(hist.Sample())
-			}
-		}
-	}()
+	rt.Sample(*sampleIv, stop, func(tick uint64) { eng.Eval(tick) })
 	if *duration > 0 {
 		go func() { time.Sleep(*duration); close(stop) }()
 	}
@@ -201,20 +159,11 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case <-sig:
-	case <-stop:
-	}
+	daemon.WaitSignal(stop)
 	s := edge.Stats()
 	logger.Info("done",
 		"probes", s.ProbesSent, "replies", s.RepliesRcvd,
 		"data_sent", s.DataSent, "data_rcvd", s.DataRcvd,
 		"failovers", s.Failovers, "repins", s.RepinnedFlows)
-	_ = ms.Shutdown()
-	_ = edge.Close()
-	of.DumpTrace(tracer, logger)
-	// Final observability flush on stderr for log-harvesting supervisors.
-	_ = obs.DumpSnapshot(os.Stderr, reg)
+	rt.Shutdown(edge)
 }

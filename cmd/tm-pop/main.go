@@ -12,16 +12,10 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"painter/internal/daemon"
-	"painter/internal/obs"
-	"painter/internal/obs/history"
 	"painter/internal/tm"
 )
 
@@ -42,21 +36,15 @@ func main() {
 	of := daemon.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := of.Logger()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	tracer := of.Tracer("tm-pop")
-
-	reg := obs.NewRegistry()
+	rt := of.Start("tm-pop")
+	logger := rt.Logger
 	pop, err := tm.NewPoP(tm.PoPConfig{
 		ListenAddr:   *listen,
 		PoPID:        uint32(*popID),
 		Destinations: dests,
 		FlowTTL:      *flowTTL,
-		Obs:          reg,
-		Tracer:       tracer,
+		Obs:          rt.Reg,
+		Tracer:       rt.Tracer,
 		Sockets:      *sockets,
 		Batch:        *batch,
 		Workers:      *workers,
@@ -66,36 +54,10 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("listening", "pop", *popID, "addr", pop.Addr(),
-		"destinations", len(dests), "tracing", tracer != nil)
+		"destinations", len(dests), "tracing", rt.Tracer != nil)
 
-	// Time-series history: sample the registry on a fixed cadence so
-	// /debug/obs/history serves windowed counters, not just the latest.
-	hist := history.New(history.Config{
-		Regs: func() []*obs.Registry { return []*obs.Registry{reg} },
-	})
-	go func() {
-		t := time.NewTicker(*sampleIv)
-		defer t.Stop()
-		for range t.C {
-			hist.Sample()
-		}
-	}()
-
-	var ms *obs.MetricsServer
-	if *metrics != "" {
-		ms, err = obs.StartServerWith(*metrics, obs.MuxConfig{
-			Regs: []*obs.Registry{reg}, Trace: tracer, Pprof: of.Pprof,
-			Extra: map[string]http.Handler{
-				"/debug/obs/history": history.StoreHandler(hist),
-			},
-		})
-		if err != nil {
-			_ = pop.Close()
-			logger.Error("metrics listen failed", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("metrics up", "url", "http://"+ms.Addr()+"/metrics", "pprof", of.Pprof)
-	}
+	rt.Sample(*sampleIv, nil, nil)
+	rt.ServeMetrics(*metrics, nil, pop)
 
 	if *statsIv > 0 {
 		go func() {
@@ -111,13 +73,7 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
+	daemon.WaitSignal(nil)
 	logger.Info("shutting down")
-	_ = ms.Shutdown()
-	_ = pop.Close()
-	of.DumpTrace(tracer, logger)
-	// Final observability flush on stderr for log-harvesting supervisors.
-	_ = obs.DumpSnapshot(os.Stderr, reg)
+	rt.Shutdown(pop)
 }

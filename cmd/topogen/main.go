@@ -38,18 +38,10 @@ func main() {
 	}
 	prof := cloud.AzureProfile()
 	if *scale != "" {
-		var sc experiments.Scale
-		switch *scale {
-		case "small":
-			sc = experiments.ScaleSmall
-		case "peering":
-			sc = experiments.ScalePEERING
-		case "azure":
-			sc = experiments.ScaleAzure
-		default:
-			log.Fatalf("unknown scale %q (want small, peering, or azure)", *scale)
+		sc, err := experiments.ParseScale(*scale)
+		if err != nil {
+			log.Fatal(err)
 		}
-		var err error
 		cfg, prof, _, err = experiments.ScaleConfig(sc, *seed)
 		if err != nil {
 			log.Fatal(err)

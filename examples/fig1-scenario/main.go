@@ -121,5 +121,5 @@ func main() {
 	fmt.Println("operators 'fiddle with route policies and weights' (risky and slow).")
 	fmt.Println("With PAINTER the transit path at the close PoP is already advertised as")
 	fmt.Println("its own prefix, and the TM-Edge shifts flows to it within one RTT —")
-	fmt.Println("run ./examples/failover to watch that mechanism live.")
+	fmt.Println("run `go run ./cmd/painter-bench -exp fig10` to watch that mechanism live.")
 }

@@ -193,10 +193,10 @@ func TestConfigPersistRoundTrip(t *testing.T) {
 	d := testDeploy(t)
 	orig := OnePerPoPWithReuse(d, 5, 3000)
 	path := t.TempDir() + "/config.json"
-	if err := orig.Save(path); err != nil {
+	if err := orig.save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,28 +220,28 @@ func TestConfigPersistRoundTrip(t *testing.T) {
 
 func TestConfigLoadErrors(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Load(dir + "/missing.json"); err == nil {
+	if _, err := load(dir + "/missing.json"); err == nil {
 		t.Error("missing file should fail")
 	}
 	bad := dir + "/bad.json"
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bad); err == nil {
+	if _, err := load(bad); err == nil {
 		t.Error("malformed json should fail")
 	}
 	wrongVer := dir + "/ver.json"
 	if err := os.WriteFile(wrongVer, []byte(`{"version":99,"prefixes":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(wrongVer); err == nil {
+	if _, err := load(wrongVer); err == nil {
 		t.Error("unknown version should fail")
 	}
 	negID := dir + "/neg.json"
 	if err := os.WriteFile(negID, []byte(`{"version":1,"prefixes":[[-3]]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(negID); err == nil {
+	if _, err := load(negID); err == nil {
 		t.Error("negative peering id should fail")
 	}
 }

@@ -53,8 +53,8 @@ func (c *Config) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Save writes the configuration to a file (0644).
-func (c Config) Save(path string) error {
+// save writes the configuration to a file (0644).
+func (c Config) save(path string) error {
 	b, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return err
@@ -62,8 +62,8 @@ func (c Config) Save(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// Load reads a configuration from a file.
-func Load(path string) (Config, error) {
+// load reads a configuration from a file.
+func load(path string) (Config, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, err

@@ -151,8 +151,8 @@ func (d *Damper) SuppressedCount() int {
 	return n
 }
 
-// Penalty returns the current (decayed) penalty for a prefix.
-func (d *Damper) Penalty(p netip.Prefix) float64 {
+// penaltyOf returns the current (decayed) penalty for a prefix.
+func (d *Damper) penaltyOf(p netip.Prefix) float64 {
 	now := d.now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -164,13 +164,13 @@ func (d *Damper) Penalty(p netip.Prefix) float64 {
 	return s.penalty
 }
 
-// SafeUpdateInterval returns the minimum spacing between attribute-
+// safeUpdateInterval returns the minimum spacing between attribute-
 // changing re-advertisements of one prefix that never triggers
 // suppression: the interval at which the steady-state penalty stays
 // below the suppress threshold. Nothing paces itself with it yet: only
 // damping_test.go calls it. ROADMAP item 23(b) decides whether the
 // controller adopts it or it goes.
-func (d *Damper) SafeUpdateInterval() time.Duration {
+func (d *Damper) safeUpdateInterval() time.Duration {
 	// Steady state of penalty P with decay factor f per interval T and
 	// per-flap addition A: P = A / (1 - f), f = 2^(-T/halflife).
 	// Require P < SuppressThreshold ⇒ f < 1 - A/S ⇒

@@ -37,15 +37,15 @@ func TestDamperPenaltyDecays(t *testing.T) {
 	d, c := newTestDamper()
 	p := netip.MustParsePrefix("10.0.0.0/24")
 	d.OnWithdraw(p)
-	before := d.Penalty(p)
+	before := d.penaltyOf(p)
 	c.advance(15 * time.Minute) // one half-life
-	after := d.Penalty(p)
+	after := d.penaltyOf(p)
 	if after < before*0.45 || after > before*0.55 {
 		t.Errorf("penalty after one half-life = %v, want ~%v/2", after, before)
 	}
 	c.advance(10 * 15 * time.Minute)
-	if d.Penalty(p) != 0 {
-		t.Errorf("penalty should floor to zero, got %v", d.Penalty(p))
+	if d.penaltyOf(p) != 0 {
+		t.Errorf("penalty should floor to zero, got %v", d.penaltyOf(p))
 	}
 }
 
@@ -62,7 +62,7 @@ func TestDamperReuseAfterDecay(t *testing.T) {
 	// half-lives.
 	c.advance(30 * time.Minute)
 	if d.Suppressed(p) {
-		t.Errorf("penalty %v should have released suppression", d.Penalty(p))
+		t.Errorf("penalty %v should have released suppression", d.penaltyOf(p))
 	}
 }
 
@@ -90,15 +90,15 @@ func TestDamperAttrChangeCheaperThanWithdraw(t *testing.T) {
 	pa := netip.MustParsePrefix("10.0.1.0/24")
 	d.OnWithdraw(pw)
 	d.OnAttrChange(pa)
-	if d.Penalty(pa) >= d.Penalty(pw) {
+	if d.penaltyOf(pa) >= d.penaltyOf(pw) {
 		t.Errorf("attr change penalty %v should be below withdraw penalty %v",
-			d.Penalty(pa), d.Penalty(pw))
+			d.penaltyOf(pa), d.penaltyOf(pw))
 	}
 }
 
 func TestSafeUpdateInterval(t *testing.T) {
 	d, c := newTestDamper()
-	iv := d.SafeUpdateInterval()
+	iv := d.safeUpdateInterval()
 	if iv <= 0 {
 		t.Fatalf("interval = %v", iv)
 	}
@@ -108,7 +108,7 @@ func TestSafeUpdateInterval(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		d.OnAttrChange(p)
 		if d.Suppressed(p) {
-			t.Fatalf("suppressed at iteration %d despite safe pacing (penalty %v)", i, d.Penalty(p))
+			t.Fatalf("suppressed at iteration %d despite safe pacing (penalty %v)", i, d.penaltyOf(p))
 		}
 		c.advance(iv + time.Second)
 	}

@@ -195,7 +195,7 @@ func PropagateDelta(prev *Result, g *topology.Graph, injections []Injection, fli
 		return nil, nil, fmt.Errorf("bgp: PropagateDelta requires a previous Result")
 	}
 	if tb == nil {
-		tb = MinIngressTieBreaker
+		tb = minIngressTieBreaker
 	}
 	idx := g.Index()
 	if idx != prev.idx {

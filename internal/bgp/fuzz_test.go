@@ -12,11 +12,11 @@ import (
 )
 
 func FuzzParseHeader(f *testing.F) {
-	f.Add(Keepalive())
+	f.Add(keepalive())
 	f.Add([]byte{})
 	f.Add(make([]byte, headerLen))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		h, err := ParseHeader(b)
+		h, err := parseHeader(b)
 		if err != nil {
 			return
 		}
@@ -30,12 +30,12 @@ func FuzzParseOpen(f *testing.F) {
 	f.Add(Open{Version: 4, AS: 64500, HoldTime: 90, BGPID: 0x0a000001}.Marshal()[headerLen:])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		o, err := ParseOpen(body)
+		o, err := parseOpen(body)
 		if err != nil {
 			return
 		}
 		// Re-marshal (empty optional parameters) and re-parse.
-		o2, err := ParseOpen(o.Marshal()[headerLen:])
+		o2, err := parseOpen(o.Marshal()[headerLen:])
 		if err != nil || o2 != o {
 			t.Fatalf("Open round trip changed: %+v -> %+v (%v)", o, o2, err)
 		}
@@ -46,11 +46,11 @@ func FuzzParseNotification(f *testing.F) {
 	f.Add(Notification{Code: NotifCease, Subcode: 1, Data: []byte("bye")}.Marshal()[headerLen:])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		n, err := ParseNotification(body)
+		n, err := parseNotification(body)
 		if err != nil {
 			return
 		}
-		n2, err := ParseNotification(n.Marshal()[headerLen:])
+		n2, err := parseNotification(n.Marshal()[headerLen:])
 		if err != nil || !reflect.DeepEqual(n, n2) {
 			t.Fatalf("Notification round trip changed: %+v -> %+v (%v)", n, n2, err)
 		}

@@ -71,8 +71,8 @@ func marshalHeader(dst []byte, bodyLen int, t MsgType) {
 	dst[18] = uint8(t)
 }
 
-// ParseHeader decodes a header from the first 19 bytes of b.
-func ParseHeader(b []byte) (Header, error) {
+// parseHeader decodes a header from the first 19 bytes of b.
+func parseHeader(b []byte) (Header, error) {
 	if len(b) < headerLen {
 		return Header{}, ErrShortMessage
 	}
@@ -114,8 +114,8 @@ func (o Open) Marshal() []byte {
 	return out
 }
 
-// ParseOpen decodes an OPEN body (without header).
-func ParseOpen(body []byte) (Open, error) {
+// parseOpen decodes an OPEN body (without header).
+func parseOpen(body []byte) (Open, error) {
 	if len(body) < 10 {
 		return Open{}, ErrShortMessage
 	}
@@ -410,8 +410,8 @@ func parsePrefixes(b []byte) ([]netip.Prefix, error) {
 	return out, nil
 }
 
-// Keepalive returns a serialized KEEPALIVE message.
-func Keepalive() []byte {
+// keepalive returns a serialized KEEPALIVE message.
+func keepalive() []byte {
 	out := make([]byte, headerLen)
 	marshalHeader(out, 0, MsgKeepalive)
 	return out
@@ -439,8 +439,8 @@ func (n Notification) Marshal() []byte {
 	return out
 }
 
-// ParseNotification decodes a NOTIFICATION body.
-func ParseNotification(body []byte) (Notification, error) {
+// parseNotification decodes a NOTIFICATION body.
+func parseNotification(body []byte) (Notification, error) {
 	if len(body) < 2 {
 		return Notification{}, ErrShortMessage
 	}

@@ -11,7 +11,7 @@ import (
 func TestOpenRoundTrip(t *testing.T) {
 	o := Open{Version: 4, AS: 65001, HoldTime: 90, BGPID: 0x0a000001}
 	b := o.Marshal()
-	h, err := ParseHeader(b)
+	h, err := parseHeader(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,19 +21,19 @@ func TestOpenRoundTrip(t *testing.T) {
 	if int(h.Len) != len(b) {
 		t.Fatalf("header len %d != message len %d", h.Len, len(b))
 	}
-	got, err := ParseOpen(b[19:])
+	got, err := parseOpen(b[19:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != o {
-		t.Errorf("ParseOpen = %+v, want %+v", got, o)
+		t.Errorf("parseOpen = %+v, want %+v", got, o)
 	}
 }
 
 func TestOpenRoundTripProperty(t *testing.T) {
 	f := func(as, hold uint16, id uint32) bool {
 		o := Open{Version: 4, AS: as, HoldTime: hold, BGPID: id}
-		got, err := ParseOpen(o.Marshal()[19:])
+		got, err := parseOpen(o.Marshal()[19:])
 		return err == nil && got == o
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -73,7 +73,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := ParseHeader(b)
+	h, err := parseHeader(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,17 +148,17 @@ func TestUpdateRejectsIPv6(t *testing.T) {
 }
 
 func TestParseHeaderErrors(t *testing.T) {
-	if _, err := ParseHeader(make([]byte, 5)); err != ErrShortMessage {
+	if _, err := parseHeader(make([]byte, 5)); err != ErrShortMessage {
 		t.Errorf("short header err = %v", err)
 	}
-	b := Keepalive()
+	b := keepalive()
 	b[3] = 0 // corrupt marker
-	if _, err := ParseHeader(b); err != ErrBadMarker {
+	if _, err := parseHeader(b); err != ErrBadMarker {
 		t.Errorf("bad marker err = %v", err)
 	}
-	b = Keepalive()
+	b = keepalive()
 	b[16], b[17] = 0, 5 // length < 19
-	if _, err := ParseHeader(b); err != ErrBadLength {
+	if _, err := parseHeader(b); err != ErrBadLength {
 		t.Errorf("bad length err = %v", err)
 	}
 }
@@ -189,8 +189,8 @@ func TestParseUpdateErrors(t *testing.T) {
 }
 
 func TestKeepalive(t *testing.T) {
-	b := Keepalive()
-	h, err := ParseHeader(b)
+	b := keepalive()
+	h, err := parseHeader(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +202,14 @@ func TestKeepalive(t *testing.T) {
 func TestNotificationRoundTrip(t *testing.T) {
 	n := Notification{Code: NotifCease, Subcode: 2, Data: []byte("bye")}
 	b := n.Marshal()
-	h, err := ParseHeader(b)
+	h, err := parseHeader(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Type != MsgNotification {
 		t.Fatalf("type = %v", h.Type)
 	}
-	got, err := ParseNotification(b[19:])
+	got, err := parseNotification(b[19:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +227,8 @@ func TestMarshalHeaderLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range [][]byte{Open{Version: 4}.Marshal(), ub, Keepalive(), Notification{Code: 6}.Marshal()} {
-		h, err := ParseHeader(b)
+	for _, b := range [][]byte{Open{Version: 4}.Marshal(), ub, keepalive(), Notification{Code: 6}.Marshal()} {
+		h, err := parseHeader(b)
 		if err != nil {
 			t.Fatal(err)
 		}

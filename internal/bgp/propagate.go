@@ -95,9 +95,9 @@ type Injection struct {
 // ingress ID for a deterministic default).
 type TieBreaker func(as topology.ASN, candidates []Route) int
 
-// MinIngressTieBreaker picks the candidate with the lowest ingress ID,
+// minIngressTieBreaker picks the candidate with the lowest ingress ID,
 // then lowest via ASN: a deterministic default.
-func MinIngressTieBreaker(_ topology.ASN, candidates []Route) int {
+func minIngressTieBreaker(_ topology.ASN, candidates []Route) int {
 	best := 0
 	for i := 1; i < len(candidates); i++ {
 		c, b := candidates[i], candidates[best]
@@ -155,7 +155,7 @@ func Propagate(g *topology.Graph, injections []Injection, tb TieBreaker) (map[to
 // input changes instead of re-propagating the whole graph.
 func PropagateResult(g *topology.Graph, injections []Injection, tb TieBreaker) (*Result, error) {
 	if tb == nil {
-		tb = MinIngressTieBreaker
+		tb = minIngressTieBreaker
 	}
 	if err := validateInjections(g, injections); err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ import (
 // Propagate against first principles on small graphs.
 func referencePropagate(g *topology.Graph, injections []Injection, tb TieBreaker) map[topology.ASN]Route {
 	if tb == nil {
-		tb = MinIngressTieBreaker
+		tb = minIngressTieBreaker
 	}
 	// Seed routes at injection neighbors.
 	seed := make(map[topology.ASN][]Route)
@@ -192,7 +192,7 @@ func TestPropagateMatchesReference(t *testing.T) {
 // route for every AS under any tie-breaker.
 func PropagateReference(g *topology.Graph, injections []Injection, tb TieBreaker) (map[topology.ASN]Route, error) {
 	if tb == nil {
-		tb = MinIngressTieBreaker
+		tb = minIngressTieBreaker
 	}
 	for _, inj := range injections {
 		if !g.Has(inj.Neighbor) {

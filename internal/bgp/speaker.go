@@ -60,7 +60,7 @@ func (s *Speaker) Handshake() error {
 			sendErr <- err
 			return
 		}
-		sendErr <- s.send(Keepalive())
+		sendErr <- s.send(keepalive())
 	}()
 
 	h, body, err := s.readMessage()
@@ -70,7 +70,7 @@ func (s *Speaker) Handshake() error {
 	if h.Type != MsgOpen {
 		return fmt.Errorf("bgp: expected OPEN, got %v", h.Type)
 	}
-	peer, err := ParseOpen(body)
+	peer, err := parseOpen(body)
 	if err != nil {
 		return err
 	}
@@ -106,7 +106,7 @@ func (s *Speaker) Run() error {
 			case <-stop:
 				return
 			case <-t.C:
-				if err := s.send(Keepalive()); err != nil {
+				if err := s.send(keepalive()); err != nil {
 					return
 				}
 			}
@@ -135,7 +135,7 @@ func (s *Speaker) Run() error {
 				s.OnUpdate(u)
 			}
 		case MsgNotification:
-			n, _ := ParseNotification(body)
+			n, _ := parseNotification(body)
 			return fmt.Errorf("bgp: peer sent NOTIFICATION code=%d subcode=%d", n.Code, n.Subcode)
 		default:
 			return fmt.Errorf("bgp: unexpected message %v", h.Type)
@@ -202,7 +202,7 @@ func (s *Speaker) readMessage() (Header, []byte, error) {
 	if _, err := io.ReadFull(s.conn, hb[:]); err != nil {
 		return Header{}, nil, err
 	}
-	h, err := ParseHeader(hb[:])
+	h, err := parseHeader(hb[:])
 	if err != nil {
 		return Header{}, nil, err
 	}

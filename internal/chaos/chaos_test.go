@@ -144,7 +144,7 @@ func TestValleyFreeUnderChaos(t *testing.T) {
 			return err
 		}
 		checked++
-		return CheckValleyFree(g, inj, sel)
+		return checkValleyFree(g, inj, sel)
 	})
 	if err != nil {
 		t.Fatal(err)

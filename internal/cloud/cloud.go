@@ -130,18 +130,6 @@ func (d *Deployment) AllPeeringIDs() []bgp.IngressID {
 	return out
 }
 
-// TransitPeeringIDs returns peerings with transit providers, sorted.
-func (d *Deployment) TransitPeeringIDs() []bgp.IngressID {
-	var out []bgp.IngressID
-	for _, p := range d.Peerings {
-		if p.IsTransit() {
-			out = append(out, p.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Injections converts a set of peering IDs (the peerings a prefix is
 // advertised over) into bgp.Injections for route propagation.
 func (d *Deployment) Injections(peerings []bgp.IngressID) ([]bgp.Injection, error) {

@@ -259,7 +259,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, _ *http.Request) {
 		for j, id := range peerings {
 			ids[j] = int32(id)
 		}
-		out = append(out, PrefixJSON{Prefix: PrefixForIndex(i).String(), Peerings: ids})
+		out = append(out, PrefixJSON{Prefix: prefixForIndex(i).String(), Peerings: ids})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -315,9 +315,9 @@ func (s *Server) handleReports(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// PrefixForIndex assigns documentation prefixes to configuration slots:
+// prefixForIndex assigns documentation prefixes to configuration slots:
 // 10.(i/256).(i%256).0/24 in RFC1918 space for the simulated substrate.
-func PrefixForIndex(i int) netip.Prefix {
+func prefixForIndex(i int) netip.Prefix {
 	return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
 }
 
@@ -358,7 +358,7 @@ func (s *Server) announce(cfg advertise.Config) error {
 			Origin:  bgp.OriginIGP,
 			ASPath:  []uint16{64500},
 			NextHop: netip.MustParseAddr("192.0.2.1"),
-			NLRI:    []netip.Prefix{PrefixForIndex(i)},
+			NLRI:    []netip.Prefix{prefixForIndex(i)},
 		}
 		if err := sp.SendUpdate(u); err != nil {
 			return err

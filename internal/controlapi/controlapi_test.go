@@ -166,15 +166,15 @@ func TestSolveAnnouncesToRouteServer(t *testing.T) {
 }
 
 func TestPrefixForIndex(t *testing.T) {
-	if got := PrefixForIndex(0).String(); got != "10.0.0.0/24" {
+	if got := prefixForIndex(0).String(); got != "10.0.0.0/24" {
 		t.Errorf("index 0 = %s", got)
 	}
-	if got := PrefixForIndex(300).String(); got != "10.1.44.0/24" {
+	if got := prefixForIndex(300).String(); got != "10.1.44.0/24" {
 		t.Errorf("index 300 = %s", got)
 	}
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {
-		p := PrefixForIndex(i).String()
+		p := prefixForIndex(i).String()
 		if seen[p] {
 			t.Fatalf("prefix collision at %d: %s", i, p)
 		}

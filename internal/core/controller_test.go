@@ -289,7 +289,7 @@ func TestControllerDirtySetPerKind(t *testing.T) {
 					continue
 				}
 				for pi, S := range before.Prefixes {
-					if e := st.expectSc(sc, S, r.c.o.params.ReuseKm); e.Usable() {
+					if e := st.expectSc(sc, S, r.c.o.params.ReuseKm); e.usable() {
 						want[pi] = true
 					}
 				}

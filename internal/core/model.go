@@ -283,8 +283,8 @@ type Expectation struct {
 	N int
 }
 
-// Usable reports whether the prefix is usable by the UG at all.
-func (e Expectation) Usable() bool { return e.N > 0 }
+// usable reports whether the prefix is usable by the UG at all.
+func (e Expectation) usable() bool { return e.N > 0 }
 
 // exScratch holds expectSc's reusable buffers: candidate ranks and the
 // dominance mask. Never shared between concurrent goroutines.

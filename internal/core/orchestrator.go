@@ -326,7 +326,7 @@ func (o *Orchestrator) statsOf(S []bgp.IngressID) prefixStats {
 	ps := newPrefixStats(len(o.states))
 	scs := make([]exScratch, o.workerCount())
 	parallelWorkers(len(o.states), len(scs), func(w, i int) {
-		if e := o.states[i].expectSc(&scs[w], S, o.params.ReuseKm); e.Usable() {
+		if e := o.states[i].expectSc(&scs[w], S, o.params.ReuseKm); e.usable() {
 			ps.mean[i], ps.min[i], ps.max[i] = e.Mean, e.Min, e.Max
 		}
 	})

@@ -347,7 +347,7 @@ func TestExpectationFiltering(t *testing.T) {
 	// uncertainty range (the exclusion is an assumption, not a fact).
 	sc := new(exScratch)
 	e := st.expectSc(sc, []bgp.IngressID{1, 2, 3}, 3000)
-	if !e.Usable() || math.Abs(e.Mean-20) > 1e-9 || e.N != 2 {
+	if !e.usable() || math.Abs(e.Mean-20) > 1e-9 || e.N != 2 {
 		t.Errorf("expect = %+v, want mean 20 over 2", e)
 	}
 	if e.Min != 10 || e.Max != 100 {
@@ -367,7 +367,7 @@ func TestExpectationFiltering(t *testing.T) {
 	}
 	// Non-compliant-only advertisement: unusable.
 	e = st.expectSc(sc, []bgp.IngressID{99}, 3000)
-	if e.Usable() {
+	if e.usable() {
 		t.Error("prefix with no compliant ingress must be unusable")
 	}
 	// Huge reuse distance admits everything (a state without the fact).

@@ -163,7 +163,7 @@ func refPredict(m *refModel, cfg Config) (mean, lower, upper float64) {
 		valMean, valMin, valMax := st.anycast, st.anycast, st.anycast
 		for _, S := range cfg.Prefixes {
 			e := refExpect(rs, S, m.o.params.ReuseKm)
-			if !e.Usable() {
+			if !e.usable() {
 				continue
 			}
 			if e.Min < valMin {

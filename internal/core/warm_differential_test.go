@@ -33,7 +33,7 @@ import (
 // set is unusable for the state.
 func refMean(m *refModel, i int, S []bgp.IngressID) (float64, bool) {
 	e := refExpect(m.states[i], S, m.o.params.ReuseKm)
-	return e.Mean, e.Usable()
+	return e.Mean, e.usable()
 }
 
 // statsDiff reports the first state whose cached stats for S differ
@@ -43,7 +43,7 @@ func statsDiff(m *refModel, S []bgp.IngressID, ps prefixStats) error {
 	for i, rs := range m.states {
 		e := refExpect(rs, S, m.o.params.ReuseKm)
 		want := []float64{math.NaN(), math.NaN(), math.NaN()}
-		if e.Usable() {
+		if e.usable() {
 			want = []float64{e.Mean, e.Min, e.Max}
 		}
 		if got := []float64{ps.mean[i], ps.min[i], ps.max[i]}; !sameBits(got, want) {

@@ -1,9 +1,10 @@
 // Package daemon holds the plumbing shared by the four standalone
 // commands (painterd, route-server, tm-edge, tm-pop): structured
-// logging flags, tracer construction with head sampling, the
-// shutdown-time flight-recorder dump, and the TM pair's -dest flag. It
-// exists so each main stays a thin flag-to-config adapter instead of
-// repeating this wiring.
+// logging flags, tracer construction with head sampling, the process
+// lifecycle (history sampling, the metrics listener, the signal wait,
+// and the shutdown flush of trace and snapshot), and the TM pair's
+// -dest flag. It exists so each main stays a thin flag-to-config
+// adapter instead of repeating this wiring.
 package daemon
 
 import (
@@ -85,9 +86,9 @@ func (f *ObsFlags) Tracer(process string) *span.Tracer {
 	})
 }
 
-// DumpTrace writes the tracer's flight recorder to -trace-dump at
+// dumpTrace writes the tracer's flight recorder to -trace-dump at
 // shutdown, logging the outcome. No-op when either is unset.
-func (f *ObsFlags) DumpTrace(t *span.Tracer, logger *slog.Logger) {
+func (f *ObsFlags) dumpTrace(t *span.Tracer, logger *slog.Logger) {
 	if f.TraceDump == "" || t == nil {
 		return
 	}

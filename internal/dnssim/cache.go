@@ -25,14 +25,14 @@ type Authoritative struct {
 	queries int
 }
 
-// NewAuthoritative creates an authoritative server issuing answers with
+// newAuthoritative creates an authoritative server issuing answers with
 // the given TTL.
-func NewAuthoritative(ttl time.Duration) *Authoritative {
+func newAuthoritative(ttl time.Duration) *Authoritative {
 	return &Authoritative{ttl: ttl, mapping: make(map[string]int)}
 }
 
-// MapTo points a name at a prefix index.
-func (a *Authoritative) MapTo(name string, prefix int) {
+// mapTo points a name at a prefix index.
+func (a *Authoritative) mapTo(name string, prefix int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.mapping[name] = prefix
@@ -50,8 +50,8 @@ func (a *Authoritative) Query(name string, now time.Time) (Record, error) {
 	return Record{Prefix: p, TTL: a.ttl, Issued: now}, nil
 }
 
-// Queries returns how many authoritative queries were served.
-func (a *Authoritative) Queries() int {
+// queryCount returns how many authoritative queries were served.
+func (a *Authoritative) queryCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.queries
@@ -69,8 +69,8 @@ type RecursiveResolver struct {
 	misses int
 }
 
-// NewRecursiveResolver creates a resolver over an authoritative server.
-func NewRecursiveResolver(up *Authoritative) *RecursiveResolver {
+// newRecursiveResolver creates a resolver over an authoritative server.
+func newRecursiveResolver(up *Authoritative) *RecursiveResolver {
 	return &RecursiveResolver{upstream: up, cache: make(map[string]Record)}
 }
 
@@ -78,7 +78,7 @@ func NewRecursiveResolver(up *Authoritative) *RecursiveResolver {
 // the authoritative server.
 func (r *RecursiveResolver) Resolve(name string, now time.Time) (Record, error) {
 	r.mu.Lock()
-	if rec, ok := r.cache[name]; ok && !rec.Expired(now) {
+	if rec, ok := r.cache[name]; ok && !rec.expired(now) {
 		r.hits++
 		r.mu.Unlock()
 		return rec, nil
@@ -95,8 +95,8 @@ func (r *RecursiveResolver) Resolve(name string, now time.Time) (Record, error) 
 	return rec, nil
 }
 
-// HitRate returns the cache hit fraction.
-func (r *RecursiveResolver) HitRate() float64 {
+// hitRate returns the cache hit fraction.
+func (r *RecursiveResolver) hitRate() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	total := r.hits + r.misses
@@ -131,16 +131,16 @@ type Client struct {
 	held map[string]Record
 }
 
-// NewClient creates a client with the given TTL behaviour.
-func NewClient(r *RecursiveResolver, b ClientBehavior) *Client {
+// newClient creates a client with the given TTL behaviour.
+func newClient(r *RecursiveResolver, b ClientBehavior) *Client {
 	return &Client{resolver: r, behavior: b, held: make(map[string]Record)}
 }
 
-// AddressFor returns the prefix index the client will send a NEW flow
+// addressFor returns the prefix index the client will send a NEW flow
 // to at time now, resolving (or reusing a stale record) per behaviour.
 // The second return reports whether the record used was already expired
 // — i.e., the cloud has lost control of this flow's destination.
-func (c *Client) AddressFor(name string, now time.Time) (int, bool, error) {
+func (c *Client) addressFor(name string, now time.Time) (int, bool, error) {
 	c.mu.Lock()
 	rec, have := c.held[name]
 	c.mu.Unlock()
@@ -148,10 +148,10 @@ func (c *Client) AddressFor(name string, now time.Time) (int, bool, error) {
 	switch c.behavior {
 	case BehaviorCacheIndefinitely:
 		if have {
-			return rec.Prefix, rec.Expired(now), nil
+			return rec.Prefix, rec.expired(now), nil
 		}
 	default:
-		if have && !rec.Expired(now) {
+		if have && !rec.expired(now) {
 			return rec.Prefix, false, nil
 		}
 	}
@@ -162,20 +162,20 @@ func (c *Client) AddressFor(name string, now time.Time) (int, bool, error) {
 	c.mu.Lock()
 	c.held[name] = fresh
 	c.mu.Unlock()
-	return fresh.Prefix, fresh.Expired(now), nil
+	return fresh.Prefix, fresh.expired(now), nil
 }
 
-// FlowDestination returns the prefix a flow STARTED at start and still
+// flowDestination returns the prefix a flow STARTED at start and still
 // running at now is using, and whether the record backing it has
 // expired mid-flow. Flows never re-resolve (connections cannot move),
 // which is the other half of the paper's post-expiry traffic.
-func (c *Client) FlowDestination(name string, start, now time.Time) (int, bool, error) {
-	p, _, err := c.AddressFor(name, start)
+func (c *Client) flowDestination(name string, start, now time.Time) (int, bool, error) {
+	p, _, err := c.addressFor(name, start)
 	if err != nil {
 		return 0, false, err
 	}
 	c.mu.Lock()
 	rec := c.held[name]
 	c.mu.Unlock()
-	return p, rec.Expired(now), nil
+	return p, rec.expired(now), nil
 }

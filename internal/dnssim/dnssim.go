@@ -27,8 +27,8 @@ type Record struct {
 	Issued time.Time
 }
 
-// Expired reports whether the record is past TTL at t.
-func (r Record) Expired(t time.Time) bool { return t.After(r.Issued.Add(r.TTL)) }
+// expired reports whether the record is past TTL at t.
+func (r Record) expired(t time.Time) bool { return t.After(r.Issued.Add(r.TTL)) }
 
 // SteeringAssignment maps each UG to the prefix index DNS steering
 // would direct it to (-1 = anycast).

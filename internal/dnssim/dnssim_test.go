@@ -36,10 +36,10 @@ func testWorld(t *testing.T) (*netsim.World, *usergroup.Set) {
 func TestRecordExpired(t *testing.T) {
 	base := time.Now()
 	r := Record{Prefix: 0, TTL: time.Minute, Issued: base}
-	if r.Expired(base.Add(30 * time.Second)) {
+	if r.expired(base.Add(30 * time.Second)) {
 		t.Error("not yet expired")
 	}
-	if !r.Expired(base.Add(61 * time.Second)) {
+	if !r.expired(base.Add(61 * time.Second)) {
 		t.Error("should be expired")
 	}
 }

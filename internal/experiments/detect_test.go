@@ -1,6 +1,10 @@
-package experiments
+package experiments_test
 
-import "testing"
+import (
+	"testing"
+
+	"painter/internal/figures"
+)
 
 // TestDetectBenchSmall pins the figure's accounting: only a detected
 // outage can resolve, and the latency summaries cover detected trials
@@ -9,14 +13,14 @@ import "testing"
 func TestDetectBenchSmall(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  DetectBenchConfig
+		cfg  figures.DetectBenchConfig
 		some bool // some but not all outages detected
 	}{
-		{"default band", DetectBenchConfig{Trials: 4}, true},
-		{"band 1", DetectBenchConfig{Trials: 3, Band: 1}, false},
+		{"default band", figures.DetectBenchConfig{Trials: 4}, true},
+		{"band 1", figures.DetectBenchConfig{Trials: 3, Band: 1}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunDetectBench(env(t), tc.cfg)
+			res, err := figures.RunDetectBench(env(t), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,14 +1,16 @@
-// Package experiments contains one runner per table/figure in the
-// paper's evaluation (§5, appendices). Each runner builds on the shared
-// Env (topology + deployment + world + UGs + measurement system) and
-// returns a printable result whose rows/series mirror what the paper
-// reports. cmd/painter-bench and the top-level benchmarks drive these.
+// Package experiments holds the scale presets and the environment built
+// from them: ScaleConfig names each preset's generation parameters,
+// BuildWorld turns a preset into a simulated world, and NewEnv adds the
+// orchestrator inputs and the measurement system on top. The daemons,
+// the tenant control plane, the control API and the figure runners
+// (internal/figures) all build their worlds here, so a tenant, a
+// painterd instance and a figure of the same scale and seed share one
+// world bit for bit.
 package experiments
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"painter/internal/cloud"
 	"painter/internal/core"
@@ -31,6 +33,16 @@ const (
 	// peerings, and UGs.
 	ScaleAzure
 )
+
+// ParseScale maps a preset name (Scale.String) back to its Scale.
+func ParseScale(name string) (Scale, error) {
+	for s := ScaleSmall; s <= ScaleAzure; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want small, peering, or azure)", name)
+}
 
 func (s Scale) String() string {
 	switch s {
@@ -65,8 +77,8 @@ type Env struct {
 
 // ScaleConfig returns the canonical generation parameters for a scale:
 // topology generator config, cloud deployment profile, and UG build
-// config. Every consumer of a scale preset (NewEnv, cmd/topogen,
-// the scale bench) derives from this one function so sizes never drift.
+// config. Every consumer of a scale preset (BuildWorld, cmd/topogen,
+// the benchmark) derives from this one function so sizes never drift.
 func ScaleConfig(scale Scale, seed int64) (topology.GenConfig, cloud.Profile, usergroup.Config, error) {
 	var gen topology.GenConfig
 	var prof cloud.Profile
@@ -97,42 +109,59 @@ func ScaleConfig(scale Scale, seed int64) (topology.GenConfig, cloud.Profile, us
 	return gen, prof, ugCfg, nil
 }
 
-// NewEnv constructs an environment at the given scale with a seed.
-func NewEnv(scale Scale, seed int64) (*Env, error) {
+// World is one generated world: the topology, the cloud deployment on
+// it, the simulated Internet over both, and every user group.
+type World struct {
+	Graph  *topology.Graph
+	Deploy *cloud.Deployment
+	Net    *netsim.World
+	UGs    *usergroup.Set
+}
+
+// BuildWorld generates the world of a scale preset and seed. NewEnv
+// and every tenant build their worlds here (bench/ keeps a traced copy
+// of this chain), so the seeds (topology seed, deployment seed+1,
+// routing seed+2, user groups seed+3) never drift between them.
+func BuildWorld(scale Scale, seed int64) (*World, error) {
 	gen, prof, ugCfg, err := ScaleConfig(scale, seed)
 	if err != nil {
 		return nil, err
 	}
+	wd := &World{}
+	if wd.Graph, err = topology.Generate(gen); err != nil {
+		return nil, fmt.Errorf("topology: %w", err)
+	}
+	if wd.Deploy, err = cloud.Build(wd.Graph, 64500, prof); err != nil {
+		return nil, fmt.Errorf("deployment: %w", err)
+	}
+	if wd.Net, err = netsim.New(wd.Graph, wd.Deploy, seed+2); err != nil {
+		return nil, fmt.Errorf("world: %w", err)
+	}
+	if wd.UGs, err = usergroup.Build(wd.Graph, ugCfg); err != nil {
+		return nil, fmt.Errorf("usergroups: %w", err)
+	}
+	return wd, nil
+}
 
-	g, err := topology.Generate(gen)
+// NewEnv constructs an environment at the given scale with a seed.
+func NewEnv(scale Scale, seed int64) (*Env, error) {
+	wd, err := BuildWorld(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	d, err := cloud.Build(g, 64500, prof)
-	if err != nil {
-		return nil, err
-	}
-	w, err := netsim.New(g, d, seed+2)
-	if err != nil {
-		return nil, err
-	}
-	allUGs, err := usergroup.Build(g, ugCfg)
-	if err != nil {
-		return nil, err
-	}
-	in, covered, err := core.SimInputs(w, allUGs, nil)
+	in, covered, err := core.SimInputs(wd.Net, wd.UGs, nil)
 	if err != nil {
 		return nil, err
 	}
 	mCfg := measurement.DefaultConfig()
 	mCfg.Seed = seed + 4
-	meas, err := measurement.NewSystem(w, covered, mCfg)
+	meas, err := measurement.NewSystem(wd.Net, covered, mCfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Env{
-		Scale: scale, Graph: g, Deploy: d, World: w,
-		UGs: covered, AllUGs: allUGs, Meas: meas, Inputs: in, Seed: seed,
+		Scale: scale, Graph: wd.Graph, Deploy: wd.Deploy, World: wd.Net,
+		UGs: covered, AllUGs: wd.UGs, Meas: meas, Inputs: in, Seed: seed,
 	}, nil
 }
 
@@ -167,50 +196,3 @@ func (e *Env) Budgets(fracs []float64) []int {
 	sort.Ints(out)
 	return out
 }
-
-// StandardBudgetFracs is the x-axis of Fig. 6a/6b/9b/14.
-var StandardBudgetFracs = []float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0}
-
-// Table is a simple printable result: a header plus rows.
-type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
-}
-
-// String renders the table with aligned columns.
-func (t Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(t.Header)
-	for _, r := range t.Rows {
-		line(r)
-	}
-	return b.String()
-}
-
-// F formats a float compactly.
-func F(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// Pct formats a fraction as a percentage.
-func Pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }

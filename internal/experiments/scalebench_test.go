@@ -1,9 +1,14 @@
-package experiments
+package experiments_test
 
-import "testing"
+import (
+	"testing"
+
+	"painter/internal/experiments"
+	"painter/internal/figures"
+)
 
 func TestScaleBenchSmallSmoke(t *testing.T) {
-	rep, err := RunScaleBench(ScaleBenchConfig{Seed: 7, Scales: []Scale{ScaleSmall}})
+	rep, err := figures.RunScaleBench(figures.ScaleBenchConfig{Seed: 7, Scales: []experiments.Scale{experiments.ScaleSmall}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,18 +55,17 @@ func DistanceKm(a, b Coord) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
-// MinRTT returns the theoretical minimum round-trip time between two
+// minRTT returns the theoretical minimum round-trip time between two
 // points: great-circle distance, out and back, at fiber speed with no
-// stretch. It is the hard lower bound used for speed-of-light validation
-// of geolocated measurement targets (Appendix B).
-func MinRTT(a, b Coord) time.Duration {
+// stretch. Only this package's tests call it.
+func minRTT(a, b Coord) time.Duration {
 	ms := 2 * DistanceKm(a, b) / FiberSpeedKmPerMs
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// FiberRTT returns a realistic round-trip propagation delay between two
+// fiberRTT returns a realistic round-trip propagation delay between two
 // points assuming typical fiber path stretch.
-func FiberRTT(a, b Coord) time.Duration {
+func fiberRTT(a, b Coord) time.Duration {
 	ms := 2 * DistanceKm(a, b) * PathStretch / FiberSpeedKmPerMs
 	return time.Duration(ms * float64(time.Millisecond))
 }
@@ -75,7 +74,7 @@ func FiberRTT(a, b Coord) time.Duration {
 // milliseconds (out and back at fiber speed, no stretch).
 func KmToMinRTTMs(km float64) float64 { return 2 * km / FiberSpeedKmPerMs }
 
-// RTTMsToMaxKm converts an observed RTT in milliseconds into the maximum
+// rttMsToMaxKm converts an observed RTT in milliseconds into the maximum
 // one-way distance in km the remote endpoint can be at: the inverse of
-// KmToMinRTTMs. Used to bound target geolocation uncertainty.
-func RTTMsToMaxKm(rttMs float64) float64 { return rttMs * FiberSpeedKmPerMs / 2 }
+// KmToMinRTTMs. Only this package's tests call it.
+func rttMsToMaxKm(rttMs float64) float64 { return rttMs * FiberSpeedKmPerMs / 2 }

@@ -99,21 +99,21 @@ func TestMinRTTMonotonicInDistance(t *testing.T) {
 	nyc, _ := MetroByCode("nyc")
 	bos, _ := MetroByCode("bos")
 	tyo, _ := MetroByCode("tyo")
-	near := MinRTT(nyc.Coord, bos.Coord)
-	far := MinRTT(nyc.Coord, tyo.Coord)
+	near := minRTT(nyc.Coord, bos.Coord)
+	far := minRTT(nyc.Coord, tyo.Coord)
 	if near >= far {
-		t.Errorf("MinRTT(nyc,bos)=%v should be < MinRTT(nyc,tyo)=%v", near, far)
+		t.Errorf("minRTT(nyc,bos)=%v should be < minRTT(nyc,tyo)=%v", near, far)
 	}
 	if near <= 0 {
-		t.Errorf("MinRTT between distinct metros must be positive, got %v", near)
+		t.Errorf("minRTT between distinct metros must be positive, got %v", near)
 	}
 }
 
 func TestFiberRTTExceedsMinRTT(t *testing.T) {
 	a, _ := MetroByCode("lon")
 	b, _ := MetroByCode("sin")
-	if FiberRTT(a.Coord, b.Coord) <= MinRTT(a.Coord, b.Coord) {
-		t.Error("FiberRTT must exceed MinRTT (path stretch > 1)")
+	if fiberRTT(a.Coord, b.Coord) <= minRTT(a.Coord, b.Coord) {
+		t.Error("fiberRTT must exceed minRTT (path stretch > 1)")
 	}
 }
 
@@ -121,9 +121,9 @@ func TestMinRTTKnownMagnitude(t *testing.T) {
 	// NYC <-> London is ~5570 km, so min RTT ~ 55.7 ms.
 	nyc, _ := MetroByCode("nyc")
 	lon, _ := MetroByCode("lon")
-	got := MinRTT(nyc.Coord, lon.Coord)
+	got := minRTT(nyc.Coord, lon.Coord)
 	if got < 50*time.Millisecond || got > 62*time.Millisecond {
-		t.Errorf("MinRTT(nyc,lon) = %v, want ~56ms", got)
+		t.Errorf("minRTT(nyc,lon) = %v, want ~56ms", got)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestKmRTTRoundTrip(t *testing.T) {
 		if math.IsNaN(km) || math.IsInf(km, 0) || km > 40000 {
 			return true
 		}
-		back := RTTMsToMaxKm(KmToMinRTTMs(km))
+		back := rttMsToMaxKm(KmToMinRTTMs(km))
 		return math.Abs(back-km) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -198,13 +198,13 @@ func TestMetrosInRegionPartition(t *testing.T) {
 
 func TestNearestMetro(t *testing.T) {
 	// A point in Manhattan should resolve to nyc.
-	if m := NearestMetro(Coord{40.78, -73.97}); m.Code != "nyc" {
-		t.Errorf("NearestMetro(manhattan) = %q, want nyc", m.Code)
+	if m := nearestMetro(Coord{40.78, -73.97}); m.Code != "nyc" {
+		t.Errorf("nearestMetro(manhattan) = %q, want nyc", m.Code)
 	}
 	// Every metro is its own nearest metro.
 	for _, m := range Metros() {
-		if got := NearestMetro(m.Coord); got.Code != m.Code {
-			t.Errorf("NearestMetro(%s) = %s, want itself", m.Code, got.Code)
+		if got := nearestMetro(m.Coord); got.Code != m.Code {
+			t.Errorf("nearestMetro(%s) = %s, want itself", m.Code, got.Code)
 		}
 	}
 }

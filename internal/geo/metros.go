@@ -228,8 +228,8 @@ func Regions() []Region {
 	return out
 }
 
-// NearestMetro returns the metro closest to the given coordinate.
-func NearestMetro(c Coord) Metro {
+// nearestMetro returns the metro closest to the given coordinate.
+func nearestMetro(c Coord) Metro {
 	best := metroTable[0]
 	bestD := DistanceKm(c, best.Coord)
 	for _, m := range metroTable[1:] {

@@ -190,24 +190,24 @@ func (s *System) pingMs(u usergroup.UG, ing bgp.IngressID, dom uint64) (float64,
 	return best, nil
 }
 
-// HasProbe reports whether the UG hosts a probe.
-func (s *System) HasProbe(id usergroup.ID) bool { return s.probes[id] }
+// hasProbe reports whether the UG hosts a probe.
+func (s *System) hasProbe(id usergroup.ID) bool { return s.probes[id] }
 
-// ProbeCount returns the number of probe-hosting UGs.
-func (s *System) ProbeCount() int { return len(s.probes) }
+// probeCount returns the number of probe-hosting UGs.
+func (s *System) probeCount() int { return len(s.probes) }
 
-// TargetUncertaintyKm returns the intrinsic geolocation uncertainty of
+// targetUncertaintyKm returns the intrinsic geolocation uncertainty of
 // an ingress's measurement target (+Inf when no target exists).
-func (s *System) TargetUncertaintyKm(ing bgp.IngressID) float64 {
+func (s *System) targetUncertaintyKm(ing bgp.IngressID) float64 {
 	if u, ok := s.targetUncKm[ing]; ok {
 		return u
 	}
 	return math.Inf(1)
 }
 
-// Covered reports whether the ingress has a target admissible at the
+// covers reports whether the ingress has a target admissible at the
 // configured geo-precision.
-func (s *System) Covered(ing bgp.IngressID) bool {
+func (s *System) covers(ing bgp.IngressID) bool {
 	return s.targetUncKm[ing] <= s.cfg.GeoPrecisionKm
 }
 
@@ -217,13 +217,13 @@ func (s *System) AnycastMs(id usergroup.ID) (float64, bool) {
 	return ms, ok
 }
 
-// MeasuredMs returns the estimated latency from a probe-hosting UG
+// measuredMs returns the estimated latency from a probe-hosting UG
 // through an ingress, using the ingress's geolocated target as a stand-
 // in (Appendix B): true path latency plus an error that grows with the
 // target's geolocation uncertainty. ok=false when the UG has no probe or
 // the ingress has no admissible target.
-func (s *System) MeasuredMs(u usergroup.UG, ing bgp.IngressID) (float64, bool) {
-	if !s.probes[u.ID] || !s.Covered(ing) {
+func (s *System) measuredMs(u usergroup.UG, ing bgp.IngressID) (float64, bool) {
+	if !s.probes[u.ID] || !s.covers(ing) {
 		return 0, false
 	}
 	ms, err := s.pingMs(u, ing, 7)
@@ -274,7 +274,7 @@ func (s *System) Estimator() func(u usergroup.UG, ing bgp.IngressID) (float64, b
 				continue
 			}
 			for ing := range pc {
-				if m, ok := s.MeasuredMs(p.ug, ing); ok {
+				if m, ok := s.measuredMs(p.ug, ing); ok {
 					pool = append(pool, p.anycast-m) // improvement (can be negative)
 				}
 			}
@@ -290,7 +290,7 @@ func (s *System) Estimator() func(u usergroup.UG, ing bgp.IngressID) (float64, b
 
 	return func(u usergroup.UG, ing bgp.IngressID) (float64, bool) {
 		if s.probes[u.ID] {
-			return s.MeasuredMs(u, ing)
+			return s.measuredMs(u, ing)
 		}
 		anycast, ok := s.anycastMs[u.ID]
 		if !ok {

@@ -43,14 +43,14 @@ func TestProbeCoverageTarget(t *testing.T) {
 	s, _, ugs := testSystem(t)
 	var covered float64
 	for _, u := range ugs.UGs {
-		if s.HasProbe(u.ID) {
+		if s.hasProbe(u.ID) {
 			covered += u.Weight
 		}
 	}
 	if covered < 0.45 || covered > 0.60 {
 		t.Errorf("probe traffic coverage = %.3f, want ~0.47", covered)
 	}
-	if s.ProbeCount() >= ugs.Len() {
+	if s.probeCount() >= ugs.Len() {
 		t.Error("probes should cover a strict subset of UGs")
 	}
 }
@@ -59,7 +59,7 @@ func TestTargetUncertaintyDistribution(t *testing.T) {
 	s, w, _ := testSystem(t)
 	precise, mid, far, none := 0, 0, 0, 0
 	for _, ing := range w.Deploy.AllPeeringIDs() {
-		u := s.TargetUncertaintyKm(ing)
+		u := s.targetUncertaintyKm(ing)
 		switch {
 		case math.IsInf(u, 1):
 			none++
@@ -134,10 +134,10 @@ func TestMeasuredMsGating(t *testing.T) {
 	var probe, noProbe *usergroup.UG
 	for i := range ugs.UGs {
 		u := &ugs.UGs[i]
-		if s.HasProbe(u.ID) && probe == nil {
+		if s.hasProbe(u.ID) && probe == nil {
 			probe = u
 		}
-		if !s.HasProbe(u.ID) && noProbe == nil {
+		if !s.hasProbe(u.ID) && noProbe == nil {
 			noProbe = u
 		}
 	}
@@ -146,24 +146,24 @@ func TestMeasuredMsGating(t *testing.T) {
 	}
 	var coveredIng, uncoveredIng = int32(-1), int32(-1)
 	for _, ing := range w.Deploy.AllPeeringIDs() {
-		if s.Covered(ing) && coveredIng == -1 {
+		if s.covers(ing) && coveredIng == -1 {
 			coveredIng = int32(ing)
 		}
-		if !s.Covered(ing) && uncoveredIng == -1 {
+		if !s.covers(ing) && uncoveredIng == -1 {
 			uncoveredIng = int32(ing)
 		}
 	}
 	if coveredIng == -1 {
 		t.Fatal("no covered ingress")
 	}
-	if _, ok := s.MeasuredMs(*probe, bgpIngress(coveredIng)); !ok {
+	if _, ok := s.measuredMs(*probe, bgpIngress(coveredIng)); !ok {
 		t.Error("probe + covered target should measure")
 	}
-	if _, ok := s.MeasuredMs(*noProbe, bgpIngress(coveredIng)); ok {
+	if _, ok := s.measuredMs(*noProbe, bgpIngress(coveredIng)); ok {
 		t.Error("non-probe UG must not measure directly")
 	}
 	if uncoveredIng != -1 {
-		if _, ok := s.MeasuredMs(*probe, bgpIngress(uncoveredIng)); ok {
+		if _, ok := s.measuredMs(*probe, bgpIngress(uncoveredIng)); ok {
 			t.Error("uncovered ingress must not be measurable")
 		}
 	}
@@ -173,7 +173,7 @@ func TestMeasurementAccuracyForPreciseTargets(t *testing.T) {
 	s, w, ugs := testSystem(t)
 	checked := 0
 	for _, u := range ugs.UGs {
-		if !s.HasProbe(u.ID) {
+		if !s.hasProbe(u.ID) {
 			continue
 		}
 		pc, err := w.PolicyCompliant(u.ASN)
@@ -181,10 +181,10 @@ func TestMeasurementAccuracyForPreciseTargets(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ing := range pc {
-			if s.TargetUncertaintyKm(ing) > 100 {
+			if s.targetUncertaintyKm(ing) > 100 {
 				continue
 			}
-			est, ok := s.MeasuredMs(u, ing)
+			est, ok := s.measuredMs(u, ing)
 			if !ok {
 				continue
 			}
@@ -223,7 +223,7 @@ func TestEstimatorCoversNonProbeUGs(t *testing.T) {
 			if ms <= 0 {
 				t.Fatalf("estimate %v must be positive", ms)
 			}
-			if s.HasProbe(u.ID) {
+			if s.hasProbe(u.ID) {
 				probeHits++
 			} else {
 				extrapolated++

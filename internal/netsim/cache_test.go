@@ -106,11 +106,11 @@ func TestResolveCacheInvalidatedBySetDay(t *testing.T) {
 // TestAdvanceToMovesForwardOnly verifies AdvanceTo semantics.
 func TestAdvanceToMovesForwardOnly(t *testing.T) {
 	w := testWorld(t)
-	w.AdvanceTo(3)
+	w.advanceTo(3)
 	if w.Day() != 3 {
 		t.Fatalf("AdvanceTo(3): day = %d", w.Day())
 	}
-	w.AdvanceTo(1)
+	w.advanceTo(1)
 	if w.Day() != 3 {
 		t.Errorf("AdvanceTo(1) moved the clock backward to %d", w.Day())
 	}

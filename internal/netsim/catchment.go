@@ -36,7 +36,7 @@ type Catchment struct {
 }
 
 // ugCatchRow is one UG's retained catchment contribution: everything
-// AnalyzeCatchment derives from the world for that UG. Rows depend only
+// analyzeCatchment derives from the world for that UG. Rows depend only
 // on the UG's selected anycast route and its best live compliant
 // ingress, which is what lets CatchmentAnalyzer recompute just the rows
 // an event can move.
@@ -127,10 +127,10 @@ func assembleCatchment(ugs *usergroup.Set, rows []ugCatchRow, thresholdKm float6
 	return c, nil
 }
 
-// AnalyzeCatchment computes the anycast catchment of a world for a UG
+// analyzeCatchment computes the anycast catchment of a world for a UG
 // population. thresholdKm <= 0 defaults to 1,000 km (the paper's "90% of
 // traffic reaches a PoP within 1,000 km of the closest possible").
-func AnalyzeCatchment(w *World, ugs *usergroup.Set, thresholdKm float64) (*Catchment, error) {
+func analyzeCatchment(w *World, ugs *usergroup.Set, thresholdKm float64) (*Catchment, error) {
 	if thresholdKm <= 0 {
 		thresholdKm = 1000
 	}
@@ -155,7 +155,7 @@ func AnalyzeCatchment(w *World, ugs *usergroup.Set, thresholdKm float64) (*Catch
 // set, i.e. the delta engine's catchment cone) plus UGs whose best
 // compliant ingress may have changed because an ingress in their
 // compliant set went down or came up. Equivalence with a fresh
-// AnalyzeCatchment is pinned by the differential tests.
+// analyzeCatchment is pinned by the differential tests.
 //
 // Like the world's query methods it must not run concurrently with
 // ApplyEvent/SetDay; Update itself is not safe for concurrent use.
@@ -279,14 +279,14 @@ func (a *CatchmentAnalyzer) Update() (*Catchment, error) {
 	return assembleCatchment(a.ugs, a.rows, a.thresholdKm)
 }
 
-// TopPoPs returns the n busiest PoPs by anycast share, descending.
+// topPoPs returns the n busiest PoPs by anycast share, descending.
 type PoPShareEntry struct {
 	PoP   cloud.PoPID
 	Share float64
 }
 
-// TopPoPs lists the busiest PoPs.
-func (c *Catchment) TopPoPs(n int) []PoPShareEntry {
+// topPoPs lists the busiest PoPs.
+func (c *Catchment) topPoPs(n int) []PoPShareEntry {
 	out := make([]PoPShareEntry, 0, len(c.PoPShare))
 	for id, s := range c.PoPShare {
 		out = append(out, PoPShareEntry{id, s})

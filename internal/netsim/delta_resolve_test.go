@@ -336,7 +336,7 @@ func TestAnycastShift(t *testing.T) {
 
 // TestCatchmentAnalyzerDifferential drives a CatchmentAnalyzer through
 // every event kind and a day change, comparing each incremental Update
-// against a from-scratch AnalyzeCatchment of the same world.
+// against a from-scratch analyzeCatchment of the same world.
 func TestCatchmentAnalyzerDifferential(t *testing.T) {
 	dw, _ := deltaWorldPair(t, 31)
 	ugs, err := usergroup.Build(dw.Graph, usergroup.DefaultConfig())
@@ -369,9 +369,9 @@ func TestCatchmentAnalyzerDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: Update: %v", i, err)
 		}
-		ref, err := AnalyzeCatchment(dw, ugs, 0)
+		ref, err := analyzeCatchment(dw, ugs, 0)
 		if err != nil {
-			t.Fatalf("step %d: AnalyzeCatchment: %v", i, err)
+			t.Fatalf("step %d: analyzeCatchment: %v", i, err)
 		}
 		assertCatchmentsEqual(t, i, inc, ref)
 	}

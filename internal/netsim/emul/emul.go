@@ -69,8 +69,8 @@ func (l *Link) Addr() string { return l.front.LocalAddr().String() }
 // SetDelay changes the one-way delay.
 func (l *Link) SetDelay(d time.Duration) { l.delayNanos.Store(int64(d)) }
 
-// Delay returns the current one-way delay.
-func (l *Link) Delay() time.Duration { return time.Duration(l.delayNanos.Load()) }
+// delay returns the current one-way delay.
+func (l *Link) delay() time.Duration { return time.Duration(l.delayNanos.Load()) }
 
 // SetDown drops all traffic when true (models prefix withdrawal / PoP
 // failure).
@@ -169,7 +169,7 @@ func (l *Link) frontLoop() {
 		if err != nil {
 			continue
 		}
-		delay := l.Delay()
+		delay := l.delay()
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
@@ -213,7 +213,7 @@ func (l *Link) upstreamFor(client *net.UDPAddr) (*net.UDPConn, error) {
 				continue
 			}
 			pkt := append([]byte(nil), buf[:n]...)
-			delay := l.Delay()
+			delay := l.delay()
 			l.wg.Add(1)
 			go func() {
 				defer l.wg.Done()

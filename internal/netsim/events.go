@@ -292,9 +292,9 @@ func (w *World) IngressDown(id bgp.IngressID) bool {
 	return w.ingressDownLocked(id)
 }
 
-// LatencySpikeMs returns the transient latency spike on an ingress (0
+// latencySpikeMs returns the transient latency spike on an ingress (0
 // when none).
-func (w *World) LatencySpikeMs(id bgp.IngressID) float64 {
+func (w *World) latencySpikeMs(id bgp.IngressID) float64 {
 	if !w.knownIngress(id) {
 		return 0
 	}
@@ -303,10 +303,10 @@ func (w *World) LatencySpikeMs(id bgp.IngressID) float64 {
 	return w.spikeMsF[id]
 }
 
-// ProbeLossPct returns the probe-loss percentage on an ingress (0 when
+// probeLossPct returns the probe-loss percentage on an ingress (0 when
 // none) — consumed by the Traffic Manager substrate bridge, not by
 // route selection.
-func (w *World) ProbeLossPct(id bgp.IngressID) int {
+func (w *World) probeLossPct(id bgp.IngressID) int {
 	if !w.knownIngress(id) {
 		return 0
 	}

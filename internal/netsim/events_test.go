@@ -163,19 +163,19 @@ func TestProbeLossSetClampCleared(t *testing.T) {
 	if err := w.ApplyEvent(Event{Kind: EventProbeLoss, Ingress: ing, Pct: 35}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.ProbeLossPct(ing); got != 35 {
+	if got := w.probeLossPct(ing); got != 35 {
 		t.Errorf("loss = %d, want 35", got)
 	}
 	if err := w.ApplyEvent(Event{Kind: EventProbeLoss, Ingress: ing, Pct: 250}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.ProbeLossPct(ing); got != 100 {
+	if got := w.probeLossPct(ing); got != 100 {
 		t.Errorf("loss = %d, want clamp to 100", got)
 	}
 	if err := w.ApplyEvent(Event{Kind: EventProbeLoss, Ingress: ing, Pct: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.ProbeLossPct(ing); got != 0 {
+	if got := w.probeLossPct(ing); got != 0 {
 		t.Errorf("loss = %d after clear, want 0", got)
 	}
 }
@@ -186,30 +186,34 @@ func TestPrefFlipInvalidatesOnlyEntriesContainingIngress(t *testing.T) {
 	if len(all) < 3 {
 		t.Fatal("need >=3 peerings")
 	}
-	flipped := all[0]
-	without := all[1:]
-
-	// Warm two cache entries: one containing the flipped ingress, one not.
+	// Warm the entry over every peering, then flip the lowest-ID ingress
+	// some AS actually selects there (held by the lowest such AS), so
+	// the flip is visible, and warm the entry over every other peering.
 	withSel, err := w.ResolveIngress(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.ResolveIngress(without); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip a preference held by an AS that currently selects the flipped
-	// ingress, so the flip is very likely to be visible.
-	var as topology.ASN
-	found := false
+	var (
+		as      topology.ASN
+		flipped bgp.IngressID
+		found   bool
+	)
 	for n, r := range withSel {
-		if r.Ingress == flipped {
-			as, found = n, true
-			break
+		if !found || r.Ingress < flipped || (r.Ingress == flipped && n < as) {
+			as, flipped, found = n, r.Ingress, true
 		}
 	}
 	if !found {
-		t.Skip("no AS selects the first peering; topology unsuitable")
+		t.Fatal("no AS selects any peering")
+	}
+	var without []bgp.IngressID
+	for _, id := range all {
+		if id != flipped {
+			without = append(without, id)
+		}
+	}
+	if _, err := w.ResolveIngress(without); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.ApplyEvent(Event{Kind: EventPrefFlip, AS: as, Ingress: flipped}); err != nil {
 		t.Fatal(err)

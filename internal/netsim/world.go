@@ -46,10 +46,10 @@ import (
 // World is an immutable-topology, time-evolving network simulator.
 //
 // Concurrency contract: all query methods (LatencyMs, BaseLatencyMs,
-// PathFailed, ResolveIngress, PolicyCompliant, CompliantIngressIDs,
+// pathFailed, ResolveIngress, PolicyCompliant, CompliantIngressIDs,
 // BestIngressLatency, TieBreaker and the tie-breaker it returns) are
 // safe for concurrent use. The state-changing methods SetDay,
-// AdvanceTo, and ApplyEvent are NOT: they must not run concurrently
+// advanceTo, and ApplyEvent are NOT: they must not run concurrently
 // with any query (advance the clock or apply events between query
 // waves, as the Fig. 7 drift experiment and the chaos engine do).
 type World struct {
@@ -363,10 +363,10 @@ func (w *World) SetDay(d int) {
 	w.prefMu.Unlock()
 }
 
-// AdvanceTo moves the clock forward to day d (no-op if d is not later
+// advanceTo moves the clock forward to day d (no-op if d is not later
 // than the current day). Like SetDay it invalidates the propagation
 // cache and must not run concurrently with queries.
-func (w *World) AdvanceTo(d int) {
+func (w *World) advanceTo(d int) {
 	if d > w.day {
 		w.SetDay(d)
 	}
@@ -425,7 +425,7 @@ func (w *World) LatencyMs(asn topology.ASN, metro string, ing bgp.IngressID) (fl
 	if err != nil {
 		return 0, err
 	}
-	return base + w.dayAdjustMs(asn, metro, ing) + w.LatencySpikeMs(ing), nil
+	return base + w.dayAdjustMs(asn, metro, ing) + w.latencySpikeMs(ing), nil
 }
 
 // knownIngress reports whether ing is a deployment peering.
@@ -486,9 +486,9 @@ func (w *World) dayAdjustMs(asn topology.ASN, metro string, ing bgp.IngressID) f
 	return adj
 }
 
-// PathFailed reports whether the (UG, ingress) path is degraded on the
+// pathFailed reports whether the (UG, ingress) path is degraded on the
 // current day, or the ingress itself is failed (ApplyEvent overlay).
-func (w *World) PathFailed(asn topology.ASN, metro string, ing bgp.IngressID) bool {
+func (w *World) pathFailed(asn topology.ASN, metro string, ing bgp.IngressID) bool {
 	if w.IngressDown(ing) {
 		return true
 	}

@@ -118,7 +118,7 @@ func TestDayDriftChangesLatency(t *testing.T) {
 	}
 	// Drift is bounded unless a failure occurred.
 	w.SetDay(5)
-	if !w.PathFailed(asn, metro, ing) {
+	if !w.pathFailed(asn, metro, ing) {
 		if math.Abs(d5-base) > DefaultConfig().DriftMs+1e-9 {
 			t.Errorf("non-failure drift %v exceeds bound", d5-base)
 		}
@@ -134,7 +134,7 @@ func TestFailureRate(t *testing.T) {
 		w.SetDay(day)
 		for _, ing := range ids {
 			total++
-			if w.PathFailed(asn, metro, ing) {
+			if w.pathFailed(asn, metro, ing) {
 				fails++
 			}
 		}
@@ -522,7 +522,7 @@ func TestAnalyzeCatchment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := AnalyzeCatchment(w, ugs, 0)
+	c, err := analyzeCatchment(w, ugs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestAnalyzeCatchment(t *testing.T) {
 	if mx, _ := c.InflationMs.Quantile(1); mx <= 0 {
 		t.Error("no UG has latency headroom; PAINTER would be pointless here")
 	}
-	top := c.TopPoPs(3)
+	top := c.topPoPs(3)
 	if len(top) == 0 || top[0].Share <= 0 {
 		t.Fatal("TopPoPs empty")
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"painter/internal/obs"
 	"painter/internal/obs/history"
 )
 
@@ -217,6 +218,57 @@ func TestBlackoutIgnoresFailedSends(t *testing.T) {
 	if !fired {
 		t.Fatal("real blackout (sends advancing, replies absent) never fired")
 	}
+}
+
+// TestConvergenceSLORulesFireAndResolve drives both convergence rules
+// over the series a tenant's history holds: core's repair-latency
+// histogram, flattened to its _p99, and its dirty-fraction gauge, both
+// under the tenant label. Each rule must fire on its own breach and
+// resolve once the breach leaves the window.
+func TestConvergenceSLORulesFireAndResolve(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.SetBaseLabels(obs.L("tenant", "acme"))
+	repair := reg.Histogram("core_repair_seconds", "")
+	dirty := reg.Gauge("core_repair_dirty_fraction", "")
+	st := history.New(history.Config{
+		Capacity: 64, Clock: history.TickClock(0, 1),
+		Regs: func() []*obs.Registry { return []*obs.Registry{reg} },
+	})
+	e := NewEngine(st, ConvergenceSLORules(2, 0.5, 2, 1), Options{})
+	const (
+		latency = `convergence_slo_latency|core_repair_seconds_p99{tenant="acme"}`
+		dirtyK  = `convergence_slo_dirty|core_repair_dirty_fraction{tenant="acme"}`
+	)
+	step := func(wantLatency, wantDirty State) {
+		t.Helper()
+		e.Eval(st.Sample())
+		got := states(e)
+		if got[latency] != wantLatency || got[dirtyK] != wantDirty {
+			t.Fatalf("tick %d: latency %q dirty %q, want %q / %q (states %v)",
+				st.Tick(), got[latency], got[dirtyK], wantLatency, wantDirty, got)
+		}
+	}
+
+	repair.Observe(0.1)
+	dirty.Set(0.1)
+	step(StateInactive, StateInactive)
+	// One slow sync lifts the p99 over 2 s.
+	repair.Observe(5)
+	step(StateFiring, StateInactive)
+	// Fast syncs pull the p99 back down; the slow one ages out of the
+	// two-tick window a tick later.
+	for i := 0; i < 1000; i++ {
+		repair.Observe(0.1)
+	}
+	step(StateFiring, StateInactive)
+	step(StateResolved, StateInactive)
+	// A sync that dirties most of the config lifts the windowed mean
+	// over 0.5 until it, too, ages out.
+	dirty.Set(0.95)
+	step(StateResolved, StateFiring)
+	dirty.Set(0.1)
+	step(StateResolved, StateFiring)
+	step(StateResolved, StateResolved)
 }
 
 func TestEWMADriftFiresAndSelfResolves(t *testing.T) {

@@ -23,7 +23,7 @@ func TestBaseLabelsExposition(t *testing.T) {
 	r.SetBaseLabels(L("tenant", "acme"))
 
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.writeProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -56,7 +56,7 @@ func TestBaseLabelsEntryWins(t *testing.T) {
 	r.Counter("c_total", "C.", L("tenant", "explicit")).Inc()
 	r.SetBaseLabels(L("tenant", "base"))
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.writeProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `c_total{tenant="explicit"} 1`) {

@@ -29,11 +29,11 @@ type MuxConfig struct {
 	Extra map[string]http.Handler
 }
 
-// NewMuxWith returns a mux serving GET /metrics, GET /debug/obs,
+// newMuxWith returns a mux serving GET /metrics, GET /debug/obs,
 // GET /debug/trace, (when enabled) /debug/pprof/, and any Extra
 // handlers.
-func NewMuxWith(cfg MuxConfig) *http.ServeMux {
-	mux := NewMux(cfg.Regs...)
+func newMuxWith(cfg MuxConfig) *http.ServeMux {
+	mux := newMux(cfg.Regs...)
 	mux.Handle("/debug/trace", span.Handler(cfg.Trace))
 	if cfg.Pprof {
 		MountPprof(mux)

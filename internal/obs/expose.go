@@ -11,11 +11,11 @@ import (
 	"strings"
 )
 
-// WriteProm writes the registry in the Prometheus text exposition
+// writeProm writes the registry in the Prometheus text exposition
 // format (version 0.0.4). Families are emitted in registration order;
 // HELP/TYPE lines appear once per family. A nil registry writes
 // nothing.
-func (r *Registry) WriteProm(w io.Writer) error {
+func (r *Registry) writeProm(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
@@ -122,7 +122,7 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 			}
 		case kindHistogram:
 			hs := e.hist.Snapshot()
-			s.Histograms[key] = hs.Summary()
+			s.Histograms[key] = hs.summary()
 		}
 	}
 	return s
@@ -151,25 +151,25 @@ func MergeSnapshots(snaps ...RegistrySnapshot) RegistrySnapshot {
 	return out
 }
 
-// Handler returns an http.Handler serving the Prometheus text format
+// promHandler returns an http.Handler serving the Prometheus text format
 // for all given registries concatenated. Nil registries are skipped.
-func Handler(regs ...*Registry) http.Handler {
+func promHandler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		for _, r := range regs {
 			if r == nil {
 				continue
 			}
-			if err := r.WriteProm(w); err != nil {
+			if err := r.writeProm(w); err != nil {
 				return
 			}
 		}
 	})
 }
 
-// JSONHandler returns an http.Handler serving the merged JSON snapshot
+// jsonHandler returns an http.Handler serving the merged JSON snapshot
 // of all given registries. Nil registries are skipped.
-func JSONHandler(regs ...*Registry) http.Handler {
+func jsonHandler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		snaps := make([]RegistrySnapshot, 0, len(regs))
 		for _, r := range regs {
@@ -190,25 +190,25 @@ func JSONHandler(regs ...*Registry) http.Handler {
 // set changes at runtime (tenant add/remove in painterd).
 func DynamicHandler(regs func() []*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		Handler(regs()...).ServeHTTP(w, req)
+		promHandler(regs()...).ServeHTTP(w, req)
 	})
 }
 
-// DynamicJSONHandler is JSONHandler with the registry list re-evaluated
+// DynamicJSONHandler is jsonHandler with the registry list re-evaluated
 // on every request.
 func DynamicJSONHandler(regs func() []*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		JSONHandler(regs()...).ServeHTTP(w, req)
+		jsonHandler(regs()...).ServeHTTP(w, req)
 	})
 }
 
-// NewMux returns a mux serving GET /metrics (Prometheus text) and
+// newMux returns a mux serving GET /metrics (Prometheus text) and
 // GET /debug/obs (JSON snapshot) — the standard introspection surface
 // for the standalone daemons.
-func NewMux(regs ...*Registry) *http.ServeMux {
+func newMux(regs ...*Registry) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(regs...))
-	mux.Handle("/debug/obs", JSONHandler(regs...))
+	mux.Handle("/metrics", promHandler(regs...))
+	mux.Handle("/debug/obs", jsonHandler(regs...))
 	return mux
 }
 
@@ -244,9 +244,9 @@ func ParseText(r io.Reader) (map[string]float64, error) {
 	return out, nil
 }
 
-// SortedKeys returns the map's keys sorted — a convenience for stable
+// sortedKeys returns the map's keys sorted — a convenience for stable
 // test output and snapshot dumps.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
+func sortedKeys[M ~map[string]V, V any](m M) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

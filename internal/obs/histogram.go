@@ -23,7 +23,7 @@ const (
 )
 
 // Histogram is a lock-free fixed-bucket log-scale histogram. The zero
-// value is NOT ready: use NewHistogram (or Registry.Histogram). A nil
+// value is NOT ready: use newHistogram (or Registry.Histogram). A nil
 // *Histogram no-ops.
 type Histogram struct {
 	buckets [histNumBuckets]atomic.Uint64
@@ -32,8 +32,8 @@ type Histogram struct {
 	maxBits atomic.Uint64 // float64 bits of the max observation
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
+// newHistogram returns an empty histogram.
+func newHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a positive finite v to its bucket.
 func bucketIndex(v float64) int {
@@ -137,8 +137,8 @@ type HistSnapshot struct {
 	Buckets [histNumBuckets]uint64
 }
 
-// Merge accumulates other into s.
-func (s *HistSnapshot) Merge(other HistSnapshot) {
+// merge accumulates other into s.
+func (s *HistSnapshot) merge(other HistSnapshot) {
 	s.Count += other.Count
 	s.Sum += other.Sum
 	if other.Max > s.Max {
@@ -195,7 +195,7 @@ func (s *HistSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// Summary condenses a snapshot into the fields reports care about.
+// summary condenses a snapshot into the fields reports care about.
 type HistSummary struct {
 	Count uint64  `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -205,8 +205,8 @@ type HistSummary struct {
 	P99   float64 `json:"p99"`
 }
 
-// Summary computes the standard report quantiles.
-func (s *HistSnapshot) Summary() HistSummary {
+// summary computes the standard report quantiles.
+func (s *HistSnapshot) summary() HistSummary {
 	return HistSummary{
 		Count: s.Count,
 		Sum:   s.Sum,

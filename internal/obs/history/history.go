@@ -365,20 +365,3 @@ func (w Window) Quantile(q float64) float64 {
 	}
 	return vals[idx]
 }
-
-// EWMA folds the window oldest-to-newest into an exponentially weighted
-// moving average with smoothing alpha (0 < alpha ≤ 1) — the baseline
-// the drift rules compare the latest sample against.
-func (w Window) EWMA(alpha float64) float64 {
-	if len(w.Points) == 0 {
-		return 0
-	}
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	ewma := w.Points[0].Val
-	for _, p := range w.Points[1:] {
-		ewma = alpha*p.Val + (1-alpha)*ewma
-	}
-	return ewma
-}

@@ -3,7 +3,6 @@ package history
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http/httptest"
 	"testing"
 
@@ -42,14 +41,6 @@ func TestWindowQueries(t *testing.T) {
 	}
 	if q := w.Quantile(0); q != 10 {
 		t.Fatalf("Quantile(0) = %v, want 10", q)
-	}
-	// EWMA of a constant series is the constant.
-	cs := New(Config{Capacity: 8, Clock: TickClock(0, 1)})
-	for i := 0; i < 5; i++ {
-		cs.Push("k", 3.5)
-	}
-	if e := cs.Window("k", 0).EWMA(0.3); math.Abs(e-3.5) > 1e-12 {
-		t.Fatalf("EWMA constant = %v, want 3.5", e)
 	}
 	// Last-n windowing.
 	if got := s.Window("c", 3).Len(); got != 3 {

@@ -138,7 +138,7 @@ type Registry struct {
 	entries []*entry          // registration order, for stable exposition
 	byKey   map[string]*entry // key -> entry
 	// base labels are appended to every instance at exposition time
-	// (WriteProm, Snapshot); instrumented code never sees them. They
+	// (writeProm, Snapshot); instrumented code never sees them. They
 	// scope a whole registry — e.g. tenant="x" on a tenant's world.
 	base []Label
 }
@@ -247,7 +247,7 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 		return nil
 	}
 	return r.lookup(name, help, kindHistogram, labels, func(e *entry) {
-		e.hist = NewHistogram()
+		e.hist = newHistogram()
 	}).hist
 }
 

@@ -32,7 +32,7 @@ func TestNilSafety(t *testing.T) {
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Error("nil histogram snapshot not empty")
 	}
-	if err := r.WriteProm(&strings.Builder{}); err != nil {
+	if err := r.writeProm(&strings.Builder{}); err != nil {
 		t.Errorf("nil registry WriteProm: %v", err)
 	}
 	snap := r.Snapshot()
@@ -98,7 +98,7 @@ func TestKindMismatchPanics(t *testing.T) {
 }
 
 func TestHistogramExactMoments(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	vals := []float64{0.5, 1.0, 2.0, 4.0, 100.0}
 	sum := 0.0
 	for _, v := range vals {
@@ -121,7 +121,7 @@ func TestHistogramExactMoments(t *testing.T) {
 // so any quantile estimate must be within 25% of the true value for a
 // dense sample.
 func TestHistogramQuantileAccuracy(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	const n = 10000
 	for i := 1; i <= n; i++ {
 		h.Observe(float64(i)) // uniform 1..n
@@ -143,7 +143,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 }
 
 func TestHistogramExtremesAndJunk(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	h.Observe(0)           // clamps to bucket 0, still counted
 	h.Observe(-5)          // clamps, counted, max unaffected
 	h.Observe(1e-300)      // below range: clamps low
@@ -160,13 +160,13 @@ func TestHistogramExtremesAndJunk(t *testing.T) {
 }
 
 func TestHistogramMerge(t *testing.T) {
-	h1, h2 := NewHistogram(), NewHistogram()
+	h1, h2 := newHistogram(), newHistogram()
 	for i := 0; i < 100; i++ {
 		h1.Observe(1)
 		h2.Observe(1000)
 	}
 	a, b := h1.Snapshot(), h2.Snapshot()
-	a.Merge(b)
+	a.merge(b)
 	if a.Count != 200 {
 		t.Errorf("merged count = %d", a.Count)
 	}
@@ -227,7 +227,7 @@ func TestPromExposition(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := r.WriteProm(&sb); err != nil {
+	if err := r.writeProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
@@ -264,7 +264,7 @@ func TestPromExposition(t *testing.T) {
 	}
 	// Every finite bucket's cumulative count must not exceed +Inf's.
 	inf := samples[`lat_seconds_bucket{le="+Inf"}`]
-	for _, k := range SortedKeys(samples) {
+	for _, k := range sortedKeys(samples) {
 		if strings.HasPrefix(k, "lat_seconds_bucket") && samples[k] > inf {
 			t.Errorf("bucket %s = %v exceeds +Inf bucket %v", k, samples[k], inf)
 		}
@@ -296,7 +296,7 @@ func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("esc_total", "", L("msg", `a"b\c`+"\n")).Inc()
 	var sb strings.Builder
-	if err := r.WriteProm(&sb); err != nil {
+	if err := r.writeProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `msg="a\"b\\c\n"`) {

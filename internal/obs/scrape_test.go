@@ -31,7 +31,7 @@ func TestParseTextRoundTripBaseLabels(t *testing.T) {
 	ra, rb := mk("a", 3), mk("b", 7)
 
 	rec := httptest.NewRecorder()
-	Handler(ra, rb).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	promHandler(ra, rb).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	samples, err := ParseText(rec.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestParseTextRoundTripBaseLabels(t *testing.T) {
 		} {
 			got, ok := samples[key]
 			if !ok {
-				t.Fatalf("scrape missing %s; have %v", key, SortedKeys(samples))
+				t.Fatalf("scrape missing %s; have %v", key, sortedKeys(samples))
 			}
 			if got != want {
 				t.Errorf("%s = %v, want %v", key, got, want)

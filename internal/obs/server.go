@@ -21,7 +21,7 @@ type MetricsServer struct {
 	addr string
 }
 
-// StartServerWith listens on addr and serves NewMuxWith(cfg): /metrics
+// StartServerWith listens on addr and serves newMuxWith(cfg): /metrics
 // (Prometheus text), /debug/obs (JSON snapshot), /debug/trace and the
 // optional extras. Pass "host:0" to bind an ephemeral port; Addr reports
 // the bound address.
@@ -30,7 +30,7 @@ func StartServerWith(addr string, cfg MuxConfig) (*MetricsServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: metrics listen %q: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewMuxWith(cfg), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: newMuxWith(cfg), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return &MetricsServer{srv: srv, addr: ln.Addr().String()}, nil
 }

@@ -36,10 +36,10 @@ type ChromeTrace struct {
 
 func hexID(id uint64) string { return fmt.Sprintf("%016x", id) }
 
-// ToChrome renders records (oldest-first, as Recorder.Snapshot yields
+// toChrome renders records (oldest-first, as Recorder.Snapshot yields
 // them) as a ChromeTrace. The process name, when non-empty, becomes a
 // process_name metadata event so viewers label the track.
-func ToChrome(process string, recs []Record) ChromeTrace {
+func toChrome(process string, recs []Record) ChromeTrace {
 	events := make([]ChromeEvent, 0, len(recs)+1)
 	if process != "" {
 		events = append(events, ChromeEvent{
@@ -83,7 +83,7 @@ func ToChrome(process string, recs []Record) ChromeTrace {
 func WriteChrome(w io.Writer, process string, recs []Record) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(ToChrome(process, recs))
+	return enc.Encode(toChrome(process, recs))
 }
 
 // ParseChrome decodes trace-event JSON and validates the invariants
@@ -118,10 +118,10 @@ func ParseChrome(r io.Reader) (ChromeTrace, error) {
 	return ct, nil
 }
 
-// Dump writes the flight recorder as trace-event JSON. Nil tracers
+// dump writes the flight recorder as trace-event JSON. Nil tracers
 // write a valid empty trace so -trace-dump always yields a loadable
 // file.
-func (t *Tracer) Dump(w io.Writer) error {
+func (t *Tracer) dump(w io.Writer) error {
 	return WriteChrome(w, t.Process(), t.Recorder().Snapshot())
 }
 
@@ -132,7 +132,7 @@ func (t *Tracer) DumpFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := t.Dump(f); err != nil {
+	if err := t.dump(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -149,18 +149,18 @@ func Handler(t *Tracer) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := t.Dump(w); err != nil {
+		if err := t.dump(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
 }
 
-// LogArgs returns slog-style key/value pairs identifying the active
+// logArgs returns slog-style key/value pairs identifying the active
 // span, or nil when there is none — callers splat it into log calls so
 // lines join up with traces:
 //
 //	slog.Info("failover", span.LogArgs(s)...)
-func LogArgs(s *Span) []any {
+func logArgs(s *Span) []any {
 	if s == nil {
 		return nil
 	}

@@ -33,9 +33,9 @@ type Recorder struct {
 	total   uint64 // records ever added (wraparound telemetry)
 }
 
-// NewRecorder builds a ring holding the last `size` spans (size <= 0
+// newRecorder builds a ring holding the last `size` spans (size <= 0
 // means DefaultRing).
-func NewRecorder(size int) *Recorder {
+func newRecorder(size int) *Recorder {
 	if size <= 0 {
 		size = DefaultRing
 	}

@@ -92,7 +92,7 @@ func New(cfg Config) *Tracer {
 		sample:  1,
 		clock:   cfg.Clock,
 		process: cfg.Process,
-		rec:     NewRecorder(cfg.Ring),
+		rec:     newRecorder(cfg.Ring),
 	}
 	if cfg.Sample > 1 {
 		t.sample = uint64(cfg.Sample)

@@ -34,7 +34,7 @@ func TestSameSeedByteIdenticalExport(t *testing.T) {
 	for i, buf := range []*bytes.Buffer{&a, &b} {
 		tr := New(Config{Seed: 7, Process: "test", Clock: fakeClock(1000)})
 		buildTrace(tr)
-		if err := tr.Dump(buf); err != nil {
+		if err := tr.dump(buf); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestSameSeedByteIdenticalExport(t *testing.T) {
 	var c bytes.Buffer
 	tr := New(Config{Seed: 8, Process: "test", Clock: fakeClock(1000)})
 	buildTrace(tr)
-	if err := tr.Dump(&c); err != nil {
+	if err := tr.dump(&c); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(a.Bytes(), c.Bytes()) {
@@ -145,14 +145,14 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil recorder misbehaved")
 	}
 	var buf bytes.Buffer
-	if err := tr.Dump(&buf); err != nil {
+	if err := tr.dump(&buf); err != nil {
 		t.Fatalf("nil tracer export: %v", err)
 	}
 	if _, err := ParseChrome(&buf); err != nil {
 		t.Fatalf("nil tracer export is not valid trace JSON: %v", err)
 	}
-	if LogArgs(nil) != nil {
-		t.Fatal("LogArgs(nil) != nil")
+	if logArgs(nil) != nil {
+		t.Fatal("logArgs(nil) != nil")
 	}
 }
 
@@ -191,7 +191,7 @@ func TestChromeSchemaRoundTrip(t *testing.T) {
 	tr := New(Config{Seed: 6, Process: "roundtrip", Clock: fakeClock(250)})
 	buildTrace(tr)
 	var buf bytes.Buffer
-	if err := tr.Dump(&buf); err != nil {
+	if err := tr.dump(&buf); err != nil {
 		t.Fatal(err)
 	}
 	ct, err := ParseChrome(bytes.NewReader(buf.Bytes()))

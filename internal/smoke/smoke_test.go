@@ -143,14 +143,16 @@ func TestRouteServerSmoke(t *testing.T) {
 	}
 }
 
+// TestFailoverExampleSmoke runs the Fig. 10 failover timeline, a live
+// UDP edge/PoP pair failing over, through the figure harness.
 func TestFailoverExampleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke test")
 	}
 	root := repoRoot(t)
-	bin := buildBinary(t, root, t.TempDir(), "examples/failover")
+	bin := buildBinary(t, root, t.TempDir(), "cmd/painter-bench")
 
-	cmd := exec.Command(bin)
+	cmd := exec.Command(bin, "-exp", "fig10")
 	var out strings.Builder
 	cmd.Stdout, cmd.Stderr = &out, &out
 	if err := cmd.Start(); err != nil {
@@ -161,14 +163,14 @@ func TestFailoverExampleSmoke(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("failover example failed: %v\n%s", err, out.String())
+			t.Fatalf("painter-bench -exp fig10 failed: %v\n%s", err, out.String())
 		}
 	case <-time.After(60 * time.Second):
 		_ = cmd.Process.Kill()
 		<-done
-		t.Fatalf("failover example did not finish in 60s\n%s", out.String())
+		t.Fatalf("painter-bench -exp fig10 did not finish in 60s\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "failover") && out.Len() == 0 {
-		t.Error("failover example produced no output")
+	if !strings.Contains(out.String(), "Fig 10 — failover") {
+		t.Errorf("painter-bench -exp fig10 printed no Fig 10 table:\n%s", out.String())
 	}
 }

@@ -48,8 +48,8 @@ func Percentile(xs []float64, p float64) (float64, error) {
 // Median returns the 50th percentile.
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) (float64, error) {
+// meanOf returns the arithmetic mean.
+func meanOf(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
@@ -60,8 +60,8 @@ func Mean(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// WeightedMean returns sum(w_i * x_i) / sum(w_i).
-func WeightedMean(xs, ws []float64) (float64, error) {
+// weightedMean returns sum(w_i * x_i) / sum(w_i).
+func weightedMean(xs, ws []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
@@ -82,8 +82,8 @@ func WeightedMean(xs, ws []float64) (float64, error) {
 	return num / den, nil
 }
 
-// Min returns the minimum element.
-func Min(xs []float64) (float64, error) {
+// minOf returns the minimum element.
+func minOf(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
@@ -96,8 +96,8 @@ func Min(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Max returns the maximum element.
-func Max(xs []float64) (float64, error) {
+// maxOf returns the maximum element.
+func maxOf(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
@@ -110,9 +110,9 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) (float64, error) {
-	mu, err := Mean(xs)
+// stddev returns the population standard deviation.
+func stddev(xs []float64) (float64, error) {
+	mu, err := meanOf(xs)
 	if err != nil {
 		return 0, err
 	}
@@ -132,16 +132,16 @@ type Summary struct {
 	P90, P95, P99      float64
 }
 
-// Summarize computes a Summary; it returns ErrEmpty for empty input.
-func Summarize(xs []float64) (Summary, error) {
+// summarize computes a Summary; it returns ErrEmpty for empty input.
+func summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, ErrEmpty
 	}
 	var s Summary
 	s.N = len(xs)
-	s.Mean, _ = Mean(xs)
-	s.Min, _ = Min(xs)
-	s.Max, _ = Max(xs)
+	s.Mean, _ = meanOf(xs)
+	s.Min, _ = minOf(xs)
+	s.Max, _ = maxOf(xs)
 	for _, pp := range []struct {
 		p   float64
 		dst *float64
@@ -233,8 +233,8 @@ func ZipfWeights(n int, s float64) []float64 {
 	return w
 }
 
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
+// clamp limits v to [lo, hi].
+func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
 	}

@@ -71,8 +71,8 @@ func TestPercentileWithinRange(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
+		mn, _ := minOf(xs)
+		mx, _ := maxOf(xs)
 		return got >= mn-1e-9 && got <= mx+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -81,30 +81,30 @@ func TestPercentileWithinRange(t *testing.T) {
 }
 
 func TestMeanWeightedMean(t *testing.T) {
-	m, err := Mean([]float64{2, 4, 6})
+	m, err := meanOf([]float64{2, 4, 6})
 	if err != nil || m != 4 {
 		t.Errorf("Mean = %v (%v), want 4", m, err)
 	}
-	wm, err := WeightedMean([]float64{1, 10}, []float64{9, 1})
+	wm, err := weightedMean([]float64{1, 10}, []float64{9, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(wm-1.9) > 1e-9 {
 		t.Errorf("WeightedMean = %v, want 1.9", wm)
 	}
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := weightedMean([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := WeightedMean([]float64{1}, []float64{-1}); err == nil {
+	if _, err := weightedMean([]float64{1}, []float64{-1}); err == nil {
 		t.Error("negative weight should error")
 	}
-	if _, err := WeightedMean([]float64{1}, []float64{0}); err == nil {
+	if _, err := weightedMean([]float64{1}, []float64{0}); err == nil {
 		t.Error("zero total weight should error")
 	}
 }
 
 func TestStddev(t *testing.T) {
-	sd, err := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	sd, err := stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSummarize(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i + 1) // 1..100
 	}
-	s, err := Summarize(xs)
+	s, err := summarize(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +131,8 @@ func TestSummarize(t *testing.T) {
 	if s.P90 <= s.P50 || s.P99 <= s.P90 {
 		t.Errorf("percentiles not ordered: %+v", s)
 	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) err = %v, want ErrEmpty", err)
+	if _, err := summarize(nil); err != ErrEmpty {
+		t.Errorf("summarize(nil) err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -281,7 +281,7 @@ func TestNewRandDeterministic(t *testing.T) {
 }
 
 func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 10) != 5 || Clamp(-1, 0, 10) != 0 || Clamp(11, 0, 10) != 10 {
+	if clamp(5, 0, 10) != 5 || clamp(-1, 0, 10) != 0 || clamp(11, 0, 10) != 10 {
 		t.Error("Clamp wrong")
 	}
 }

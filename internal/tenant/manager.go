@@ -68,7 +68,7 @@ func NewManager(p Params) *Manager {
 		p.ReconcileInterval = 200 * time.Millisecond
 	}
 	m := &Manager{
-		store:     NewStore(),
+		store:     newStore(),
 		logger:    p.Logger,
 		trace:     p.Trace,
 		instances: make(map[string]*instance),
@@ -91,23 +91,23 @@ func (m *Manager) Apply(id string, spec Spec, expect int64) (Stored, error) {
 	if err != nil {
 		return Stored{}, err
 	}
-	m.Kick()
+	m.wake()
 	return st, nil
 }
 
 // Remove deletes a tenant's desired state, reporting whether it
 // existed, and kicks a reconcile to tear the runtime down.
 func (m *Manager) Remove(id string) bool {
-	ok := m.store.Delete(id)
+	ok := m.store.remove(id)
 	if ok {
-		m.Kick()
+		m.wake()
 	}
 	return ok
 }
 
-// Kick schedules an immediate reconcile pass (coalescing with any
+// wake schedules an immediate reconcile pass (coalescing with any
 // already pending).
-func (m *Manager) Kick() {
+func (m *Manager) wake() {
 	select {
 	case m.kick <- struct{}{}:
 	default:
@@ -183,7 +183,7 @@ func (m *Manager) Reconcile() {
 		if curGen == st.Generation {
 			continue
 		}
-		if failed || NeedsRebuild(curSpec, st.Spec) {
+		if failed || needsRebuild(curSpec, st.Spec) {
 			m.teardown(in, "rebuild")
 			nin := m.create(st)
 			m.mu.Lock()
@@ -275,22 +275,6 @@ func (m *Manager) Status(id string) (Status, bool) {
 		return Status{}, false
 	}
 	return in.status(), true
-}
-
-// Statuses returns every runtime's observed state, sorted by ID.
-func (m *Manager) Statuses() []Status {
-	m.mu.Lock()
-	ins := make([]*instance, 0, len(m.instances))
-	for _, in := range m.instances {
-		ins = append(ins, in)
-	}
-	m.mu.Unlock()
-	out := make([]Status, 0, len(ins))
-	for _, in := range ins {
-		out = append(out, in.status())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Reports returns the tenant's bounded sync history.

@@ -8,12 +8,8 @@ import (
 	"time"
 
 	"painter/internal/chaos"
-	"painter/internal/cloud"
 	"painter/internal/core"
 	"painter/internal/experiments"
-	"painter/internal/netsim"
-	"painter/internal/topology"
-	"painter/internal/usergroup"
 )
 
 // quietManager builds a Manager with a long background interval so
@@ -277,28 +273,16 @@ func TestTenantConvergesToColdSolve(t *testing.T) {
 // returns the ground-truth benefit.
 func coldSolveBenefit(t *testing.T, spec Spec) float64 {
 	t.Helper()
-	spec.Normalize()
-	sc, _ := scaleFor(spec.Scale)
-	genCfg, prof, ugCfg, err := experiments.ScaleConfig(sc, spec.Seed)
+	spec.normalize()
+	sc, err := experiments.ParseScale(spec.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := topology.Generate(genCfg)
+	wd, err := experiments.BuildWorld(sc, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := cloud.Build(g, 64500, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := netsim.New(g, d, spec.Seed+2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ugs, err := usergroup.Build(g, ugCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, d, w, ugs := wd.Graph, wd.Deploy, wd.Net, wd.UGs
 	gc := chaosProfiles[spec.Chaos.Profile](spec.Chaos.Seed)
 	if spec.Chaos.Ticks > 0 {
 		gc.Ticks = spec.Chaos.Ticks

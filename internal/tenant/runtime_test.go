@@ -44,7 +44,7 @@ func TestFailedInstancePlaceholder(t *testing.T) {
 // Failed, the error surfaces in status, and further steps refuse.
 func TestInstanceFailsOnBadEvent(t *testing.T) {
 	st := Stored{ID: "acme", Spec: pausedSpec(7, 1, 5), Generation: 1}
-	st.Spec.Normalize()
+	st.Spec.normalize()
 	in, err := buildInstance(st, discardLogger(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +89,13 @@ func TestManagerReportsAndStatuses(t *testing.T) {
 	if _, ok := m.Reports("nope"); ok {
 		t.Error("reports for unknown tenant")
 	}
-	sts := m.Statuses()
-	if len(sts) != 2 || sts[0].ID != "acme" || sts[1].ID != "beta" {
-		t.Errorf("statuses = %+v", sts)
+	for _, id := range []string{"acme", "beta"} {
+		if st, ok := m.Status(id); !ok || st.ID != id {
+			t.Errorf("status(%s) = %+v, %v", id, st, ok)
+		}
+	}
+	if _, ok := m.Status("nope"); ok {
+		t.Error("status for unknown tenant")
 	}
 	if (&ConflictError{ID: "x", Expected: 1, Current: 2}).Error() == "" {
 		t.Error("empty conflict error string")

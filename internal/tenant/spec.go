@@ -46,7 +46,7 @@ type Spec struct {
 	// Scale names the world preset: "small", "peering", or "azure".
 	Scale string `json:"scale"`
 	// Seed is the world seed (topology, deployment, simulator, UGs all
-	// derive from it exactly as experiments.NewEnv does).
+	// derive from it exactly as experiments.BuildWorld derives them).
 	Seed int64 `json:"seed"`
 	// Budget is the advertisement prefix budget; 0 auto-sizes to 10% of
 	// the tenant's peerings (minimum 5), the painterd -continuous rule.
@@ -107,8 +107,8 @@ var chaosProfiles = map[string]func(seed int64) chaos.GenConfig{
 	},
 }
 
-// ChaosProfiles returns the sorted accepted profile names.
-func ChaosProfiles() []string {
+// chaosProfileNames returns the sorted accepted profile names.
+func chaosProfileNames() []string {
 	return []string{"calm", "default", "none", "storm"}
 }
 
@@ -116,30 +116,17 @@ func ChaosProfiles() []string {
 // URL path segments, and log fields.
 var idPattern = regexp.MustCompile(`^[a-z0-9]([a-z0-9-]{0,62})$`)
 
-// ValidateID checks a tenant ID: DNS-label shaped, 1-63 chars.
-func ValidateID(id string) error {
+// validateID checks a tenant ID: DNS-label shaped, 1-63 chars.
+func validateID(id string) error {
 	if !idPattern.MatchString(id) {
 		return fmt.Errorf("tenant: invalid id %q (want lowercase alphanumerics and dashes, 1-63 chars, leading alphanumeric)", id)
 	}
 	return nil
 }
 
-// scaleFor maps a spec scale name to the experiments preset.
-func scaleFor(name string) (experiments.Scale, bool) {
-	switch name {
-	case "small":
-		return experiments.ScaleSmall, true
-	case "peering":
-		return experiments.ScalePEERING, true
-	case "azure":
-		return experiments.ScaleAzure, true
-	}
-	return 0, false
-}
-
-// Normalize fills defaulted fields (version, chaos profile) in place.
+// normalize fills defaulted fields (version, chaos profile) in place.
 // Validate calls it; callers only need it when diffing specs.
-func (s *Spec) Normalize() {
+func (s *Spec) normalize() {
 	if s.Version == "" {
 		s.Version = SpecVersion
 	}
@@ -153,7 +140,7 @@ func (s *Spec) Normalize() {
 // is acceptable). This is the single admission gate: the store only
 // ever holds specs that passed it.
 func (s *Spec) Validate() error {
-	s.Normalize()
+	s.normalize()
 	var fields []FieldError
 	add := func(field, format string, args ...any) {
 		fields = append(fields, FieldError{Field: field, Msg: fmt.Sprintf(format, args...)})
@@ -163,7 +150,7 @@ func (s *Spec) Validate() error {
 	}
 	if s.Scale == "" {
 		add("scale", "required: one of small, peering, azure")
-	} else if _, ok := scaleFor(s.Scale); !ok {
+	} else if _, err := experiments.ParseScale(s.Scale); err != nil {
 		add("scale", "unknown scale preset %q (want small, peering, or azure)", s.Scale)
 	}
 	if s.TickMs <= 0 {
@@ -175,7 +162,7 @@ func (s *Spec) Validate() error {
 	if s.Chaos.Profile != "none" {
 		if _, ok := chaosProfiles[s.Chaos.Profile]; !ok {
 			add("chaos.profile", "unknown profile %q (want one of %s)",
-				s.Chaos.Profile, strings.Join(ChaosProfiles(), ", "))
+				s.Chaos.Profile, strings.Join(chaosProfileNames(), ", "))
 		}
 	}
 	if s.Chaos.Ticks < 0 {
@@ -187,11 +174,11 @@ func (s *Spec) Validate() error {
 	return &ValidationError{Fields: fields}
 }
 
-// NeedsRebuild reports whether moving from old to new requires tearing
+// needsRebuild reports whether moving from old to new requires tearing
 // the tenant's world down and rebuilding (an identity field changed),
 // as opposed to the in-place mutable set (budget, tick, pause).
-func NeedsRebuild(old, new Spec) bool {
-	old.Normalize()
-	new.Normalize()
+func needsRebuild(old, new Spec) bool {
+	old.normalize()
+	new.normalize()
 	return old.Scale != new.Scale || old.Seed != new.Seed || old.Chaos != new.Chaos
 }

@@ -92,13 +92,13 @@ func TestSpecValidateAggregatesFields(t *testing.T) {
 
 func TestValidateID(t *testing.T) {
 	for _, id := range []string{"a", "bootstrap", "acme-prod-2", "0x"} {
-		if err := ValidateID(id); err != nil {
+		if err := validateID(id); err != nil {
 			t.Errorf("id %q rejected: %v", id, err)
 		}
 	}
 	long := strings.Repeat("a", 64)
 	for _, id := range []string{"", "-lead", "UPPER", "has space", "dot.dot", long} {
-		if err := ValidateID(id); err == nil {
+		if err := validateID(id); err == nil {
 			t.Errorf("id %q accepted", id)
 		}
 	}
@@ -110,7 +110,7 @@ func TestNeedsRebuild(t *testing.T) {
 	mutable.Budget = 99
 	mutable.TickMs = 500
 	mutable.Paused = true
-	if NeedsRebuild(base, mutable) {
+	if needsRebuild(base, mutable) {
 		t.Error("budget/tick/pause change should not need a rebuild")
 	}
 	for _, mut := range []func(*Spec){
@@ -122,14 +122,14 @@ func TestNeedsRebuild(t *testing.T) {
 	} {
 		next := base
 		mut(&next)
-		if !NeedsRebuild(base, next) {
+		if !needsRebuild(base, next) {
 			t.Errorf("identity change %+v should need a rebuild", next)
 		}
 	}
 	// "" and "none" normalize to the same profile.
 	a, b := base, base
 	b.Chaos.Profile = "none"
-	if NeedsRebuild(a, b) {
+	if needsRebuild(a, b) {
 		t.Error("empty profile vs none should not need a rebuild")
 	}
 }

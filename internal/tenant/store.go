@@ -37,8 +37,8 @@ type Store struct {
 	specs map[string]Stored
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
+// newStore returns an empty store.
+func newStore() *Store {
 	return &Store{specs: make(map[string]Stored)}
 }
 
@@ -49,7 +49,7 @@ func NewStore() *Store {
 // first). Creating a tenant conditionally (expect > 0 with no existing
 // spec) also conflicts, with Current 0. Returns the stored record.
 func (s *Store) Put(id string, spec Spec, expect int64) (Stored, error) {
-	if err := ValidateID(id); err != nil {
+	if err := validateID(id); err != nil {
 		return Stored{}, err
 	}
 	if err := spec.Validate(); err != nil {
@@ -81,9 +81,9 @@ func (s *Store) Get(id string) (Stored, bool) {
 	return st, ok
 }
 
-// Delete removes id from the desired state, reporting whether it was
+// remove removes id from the desired state, reporting whether it was
 // present. The Manager's next reconcile tears the runtime down.
-func (s *Store) Delete(id string) bool {
+func (s *Store) remove(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.specs[id]

@@ -7,7 +7,7 @@ import (
 )
 
 func TestStorePutGetDelete(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	st, err := s.Put("acme", validSpec(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestStorePutGetDelete(t *testing.T) {
 	if len(ids) != 2 || ids[0].ID != "acme" || ids[1].ID != "beta" {
 		t.Errorf("List = %+v", ids)
 	}
-	if !s.Delete("acme") || s.Delete("acme") {
+	if !s.remove("acme") || s.remove("acme") {
 		t.Error("Delete should report presence exactly once")
 	}
 	if s.Len() != 1 {
@@ -39,7 +39,7 @@ func TestStorePutGetDelete(t *testing.T) {
 }
 
 func TestStoreRejectsInvalid(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	if _, err := s.Put("Bad ID", validSpec(), 0); err == nil {
 		t.Error("invalid id accepted")
 	}
@@ -54,7 +54,7 @@ func TestStoreRejectsInvalid(t *testing.T) {
 }
 
 func TestStoreGenerationConflict(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	st, err := s.Put("acme", validSpec(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestStoreGenerationConflict(t *testing.T) {
 // TestStoreConcurrentConditionalPuts races N writers all expecting the
 // same generation: exactly one must win.
 func TestStoreConcurrentConditionalPuts(t *testing.T) {
-	s := NewStore()
+	s := newStore()
 	st, err := s.Put("acme", validSpec(), 0)
 	if err != nil {
 		t.Fatal(err)

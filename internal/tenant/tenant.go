@@ -16,7 +16,6 @@ import (
 	"painter/internal/obs/alert"
 	"painter/internal/obs/history"
 	"painter/internal/obs/span"
-	"painter/internal/topology"
 	"painter/internal/usergroup"
 )
 
@@ -163,39 +162,24 @@ func resolveBudget(spec Spec, d *cloud.Deployment) int {
 }
 
 // buildInstance constructs a tenant runtime from its stored spec: the
-// world (seeded exactly as experiments.NewEnv seeds it, so a tenant is
-// bit-for-bit the single-world environment of the same scale and
-// seed), the user groups, the continuous controller with tenant-scoped
-// metrics and tracing, and the generated fault schedule. It does not
-// start the tick loop — the Manager does, after registering the
-// instance.
+// world and user groups (experiments.BuildWorld, which painterd's
+// environment is built on too, so a tenant is bit-for-bit the
+// single-world environment of the same scale and seed), the continuous
+// controller with tenant-scoped metrics and tracing, and the generated
+// fault schedule. It does not start the tick loop — the Manager does,
+// after registering the instance.
 func buildInstance(st Stored, logger *slog.Logger, parent *span.Tracer) (*instance, error) {
 	spec := st.Spec
-	spec.Normalize()
-	sc, ok := scaleFor(spec.Scale)
-	if !ok {
-		return nil, fmt.Errorf("tenant %q: unknown scale %q", st.ID, spec.Scale)
-	}
-	genCfg, prof, ugCfg, err := experiments.ScaleConfig(sc, spec.Seed)
+	spec.normalize()
+	sc, err := experiments.ParseScale(spec.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q: %w", st.ID, err)
 	}
-	g, err := topology.Generate(genCfg)
+	wd, err := experiments.BuildWorld(sc, spec.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("tenant %q: topology: %w", st.ID, err)
+		return nil, fmt.Errorf("tenant %q: %w", st.ID, err)
 	}
-	d, err := cloud.Build(g, 64500, prof)
-	if err != nil {
-		return nil, fmt.Errorf("tenant %q: deployment: %w", st.ID, err)
-	}
-	w, err := netsim.New(g, d, spec.Seed+2)
-	if err != nil {
-		return nil, fmt.Errorf("tenant %q: world: %w", st.ID, err)
-	}
-	ugs, err := usergroup.Build(g, ugCfg)
-	if err != nil {
-		return nil, fmt.Errorf("tenant %q: usergroups: %w", st.ID, err)
-	}
+	g, d, w, ugs := wd.Graph, wd.Deploy, wd.Net, wd.UGs
 
 	// Tenant-scoped observability: the world's registry and a fresh
 	// controller registry both expose every metric with tenant="<id>";
@@ -435,7 +419,7 @@ func (in *instance) applyInPlace(st Stored) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	spec := st.Spec
-	spec.Normalize()
+	spec.normalize()
 	in.spec, in.gen = spec, st.Generation
 	switch in.phase {
 	case PhaseRunning, PhasePaused:

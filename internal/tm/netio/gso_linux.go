@@ -274,5 +274,5 @@ func groSegSize(oob []byte) int {
 	return 0
 }
 
-// GSO reports whether both offload halves are live on this conn.
-func (c *batchConn) GSO() bool { return c.gsoOK && c.gro }
+// gso reports whether both offload halves are live on this conn.
+func (c *batchConn) gso() bool { return c.gsoOK && c.gro }

@@ -74,7 +74,7 @@ func collect(t *testing.T, conn Conn, want, readLen int, deadline time.Duration)
 func TestGSOUniformRoundTrip(t *testing.T) {
 	tx, rx := gsoPair(t,
 		Config{Sockets: 1, Batch: 64}, Config{Sockets: 1, Batch: 64})
-	if !tx.GSO() || !rx.GSO() {
+	if !tx.gso() || !rx.gso() {
 		t.Skip("kernel without UDP_SEGMENT/UDP_GRO support")
 	}
 	const n = 48
@@ -102,7 +102,7 @@ func TestGSOUniformRoundTrip(t *testing.T) {
 func TestGROOverflowServing(t *testing.T) {
 	tx, rx := gsoPair(t,
 		Config{Sockets: 1, Batch: 64}, Config{Sockets: 1, Batch: 64})
-	if !tx.GSO() || !rx.GSO() {
+	if !tx.gso() || !rx.gso() {
 		t.Skip("kernel without UDP_SEGMENT/UDP_GRO support")
 	}
 	const n = 40
@@ -130,7 +130,7 @@ func TestGROOverflowServing(t *testing.T) {
 func TestGSOTrailingShortSegment(t *testing.T) {
 	tx, rx := gsoPair(t,
 		Config{Sockets: 1, Batch: 64}, Config{Sockets: 1, Batch: 64})
-	if !tx.GSO() || !rx.GSO() {
+	if !tx.gso() || !rx.gso() {
 		t.Skip("kernel without UDP_SEGMENT/UDP_GRO support")
 	}
 	payloads := []string{"equal-size-0", "equal-size-1", "equal-size-2", "tail"}
@@ -204,7 +204,7 @@ func plainBatchConn(t *testing.T) *batchConn {
 // offers no UDP_SEGMENT/UDP_GRO.
 func TestPlainMmsgFallback(t *testing.T) {
 	tx, rx := plainBatchConn(t), plainBatchConn(t)
-	if tx.GSO() || rx.GSO() {
+	if tx.gso() || rx.gso() {
 		t.Fatal("conn without offload still reports GSO active")
 	}
 	const n = 16

@@ -140,15 +140,15 @@ func (g *Group) Batch() int { return g.cfg.Batch }
 // Batched reports whether the group uses the multi-message syscall arm.
 func (g *Group) Batched() bool { return g.cfg.Batch > 1 && batchAvailable }
 
-// GSO reports whether the group's sockets run the UDP_SEGMENT/UDP_GRO
+// gso reports whether the group's sockets run the UDP_SEGMENT/UDP_GRO
 // offload fast path (false where the kernel rejected the sockopt).
-func (g *Group) GSO() bool {
-	type gsoCapable interface{ GSO() bool }
+func (g *Group) gso() bool {
+	type gsoCapable interface{ gso() bool }
 	if len(g.conns) == 0 {
 		return false
 	}
 	c, ok := g.conns[0].(gsoCapable)
-	return ok && c.GSO()
+	return ok && c.gso()
 }
 
 // Close closes every socket; concurrent ReadBatch calls return errors.

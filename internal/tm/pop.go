@@ -296,7 +296,7 @@ func (p *PoP) purgeLoop() {
 
 // purge drops idle flows, one stripe at a time.
 func (p *PoP) purge(now time.Time) {
-	n := p.flows.Sweep(func(_ tmproto.FlowKey, f popFlow) bool {
+	n := p.flows.sweep(func(_ tmproto.FlowKey, f popFlow) bool {
 		return now.Sub(f.lastSeen) > p.cfg.FlowTTL
 	})
 	if n > 0 {

@@ -126,10 +126,10 @@ func (t *flowMap[V]) Len() int {
 	return n
 }
 
-// Sweep deletes every entry for which drop returns true, taking one
+// sweep deletes every entry for which drop returns true, taking one
 // stripe lock at a time so the datapath never stalls behind a full-table
 // scan. Returns the number of entries deleted.
-func (t *flowMap[V]) Sweep(drop func(k tmproto.FlowKey, v V) bool) int {
+func (t *flowMap[V]) sweep(drop func(k tmproto.FlowKey, v V) bool) int {
 	total := 0
 	for i := range t.shards {
 		s := &t.shards[i]
@@ -145,9 +145,9 @@ func (t *flowMap[V]) Sweep(drop func(k tmproto.FlowKey, v V) bool) int {
 	return total
 }
 
-// Range calls fn for every entry, one stripe lock at a time. fn must
+// forEach calls fn for every entry, one stripe lock at a time. fn must
 // not mutate the map.
-func (t *flowMap[V]) Range(fn func(k tmproto.FlowKey, v V)) {
+func (t *flowMap[V]) forEach(fn func(k tmproto.FlowKey, v V)) {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()

@@ -52,12 +52,12 @@ func TestFlowMapSweepAndRange(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		m.Set(shardKey(i), i)
 	}
-	n := m.Sweep(func(_ tmproto.FlowKey, v int) bool { return v%2 == 0 })
+	n := m.sweep(func(_ tmproto.FlowKey, v int) bool { return v%2 == 0 })
 	if n != 500 || m.Len() != 500 {
 		t.Fatalf("sweep removed %d, len %d", n, m.Len())
 	}
 	seen := 0
-	m.Range(func(_ tmproto.FlowKey, v int) {
+	m.forEach(func(_ tmproto.FlowKey, v int) {
 		if v%2 == 0 {
 			t.Fatalf("swept value %d still present", v)
 		}
@@ -100,7 +100,7 @@ func TestFlowMapConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	total := 0
-	m.Range(func(_ tmproto.FlowKey, v int) { total += v })
+	m.forEach(func(_ tmproto.FlowKey, v int) { total += v })
 	if total != 8*500 {
 		t.Fatalf("lost updates: total = %d, want %d", total, 8*500)
 	}

@@ -453,7 +453,7 @@ func ParseResolveReply(b []byte) (ResolveReply, error) {
 	return out, nil
 }
 
-// Overhead returns the encapsulation overhead in bytes for a data
+// overhead returns the encapsulation overhead in bytes for a data
 // packet — the "16 bytes per 1400" cost discussed in Appendix D plus
 // the flow key.
-func Overhead() int { return headerLen + flowKeyLen }
+func overhead() int { return headerLen + flowKeyLen }

@@ -230,12 +230,12 @@ func TestOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b)-100 != Overhead() {
-		t.Errorf("Overhead() = %d, actual %d", Overhead(), len(b)-100)
+	if len(b)-100 != overhead() {
+		t.Errorf("overhead() = %d, actual %d", overhead(), len(b)-100)
 	}
 	// The paper cites ~16-21 bytes per 1400; our header+flow key should
 	// stay comparable.
-	if Overhead() > 32 {
-		t.Errorf("encapsulation overhead %d bytes too large", Overhead())
+	if overhead() > 32 {
+		t.Errorf("encapsulation overhead %d bytes too large", overhead())
 	}
 }

@@ -48,8 +48,8 @@ func (r Relationship) String() string {
 	}
 }
 
-// Invert returns the relationship as seen from the other side of the link.
-func (r Relationship) Invert() Relationship {
+// invert returns the relationship as seen from the other side of the link.
+func (r Relationship) invert() Relationship {
 	switch r {
 	case RelProvider:
 		return RelCustomer

@@ -31,10 +31,10 @@ type GenConfig struct {
 	ContentFrac    float64
 }
 
-// DefaultGenConfig returns a config producing a mid-size Internet:
+// defaultGenConfig returns a config producing a mid-size Internet:
 // large enough that policy diversity matters, small enough for fast
 // experiments.
-func DefaultGenConfig() GenConfig {
+func defaultGenConfig() GenConfig {
 	return GenConfig{
 		Seed:              1,
 		Tier1:             12,

@@ -62,7 +62,7 @@ func (g *Graph) Link(a, b ASN, rel Relationship) error {
 		return fmt.Errorf("topology: duplicate link %v-%v", a, b)
 	}
 	g.rel[a][b] = rel
-	g.rel[b][a] = rel.Invert()
+	g.rel[b][a] = rel.invert()
 	switch rel {
 	case RelCustomer:
 		asA.Customers = append(asA.Customers, b)
@@ -110,12 +110,12 @@ func (g *Graph) ASNs() []ASN {
 	return g.sortedASNs
 }
 
-// CustomerCone returns the set of ASNs in the customer cone of root: root
+// customerCone returns the set of ASNs in the customer cone of root: root
 // itself plus every AS reachable by repeatedly following provider→customer
 // links (Luckie et al.). By definition an AS carries traffic from its
 // customer cone to any destination, which is what makes cone membership a
 // proof of policy compliance (§3.1).
-func (g *Graph) CustomerCone(root ASN) map[ASN]bool {
+func (g *Graph) customerCone(root ASN) map[ASN]bool {
 	cone := make(map[ASN]bool)
 	if !g.Has(root) {
 		return cone
@@ -136,7 +136,7 @@ func (g *Graph) CustomerCone(root ASN) map[ASN]bool {
 }
 
 // ConeSize returns |CustomerCone(root)|.
-func (g *Graph) ConeSize(root ASN) int { return len(g.CustomerCone(root)) }
+func (g *Graph) ConeSize(root ASN) int { return len(g.customerCone(root)) }
 
 // InCone reports whether member is in the customer cone of root.
 func (g *Graph) InCone(root, member ASN) bool {
@@ -173,7 +173,7 @@ func (g *Graph) InCone(root, member ASN) bool {
 func (g *Graph) Validate() error {
 	for a, m := range g.rel {
 		for b, r := range m {
-			if got := g.rel[b][a]; got != r.Invert() {
+			if got := g.rel[b][a]; got != r.invert() {
 				return fmt.Errorf("topology: asymmetric link %v-%v: %v vs %v", a, b, r, got)
 			}
 		}

@@ -86,7 +86,7 @@ func TestLinkErrors(t *testing.T) {
 
 func TestCustomerCone(t *testing.T) {
 	g := tinyGraph(t)
-	cone1 := g.CustomerCone(1)
+	cone1 := g.customerCone(1)
 	for _, n := range []ASN{1, 10, 11, 100, 101} {
 		if !cone1[n] {
 			t.Errorf("cone(1) missing %v", n)
@@ -98,13 +98,13 @@ func TestCustomerCone(t *testing.T) {
 		}
 	}
 	// Multihomed stub is in both tier-2 cones.
-	if !g.CustomerCone(11)[101] || !g.CustomerCone(12)[101] {
+	if !g.customerCone(11)[101] || !g.customerCone(12)[101] {
 		t.Error("multihomed stub 101 should be in cones of both providers")
 	}
 	if g.ConeSize(100) != 1 {
 		t.Errorf("stub cone size = %d, want 1", g.ConeSize(100))
 	}
-	if len(g.CustomerCone(555)) != 0 {
+	if len(g.customerCone(555)) != 0 {
 		t.Error("cone of unknown AS should be empty")
 	}
 }
@@ -137,7 +137,7 @@ func TestInConeMatchesCustomerCone(t *testing.T) {
 	}
 	asns := g.ASNs()
 	for _, root := range asns[:10] {
-		cone := g.CustomerCone(root)
+		cone := g.customerCone(root)
 		for _, m := range asns {
 			if got := g.InCone(root, m); got != cone[m] {
 				t.Fatalf("InCone(%v,%v)=%v disagrees with CustomerCone=%v", root, m, got, cone[m])
@@ -169,10 +169,10 @@ func TestValidateDetectsProviderCycle(t *testing.T) {
 }
 
 func TestRelationshipInvert(t *testing.T) {
-	if RelCustomer.Invert() != RelProvider || RelProvider.Invert() != RelCustomer {
+	if RelCustomer.invert() != RelProvider || RelProvider.invert() != RelCustomer {
 		t.Error("customer/provider must invert to each other")
 	}
-	if RelPeer.Invert() != RelPeer || RelNone.Invert() != RelNone {
+	if RelPeer.invert() != RelPeer || RelNone.invert() != RelNone {
 		t.Error("peer/none invert to themselves")
 	}
 }
@@ -219,7 +219,7 @@ func TestGenerateStructure(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := DefaultGenConfig()
+	cfg := defaultGenConfig()
 	cfg.Stubs = 100
 	cfg.Tier2 = 15
 	a, err := Generate(cfg)

@@ -112,7 +112,7 @@ func TestBuildFromInferred(t *testing.T) {
 	if g.AS(100).Tier != TierStub {
 		t.Errorf("AS100 tier = %v, want stub", g.AS(100).Tier)
 	}
-	if !g.CustomerCone(1)[100] {
+	if !g.customerCone(1)[100] {
 		t.Error("cone(1) should include 100 via inferred links")
 	}
 }

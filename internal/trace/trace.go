@@ -220,16 +220,6 @@ type Analysis struct {
 	CachedBytes, OutlivedBytes map[Cloud]float64
 }
 
-// CachedToOutlivedRatio returns CachedBytes/OutlivedBytes for a cloud
-// (0 when no outlived bytes).
-func (a *Analysis) CachedToOutlivedRatio(c Cloud) float64 {
-	out := a.OutlivedBytes[c]
-	if out == 0 {
-		return 0
-	}
-	return a.CachedBytes[c] / out
-}
-
 // StandardOffsets are Fig. 3's x-axis points.
 var StandardOffsets = []time.Duration{
 	-time.Minute, -time.Second, 0, time.Second, time.Minute, 5 * time.Minute, time.Hour,

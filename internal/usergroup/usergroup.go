@@ -310,22 +310,8 @@ func (s *Set) TotalWeight() float64 {
 	return t
 }
 
-// ByResolver returns the UG IDs served by a resolver.
-func (s *Set) ByResolver(r ResolverID) []ID { return s.byRes[r] }
-
-// ResolverOf returns the resolver record for a UG.
-func (s *Set) ResolverOf(id ID) (Resolver, error) {
-	u := s.Get(id)
-	if u == nil {
-		return Resolver{}, fmt.Errorf("usergroup: unknown UG %d", id)
-	}
-	for _, r := range s.Resolvers {
-		if r.ID == u.Resolver {
-			return r, nil
-		}
-	}
-	return Resolver{}, fmt.Errorf("usergroup: UG %d references unknown resolver %d", id, u.Resolver)
-}
+// byResolver returns the UG IDs served by a resolver.
+func (s *Set) byResolver(r ResolverID) []ID { return s.byRes[r] }
 
 // TopByWeight returns the n heaviest UGs (descending weight).
 func (s *Set) TopByWeight(n int) []UG {
@@ -342,10 +328,10 @@ func (s *Set) TopByWeight(n int) []UG {
 	return out
 }
 
-// CoveringWeight returns the smallest count k such that the k heaviest
-// UGs carry at least frac of total weight — used to pick the "99% of
-// traffic" working set (Appendix C).
-func (s *Set) CoveringWeight(frac float64) int {
+// coveringWeight returns the smallest count k such that the k heaviest
+// UGs carry at least frac of total weight (the "99% of traffic" working
+// set of Appendix C). Only this package's tests call it.
+func (s *Set) coveringWeight(frac float64) int {
 	top := s.TopByWeight(len(s.UGs))
 	total := s.TotalWeight()
 	var acc float64

@@ -62,16 +62,18 @@ func TestWeightsSkewed(t *testing.T) {
 
 func TestResolverAssignment(t *testing.T) {
 	s, _ := testSet(t)
-	public, local := 0, 0
+	byID := map[ResolverID]Resolver{}
+	for _, r := range s.Resolvers {
+		byID[r.ID] = r
+	}
+	public := 0
 	for _, u := range s.UGs {
-		r, err := s.ResolverOf(u.ID)
-		if err != nil {
-			t.Fatal(err)
+		r, ok := byID[u.Resolver]
+		if !ok {
+			t.Fatalf("UG %d references unknown resolver %d", u.ID, u.Resolver)
 		}
 		if r.Public {
 			public++
-		} else {
-			local++
 		}
 	}
 	frac := float64(public) / float64(s.Len())
@@ -84,7 +86,7 @@ func TestByResolverPartition(t *testing.T) {
 	s, _ := testSet(t)
 	total := 0
 	for _, r := range s.Resolvers {
-		ids := s.ByResolver(r.ID)
+		ids := s.byResolver(r.ID)
 		total += len(ids)
 		for _, id := range ids {
 			if s.Get(id).Resolver != r.ID {
@@ -128,8 +130,8 @@ func TestTopByWeightOrdered(t *testing.T) {
 
 func TestCoveringWeight(t *testing.T) {
 	s, _ := testSet(t)
-	n99 := s.CoveringWeight(0.99)
-	n50 := s.CoveringWeight(0.50)
+	n99 := s.coveringWeight(0.99)
+	n50 := s.coveringWeight(0.50)
 	if n50 >= n99 {
 		t.Errorf("covering 50%% (%d) should need fewer UGs than 99%% (%d)", n50, n99)
 	}
