@@ -127,12 +127,12 @@ bench-e2e:
 experiments:
 	$(GO) run ./cmd/painter-bench -exp all -scale peering -iters 3
 
-# Run all three example mains end to end; CI runs this after the tests.
+# Run both example mains end to end; CI runs this after the tests.
 # The figure-shaped walk-throughs are painter-bench experiments
-# (-exp fig6a,fig14 for the advertisement sweep, -exp fig10 for failover).
+# (-exp fig6a,fig14 for the advertisement sweep, -exp fig10 for failover);
+# the Fig. 1 scenario is netsim's checked Example_fig1Scenario.
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/fig1-scenario
 	$(GO) run ./examples/enterprise
 
 clean:

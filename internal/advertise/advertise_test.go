@@ -1,7 +1,7 @@
 package advertise
 
 import (
-	"os"
+	"encoding/json"
 	"testing"
 
 	"painter/internal/bgp"
@@ -189,59 +189,13 @@ func TestConfigClone(t *testing.T) {
 	}
 }
 
-func TestConfigPersistRoundTrip(t *testing.T) {
-	d := testDeploy(t)
-	orig := OnePerPoPWithReuse(d, 5, 3000)
-	path := t.TempDir() + "/config.json"
-	if err := orig.save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := load(path)
+func TestConfigMarshalJSON(t *testing.T) {
+	c := Config{Prefixes: [][]bgp.IngressID{{0, 2}, {1}}}
+	b, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumPrefixes() != orig.NumPrefixes() {
-		t.Fatalf("prefixes = %d, want %d", got.NumPrefixes(), orig.NumPrefixes())
-	}
-	for i := range orig.Prefixes {
-		if len(got.Prefixes[i]) != len(orig.Prefixes[i]) {
-			t.Fatalf("prefix %d length differs", i)
-		}
-		for j := range orig.Prefixes[i] {
-			if got.Prefixes[i][j] != orig.Prefixes[i][j] {
-				t.Fatalf("prefix %d peering %d differs", i, j)
-			}
-		}
-	}
-	if err := got.Validate(d); err != nil {
-		t.Errorf("loaded config invalid: %v", err)
-	}
-}
-
-func TestConfigLoadErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := load(dir + "/missing.json"); err == nil {
-		t.Error("missing file should fail")
-	}
-	bad := dir + "/bad.json"
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := load(bad); err == nil {
-		t.Error("malformed json should fail")
-	}
-	wrongVer := dir + "/ver.json"
-	if err := os.WriteFile(wrongVer, []byte(`{"version":99,"prefixes":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := load(wrongVer); err == nil {
-		t.Error("unknown version should fail")
-	}
-	negID := dir + "/neg.json"
-	if err := os.WriteFile(negID, []byte(`{"version":1,"prefixes":[[-3]]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := load(negID); err == nil {
-		t.Error("negative peering id should fail")
+	if want := `{"version":1,"prefixes":[[0,2],[1]]}`; string(b) != want {
+		t.Errorf("Marshal = %s, want %s", b, want)
 	}
 }

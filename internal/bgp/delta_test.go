@@ -110,16 +110,14 @@ func mutateInjections(rng *rand.Rand, inj []bgp.Injection, asns []topology.ASN, 
 	return out, flipped
 }
 
-// expectedDiff computes the changed-AS set from two selection maps.
-func expectedDiff(prev, next map[topology.ASN]bgp.Route) map[topology.ASN]bool {
+// expectedDiff computes the changed-AS set AS by AS through Route: the
+// oracle for Result.Diff and PropagateDelta's changed set.
+func expectedDiff(g *topology.Graph, prev, next *bgp.Result) map[topology.ASN]bool {
 	d := make(map[topology.ASN]bool)
-	for as, r := range next {
-		if pr, ok := prev[as]; !ok || pr != r {
-			d[as] = true
-		}
-	}
-	for as := range prev {
-		if _, ok := next[as]; !ok {
+	for _, as := range g.ASNs() {
+		pr, pok := prev.Route(as)
+		nr, nok := next.Route(as)
+		if pok != nok || pr != nr {
 			d[as] = true
 		}
 	}
@@ -172,7 +170,7 @@ func assertDeltaMatchesFull(t *testing.T, g *topology.Graph, prev *bgp.Result, i
 		t.Fatalf("%s: delta selection differs from PropagateReference", label)
 	}
 	// The changed set must be exactly the selection diff vs the base.
-	want := expectedDiff(prev.Selections(), full.Selections())
+	want := expectedDiff(g, prev, full)
 	if len(changed) != len(want) {
 		t.Fatalf("%s: changed set has %d ASes, want %d", label, len(changed), len(want))
 	}
@@ -237,12 +235,11 @@ func TestPropagateDeltaMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := prev.Selections()
-		if len(got) != len(ref) {
-			t.Fatalf("step %d: delta settled %d ASes, reference %d", step, len(got), len(ref))
+		if prev.Len() != len(ref) {
+			t.Fatalf("step %d: delta settled %d ASes, reference %d", step, prev.Len(), len(ref))
 		}
 		for as, rr := range ref {
-			if gr, ok := got[as]; !ok || gr != rr {
+			if gr, ok := prev.Route(as); !ok || gr != rr {
 				t.Fatalf("step %d: AS %v selected %+v (delta) vs %+v (reference)", step, as, gr, rr)
 			}
 		}
@@ -282,7 +279,7 @@ func TestPropagateDeltaRecovery(t *testing.T) {
 		t.Fatal("recovery did not reproduce the pre-failure selection")
 	}
 	// The recovery's changed set must exactly undo the failure's.
-	wantBack := expectedDiff(mid.Selections(), base.Selections())
+	wantBack := expectedDiff(g, mid, base)
 	if len(changed2) != len(wantBack) {
 		t.Fatalf("recovery changed %d ASes, want %d", len(changed2), len(wantBack))
 	}
@@ -472,16 +469,9 @@ func TestResultViews(t *testing.T) {
 	if res.Len() != len(want) {
 		t.Fatalf("Len %d, want %d", res.Len(), len(want))
 	}
-	sel := res.Selections()
-	if len(sel) != len(want) {
-		t.Fatalf("Selections has %d entries, want %d", len(sel), len(want))
-	}
 	for as, r := range want {
 		if got, ok := res.Route(as); !ok || got != r {
 			t.Fatalf("Route(%v) = %+v, %v; want %+v", as, got, ok, r)
-		}
-		if sel[as] != r {
-			t.Fatalf("Selections[%v] = %+v, want %+v", as, sel[as], r)
 		}
 	}
 	for _, as := range asns {
@@ -503,7 +493,7 @@ func TestResultViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := res2.Diff(res)
-	wantD := expectedDiff(res.Selections(), res2.Selections())
+	wantD := expectedDiff(g, res, res2)
 	if len(d) != len(wantD) {
 		t.Fatalf("Diff returned %d ASes, want %d", len(d), len(wantD))
 	}

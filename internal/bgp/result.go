@@ -7,8 +7,7 @@ package bgp
 // queue only from the frontier an input change invalidates.
 //
 // A Result is immutable after construction and safe for concurrent use;
-// the lazily built views (Selections, sortedInjections) are memoized
-// under sync.Once.
+// the lazily built sortedInjections view is memoized under sync.Once.
 
 import (
 	"cmp"
@@ -34,9 +33,6 @@ type Result struct {
 
 	sortOnce  sync.Once
 	injSorted []Injection // inj sorted canonically, for multiset diffs
-
-	mapOnce sync.Once
-	selMap  map[topology.ASN]Route
 }
 
 // Len returns the number of ASes that settled with a route.
@@ -51,17 +47,7 @@ func (r *Result) Route(as topology.ASN) (Route, bool) {
 	return r.sel[i], true
 }
 
-// Selections returns the selected-route map in the shape Propagate
-// returns. It is built once and shared by every caller of the same
-// Result — treat it as read-only.
-func (r *Result) Selections() map[topology.ASN]Route {
-	r.mapOnce.Do(func() {
-		r.selMap = r.selectionMap()
-	})
-	return r.selMap
-}
-
-// selectionMap builds a fresh selected-route map.
+// selectionMap builds the selected-route map Propagate returns.
 func (r *Result) selectionMap() map[topology.ASN]Route {
 	m := make(map[topology.ASN]Route, r.settledCount)
 	for i, n := int32(0), int32(r.idx.Len()); i < n; i++ {

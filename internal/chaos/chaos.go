@@ -19,12 +19,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"painter/internal/bgp"
 	"painter/internal/cloud"
 	"painter/internal/netsim"
-	"painter/internal/topology"
 )
 
 // Record is one applied event, stamped with the schedule tick it ran in.
@@ -37,8 +35,8 @@ type Record struct {
 type Result struct {
 	Timeline []Record
 	// FinalRoutes is the route table over all live peerings after the
-	// last tick.
-	FinalRoutes map[topology.ASN]bgp.Route
+	// last tick (shared with the world's resolve cache: read-only).
+	FinalRoutes *bgp.Result
 	// LiveAtEnd are the peerings still up after the last tick.
 	LiveAtEnd []bgp.IngressID
 }
@@ -93,8 +91,9 @@ func Run(w *netsim.World, d *cloud.Deployment, sched Schedule, onTick TickFunc) 
 	return res, nil
 }
 
-// Bytes serializes the result canonically (little-endian, routes sorted
-// by ASN): two runs are equivalent iff their Bytes are identical.
+// Bytes serializes the result canonically (little-endian timeline, then
+// FinalRoutes.Bytes, then the live peerings): two runs are equivalent
+// iff their Bytes are identical.
 func (r *Result) Bytes() []byte {
 	var b []byte
 	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
@@ -112,20 +111,7 @@ func (r *Result) Bytes() []byte {
 		u64(rec.Ev.Seq)
 	}
 
-	asns := make([]topology.ASN, 0, len(r.FinalRoutes))
-	for n := range r.FinalRoutes {
-		asns = append(asns, n)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	u32(uint32(len(asns)))
-	for _, n := range asns {
-		rt := r.FinalRoutes[n]
-		u32(uint32(n))
-		u32(uint32(rt.Ingress))
-		u32(uint32(rt.PathLen))
-		b = append(b, byte(rt.Class))
-		u32(uint32(rt.Via))
-	}
+	b = append(b, r.FinalRoutes.Bytes()...)
 
 	u32(uint32(len(r.LiveAtEnd)))
 	for _, id := range r.LiveAtEnd {

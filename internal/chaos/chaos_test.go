@@ -214,13 +214,8 @@ func TestCachedWorldMatchesFreshUnderChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("checkpoint %d: selection sizes differ (%d vs %d)", i, len(a), len(b))
-		}
-		for n, r := range a {
-			if b[n] != r {
-				t.Fatalf("checkpoint %d: AS %v selects %+v cached but %+v fresh", i, n, r, b[n])
-			}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("checkpoint %d: cached selection differs from fresh (ASes %v)", i, a.Diff(b))
 		}
 		for _, asn := range asns {
 			metro := g.AS(asn).Metros[0]

@@ -23,12 +23,16 @@ import (
 // ingress, class, and prepended path length. Each local check holding at
 // every AS implies, inductively on PathLen, that every selected route
 // corresponds to a valley-free path into the cloud.
-func checkValleyFree(g *topology.Graph, injections []bgp.Injection, sel map[topology.ASN]bgp.Route) error {
+func checkValleyFree(g *topology.Graph, injections []bgp.Injection, sel *bgp.Result) error {
 	injAt := make(map[topology.ASN][]bgp.Injection, len(injections))
 	for _, inj := range injections {
 		injAt[inj.Neighbor] = append(injAt[inj.Neighbor], inj)
 	}
-	for as, r := range sel {
+	for _, as := range g.ASNs() {
+		r, ok := sel.Route(as)
+		if !ok {
+			continue
+		}
 		if r.PathLen < 1 {
 			return fmt.Errorf("chaos: AS %v has non-positive path length %d", as, r.PathLen)
 		}
@@ -45,7 +49,7 @@ func checkValleyFree(g *topology.Graph, injections []bgp.Injection, sel map[topo
 			}
 			continue
 		}
-		rv, ok := sel[r.Via]
+		rv, ok := sel.Route(r.Via)
 		if !ok {
 			return fmt.Errorf("chaos: AS %v learned via %v, which selected no route", as, r.Via)
 		}

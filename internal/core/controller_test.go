@@ -201,13 +201,11 @@ func TestControllerDirtySetPerKind(t *testing.T) {
 	// route currently selects (zero when all are selected).
 	anycastUnselected := func(t *testing.T, b *testBench, before Config) bgp.IngressID {
 		t.Helper()
-		_, ing, err := AnycastLatencies(b.world, b.ugs)
-		if err != nil {
+		selected := make(map[bgp.IngressID]bool)
+		if err := b.world.Land(b.world.Deploy.AllPeeringIDs(), b.ugs.UGs, nil, func(_ int, ing bgp.IngressID, _ float64) {
+			selected[ing] = true
+		}); err != nil {
 			t.Fatal(err)
-		}
-		selected := make(map[bgp.IngressID]bool, len(ing))
-		for _, id := range ing {
-			selected[id] = true
 		}
 		for _, S := range before.Prefixes {
 			for _, id := range S {
@@ -265,16 +263,14 @@ func TestControllerDirtySetPerKind(t *testing.T) {
 		{"latency-spike-selected", func(t *testing.T, r *ctrlRig, before Config) (Config, SyncReport) {
 			// Spike an ingress some UG's anycast route traverses: those
 			// states' baselines move, dirtying every prefix they can use.
-			_, ing, err := AnycastLatencies(r.b.world, r.b.ugs)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var x bgp.IngressID
 			var victim usergroup.ID
-			for id, sel := range ing {
-				if x == 0 || sel < x {
-					x, victim = sel, id
+			if err := r.b.world.Land(r.b.world.Deploy.AllPeeringIDs(), r.b.ugs.UGs, nil, func(i int, ing bgp.IngressID, _ float64) {
+				if ing != bgp.InvalidIngress && (x == 0 || ing < x) {
+					x, victim = ing, r.b.ugs.UGs[i].ID
 				}
+			}); err != nil {
+				t.Fatal(err)
 			}
 			r.apply(netsim.Event{Kind: netsim.EventLatencySpike, Ingress: x, Ms: 80})
 			after, rep := r.sync()

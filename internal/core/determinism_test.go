@@ -49,7 +49,7 @@ func determinismDigest(t *testing.T, workers int) []byte {
 	}
 
 	h := sha256.New()
-	res, err := b.world.ResolveIngressResult(all)
+	res, err := b.world.ResolveIngress(all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func determinismDigest(t *testing.T, workers int) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := b.world.ResolveIngressResult(all)
+		res, err := b.world.ResolveIngress(all)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,14 +48,14 @@ func inflationWeight(extraKm float64) float64 {
 // assumptions are evaluated against that prefix choice, plus anycast as
 // the fallback.
 func EvaluateRange(w *netsim.World, ugs *usergroup.Set, cfg advertise.Config) (RangeResult, error) {
-	anyLat, _, err := AnycastLatencies(w, ugs)
+	anyLat, err := measureAnycast(w, ugs.UGs)
 	if err != nil {
 		return RangeResult{}, err
 	}
 	var res RangeResult
-	for _, ug := range ugs.UGs {
-		base, ok := anyLat[ug.ID]
-		if !ok {
+	for i, ug := range ugs.UGs {
+		base := anyLat[i]
+		if math.IsNaN(base) {
 			continue
 		}
 		compliant, err := w.PolicyCompliant(ug.ASN)
@@ -127,11 +127,7 @@ func EvaluateRange(w *netsim.World, ugs *usergroup.Set, cfg advertise.Config) (R
 		res.Lower += wgt * (base - bestMax)
 		res.Estimated += wgt * (base - bestEst)
 
-		if bl, _, err := w.BestIngressLatency(ug.ASN, ug.Metro); err == nil {
-			if possible := base - math.Min(bl, base); possible > 0 {
-				res.PossibleBenefit += wgt * possible
-			}
-		}
+		res.PossibleBenefit += possibleBenefit(w, ug, base)
 	}
 	if res.PossibleBenefit > 0 {
 		res.Upper /= res.PossibleBenefit

@@ -10,7 +10,6 @@ import (
 	"painter/internal/netsim"
 	"painter/internal/obs/span"
 	"painter/internal/stats"
-	"painter/internal/topology"
 	"painter/internal/usergroup"
 )
 
@@ -56,28 +55,22 @@ func (e *WorldExecutor) ExecuteTraced(cfg Config, parent *span.Span) ([]Observat
 				span.A("peerings", strconv.Itoa(len(peerings))))
 			defer ps.Finish()
 		}
-		sel, err := e.World.ResolveIngressTraced(peerings, ps)
-		if err != nil {
-			return fmt.Errorf("core: resolve prefix %d: %w", pi, err)
-		}
 		var rng func() float64
 		if e.MeasureNoiseMs > 0 {
 			rng = stats.NewRand(e.seed + 0x9e3779b9*int64(pi+1)).Float64
 		}
 		obs := make([]Observation, 0, e.UGs.Len())
-		for _, ug := range e.UGs.UGs {
-			r, ok := sel[ug.ASN]
-			if !ok {
-				continue
-			}
-			ms, err := e.World.LatencyMs(ug.ASN, ug.Metro, r.Ingress)
-			if err != nil {
-				return err
+		err := e.World.Land(peerings, e.UGs.UGs, ps, func(i int, ing bgp.IngressID, ms float64) {
+			if ing == bgp.InvalidIngress {
+				return
 			}
 			if e.MeasureNoiseMs > 0 {
 				ms += rng() * e.MeasureNoiseMs
 			}
-			obs = append(obs, Observation{UG: ug.ID, Prefix: pi, Ingress: r.Ingress, LatencyMs: ms})
+			obs = append(obs, Observation{UG: e.UGs.UGs[i].ID, Prefix: pi, Ingress: ing, LatencyMs: ms})
+		})
+		if err != nil {
+			return fmt.Errorf("core: resolve prefix %d: %w", pi, err)
 		}
 		perPrefix[pi] = obs
 		return nil
@@ -96,28 +89,29 @@ func (e *WorldExecutor) ExecuteTraced(cfg Config, parent *span.Span) ([]Observat
 	return out, nil
 }
 
-// AnycastLatencies resolves the implicit anycast prefix (all peerings)
-// and returns each UG's anycast latency and selected ingress.
-func AnycastLatencies(w *netsim.World, ugs *usergroup.Set) (map[usergroup.ID]float64, map[usergroup.ID]bgp.IngressID, error) {
-	sel, err := w.ResolveIngress(w.Deploy.AllPeeringIDs())
+// measureAnycast lands every UG on the implicit anycast prefix (all
+// peerings) and returns their latencies in ugs order, NaN where the
+// UG's AS has no route.
+func measureAnycast(w *netsim.World, ugs []usergroup.UG) ([]float64, error) {
+	base := make([]float64, len(ugs))
+	err := w.Land(w.Deploy.AllPeeringIDs(), ugs, nil, func(i int, _ bgp.IngressID, ms float64) {
+		base[i] = ms
+	})
+	return base, err
+}
+
+// possibleBenefit is a UG's weighted share of the One-per-Peering
+// bound: its anycast latency base less the best compliant ingress's
+// latency, when that is an improvement (0 otherwise).
+func possibleBenefit(w *netsim.World, ug usergroup.UG, base float64) float64 {
+	bl, _, err := w.BestIngressLatency(ug.ASN, ug.Metro)
 	if err != nil {
-		return nil, nil, err
+		return 0
 	}
-	lat := make(map[usergroup.ID]float64, ugs.Len())
-	ing := make(map[usergroup.ID]bgp.IngressID, ugs.Len())
-	for _, ug := range ugs.UGs {
-		r, ok := sel[ug.ASN]
-		if !ok {
-			continue
-		}
-		ms, err := w.LatencyMs(ug.ASN, ug.Metro, r.Ingress)
-		if err != nil {
-			return nil, nil, err
-		}
-		lat[ug.ID] = ms
-		ing[ug.ID] = r.Ingress
+	if possible := base - math.Min(bl, base); possible > 0 {
+		return ug.Weight * possible
 	}
-	return lat, ing, nil
+	return 0
 }
 
 // SimInputs builds orchestrator Inputs backed directly by a world:
@@ -129,9 +123,15 @@ func AnycastLatencies(w *netsim.World, ugs *usergroup.Set) (map[usergroup.ID]flo
 func SimInputs(w *netsim.World, ugs *usergroup.Set,
 	est func(ug usergroup.UG, ing bgp.IngressID) (float64, bool)) (Inputs, *usergroup.Set, error) {
 
-	anyLat, _, err := AnycastLatencies(w, ugs)
+	base, err := measureAnycast(w, ugs.UGs)
 	if err != nil {
 		return Inputs{}, nil, err
+	}
+	anyLat := make(map[usergroup.ID]float64, ugs.Len())
+	for i, ug := range ugs.UGs {
+		if !math.IsNaN(base[i]) {
+			anyLat[ug.ID] = base[i]
+		}
 	}
 	covered := ugs.Subset(func(u usergroup.UG) bool { _, ok := anyLat[u.ID]; return ok })
 	if covered.Len() == 0 {
@@ -195,7 +195,7 @@ func (r EvalResult) FractionOfPossible() float64 {
 // world: per UG, the Traffic Manager achieves the minimum latency over
 // the anycast route and every advertised prefix's selected ingress.
 func Evaluate(w *netsim.World, ugs *usergroup.Set, cfg advertise.Config) (EvalResult, error) {
-	anyLat, _, err := AnycastLatencies(w, ugs)
+	base, err := measureAnycast(w, ugs.UGs)
 	if err != nil {
 		return EvalResult{}, err
 	}
@@ -203,49 +203,36 @@ func Evaluate(w *netsim.World, ugs *usergroup.Set, cfg advertise.Config) (EvalRe
 		PerUG:        make(map[usergroup.ID]float64, ugs.Len()),
 		PerUGLatency: make(map[usergroup.ID]float64, ugs.Len()),
 	}
-	// Resolve each prefix once, in parallel across the worker pool.
-	sels := make([]map[topology.ASN]bgp.Route, len(cfg.Prefixes))
-	if err := parallelFor(len(cfg.Prefixes), func(i int) error {
-		sel, err := w.ResolveIngress(cfg.Prefixes[i])
-		if err != nil {
-			return err
-		}
-		sels[i] = sel
-		return nil
+	// Land each prefix once, in parallel across the worker pool; row p
+	// of lat holds prefix p's latency per UG (NaN: no route).
+	n := len(ugs.UGs)
+	lat := make([]float64, len(cfg.Prefixes)*n)
+	if err := parallelFor(len(cfg.Prefixes), func(p int) error {
+		row := lat[p*n : (p+1)*n]
+		return w.Land(cfg.Prefixes[p], ugs.UGs, nil, func(i int, _ bgp.IngressID, ms float64) {
+			row[i] = ms
+		})
 	}); err != nil {
 		return EvalResult{}, err
 	}
-	for _, ug := range ugs.UGs {
-		base, ok := anyLat[ug.ID]
-		if !ok {
+	for i, ug := range ugs.UGs {
+		if math.IsNaN(base[i]) {
 			continue
 		}
-		best := base
-		for _, sel := range sels {
-			r, ok := sel[ug.ASN]
-			if !ok {
-				continue
-			}
-			ms, err := w.LatencyMs(ug.ASN, ug.Metro, r.Ingress)
-			if err != nil {
-				return EvalResult{}, err
-			}
-			if ms < best {
-				best = ms
+		best := base[i]
+		for p := i; p < len(lat); p += n {
+			if lat[p] < best {
+				best = lat[p]
 			}
 		}
-		imp := base - best
+		imp := base[i] - best
 		res.PerUG[ug.ID] = imp
 		res.PerUGLatency[ug.ID] = best
 		res.Benefit += ug.Weight * imp
 		if imp > 1e-9 {
 			res.ImprovedUGs++
 		}
-		if bl, _, err := w.BestIngressLatency(ug.ASN, ug.Metro); err == nil {
-			if possible := base - math.Min(bl, base); possible > 0 {
-				res.PossibleBenefit += ug.Weight * possible
-			}
-		}
+		res.PossibleBenefit += possibleBenefit(w, ug, base[i])
 	}
 	return res, nil
 }

@@ -13,7 +13,6 @@ import (
 	"painter/internal/advertise"
 	"painter/internal/bgp"
 	"painter/internal/netsim"
-	"painter/internal/topology"
 	"painter/internal/usergroup"
 )
 
@@ -160,49 +159,44 @@ func SteeredBenefit(ugs *usergroup.Set, assign SteeringAssignment,
 }
 
 // WorldLatencyFuncs builds the latency/anycast closures for Steer and
-// SteeredBenefit from a netsim world and a configuration (resolving each
-// prefix's ingress selection once).
+// SteeredBenefit from a netsim world and a configuration, landing every
+// UG of ugs on the anycast prefix and on each configured prefix once.
+// The closures answer for UGs of ugs only (ok=false otherwise).
 func WorldLatencyFuncs(w *netsim.World, ugs *usergroup.Set, cfg advertise.Config) (
 	func(u usergroup.UG, prefix int) (float64, bool),
 	func(u usergroup.UG) (float64, bool),
 	error) {
 
-	anySel, err := w.ResolveIngress(w.Deploy.AllPeeringIDs())
-	if err != nil {
-		return nil, nil, err
+	pos := make(map[usergroup.ID]int, ugs.Len())
+	for i, u := range ugs.UGs {
+		pos[u.ID] = i
 	}
-	sels := make([]map[topology.ASN]bgp.Route, len(cfg.Prefixes))
-	for i, peerings := range cfg.Prefixes {
-		sel, err := w.ResolveIngress(peerings)
-		if err != nil {
+	// lat[0] is the anycast prefix, lat[p+1] configured prefix p; NaN
+	// marks a UG with no route.
+	sets := append([][]bgp.IngressID{w.Deploy.AllPeeringIDs()}, cfg.Prefixes...)
+	lat := make([][]float64, len(sets))
+	for p, peerings := range sets {
+		row := make([]float64, ugs.Len())
+		if err := w.Land(peerings, ugs.UGs, nil, func(i int, _ bgp.IngressID, ms float64) {
+			row[i] = ms
+		}); err != nil {
 			return nil, nil, err
 		}
-		sels[i] = sel
+		lat[p] = row
+	}
+	lookup := func(p int, u usergroup.UG) (float64, bool) {
+		i, ok := pos[u.ID]
+		if !ok || math.IsNaN(lat[p][i]) {
+			return 0, false
+		}
+		return lat[p][i], true
 	}
 	latency := func(u usergroup.UG, prefix int) (float64, bool) {
-		if prefix < 0 || prefix >= len(sels) {
+		if prefix < 0 || prefix >= len(cfg.Prefixes) {
 			return 0, false
 		}
-		r, ok := sels[prefix][u.ASN]
-		if !ok {
-			return 0, false
-		}
-		ms, err := w.LatencyMs(u.ASN, u.Metro, r.Ingress)
-		if err != nil {
-			return 0, false
-		}
-		return ms, true
+		return lookup(prefix+1, u)
 	}
-	anycast := func(u usergroup.UG) (float64, bool) {
-		r, ok := anySel[u.ASN]
-		if !ok {
-			return 0, false
-		}
-		ms, err := w.LatencyMs(u.ASN, u.Metro, r.Ingress)
-		if err != nil {
-			return 0, false
-		}
-		return ms, true
-	}
+	anycast := func(u usergroup.UG) (float64, bool) { return lookup(0, u) }
 	return latency, anycast, nil
 }

@@ -14,8 +14,6 @@ import (
 	"painter/internal/chaos"
 	"painter/internal/experiments"
 	"painter/internal/netsim"
-	"painter/internal/topology"
-	"painter/internal/usergroup"
 )
 
 // ChaosFailoverConfig parameterizes the scenario.
@@ -87,7 +85,11 @@ func RunChaosFailover(env *experiments.Env, cfg ChaosFailoverConfig) (*ChaosFail
 	if err != nil {
 		return nil, err
 	}
-	prev := ingressByUG(ugs, baseline)
+	// prev is each UG's ingress as of the previous tick.
+	prev := make([]bgp.IngressID, len(ugs))
+	if err := w.Land(all, ugs, nil, func(i int, ing bgp.IngressID, _ float64) { prev[i] = ing }); err != nil {
+		return nil, err
+	}
 
 	res := &ChaosFailoverResult{ScheduleLen: len(sched), Kinds: len(sched.Kinds())}
 	eventsAt := make(map[int]int)
@@ -96,29 +98,25 @@ func RunChaosFailover(env *experiments.Env, cfg ChaosFailoverConfig) (*ChaosFail
 	}
 
 	runRes, err := chaos.Run(w, env.Deploy, sched, func(tick int, w *netsim.World) error {
-		sel, err := w.ResolveIngress(all)
-		if err != nil {
-			return err
-		}
-		cur := ingressByUG(ugs, sel)
 		pt := ChaosPoint{Tick: tick, Events: eventsAt[tick], Live: len(w.LiveIngresses(all))}
 		var wSum, wLat, wMoved, wDark, latSum float64
-		for i, ug := range ugs {
+		err := w.Land(all, ugs, nil, func(i int, ing bgp.IngressID, l float64) {
+			ug := &ugs[i]
 			wSum += ug.Weight
-			ing := cur[i]
+			moved := prev[i] != bgp.InvalidIngress && prev[i] != ing
+			prev[i] = ing
 			if ing == bgp.InvalidIngress {
 				wDark += ug.Weight
-				continue
-			}
-			l, err := w.LatencyMs(ug.ASN, ug.Metro, ing)
-			if err != nil {
-				return fmt.Errorf("figures: latency UG %d: %w", ug.ID, err)
+				return
 			}
 			wLat += ug.Weight
 			latSum += ug.Weight * l
-			if prev[i] != bgp.InvalidIngress && prev[i] != ing {
+			if moved {
 				wMoved += ug.Weight
 			}
+		})
+		if err != nil {
+			return fmt.Errorf("figures: chaos tick %d: %w", tick, err)
 		}
 		if wLat > 0 {
 			pt.MeanLatencyMs = latSum / wLat
@@ -127,7 +125,6 @@ func RunChaosFailover(env *experiments.Env, cfg ChaosFailoverConfig) (*ChaosFail
 			pt.RerouteFrac = wMoved / wSum
 			pt.Unreachable = wDark / wSum
 		}
-		prev = cur
 		res.Points = append(res.Points, pt)
 		return nil
 	})
@@ -135,30 +132,8 @@ func RunChaosFailover(env *experiments.Env, cfg ChaosFailoverConfig) (*ChaosFail
 		return nil, err
 	}
 
-	res.Recovered = len(runRes.FinalRoutes) == len(baseline)
-	if res.Recovered {
-		for as, r := range baseline {
-			if runRes.FinalRoutes[as] != r {
-				res.Recovered = false
-				break
-			}
-		}
-	}
+	res.Recovered = len(runRes.FinalRoutes.Diff(baseline)) == 0
 	return res, nil
-}
-
-// ingressByUG maps each UG to its selected ingress (InvalidIngress when
-// its AS has no route).
-func ingressByUG(ugs []usergroup.UG, sel map[topology.ASN]bgp.Route) []bgp.IngressID {
-	out := make([]bgp.IngressID, len(ugs))
-	for i, ug := range ugs {
-		if r, ok := sel[ug.ASN]; ok {
-			out[i] = r.Ingress
-		} else {
-			out[i] = bgp.InvalidIngress
-		}
-	}
-	return out
 }
 
 // Table renders the scenario for painter-bench.

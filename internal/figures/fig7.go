@@ -3,11 +3,11 @@ package figures
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"painter/internal/bgp"
 	"painter/internal/core"
 	"painter/internal/experiments"
-	"painter/internal/topology"
 )
 
 // Fig7Point is one day of the Fig. 7 drift experiment for one budget.
@@ -75,70 +75,57 @@ func RunFig7(env *experiments.Env, budgets []int, days, iters int) ([]Fig7Point,
 	return out, nil
 }
 
-// bestPrefixPerUG returns each UG's best prefix index (-1 = anycast) on
-// the world's current day.
-func bestPrefixPerUG(env *experiments.Env, cfg core.Config) (map[int32]int, error) {
-	anyLat, _, err := core.AnycastLatencies(env.World, env.UGs)
-	if err != nil {
+// bestPrefixPerUG returns each UG's best prefix index on the world's
+// current day, in env.UGs order (-1 = anycast, and for UGs with no
+// anycast route).
+func bestPrefixPerUG(env *experiments.Env, cfg core.Config) ([]int, error) {
+	ugs := env.UGs.UGs
+	best := make([]float64, len(ugs))
+	choice := make([]int, len(ugs))
+	if err := env.World.Land(env.Deploy.AllPeeringIDs(), ugs, nil, func(i int, _ bgp.IngressID, ms float64) {
+		best[i], choice[i] = ms, -1
+	}); err != nil {
 		return nil, err
 	}
-	choice := make(map[int32]int, env.UGs.Len())
-	sels, err := resolveAll(env, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, ug := range env.UGs.UGs {
-		base, ok := anyLat[ug.ID]
-		if !ok {
-			continue
+	for p, peerings := range cfg.Prefixes {
+		if err := env.World.Land(peerings, ugs, nil, func(i int, _ bgp.IngressID, ms float64) {
+			if ms < best[i] {
+				best[i], choice[i] = ms, p
+			}
+		}); err != nil {
+			return nil, err
 		}
-		best, bestP := base, -1
-		for pi, sel := range sels {
-			r, ok := sel[ug.ASN]
-			if !ok {
-				continue
-			}
-			ms, err := env.World.LatencyMs(ug.ASN, ug.Metro, r.Ingress)
-			if err != nil {
-				return nil, err
-			}
-			if ms < best {
-				best, bestP = ms, pi
-			}
-		}
-		choice[int32(ug.ID)] = bestP
 	}
 	return choice, nil
 }
 
 // staticChoiceBenefit evaluates Eq. (1) when each UG is stuck with its
 // recorded prefix choice on the current day.
-func staticChoiceBenefit(env *experiments.Env, cfg core.Config, choice map[int32]int) (float64, error) {
-	anyLat, _, err := core.AnycastLatencies(env.World, env.UGs)
-	if err != nil {
+func staticChoiceBenefit(env *experiments.Env, cfg core.Config, choice []int) (float64, error) {
+	ugs := env.UGs.UGs
+	base := make([]float64, len(ugs))
+	if err := env.World.Land(env.Deploy.AllPeeringIDs(), ugs, nil, func(i int, _ bgp.IngressID, ms float64) {
+		base[i] = ms
+	}); err != nil {
 		return 0, err
 	}
-	sels, err := resolveAll(env, cfg)
-	if err != nil {
-		return 0, err
+	// Static choice can be worse than anycast today: the UG is
+	// committed to its day-0 prefix even if it degraded.
+	got := slices.Clone(base)
+	for p, peerings := range cfg.Prefixes {
+		if err := env.World.Land(peerings, ugs, nil, func(i int, _ bgp.IngressID, ms float64) {
+			if choice[i] == p && !math.IsNaN(ms) {
+				got[i] = ms
+			}
+		}); err != nil {
+			return 0, err
+		}
 	}
 	var total float64
-	for _, ug := range env.UGs.UGs {
-		base, ok := anyLat[ug.ID]
-		if !ok {
-			continue
+	for i, ug := range ugs {
+		if !math.IsNaN(base[i]) {
+			total += ug.Weight * (base[i] - got[i])
 		}
-		ms := base
-		if p, ok := choice[int32(ug.ID)]; ok && p >= 0 && p < len(sels) {
-			if r, ok := sels[p][ug.ASN]; ok {
-				if v, err := env.World.LatencyMs(ug.ASN, ug.Metro, r.Ingress); err == nil {
-					ms = v
-				}
-			}
-		}
-		// Static choice can be worse than anycast today: the UG is
-		// committed to its day-0 prefix even if it degraded.
-		total += ug.Weight * (base - ms)
 	}
 	return total, nil
 }
@@ -156,18 +143,4 @@ func Fig7Table(points []Fig7Point) Table {
 		})
 	}
 	return t
-}
-
-// resolveAll resolves every prefix of a config once, returning per-
-// prefix route selections.
-func resolveAll(env *experiments.Env, cfg core.Config) ([]map[topology.ASN]bgp.Route, error) {
-	sels := make([]map[topology.ASN]bgp.Route, 0, len(cfg.Prefixes))
-	for _, peerings := range cfg.Prefixes {
-		sel, err := env.World.ResolveIngress(peerings)
-		if err != nil {
-			return nil, err
-		}
-		sels = append(sels, sel)
-	}
-	return sels, nil
 }

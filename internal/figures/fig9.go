@@ -87,7 +87,7 @@ func RunFig9a(env *experiments.Env) ([]Fig9aRow, error) {
 	dnsVol := make(map[dnsKey]float64)
 
 	for _, u := range env.UGs.UGs {
-		r, ok := sel[u.ASN]
+		r, ok := sel.Route(u.ASN)
 		if !ok {
 			continue
 		}

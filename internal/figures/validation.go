@@ -47,7 +47,7 @@ func RunComplianceValidation(env *experiments.Env) (ComplianceValidation, error)
 	}
 	var paths [][]topology.ASN
 	for _, start := range env.Graph.ASNs() {
-		r, ok := sel[start]
+		r, ok := sel.Route(start)
 		if !ok {
 			continue
 		}
@@ -58,7 +58,7 @@ func RunComplianceValidation(env *experiments.Env) (ComplianceValidation, error)
 			cur = rr.Via
 			path = append(path, cur)
 			var ok bool
-			rr, ok = sel[cur]
+			rr, ok = sel.Route(cur)
 			if !ok {
 				break
 			}
@@ -101,7 +101,7 @@ func RunComplianceValidation(env *experiments.Env) (ComplianceValidation, error)
 	// 4. Check observed selections ("traceroutes") against the model.
 	var total, violations, compliantSum int
 	for _, ug := range env.UGs.UGs {
-		r, ok := sel[ug.ASN]
+		r, ok := sel.Route(ug.ASN)
 		if !ok {
 			continue
 		}

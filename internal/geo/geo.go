@@ -55,14 +55,6 @@ func DistanceKm(a, b Coord) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
-// minRTT returns the theoretical minimum round-trip time between two
-// points: great-circle distance, out and back, at fiber speed with no
-// stretch. Only this package's tests call it.
-func minRTT(a, b Coord) time.Duration {
-	ms := 2 * DistanceKm(a, b) / FiberSpeedKmPerMs
-	return time.Duration(ms * float64(time.Millisecond))
-}
-
 // fiberRTT returns a realistic round-trip propagation delay between two
 // points assuming typical fiber path stretch.
 func fiberRTT(a, b Coord) time.Duration {
@@ -73,8 +65,3 @@ func fiberRTT(a, b Coord) time.Duration {
 // KmToMinRTTMs converts a distance to the minimum possible RTT in
 // milliseconds (out and back at fiber speed, no stretch).
 func KmToMinRTTMs(km float64) float64 { return 2 * km / FiberSpeedKmPerMs }
-
-// rttMsToMaxKm converts an observed RTT in milliseconds into the maximum
-// one-way distance in km the remote endpoint can be at: the inverse of
-// KmToMinRTTMs. Only this package's tests call it.
-func rttMsToMaxKm(rttMs float64) float64 { return rttMs * FiberSpeedKmPerMs / 2 }

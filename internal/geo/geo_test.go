@@ -99,20 +99,21 @@ func TestMinRTTMonotonicInDistance(t *testing.T) {
 	nyc, _ := MetroByCode("nyc")
 	bos, _ := MetroByCode("bos")
 	tyo, _ := MetroByCode("tyo")
-	near := minRTT(nyc.Coord, bos.Coord)
-	far := minRTT(nyc.Coord, tyo.Coord)
+	near := KmToMinRTTMs(DistanceKm(nyc.Coord, bos.Coord))
+	far := KmToMinRTTMs(DistanceKm(nyc.Coord, tyo.Coord))
 	if near >= far {
-		t.Errorf("minRTT(nyc,bos)=%v should be < minRTT(nyc,tyo)=%v", near, far)
+		t.Errorf("min RTT (nyc,bos)=%v ms should be < (nyc,tyo)=%v ms", near, far)
 	}
 	if near <= 0 {
-		t.Errorf("minRTT between distinct metros must be positive, got %v", near)
+		t.Errorf("min RTT between distinct metros must be positive, got %v ms", near)
 	}
 }
 
 func TestFiberRTTExceedsMinRTT(t *testing.T) {
 	a, _ := MetroByCode("lon")
 	b, _ := MetroByCode("sin")
-	if fiberRTT(a.Coord, b.Coord) <= minRTT(a.Coord, b.Coord) {
+	minRTT := time.Duration(KmToMinRTTMs(DistanceKm(a.Coord, b.Coord)) * float64(time.Millisecond))
+	if fiberRTT(a.Coord, b.Coord) <= minRTT {
 		t.Error("fiberRTT must exceed minRTT (path stretch > 1)")
 	}
 }
@@ -121,9 +122,9 @@ func TestMinRTTKnownMagnitude(t *testing.T) {
 	// NYC <-> London is ~5570 km, so min RTT ~ 55.7 ms.
 	nyc, _ := MetroByCode("nyc")
 	lon, _ := MetroByCode("lon")
-	got := minRTT(nyc.Coord, lon.Coord)
-	if got < 50*time.Millisecond || got > 62*time.Millisecond {
-		t.Errorf("minRTT(nyc,lon) = %v, want ~56ms", got)
+	got := KmToMinRTTMs(DistanceKm(nyc.Coord, lon.Coord))
+	if got < 50 || got > 62 {
+		t.Errorf("min RTT (nyc,lon) = %v ms, want ~56ms", got)
 	}
 }
 
@@ -133,7 +134,8 @@ func TestKmRTTRoundTrip(t *testing.T) {
 		if math.IsNaN(km) || math.IsInf(km, 0) || km > 40000 {
 			return true
 		}
-		back := rttMsToMaxKm(KmToMinRTTMs(km))
+		// Out and back at fiber speed: half the RTT covers km.
+		back := KmToMinRTTMs(km) * FiberSpeedKmPerMs / 2
 		return math.Abs(back-km) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {

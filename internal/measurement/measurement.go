@@ -156,30 +156,20 @@ func NewSystem(w *netsim.World, ugs *usergroup.Set, cfg Config) (*System, error)
 
 	// Anycast latency: measured for every UG by pinging the anycast
 	// address (no target-geolocation issues: the prefix is the cloud's).
-	sel, err := w.ResolveIngress(w.Deploy.AllPeeringIDs())
+	err := w.Land(w.Deploy.AllPeeringIDs(), ugs.UGs, nil, func(i int, ing bgp.IngressID, ms float64) {
+		if ing != bgp.InvalidIngress {
+			s.anycastMs[ugs.UGs[i].ID] = s.minPing(ugs.UGs[i], ing, ms, 6)
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	for _, u := range ugs.UGs {
-		r, ok := sel[u.ASN]
-		if !ok {
-			continue
-		}
-		ms, err := s.pingMs(u, r.Ingress, 6)
-		if err != nil {
-			return nil, err
-		}
-		s.anycastMs[u.ID] = ms
 	}
 	return s, nil
 }
 
-// pingMs simulates PingCount pings and returns the minimum RTT.
-func (s *System) pingMs(u usergroup.UG, ing bgp.IngressID, dom uint64) (float64, error) {
-	base, err := s.world.LatencyMs(u.ASN, u.Metro, ing)
-	if err != nil {
-		return 0, err
-	}
+// minPing simulates PingCount pings over a path of latency base and
+// returns the minimum RTT.
+func (s *System) minPing(u usergroup.UG, ing bgp.IngressID, base float64, dom uint64) float64 {
 	best := math.Inf(1)
 	for i := 0; i < s.cfg.PingCount; i++ {
 		ms := base + s.cfg.PingJitterMs*s.rng.unit(dom, uint64(u.ID), uint64(ing), uint64(i))
@@ -187,22 +177,7 @@ func (s *System) pingMs(u usergroup.UG, ing bgp.IngressID, dom uint64) (float64,
 			best = ms
 		}
 	}
-	return best, nil
-}
-
-// hasProbe reports whether the UG hosts a probe.
-func (s *System) hasProbe(id usergroup.ID) bool { return s.probes[id] }
-
-// probeCount returns the number of probe-hosting UGs.
-func (s *System) probeCount() int { return len(s.probes) }
-
-// targetUncertaintyKm returns the intrinsic geolocation uncertainty of
-// an ingress's measurement target (+Inf when no target exists).
-func (s *System) targetUncertaintyKm(ing bgp.IngressID) float64 {
-	if u, ok := s.targetUncKm[ing]; ok {
-		return u
-	}
-	return math.Inf(1)
+	return best
 }
 
 // covers reports whether the ingress has a target admissible at the
@@ -226,10 +201,11 @@ func (s *System) measuredMs(u usergroup.UG, ing bgp.IngressID) (float64, bool) {
 	if !s.probes[u.ID] || !s.covers(ing) {
 		return 0, false
 	}
-	ms, err := s.pingMs(u, ing, 7)
+	base, err := s.world.LatencyMs(u.ASN, u.Metro, ing)
 	if err != nil {
 		return 0, false
 	}
+	ms := s.minPing(u, ing, base, 7)
 	// Geolocation error: the target sits up to unc km from the true
 	// ingress PoP; the latency estimate is off by at most the fiber RTT
 	// across that distance. Signed, centered on zero.
@@ -397,10 +373,7 @@ func (s *System) MedianAbsErrorAt(loKm, hiKm float64) (float64, error) {
 			}
 			// Bypass Covered() gating: we're asking what the error WOULD
 			// be at this uncertainty bucket.
-			ms, err2 := s.pingMs(u, ing, 7)
-			if err2 != nil {
-				continue
-			}
+			ms := s.minPing(u, ing, truth, 7)
 			errMs := geo.KmToMinRTTMs(unc) * (s.rng.unit(8, uint64(u.ID), uint64(ing)) - 0.5)
 			errs = append(errs, math.Abs(ms+errMs-truth))
 		}

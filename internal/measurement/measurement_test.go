@@ -43,14 +43,14 @@ func TestProbeCoverageTarget(t *testing.T) {
 	s, _, ugs := testSystem(t)
 	var covered float64
 	for _, u := range ugs.UGs {
-		if s.hasProbe(u.ID) {
+		if s.probes[u.ID] {
 			covered += u.Weight
 		}
 	}
 	if covered < 0.45 || covered > 0.60 {
 		t.Errorf("probe traffic coverage = %.3f, want ~0.47", covered)
 	}
-	if s.probeCount() >= ugs.Len() {
+	if len(s.probes) >= ugs.Len() {
 		t.Error("probes should cover a strict subset of UGs")
 	}
 }
@@ -59,7 +59,7 @@ func TestTargetUncertaintyDistribution(t *testing.T) {
 	s, w, _ := testSystem(t)
 	precise, mid, far, none := 0, 0, 0, 0
 	for _, ing := range w.Deploy.AllPeeringIDs() {
-		u := s.targetUncertaintyKm(ing)
+		u := s.targetUncKm[ing]
 		switch {
 		case math.IsInf(u, 1):
 			none++
@@ -134,10 +134,10 @@ func TestMeasuredMsGating(t *testing.T) {
 	var probe, noProbe *usergroup.UG
 	for i := range ugs.UGs {
 		u := &ugs.UGs[i]
-		if s.hasProbe(u.ID) && probe == nil {
+		if s.probes[u.ID] && probe == nil {
 			probe = u
 		}
-		if !s.hasProbe(u.ID) && noProbe == nil {
+		if !s.probes[u.ID] && noProbe == nil {
 			noProbe = u
 		}
 	}
@@ -173,7 +173,7 @@ func TestMeasurementAccuracyForPreciseTargets(t *testing.T) {
 	s, w, ugs := testSystem(t)
 	checked := 0
 	for _, u := range ugs.UGs {
-		if !s.hasProbe(u.ID) {
+		if !s.probes[u.ID] {
 			continue
 		}
 		pc, err := w.PolicyCompliant(u.ASN)
@@ -181,7 +181,7 @@ func TestMeasurementAccuracyForPreciseTargets(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ing := range pc {
-			if s.targetUncertaintyKm(ing) > 100 {
+			if s.targetUncKm[ing] > 100 {
 				continue
 			}
 			est, ok := s.measuredMs(u, ing)
@@ -223,7 +223,7 @@ func TestEstimatorCoversNonProbeUGs(t *testing.T) {
 			if ms <= 0 {
 				t.Fatalf("estimate %v must be positive", ms)
 			}
-			if s.hasProbe(u.ID) {
+			if s.probes[u.ID] {
 				probeHits++
 			} else {
 				extrapolated++

@@ -6,24 +6,16 @@ package netsim
 // of the concurrent query surface.
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"painter/internal/bgp"
-	"painter/internal/topology"
 )
 
-func routesEqual(a, b map[topology.ASN]bgp.Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
+// routesEqual reports whether two resolves select identical routes at
+// every AS (canonical Result bytes).
+func routesEqual(a, b *bgp.Result) bool { return bytes.Equal(a.Bytes(), b.Bytes()) }
 
 // TestResolveCachePermutedPeeringsHit asserts that a permuted-but-equal
 // peering slice resolves from the cache: the key is canonical (sorted),

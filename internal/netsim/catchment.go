@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"painter/internal/bgp"
@@ -36,7 +35,7 @@ type Catchment struct {
 }
 
 // ugCatchRow is one UG's retained catchment contribution: everything
-// analyzeCatchment derives from the world for that UG. Rows depend only
+// the catchment derives from the world for that UG. Rows depend only
 // on the UG's selected anycast route and its best live compliant
 // ingress, which is what lets CatchmentAnalyzer recompute just the rows
 // an event can move.
@@ -127,27 +126,6 @@ func assembleCatchment(ugs *usergroup.Set, rows []ugCatchRow, thresholdKm float6
 	return c, nil
 }
 
-// analyzeCatchment computes the anycast catchment of a world for a UG
-// population. thresholdKm <= 0 defaults to 1,000 km (the paper's "90% of
-// traffic reaches a PoP within 1,000 km of the closest possible").
-func analyzeCatchment(w *World, ugs *usergroup.Set, thresholdKm float64) (*Catchment, error) {
-	if thresholdKm <= 0 {
-		thresholdKm = 1000
-	}
-	res, err := w.ResolveIngressResult(w.Deploy.AllPeeringIDs())
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]ugCatchRow, len(ugs.UGs))
-	for i, u := range ugs.UGs {
-		r, ok := res.Route(u.ASN)
-		if rows[i], err = w.catchRow(u, r, ok); err != nil {
-			return nil, err
-		}
-	}
-	return assembleCatchment(ugs, rows, thresholdKm)
-}
-
 // CatchmentAnalyzer maintains a catchment incrementally across world
 // events: it retains the previous anycast Result and per-UG rows, and
 // each Update recomputes only the rows an intervening change can move —
@@ -155,7 +133,8 @@ func analyzeCatchment(w *World, ugs *usergroup.Set, thresholdKm float64) (*Catch
 // set, i.e. the delta engine's catchment cone) plus UGs whose best
 // compliant ingress may have changed because an ingress in their
 // compliant set went down or came up. Equivalence with a fresh
-// analyzeCatchment is pinned by the differential tests.
+// analyzeCatchment (the from-scratch test oracle) is pinned by the
+// differential tests.
 //
 // Like the world's query methods it must not run concurrently with
 // ApplyEvent/SetDay; Update itself is not safe for concurrent use.
@@ -277,28 +256,4 @@ func (a *CatchmentAnalyzer) Update() (*Catchment, error) {
 	}
 	a.prev = res
 	return assembleCatchment(a.ugs, a.rows, a.thresholdKm)
-}
-
-// topPoPs returns the n busiest PoPs by anycast share, descending.
-type PoPShareEntry struct {
-	PoP   cloud.PoPID
-	Share float64
-}
-
-// topPoPs lists the busiest PoPs.
-func (c *Catchment) topPoPs(n int) []PoPShareEntry {
-	out := make([]PoPShareEntry, 0, len(c.PoPShare))
-	for id, s := range c.PoPShare {
-		out = append(out, PoPShareEntry{id, s})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Share != out[j].Share {
-			return out[i].Share > out[j].Share
-		}
-		return out[i].PoP < out[j].PoP
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
 }

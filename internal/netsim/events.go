@@ -21,7 +21,7 @@ package netsim
 //     route or preference cache is touched. Spikes surface in LatencyMs;
 //     probe loss is metadata for the Traffic Manager substrate bridge.
 //
-// Like SetDay/AdvanceTo, ApplyEvent must not run concurrently with
+// Like SetDay, ApplyEvent must not run concurrently with
 // queries (apply events between query waves); Subscribe/notify are
 // internally locked.
 
@@ -301,18 +301,6 @@ func (w *World) latencySpikeMs(id bgp.IngressID) float64 {
 	w.overlayMu.RLock()
 	defer w.overlayMu.RUnlock()
 	return w.spikeMsF[id]
-}
-
-// probeLossPct returns the probe-loss percentage on an ingress (0 when
-// none) — consumed by the Traffic Manager substrate bridge, not by
-// route selection.
-func (w *World) probeLossPct(id bgp.IngressID) int {
-	if !w.knownIngress(id) {
-		return 0
-	}
-	w.overlayMu.RLock()
-	defer w.overlayMu.RUnlock()
-	return w.probeLossF[id]
 }
 
 // LiveIngresses returns the subset of ids that are not failed, in input

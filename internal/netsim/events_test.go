@@ -15,19 +15,23 @@ import (
 
 // selectedIngresses returns the set of ingresses appearing in a
 // selection.
-func selectedIngresses(sel map[topology.ASN]bgp.Route) map[bgp.IngressID]bool {
+func selectedIngresses(g *topology.Graph, sel *bgp.Result) map[bgp.IngressID]bool {
 	out := make(map[bgp.IngressID]bool)
-	for _, r := range sel {
-		out[r.Ingress] = true
+	for _, as := range g.ASNs() {
+		if r, ok := sel.Route(as); ok {
+			out[r.Ingress] = true
+		}
 	}
 	return out
 }
 
 // someSelectedIngress picks an ingress that at least one AS selects.
-func someSelectedIngress(t *testing.T, sel map[topology.ASN]bgp.Route) bgp.IngressID {
+func someSelectedIngress(t *testing.T, g *topology.Graph, sel *bgp.Result) bgp.IngressID {
 	t.Helper()
-	for _, r := range sel {
-		return r.Ingress
+	for _, as := range g.ASNs() {
+		if r, ok := sel.Route(as); ok {
+			return r.Ingress
+		}
 	}
 	t.Fatal("empty selection")
 	return bgp.InvalidIngress
@@ -40,7 +44,7 @@ func TestPeeringDownRemovesRoutesAndUpRestoresFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := someSelectedIngress(t, before)
+	victim := someSelectedIngress(t, w.Graph, before)
 
 	if err := w.ApplyEvent(Event{Kind: EventPeeringDown, Ingress: victim}); err != nil {
 		t.Fatal(err)
@@ -52,7 +56,7 @@ func TestPeeringDownRemovesRoutesAndUpRestoresFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if selectedIngresses(during)[victim] {
+	if selectedIngresses(w.Graph, during)[victim] {
 		t.Errorf("ingress %d still selected while down", victim)
 	}
 
@@ -163,19 +167,19 @@ func TestProbeLossSetClampCleared(t *testing.T) {
 	if err := w.ApplyEvent(Event{Kind: EventProbeLoss, Ingress: ing, Pct: 35}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.probeLossPct(ing); got != 35 {
+	if got := w.probeLossF[ing]; got != 35 {
 		t.Errorf("loss = %d, want 35", got)
 	}
 	if err := w.ApplyEvent(Event{Kind: EventProbeLoss, Ingress: ing, Pct: 250}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.probeLossPct(ing); got != 100 {
+	if got := w.probeLossF[ing]; got != 100 {
 		t.Errorf("loss = %d, want clamp to 100", got)
 	}
 	if err := w.ApplyEvent(Event{Kind: EventProbeLoss, Ingress: ing, Pct: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.probeLossPct(ing); got != 0 {
+	if got := w.probeLossF[ing]; got != 0 {
 		t.Errorf("loss = %d after clear, want 0", got)
 	}
 }
@@ -198,7 +202,11 @@ func TestPrefFlipInvalidatesOnlyEntriesContainingIngress(t *testing.T) {
 		flipped bgp.IngressID
 		found   bool
 	)
-	for n, r := range withSel {
+	for _, n := range w.Graph.ASNs() {
+		r, ok := withSel.Route(n)
+		if !ok {
+			continue
+		}
 		if !found || r.Ingress < flipped || (r.Ingress == flipped && n < as) {
 			as, flipped, found = n, r.Ingress, true
 		}

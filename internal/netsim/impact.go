@@ -94,7 +94,7 @@ func (w *World) EventImpact(ev Event) (Impact, error) {
 // resolve is a cache hit on prev itself the changed set is empty. The
 // returned Result is shared with the resolve cache: read-only.
 func (w *World) AnycastShift(prev *bgp.Result) (*bgp.Result, []topology.ASN, error) {
-	res, err := w.ResolveIngressResult(w.Deploy.AllPeeringIDs())
+	res, err := w.ResolveIngress(w.Deploy.AllPeeringIDs())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -41,17 +41,18 @@ import (
 	"painter/internal/geo"
 	"painter/internal/obs/span"
 	"painter/internal/topology"
+	"painter/internal/usergroup"
 )
 
 // World is an immutable-topology, time-evolving network simulator.
 //
 // Concurrency contract: all query methods (LatencyMs, BaseLatencyMs,
-// pathFailed, ResolveIngress, PolicyCompliant, CompliantIngressIDs,
+// ResolveIngress, Land, PolicyCompliant, CompliantIngressIDs,
 // BestIngressLatency, TieBreaker and the tie-breaker it returns) are
-// safe for concurrent use. The state-changing methods SetDay,
-// advanceTo, and ApplyEvent are NOT: they must not run concurrently
-// with any query (advance the clock or apply events between query
-// waves, as the Fig. 7 drift experiment and the chaos engine do).
+// safe for concurrent use. The state-changing methods SetDay and
+// ApplyEvent are NOT: they must not run concurrently with any query
+// (advance the clock or apply events between query waves, as the
+// Fig. 7 drift experiment and the chaos engine do).
 type World struct {
 	Graph  *topology.Graph
 	Deploy *cloud.Deployment
@@ -98,7 +99,7 @@ type World struct {
 	// resolveMu guards the propagation cache: ResolveIngress results
 	// bucketed by a hash of the canonical (sorted, live) peering set
 	// plus the world day; each entry carries the exact set for
-	// verification. SetDay/AdvanceTo drop the cache wholesale.
+	// verification. SetDay drops the cache wholesale.
 	resolveMu    sync.Mutex
 	resolveCache map[uint64][]*resolveEntry
 	resolveCount int
@@ -114,7 +115,7 @@ type World struct {
 	// (AS, ingress, day) and called for every tie-break candidate, so
 	// memoizing it takes the geographic math off the propagation hot
 	// path. Rows are lazily allocated per dense AS ordinal with NaN as
-	// the absent sentinel. SetDay/AdvanceTo drop it alongside the
+	// the absent sentinel. SetDay drops it alongside the
 	// propagation cache.
 	prefMu    sync.RWMutex
 	prefRows  [][]float64
@@ -156,7 +157,7 @@ type World struct {
 
 // resolveEntry is one propagation-cache slot: the canonical peering set
 // and day it was keyed under (for bucket verification and precise
-// pref-flip invalidation), plus the memoized selection. The sync.Once
+// pref-flip invalidation), plus the memoized Result. The sync.Once
 // lets concurrent first callers of the same key share a single
 // Propagate run without holding resolveMu for its duration.
 type resolveEntry struct {
@@ -168,7 +169,6 @@ type resolveEntry struct {
 	// (Store is the release, Load the acquire).
 	done atomic.Bool
 	res  *bgp.Result
-	sel  map[topology.ASN]bgp.Route
 	err  error
 }
 
@@ -486,19 +486,6 @@ func (w *World) dayAdjustMs(asn topology.ASN, metro string, ing bgp.IngressID) f
 	return adj
 }
 
-// pathFailed reports whether the (UG, ingress) path is degraded on the
-// current day, or the ingress itself is failed (ApplyEvent overlay).
-func (w *World) pathFailed(asn topology.ASN, metro string, ing bgp.IngressID) bool {
-	if w.IngressDown(ing) {
-		return true
-	}
-	if w.day == 0 {
-		return false
-	}
-	ugKey := uint64(asn)<<16 ^ metroKey(metro)
-	return unit(w.h64(domFail, ugKey, uint64(ing), uint64(w.day))) < w.cfg.DailyFailProb
-}
-
 func metroKey(metro string) uint64 {
 	var k uint64
 	for _, c := range metro {
@@ -535,7 +522,7 @@ func (w *World) TieBreaker() bgp.TieBreaker {
 // candidate at every AS, so the cache removes repeated geographic math
 // from the propagation hot path. Rows live per dense AS ordinal with NaN
 // marking absent slots (scores themselves are always finite).
-// SetDay/AdvanceTo reset it.
+// SetDay resets it.
 func (w *World) prefScore(as topology.ASN, ing bgp.IngressID) float64 {
 	ai, known := w.idx.ID(as)
 	cacheable := known && ing >= 0 && int(ing) < w.nIng
@@ -618,40 +605,53 @@ func (w *World) prefScoreUncached(as topology.ASN, ing bgp.IngressID) float64 {
 }
 
 // ResolveIngress propagates one prefix advertised via the given peerings
-// and returns the ingress each AS selects. ASes with no policy-compliant
-// route are absent from the map.
+// and returns the route each AS selects (Result.Route; an AS with no
+// policy-compliant route has none).
 //
 // Results are memoized per (canonical peering set, world day): the
 // peering slice is sorted into a canonical form, so permuted-but-equal
-// slices hit the same cache entry. SetDay/AdvanceTo invalidate the
-// cache. The returned map is shared with the cache — callers must treat
-// it as read-only.
+// slices hit the same cache entry. SetDay invalidates the cache. The
+// returned Result is shared with the cache and immutable; callers that
+// keep a previous Result can diff against it (Result.Diff,
+// AnycastShift).
 //
 // Peerings failed via ApplyEvent are filtered out before the key is
 // built: an advertisement over a withdrawn peering simply injects
 // nothing there. Entries keyed with a down peering are therefore
 // unreachable while it is down and valid again on recovery; preference
 // flips drop the entries they can affect (see events.go).
-func (w *World) ResolveIngress(peerings []bgp.IngressID) (map[topology.ASN]bgp.Route, error) {
-	return w.resolveIngress(peerings, nil)
-}
-
-// ResolveIngressTraced is ResolveIngress under a child span of parent
-// recording the cache decision (hit or miss) and, on a miss, the
-// bgp.Propagate run as a grandchild. A nil parent delegates with zero
-// tracing cost.
-func (w *World) ResolveIngressTraced(peerings []bgp.IngressID, parent *span.Span) (map[topology.ASN]bgp.Route, error) {
-	return w.resolveIngress(peerings, parent)
-}
-
-// ResolveIngressResult is ResolveIngress returning the retained
-// *bgp.Result instead of the selection map. It shares the same
-// propagation cache (same keying, same memoized entries), so callers
-// that keep the previous Result can diff incrementally via Result.Diff
-// or AnycastShift. The Result is shared with the cache: read-only.
-func (w *World) ResolveIngressResult(peerings []bgp.IngressID) (*bgp.Result, error) {
+func (w *World) ResolveIngress(peerings []bgp.IngressID) (*bgp.Result, error) {
 	e := w.resolveEntryFor(peerings, nil)
 	return e.res, e.err
+}
+
+// Land is Algorithm 1's measure step for one advertisement: it resolves
+// the prefix advertised via peerings (as ResolveIngress) and calls land
+// once per UG, in ugs order, with the ingress the UG's AS selects and
+// the latency through it on the current day (LatencyMs). A UG whose AS
+// has no route lands on bgp.InvalidIngress with NaN latency. A non-nil
+// parent gets a netsim.resolve child span recording the cache decision
+// and, on a miss, the propagation run. Land stops at the first error.
+func (w *World) Land(peerings []bgp.IngressID, ugs []usergroup.UG, parent *span.Span,
+	land func(i int, ing bgp.IngressID, ms float64)) error {
+	e := w.resolveEntryFor(peerings, parent)
+	if e.err != nil {
+		return e.err
+	}
+	for i := range ugs {
+		ug := &ugs[i]
+		r, ok := e.res.Route(ug.ASN)
+		if !ok {
+			land(i, bgp.InvalidIngress, math.NaN())
+			continue
+		}
+		ms, err := w.LatencyMs(ug.ASN, ug.Metro, r.Ingress)
+		if err != nil {
+			return err
+		}
+		land(i, r.Ingress, ms)
+	}
+	return nil
 }
 
 // sortBuf is the pooled scratch for canonicalizing a resolve's peering
@@ -659,11 +659,6 @@ func (w *World) ResolveIngressResult(peerings []bgp.IngressID) (*bgp.Result, err
 type sortBuf struct{ ids []bgp.IngressID }
 
 var sortBufPool = sync.Pool{New: func() any { return new(sortBuf) }}
-
-func (w *World) resolveIngress(peerings []bgp.IngressID, parent *span.Span) (map[topology.ASN]bgp.Route, error) {
-	e := w.resolveEntryFor(peerings, parent)
-	return e.sel, e.err
-}
 
 // resolveEntryFor finds or computes the propagation-cache entry for a
 // peering set. On a miss it first looks for a close cached base (live
@@ -730,15 +725,11 @@ func (w *World) resolveEntryFor(peerings []bgp.IngressID, parent *span.Span) *re
 			if res, _, derr := bgp.PropagateDeltaTraced(base, w.Graph, inj, flips, tb, s); derr == nil {
 				w.obs.resolveDelta.Inc()
 				e.res = res
-				e.sel = res.Selections()
 				return
 			}
 		}
 		w.obs.resolveFull.Inc()
 		e.res, e.err = bgp.PropagateResultTraced(w.Graph, inj, tb, s)
-		if e.err == nil {
-			e.sel = e.res.Selections()
-		}
 	})
 	if s != nil {
 		if e.err != nil {
@@ -993,20 +984,6 @@ func (w *World) BestIngressLatency(asn topology.ASN, metro string) (float64, bgp
 	w.bestRows[ai][mo] = bestVal{ms: ms, ing: ing, err: err, set: true}
 	w.polMu.Unlock()
 	return ms, ing, err
-}
-
-// bestCached reports whether BestIngressLatency has a live memo entry
-// for (asn, metro) — a test hook for the invalidation-precision tests.
-func (w *World) bestCached(asn topology.ASN, metro string) bool {
-	ai, aok := w.idx.ID(asn)
-	mo, mok := w.metroOrd[metro]
-	if !aok || !mok {
-		return false
-	}
-	w.polMu.Lock()
-	defer w.polMu.Unlock()
-	row := w.bestRows[ai]
-	return row != nil && row[mo].set
 }
 
 func (w *World) bestIngressLatency(asn topology.ASN, metro string) (float64, bgp.IngressID, error) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -242,15 +241,4 @@ func ParseText(r io.Reader) (map[string]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// sortedKeys returns the map's keys sorted — a convenience for stable
-// test output and snapshot dumps.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

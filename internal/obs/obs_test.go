@@ -264,7 +264,7 @@ func TestPromExposition(t *testing.T) {
 	}
 	// Every finite bucket's cumulative count must not exceed +Inf's.
 	inf := samples[`lat_seconds_bucket{le="+Inf"}`]
-	for _, k := range sortedKeys(samples) {
+	for k := range samples {
 		if strings.HasPrefix(k, "lat_seconds_bucket") && samples[k] > inf {
 			t.Errorf("bucket %s = %v exceeds +Inf bucket %v", k, samples[k], inf)
 		}

@@ -49,7 +49,7 @@ func TestParseTextRoundTripBaseLabels(t *testing.T) {
 		} {
 			got, ok := samples[key]
 			if !ok {
-				t.Fatalf("scrape missing %s; have %v", key, sortedKeys(samples))
+				t.Fatalf("scrape missing %s; have %v", key, samples)
 			}
 			if got != want {
 				t.Errorf("%s = %v, want %v", key, got, want)

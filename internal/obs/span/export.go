@@ -154,15 +154,3 @@ func Handler(t *Tracer) http.Handler {
 		}
 	})
 }
-
-// logArgs returns slog-style key/value pairs identifying the active
-// span, or nil when there is none — callers splat it into log calls so
-// lines join up with traces:
-//
-//	slog.Info("failover", span.LogArgs(s)...)
-func logArgs(s *Span) []any {
-	if s == nil {
-		return nil
-	}
-	return []any{"trace_id", hexID(s.traceID), "span_id", hexID(s.spanID)}
-}

@@ -151,9 +151,6 @@ func TestNilSafety(t *testing.T) {
 	if _, err := ParseChrome(&buf); err != nil {
 		t.Fatalf("nil tracer export is not valid trace JSON: %v", err)
 	}
-	if logArgs(nil) != nil {
-		t.Fatal("logArgs(nil) != nil")
-	}
 }
 
 func TestRingWraparoundAndBoundedMemory(t *testing.T) {

@@ -43,7 +43,7 @@ type Analyzer struct {
 	// anycast ingress volume.
 	candidatePoPs map[string][]cloud.PoPID // keyed by metro region
 	// anycastSel is the per-AS anycast route selection (default paths).
-	anycastSel map[topology.ASN]bgp.Route
+	anycastSel *bgp.Result
 }
 
 // NewAnalyzer precomputes regional candidate PoP sets: for each region,
@@ -58,7 +58,7 @@ func NewAnalyzer(w *netsim.World, ugs *usergroup.Set) (*Analyzer, error) {
 	vol := make(map[string]map[cloud.PoPID]float64)
 	regTotal := make(map[string]float64)
 	for _, u := range ugs.UGs {
-		r, ok := sel[u.ASN]
+		r, ok := sel.Route(u.ASN)
 		if !ok {
 			continue
 		}
@@ -127,7 +127,7 @@ func (a *Analyzer) Counts(u usergroup.UG) (PathCounts, error) {
 	for _, isp := range as.Providers {
 		// Traffic shipped through this ISP enters where the ISP's own
 		// anycast-selected route enters (destination-based routing).
-		if r, ok := a.anycastSel[isp]; ok {
+		if r, ok := a.anycastSel.Route(isp); ok {
 			if pop, err := a.world.Deploy.PoPOfPeering(r.Ingress); err == nil {
 				sdwanPoPs[pop.ID] = true
 			}
@@ -216,7 +216,7 @@ func (a *Analyzer) AvoidanceFractions(u usergroup.UG) (painter, sdwan float64, e
 	// default route enters.
 	best = 0.0
 	for _, isp := range as.Providers {
-		r, ok := a.anycastSel[isp]
+		r, ok := a.anycastSel.Route(isp)
 		if !ok {
 			continue
 		}
@@ -235,7 +235,7 @@ func (a *Analyzer) defaultPathASes(asn topology.ASN) map[topology.ASN]bool {
 	out := make(map[topology.ASN]bool)
 	cur := asn
 	for i := 0; i < 64; i++ {
-		r, ok := a.anycastSel[cur]
+		r, ok := a.anycastSel.Route(cur)
 		if !ok {
 			break
 		}
@@ -265,7 +265,7 @@ func (a *Analyzer) pathASesFrom(asn topology.ASN, start bgp.Route) map[topology.
 		cur = r.Via
 		out[cur] = true
 		var ok bool
-		r, ok = a.anycastSel[cur]
+		r, ok = a.anycastSel.Route(cur)
 		if !ok {
 			break
 		}

@@ -16,7 +16,6 @@ import (
 // file outside their package names, because callers reach them through
 // an interface. Each entry is "package-dir recv.Method" → the interface.
 var interfaceMethods = map[string]string{
-	"internal/advertise Config.UnmarshalJSON":   "encoding/json.Unmarshaler",
 	"internal/core candHeap.Pop":                "container/heap.Interface",
 	"internal/core candHeap.Swap":               "container/heap.Interface",
 	"internal/core WorldExecutor.ExecuteTraced": "core.TracedExecutor",

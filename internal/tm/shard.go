@@ -144,16 +144,3 @@ func (t *flowMap[V]) sweep(drop func(k tmproto.FlowKey, v V) bool) int {
 	}
 	return total
 }
-
-// forEach calls fn for every entry, one stripe lock at a time. fn must
-// not mutate the map.
-func (t *flowMap[V]) forEach(fn func(k tmproto.FlowKey, v V)) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for k, v := range s.m {
-			fn(k, v)
-		}
-		s.mu.Unlock()
-	}
-}

@@ -452,8 +452,3 @@ func ParseResolveReply(b []byte) (ResolveReply, error) {
 	}
 	return out, nil
 }
-
-// overhead returns the encapsulation overhead in bytes for a data
-// packet — the "16 bytes per 1400" cost discussed in Appendix D plus
-// the flow key.
-func overhead() int { return headerLen + flowKeyLen }

@@ -31,22 +31,6 @@ type GenConfig struct {
 	ContentFrac    float64
 }
 
-// defaultGenConfig returns a config producing a mid-size Internet:
-// large enough that policy diversity matters, small enough for fast
-// experiments.
-func defaultGenConfig() GenConfig {
-	return GenConfig{
-		Seed:              1,
-		Tier1:             12,
-		Tier2:             120,
-		Stubs:             2000,
-		MeanStubProviders: 2.4,
-		Tier2PeerProb:     0.35,
-		EnterpriseFrac:    0.35,
-		ContentFrac:       0.05,
-	}
-}
-
 // Validate checks the config for obviously unusable values.
 func (c GenConfig) Validate() error {
 	if c.Tier1 < 2 {

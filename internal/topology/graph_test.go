@@ -219,9 +219,8 @@ func TestGenerateStructure(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := defaultGenConfig()
-	cfg.Stubs = 100
-	cfg.Tier2 = 15
+	cfg := GenConfig{Seed: 1, Tier1: 12, Tier2: 15, Stubs: 100, MeanStubProviders: 2.4,
+		Tier2PeerProb: 0.35, EnterpriseFrac: 0.35, ContentFrac: 0.05}
 	a, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

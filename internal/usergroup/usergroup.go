@@ -50,7 +50,6 @@ type Set struct {
 	// byIdx maps ID → index in UGs (-1 absent); IDs are dense from
 	// Build, so a slice beats a map at azure scale.
 	byIdx []int32
-	byRes map[ResolverID][]ID
 }
 
 // Config parameterizes UG construction.
@@ -248,7 +247,6 @@ func newSet(ugs []UG, resolvers []Resolver) *Set {
 	s := &Set{
 		UGs:       ugs,
 		Resolvers: resolvers,
-		byRes:     make(map[ResolverID][]ID),
 	}
 	// IDs from Build are dense 0..n-1; Subset preserves original IDs, so
 	// index lookups go through a slice keyed by ID when the max ID is
@@ -264,9 +262,7 @@ func newSet(ugs []UG, resolvers []Resolver) *Set {
 		s.byIdx[i] = -1
 	}
 	for i := range s.UGs {
-		u := &s.UGs[i]
-		s.byIdx[u.ID] = int32(i)
-		s.byRes[u.Resolver] = append(s.byRes[u.Resolver], u.ID)
+		s.byIdx[s.UGs[i].ID] = int32(i)
 	}
 	return s
 }
@@ -310,9 +306,6 @@ func (s *Set) TotalWeight() float64 {
 	return t
 }
 
-// byResolver returns the UG IDs served by a resolver.
-func (s *Set) byResolver(r ResolverID) []ID { return s.byRes[r] }
-
 // TopByWeight returns the n heaviest UGs (descending weight).
 func (s *Set) TopByWeight(n int) []UG {
 	out := append([]UG(nil), s.UGs...)
@@ -326,20 +319,4 @@ func (s *Set) TopByWeight(n int) []UG {
 		out = out[:n]
 	}
 	return out
-}
-
-// coveringWeight returns the smallest count k such that the k heaviest
-// UGs carry at least frac of total weight (the "99% of traffic" working
-// set of Appendix C). Only this package's tests call it.
-func (s *Set) coveringWeight(frac float64) int {
-	top := s.TopByWeight(len(s.UGs))
-	total := s.TotalWeight()
-	var acc float64
-	for i, u := range top {
-		acc += u.Weight
-		if acc >= frac*total {
-			return i + 1
-		}
-	}
-	return len(top)
 }

@@ -82,23 +82,6 @@ func TestResolverAssignment(t *testing.T) {
 	}
 }
 
-func TestByResolverPartition(t *testing.T) {
-	s, _ := testSet(t)
-	total := 0
-	for _, r := range s.Resolvers {
-		ids := s.byResolver(r.ID)
-		total += len(ids)
-		for _, id := range ids {
-			if s.Get(id).Resolver != r.ID {
-				t.Errorf("UG %d in wrong resolver bucket", id)
-			}
-		}
-	}
-	if total != s.Len() {
-		t.Errorf("resolver buckets hold %d UGs, want %d", total, s.Len())
-	}
-}
-
 func TestSubsetRenormalizes(t *testing.T) {
 	s, _ := testSet(t)
 	half := s.Subset(func(u UG) bool { return u.ID%2 == 0 })
@@ -125,22 +108,6 @@ func TestTopByWeightOrdered(t *testing.T) {
 		if top[i].Weight > top[i-1].Weight {
 			t.Error("TopByWeight not descending")
 		}
-	}
-}
-
-func TestCoveringWeight(t *testing.T) {
-	s, _ := testSet(t)
-	n99 := s.coveringWeight(0.99)
-	n50 := s.coveringWeight(0.50)
-	if n50 >= n99 {
-		t.Errorf("covering 50%% (%d) should need fewer UGs than 99%% (%d)", n50, n99)
-	}
-	if n99 > s.Len() {
-		t.Errorf("covering count %d exceeds population %d", n99, s.Len())
-	}
-	// With Zipf skew, 99% of traffic needs notably less than 100% of UGs.
-	if n99 == s.Len() {
-		t.Logf("note: 99%% coverage required all %d UGs", n99)
 	}
 }
 
