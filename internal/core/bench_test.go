@@ -23,7 +23,7 @@ func BenchmarkExpectLearned(b *testing.B) {
 		for k := bgp.IngressID(0); k < 9; k++ {
 			advertised = append(advertised, (8*w+5*k)%64)
 		}
-		st.learn(advertised, 8*w, float64(12+w))
+		learnOnce(st, advertised, 8*w, float64(12+w))
 	}
 	var query []bgp.IngressID
 	for id := bgp.IngressID(0); id < 64; id += 4 {

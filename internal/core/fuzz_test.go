@@ -299,7 +299,7 @@ func (in growInstance) build(t *testing.T, p Params) (*Orchestrator, *refModel) 
 		if c := in.learn[i]; c >= 0 && len(st.compliant) > 1 {
 			seen := slices.Clone(st.compliant)
 			chosen := seen[c%len(seen)]
-			st.learn(seen, chosen, in.learnMs[i])
+			learnOnce(st, seen, chosen, in.learnMs[i])
 			rs.learn(seen, chosen, in.learnMs[i])
 		}
 		o.states = append(o.states, st)

@@ -77,16 +77,29 @@ func (o *Orchestrator) growPrefix(allPeerings []bgp.IngressID, bestFrozen []floa
 // those it skips. With S empty that test reads only thr[i] and x's
 // singleton mean, so a cleared bit can turn live again in two ways only:
 //   - Within a grow, minEst[i] falls below thr[i]. accept then marks state
-//     i hot and, through the singleton table's pos, sets its bit in every
-//     candidate compliant for it; reset clears the bits the sweep had
-//     cleared, so between grows a swept bitset holds exactly the terms its
-//     sweep kept.
+//     i hot (heat): through the singleton table's pos it sets state i's
+//     bit in every candidate compliant for it where the bit is 0, and
+//     logs each bit it set. reset clears exactly the logged bits, so every
+//     bitset is back to what it was before the grow's accepts: a swept
+//     bitset holds exactly the terms its sweep kept.
 //   - Across grows, thr[i] rises. begin then bumps the generation, and a
 //     bitset stamped with an older one is reset to all ones when next
 //     swept. A NaN thr clears nothing, so a rise from NaN does not count
 //     and a change to NaN does.
 //
 // The stale refresh and exact mode's refreshAll only read the bitsets.
+//
+// Running sums. Each state keeps eval's member sum and count (sum[i],
+// cnt[i]) for the current prefix, and the ranks of its members as a
+// bitset. A probe x that is not nearer than minDist[i], and whose
+// preference row holds none of those ranks, leaves eval's member loop
+// exactly as it is: the same members pass the same tests and are added
+// in the same order, and x is added last. So probe adds x's term to the
+// running sum in O(1), bit-equal to eval. A nearer x can pull members
+// out of the reuse radius, and a row that holds a member's rank can drop
+// that member, so in those cases probe calls eval. accept takes the new
+// sum from probe before it adds x to the members: eval's S+x is the
+// prefix after the accept.
 func (o *Orchestrator) growUncached(allPeerings []bgp.IngressID, bestFrozen []float64, dark []bool) []bgp.IngressID {
 	gs := o.warm.takeScratch()
 	if gs == nil {
@@ -167,8 +180,8 @@ type incMember struct {
 // memory, sized to the model once and reset per grow (warmCache keeps
 // the returned scratch until the next Learn). Between grows everything
 // but thr and the live index is at its initial value: no inputs, S
-// empty, version 0, curE and minDist +Inf, stateVer 0, members empty,
-// masks zero, inS false.
+// empty, version 0, curE and minDist +Inf, sum and cnt 0, stateVer 0,
+// members empty, masks and member ranks zero, inS false, no heated bits.
 //
 // Incremental Eq. (2): per state, S's compliant members in accept order
 // — exactly the values expectSc reads for that state, in the order it
@@ -200,6 +213,12 @@ type growScratch struct {
 	members [][]incMember
 	minDist []float64
 	mask    [][]uint64
+	// sum[i] and cnt[i] are eval's member sum and count for state i
+	// without a probe; ranks[i] holds its members' ranks as a bitset (nil
+	// where mask[i] is). See growUncached's running sums.
+	sum   []float64
+	cnt   []int
+	ranks [][]uint64
 	// minEst[i] is the least non-NaN est among state i's members.
 	minEst []float64
 	// thr[i] is the frozen-floor skip threshold for state i (begin).
@@ -213,9 +232,17 @@ type growScratch struct {
 	// finiteWeights holds when every state's weight is finite, the frozen
 	// floor's precondition.
 	finiteWeights bool
-	// touched lists the states with members, for the reset.
+	// touched lists the states with members, and heated the live bits
+	// heat set, for the reset.
 	touched []int32
+	heated  []heatBit
 	heap    candHeap
+}
+
+// heatBit is one live bit heat set: position p of candidate x's bitset.
+type heatBit struct {
+	x bgp.IngressID
+	p int32
 }
 
 func (o *Orchestrator) newGrowScratch() *growScratch {
@@ -228,6 +255,9 @@ func (o *Orchestrator) newGrowScratch() *growScratch {
 		members:       make([][]incMember, n),
 		minDist:       make([]float64, n),
 		mask:          make([][]uint64, n),
+		sum:           make([]float64, n),
+		cnt:           make([]int, n),
+		ranks:         make([][]uint64, n),
 		minEst:        make([]float64, n),
 		thr:           make([]float64, n),
 		live:          make([][]uint64, len(o.byIngress)),
@@ -254,10 +284,11 @@ func (o *Orchestrator) newGrowScratch() *growScratch {
 			gs.finiteWeights = false
 		}
 	}
-	slab := make([]uint64, words)
+	slab := make([]uint64, 2*words)
 	for i, st := range o.states {
 		if len(st.rows) > 0 {
 			gs.mask[i], slab = slab[:st.words:st.words], slab[st.words:]
+			gs.ranks[i], slab = slab[:st.words:st.words], slab[st.words:]
 		}
 	}
 	return gs
@@ -323,11 +354,12 @@ func (gs *growScratch) sweep(cands []bgp.IngressID) {
 	heap.Init(&gs.heap)
 }
 
-// eval is Eq. (2)'s mean over state i's members, plus an optional probe
-// member x ordered last, as in the set S+x; xRow is x's own preference
-// row (nil: none). As in expectSc, the reuse radius is measured from the
-// nearest member before dominance drops any.
-func (gs *growScratch) eval(i int32, x incMember, xRow []uint64, probe bool) (float64, bool) {
+// eval is Eq. (2)'s sum and count over state i's members, plus an
+// optional probe member x ordered last, as in the set S+x; xRow is x's
+// own preference row (nil: none). As in expectSc, the reuse radius is
+// measured from the nearest member before dominance drops any. The mean
+// is sum/n; with n 0 the set is unusable for i.
+func (gs *growScratch) eval(i int32, x incMember, xRow []uint64, probe bool) (float64, int) {
 	members, mask, minDist := gs.members[i], gs.mask[i], gs.minDist[i]
 	reuse := gs.o.params.ReuseKm
 	if probe && x.dist < minDist {
@@ -345,14 +377,40 @@ func (gs *growScratch) eval(i int32, x incMember, xRow []uint64, probe bool) (fl
 			n++
 		}
 	}
-	if probe && !(mask != nil && hasBit(mask, x.rank)) && !math.IsNaN(x.est) && x.dist <= minDist+reuse {
-		sum += x.est
-		n++
+	if probe {
+		return gs.withProbe(i, x, minDist, sum, n)
 	}
-	if n == 0 {
-		return 0, false
+	return sum, n
+}
+
+// withProbe adds probe x's term to a member sum and count, as eval does
+// last: unless a member dominates x, its estimate is NaN, or it lies
+// outside the reuse radius around minDist.
+func (gs *growScratch) withProbe(i int32, x incMember, minDist, sum float64, n int) (float64, int) {
+	if mask := gs.mask[i]; !(mask != nil && hasBit(mask, x.rank)) && !math.IsNaN(x.est) && x.dist <= minDist+gs.o.params.ReuseKm {
+		return sum + x.est, n + 1
 	}
-	return sum / float64(n), true
+	return sum, n
+}
+
+// probe is eval(i, x, xRow, true), from the running sum when x is not
+// nearer than minDist[i] and xRow holds no member's rank, else by eval
+// (see growUncached's running sums).
+func (gs *growScratch) probe(i int32, x incMember, xRow []uint64) (float64, int) {
+	if x.dist < gs.minDist[i] || (xRow != nil && gs.mask[i] != nil && intersects(xRow, gs.ranks[i])) {
+		return gs.eval(i, x, xRow, true)
+	}
+	return gs.withProbe(i, x, gs.minDist[i], gs.sum[i], gs.cnt[i])
+}
+
+// intersects reports whether two equal-length bitsets share a bit.
+func intersects(a, b []uint64) bool {
+	for w, word := range a {
+		if word&b[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // marginal is x's marginal benefit over the current prefix: the weighted
@@ -388,8 +446,8 @@ func (gs *growScratch) marginal(x bgp.IngressID, filter bool) float64 {
 			oldVal := math.Min(bestFrozen[i], curE[i])
 			newE := math.Inf(1)
 			m := incMember{dist: st.popDist[x], est: means[k], rank: ranks[k]}
-			if mean, ok := gs.eval(i, m, st.factRow(int(m.rank)), true); ok {
-				newE = mean
+			if sum, n := gs.probe(i, m, st.factRow(int(m.rank))); n > 0 {
+				newE = sum / float64(n)
 			}
 			newVal := math.Min(bestFrozen[i], newE)
 			delta += st.ug.Weight * (oldVal - newVal)
@@ -424,6 +482,14 @@ func (gs *growScratch) accept(x bgp.IngressID) {
 	for k, i := range gs.o.statesFor(x) {
 		st := gs.o.states[i]
 		m := incMember{dist: st.popDist[x], est: means[k], rank: ranks[k]}
+		row := st.factRow(int(m.rank))
+		sum, n := gs.probe(i, m, row)
+		gs.sum[i], gs.cnt[i] = sum, n
+		if n > 0 {
+			gs.curE[i] = sum / float64(n)
+		} else {
+			gs.curE[i] = math.Inf(1)
+		}
 		if len(gs.members[i]) == 0 {
 			gs.touched = append(gs.touched, i)
 		}
@@ -433,42 +499,34 @@ func (gs *growScratch) accept(x bgp.IngressID) {
 		}
 		if m.est < gs.minEst[i] {
 			if m.est < gs.thr[i] && gs.minEst[i] >= gs.thr[i] {
-				gs.heat(i, true)
+				gs.heat(i)
 			}
 			gs.minEst[i] = m.est
 		}
-		for w, b := range st.factRow(int(m.rank)) {
-			gs.mask[i][w] |= b
-		}
-		if mean, ok := gs.eval(i, incMember{}, nil, false); ok {
-			gs.curE[i] = mean
-		} else {
-			gs.curE[i] = math.Inf(1)
+		if mask := gs.mask[i]; mask != nil {
+			for w, b := range row {
+				mask[w] |= b
+			}
+			setBit(gs.ranks[i], int(m.rank))
 		}
 		gs.stateVer[i] = gs.version
 	}
 }
 
-// heat sets (on) or clears state i's bit in the live set of every
-// candidate compliant for it whose own term the sweep skips, which is
-// every bit of i's the sweep can have cleared. accept sets them when i
-// turns hot, as its minEst falls below thr[i]; reset clears them, so a
-// swept bitset is back to the terms its sweep kept, and any other bitset
-// loses only bits the floor skips.
-func (gs *growScratch) heat(i int32, on bool) {
-	st, thr := gs.o.states[i], gs.thr[i]
+// heat sets state i's bit in the live set of every candidate compliant
+// for it where the bit is 0 — every bit of i's the sweep can have
+// cleared — and logs each bit it sets, for reset to clear. accept calls
+// it when i turns hot, as its minEst falls below thr[i].
+func (gs *growScratch) heat(i int32) {
+	st := gs.o.states[i]
 	for r, p := range gs.single.pos[i] {
 		if p < 0 {
 			continue
 		}
 		x := st.compliant[r]
-		if gs.single.mean[x][p] < thr {
-			continue // kept by the sweep
-		}
-		if on {
-			setBit(gs.live[x], int(p))
-		} else {
-			gs.live[x][p>>6] &^= 1 << (p & 63)
+		if live := gs.live[x]; !hasBit(live, p) {
+			setBit(live, int(p))
+			gs.heated = append(gs.heated, heatBit{x, p})
 		}
 	}
 }
@@ -542,14 +600,16 @@ func (gs *growScratch) reset() {
 	for _, x := range gs.S {
 		gs.inS[x] = false
 	}
+	for _, b := range gs.heated {
+		gs.live[b.x][b.p>>6] &^= 1 << (b.p & 63)
+	}
+	gs.heated = gs.heated[:0]
 	for _, i := range gs.touched {
-		if gs.minEst[i] < gs.thr[i] {
-			gs.heat(i, false)
-		}
 		gs.curE[i], gs.minDist[i], gs.minEst[i] = math.Inf(1), math.Inf(1), math.Inf(1)
-		gs.stateVer[i] = 0
+		gs.sum[i], gs.cnt[i], gs.stateVer[i] = 0, 0, 0
 		gs.members[i] = gs.members[i][:0]
 		clear(gs.mask[i])
+		clear(gs.ranks[i])
 	}
 	gs.touched = gs.touched[:0]
 	gs.single, gs.bestFrozen, gs.S, gs.version = nil, nil, nil, 0

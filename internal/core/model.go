@@ -371,23 +371,70 @@ func (st *ugState) expectSc(sc *exScratch, peerings []bgp.IngressID, reuseKm flo
 	return e
 }
 
+// rankTable is a dense ingress → rank map for one state at a time: t[ing]
+// is ing's rank in the loaded state's compliant set, −1 where ing is not
+// in it. Learn loads a state once and then reads every rank of its
+// observations in O(1), where rank would binary-search the compliant set
+// once per (observation, peering).
+type rankTable []int32
+
+// load enters st's ranks, growing t to cover its largest ingress ID.
+func (t *rankTable) load(st *ugState) {
+	if n := len(st.compliant); n > 0 && int(st.compliant[n-1]) >= len(*t) {
+		grown := make(rankTable, int(st.compliant[n-1])+1)
+		for k := copy(grown, *t); k < len(grown); k++ {
+			grown[k] = -1
+		}
+		*t = grown
+	}
+	for r, ing := range st.compliant {
+		if ing >= 0 {
+			(*t)[ing] = int32(r)
+		}
+	}
+}
+
+// unload resets the entries load set for st, leaving t all −1.
+func (t rankTable) unload(st *ugState) {
+	for _, ing := range st.compliant {
+		if ing >= 0 {
+			t[ing] = -1
+		}
+	}
+}
+
+// of returns ing's rank in the loaded state st, or -1. A negative ID is
+// never a deployment peering; it can be compliant only after an
+// observation reported it, and goes through rank.
+func (t rankTable) of(st *ugState, ing bgp.IngressID) int {
+	switch {
+	case ing < 0:
+		return st.rank(ing)
+	case int(ing) >= len(t):
+		return -1
+	}
+	return int(t[ing])
+}
+
 // learn ingests one observation for a prefix peering set: the UG chose
 // `chosen` although the rest of candidates were available, so `chosen`
 // beats each of them. Contradicted old facts (routing changed) are
 // removed. It also replaces the latency estimate with ground truth.
-// Returns the number of new facts.
-func (st *ugState) learn(peerings []bgp.IngressID, chosen bgp.IngressID, measuredMs float64) int {
-	r := st.rank(chosen)
+// Returns the number of new facts. st must be loaded in t; a compliance
+// correction reloads it.
+func (st *ugState) learn(t *rankTable, peerings []bgp.IngressID, chosen bgp.IngressID, measuredMs float64) int {
+	r := t.of(st, chosen)
 	if r < 0 {
 		// Observation disagrees with the compliance model; record the
 		// ingress as compliant going forward (the model was wrong).
 		r = st.insertCompliant(chosen)
+		t.load(st)
 	}
 	st.est[r] = measuredMs // est is always privately owned; only compliant can be shared
 	row := st.winnerRow(r)
 	facts := 0
 	for _, other := range peerings {
-		ro := st.rank(other)
+		ro := t.of(st, other)
 		if other == chosen || ro < 0 {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -371,6 +372,11 @@ func (o *Orchestrator) singletonRows() *singleTable {
 			t.pos[i][r] = -1
 		}
 	}
+	// The peerings come in ascending ID order, so a state's ranks of them
+	// ascend too: next[i] is the rank to try first for state i, and
+	// reaching a peering's rank walks past only the compliant IDs below
+	// it, with no binary search.
+	next := make([]int32, len(o.states))
 	reuse := o.params.ReuseKm
 	for _, ing := range o.in.Deploy.AllPeeringIDs() {
 		idxs := o.statesFor(ing)
@@ -380,7 +386,11 @@ func (o *Orchestrator) singletonRows() *singleTable {
 		mean, rank := make([]float64, len(idxs)), make([]int32, len(idxs))
 		for k, i := range idxs {
 			st := o.states[i]
-			r := st.rank(ing)
+			r := int(next[i])
+			for st.compliant[r] < ing {
+				r++
+			}
+			next[i] = int32(r)
 			rank[k], t.pos[i][r] = int32(r), int32(k)
 			// expectSc({ing}): a rank's row never holds its own bit, so the
 			// lone member is never dominated, is its own nearest member,
@@ -444,27 +454,77 @@ func (o *Orchestrator) PredictBenefit(cfg Config) (mean, lower, upper float64) {
 // Learn ingests observations from an executed configuration, updating
 // preference facts and replacing estimates with measured latencies.
 // It returns the number of new facts.
+//
+// An observation changes only its own state, so Learn is state-major:
+// it buckets the observations by state, in observation order, and shards
+// the states on the worker pool. Each worker loads a state's ranks into
+// its own rankTable once for all of the state's observations. A
+// compliance correction also appends the state to the ingress's
+// byIngress row; those appends are replayed after the shards, in
+// observation order, so every row reads as a serial pass left it.
 func (o *Orchestrator) Learn(cfg Config, obs []Observation) int {
 	// Any observation may rewrite estimates or preference facts — the
 	// inputs every warm-cache entry was computed under.
 	if len(obs) > 0 {
 		o.warm.invalidate()
 	}
-	facts := 0
-	for _, ob := range obs {
+	// stateOf[k] is observation k's state, −1 when it is not learned
+	// from; state i's observations are order[start[i]:start[i+1]].
+	stateOf := make([]int32, len(obs))
+	start := make([]int32, len(o.states)+1)
+	for k, ob := range obs {
 		si, ok := o.stateIdx[ob.UG]
 		if !ok || ob.Prefix < 0 || ob.Prefix >= len(cfg.Prefixes) {
+			stateOf[k] = -1
 			continue
 		}
-		st := o.states[si]
-		before := len(st.compliant)
-		facts += st.learn(cfg.Prefixes[ob.Prefix], ob.Ingress, ob.LatencyMs)
-		if len(st.compliant) != before {
-			// Compliance model corrected: refresh the inverted index.
-			o.indexState(ob.Ingress, si)
+		stateOf[k] = si
+		start[si+1]++
+	}
+	var active []int32
+	for i := range o.states {
+		if start[i+1] > 0 {
+			active = append(active, int32(i))
+		}
+		start[i+1] += start[i]
+	}
+	order := make([]int32, start[len(o.states)])
+	next := slices.Clone(start[:len(o.states)])
+	for k, si := range stateOf {
+		if si >= 0 {
+			order[next[si]] = int32(k)
+			next[si]++
 		}
 	}
-	return facts
+	grew := make([]bool, len(obs))
+	workers := o.workerCount()
+	facts := make([]int, workers)
+	tables := make([]rankTable, workers)
+	parallelWorkers(len(active), workers, func(w, a int) {
+		si := active[a]
+		st, t := o.states[si], &tables[w]
+		t.load(st)
+		n := 0
+		for _, k := range order[start[si]:start[si+1]] {
+			ob := &obs[k]
+			before := len(st.compliant)
+			n += st.learn(t, cfg.Prefixes[ob.Prefix], ob.Ingress, ob.LatencyMs)
+			grew[k] = len(st.compliant) != before
+		}
+		t.unload(st)
+		facts[w] += n
+	})
+	for k, g := range grew {
+		if g {
+			// Compliance model corrected: refresh the inverted index.
+			o.indexState(obs[k].Ingress, stateOf[k])
+		}
+	}
+	total := 0
+	for _, n := range facts {
+		total += n
+	}
+	return total
 }
 
 // RealizedBenefit evaluates Eq. (1) using observed latencies: each UG's

@@ -355,7 +355,7 @@ func TestExpectationFiltering(t *testing.T) {
 	}
 	// Learned preference: 2 beats 1 → 1 excluded everywhere (a fact),
 	// mean = 30, range tightens to [30,100].
-	if n := st.learn([]bgp.IngressID{1, 2}, 2, 30); n != 1 || !hasFact(st, 2, 1) {
+	if n := learnOnce(st, []bgp.IngressID{1, 2}, 2, 30); n != 1 || !hasFact(st, 2, 1) {
 		t.Fatalf("learn recorded %d facts (2 beats 1: %v), want the one", n, hasFact(st, 2, 1))
 	}
 	e = st.expectSc(sc, []bgp.IngressID{1, 2, 3}, 3000)
@@ -384,7 +384,7 @@ func TestLearnUpdatesFactsAndEstimates(t *testing.T) {
 	st := flatState(usergroup.UG{}, 0,
 		map[bgp.IngressID]float64{1: 10, 2: 30, 3: 100},
 		map[bgp.IngressID]float64{1: 1, 2: 1, 3: 1})
-	n := st.learn([]bgp.IngressID{1, 2, 3}, 2, 25)
+	n := learnOnce(st, []bgp.IngressID{1, 2, 3}, 2, 25)
 	if n != 2 {
 		t.Errorf("learned %d facts, want 2 (2 beats 1, 2 beats 3)", n)
 	}
@@ -392,12 +392,12 @@ func TestLearnUpdatesFactsAndEstimates(t *testing.T) {
 		t.Errorf("estimate not replaced by measurement: %v, %v", ms, ok)
 	}
 	// Repeat observation: no new facts.
-	if n := st.learn([]bgp.IngressID{1, 2, 3}, 2, 25); n != 0 {
+	if n := learnOnce(st, []bgp.IngressID{1, 2, 3}, 2, 25); n != 0 {
 		t.Errorf("repeat observation learned %d facts, want 0", n)
 	}
 	// Routing change: now 1 wins; the contradicting "2 beats 1" fact must
 	// be removed.
-	st.learn([]bgp.IngressID{1, 2}, 1, 9)
+	learnOnce(st, []bgp.IngressID{1, 2}, 1, 9)
 	if hasFact(st, 2, 1) {
 		t.Error("contradicted fact '2 beats 1' not removed")
 	}
@@ -413,7 +413,7 @@ func TestLearnCorrectsComplianceModel(t *testing.T) {
 	st := flatState(usergroup.UG{}, 0,
 		map[bgp.IngressID]float64{1: 10},
 		map[bgp.IngressID]float64{1: 1})
-	st.learn([]bgp.IngressID{1, 7}, 7, 42) // observed ingress we thought non-compliant
+	learnOnce(st, []bgp.IngressID{1, 7}, 7, 42) // observed ingress we thought non-compliant
 	if st.rank(7) < 0 {
 		t.Error("observed ingress should be marked compliant")
 	}

@@ -10,8 +10,10 @@ package core
 //
 // learnScript drives a ugState and a refState through one sequence of
 // learn calls and compares expectSc with refExpect field for field (float
-// bits) after every step; the table below and FuzzLearnExpect both run
-// through it.
+// bits) after every step. It drives Orchestrator.Learn too, once per step
+// and once with every step as one observation, and compares the state
+// Learn leaves with the ugState's. The table below and FuzzLearnExpect
+// both run through it.
 
 import (
 	"fmt"
@@ -202,6 +204,13 @@ func (e *mirrorExec) Execute(cfg Config) ([]Observation, error) {
 	return obs, err
 }
 
+// learnOnce is one ugState.learn on a freshly loaded rank table.
+func learnOnce(st *ugState, peerings []bgp.IngressID, chosen bgp.IngressID, ms float64) int {
+	var t rankTable
+	t.load(st)
+	return st.learn(&t, peerings, chosen, ms)
+}
+
 // hasFact and factCount are the tests' only view of how ugState stores
 // learned preferences.
 func hasFact(st *ugState, winner, loser bgp.IngressID) bool {
@@ -252,6 +261,15 @@ func (s learnScript) run() error {
 	}
 	st := flatState(usergroup.UG{}, 0, estOf, distOf)
 	ref := newRefState(st)
+	// learnOrch is a one-state orchestrator over a fresh copy of st.
+	learnOrch := func() *Orchestrator {
+		return &Orchestrator{states: []*ugState{flatState(usergroup.UG{}, 0, estOf, distOf)},
+			stateIdx: map[usergroup.ID]int32{0: 0}, params: Params{Workers: 2}}
+	}
+	stepOrch, batchOrch := learnOrch(), learnOrch()
+	var batchCfg Config
+	var batchObs []Observation
+	batchFacts := 0
 	sc := new(exScratch)
 	check := func(when string) error {
 		for _, q := range s.queries {
@@ -274,10 +292,23 @@ func (s learnScript) run() error {
 	if err := check("before learning"); err != nil {
 		return err
 	}
+	// One table serves every step, as Learn's serves all of a state's
+	// observations: a compliance correction must reload it.
+	var table rankTable
+	table.load(st)
 	for k, step := range s.steps {
-		got := st.learn(step.peerings, step.chosen, step.ms)
+		got := st.learn(&table, step.peerings, step.chosen, step.ms)
 		if want := ref.learn(step.peerings, step.chosen, step.ms); got != want {
 			return fmt.Errorf("step %d: learn(%v, %d) = %d new facts, reference %d", k, step.peerings, step.chosen, got, want)
+		}
+		ob := Observation{Prefix: len(batchCfg.Prefixes), Ingress: step.chosen, LatencyMs: step.ms}
+		batchCfg.Prefixes, batchObs, batchFacts = append(batchCfg.Prefixes, step.peerings), append(batchObs, ob), batchFacts+got
+		ob.Prefix = 0
+		if n := stepOrch.Learn(Config{Prefixes: [][]bgp.IngressID{step.peerings}}, []Observation{ob}); n != got {
+			return fmt.Errorf("step %d: Orchestrator.Learn counted %d new facts, ugState.learn %d", k, n, got)
+		}
+		if err := sameState(stepOrch.states[0], st); err != nil {
+			return fmt.Errorf("step %d: after Orchestrator.Learn: %v", k, err)
 		}
 		if len(st.compliant) != len(ref.compliant) || !slices.IsSorted(st.compliant) {
 			return fmt.Errorf("step %d: compliant set %v, reference %v", k, st.compliant, ref.compliant)
@@ -291,6 +322,12 @@ func (s learnScript) run() error {
 		if err := check(fmt.Sprintf("after step %d", k)); err != nil {
 			return err
 		}
+	}
+	if n := batchOrch.Learn(batchCfg, batchObs); n != batchFacts {
+		return fmt.Errorf("every step in one Orchestrator.Learn: %d new facts, step by step %d", n, batchFacts)
+	}
+	if err := sameState(batchOrch.states[0], st); err != nil {
+		return fmt.Errorf("every step in one Orchestrator.Learn: %v", err)
 	}
 	return nil
 }

@@ -176,8 +176,6 @@ type EvalResult struct {
 	PossibleBenefit float64
 	// PerUG maps UG → achieved improvement over anycast (ms, ≥ 0).
 	PerUG map[usergroup.ID]float64
-	// PerUGLatency maps UG → achieved latency (ms).
-	PerUGLatency map[usergroup.ID]float64
 	// ImprovedUGs counts UGs with positive improvement.
 	ImprovedUGs int
 }
@@ -199,10 +197,7 @@ func Evaluate(w *netsim.World, ugs *usergroup.Set, cfg advertise.Config) (EvalRe
 	if err != nil {
 		return EvalResult{}, err
 	}
-	res := EvalResult{
-		PerUG:        make(map[usergroup.ID]float64, ugs.Len()),
-		PerUGLatency: make(map[usergroup.ID]float64, ugs.Len()),
-	}
+	res := EvalResult{PerUG: make(map[usergroup.ID]float64, ugs.Len())}
 	// Land each prefix once, in parallel across the worker pool; row p
 	// of lat holds prefix p's latency per UG (NaN: no route).
 	n := len(ugs.UGs)
@@ -227,7 +222,6 @@ func Evaluate(w *netsim.World, ugs *usergroup.Set, cfg advertise.Config) (EvalRe
 		}
 		imp := base[i] - best
 		res.PerUG[ug.ID] = imp
-		res.PerUGLatency[ug.ID] = best
 		res.Benefit += ug.Weight * imp
 		if imp > 1e-9 {
 			res.ImprovedUGs++

@@ -75,8 +75,10 @@ type World struct {
 	// nothing here assumes it).
 	ingValid   []bool
 	popCoordOf []geo.Coord
-	peerASNOf  []topology.ASN
 	transitOf  []bool
+	// peerPenOf is the per-peer handoff penalty (ms) of each ingress,
+	// drawn once from its peer's ASN.
+	peerPenOf []float64
 	// popOfIng maps each peering to its PoP for outage checks.
 	popOfIng []cloud.PoPID
 
@@ -87,9 +89,16 @@ type World struct {
 	asHomeOK []bool
 
 	// metroOrd/metroCodes give every catalog metro a dense ordinal for
-	// the best-ingress memo rows.
+	// the best-ingress memo rows and the distance cells; metroCoord is
+	// each metro's location.
 	metroOrd   map[string]int32
 	metroCodes []string
+	metroCoord []geo.Coord
+	// distCells[m*nIng+ing] memoizes geo.DistanceKm from catalog metro m
+	// to ingress ing's PoP: 0 until first use, then the complement of the
+	// distance's bits, so a zero distance is a filled cell. Concurrent
+	// first users compute and store the same bits.
+	distCells []atomic.Uint64
 
 	// obs holds the world's metrics registry and handles (see obs.go);
 	// cache counters replace the old ad-hoc stat fields and surface
@@ -279,8 +288,8 @@ func NewWithConfig(g *topology.Graph, d *cloud.Deployment, seed int64, cfg Confi
 
 		ingValid:   make([]bool, nIng),
 		popCoordOf: make([]geo.Coord, nIng),
-		peerASNOf:  make([]topology.ASN, nIng),
 		transitOf:  make([]bool, nIng),
+		peerPenOf:  make([]float64, nIng),
 		popOfIng:   make([]cloud.PoPID, nIng),
 
 		asHomeOf: make([]geo.Coord, idx.Len()),
@@ -308,7 +317,7 @@ func NewWithConfig(g *topology.Graph, d *cloud.Deployment, seed int64, cfg Confi
 		}
 		w.ingValid[pr.ID] = true
 		w.popCoordOf[pr.ID] = pop.Coord
-		w.peerASNOf[pr.ID] = pr.PeerASN
+		w.peerPenOf[pr.ID] = 3 * unit(w.h64(domPeerPenalty, uint64(pr.PeerASN)))
 		w.transitOf[pr.ID] = pr.IsTransit()
 		w.popOfIng[pr.ID] = pr.PoP
 		if !g.Has(pr.PeerASN) {
@@ -327,10 +336,13 @@ func NewWithConfig(g *topology.Graph, d *cloud.Deployment, seed int64, cfg Confi
 	metros := geo.Metros()
 	w.metroOrd = make(map[string]int32, len(metros))
 	w.metroCodes = make([]string, len(metros))
+	w.metroCoord = make([]geo.Coord, len(metros))
 	for i, m := range metros {
 		w.metroOrd[m.Code] = int32(i)
 		w.metroCodes[i] = m.Code
+		w.metroCoord[i] = m.Coord
 	}
+	w.distCells = make([]atomic.Uint64, len(metros)*nIng)
 	return w, nil
 }
 
@@ -438,12 +450,10 @@ func (w *World) BaseLatencyMs(asn topology.ASN, metro string, ing bgp.IngressID)
 	if !w.knownIngress(ing) {
 		return 0, fmt.Errorf("netsim: unknown ingress %d", ing)
 	}
-	pc := w.popCoordOf[ing]
-	m, err := geo.MetroByCode(metro)
+	distKm, err := w.distanceKm(metro, ing)
 	if err != nil {
 		return 0, err
 	}
-	distKm := geo.DistanceKm(m.Coord, pc)
 	geoRTT := geo.KmToMinRTTMs(distKm)
 
 	ugKey := uint64(asn)<<16 ^ metroKey(metro)
@@ -453,10 +463,7 @@ func (w *World) BaseLatencyMs(asn topology.ASN, metro string, ing bgp.IngressID)
 	stretch := 1.2 + 0.7*unit(w.h64(domStretch, ugKey, ik))
 	// Last-mile access latency, per UG.
 	access := w.cfg.AccessMinMs + (w.cfg.AccessMaxMs-w.cfg.AccessMinMs)*unit(w.h64(domAccess, ugKey))
-	// Small per-peer handoff penalty.
-	peerPen := 3 * unit(w.h64(domPeerPenalty, uint64(w.peerASNOf[ing])))
-
-	lat := geoRTT*stretch + access + peerPen
+	lat := geoRTT*stretch + access + w.peerPenOf[ing]
 
 	// Persistent detour: more likely via transit providers over long
 	// distances.
@@ -468,6 +475,27 @@ func (w *World) BaseLatencyMs(asn topology.ASN, metro string, ing bgp.IngressID)
 		lat += w.cfg.DetourMinMs + (w.cfg.DetourMaxMs-w.cfg.DetourMinMs)*unit(w.h64(domDetourMs, ugKey, ik))
 	}
 	return lat, nil
+}
+
+// distanceKm is geo.DistanceKm from a metro to known ingress ing's PoP,
+// memoized in distCells for catalog metros; any other metro goes through
+// geo.MetroByCode on every call.
+func (w *World) distanceKm(metro string, ing bgp.IngressID) (float64, error) {
+	mo, ok := w.metroOrd[metro]
+	if !ok {
+		m, err := geo.MetroByCode(metro)
+		if err != nil {
+			return 0, err
+		}
+		return geo.DistanceKm(m.Coord, w.popCoordOf[ing]), nil
+	}
+	cell := &w.distCells[int(mo)*w.nIng+int(ing)]
+	if v := cell.Load(); v != 0 {
+		return math.Float64frombits(^v), nil
+	}
+	d := geo.DistanceKm(w.metroCoord[mo], w.popCoordOf[ing])
+	cell.Store(^math.Float64bits(d))
+	return d, nil
 }
 
 // dayAdjustMs is the time-varying component: daily jitter plus possible
