@@ -17,7 +17,7 @@ COVER_FLOORS = painter/internal/netsim:70 painter/internal/tm:70 painter/interna
 # Native fuzz targets smoke-tested by `make fuzz` (one -fuzz per run).
 FUZZ_TIME ?= 10s
 
-.PHONY: all build loc vet test race tm-stress fuzz cover lint bench bench-smoke bench-check bench-e2e profile-solve experiments examples clean
+.PHONY: all build loc vet test race tm-stress fuzz cover lint bench bench-smoke bench-check bench-e2e profile-solve experiments clean
 
 all: build vet test
 
@@ -25,12 +25,13 @@ build:
 	$(GO) build ./...
 
 # Size of the product: non-test Go lines outside the benchmark module
-# (bench/, .bench_build/), top-level funcs and methods, exported and
+# (bench/, .bench_build/) and the testdata fixtures the go tool ignores,
+# top-level funcs and methods, exported and
 # package-local (so unexporting surface shows as a move between them),
 # and the distinct metric names those files register (string literals
 # passed to .Counter, .Gauge, .GaugeFunc or .Histogram).
 loc:
-	@files=$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'); \
+	@files=$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path '*/testdata/*'); \
 	echo "non-test Go lines: $$(cat $$files | wc -l)"; \
 	echo "exported funcs:    $$(cat $$files | grep -cE '^func (\([^)]*\) )?[A-Z]')"; \
 	echo "unexported funcs:  $$(cat $$files | grep -cE '^func (\([^)]*\) )?[a-z_]')"; \
@@ -126,14 +127,6 @@ bench-e2e:
 # Regenerate every table/figure at prototype (PEERING) scale.
 experiments:
 	$(GO) run ./cmd/painter-bench -exp all -scale peering -iters 3
-
-# Run both example mains end to end; CI runs this after the tests.
-# The figure-shaped walk-throughs are painter-bench experiments
-# (-exp fig6a,fig14 for the advertisement sweep, -exp fig10 for failover);
-# the Fig. 1 scenario is netsim's checked Example_fig1Scenario.
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/enterprise
 
 clean:
 	$(GO) clean ./...

@@ -3,8 +3,8 @@
 // (Koch et al., ACM SIGCOMM 2023).
 //
 // The implementation lives under internal/ (see DESIGN.md for the
-// system inventory), runnable binaries under cmd/, and worked examples
-// under examples/. The benchmarks in bench_test.go regenerate every
+// system inventory) with checked Examples beside its tests, and runnable
+// binaries under cmd/. The benchmarks in bench_test.go regenerate every
 // table and figure of the paper's evaluation; EXPERIMENTS.md records
 // paper-vs-measured outcomes.
 package painter

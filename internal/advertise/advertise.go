@@ -76,9 +76,6 @@ const (
 	StrategySDWAN          = "sd-wan"
 )
 
-// Anycast returns the empty config: only the implicit anycast prefix.
-func Anycast() Config { return Config{} }
-
 // OnePerPeering advertises a unique prefix via each peering, up to the
 // budget. Peerings are consumed round-robin across PoPs so a small
 // budget still covers diverse geography (matching how the paper sweeps

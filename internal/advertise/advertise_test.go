@@ -24,8 +24,10 @@ func testDeploy(t *testing.T) *cloud.Deployment {
 	return d
 }
 
+// TestAnycastEmpty pins the anycast strategy's configuration as the zero
+// Config: only the implicit anycast prefix, nothing advertised.
 func TestAnycastEmpty(t *testing.T) {
-	c := Anycast()
+	var c Config
 	if c.NumPrefixes() != 0 || c.TotalAdvertisements() != 0 {
 		t.Error("anycast config must be empty")
 	}

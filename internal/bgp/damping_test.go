@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -126,4 +127,35 @@ func TestSafeUpdateInterval(t *testing.T) {
 	if !suppressed {
 		t.Error("flapping 5x faster than the safe interval should suppress")
 	}
+}
+
+// penaltyOf returns the current (decayed) penalty for a prefix.
+func (d *Damper) penaltyOf(p netip.Prefix) float64 {
+	now := d.now()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := d.state[p]
+	if s == nil {
+		return 0
+	}
+	d.decayTo(s, now)
+	return s.penalty
+}
+
+// safeUpdateInterval returns the minimum spacing between attribute-
+// changing re-advertisements of one prefix that never triggers
+// suppression: the interval at which the steady-state penalty stays
+// below the suppress threshold. Nothing in production paces itself with
+// it; TestSafeUpdateInterval holds the Damper to it.
+func (d *Damper) safeUpdateInterval() time.Duration {
+	// Steady state of penalty P with decay factor f per interval T and
+	// per-flap addition A: P = A / (1 - f), f = 2^(-T/halflife).
+	// Require P < SuppressThreshold ⇒ f < 1 - A/S ⇒
+	// T > -halflife * log2(1 - A/S).
+	ratio := d.cfg.AttrPenalty / d.cfg.SuppressThreshold
+	if ratio >= 1 {
+		return d.cfg.MaxSuppress
+	}
+	t := -float64(d.cfg.HalfLife) * math.Log2(1-ratio)
+	return time.Duration(t)
 }

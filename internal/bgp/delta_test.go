@@ -452,13 +452,13 @@ func TestPropagateDeltaNetsimTieBreaker(t *testing.T) {
 	}
 }
 
-// TestResultViews covers the Result accessors against the map the full
-// engine returns.
+// TestResultViews covers the Result accessors against the map the
+// reference engine returns.
 func TestResultViews(t *testing.T) {
 	g, asns := deltaTopology(t, 4)
 	rng := rand.New(rand.NewSource(8))
 	inj := randomInjections(rng, asns, 8)
-	want, err := bgp.Propagate(g, inj, nil)
+	want, err := bgp.PropagateReference(g, inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

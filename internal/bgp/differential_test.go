@@ -66,7 +66,7 @@ func randomInjections(rng *rand.Rand, asns []topology.ASN, n int) []bgp.Injectio
 
 func assertSameSelection(t *testing.T, g *topology.Graph, inj []bgp.Injection, tb bgp.TieBreaker, label string) {
 	t.Helper()
-	dense, err := bgp.Propagate(g, inj, tb)
+	dense, err := bgp.PropagateResult(g, inj, tb)
 	if err != nil {
 		t.Fatalf("%s: dense: %v", label, err)
 	}
@@ -74,11 +74,11 @@ func assertSameSelection(t *testing.T, g *topology.Graph, inj []bgp.Injection, t
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	if len(dense) != len(ref) {
-		t.Fatalf("%s: dense settled %d ASes, reference %d", label, len(dense), len(ref))
+	if dense.Len() != len(ref) {
+		t.Fatalf("%s: dense settled %d ASes, reference %d", label, dense.Len(), len(ref))
 	}
 	for as, rr := range ref {
-		dr, ok := dense[as]
+		dr, ok := dense.Route(as)
 		if !ok {
 			t.Fatalf("%s: AS %v settled by reference but not dense", label, as)
 		}

@@ -8,9 +8,9 @@ import (
 	"painter/internal/topology"
 )
 
-// ExamplePropagate shows how an advertisement injected at two peerings
+// ExamplePropagateResult shows how an advertisement injected at two peerings
 // propagates through a small valley-free topology.
-func ExamplePropagate() {
+func ExamplePropagateResult() {
 	g := topology.NewGraph()
 	for _, as := range []struct {
 		n    topology.ASN
@@ -28,14 +28,14 @@ func ExamplePropagate() {
 	// The cloud buys transit from AS 1 (ingress 0) and peers with AS 11
 	// (ingress 1). AS 100 multihomes to 10 and 11; the direct peer route
 	// via 11 is shorter (2 hops) than transit via 10 (3 hops).
-	sel, err := bgp.Propagate(g, []bgp.Injection{
+	sel, err := bgp.PropagateResult(g, []bgp.Injection{
 		{Neighbor: 1, Class: bgp.ClassCustomer, Ingress: 0},
 		{Neighbor: 11, Class: bgp.ClassPeer, Ingress: 1},
 	}, nil)
 	if err != nil {
 		panic(err)
 	}
-	r := sel[100]
+	r, _ := sel.Route(100)
 	fmt.Printf("AS100 ingress=%d class=%v pathlen=%d\n", r.Ingress, r.Class, r.PathLen)
 	// Output: AS100 ingress=1 class=provider pathlen=2
 }

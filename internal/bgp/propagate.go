@@ -60,16 +60,6 @@ type Route struct {
 	Via topology.ASN
 }
 
-// Better reports whether r is strictly preferred over o by the standard
-// decision process prior to tie-breaking: lower class first (customer <
-// peer < provider), then shorter AS path.
-func (r Route) Better(o Route) bool {
-	if r.Class != o.Class {
-		return r.Class < o.Class
-	}
-	return r.PathLen < o.PathLen
-}
-
 // Injection is a point where the cloud injects an advertisement into the
 // topology: the neighbor AS receiving the advertisement, the class that
 // route has at the neighbor (determined by the neighbor's relationship to
@@ -125,8 +115,8 @@ func validateInjections(g *topology.Graph, injections []Injection) error {
 	return nil
 }
 
-// Propagate computes the route every AS selects for one prefix announced
-// via the given injections, honoring valley-free export rules:
+// PropagateResult computes the route every AS selects for one prefix
+// announced via the given injections, honoring valley-free export rules:
 //
 //   - customer-learned routes are exported to providers, peers, and
 //     customers;
@@ -134,7 +124,9 @@ func validateInjections(g *topology.Graph, injections []Injection) error {
 //     customers.
 //
 // Selection is class-first, then shortest path, then the tie-breaker.
-// The returned map contains an entry for every AS that has any route.
+// The Result holds a route for every AS that has any (read with Route);
+// it is also the warm base PropagateDelta repairs after small input
+// changes instead of re-propagating the whole graph.
 //
 // The engine is PropagateDelta's settle loop (delta.go) run from the
 // empty Result: selection state lives in flat arrays indexed by dense
@@ -142,17 +134,6 @@ func validateInjections(g *topology.Graph, injections []Injection) error {
 // length). The map-based original survives as the test-only
 // PropagateReference (reference_test.go); the two select identical
 // routes under any tie-breaker (see the differential tests).
-func Propagate(g *topology.Graph, injections []Injection, tb TieBreaker) (map[topology.ASN]Route, error) {
-	res, err := PropagateResult(g, injections, tb)
-	if err != nil {
-		return nil, err
-	}
-	return res.selectionMap(), nil
-}
-
-// PropagateResult runs the same engine but retains the dense selection
-// state as a *Result, the warm base PropagateDelta repairs after small
-// input changes instead of re-propagating the whole graph.
 func PropagateResult(g *topology.Graph, injections []Injection, tb TieBreaker) (*Result, error) {
 	if tb == nil {
 		tb = minIngressTieBreaker

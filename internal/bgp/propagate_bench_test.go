@@ -31,7 +31,7 @@ func BenchmarkPropagate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bgp.Propagate(env.Graph, inj, tb); err != nil {
+		if _, err := bgp.PropagateResult(env.Graph, inj, tb); err != nil {
 			b.Fatal(err)
 		}
 	}

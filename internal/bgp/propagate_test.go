@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"bytes"
 	"testing"
 
 	"painter/internal/topology"
@@ -51,15 +52,21 @@ func testGraph(t *testing.T) *topology.Graph {
 	return g
 }
 
+// at returns the route as selects in res, the zero Route when it has none.
+func at(res *Result, as topology.ASN) Route {
+	r, _ := res.Route(as)
+	return r
+}
+
 func TestPropagateCustomerInjectionReachesEveryone(t *testing.T) {
 	g := testGraph(t)
 	// Cloud buys transit from AS 10: injection is customer-class at 10.
-	sel, err := Propagate(g, []Injection{{Neighbor: 10, Class: ClassCustomer, Ingress: 1}}, nil)
+	sel, err := PropagateResult(g, []Injection{{Neighbor: 10, Class: ClassCustomer, Ingress: 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range g.ASNs() {
-		r, ok := sel[n]
+		r, ok := sel.Route(n)
 		if !ok {
 			t.Errorf("AS %v has no route; customer injection should reach all", n)
 			continue
@@ -69,20 +76,20 @@ func TestPropagateCustomerInjectionReachesEveryone(t *testing.T) {
 		}
 	}
 	// Route classes along the way:
-	if sel[10].Class != ClassCustomer || sel[10].PathLen != 1 {
-		t.Errorf("AS10 route = %+v, want customer/len1", sel[10])
+	if at(sel, 10).Class != ClassCustomer || at(sel, 10).PathLen != 1 {
+		t.Errorf("AS10 route = %+v, want customer/len1", at(sel, 10))
 	}
-	if sel[1].Class != ClassCustomer {
-		t.Errorf("AS1 (provider of 10) class = %v, want customer", sel[1].Class)
+	if at(sel, 1).Class != ClassCustomer {
+		t.Errorf("AS1 (provider of 10) class = %v, want customer", at(sel, 1).Class)
 	}
-	if sel[2].Class != ClassPeer {
-		t.Errorf("AS2 (peer of 1) class = %v, want peer", sel[2].Class)
+	if at(sel, 2).Class != ClassPeer {
+		t.Errorf("AS2 (peer of 1) class = %v, want peer", at(sel, 2).Class)
 	}
-	if sel[12].Class != ClassPeer { // 12 peers with 10
-		t.Errorf("AS12 class = %v, want peer (via direct peering with 10)", sel[12].Class)
+	if at(sel, 12).Class != ClassPeer { // 12 peers with 10
+		t.Errorf("AS12 class = %v, want peer (via direct peering with 10)", at(sel, 12).Class)
 	}
-	if sel[100].Class != ClassProvider {
-		t.Errorf("AS100 class = %v, want provider", sel[100].Class)
+	if at(sel, 100).Class != ClassProvider {
+		t.Errorf("AS100 class = %v, want provider", at(sel, 100).Class)
 	}
 }
 
@@ -90,20 +97,20 @@ func TestPropagatePeerInjectionStaysInCone(t *testing.T) {
 	g := testGraph(t)
 	// Cloud peers with AS 11 at some PoP: peer-class at 11; the route is
 	// only exported to 11's customers.
-	sel, err := Propagate(g, []Injection{{Neighbor: 11, Class: ClassPeer, Ingress: 5}}, nil)
+	sel, err := PropagateResult(g, []Injection{{Neighbor: 11, Class: ClassPeer, Ingress: 5}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 2 {
-		t.Fatalf("selected = %d entries (%v), want 2 (AS 11 and its customer 101)", len(sel), sel)
+	if sel.Len() != 2 {
+		t.Fatalf("selected = %d entries (%v), want 2 (AS 11 and its customer 101)", sel.Len(), sel)
 	}
-	if r := sel[11]; r.Class != ClassPeer || r.Ingress != 5 {
+	if r := at(sel, 11); r.Class != ClassPeer || r.Ingress != 5 {
 		t.Errorf("AS11 route = %+v", r)
 	}
-	if r := sel[101]; r.Class != ClassProvider || r.PathLen != 2 {
+	if r := at(sel, 101); r.Class != ClassProvider || r.PathLen != 2 {
 		t.Errorf("AS101 route = %+v, want provider/len2", r)
 	}
-	if _, ok := sel[1]; ok {
+	if _, ok := sel.Route(1); ok {
 		t.Error("AS1 should not hear a peer-class route from its customer's peer")
 	}
 }
@@ -115,24 +122,24 @@ func TestPropagatePrefersCustomerOverPeerOverProvider(t *testing.T) {
 	//     provider-class after traveling 13→2→12→101 or 13→2→1→11→101.
 	//   - peer-class at 12 → 101 hears provider-class len 2.
 	// 101 should pick the shorter provider route via 12 (ingress 2).
-	sel, err := Propagate(g, []Injection{
+	sel, err := PropagateResult(g, []Injection{
 		{Neighbor: 13, Class: ClassCustomer, Ingress: 1},
 		{Neighbor: 12, Class: ClassPeer, Ingress: 2},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := sel[101]
+	r := at(sel, 101)
 	if r.Ingress != 2 || r.PathLen != 2 {
 		t.Errorf("AS101 picked %+v, want ingress 2 at len 2", r)
 	}
 	// AS 12 itself: peer route (class peer, len 1) vs provider route via 2
 	// (class provider) → peer wins.
-	if r := sel[12]; r.Ingress != 2 || r.Class != ClassPeer {
+	if r := at(sel, 12); r.Ingress != 2 || r.Class != ClassPeer {
 		t.Errorf("AS12 picked %+v, want peer-class ingress 2", r)
 	}
 	// AS 2: customer route via 13 only.
-	if r := sel[2]; r.Ingress != 1 || r.Class != ClassCustomer {
+	if r := at(sel, 2); r.Ingress != 1 || r.Class != ClassCustomer {
 		t.Errorf("AS2 picked %+v, want customer-class ingress 1", r)
 	}
 }
@@ -142,22 +149,22 @@ func TestPropagateShorterPathWinsWithinClass(t *testing.T) {
 	// Two customer-class injections: at 10 and at 2. AS 1 hears customer
 	// routes from 10 (len 2) and from... 2 is 1's peer so that is peer
 	// class. AS 100 (customer of 10) hears provider route via 10 (len 2).
-	sel, err := Propagate(g, []Injection{
+	sel, err := PropagateResult(g, []Injection{
 		{Neighbor: 10, Class: ClassCustomer, Ingress: 1},
 		{Neighbor: 2, Class: ClassCustomer, Ingress: 2},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := sel[1]; r.Ingress != 1 || r.Class != ClassCustomer || r.PathLen != 2 {
+	if r := at(sel, 1); r.Ingress != 1 || r.Class != ClassCustomer || r.PathLen != 2 {
 		t.Errorf("AS1 picked %+v, want customer ingress 1 len 2", r)
 	}
-	if r := sel[100]; r.Ingress != 1 || r.PathLen != 2 {
+	if r := at(sel, 100); r.Ingress != 1 || r.PathLen != 2 {
 		t.Errorf("AS100 picked %+v, want ingress 1 len 2", r)
 	}
 	// AS 13 (customer of 2): provider route via 2 len 2 beats anything
 	// longer.
-	if r := sel[13]; r.Ingress != 2 || r.PathLen != 2 {
+	if r := at(sel, 13); r.Ingress != 2 || r.PathLen != 2 {
 		t.Errorf("AS13 picked %+v, want ingress 2 len 2", r)
 	}
 }
@@ -170,16 +177,16 @@ func TestPropagateTieBreaker(t *testing.T) {
 		{Neighbor: 11, Class: ClassPeer, Ingress: 7},
 		{Neighbor: 12, Class: ClassPeer, Ingress: 3},
 	}
-	selDefault, err := Propagate(g, inj, nil)
+	selDefault, err := PropagateResult(g, inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Default tie-break: lowest ingress ID.
-	if r := selDefault[101]; r.Ingress != 3 {
+	if r := at(selDefault, 101); r.Ingress != 3 {
 		t.Errorf("default tiebreak picked ingress %d, want 3", r.Ingress)
 	}
 	// Custom tie-break: highest ingress.
-	selHigh, err := Propagate(g, inj, func(_ topology.ASN, cands []Route) int {
+	selHigh, err := PropagateResult(g, inj, func(_ topology.ASN, cands []Route) int {
 		best := 0
 		for i, c := range cands {
 			if c.Ingress > cands[best].Ingress {
@@ -191,7 +198,7 @@ func TestPropagateTieBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := selHigh[101]; r.Ingress != 7 {
+	if r := at(selHigh, 101); r.Ingress != 7 {
 		t.Errorf("custom tiebreak picked ingress %d, want 7", r.Ingress)
 	}
 }
@@ -207,30 +214,28 @@ func TestPropagateDeterministic(t *testing.T) {
 		{Neighbor: 1001, Class: ClassPeer, Ingress: 2},
 		{Neighbor: 1002, Class: ClassPeer, Ingress: 3},
 	}
-	a, err := Propagate(g, inj, nil)
+	a, err := PropagateResult(g, inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Propagate(g, inj, nil)
+	b, err := PropagateResult(g, inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("run sizes differ: %d vs %d", len(a), len(b))
+	if a.Len() != b.Len() {
+		t.Fatalf("run sizes differ: %d vs %d", a.Len(), b.Len())
 	}
-	for n, ra := range a {
-		if rb := b[n]; ra != rb {
-			t.Fatalf("AS %v differs across runs: %+v vs %+v", n, ra, rb)
-		}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("selections differ across runs")
 	}
 }
 
 func TestPropagateErrors(t *testing.T) {
 	g := testGraph(t)
-	if _, err := Propagate(g, []Injection{{Neighbor: 999, Class: ClassPeer, Ingress: 1}}, nil); err == nil {
+	if _, err := PropagateResult(g, []Injection{{Neighbor: 999, Class: ClassPeer, Ingress: 1}}, nil); err == nil {
 		t.Error("unknown neighbor should fail")
 	}
-	if _, err := Propagate(g, []Injection{{Neighbor: 10, Class: ClassPeer, Ingress: -2}}, nil); err == nil {
+	if _, err := PropagateResult(g, []Injection{{Neighbor: 10, Class: ClassPeer, Ingress: -2}}, nil); err == nil {
 		t.Error("invalid ingress should fail")
 	}
 }
@@ -250,12 +255,16 @@ func TestPropagateNoValleys(t *testing.T) {
 		{Neighbor: 1005, Class: ClassCustomer, Ingress: 2},
 		{Neighbor: 1010, Class: ClassPeer, Ingress: 3},
 	}
-	sel, err := Propagate(g, inj, nil)
+	sel, err := PropagateResult(g, inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	injured := map[topology.ASN]bool{1000: true, 1005: true, 1010: true}
-	for n, r := range sel {
+	for _, n := range g.ASNs() {
+		r, ok := sel.Route(n)
+		if !ok {
+			continue
+		}
 		if injured[n] && r.Via == n {
 			continue // injection point
 		}
@@ -277,7 +286,7 @@ func TestPropagateNoValleys(t *testing.T) {
 		// Valley-free: the neighbor we learned from must itself have a
 		// route, and if we learned from a peer or provider, that neighbor
 		// must have had a customer route or be an injection point.
-		vr, ok := sel[r.Via]
+		vr, ok := sel.Route(r.Via)
 		if !ok {
 			t.Errorf("AS %v learned from %v which has no route", n, r.Via)
 			continue
@@ -316,11 +325,11 @@ func TestPropagatePrependShiftsSelection(t *testing.T) {
 		{Neighbor: 10, Class: ClassCustomer, Ingress: 1},
 		{Neighbor: 13, Class: ClassCustomer, Ingress: 2},
 	}
-	sel, err := Propagate(g, plain, nil)
+	sel, err := PropagateResult(g, plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := sel[1]; r.Ingress != 1 {
+	if r := at(sel, 1); r.Ingress != 1 {
 		t.Fatalf("baseline: AS1 picked ingress %d, want 1", r.Ingress)
 	}
 	// Prepending 4 hops on the ingress-1 advertisement makes the route
@@ -337,16 +346,16 @@ func TestPropagatePrependShiftsSelection(t *testing.T) {
 		{Neighbor: 10, Class: ClassCustomer, Ingress: 1, Prepend: 4},
 		{Neighbor: 13, Class: ClassCustomer, Ingress: 2},
 	}
-	sel2, err := Propagate(g, prepended, nil)
+	sel2, err := PropagateResult(g, prepended, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := sel2[10]; r.PathLen != 5 {
+	if r := at(sel2, 10); r.PathLen != 5 {
 		t.Errorf("AS10 path length = %d, want 5 (1+4 prepend)", r.PathLen)
 	}
 	// AS 100 (customer of 10) still must use ingress 1 (only compliant
 	// path) but sees the longer path.
-	if r := sel2[100]; r.Ingress != 1 || r.PathLen != 6 {
+	if r := at(sel2, 100); r.Ingress != 1 || r.PathLen != 6 {
 		t.Errorf("AS100 = %+v, want ingress 1 at length 6", r)
 	}
 }
@@ -360,11 +369,11 @@ func TestPropagatePrependBreaksTieTowardUnprepended(t *testing.T) {
 		{Neighbor: 11, Class: ClassPeer, Ingress: 7, Prepend: 2},
 		{Neighbor: 12, Class: ClassPeer, Ingress: 3},
 	}
-	sel, err := Propagate(g, inj, nil)
+	sel, err := PropagateResult(g, inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := sel[101]; r.Ingress != 3 {
+	if r := at(sel, 101); r.Ingress != 3 {
 		t.Errorf("AS101 picked prepended ingress %d, want 3", r.Ingress)
 	}
 	// And the reverse.
@@ -372,21 +381,21 @@ func TestPropagatePrependBreaksTieTowardUnprepended(t *testing.T) {
 		{Neighbor: 11, Class: ClassPeer, Ingress: 7},
 		{Neighbor: 12, Class: ClassPeer, Ingress: 3, Prepend: 2},
 	}
-	sel2, err := Propagate(g, inj2, nil)
+	sel2, err := PropagateResult(g, inj2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := sel2[101]; r.Ingress != 7 {
+	if r := at(sel2, 101); r.Ingress != 7 {
 		t.Errorf("AS101 picked prepended ingress %d, want 7", r.Ingress)
 	}
 }
 
 func TestPropagatePrependValidation(t *testing.T) {
 	g := testGraph(t)
-	if _, err := Propagate(g, []Injection{{Neighbor: 10, Class: ClassPeer, Ingress: 1, Prepend: -1}}, nil); err == nil {
+	if _, err := PropagateResult(g, []Injection{{Neighbor: 10, Class: ClassPeer, Ingress: 1, Prepend: -1}}, nil); err == nil {
 		t.Error("negative prepend should fail")
 	}
-	if _, err := Propagate(g, []Injection{{Neighbor: 10, Class: ClassPeer, Ingress: 1, Prepend: 17}}, nil); err == nil {
+	if _, err := PropagateResult(g, []Injection{{Neighbor: 10, Class: ClassPeer, Ingress: 1, Prepend: 17}}, nil); err == nil {
 		t.Error("prepend > 16 should fail")
 	}
 }

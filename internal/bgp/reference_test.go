@@ -7,6 +7,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -49,7 +50,7 @@ func referencePropagate(g *topology.Graph, injections []Injection, tb TieBreaker
 			var cands []Route
 			cands = append(cands, seed[as]...)
 			a := g.AS(as)
-			for _, nb := range a.Neighbors() {
+			for _, nb := range slices.Concat(a.Providers, a.Customers, a.Peers) {
 				nr, ok := selected[nb]
 				if !ok {
 					continue
@@ -157,18 +158,18 @@ func TestPropagateMatchesReference(t *testing.T) {
 				Prepend:  rng.Intn(3),
 			})
 		}
-		got, err := Propagate(g, inj, nil)
+		got, err := PropagateResult(g, inj, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := referencePropagate(g, inj, nil)
 
-		if len(got) != len(want) {
+		if got.Len() != len(want) {
 			t.Fatalf("trial %d: coverage differs: propagate=%d reference=%d (inj=%+v)",
-				trial, len(got), len(want), inj)
+				trial, got.Len(), len(want), inj)
 		}
 		for as, wr := range want {
-			gr, ok := got[as]
+			gr, ok := got.Route(as)
 			if !ok {
 				t.Fatalf("trial %d: AS %v missing from Propagate", trial, as)
 			}
@@ -410,4 +411,14 @@ func sortedKeys[V any](m map[topology.ASN]V) []topology.ASN {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Better reports whether r is strictly preferred over o by the standard
+// decision process prior to tie-breaking: lower class first (customer <
+// peer < provider), then shorter AS path.
+func (r Route) Better(o Route) bool {
+	if r.Class != o.Class {
+		return r.Class < o.Class
+	}
+	return r.PathLen < o.PathLen
 }

@@ -47,17 +47,6 @@ func (r *Result) Route(as topology.ASN) (Route, bool) {
 	return r.sel[i], true
 }
 
-// selectionMap builds the selected-route map Propagate returns.
-func (r *Result) selectionMap() map[topology.ASN]Route {
-	m := make(map[topology.ASN]Route, r.settledCount)
-	for i, n := int32(0), int32(r.idx.Len()); i < n; i++ {
-		if r.settled[i] {
-			m[r.idx.ASN(i)] = r.sel[i]
-		}
-	}
-	return m
-}
-
 // Bytes returns a canonical byte encoding of the selection: the settled
 // count, then for every settled AS in ascending ASN order its ASN,
 // ingress, path length, class, and via. Two Results encode identically

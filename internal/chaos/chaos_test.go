@@ -7,6 +7,8 @@ package chaos
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"painter/internal/bgp"
@@ -298,4 +300,33 @@ func TestParallelExecuteDeterministicUnderChaos(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Bytes serializes the result canonically for the determinism tests
+// (little-endian timeline, then FinalRoutes.Bytes, then the live
+// peerings): two runs are equivalent iff their Bytes are identical.
+func (r *Result) Bytes() []byte {
+	var b []byte
+	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+
+	u32(uint32(len(r.Timeline)))
+	for _, rec := range r.Timeline {
+		u32(uint32(rec.Tick))
+		b = append(b, byte(rec.Ev.Kind))
+		u32(uint32(rec.Ev.Ingress))
+		u32(uint32(rec.Ev.PoP))
+		u32(uint32(rec.Ev.AS))
+		u64(math.Float64bits(rec.Ev.Ms))
+		u32(uint32(int32(rec.Ev.Pct)))
+		u64(rec.Ev.Seq)
+	}
+
+	b = append(b, r.FinalRoutes.Bytes()...)
+
+	u32(uint32(len(r.LiveAtEnd)))
+	for _, id := range r.LiveAtEnd {
+		u32(uint32(id))
+	}
+	return b
 }

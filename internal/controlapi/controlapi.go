@@ -121,13 +121,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Config returns the current configuration (for tests/embedding).
-func (s *Server) Config() advertise.Config {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.Clone()
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -155,13 +155,6 @@ func (c *Controller) enqueue(ev netsim.Event) {
 // Config returns a copy of the current configuration.
 func (c *Controller) Config() Config { return c.cfg.Clone() }
 
-// Orchestrator exposes the underlying solver (benefit prediction against
-// the controller's refreshed model).
-func (c *Controller) Orchestrator() *Orchestrator { return c.o }
-
-// Budget returns the current prefix budget.
-func (c *Controller) Budget() int { return c.o.params.PrefixBudget }
-
 // SetBudget changes the prefix budget and immediately recomputes the
 // configuration from scratch under the new budget, returning it. A
 // budget change moves the greedy allocator's stopping point, not its

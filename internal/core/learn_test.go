@@ -16,7 +16,7 @@ func serialLearn(o *Orchestrator, cfg Config, obs []Observation) int {
 	facts := 0
 	for _, ob := range obs {
 		si, ok := o.stateIdx[ob.UG]
-		if !ok || ob.Prefix < 0 || ob.Prefix >= len(cfg.Prefixes) {
+		if !ok || ob.Prefix < 0 || ob.Prefix >= len(cfg.Prefixes) || ob.Ingress < 0 {
 			continue
 		}
 		st := o.states[si]
@@ -60,7 +60,9 @@ func sameState(a, b *ugState) error {
 // deployment peering outside its compliance model, then B then A through
 // one foreign ingress ID past the index, whose byIngress row must read
 // B, A as the observations did, not in state order. A negative ingress,
-// an unknown UG and an out-of-range prefix ride along.
+// an unknown UG and an out-of-range prefix ride along; after the rounds,
+// the negative observation learned alone leaves its state and byIngress
+// bit-identical.
 func TestLearnMatchesSerialReference(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		b := newBench(t, 23)
@@ -147,6 +149,22 @@ func TestLearnMatchesSerialReference(t *testing.T) {
 			if row, order := want.byIngress[foreign], []int32{corr[1], corr[0]}; !slices.Equal(row, order) {
 				t.Fatalf("%s: foreign ingress row %v, want the corrected states in observation order %v", name, row, order)
 			}
+		}
+		st := got.states[corr[0]]
+		before := &ugState{compliant: slices.Clone(st.compliant), est: slices.Clone(st.est),
+			rows: slices.Clone(st.rows), rowOf: slices.Clone(st.rowOf), words: st.words}
+		index := make([][]int32, len(got.byIngress))
+		for ing, row := range got.byIngress {
+			index[ing] = slices.Clone(row)
+		}
+		if n := got.Learn(cfg, []Observation{neg}); n != 0 {
+			t.Fatalf("workers %d: a negative-ingress observation taught %d facts", workers, n)
+		}
+		if err := sameState(st, before); err != nil {
+			t.Fatalf("workers %d: a negative-ingress observation changed its state: %v", workers, err)
+		}
+		if !slices.EqualFunc(got.byIngress, index, slices.Equal) {
+			t.Fatalf("workers %d: a negative-ingress observation changed byIngress", workers)
 		}
 	}
 }

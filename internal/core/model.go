@@ -388,29 +388,22 @@ func (t *rankTable) load(st *ugState) {
 		*t = grown
 	}
 	for r, ing := range st.compliant {
-		if ing >= 0 {
-			(*t)[ing] = int32(r)
-		}
+		(*t)[ing] = int32(r)
 	}
 }
 
 // unload resets the entries load set for st, leaving t all −1.
 func (t rankTable) unload(st *ugState) {
 	for _, ing := range st.compliant {
-		if ing >= 0 {
-			t[ing] = -1
-		}
+		t[ing] = -1
 	}
 }
 
-// of returns ing's rank in the loaded state st, or -1. A negative ID is
-// never a deployment peering; it can be compliant only after an
-// observation reported it, and goes through rank.
-func (t rankTable) of(st *ugState, ing bgp.IngressID) int {
-	switch {
-	case ing < 0:
-		return st.rank(ing)
-	case int(ing) >= len(t):
+// of returns ing's rank in the loaded state, or -1. Every ID in a
+// compliant set is non-negative: Learn skips observations with a
+// negative ingress.
+func (t rankTable) of(ing bgp.IngressID) int {
+	if int(ing) >= len(t) {
 		return -1
 	}
 	return int(t[ing])
@@ -423,7 +416,7 @@ func (t rankTable) of(st *ugState, ing bgp.IngressID) int {
 // Returns the number of new facts. st must be loaded in t; a compliance
 // correction reloads it.
 func (st *ugState) learn(t *rankTable, peerings []bgp.IngressID, chosen bgp.IngressID, measuredMs float64) int {
-	r := t.of(st, chosen)
+	r := t.of(chosen)
 	if r < 0 {
 		// Observation disagrees with the compliance model; record the
 		// ingress as compliant going forward (the model was wrong).
@@ -434,7 +427,7 @@ func (st *ugState) learn(t *rankTable, peerings []bgp.IngressID, chosen bgp.Ingr
 	row := st.winnerRow(r)
 	facts := 0
 	for _, other := range peerings {
-		ro := t.of(st, other)
+		ro := t.of(other)
 		if other == chosen || ro < 0 {
 			continue
 		}

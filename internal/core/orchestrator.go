@@ -122,9 +122,6 @@ func (o *Orchestrator) statesFor(ing bgp.IngressID) []int32 {
 // indexState appends state i to ing's inverted-index row, growing the
 // index when an observed ingress exceeds the deployment's ID range.
 func (o *Orchestrator) indexState(ing bgp.IngressID, i int32) {
-	if ing < 0 {
-		return
-	}
 	if int(ing) >= len(o.byIngress) {
 		grown := make([][]int32, int(ing)+1)
 		copy(grown, o.byIngress)
@@ -453,7 +450,9 @@ func (o *Orchestrator) PredictBenefit(cfg Config) (mean, lower, upper float64) {
 
 // Learn ingests observations from an executed configuration, updating
 // preference facts and replacing estimates with measured latencies.
-// It returns the number of new facts.
+// It returns the number of new facts. An observation of an unknown UG,
+// of a prefix outside cfg, or with a negative ingress (an Executor
+// reporting no route, bgp.InvalidIngress) teaches nothing and is skipped.
 //
 // An observation changes only its own state, so Learn is state-major:
 // it buckets the observations by state, in observation order, and shards
@@ -474,7 +473,7 @@ func (o *Orchestrator) Learn(cfg Config, obs []Observation) int {
 	start := make([]int32, len(o.states)+1)
 	for k, ob := range obs {
 		si, ok := o.stateIdx[ob.UG]
-		if !ok || ob.Prefix < 0 || ob.Prefix >= len(cfg.Prefixes) {
+		if !ok || ob.Prefix < 0 || ob.Prefix >= len(cfg.Prefixes) || ob.Ingress < 0 {
 			stateOf[k] = -1
 			continue
 		}

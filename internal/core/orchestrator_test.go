@@ -424,7 +424,7 @@ func TestLearnCorrectsComplianceModel(t *testing.T) {
 
 func TestEvaluateAnycastOnlyIsZero(t *testing.T) {
 	b := newBench(t, 79)
-	res, err := Evaluate(b.world, b.ugs, advertise.Anycast())
+	res, err := Evaluate(b.world, b.ugs, advertise.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

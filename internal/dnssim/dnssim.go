@@ -1,33 +1,21 @@
 // Package dnssim models the DNS control plane PAINTER is compared
-// against: authoritative answers with TTLs, recursive resolver caching,
-// client-side TTL violations, ECS, and DNS-based steering of users onto
-// prefixes (the "PAINTER w/ DNS" baseline of §5.2.2).
+// against: DNS-based steering of users onto prefixes with ECS (the
+// "PAINTER w/ DNS" baseline of §5.2.2). The mechanics behind its
+// coarseness (authoritative TTLs, recursive resolver caching and
+// client-side TTL violations, §2.2) are a model only tests drive; it
+// lives in cache_test.go.
 package dnssim
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"painter/internal/advertise"
 	"painter/internal/bgp"
 	"painter/internal/netsim"
 	"painter/internal/usergroup"
 )
-
-// Record is one DNS A-record answer.
-type Record struct {
-	// Prefix indexes into the advertisement configuration (which prefix
-	// the returned address belongs to); -1 means the anycast prefix.
-	Prefix int
-	TTL    time.Duration
-	// Issued is when the authoritative answer was generated.
-	Issued time.Time
-}
-
-// expired reports whether the record is past TTL at t.
-func (r Record) expired(t time.Time) bool { return t.After(r.Issued.Add(r.TTL)) }
 
 // SteeringAssignment maps each UG to the prefix index DNS steering
 // would direct it to (-1 = anycast).

@@ -7,7 +7,6 @@ package geo
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Coord is a point on the Earth's surface in decimal degrees.
@@ -33,12 +32,6 @@ const (
 	// fiber (~2/3 c), expressed in km per millisecond. Used to convert
 	// distances into best-case one-way latencies.
 	FiberSpeedKmPerMs = 200.0
-
-	// PathStretch models that fiber paths are not great circles: real
-	// routes detour through conduits, landing stations, and metro rings.
-	// Empirical studies place typical stretch between 1.2x and 2x; we
-	// use a mid value when synthesizing link latencies.
-	PathStretch = 1.4
 )
 
 // DistanceKm returns the great-circle distance between a and b using the
@@ -53,13 +46,6 @@ func DistanceKm(a, b Coord) float64 {
 	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
 		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
-}
-
-// fiberRTT returns a realistic round-trip propagation delay between two
-// points assuming typical fiber path stretch.
-func fiberRTT(a, b Coord) time.Duration {
-	ms := 2 * DistanceKm(a, b) * PathStretch / FiberSpeedKmPerMs
-	return time.Duration(ms * float64(time.Millisecond))
 }
 
 // KmToMinRTTMs converts a distance to the minimum possible RTT in

@@ -225,3 +225,27 @@ func TestCoordValid(t *testing.T) {
 		}
 	}
 }
+
+// pathStretch models that fiber paths are not great circles: real
+// routes detour through conduits, landing stations, and metro rings.
+// Empirical studies place typical stretch between 1.2x and 2x.
+const pathStretch = 1.4
+
+// fiberRTT returns a realistic round-trip propagation delay between two
+// points assuming typical fiber path stretch.
+func fiberRTT(a, b Coord) time.Duration {
+	ms := 2 * DistanceKm(a, b) * pathStretch / FiberSpeedKmPerMs
+	return time.Duration(ms * float64(time.Millisecond))
+}
+
+// nearestMetro returns the metro closest to the given coordinate.
+func nearestMetro(c Coord) Metro {
+	best := metroTable[0]
+	bestD := DistanceKm(c, best.Coord)
+	for _, m := range metroTable[1:] {
+		if d := DistanceKm(c, m.Coord); d < bestD {
+			best, bestD = m, d
+		}
+	}
+	return best
+}

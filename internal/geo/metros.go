@@ -227,15 +227,3 @@ func Regions() []Region {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// nearestMetro returns the metro closest to the given coordinate.
-func nearestMetro(c Coord) Metro {
-	best := metroTable[0]
-	bestD := DistanceKm(c, best.Coord)
-	for _, m := range metroTable[1:] {
-		if d := DistanceKm(c, m.Coord); d < bestD {
-			best, bestD = m, d
-		}
-	}
-	return best
-}

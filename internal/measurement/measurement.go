@@ -186,12 +186,6 @@ func (s *System) covers(ing bgp.IngressID) bool {
 	return s.targetUncKm[ing] <= s.cfg.GeoPrecisionKm
 }
 
-// AnycastMs returns the measured anycast latency for a UG.
-func (s *System) AnycastMs(id usergroup.ID) (float64, bool) {
-	ms, ok := s.anycastMs[id]
-	return ms, ok
-}
-
 // measuredMs returns the estimated latency from a probe-hosting UG
 // through an ingress, using the ingress's geolocated target as a stand-
 // in (Appendix B): true path latency plus an error that grows with the

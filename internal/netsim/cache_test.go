@@ -95,6 +95,15 @@ func TestResolveCacheInvalidatedBySetDay(t *testing.T) {
 	}
 }
 
+// advanceTo moves the clock forward to day d (no-op if d is not later
+// than the current day). Like SetDay it invalidates the propagation
+// cache and must not run concurrently with queries.
+func (w *World) advanceTo(d int) {
+	if d > w.day {
+		w.SetDay(d)
+	}
+}
+
 // TestAdvanceToMovesForwardOnly verifies AdvanceTo semantics.
 func TestAdvanceToMovesForwardOnly(t *testing.T) {
 	w := testWorld(t)

@@ -375,15 +375,6 @@ func (w *World) SetDay(d int) {
 	w.prefMu.Unlock()
 }
 
-// advanceTo moves the clock forward to day d (no-op if d is not later
-// than the current day). Like SetDay it invalidates the propagation
-// cache and must not run concurrently with queries.
-func (w *World) advanceTo(d int) {
-	if d > w.day {
-		w.SetDay(d)
-	}
-}
-
 // --- Deterministic hashing -------------------------------------------------
 
 // h64 hashes a tuple of ints with the world seed into a uint64 using a

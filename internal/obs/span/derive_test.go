@@ -53,7 +53,7 @@ func TestDeriveDeterministicDistinctIDs(t *testing.T) {
 		b := parent.Derive(200).StartRoot("b")
 		defer a.Finish()
 		defer b.Finish()
-		return a.TraceID(), b.TraceID()
+		return a.Context().TraceID, b.Context().TraceID
 	}
 	a1, b1 := mk()
 	a2, b2 := mk()

@@ -94,16 +94,3 @@ func (r *Recorder) Snapshot() []Record {
 	out = append(out, r.buf[:r.next]...)
 	return out
 }
-
-// Reset empties the ring without freeing the backing array.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	for i := range r.buf {
-		r.buf[i] = Record{}
-	}
-	r.next, r.wrapped, r.total = 0, false, 0
-	r.mu.Unlock()
-}

@@ -217,14 +217,6 @@ func (s *Span) Context() Context {
 	return Context{TraceID: s.traceID, SpanID: s.spanID}
 }
 
-// TraceID returns the trace ID (0 on nil).
-func (s *Span) TraceID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.traceID
-}
-
 // StartChild begins a child span. Children inherit the root's sampling
 // decision for free: an unsampled root is nil, and nil children of nil
 // parents cost one branch.

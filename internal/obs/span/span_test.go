@@ -61,8 +61,8 @@ func TestParentLinksAndContext(t *testing.T) {
 	tr := New(Config{Seed: 1, Clock: fakeClock(10)})
 	root := tr.StartRoot("root")
 	child := root.StartChild("child")
-	if child.TraceID() != root.TraceID() {
-		t.Fatalf("child trace %x != root trace %x", child.TraceID(), root.TraceID())
+	if child.Context().TraceID != root.Context().TraceID {
+		t.Fatalf("child trace %x != root trace %x", child.Context().TraceID, root.Context().TraceID)
 	}
 	child.Finish()
 	root.Finish()
@@ -90,8 +90,8 @@ func TestRemoteStitching(t *testing.T) {
 	pop := New(Config{Seed: 3, Clock: fakeClock(5)})
 	s := edge.StartRoot("edge.op")
 	remote := pop.FromRemote(s.Context(), "pop.op")
-	if remote.TraceID() != s.TraceID() {
-		t.Fatalf("remote trace %x != origin %x", remote.TraceID(), s.TraceID())
+	if remote.Context().TraceID != s.Context().TraceID {
+		t.Fatalf("remote trace %x != origin %x", remote.Context().TraceID, s.Context().TraceID)
 	}
 	remote.Finish()
 	rec := pop.Recorder().Snapshot()[0]
@@ -102,7 +102,7 @@ func TestRemoteStitching(t *testing.T) {
 	orphan := pop.FromRemote(Context{}, "pop.solo")
 	orphan.Finish()
 	recs := pop.Recorder().Snapshot()
-	if recs[1].ParentID != 0 || recs[1].TraceID == s.TraceID() {
+	if recs[1].ParentID != 0 || recs[1].TraceID == s.Context().TraceID {
 		t.Fatalf("invalid context did not start a fresh root: %+v", recs[1])
 	}
 }
@@ -182,6 +182,19 @@ func TestRingWraparoundAndBoundedMemory(t *testing.T) {
 	if len(rec.Snapshot()) != 0 || rec.Total() != 0 {
 		t.Fatal("reset did not empty the ring")
 	}
+}
+
+// Reset empties the ring without freeing the backing array.
+func (r *Recorder) Reset() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	for i := range r.buf {
+		r.buf[i] = Record{}
+	}
+	r.next, r.wrapped, r.total = 0, false, 0
+	r.mu.Unlock()
 }
 
 func TestChromeSchemaRoundTrip(t *testing.T) {

@@ -10,7 +10,6 @@ package routeserver
 import (
 	"fmt"
 	"net"
-	"net/netip"
 	"sync"
 	"time"
 
@@ -155,11 +154,6 @@ func (s *Server) Stats() Stats {
 		SuppressedAnnounces: s.m.suppressed.Value(),
 		Prefixes:            s.rib.Size(),
 	}
-}
-
-// Suppressed reports whether damping currently suppresses a prefix.
-func (s *Server) Suppressed(p netip.Prefix) bool {
-	return s.dmp != nil && s.dmp.Suppressed(p)
 }
 
 // Close stops the server and all sessions.

@@ -130,7 +130,7 @@ func TestServerDampingSuppressesFlapper(t *testing.T) {
 	announce(t, sp, p, 64500)
 	waitFor(t, func() bool { return s.Stats().SuppressedAnnounces > 0 },
 		"flapping prefix was never suppressed")
-	if !s.Suppressed(netip.MustParsePrefix(p)) {
+	if !s.dmp.Suppressed(netip.MustParsePrefix(p)) {
 		t.Error("prefix should be suppressed")
 	}
 	// A well-behaved prefix is unaffected.

@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -71,8 +74,7 @@ func TestPercentileWithinRange(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mn, _ := minOf(xs)
-		mx, _ := maxOf(xs)
+		mn, mx := slices.Min(xs), slices.Max(xs)
 		return got >= mn-1e-9 && got <= mx+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -100,39 +102,6 @@ func TestMeanWeightedMean(t *testing.T) {
 	}
 	if _, err := weightedMean([]float64{1}, []float64{0}); err == nil {
 		t.Error("zero total weight should error")
-	}
-}
-
-func TestStddev(t *testing.T) {
-	sd, err := stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sd-2) > 1e-9 {
-		t.Errorf("Stddev = %v, want 2", sd)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i + 1) // 1..100
-	}
-	s, err := summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 100 || s.Min != 1 || s.Max != 100 {
-		t.Errorf("Summary basics wrong: %+v", s)
-	}
-	if math.Abs(s.P50-50.5) > 1e-9 {
-		t.Errorf("P50 = %v, want 50.5", s.P50)
-	}
-	if s.P90 <= s.P50 || s.P99 <= s.P90 {
-		t.Errorf("percentiles not ordered: %+v", s)
-	}
-	if _, err := summarize(nil); err != ErrEmpty {
-		t.Errorf("summarize(nil) err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -186,22 +155,6 @@ func TestCDFQuantileInverse(t *testing.T) {
 	}
 	if q != 30 {
 		t.Errorf("Quantile(0.5) = %v, want 30", q)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("Points(5) returned %d points", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].P < pts[i-1].P {
-			t.Errorf("points not monotone: %v", pts)
-		}
-	}
-	if pts[len(pts)-1].P != 1 {
-		t.Errorf("last point P = %v, want 1", pts[len(pts)-1].P)
 	}
 }
 
@@ -280,8 +233,46 @@ func TestNewRandDeterministic(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if clamp(5, 0, 10) != 5 || clamp(-1, 0, 10) != 0 || clamp(11, 0, 10) != 10 {
-		t.Error("Clamp wrong")
+// meanOf returns the arithmetic mean.
+func meanOf(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
 	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs)), nil
+}
+
+// weightedMean returns sum(w_i * x_i) / sum(w_i).
+func weightedMean(xs, ws []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	if len(xs) != len(ws) {
+		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ws))
+	}
+	var num, den float64
+	for i, x := range xs {
+		if ws[i] < 0 {
+			return 0, fmt.Errorf("stats: negative weight %v at %d", ws[i], i)
+		}
+		num += x * ws[i]
+		den += ws[i]
+	}
+	if den == 0 {
+		return 0, errors.New("stats: zero total weight")
+	}
+	return num / den, nil
+}
+
+// At returns P(X <= x): the fraction of samples <= x.
+func (c *CDF) At(x float64) float64 {
+	if len(c.sorted) == 0 {
+		return 0
+	}
+	// Index of first element > x.
+	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
+	return float64(i) / float64(len(c.sorted))
 }

@@ -3,13 +3,16 @@ package tenant
 import (
 	"bytes"
 	"encoding/binary"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"painter/internal/chaos"
 	"painter/internal/core"
 	"painter/internal/experiments"
+	"painter/internal/obs"
 )
 
 // quietManager builds a Manager with a long background interval so
@@ -368,10 +371,23 @@ func TestManagerRegistriesLabeled(t *testing.T) {
 	if len(regs) != 2 {
 		t.Fatalf("got %d registries, want 2", len(regs))
 	}
-	for _, r := range regs {
-		ls := r.BaseLabels()
-		if len(ls) != 1 || ls[0].Key != "tenant" || ls[0].Value != "acme" {
-			t.Errorf("tenant registry base labels = %v", ls)
+	// Every series of each registry's exposition carries the tenant.
+	for i, r := range regs {
+		rec := httptest.NewRecorder()
+		obs.DynamicHandler(func() []*obs.Registry { return []*obs.Registry{r} }).
+			ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		samples := 0
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			samples++
+			if !strings.Contains(line, `tenant="acme"`) {
+				t.Errorf("registry %d: series without the tenant label: %s", i, line)
+			}
+		}
+		if samples == 0 {
+			t.Errorf("registry %d exposes no series", i)
 		}
 	}
 	m.Remove("acme")

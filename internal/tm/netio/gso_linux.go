@@ -273,6 +273,3 @@ func groSegSize(oob []byte) int {
 	}
 	return 0
 }
-
-// gso reports whether both offload halves are live on this conn.
-func (c *batchConn) gso() bool { return c.gsoOK && c.gro }

@@ -20,6 +20,19 @@ func mustAddrPort(t *testing.T, s string) netip.AddrPort {
 	return ap
 }
 
+// gso reports whether the group's sockets run the UDP_SEGMENT/UDP_GRO
+// offload fast path (false where the kernel rejected the sockopt).
+func (g *Group) gso() bool {
+	if len(g.conns) == 0 {
+		return false
+	}
+	c, ok := g.conns[0].(*batchConn)
+	return ok && c.gso()
+}
+
+// gso reports whether both offload halves are live on this conn.
+func (c *batchConn) gso() bool { return c.gsoOK && c.gro }
+
 // gsoPair builds a sender and receiver group on loopback and returns
 // them with cleanup registered. Both sides run the batched arm.
 func gsoPair(t *testing.T, senderCfg, recvCfg Config) (*Group, *Group) {

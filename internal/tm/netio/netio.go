@@ -140,17 +140,6 @@ func (g *Group) Batch() int { return g.cfg.Batch }
 // Batched reports whether the group uses the multi-message syscall arm.
 func (g *Group) Batched() bool { return g.cfg.Batch > 1 && batchAvailable }
 
-// gso reports whether the group's sockets run the UDP_SEGMENT/UDP_GRO
-// offload fast path (false where the kernel rejected the sockopt).
-func (g *Group) gso() bool {
-	type gsoCapable interface{ gso() bool }
-	if len(g.conns) == 0 {
-		return false
-	}
-	c, ok := g.conns[0].(gsoCapable)
-	return ok && c.gso()
-}
-
 // Close closes every socket; concurrent ReadBatch calls return errors.
 func (g *Group) Close() error {
 	var first error

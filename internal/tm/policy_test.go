@@ -7,6 +7,75 @@ import (
 	"painter/internal/tmproto"
 )
 
+// PreferPoP and AvoidPoP are custom policies the tests plug into an
+// edge; production runs LowestRTT.
+
+// PreferPoP pins the selection to a specific PoP whenever any of its
+// destinations is alive, falling back to the lowest-RTT alternative
+// otherwise — the "route this service through the compliance region"
+// sort of policy an enterprise might configure.
+type PreferPoP struct {
+	PoP      uint32
+	Fallback SelectionPolicy
+}
+
+// Select implements SelectionPolicy.
+func (p PreferPoP) Select(candidates []DestinationStatus, incumbent int) int {
+	for i, c := range candidates {
+		if c.Dest.PoP == p.PoP {
+			return i
+		}
+	}
+	fb := p.Fallback
+	if fb == nil {
+		fb = LowestRTT{}
+	}
+	return fb.Select(candidates, incumbent)
+}
+
+// AvoidPoP steers away from a PoP unless it is the only alive option —
+// e.g. drain a site before maintenance.
+type AvoidPoP struct {
+	PoP      uint32
+	Fallback SelectionPolicy
+}
+
+// Select implements SelectionPolicy.
+func (p AvoidPoP) Select(candidates []DestinationStatus, incumbent int) int {
+	var filtered []DestinationStatus
+	idx := make([]int, 0, len(candidates))
+	for i, c := range candidates {
+		if c.Dest.PoP != p.PoP {
+			filtered = append(filtered, c)
+			idx = append(idx, i)
+		}
+	}
+	if len(filtered) == 0 {
+		// Only the avoided PoP remains: better than nothing.
+		fb := p.Fallback
+		if fb == nil {
+			fb = LowestRTT{}
+		}
+		return fb.Select(candidates, incumbent)
+	}
+	// Map the incumbent into the filtered view.
+	fIncumbent := -1
+	for j, i := range idx {
+		if i == incumbent {
+			fIncumbent = j
+		}
+	}
+	fb := p.Fallback
+	if fb == nil {
+		fb = LowestRTT{}
+	}
+	sel := fb.Select(filtered, fIncumbent)
+	if sel < 0 {
+		return -1
+	}
+	return idx[sel]
+}
+
 func statuses(rtts map[uint32]time.Duration, selected uint32) []DestinationStatus {
 	// Build sorted-by-RTT candidates as the edge does.
 	var out []DestinationStatus

@@ -112,15 +112,6 @@ type AS struct {
 	Peers     []ASN
 }
 
-// Neighbors returns all adjacent ASNs (providers, customers, peers).
-func (a *AS) Neighbors() []ASN {
-	out := make([]ASN, 0, len(a.Providers)+len(a.Customers)+len(a.Peers))
-	out = append(out, a.Providers...)
-	out = append(out, a.Customers...)
-	out = append(out, a.Peers...)
-	return out
-}
-
 // PresentIn reports whether the AS has presence in the given metro.
 func (a *AS) PresentIn(metro string) bool {
 	i := sort.SearchStrings(a.Metros, metro)
