@@ -28,14 +28,24 @@ build:
 # (bench/, .bench_build/) and the testdata fixtures the go tool ignores,
 # top-level funcs and methods, exported and
 # package-local (so unexporting surface shows as a move between them),
-# and the distinct metric names those files register (string literals
-# passed to .Counter, .Gauge, .GaugeFunc or .Histogram).
+# the distinct metric names those files register (string literals
+# passed to .Counter, .Gauge, .GaugeFunc or .Histogram), and the struct
+# fields they declare (FIELDS_AWK).
 loc:
 	@files=$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path '*/testdata/*'); \
 	echo "non-test Go lines: $$(cat $$files | wc -l)"; \
 	echo "exported funcs:    $$(cat $$files | grep -cE '^func (\([^)]*\) )?[A-Z]')"; \
 	echo "unexported funcs:  $$(cat $$files | grep -cE '^func (\([^)]*\) )?[a-z_]')"; \
-	echo "registered metric names: $$(cat $$files | grep -oE '\.(Counter|Gauge|GaugeFunc|Histogram)\("[^"]*"' | sort -u | wc -l)"
+	echo "registered metric names: $$(cat $$files | grep -oE '\.(Counter|Gauge|GaugeFunc|Histogram)\("[^"]*"' | sort -u | wc -l)"; \
+	echo "struct fields:     $$(cat $$files | awk '$(FIELDS_AWK)')"
+
+# FIELDS_AWK counts the fields declared inside struct {...} blocks of
+# gofmt'd Go: one per name (a, b T counts two), one per embedded field,
+# in multi-line blocks and in one-line struct{...} types.
+FIELDS_AWK = function names(d,  m) { sub(/[ \t]*\/\/.*$$/, "", d); sub(/^[ \t]+/, "", d); if (d == "" || d ~ /^}/) return 0; m = 1; while (match(d, /^[A-Za-z_][A-Za-z0-9_]*, /)) { m++; d = substr(d, RLENGTH + 1) }; return m } \
+	depth > 0 { if ($$0 ~ /^[ \t]*}/) { depth--; next }; n += names($$0); if ($$0 ~ /struct \{$$/) depth++; next } \
+	{ rest = $$0; while (match(rest, /struct\{[^}]+\}/)) { body = substr(rest, RSTART + 7, RLENGTH - 8); rest = substr(rest, RSTART + RLENGTH); k = split(body, parts, ";"); for (i = 1; i <= k; i++) n += names(parts[i]) }; if ($$0 ~ /struct \{$$/) depth = 1 } \
+	END { print n + 0 }
 
 vet:
 	$(GO) vet ./...

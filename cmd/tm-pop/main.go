@@ -23,7 +23,7 @@ func main() {
 	var dests daemon.DestList
 	var (
 		listen   = flag.String("listen", "127.0.0.1:4000", "UDP listen address")
-		popID    = flag.Uint("pop-id", 1, "PoP identifier")
+		popID    = flag.Uint("pop-id", 1, "PoP identifier, logged at startup")
 		flowTTL  = flag.Duration("flow-ttl", 5*time.Minute, "idle flow retention")
 		statsIv  = flag.Duration("stats-interval", 10*time.Second, "stats logging interval (0 = off)")
 		metrics  = flag.String("metrics-listen", "", "HTTP address for /metrics, /debug/obs, /debug/obs/history, /debug/trace (empty = off)")
@@ -40,7 +40,6 @@ func main() {
 	logger := rt.Logger
 	pop, err := tm.NewPoP(tm.PoPConfig{
 		ListenAddr:   *listen,
-		PoPID:        uint32(*popID),
 		Destinations: dests,
 		FlowTTL:      *flowTTL,
 		Obs:          rt.Reg,

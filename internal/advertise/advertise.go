@@ -1,7 +1,9 @@
 // Package advertise defines advertisement configurations — assignments
 // of BGP prefixes to subsets of cloud peerings — and the baseline
-// strategies PAINTER is compared against in §5.1.2: Anycast, Regional,
-// One per PoP (with and without prefix reuse), and One per Peering.
+// strategies PAINTER is compared against in §5.1.2: Anycast, One per
+// PoP (with and without prefix reuse), and One per Peering. (The paper
+// also tried regional prefixes to transit providers and found they
+// offered little benefit; they are not modelled.)
 package advertise
 
 import (
@@ -69,7 +71,6 @@ func (c Config) TotalAdvertisements() int {
 const (
 	StrategyPainter        = "painter"
 	StrategyAnycast        = "anycast"
-	StrategyRegional       = "regional"
 	StrategyOnePerPoP      = "one-per-pop"
 	StrategyOnePerPoPReuse = "one-per-pop-reuse"
 	StrategyOnePerPeering  = "one-per-peering"
@@ -151,37 +152,6 @@ func OnePerPoPWithReuse(d *cloud.Deployment, budget int, reuseKm float64) Config
 		for _, p := range b.pops {
 			ids = append(ids, d.PeeringsAt(p)...)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		cfg.Prefixes = append(cfg.Prefixes, ids)
-	}
-	return cfg
-}
-
-// Regional advertises one prefix per world region via the transit-
-// provider peerings at the region's PoPs, mirroring the "regional
-// prefixes to transit providers" practice the paper evaluated (and found
-// offered little benefit).
-func Regional(d *cloud.Deployment) Config {
-	byRegion := make(map[geo.Region][]bgp.IngressID)
-	for _, pr := range d.Peerings {
-		if !pr.IsTransit() {
-			continue
-		}
-		pop := d.PoP(pr.PoP)
-		m, err := geo.MetroByCode(pop.Metro)
-		if err != nil {
-			continue
-		}
-		byRegion[m.Region] = append(byRegion[m.Region], pr.ID)
-	}
-	regions := make([]geo.Region, 0, len(byRegion))
-	for r := range byRegion {
-		regions = append(regions, r)
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-	var cfg Config
-	for _, r := range regions {
-		ids := byRegion[r]
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		cfg.Prefixes = append(cfg.Prefixes, ids)
 	}

@@ -132,35 +132,6 @@ func TestOnePerPoPWithReuse(t *testing.T) {
 	}
 }
 
-func TestRegional(t *testing.T) {
-	d := testDeploy(t)
-	c := Regional(d)
-	if c.NumPrefixes() == 0 {
-		t.Fatal("regional produced no prefixes")
-	}
-	for _, s := range c.Prefixes {
-		var region geo.Region
-		for i, id := range s {
-			pr := d.Peering(id)
-			if !pr.IsTransit() {
-				t.Error("regional must advertise only to transit providers")
-			}
-			m, err := geo.MetroByCode(d.PoP(pr.PoP).Metro)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				region = m.Region
-			} else if m.Region != region {
-				t.Error("regional prefix spans regions")
-			}
-		}
-	}
-	if err := c.Validate(d); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	d := testDeploy(t)
 	ok := Config{Prefixes: [][]bgp.IngressID{{0, 1}}}

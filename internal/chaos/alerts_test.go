@@ -20,10 +20,10 @@ import (
 )
 
 // alertRun replays the schedule on a fresh world with the full detector
-// rig attached and returns the chaos result plus the canonical
-// encodings of the alert stream and history ring, and the tick at which
-// catchment_drift first fired (-1 = never).
-func alertRun(t *testing.T, sched Schedule) (res *Result, stream, ring []byte, firedTick int) {
+// rig attached and returns the canonical encodings of the run
+// (recordedRun), the alert stream and the history ring, and the tick at
+// which catchment_drift first fired (-1 = never).
+func alertRun(t *testing.T, sched Schedule) (run, stream, ring []byte, firedTick int) {
 	t.Helper()
 	g, d, fresh := testRig(t)
 	ugs, err := usergroup.Build(g, usergroup.DefaultConfig())
@@ -32,7 +32,6 @@ func alertRun(t *testing.T, sched Schedule) (res *Result, stream, ring []byte, f
 	}
 	w := fresh()
 	ca := netsim.NewCatchmentAnalyzer(w, ugs, 0)
-	defer ca.Close()
 	reg := obs.NewRegistry()
 	cg := netsim.NewCatchmentGauges(reg, d)
 	hist := history.New(history.Config{
@@ -42,12 +41,12 @@ func alertRun(t *testing.T, sched Schedule) (res *Result, stream, ring []byte, f
 	eng := alert.NewEngine(hist, alert.CatchmentDriftRules(0, 4, 1), alert.Options{})
 
 	firedTick = -1
-	res, err = Run(w, d, sched, func(tick int, w *netsim.World) error {
-		c, err := ca.Update()
+	run, _, _ = recordedRun(t, w, d, sched, func(tick int, w *netsim.World) error {
+		share, err := ca.Update()
 		if err != nil {
 			return err
 		}
-		cg.Set(c)
+		cg.Set(share)
 		eng.Eval(hist.Sample())
 		if firedTick < 0 {
 			for _, sv := range eng.Firing() {
@@ -58,10 +57,7 @@ func alertRun(t *testing.T, sched Schedule) (res *Result, stream, ring []byte, f
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, eng.Result().Bytes(), hist.Bytes(), firedTick
+	return run, eng.Result().Bytes(), hist.Bytes(), firedTick
 }
 
 func TestCatchmentDriftAlertEndToEnd(t *testing.T) {
@@ -107,7 +103,7 @@ func TestCatchmentDriftAlertEndToEnd(t *testing.T) {
 	if !bytes.Equal(ring1, ring2) {
 		t.Fatal("history rings diverged across same-seed runs")
 	}
-	if !bytes.Equal(res1.Bytes(), res2.Bytes()) {
+	if !bytes.Equal(res1, res2) {
 		t.Fatal("chaos results diverged across same-seed runs")
 	}
 	if len(stream1) == 0 {

@@ -99,25 +99,19 @@ func TestChaosRunDeterministic(t *testing.T) {
 		t.Fatalf("schedule has only %d distinct event kinds (%v), want >= 5", len(kinds), kinds)
 	}
 
-	r1, err := Run(fresh(), d, sched, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(fresh(), d, sched, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Timeline) == 0 {
+	r1, events, live := recordedRun(t, fresh(), d, sched, nil)
+	r2, _, _ := recordedRun(t, fresh(), d, sched, nil)
+	if events == 0 {
 		t.Fatal("empty timeline")
 	}
-	if !bytes.Equal(r1.Bytes(), r2.Bytes()) {
+	if !bytes.Equal(r1, r2) {
 		t.Fatal("two runs of the same seeded schedule produced different results")
 	}
 	// FinalRecovery means every peering ends live and the final routes
 	// match a clean world's.
-	if len(r1.LiveAtEnd) != len(d.AllPeeringIDs()) {
+	if live != len(d.AllPeeringIDs()) {
 		t.Errorf("only %d/%d peerings live at end of FinalRecovery schedule",
-			len(r1.LiveAtEnd), len(d.AllPeeringIDs()))
+			live, len(d.AllPeeringIDs()))
 	}
 }
 
@@ -302,31 +296,47 @@ func TestParallelExecuteDeterministicUnderChaos(t *testing.T) {
 	}
 }
 
-// Bytes serializes the result canonically for the determinism tests
-// (little-endian timeline, then FinalRoutes.Bytes, then the live
-// peerings): two runs are equivalent iff their Bytes are identical.
-func (r *Result) Bytes() []byte {
-	var b []byte
-	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-
-	u32(uint32(len(r.Timeline)))
-	for _, rec := range r.Timeline {
-		u32(uint32(rec.Tick))
-		b = append(b, byte(rec.Ev.Kind))
-		u32(uint32(rec.Ev.Ingress))
-		u32(uint32(rec.Ev.PoP))
-		u32(uint32(rec.Ev.AS))
-		u64(math.Float64bits(rec.Ev.Ms))
-		u32(uint32(int32(rec.Ev.Pct)))
-		u64(rec.Ev.Seq)
+// recordedRun is Run with the run's canonical encoding for the
+// determinism tests: the timeline of events the world published, each
+// stamped with its tick (recorded through the test's own
+// World.Subscribe), then the final routes' Bytes, then the peerings live
+// at the end. Two runs are equivalent iff their encodings are identical.
+// It also returns how many events the world published and how many
+// peerings are live at the end.
+func recordedRun(t *testing.T, w *netsim.World, d *cloud.Deployment, sched Schedule, onTick TickFunc) (enc []byte, events, live int) {
+	t.Helper()
+	u32 := func(v uint32) { enc = binary.LittleEndian.AppendUint32(enc, v) }
+	var timeline []byte
+	cur := 0
+	cancel := w.Subscribe(func(ev netsim.Event) {
+		events++
+		timeline = binary.LittleEndian.AppendUint32(timeline, uint32(cur))
+		timeline = append(timeline, byte(ev.Kind))
+		timeline = binary.LittleEndian.AppendUint32(timeline, uint32(ev.Ingress))
+		timeline = binary.LittleEndian.AppendUint32(timeline, uint32(ev.PoP))
+		timeline = binary.LittleEndian.AppendUint32(timeline, uint32(ev.AS))
+		timeline = binary.LittleEndian.AppendUint64(timeline, math.Float64bits(ev.Ms))
+		timeline = binary.LittleEndian.AppendUint32(timeline, uint32(int32(ev.Pct)))
+		timeline = binary.LittleEndian.AppendUint64(timeline, ev.Seq)
+	})
+	defer cancel()
+	final, err := Run(w, d, sched, func(tick int, w *netsim.World) error {
+		defer func() { cur = tick + 1 }() // events of tick t are applied before onTick(t)
+		if onTick != nil {
+			return onTick(tick, w)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	b = append(b, r.FinalRoutes.Bytes()...)
-
-	u32(uint32(len(r.LiveAtEnd)))
-	for _, id := range r.LiveAtEnd {
+	u32(uint32(events))
+	enc = append(enc, timeline...)
+	enc = append(enc, final.Bytes()...)
+	liveIDs := w.LiveIngresses(d.AllPeeringIDs())
+	u32(uint32(len(liveIDs)))
+	for _, id := range liveIDs {
 		u32(uint32(id))
 	}
-	return b
+	return enc, events, len(liveIDs)
 }

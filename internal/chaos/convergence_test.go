@@ -52,13 +52,10 @@ func runControllerUnderChaos(t *testing.T, seed int64) (runBytes []byte, ctrlBen
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(w, d, sched, func(tick int, w *netsim.World) error {
+	run, _, _ := recordedRun(t, w, d, sched, func(tick int, w *netsim.World) error {
 		_, _, err := ctrl.Sync()
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	cfg := ctrl.Config()
 	if err := cfg.Validate(d); err != nil {
@@ -82,7 +79,7 @@ func runControllerUnderChaos(t *testing.T, seed int64) (runBytes []byte, ctrlBen
 		t.Fatal(err)
 	}
 
-	runBytes = append(res.Bytes(), ctrlConfigBytes(cfg)...)
+	runBytes = append(run, ctrlConfigBytes(cfg)...)
 	return runBytes, ctrlEval.Benefit, coldEval.Benefit
 }
 

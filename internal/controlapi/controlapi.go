@@ -64,6 +64,14 @@ type Server struct {
 	// rs is the persistent announce session: BGP routes live only as
 	// long as the session, so it is dialed lazily and kept open.
 	rs *bgp.Speaker
+
+	// announceMu serializes announce, so that announced always matches
+	// what the session holds even when solves overlap.
+	announceMu sync.Mutex
+	// announced is how many prefix slots (prefixForIndex(0..n-1)) rs
+	// may hold: a smaller configuration withdraws the rest. Guarded by
+	// announceMu.
+	announced int
 }
 
 // New creates a Server over an environment.
@@ -314,12 +322,20 @@ func prefixForIndex(i int) netip.Prefix {
 	return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
 }
 
+// withdrawPerUpdate bounds the /24 withdrawals one UPDATE carries, so
+// that it stays within bgp.MaxMessageLen (4 bytes per prefix).
+const withdrawPerUpdate = 1000
+
 // announce sends one UPDATE per configured prefix over the persistent
 // BGP session to the route server (the Fig. 4 "Advertisement
-// Installation" arrow), dialing it on first use. The session stays open:
-// BGP routes are flushed on session loss, so closing it would withdraw
-// the installed configuration.
+// Installation" arrow), dialing it on first use, then withdraws the
+// slots an earlier, larger configuration announced (one UPDATE per
+// withdrawPerUpdate slots). The session stays open: BGP routes are
+// flushed on session loss, so closing it would withdraw the installed
+// configuration. Overlapping calls run one after another.
 func (s *Server) announce(cfg advertise.Config) error {
+	s.announceMu.Lock()
+	defer s.announceMu.Unlock()
 	s.mu.Lock()
 	sp := s.rs
 	s.mu.Unlock()
@@ -345,7 +361,11 @@ func (s *Server) announce(cfg advertise.Config) error {
 		s.mu.Lock()
 		s.rs = sp
 		s.mu.Unlock()
+		s.announced = 0 // a new session holds no routes
 	}
+	n := len(cfg.Prefixes)
+	prev := s.announced
+	s.announced = max(prev, n) // what the session may hold if a send fails
 	for i := range cfg.Prefixes {
 		u := bgp.Update{
 			Origin:  bgp.OriginIGP,
@@ -357,6 +377,16 @@ func (s *Server) announce(cfg advertise.Config) error {
 			return err
 		}
 	}
+	for lo := n; lo < prev; lo += withdrawPerUpdate {
+		var wd []netip.Prefix
+		for i := lo; i < min(prev, lo+withdrawPerUpdate); i++ {
+			wd = append(wd, prefixForIndex(i))
+		}
+		if err := sp.SendUpdate(bgp.Update{Withdrawn: wd}); err != nil {
+			return err
+		}
+	}
+	s.announced = n
 	return nil
 }
 

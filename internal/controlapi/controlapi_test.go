@@ -7,9 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"painter/internal/advertise"
+	"painter/internal/bgp"
 	"painter/internal/experiments"
 	"painter/internal/routeserver"
 )
@@ -162,6 +165,54 @@ func TestSolveAnnouncesToRouteServer(t *testing.T) {
 	}
 	if rs.RIB().Size() != sr.Prefixes {
 		t.Errorf("route server learned %d prefixes, want %d", rs.RIB().Size(), sr.Prefixes)
+	}
+
+	// A second solve at a smaller budget must withdraw the slots it no
+	// longer uses: the RIB holds exactly the new configuration.
+	var small SolveResponse
+	rec = do(t, s.Handler(), "POST", "/solve", SolveRequest{Budget: 1, Iterations: 1}, &small)
+	if rec.Code != http.StatusOK || !small.Announced {
+		t.Fatalf("second solve = %d: %s", rec.Code, rec.Body.String())
+	}
+	if small.Prefixes >= sr.Prefixes {
+		t.Fatalf("second solve used %d prefixes, want fewer than %d", small.Prefixes, sr.Prefixes)
+	}
+	deadline = time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) && rs.RIB().Size() != small.Prefixes {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if rs.RIB().Size() != small.Prefixes {
+		t.Errorf("after the smaller solve the route server holds %d prefixes, want %d", rs.RIB().Size(), small.Prefixes)
+	}
+
+	// Overlapping installs of different sizes must leave the session's
+	// bookkeeping true to the RIB: a smaller install afterwards still
+	// withdraws every slot beyond it.
+	slots := func(n int) advertise.Config {
+		return advertise.Config{Prefixes: make([][]bgp.IngressID, n)}
+	}
+	for round := 0; round < 5; round++ {
+		var wg sync.WaitGroup
+		for _, n := range []int{5, 1, 4, 2} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.announce(slots(n)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if err := s.announce(slots(1)); err != nil {
+			t.Fatal(err)
+		}
+		deadline = time.Now().Add(3 * time.Second)
+		for time.Now().Before(deadline) && rs.RIB().Size() != 1 {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := rs.RIB().Size(); got != 1 {
+			t.Fatalf("round %d: after overlapping installs and one of 1 slot the route server holds %d prefixes", round, got)
+		}
 	}
 }
 

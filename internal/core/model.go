@@ -83,10 +83,6 @@ type ugState struct {
 	ug usergroup.UG
 	// compliant is the ascending-sorted policy-compliant ingress set.
 	compliant []bgp.IngressID
-	// ownsComp marks compliant (and est) as privately owned; false while
-	// the slice is shared, so the first learned compliance correction
-	// copies before inserting.
-	ownsComp bool
 	// est[r] is the latency estimate for compliant[r]; NaN when the
 	// measurement system has no coverage for the pair. Entries are
 	// replaced by measured values as advertisements reveal truth.
@@ -180,7 +176,7 @@ func (st *ugState) insertCompliant(ing bgp.IngressID) int {
 	copy(ne, st.est[:pos])
 	ne[pos] = math.NaN()
 	copy(ne[pos+1:], st.est[pos:])
-	st.compliant, st.est, st.ownsComp = nc, ne, true
+	st.compliant, st.est = nc, ne
 	if st.rowOf != nil {
 		st.rowOf = slices.Insert(st.rowOf, pos, 0)
 		words, nrows := (len(nc)+63)/64, len(st.rows)/st.words

@@ -69,7 +69,6 @@ func DefaultParams(budget int) Params {
 // IterationReport records one advertise→measure→learn round.
 type IterationReport struct {
 	Iteration int
-	Config    Config
 	// PredictedBenefit is Eq. (1) evaluated with Eq. (2) expectations
 	// before executing, with uncertainty bounds from per-prefix latency
 	// ranges.
@@ -200,7 +199,6 @@ func (o *Orchestrator) Solve() (Config, error) {
 		cfg := o.computeConfig(iterSpan, nil, nil)
 		rep := IterationReport{
 			Iteration:          iter + 1,
-			Config:             cfg.Clone(),
 			PrefixesUsed:       cfg.NumPrefixes(),
 			AdvertisementsUsed: cfg.TotalAdvertisements(),
 		}

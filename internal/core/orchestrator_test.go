@@ -323,7 +323,6 @@ func flatState(ug usergroup.UG, anycast float64,
 	st := &ugState{
 		ug:        ug,
 		compliant: ids,
-		ownsComp:  true,
 		est:       make([]float64, len(ids)),
 		popDist:   make([]float64, maxID+1),
 		anycast:   anycast,

@@ -186,17 +186,19 @@ func refPredict(m *refModel, cfg Config) (mean, lower, upper float64) {
 // mirrorExec feeds the mirror every round Solve learns from: Solve
 // passes each Execute's configuration and observations straight to Learn.
 // Before learning, it records refPredict of the configuration, which is
-// what Solve has just predicted for it.
+// what Solve has just predicted for it, and a copy of the configuration.
 type mirrorExec struct {
 	inner Executor
 	m     *refModel
 	facts int
 	preds [][3]float64
+	cfgs  []Config
 }
 
 func (e *mirrorExec) Execute(cfg Config) ([]Observation, error) {
 	mean, lower, upper := refPredict(e.m, cfg)
 	e.preds = append(e.preds, [3]float64{mean, lower, upper})
+	e.cfgs = append(e.cfgs, cfg.Clone())
 	obs, err := e.inner.Execute(cfg)
 	if err == nil {
 		e.facts += e.m.learn(cfg, obs)

@@ -428,8 +428,8 @@ func TestWarmPathMatchesReference(t *testing.T) {
 			if !sameBits(got[:], exec.preds[k][:]) {
 				t.Fatalf("%s: iteration %d predicted %v, reference %v", phase("solve"), rep.Iteration, got, exec.preds[k])
 			}
-			mean, lower, upper := o.PredictBenefit(rep.Config)
-			wMean, wLower, wUpper := refPredict(m, rep.Config)
+			mean, lower, upper := o.PredictBenefit(exec.cfgs[k])
+			wMean, wLower, wUpper := refPredict(m, exec.cfgs[k])
 			if got, want := []float64{mean, lower, upper}, []float64{wMean, wLower, wUpper}; !sameBits(got, want) {
 				t.Fatalf("%s: PredictBenefit(iteration %d config) = %v, reference %v", phase("learned"), rep.Iteration, got, want)
 			}

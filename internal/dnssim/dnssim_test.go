@@ -2,7 +2,6 @@ package dnssim
 
 import (
 	"testing"
-	"time"
 
 	"painter/internal/advertise"
 	"painter/internal/cloud"
@@ -31,17 +30,6 @@ func testWorld(t *testing.T) (*netsim.World, *usergroup.Set) {
 		t.Fatal(err)
 	}
 	return w, ugs
-}
-
-func TestRecordExpired(t *testing.T) {
-	base := time.Now()
-	r := Record{Prefix: 0, TTL: time.Minute, Issued: base}
-	if r.expired(base.Add(30 * time.Second)) {
-		t.Error("not yet expired")
-	}
-	if !r.expired(base.Add(61 * time.Second)) {
-		t.Error("should be expired")
-	}
 }
 
 func TestSteerAssignsEveryUG(t *testing.T) {

@@ -272,8 +272,8 @@ func TestFig11(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.MedianExtraPaths <= 0 {
-		t.Errorf("median extra paths = %v, want positive", a.MedianExtraPaths)
+	if med, err := a.PathDiffCDF.Quantile(0.5); err != nil || med <= 0 {
+		t.Errorf("median extra paths = %v (%v), want positive", med, err)
 	}
 	if a.FracUGsWithMorePaths < 0.6 {
 		t.Errorf("PAINTER exposes more paths for only %.2f of UGs", a.FracUGsWithMorePaths)

@@ -88,7 +88,7 @@ func TestEndToEndControlAndDataPlane(t *testing.T) {
 	links := make([]*emul.Link, nPrefixes)
 	dests := make([]tmproto.Destination, nPrefixes)
 	for i := 0; i < nPrefixes; i++ {
-		pop, err := tm.NewPoP(tm.PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: uint32(i + 1)})
+		pop, err := tm.NewPoP(tm.PoPConfig{ListenAddr: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatal(err)
 		}

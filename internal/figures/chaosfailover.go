@@ -97,7 +97,7 @@ func RunChaosFailover(env *experiments.Env, cfg ChaosFailoverConfig) (*ChaosFail
 		eventsAt[se.Tick]++
 	}
 
-	runRes, err := chaos.Run(w, env.Deploy, sched, func(tick int, w *netsim.World) error {
+	final, err := chaos.Run(w, env.Deploy, sched, func(tick int, w *netsim.World) error {
 		pt := ChaosPoint{Tick: tick, Events: eventsAt[tick], Live: len(w.LiveIngresses(all))}
 		var wSum, wLat, wMoved, wDark, latSum float64
 		err := w.Land(all, ugs, nil, func(i int, ing bgp.IngressID, l float64) {
@@ -132,7 +132,7 @@ func RunChaosFailover(env *experiments.Env, cfg ChaosFailoverConfig) (*ChaosFail
 		return nil, err
 	}
 
-	res.Recovered = len(runRes.FinalRoutes.Diff(baseline)) == 0
+	res.Recovered = len(final.Diff(baseline)) == 0
 	return res, nil
 }
 

@@ -115,7 +115,6 @@ func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRes
 		return nil, nil, nil, err
 	}
 	ca := netsim.NewCatchmentAnalyzer(w, env.AllUGs, 0)
-	defer ca.Close()
 	reg := obs.NewRegistry()
 	cg := netsim.NewCatchmentGauges(reg, env.Deploy)
 	hist := history.New(history.Config{
@@ -128,14 +127,14 @@ func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRes
 
 	// step advances the rig one controller tick: refresh the catchment,
 	// publish it, sample history, judge the rules.
-	var catch *netsim.Catchment
+	var catch map[cloud.PoPID]float64
 	step := func() error {
-		c, err := ca.Update()
+		share, err := ca.Update()
 		if err != nil {
 			return err
 		}
-		catch = c
-		cg.Set(c)
+		catch = share
+		cg.Set(share)
 		eng.Eval(hist.Sample())
 		return nil
 	}
@@ -230,10 +229,10 @@ func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRes
 
 // heaviestPoP returns the PoP with the largest anycast share among
 // those not in skip (share -1 when all are skipped).
-func heaviestPoP(c *netsim.Catchment, skip map[cloud.PoPID]bool) (cloud.PoPID, float64) {
+func heaviestPoP(share map[cloud.PoPID]float64, skip map[cloud.PoPID]bool) (cloud.PoPID, float64) {
 	var best cloud.PoPID
 	bestShare := -1.0
-	for id, s := range c.PoPShare {
+	for id, s := range share {
 		if skip[id] {
 			continue
 		}

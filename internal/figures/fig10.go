@@ -79,10 +79,8 @@ type Fig10Result struct {
 	SwitchedAfter time.Duration
 	// DetectionRTTs expresses DetectedAfter in units of the dead path's
 	// RTT (the paper: typically 1.3 RTT, minimum 0.5).
-	DetectionRTTs float64
-	// AnycastOutage / ConvergeAfter echo the scenario for reporting.
-	AnycastOutage, ConvergeAfter time.Duration
-	TotalBGPUpdates              int
+	DetectionRTTs   float64
+	TotalBGPUpdates int
 }
 
 // RunFig10 stands up the live prototype: two TM-PoPs, four unicast
@@ -91,12 +89,12 @@ type Fig10Result struct {
 // collector view of the anycast reconvergence; and a TM-Edge that must
 // fail over when PoP-A's prefixes are withdrawn.
 func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
-	popA, err := tm.NewPoP(tm.PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1})
+	popA, err := tm.NewPoP(tm.PoPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		return nil, err
 	}
 	defer popA.Close()
-	popB, err := tm.NewPoP(tm.PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 2})
+	popB, err := tm.NewPoP(tm.PoPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		return nil, err
 	}
@@ -196,11 +194,7 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 	defer collector.Close()
 	defer router.Close()
 
-	res := &Fig10Result{
-		AnycastOutage: cfg.AnycastOutage,
-		ConvergeAfter: cfg.ConvergeAfter,
-		FailAt:        cfg.PreFail,
-	}
+	res := &Fig10Result{FailAt: cfg.PreFail}
 	start := time.Now()
 	ticker := time.NewTicker(cfg.SampleInterval)
 	defer ticker.Stop()

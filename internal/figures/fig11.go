@@ -14,9 +14,6 @@ type Fig11aResult struct {
 	// paths) per UG; PathDiffUpperCDF uses the all-policy-compliant
 	// upper bound; PoPDiffCDF is (PAINTER PoPs − SD-WAN PoPs).
 	PathDiffCDF, PathDiffUpperCDF, PoPDiffCDF *stats.CDF
-	// MedianExtraPaths is the headline "PAINTER exposes N more paths for
-	// most UGs" number.
-	MedianExtraPaths float64
 	// FracUGsWithMorePaths is the fraction of UGs where PAINTER exposes
 	// strictly more paths.
 	FracUGsWithMorePaths float64
@@ -46,9 +43,6 @@ func RunFig11a(env *experiments.Env) (Fig11aResult, error) {
 		PathDiffCDF:      stats.NewCDF(lower),
 		PathDiffUpperCDF: stats.NewCDF(upper),
 		PoPDiffCDF:       stats.NewCDF(pops),
-	}
-	if med, err := stats.Median(lower); err == nil {
-		res.MedianExtraPaths = med
 	}
 	if len(lower) > 0 {
 		res.FracUGsWithMorePaths = float64(more) / float64(len(lower))

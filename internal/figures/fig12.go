@@ -102,7 +102,7 @@ func Fig3Table(an *trace.Analysis) Table {
 	for i, off := range trace.StandardOffsets {
 		row := []string{formatOffset(off)}
 		for _, c := range clouds {
-			row = append(row, pct(an.Curves[c][i].FracBytesRemaining))
+			row = append(row, pct(an.Curves[c][i]))
 		}
 		t.Rows = append(t.Rows, row)
 	}

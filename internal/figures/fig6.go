@@ -13,13 +13,12 @@ import (
 // estimated fraction of possible benefit each strategy attains (Azure-
 // scale, simulated/estimated measurements).
 type Fig6aResult struct {
-	Budget       int
-	BudgetFrac   float64
-	Painter      core.RangeResult
-	OnePerPoP    core.RangeResult
-	OnePerPoPR   core.RangeResult
-	OnePerPeer   core.RangeResult
-	RegionalOnce core.RangeResult // budget-independent; repeated per row
+	Budget     int
+	BudgetFrac float64
+	Painter    core.RangeResult
+	OnePerPoP  core.RangeResult
+	OnePerPoPR core.RangeResult
+	OnePerPeer core.RangeResult
 }
 
 // RunFig6a sweeps prefix budgets and evaluates PAINTER against the
@@ -28,18 +27,13 @@ type Fig6aResult struct {
 // dataset the strategies are evaluated on (the Appendix-C simulated
 // measurements ARE the ground truth of this figure); uncertainty comes
 // from not knowing which policy-compliant ingress each UG lands on, not
-// from measurement error. The Regional baseline is evaluated by ground
-// truth and reported in RegionalOnce (the paper found it offered little
-// benefit and dropped it from the figure).
+// from measurement error. The Regional baseline is left out, as in the
+// paper, which found it offered little benefit.
 func RunFig6a(env *experiments.Env, fracs []float64, iters int) ([]Fig6aResult, error) {
 	if len(fracs) == 0 {
 		fracs = standardBudgetFracs
 	}
 	in := env.Inputs
-	regional, err := core.EvaluateRange(env.World, env.UGs, advertise.Regional(env.Deploy))
-	if err != nil {
-		return nil, err
-	}
 	nPeerings := len(env.Deploy.AllPeeringIDs())
 	var out []Fig6aResult
 	for _, budget := range env.Budgets(fracs) {
@@ -54,8 +48,7 @@ func RunFig6a(env *experiments.Env, fracs []float64, iters int) ([]Fig6aResult, 
 		if err != nil {
 			return nil, err
 		}
-		row := Fig6aResult{Budget: budget, BudgetFrac: float64(budget) / float64(nPeerings),
-			RegionalOnce: regional}
+		row := Fig6aResult{Budget: budget, BudgetFrac: float64(budget) / float64(nPeerings)}
 		if row.Painter, err = core.EvaluateRange(env.World, env.UGs, cfg); err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestDistanceKnownPairs(t *testing.T) {
@@ -109,15 +108,6 @@ func TestMinRTTMonotonicInDistance(t *testing.T) {
 	}
 }
 
-func TestFiberRTTExceedsMinRTT(t *testing.T) {
-	a, _ := MetroByCode("lon")
-	b, _ := MetroByCode("sin")
-	minRTT := time.Duration(KmToMinRTTMs(DistanceKm(a.Coord, b.Coord)) * float64(time.Millisecond))
-	if fiberRTT(a.Coord, b.Coord) <= minRTT {
-		t.Error("fiberRTT must exceed minRTT (path stretch > 1)")
-	}
-}
-
 func TestMinRTTKnownMagnitude(t *testing.T) {
 	// NYC <-> London is ~5570 km, so min RTT ~ 55.7 ms.
 	nyc, _ := MetroByCode("nyc")
@@ -171,8 +161,8 @@ func TestMetroByCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name != "Tokyo" {
-		t.Errorf("MetroByCode(tyo).Name = %q, want Tokyo", m.Name)
+	if m.Code != "tyo" || m.Region != RegionAsiaEast {
+		t.Errorf("MetroByCode(tyo) = %+v, want the Tokyo row", m)
 	}
 	if _, err := MetroByCode("zzz"); err == nil {
 		t.Error("MetroByCode(zzz) should fail")
@@ -199,14 +189,24 @@ func TestMetrosInRegionPartition(t *testing.T) {
 }
 
 func TestNearestMetro(t *testing.T) {
-	// A point in Manhattan should resolve to nyc.
-	if m := nearestMetro(Coord{40.78, -73.97}); m.Code != "nyc" {
-		t.Errorf("nearestMetro(manhattan) = %q, want nyc", m.Code)
+	ms := Metros()
+	nearest := func(c Coord) Metro {
+		best := ms[0]
+		for _, m := range ms[1:] {
+			if DistanceKm(c, m.Coord) < DistanceKm(c, best.Coord) {
+				best = m
+			}
+		}
+		return best
 	}
-	// Every metro is its own nearest metro.
-	for _, m := range Metros() {
-		if got := nearestMetro(m.Coord); got.Code != m.Code {
-			t.Errorf("nearestMetro(%s) = %s, want itself", m.Code, got.Code)
+	// A point in Manhattan should resolve to nyc.
+	if m := nearest(Coord{40.78, -73.97}); m.Code != "nyc" {
+		t.Errorf("nearest metro to manhattan = %q, want nyc", m.Code)
+	}
+	// Every metro is its own nearest metro, so no two share a coordinate.
+	for _, m := range ms {
+		if got := nearest(m.Coord); got.Code != m.Code {
+			t.Errorf("nearest metro to %s = %s, want itself", m.Code, got.Code)
 		}
 	}
 }
@@ -224,28 +224,4 @@ func TestCoordValid(t *testing.T) {
 			t.Errorf("Coord %v should be invalid", c)
 		}
 	}
-}
-
-// pathStretch models that fiber paths are not great circles: real
-// routes detour through conduits, landing stations, and metro rings.
-// Empirical studies place typical stretch between 1.2x and 2x.
-const pathStretch = 1.4
-
-// fiberRTT returns a realistic round-trip propagation delay between two
-// points assuming typical fiber path stretch.
-func fiberRTT(a, b Coord) time.Duration {
-	ms := 2 * DistanceKm(a, b) * pathStretch / FiberSpeedKmPerMs
-	return time.Duration(ms * float64(time.Millisecond))
-}
-
-// nearestMetro returns the metro closest to the given coordinate.
-func nearestMetro(c Coord) Metro {
-	best := metroTable[0]
-	bestD := DistanceKm(c, best.Coord)
-	for _, m := range metroTable[1:] {
-		if d := DistanceKm(c, m.Coord); d < bestD {
-			best, bestD = m, d
-		}
-	}
-	return best
 }

@@ -95,28 +95,6 @@ func TestResolveCacheInvalidatedBySetDay(t *testing.T) {
 	}
 }
 
-// advanceTo moves the clock forward to day d (no-op if d is not later
-// than the current day). Like SetDay it invalidates the propagation
-// cache and must not run concurrently with queries.
-func (w *World) advanceTo(d int) {
-	if d > w.day {
-		w.SetDay(d)
-	}
-}
-
-// TestAdvanceToMovesForwardOnly verifies AdvanceTo semantics.
-func TestAdvanceToMovesForwardOnly(t *testing.T) {
-	w := testWorld(t)
-	w.advanceTo(3)
-	if w.Day() != 3 {
-		t.Fatalf("AdvanceTo(3): day = %d", w.Day())
-	}
-	w.advanceTo(1)
-	if w.Day() != 3 {
-		t.Errorf("AdvanceTo(1) moved the clock backward to %d", w.Day())
-	}
-}
-
 // TestPolicyCompliantReturnsIsolatedCopy asserts callers may mutate the
 // returned set (the orchestrator's learning loop does) without
 // corrupting the memo.

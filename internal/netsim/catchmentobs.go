@@ -13,8 +13,9 @@ import (
 	"painter/internal/obs"
 )
 
-// CatchmentGauges publishes a Catchment's per-PoP shares as
-// catchment_pop_share{pop="N"} gauges on a registry.
+// CatchmentGauges publishes a catchment's per-PoP shares (what
+// CatchmentAnalyzer.Update returns) as catchment_pop_share{pop="N"}
+// gauges on a registry.
 type CatchmentGauges struct {
 	share map[cloud.PoPID]*obs.Gauge
 }
@@ -31,13 +32,13 @@ func NewCatchmentGauges(r *obs.Registry, d *cloud.Deployment) *CatchmentGauges {
 	return g
 }
 
-// Set publishes one catchment. PoPs absent from the catchment (no
-// traffic, or down) read as share 0. A nil catchment no-ops.
-func (g *CatchmentGauges) Set(c *Catchment) {
-	if g == nil || c == nil {
+// Set publishes one catchment's shares. PoPs absent from it (no
+// traffic, or down) read as share 0. A nil share map no-ops.
+func (g *CatchmentGauges) Set(share map[cloud.PoPID]float64) {
+	if g == nil || share == nil {
 		return
 	}
 	for id, gauge := range g.share {
-		gauge.Set(c.PoPShare[id])
+		gauge.Set(share[id])
 	}
 }

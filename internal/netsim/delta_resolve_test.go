@@ -332,8 +332,9 @@ func TestAnycastShift(t *testing.T) {
 }
 
 // TestCatchmentAnalyzerDifferential drives a CatchmentAnalyzer through
-// every event kind and a day change, comparing each incremental Update
-// against a from-scratch analyzeCatchment of the same world.
+// every event kind and a day change, comparing each Update's shares bit
+// for bit with an independent per-UG sum over World.Land's anycast
+// landings.
 func TestCatchmentAnalyzerDifferential(t *testing.T) {
 	dw, _ := deltaWorldPair(t, 31)
 	ugs, err := usergroup.Build(dw.Graph, usergroup.DefaultConfig())
@@ -341,12 +342,11 @@ func TestCatchmentAnalyzerDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := NewCatchmentAnalyzer(dw, ugs, 0)
-	defer an.Close()
 
 	all := dw.Deploy.AllPeeringIDs()
 	flipAS := sampleASNs(dw.Graph, 2)
 	steps := []func() error{
-		func() error { return nil }, // initial full compute
+		func() error { return nil }, // the initial catchment
 		func() error { return dw.ApplyEvent(Event{Kind: EventPeeringDown, Ingress: all[0]}) },
 		func() error { return dw.ApplyEvent(Event{Kind: EventPrefFlip, AS: flipAS[0], Ingress: all[1]}) },
 		func() error { return dw.ApplyEvent(Event{Kind: EventLatencySpike, Ingress: all[2%len(all)], Ms: 25}) },
@@ -362,40 +362,41 @@ func TestCatchmentAnalyzerDifferential(t *testing.T) {
 		if err := step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		inc, err := an.Update()
+		got, err := an.Update()
 		if err != nil {
 			t.Fatalf("step %d: Update: %v", i, err)
 		}
-		ref, err := analyzeCatchment(dw, ugs, 0)
+		want := map[cloud.PoPID]float64{}
+		var total float64
+		err = dw.Land(all, ugs.UGs, nil, func(u int, ing bgp.IngressID, _ float64) {
+			if ing == bgp.InvalidIngress {
+				return
+			}
+			pop, err := dw.Deploy.PoPOfPeering(ing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[pop.ID] += ugs.UGs[u].Weight
+			total += ugs.UGs[u].Weight
+		})
 		if err != nil {
-			t.Fatalf("step %d: analyzeCatchment: %v", i, err)
+			t.Fatal(err)
 		}
-		assertCatchmentsEqual(t, i, inc, ref)
-	}
-}
-
-func assertCatchmentsEqual(t *testing.T, step int, a, b *Catchment) {
-	t.Helper()
-	if a.UGs != b.UGs {
-		t.Fatalf("step %d: UGs %d != %d", step, a.UGs, b.UGs)
-	}
-	if a.InflatedFrac != b.InflatedFrac {
-		t.Fatalf("step %d: InflatedFrac %v != %v", step, a.InflatedFrac, b.InflatedFrac)
-	}
-	if len(a.PoPShare) != len(b.PoPShare) {
-		t.Fatalf("step %d: PoPShare sizes %d != %d", step, len(a.PoPShare), len(b.PoPShare))
-	}
-	for id, s := range a.PoPShare {
-		if b.PoPShare[id] != s {
-			t.Fatalf("step %d: PoPShare[%d] %v != %v", step, id, s, b.PoPShare[id])
+		for id := range want {
+			want[id] /= total
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: shares %v, per-UG landing sum %v", i, got, want)
 		}
 	}
-	// A CDF is its sorted samples: equal samples, equal distribution.
-	if !reflect.DeepEqual(a.InflationKm, b.InflationKm) {
-		t.Fatalf("step %d: InflationKm CDFs differ", step)
+	// Every PoP down: no UG has an anycast route, so no catchment.
+	for _, p := range dw.Deploy.PoPs {
+		if err := dw.ApplyEvent(Event{Kind: EventPoPDown, PoP: p.ID}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !reflect.DeepEqual(a.InflationMs, b.InflationMs) {
-		t.Fatalf("step %d: InflationMs CDFs differ", step)
+	if share, err := an.Update(); err == nil {
+		t.Fatalf("every PoP down: Update = %v, want an error", share)
 	}
 }
 

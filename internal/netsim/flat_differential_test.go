@@ -61,15 +61,14 @@ func TestFlatDifferentialSliceVsMapSemantics(t *testing.T) {
 				// prefScore memo: second read must be a pure hit with an
 				// identical value.
 				ing := all[int(asn)%len(all)]
-				s0 := w.CacheStats()
+				h0 := w.obs.prefHits.Value()
 				v1 := w.prefScore(asn, ing)
 				v2 := w.prefScore(asn, ing)
-				s1 := w.CacheStats()
 				if v1 != v2 {
 					t.Fatalf("trial %d AS %v ing %d: prefScore not stable: %v vs %v",
 						trial, asn, ing, v1, v2)
 				}
-				if hits := s1.PrefScoreHits - s0.PrefScoreHits; hits < 1 {
+				if hits := w.obs.prefHits.Value() - h0; hits < 1 {
 					t.Fatalf("trial %d AS %v: repeated prefScore recorded %d hits, want >=1",
 						trial, asn, hits)
 				}
@@ -115,17 +114,15 @@ func TestFlatDifferentialResolveCacheStats(t *testing.T) {
 	// BestIngressLatency: first query per (AS, metro) misses, repeat hits.
 	asn := sampleASNs(w.Graph, 1)[0]
 	metro := w.Graph.AS(asn).Metros[0]
-	s3 := w.CacheStats()
+	miss0, hits0 := w.obs.bestMiss.Value(), w.obs.bestHits.Value()
 	if _, _, err := w.BestIngressLatency(asn, metro); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := w.BestIngressLatency(asn, metro); err != nil {
 		t.Fatal(err)
 	}
-	s4 := w.CacheStats()
-	if s4.BestIngressMisses-s3.BestIngressMisses != 1 || s4.BestIngressHits-s3.BestIngressHits != 1 {
-		t.Fatalf("best-ingress pair: misses +%d hits +%d, want +1/+1",
-			s4.BestIngressMisses-s3.BestIngressMisses, s4.BestIngressHits-s3.BestIngressHits)
+	if misses, hits := w.obs.bestMiss.Value()-miss0, w.obs.bestHits.Value()-hits0; misses != 1 || hits != 1 {
+		t.Fatalf("best-ingress pair: misses +%d hits +%d, want +1/+1", misses, hits)
 	}
 }
 
@@ -150,7 +147,7 @@ func TestFlatDifferentialChaosInvalidations(t *testing.T) {
 		{Kind: EventLatencySpike, Ingress: all[1%len(all)], Ms: 25},
 		{Kind: EventPeeringUp, Ingress: all[0]},
 	}
-	s0 := w.CacheStats()
+	s0, inval0 := w.CacheStats(), w.obs.prefInval.Value()
 	for _, ev := range events {
 		if err := w.ApplyEvent(ev); err != nil {
 			t.Fatal(err)
@@ -160,9 +157,8 @@ func TestFlatDifferentialChaosInvalidations(t *testing.T) {
 	if s1.ResolveInvalidations <= s0.ResolveInvalidations {
 		t.Fatal("peering churn did not invalidate any resolve entries")
 	}
-	if s1.PrefScoreInvalidations != s0.PrefScoreInvalidations+1 {
-		t.Fatalf("pref flip invalidations +%d, want +1 (warmed row)",
-			s1.PrefScoreInvalidations-s0.PrefScoreInvalidations)
+	if inval := w.obs.prefInval.Value() - inval0; inval != 1 {
+		t.Fatalf("pref flip invalidations +%d, want +1 (warmed row)", inval)
 	}
 
 	// After the identical event history, flat caches agree with a fresh

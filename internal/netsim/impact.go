@@ -6,8 +6,8 @@ package netsim
 // event change?" — but for different audiences. ApplyEvent's
 // invalidation is about cached world answers; EventImpact is about the
 // orchestrator's advertisement model, which only needs to know which
-// ingresses are touched, whether route selection or latency can move,
-// and whether the change is scoped to a single AS.
+// ingresses are touched and whether route selection or latency can
+// move.
 
 import (
 	"fmt"
@@ -35,9 +35,6 @@ type Impact struct {
 	// changed (probe loss): route selection and modeled latencies are
 	// untouched.
 	TrafficOnly bool
-	// AS, when nonzero, scopes a routing change to a single AS (pref
-	// flip). Zero means any AS may be affected.
-	AS topology.ASN
 }
 
 // EventImpact classifies an event against this world. It validates the
@@ -77,10 +74,7 @@ func (w *World) EventImpact(ev Event) (Impact, error) {
 		if !w.Graph.Has(ev.AS) {
 			return Impact{}, fmt.Errorf("netsim: unknown AS %v", ev.AS)
 		}
-		return Impact{
-			Ingresses: []bgp.IngressID{ev.Ingress},
-			Routing:   true, Latency: true, AS: ev.AS,
-		}, nil
+		return Impact{Ingresses: []bgp.IngressID{ev.Ingress}, Routing: true, Latency: true}, nil
 	default:
 		return Impact{}, fmt.Errorf("netsim: unknown event kind %v", ev.Kind)
 	}
@@ -89,7 +83,7 @@ func (w *World) EventImpact(ev Event) (Impact, error) {
 // AnycastShift resolves the full anycast catchment (all deployment
 // peerings) and reports which ASes changed selection relative to prev —
 // the incremental entry point for consumers that retain the previous
-// anycast Result (the re-solve controller, CatchmentAnalyzer). A nil or
+// anycast Result (the re-solve controller). A nil or
 // foreign-graph prev yields every settled AS as changed; when the
 // resolve is a cache hit on prev itself the changed set is empty. The
 // returned Result is shared with the resolve cache: read-only.

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"painter/internal/bgp"
-	"painter/internal/topology"
 )
 
 func TestEventImpactPerKind(t *testing.T) {
@@ -25,22 +24,21 @@ func TestEventImpactPerKind(t *testing.T) {
 		routing     bool
 		latency     bool
 		trafficOnly bool
-		wantAS      topology.ASN
 	}{
 		{"peering-down", Event{Kind: EventPeeringDown, Ingress: ing},
-			[]bgp.IngressID{ing}, true, true, false, 0},
+			[]bgp.IngressID{ing}, true, true, false},
 		{"peering-up", Event{Kind: EventPeeringUp, Ingress: ing},
-			[]bgp.IngressID{ing}, true, true, false, 0},
+			[]bgp.IngressID{ing}, true, true, false},
 		{"pop-down", Event{Kind: EventPoPDown, PoP: pop},
-			popIngs, true, true, false, 0},
+			popIngs, true, true, false},
 		{"pop-up", Event{Kind: EventPoPUp, PoP: pop},
-			popIngs, true, true, false, 0},
+			popIngs, true, true, false},
 		{"latency-spike", Event{Kind: EventLatencySpike, Ingress: ing, Ms: 40},
-			[]bgp.IngressID{ing}, false, true, false, 0},
+			[]bgp.IngressID{ing}, false, true, false},
 		{"probe-loss", Event{Kind: EventProbeLoss, Ingress: ing, Pct: 20},
-			[]bgp.IngressID{ing}, false, false, true, 0},
+			[]bgp.IngressID{ing}, false, false, true},
 		{"pref-flip", Event{Kind: EventPrefFlip, AS: as, Ingress: ing},
-			[]bgp.IngressID{ing}, true, true, false, as},
+			[]bgp.IngressID{ing}, true, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,9 +57,6 @@ func TestEventImpactPerKind(t *testing.T) {
 			if imp.Routing != tc.routing || imp.Latency != tc.latency || imp.TrafficOnly != tc.trafficOnly {
 				t.Errorf("classification routing=%v latency=%v trafficOnly=%v, want %v/%v/%v",
 					imp.Routing, imp.Latency, imp.TrafficOnly, tc.routing, tc.latency, tc.trafficOnly)
-			}
-			if imp.AS != tc.wantAS {
-				t.Errorf("AS = %v, want %v", imp.AS, tc.wantAS)
 			}
 		})
 	}

@@ -57,10 +57,10 @@ func newWorldObs() worldObs {
 // Obs returns the world's metrics registry (nil for a zero World).
 func (w *World) Obs() *obs.Registry { return w.obs.reg }
 
-// CacheStats is a point-in-time snapshot of the world-cache counters —
-// the unified successor of the old ad-hoc per-cache stat fields. All
-// counters are cumulative since world creation; invalidation never
-// resets hits/misses.
+// CacheStats is a point-in-time snapshot of the world-cache counters
+// the benchmark reads; the other cache counters are on the registry
+// (Obs). All counters are cumulative since world creation; invalidation
+// never resets hits/misses.
 type CacheStats struct {
 	ResolveHits          uint64
 	ResolveMisses        uint64
@@ -70,15 +70,10 @@ type CacheStats struct {
 	ResolveDeltaRuns uint64
 	ResolveFullRuns  uint64
 
-	PrefScoreHits          uint64
-	PrefScoreMisses        uint64
-	PrefScoreInvalidations uint64
-
-	BestIngressHits   uint64
-	BestIngressMisses uint64
+	PrefScoreMisses uint64
 }
 
-// CacheStats snapshots every cache counter from the obs registry.
+// CacheStats snapshots those counters from the obs registry.
 func (w *World) CacheStats() CacheStats {
 	m := &w.obs
 	return CacheStats{
@@ -88,11 +83,6 @@ func (w *World) CacheStats() CacheStats {
 		ResolveDeltaRuns:     m.resolveDelta.Value(),
 		ResolveFullRuns:      m.resolveFull.Value(),
 
-		PrefScoreHits:          m.prefHits.Value(),
-		PrefScoreMisses:        m.prefMiss.Value(),
-		PrefScoreInvalidations: m.prefInval.Value(),
-
-		BestIngressHits:   m.bestHits.Value(),
-		BestIngressMisses: m.bestMiss.Value(),
+		PrefScoreMisses: m.prefMiss.Value(),
 	}
 }

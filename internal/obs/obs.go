@@ -106,7 +106,6 @@ func (k kind) String() string {
 // name plus one concrete label set).
 type entry struct {
 	name   string // family name
-	key    string // name + rendered labels; unique per instance
 	help   string
 	kind   kind
 	labels []Label
@@ -184,7 +183,7 @@ func (r *Registry) lookup(name, help string, k kind, labels []Label, mk func(*en
 	ls := make([]Label, len(labels))
 	copy(ls, labels)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	e := &entry{name: name, key: key, help: help, kind: k, labels: ls}
+	e := &entry{name: name, help: help, kind: k, labels: ls}
 	mk(e)
 	r.byKey[key] = e
 	r.entries = append(r.entries, e)

@@ -50,7 +50,7 @@ type Server struct {
 	dmp *bgp.Damper
 
 	mu       sync.Mutex
-	sessions map[bgp.PeerID]*session
+	sessions map[bgp.PeerID]*bgp.Speaker
 	nextPeer uint32
 
 	m rsMetrics
@@ -94,12 +94,6 @@ func newRSMetrics(r *obs.Registry, s *Server) rsMetrics {
 	return m
 }
 
-type session struct {
-	id      bgp.PeerID
-	speaker *bgp.Speaker
-	remote  string
-}
-
 // New starts a route server.
 func New(cfg Config) (*Server, error) {
 	if cfg.HoldTime <= 0 {
@@ -116,7 +110,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		ln:       ln,
 		rib:      bgp.NewRIB(nil),
-		sessions: make(map[bgp.PeerID]*session),
+		sessions: make(map[bgp.PeerID]*bgp.Speaker),
 		closed:   make(chan struct{}),
 	}
 	if cfg.Damping != nil {
@@ -166,8 +160,8 @@ func (s *Server) Close() error {
 	close(s.closed)
 	err := s.ln.Close()
 	s.mu.Lock()
-	for _, sess := range s.sessions {
-		_ = sess.speaker.Close()
+	for _, sp := range s.sessions {
+		_ = sp.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -199,10 +193,9 @@ func (s *Server) serve(conn net.Conn) {
 	s.mu.Lock()
 	s.nextPeer++
 	id := bgp.PeerID(s.nextPeer)
-	sess := &session{id: id, speaker: sp, remote: conn.RemoteAddr().String()}
-	s.sessions[id] = sess
+	s.sessions[id] = sp
 	s.mu.Unlock()
-	s.cfg.Logf("routeserver: session %d up with AS%d (%s)", id, sp.PeerOpen.AS, sess.remote)
+	s.cfg.Logf("routeserver: session %d up with AS%d (%s)", id, sp.PeerOpen.AS, conn.RemoteAddr())
 
 	sp.OnUpdate = func(u bgp.Update) { s.handleUpdate(id, sp.PeerOpen.AS, u) }
 	err := sp.Run()

@@ -38,7 +38,6 @@ type PathCounts struct {
 // Analyzer computes Fig. 11's quantities over a world.
 type Analyzer struct {
 	world *netsim.World
-	ugs   *usergroup.Set
 	// candidatePoPs per region: PoPs receiving 90% of the region's
 	// anycast ingress volume.
 	candidatePoPs map[string][]cloud.PoPID // keyed by metro region
@@ -100,7 +99,7 @@ func NewAnalyzer(w *netsim.World, ugs *usergroup.Set) (*Analyzer, error) {
 		}
 		cand[region] = ids
 	}
-	return &Analyzer{world: w, ugs: ugs, candidatePoPs: cand, anycastSel: sel}, nil
+	return &Analyzer{world: w, candidatePoPs: cand, anycastSel: sel}, nil
 }
 
 func regionOf(metro string) string {

@@ -18,4 +18,7 @@ func main() {
 	fs := flag.NewFlagSet("reach", flag.ContinueOnError)
 	plant.RegisterFlags(fs)
 	fmt.Println(plant.Drain([]int{3, 1, 2}), plant.Total())
+	tl := plant.NewTally()
+	tl.Record("x")
+	fmt.Println(tl.Count, plant.Occupied(1, 2), plant.NewReport(), plant.SortPairs([]int{2, 1}))
 }

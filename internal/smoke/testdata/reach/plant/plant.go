@@ -1,10 +1,11 @@
-// Package plant holds the gate's plants: funcs production reaches in
-// each way the gate knows, and the six it must report.
+// Package plant holds the gate's plants: funcs and fields production
+// reaches in each way the gate knows, and those it must report.
 package plant
 
 import (
 	"container/heap"
 	"flag"
+	"sort"
 	"strconv"
 )
 
@@ -119,4 +120,69 @@ func spin(n int) int {
 		return 0
 	}
 	return spin(n - 1)
+}
+
+// Tally holds one field per write rule of the field gate. Only Count is
+// read by production (main); the others are findings.
+type Tally struct {
+	Count    int
+	written  int      // only assigned
+	testOnly int      // read only from plant_test.go
+	log      []string // only self-appended
+	slots    []int    // only element-written
+	hits     int      // only op-assigned and incremented
+	keyed    string   // only a composite-literal key
+	_        [8]byte  // padding: skipped
+}
+
+func NewTally() *Tally { return &Tally{Count: 1, keyed: "k", slots: make([]int, 2)} }
+
+func (t *Tally) Record(s string) {
+	t.written = len(s)
+	t.testOnly = len(s)
+	t.log = append(t.log, s)
+	t.log = append(t.log[:0], s)
+	t.slots[0] = len(s)
+	t.hits += 2
+	t.hits++
+	t.Count++
+}
+
+// cell is a map key and span an operand of ==: every field of each is
+// read by the lookup or the comparison, though no selector reads it.
+type cell struct{ row, col int }
+
+type span struct{ lo, hi int }
+
+func Occupied(r, c int) bool {
+	m := map[cell]bool{{row: 1, col: 2}: true}
+	return m[cell{row: r, col: c}] || span{lo: r} == span{hi: c}
+}
+
+// Report reaches fmt as an interface: fmt reads its exported fields and,
+// through Inner, Detail's. Its unexported note is a finding.
+type Report struct {
+	Name  string
+	Inner Detail
+	note  string
+}
+
+type Detail struct{ Level int }
+
+func NewReport() Report { return Report{Name: "r", Inner: Detail{Level: 1}, note: "n"} }
+
+// pair reaches sort.Slice as an interface, which shows its fields to no
+// reader: Key, only written, is a finding.
+type pair struct {
+	Key string
+	Val int
+}
+
+func SortPairs(vs []int) int {
+	ps := make([]pair, len(vs))
+	for i, v := range vs {
+		ps[i] = pair{Key: "p", Val: v}
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Val < ps[j].Val })
+	return ps[0].Val
 }

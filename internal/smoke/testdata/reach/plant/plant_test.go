@@ -7,3 +7,11 @@ func TestMean(t *testing.T) {
 		t.Fatalf("Mean = %v, want 2", got)
 	}
 }
+
+func TestTally(t *testing.T) {
+	tl := NewTally()
+	tl.Record("ab")
+	if tl.testOnly != 2 {
+		t.Fatalf("testOnly = %d, want 2", tl.testOnly)
+	}
+}

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -79,29 +77,6 @@ func TestPercentileWithinRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMeanWeightedMean(t *testing.T) {
-	m, err := meanOf([]float64{2, 4, 6})
-	if err != nil || m != 4 {
-		t.Errorf("Mean = %v (%v), want 4", m, err)
-	}
-	wm, err := weightedMean([]float64{1, 10}, []float64{9, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(wm-1.9) > 1e-9 {
-		t.Errorf("WeightedMean = %v, want 1.9", wm)
-	}
-	if _, err := weightedMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := weightedMean([]float64{1}, []float64{-1}); err == nil {
-		t.Error("negative weight should error")
-	}
-	if _, err := weightedMean([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero total weight should error")
 	}
 }
 
@@ -231,40 +206,6 @@ func TestNewRandDeterministic(t *testing.T) {
 			t.Fatal("same seed must produce same stream")
 		}
 	}
-}
-
-// meanOf returns the arithmetic mean.
-func meanOf(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// weightedMean returns sum(w_i * x_i) / sum(w_i).
-func weightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) != len(ws) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ws))
-	}
-	var num, den float64
-	for i, x := range xs {
-		if ws[i] < 0 {
-			return 0, fmt.Errorf("stats: negative weight %v at %d", ws[i], i)
-		}
-		num += x * ws[i]
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0, errors.New("stats: zero total weight")
-	}
-	return num / den, nil
 }
 
 // At returns P(X <= x): the fraction of samples <= x.

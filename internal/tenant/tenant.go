@@ -106,11 +106,10 @@ type instance struct {
 	maxTick int // -1 when the tenant has no fault schedule
 	tick    int
 
-	reg    *obs.Registry
-	tracer *span.Tracer
+	reg *obs.Registry
 
 	// Analysis tier: per-tick history sampling over the tenant's
-	// registries, the incremental catchment view feeding the per-PoP
+	// registries, the anycast catchment feeding the per-PoP
 	// share gauges, and the alert engine judging the three built-in
 	// detectors. All deterministic: the history clock is tick-derived,
 	// and Eval runs on the same serialized cadence as Sync.
@@ -231,7 +230,6 @@ func buildInstance(st Stored, logger *slog.Logger, parent *span.Tracer) (*instan
 		byTick:   map[int][]netsim.Event{},
 		maxTick:  -1,
 		reg:      reg,
-		tracer:   tracer,
 		hist:     hist,
 		alerts:   eng,
 		catch:    netsim.NewCatchmentAnalyzer(w, ugs, 0),
@@ -251,7 +249,6 @@ func buildInstance(st Stored, logger *slog.Logger, parent *span.Tracer) (*instan
 		sched, err := chaos.Generate(g, d, gc)
 		if err != nil {
 			ctrl.Stop()
-			in.catch.Close()
 			return nil, fmt.Errorf("tenant %q: schedule: %w", st.ID, err)
 		}
 		for _, se := range sched {
@@ -377,12 +374,12 @@ func (in *instance) stepLocked() (core.SyncReport, error) {
 	}
 
 	// Analysis tier, on the same serialized cadence as Sync (the netsim
-	// contract — no queries racing ApplyEvent — holds under mu): refresh
-	// the catchment incrementally, publish the per-PoP shares, take one
+	// contract — no queries racing ApplyEvent — holds under mu): compute
+	// the catchment, publish the per-PoP shares, take one
 	// history sample of both registries, and judge the detectors.
 	if in.catch != nil {
-		if c, cerr := in.catch.Update(); cerr == nil {
-			in.catchG.Set(c)
+		if share, cerr := in.catch.Update(); cerr == nil {
+			in.catchG.Set(share)
 		}
 		// A world with no anycast routes at all (every PoP down) has no
 		// catchment; gauges hold their last values until routes return.
@@ -453,13 +450,9 @@ func (in *instance) close() {
 	in.mu.Lock()
 	in.phase = PhaseTerminating
 	ctrl := in.ctrl
-	catch := in.catch
 	in.mu.Unlock()
 	if ctrl != nil {
 		ctrl.Stop()
-	}
-	if catch != nil {
-		catch.Close()
 	}
 	// Teardown must not leak firing alerts into /alerts: force-resolve
 	// everything on one final tick.

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"painter/internal/obs"
 	"painter/internal/tmproto"
 )
 
@@ -138,7 +139,8 @@ func TestRTTSurvivesClockStepBackward(t *testing.T) {
 // FlowTTL with zero inbound packets. Pre-fix the purge check piggybacked
 // on the read loop, so a quiesced PoP retained idle flows indefinitely.
 func TestIdleFlowsPurgedWithoutTraffic(t *testing.T) {
-	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1, FlowTTL: 40 * time.Millisecond})
+	reg := obs.NewRegistry()
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", FlowTTL: 40 * time.Millisecond, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +174,8 @@ func TestIdleFlowsPurgedWithoutTraffic(t *testing.T) {
 	if s.ActiveFlows != 0 {
 		t.Fatalf("idle flow survived %v with no traffic (ActiveFlows=%d)", time.Second, s.ActiveFlows)
 	}
-	if s.Purged < 1 {
-		t.Fatalf("Purged = %d, want >= 1", s.Purged)
+	if purged := reg.Snapshot().Counters["tm_pop_purged_flows_total"]; purged < 1 {
+		t.Fatalf("tm_pop_purged_flows_total = %d, want >= 1", purged)
 	}
 }
 

@@ -140,9 +140,6 @@ type Event struct {
 	// been silent when declared dead (the detection latency).
 	SinceLastReply time.Duration
 	RTT            time.Duration
-	// Backoff, for EventDestQuarantined, is the recovery-probe interval
-	// in force when quarantine began.
-	Backoff time.Duration
 	// Trace is the failover trace context in scope when the event was
 	// emitted (zero when untraced), letting log lines carry trace IDs
 	// that join the flight-recorder export.
@@ -241,8 +238,6 @@ type Edge struct {
 	closed chan struct{}
 
 	m edgeMetrics
-	// quarantines backs EdgeStats.Quarantines, which no metric exports.
-	quarantines atomic.Uint64
 }
 
 // EdgeStats counts edge activity.
@@ -251,7 +246,6 @@ type EdgeStats struct {
 	DataSent, DataRcvd      uint64
 	Failovers               uint64
 	RepinnedFlows           uint64
-	Quarantines             uint64
 	// SendErrors counts tunnel datagrams (probes and data) whose socket
 	// write failed. Failed probe sends do NOT count toward ProbesSent —
 	// otherwise a blackout detector gated on probes-sent would read a
@@ -406,7 +400,6 @@ func (e *Edge) Stats() EdgeStats {
 		DataRcvd:      e.m.dataRcvd.Value(),
 		Failovers:     e.m.failovers.Value(),
 		RepinnedFlows: e.m.repins.Value(),
-		Quarantines:   e.quarantines.Load(),
 		SendErrors:    e.m.sendErrors.Value(),
 	}
 }
@@ -439,8 +432,6 @@ type DestinationStatus struct {
 	Alive    bool
 	RTT      time.Duration
 	Selected bool
-	// Quarantined: dead and probed only at the MaxBackoff cadence.
-	Quarantined bool
 }
 
 // Status returns the current view of all destinations, sorted by
@@ -456,11 +447,10 @@ func (e *Edge) Status() []DestinationStatus {
 	out := make([]DestinationStatus, len(states))
 	for i, ds := range states {
 		out[i] = DestinationStatus{
-			Dest:        ds.dest,
-			Alive:       ds.alive(),
-			RTT:         ds.rtt(),
-			Selected:    ds.key == e.selected,
-			Quarantined: ds.quarantined,
+			Dest:     ds.dest,
+			Alive:    ds.alive(),
+			RTT:      ds.rtt(),
+			Selected: ds.key == e.selected,
 		}
 	}
 	return out
@@ -671,11 +661,7 @@ func (e *Edge) probeRound(now time.Time) {
 			ds.nextRecovery = now.Add(backoff)
 			if !ds.quarantined && ds.deadProbes >= e.cfg.QuarantineAfter {
 				ds.quarantined = true
-				e.quarantines.Add(1)
-				events = append(events, Event{
-					Kind: EventDestQuarantined, Dest: ds.dest, At: now,
-					Backoff: backoff,
-				})
+				events = append(events, Event{Kind: EventDestQuarantined, Dest: ds.dest, At: now})
 			}
 		}
 		wp := tmproto.Probe{Seq: seq, SentUnixNano: now.UnixNano()}

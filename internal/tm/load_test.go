@@ -16,7 +16,7 @@ import (
 // checks the tunnel keeps working and the prober keeps the destination
 // alive despite drops.
 func TestTunnelUnderLoss(t *testing.T) {
-	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1})
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestTunnelUnderLoss(t *testing.T) {
 // TestManyConcurrentFlows exercises the PoP's Known Flows table with
 // hundreds of distinct flows concurrently.
 func TestManyConcurrentFlows(t *testing.T) {
-	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1})
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,6 @@ func TestHundredThousandFlows(t *testing.T) {
 	const flows = 100_000
 	pop, err := NewPoP(PoPConfig{
 		ListenAddr: "127.0.0.1:0",
-		PoPID:      1,
 		Service:    DiscardService{}, // echoing 10⁵ replies would measure the echo path
 		FlowTTL:    10 * time.Minute, // no purge races with the fill
 		Batch:      64,
@@ -266,7 +265,7 @@ func TestHundredThousandFlows(t *testing.T) {
 // BenchmarkTunnelRoundTrip measures end-to-end round trips through the
 // full encap → link → decap → NAT → echo → return path.
 func BenchmarkTunnelRoundTrip(b *testing.B) {
-	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1})
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		b.Fatal(err)
 	}

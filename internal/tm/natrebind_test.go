@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"painter/internal/netsim/emul"
+	"painter/internal/obs"
 	"painter/internal/tmproto"
 )
 
@@ -83,7 +84,8 @@ func runNATRebind(cfg natRebindConfig) (*natRebindResult, error) {
 	if cfg.Flows <= 0 || cfg.Rebinds <= 0 {
 		return nil, fmt.Errorf("nat-rebind needs flows and rebinds > 0")
 	}
-	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1})
+	reg := obs.NewRegistry()
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", Obs: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -163,9 +165,8 @@ func runNATRebind(cfg natRebindConfig) (*natRebindResult, error) {
 
 	res.EchoesRcvd = rcvd.Load()
 	res.RcvdAfterLastRebind = res.EchoesRcvd - afterLastBase
-	st := pop.Stats()
-	res.FlowMoves = st.FlowMoves
-	res.DroppedReplies = st.DroppedReplies
+	res.FlowMoves = reg.Snapshot().Counters["tm_pop_flow_moves_total"]
+	res.DroppedReplies = pop.Stats().DroppedReplies
 	if res.EchoesSent > 0 {
 		res.DeliveredPct = 100 * float64(res.EchoesRcvd) / float64(res.EchoesSent)
 	}

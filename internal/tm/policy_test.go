@@ -7,8 +7,8 @@ import (
 	"painter/internal/tmproto"
 )
 
-// PreferPoP and AvoidPoP are custom policies the tests plug into an
-// edge; production runs LowestRTT.
+// PreferPoP is a custom policy TestEdgeWithPreferPoPPolicy plugs into a
+// live edge through SelectionPolicy; production runs LowestRTT.
 
 // PreferPoP pins the selection to a specific PoP whenever any of its
 // destinations is alive, falling back to the lowest-RTT alternative
@@ -31,49 +31,6 @@ func (p PreferPoP) Select(candidates []DestinationStatus, incumbent int) int {
 		fb = LowestRTT{}
 	}
 	return fb.Select(candidates, incumbent)
-}
-
-// AvoidPoP steers away from a PoP unless it is the only alive option —
-// e.g. drain a site before maintenance.
-type AvoidPoP struct {
-	PoP      uint32
-	Fallback SelectionPolicy
-}
-
-// Select implements SelectionPolicy.
-func (p AvoidPoP) Select(candidates []DestinationStatus, incumbent int) int {
-	var filtered []DestinationStatus
-	idx := make([]int, 0, len(candidates))
-	for i, c := range candidates {
-		if c.Dest.PoP != p.PoP {
-			filtered = append(filtered, c)
-			idx = append(idx, i)
-		}
-	}
-	if len(filtered) == 0 {
-		// Only the avoided PoP remains: better than nothing.
-		fb := p.Fallback
-		if fb == nil {
-			fb = LowestRTT{}
-		}
-		return fb.Select(candidates, incumbent)
-	}
-	// Map the incumbent into the filtered view.
-	fIncumbent := -1
-	for j, i := range idx {
-		if i == incumbent {
-			fIncumbent = j
-		}
-	}
-	fb := p.Fallback
-	if fb == nil {
-		fb = LowestRTT{}
-	}
-	sel := fb.Select(filtered, fIncumbent)
-	if sel < 0 {
-		return -1
-	}
-	return idx[sel]
 }
 
 func statuses(rtts map[uint32]time.Duration, selected uint32) []DestinationStatus {
@@ -135,19 +92,6 @@ func TestPreferPoPPolicy(t *testing.T) {
 	c = statuses(map[uint32]time.Duration{1: 5 * time.Millisecond, 2: 9 * time.Millisecond}, 0)
 	if got := p.Select(c, -1); c[got].Dest.PoP != 1 {
 		t.Errorf("fallback should pick lowest RTT, got PoP %d", c[got].Dest.PoP)
-	}
-}
-
-func TestAvoidPoPPolicy(t *testing.T) {
-	p := AvoidPoP{PoP: 1}
-	c := statuses(map[uint32]time.Duration{1: 5 * time.Millisecond, 2: 50 * time.Millisecond}, 1)
-	if got := p.Select(c, incumbentOf(c)); c[got].Dest.PoP != 2 {
-		t.Errorf("AvoidPoP should skip PoP 1, got %d", c[got].Dest.PoP)
-	}
-	// Only the avoided PoP alive: use it anyway.
-	c = statuses(map[uint32]time.Duration{1: 5 * time.Millisecond}, 0)
-	if got := p.Select(c, -1); c[got].Dest.PoP != 1 {
-		t.Errorf("sole survivor must be used, got %d", c[got].Dest.PoP)
 	}
 }
 

@@ -41,7 +41,9 @@ func (EchoService) Handle(_ tmproto.FlowKey, payload []byte, reply func([]byte) 
 type PoPConfig struct {
 	// ListenAddr is the UDP address to bind ("127.0.0.1:0" for tests).
 	ListenAddr string
-	// PoPID identifies this PoP in resolve replies.
+	// PoPID is read by nothing: resolve replies carry the PoP IDs of
+	// Destinations. It remains only because the benchmark's rigs
+	// (bench/) set it.
 	PoPID uint32
 	// Destinations is the destination set returned to TM-Edges asking to
 	// resolve a service (the Advertisement Orchestrator installs this
@@ -51,10 +53,6 @@ type PoPConfig struct {
 	Service Service
 	// FlowTTL is how long idle Known Flows entries are retained.
 	FlowTTL time.Duration
-	// OnEvent, if set, receives structured PoP events (flow migrations,
-	// dropped replies) so tests and operators can assert the failover
-	// timeline from the PoP side too.
-	OnEvent func(PoPEvent)
 	// Obs, when non-nil, receives PoP metrics (datagram counters and the
 	// active-flows gauge); nil keeps them in a private registry. Stats
 	// reads these counters, so each PoP needs a registry of its own.
@@ -75,42 +73,6 @@ type PoPConfig struct {
 	// Service.Handle runs on these workers, never on the read loop, so a
 	// slow service cannot stall probe replies.
 	Workers int
-}
-
-// PoPEventKind discriminates PoP events.
-type PoPEventKind uint8
-
-// PoP event kinds.
-const (
-	// PoPFlowMoved: a Known Flows entry re-homed to a different edge
-	// address — the edge's preferred tunnel died mid-flow and the client
-	// re-entered through another path. Return traffic follows the new
-	// tunnel immediately; no reply is blackholed to the dead one.
-	PoPFlowMoved PoPEventKind = iota + 1
-	// PoPReplyDropped: a service reply had no Known Flows entry (the
-	// flow expired or was never seen) and was dropped gracefully.
-	PoPReplyDropped
-)
-
-func (k PoPEventKind) String() string {
-	switch k {
-	case PoPFlowMoved:
-		return "flow-moved"
-	case PoPReplyDropped:
-		return "reply-dropped"
-	default:
-		return "pop-event"
-	}
-}
-
-// PoPEvent is one PoP-side state change.
-type PoPEvent struct {
-	Kind PoPEventKind
-	Flow tmproto.FlowKey
-	// PrevEdge/NewEdge are the tunnel endpoints involved in a
-	// PoPFlowMoved event.
-	PrevEdge, NewEdge string
-	At                time.Time
 }
 
 // PoP is a running TM-PoP.
@@ -136,15 +98,12 @@ type PoP struct {
 
 // PoPStats counts datagram handling.
 type PoPStats struct {
-	DataIn, DataOut     uint64
-	Probes              uint64
-	Resolves            uint64
-	ActiveFlows, Purged int
+	DataIn, DataOut uint64
+	Probes          uint64
+	Resolves        uint64
+	ActiveFlows     int
 	// Malformed counts undecodable or unknown-type datagrams.
 	Malformed uint64
-	// FlowMoves counts Known Flows entries that re-homed to a new edge
-	// address mid-flow (tunnel failover on the client side).
-	FlowMoves uint64
 	// DroppedReplies counts service replies with no live flow entry.
 	DroppedReplies uint64
 	// OverloadWaits counts read batches that found the worker queue full
@@ -237,8 +196,6 @@ func (p *PoP) Stats() PoPStats {
 		Resolves:       p.m.resolves.Value(),
 		Malformed:      p.m.malformed.Value(),
 		ActiveFlows:    p.flows.Len(),
-		Purged:         int(p.m.purged.Value()),
-		FlowMoves:      p.m.flowMoves.Value(),
 		DroppedReplies: p.m.dropped.Value(),
 		OverloadWaits:  p.m.overloadWaits.Value(),
 	}
@@ -260,12 +217,6 @@ func (p *PoP) Close() error {
 	p.workerWg.Wait()
 	p.purgeWg.Wait()
 	return err
-}
-
-func (p *PoP) emit(ev PoPEvent) {
-	if p.cfg.OnEvent != nil {
-		p.cfg.OnEvent(ev)
-	}
 }
 
 // purgeLoop evicts idle Known Flows entries on its own ticker, so
@@ -474,20 +425,15 @@ func (p *PoP) noteFlow(d tmproto.Data, from netip.AddrPort, wire tmproto.WireMod
 	// the NAT entry so return traffic follows the live tunnel.
 	if had && prev != from {
 		p.m.flowMoves.Inc()
-		mv := PoPEvent{
-			Kind: PoPFlowMoved, Flow: d.Flow,
-			PrevEdge: prev.String(), NewEdge: from.String(), At: now,
-		}
 		// A re-pinned data packet carries the edge failover trace; the
 		// re-home is the PoP-side tail of that chain.
 		if p.cfg.Tracer != nil && d.Trace.Valid() {
 			s := p.cfg.Tracer.FromRemote(span.Context(d.Trace), "tm.pop.rehome",
 				span.A("flow", d.Flow.String()),
-				span.A("prev_edge", mv.PrevEdge),
-				span.A("new_edge", mv.NewEdge))
+				span.A("prev_edge", prev.String()),
+				span.A("new_edge", from.String()))
 			s.Finish()
 		}
-		p.emit(mv)
 	}
 }
 
@@ -517,7 +463,6 @@ func (p *PoP) sendReply(sink *replySink, flow tmproto.FlowKey, resp []byte) erro
 	f, ok := p.flows.Get(flow)
 	if !ok {
 		p.m.dropped.Inc()
-		p.emit(PoPEvent{Kind: PoPReplyDropped, Flow: flow, At: time.Now()})
 		return fmt.Errorf("tm: flow %v no longer known", flow)
 	}
 	if err := sink.add(flow, resp, f, &p.replySeq); err != nil {

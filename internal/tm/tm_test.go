@@ -51,11 +51,11 @@ func newRigCfg(t *testing.T, delayA, delayB time.Duration, onReturn func(tmproto
 	t.Helper()
 	r := &rig{events: make(chan Event, 256), obsA: obs.NewRegistry(), obsB: obs.NewRegistry()}
 	var err error
-	r.popA, err = NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1, Obs: r.obsA})
+	r.popA, err = NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", Obs: r.obsA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.popB, err = NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 2, Obs: r.obsB})
+	r.popB, err = NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", Obs: r.obsB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestFailoverAtRTTTimescale(t *testing.T) {
 // interval plus an RTT of silence fails this whenever the next probe's
 // tick comes late, which is why the floor uses the measured send gap.
 func TestSingleProbeLossIsNotDeath(t *testing.T) {
-	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1})
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestResolveFromPoP(t *testing.T) {
 		{Addr: netip.MustParseAddr("1.1.1.1"), Port: 4000, PoP: 1, Anycast: true},
 		{Addr: netip.MustParseAddr("2.2.2.2"), Port: 4001, PoP: 1},
 	}
-	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1, Destinations: dests})
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", Destinations: dests})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestSetDestinationsRemoval(t *testing.T) {
 }
 
 func TestPoPMalformedCounters(t *testing.T) {
-	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1})
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestFailoverProducesConnectedTrace(t *testing.T) {
 	// One PoP behind two tunnels of different latency — the §3.2 anycast
 	// + unicast pair. Killing the selected tunnel re-pins the flow onto
 	// the survivor, and the PoP sees it arrive from a new edge address.
-	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1, Tracer: popTr})
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", Tracer: popTr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,6 @@ func (x *Index) Customers(i int32) []int32 { return x.customers.row(i) }
 type indexState struct {
 	mu  sync.Mutex
 	idx *Index
-	gen uint64 // bumped by mutators to invalidate a cached build
 }
 
 // Index returns the dense index for the graph, building it on first use.
@@ -73,7 +72,6 @@ func (g *Graph) Index() *Index {
 func (g *Graph) invalidateIndex() {
 	g.idxState.mu.Lock()
 	g.idxState.idx = nil
-	g.idxState.gen++
 	g.idxState.mu.Unlock()
 }
 

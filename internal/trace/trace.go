@@ -198,26 +198,13 @@ func Generate(cfg GenConfig) (*Capture, error) {
 	return cap, nil
 }
 
-// CurvePoint is one point of the Fig. 3 curve.
-type CurvePoint struct {
-	// Offset is time relative to DNS record expiration.
-	Offset time.Duration
-	// FracBytesRemaining is the fraction of all bytes (to this cloud)
-	// sent at or after expiry+Offset.
-	FracBytesRemaining float64
-}
-
 // Analysis is the Fig. 3 result: one curve per cloud.
 type Analysis struct {
-	Curves map[Cloud][]CurvePoint
+	// Curves[c][i] is the fraction of all bytes to cloud c sent at or
+	// after DNS record expiry + the i-th offset Analyze was given.
+	Curves map[Cloud][]float64
 	// MatchedFlows / TotalFlows report pipeline match rate.
 	MatchedFlows, TotalFlows int
-	// CachedBytes / OutlivedBytes decompose post-expiry traffic per
-	// cloud: bytes from flows STARTED after their record expired
-	// (client-cached IPs) vs bytes sent after expiry by flows started
-	// while the record was valid (flows outliving the TTL). The paper
-	// observed roughly a 2:1 cached:outlived ratio (§2.2).
-	CachedBytes, OutlivedBytes map[Cloud]float64
 }
 
 // StandardOffsets are Fig. 3's x-axis points.
@@ -255,10 +242,8 @@ func Analyze(cap *Capture, offsets []time.Duration) (*Analysis, error) {
 	}
 
 	an := &Analysis{
-		Curves:        make(map[Cloud][]CurvePoint),
-		TotalFlows:    len(cap.Flows),
-		CachedBytes:   make(map[Cloud]float64),
-		OutlivedBytes: make(map[Cloud]float64),
+		Curves:     make(map[Cloud][]float64),
+		TotalFlows: len(cap.Flows),
 	}
 	for _, f := range cap.Flows {
 		as := answers[key{f.Client, f.Dst}]
@@ -275,22 +260,14 @@ func Analyze(cap *Capture, offsets []time.Duration) (*Analysis, error) {
 			cut := expiry.Add(off)
 			afterBytes[rec.Cloud][oi] += float64(f.Bytes) * fracAfter(f, cut)
 		}
-		post := float64(f.Bytes) * fracAfter(f, expiry)
-		if f.Start.After(expiry) {
-			an.CachedBytes[rec.Cloud] += post
-		} else {
-			an.OutlivedBytes[rec.Cloud] += post
-		}
 	}
 	for c := CloudA; c < numClouds; c++ {
 		tb := totalBytes[c]
-		pts := make([]CurvePoint, len(offsets))
-		for oi, off := range offsets {
-			frac := 0.0
+		pts := make([]float64, len(offsets))
+		for oi := range offsets {
 			if tb > 0 {
-				frac = afterBytes[c][oi] / tb
+				pts[oi] = afterBytes[c][oi] / tb
 			}
-			pts[oi] = CurvePoint{Offset: off, FracBytesRemaining: frac}
 		}
 		an.Curves[c] = pts
 	}

@@ -44,11 +44,11 @@ func TestCurvesMonotoneDecreasing(t *testing.T) {
 	an := testAnalysis(t)
 	for c, pts := range an.Curves {
 		for i := 1; i < len(pts); i++ {
-			if pts[i].FracBytesRemaining > pts[i-1].FracBytesRemaining+1e-9 {
-				t.Errorf("%v curve not decreasing at %v", c, pts[i].Offset)
+			if pts[i] > pts[i-1]+1e-9 {
+				t.Errorf("%v curve not decreasing at %v", c, StandardOffsets[i])
 			}
 		}
-		if pts[0].FracBytesRemaining > 1 || pts[len(pts)-1].FracBytesRemaining < 0 {
+		if pts[0] > 1 || pts[len(pts)-1] < 0 {
 			t.Errorf("%v curve out of range", c)
 		}
 	}
@@ -57,9 +57,9 @@ func TestCurvesMonotoneDecreasing(t *testing.T) {
 func TestFig3Shape(t *testing.T) {
 	an := testAnalysis(t)
 	at := func(c Cloud, off time.Duration) float64 {
-		for _, p := range an.Curves[c] {
-			if p.Offset == off {
-				return p.FracBytesRemaining
+		for i, o := range StandardOffsets {
+			if o == off {
+				return an.Curves[c][i]
 			}
 		}
 		t.Fatalf("offset %v missing", off)
@@ -129,10 +129,10 @@ func TestAnalyzeAttributesToLatestRecord(t *testing.T) {
 	if an.MatchedFlows != 1 {
 		t.Fatalf("matched %d", an.MatchedFlows)
 	}
-	if v := an.Curves[CloudC][0].FracBytesRemaining; v != 0 {
+	if v := an.Curves[CloudC][0]; v != 0 {
 		t.Errorf("CloudC post-expiry frac = %v, want 0 (record still valid)", v)
 	}
-	if v := an.Curves[CloudB][0].FracBytesRemaining; v != 0 {
+	if v := an.Curves[CloudB][0]; v != 0 {
 		t.Errorf("CloudB got bytes but flow belongs to CloudC record")
 	}
 }
@@ -183,14 +183,43 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestCachedToOutlivedRatio decomposes Cloud A's post-expiry bytes in
+// a generated capture: bytes of flows started after their record
+// expired (client-cached addresses) against bytes sent after expiry by
+// flows started while it was valid (flows outliving the TTL). Each flow
+// is matched to the latest answer at or before its start, as Analyze
+// matches it.
 func TestCachedToOutlivedRatio(t *testing.T) {
-	an := testAnalysis(t)
+	cap, err := Generate(DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cached, outlived float64
+	for _, f := range cap.Flows {
+		var rec *DNSAnswer
+		for i := range cap.Answers {
+			a := &cap.Answers[i]
+			if a.Client == f.Client && a.Addr == f.Dst && !a.Time.After(f.Start) && (rec == nil || a.Time.After(rec.Time)) {
+				rec = a
+			}
+		}
+		if rec == nil || rec.Cloud != CloudA {
+			continue
+		}
+		expiry := rec.Time.Add(rec.TTL)
+		post := float64(f.Bytes) * fracAfter(f, expiry)
+		if f.Start.After(expiry) {
+			cached += post
+		} else {
+			outlived += post
+		}
+	}
 	// Cloud A's post-expiry traffic should be dominated by cached-IP
-	// starts (the paper observed roughly 2:1 cached:outlived).
-	if an.CachedBytes[CloudA] <= 0 || an.OutlivedBytes[CloudA] <= 0 {
+	// starts (the paper observed roughly 2:1 cached:outlived, §2.2).
+	if cached <= 0 || outlived <= 0 {
 		t.Fatal("both post-expiry components should be present for Cloud A")
 	}
-	if r := an.CachedBytes[CloudA] / an.OutlivedBytes[CloudA]; r < 1.0 || r > 5.0 {
+	if r := cached / outlived; r < 1.0 || r > 5.0 {
 		t.Errorf("Cloud A cached:outlived ratio = %.2f, want roughly 2:1", r)
 	}
 }

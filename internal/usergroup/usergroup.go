@@ -33,10 +33,9 @@ type UG struct {
 // ResolverID identifies a recursive resolver.
 type ResolverID int32
 
-// Resolver models one recursive DNS resolver and where it sits.
+// Resolver models one recursive DNS resolver.
 type Resolver struct {
-	ID    ResolverID
-	Metro string
+	ID ResolverID
 	// Public marks large public DNS services (e.g. Google Public DNS)
 	// that serve users far from the resolver location and support ECS.
 	Public bool
@@ -137,8 +136,7 @@ func Build(g *topology.Graph, cfg Config) (*Set, error) {
 		ugs[i].Weight = weights[perm[i]]
 	}
 
-	// Resolver catalog: per-ISP pools (hosted at the ISP's first listed
-	// metro) plus 3 public resolvers.
+	// Resolver catalog: per-ISP pools plus 3 public resolvers.
 	var resolvers []Resolver
 	var rid ResolverID
 	ispResolvers := make(map[topology.ASN][]ResolverID)
@@ -148,15 +146,14 @@ func Build(g *topology.Graph, cfg Config) (*Set, error) {
 			continue
 		}
 		for k := 0; k < cfg.ResolversPerISP; k++ {
-			resolvers = append(resolvers, Resolver{ID: rid, Metro: a.Metros[0]})
+			resolvers = append(resolvers, Resolver{ID: rid})
 			ispResolvers[n] = append(ispResolvers[n], rid)
 			rid++
 		}
 	}
-	publicMetros := []string{"ash", "fra", "sin"}
 	var publicIDs []ResolverID
-	for _, pm := range publicMetros {
-		resolvers = append(resolvers, Resolver{ID: rid, Metro: pm, Public: true})
+	for range 3 {
+		resolvers = append(resolvers, Resolver{ID: rid, Public: true})
 		publicIDs = append(publicIDs, rid)
 		rid++
 	}
