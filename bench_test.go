@@ -374,13 +374,13 @@ func BenchmarkAblationExactGreedy(b *testing.B) {
 
 // --- Microbenchmarks of the load-bearing machinery ---------------------------
 
-func BenchmarkPolicyCompliant(b *testing.B) {
+func BenchmarkCompliantIngressIDs(b *testing.B) {
 	env := getEnv(b)
 	ugs := env.UGs.UGs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := ugs[i%len(ugs)]
-		if _, err := env.World.PolicyCompliant(u.ASN); err != nil {
+		if _, err := env.World.CompliantIngressIDs(u.ASN); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -115,10 +115,10 @@ var experimentList = []experiment{
 		return show(figures.Fig15aTable)(figures.RunFig15a(c.env, nil, 1))
 	}},
 	{"chaos", "randomized failure injection with TM failover", true, true, func(c *runCtx) error {
-		return show((*figures.ChaosFailoverResult).Table)(figures.RunChaosFailover(c.env, figures.ChaosFailoverConfig{Seed: c.seed}))
+		return show((*figures.ChaosFailoverResult).Table)(figures.RunChaosFailover(c.env, c.seed))
 	}},
 	{"detect", "catchment-drift detection latency under PoP outages (twin-run determinism check)", true, true, func(c *runCtx) error {
-		return show((*figures.DetectBenchResult).Table)(figures.RunDetectBench(c.env, figures.DetectBenchConfig{}))
+		return show((*figures.DetectBenchResult).Table)(figures.RunDetectBench(c.env))
 	}},
 	{"scale", "solve wall-clock and memory across small/peering/azure", false, true, func(c *runCtx) error {
 		return show((*figures.ScaleBenchReport).Table)(figures.RunScaleBench(figures.ScaleBenchConfig{Seed: c.seed}))

@@ -13,7 +13,6 @@ import (
 	"os"
 	"time"
 
-	"painter/internal/bgp"
 	"painter/internal/daemon"
 	"painter/internal/routeserver"
 )
@@ -40,12 +39,9 @@ func main() {
 		Logf: func(format string, args ...any) {
 			logger.Info(fmt.Sprintf(format, args...))
 		},
-		Obs:    rt.Reg,
-		Tracer: rt.Tracer,
-	}
-	if *damping {
-		d := bgp.DefaultDampingConfig()
-		cfg.Damping = &d
+		Damping: *damping,
+		Obs:     rt.Reg,
+		Tracer:  rt.Tracer,
 	}
 	srv, err := routeserver.New(cfg)
 	if err != nil {

@@ -70,11 +70,9 @@ func (c Config) TotalAdvertisements() int {
 // Strategy names used in experiment output.
 const (
 	StrategyPainter        = "painter"
-	StrategyAnycast        = "anycast"
 	StrategyOnePerPoP      = "one-per-pop"
 	StrategyOnePerPoPReuse = "one-per-pop-reuse"
 	StrategyOnePerPeering  = "one-per-peering"
-	StrategySDWAN          = "sd-wan"
 )
 
 // OnePerPeering advertises a unique prefix via each peering, up to the

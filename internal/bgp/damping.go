@@ -15,37 +15,24 @@ import (
 // Damper lets the orchestrator (and tests) check how fast configuration
 // changes can safely be pushed.
 
-// DampingConfig holds the RFC 2439 parameters (Cisco-like defaults).
-type DampingConfig struct {
-	// WithdrawPenalty is added per withdrawal; AttrPenalty per attribute
+// The RFC 2439 parameters, at the commonly deployed (Cisco-like)
+// values.
+const (
+	// withdrawPenalty is added per withdrawal; attrPenalty per attribute
 	// change (re-announcement with different path).
-	WithdrawPenalty float64
-	AttrPenalty     float64
-	// SuppressThreshold starts suppression; ReuseThreshold ends it.
-	SuppressThreshold float64
-	ReuseThreshold    float64
-	// HalfLife is the penalty's exponential decay half-life.
-	HalfLife time.Duration
-	// MaxSuppress bounds how long a prefix stays suppressed.
-	MaxSuppress time.Duration
-}
-
-// DefaultDampingConfig returns commonly deployed values.
-func DefaultDampingConfig() DampingConfig {
-	return DampingConfig{
-		WithdrawPenalty:   1000,
-		AttrPenalty:       500,
-		SuppressThreshold: 2000,
-		ReuseThreshold:    750,
-		HalfLife:          15 * time.Minute,
-		MaxSuppress:       60 * time.Minute,
-	}
-}
+	withdrawPenalty = 1000
+	attrPenalty     = 500
+	// suppressThreshold starts suppression; reuseThreshold ends it.
+	suppressThreshold = 2000
+	reuseThreshold    = 750
+	// halfLife is the penalty's exponential decay half-life.
+	halfLife = 15 * time.Minute
+	// maxSuppress bounds how long a prefix stays suppressed.
+	maxSuppress = 60 * time.Minute
+)
 
 // Damper tracks per-prefix flap penalties. Safe for concurrent use.
 type Damper struct {
-	cfg DampingConfig
-
 	mu    sync.Mutex
 	state map[netip.Prefix]*dampState
 	// now allows tests to control time.
@@ -60,11 +47,11 @@ type dampState struct {
 }
 
 // NewDamper creates a Damper. A nil nowFn uses time.Now.
-func NewDamper(cfg DampingConfig, nowFn func() time.Time) *Damper {
+func NewDamper(nowFn func() time.Time) *Damper {
 	if nowFn == nil {
 		nowFn = time.Now
 	}
-	return &Damper{cfg: cfg, state: make(map[netip.Prefix]*dampState), now: nowFn}
+	return &Damper{state: make(map[netip.Prefix]*dampState), now: nowFn}
 }
 
 // decayTo brings the penalty up to date. Caller holds d.mu.
@@ -74,7 +61,7 @@ func (d *Damper) decayTo(s *dampState, now time.Time) {
 		s.lastUpdated = now
 		return
 	}
-	halves := float64(dt) / float64(d.cfg.HalfLife)
+	halves := float64(dt) / float64(halfLife)
 	s.penalty *= pow2(-halves)
 	if s.penalty < 1 {
 		s.penalty = 0
@@ -87,12 +74,12 @@ func pow2(x float64) float64 { return math.Exp2(x) }
 
 // OnWithdraw records a withdrawal flap.
 func (d *Damper) OnWithdraw(p netip.Prefix) {
-	d.flap(p, d.cfg.WithdrawPenalty)
+	d.flap(p, withdrawPenalty)
 }
 
 // OnAttrChange records a re-announcement with changed attributes.
 func (d *Damper) OnAttrChange(p netip.Prefix) {
-	d.flap(p, d.cfg.AttrPenalty)
+	d.flap(p, attrPenalty)
 }
 
 func (d *Damper) flap(p netip.Prefix, penalty float64) {
@@ -106,7 +93,7 @@ func (d *Damper) flap(p netip.Prefix, penalty float64) {
 	}
 	d.decayTo(s, now)
 	s.penalty += penalty
-	if !s.suppressed && s.penalty >= d.cfg.SuppressThreshold {
+	if !s.suppressed && s.penalty >= suppressThreshold {
 		s.suppressed = true
 		s.suppressedAt = now
 	}
@@ -123,7 +110,7 @@ func (d *Damper) Suppressed(p netip.Prefix) bool {
 	}
 	d.decayTo(s, now)
 	if s.suppressed {
-		if s.penalty <= d.cfg.ReuseThreshold || now.Sub(s.suppressedAt) >= d.cfg.MaxSuppress {
+		if s.penalty <= reuseThreshold || now.Sub(s.suppressedAt) >= maxSuppress {
 			s.suppressed = false
 		}
 	}
@@ -141,7 +128,7 @@ func (d *Damper) SuppressedCount() int {
 	for _, s := range d.state {
 		d.decayTo(s, now)
 		if s.suppressed {
-			if s.penalty <= d.cfg.ReuseThreshold || now.Sub(s.suppressedAt) >= d.cfg.MaxSuppress {
+			if s.penalty <= reuseThreshold || now.Sub(s.suppressedAt) >= maxSuppress {
 				s.suppressed = false
 				continue
 			}

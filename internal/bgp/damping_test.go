@@ -15,7 +15,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestDamper() (*Damper, *fakeClock) {
 	c := &fakeClock{t: time.Date(2023, 9, 10, 0, 0, 0, 0, time.UTC)}
-	return NewDamper(DefaultDampingConfig(), c.now), c
+	return NewDamper(c.now), c
 }
 
 func TestDamperSuppressAfterRepeatedFlaps(t *testing.T) {
@@ -68,10 +68,7 @@ func TestDamperReuseAfterDecay(t *testing.T) {
 }
 
 func TestDamperMaxSuppressBound(t *testing.T) {
-	cfg := DefaultDampingConfig()
-	cfg.HalfLife = 24 * time.Hour // so decay never releases in this test
-	c := &fakeClock{t: time.Now()}
-	d := NewDamper(cfg, c.now)
+	d, c := newTestDamper()
 	p := netip.MustParsePrefix("10.0.0.0/24")
 	for i := 0; i < 5; i++ {
 		d.OnWithdraw(p)
@@ -79,9 +76,18 @@ func TestDamperMaxSuppressBound(t *testing.T) {
 	if !d.Suppressed(p) {
 		t.Fatal("should be suppressed")
 	}
-	c.advance(cfg.MaxSuppress + time.Minute)
+	// A withdrawal every 10 minutes holds the penalty far above the
+	// reuse threshold, so only maxSuppress can end the suppression.
+	for elapsed := time.Duration(0); elapsed < maxSuppress; elapsed += 10 * time.Minute {
+		c.advance(10 * time.Minute)
+		d.OnWithdraw(p)
+	}
+	c.advance(time.Minute)
+	if pen := d.penaltyOf(p); pen <= reuseThreshold {
+		t.Fatalf("penalty %v decayed below the reuse threshold; the test needs it above", pen)
+	}
 	if d.Suppressed(p) {
-		t.Error("MaxSuppress must bound suppression time")
+		t.Error("maxSuppress must bound suppression time")
 	}
 }
 
@@ -99,7 +105,7 @@ func TestDamperAttrChangeCheaperThanWithdraw(t *testing.T) {
 
 func TestSafeUpdateInterval(t *testing.T) {
 	d, c := newTestDamper()
-	iv := d.safeUpdateInterval()
+	iv := safeUpdateInterval()
 	if iv <= 0 {
 		t.Fatalf("interval = %v", iv)
 	}
@@ -145,17 +151,13 @@ func (d *Damper) penaltyOf(p netip.Prefix) float64 {
 // safeUpdateInterval returns the minimum spacing between attribute-
 // changing re-advertisements of one prefix that never triggers
 // suppression: the interval at which the steady-state penalty stays
-// below the suppress threshold. Nothing in production paces itself with
-// it; TestSafeUpdateInterval holds the Damper to it.
-func (d *Damper) safeUpdateInterval() time.Duration {
+// below the suppress threshold, in closed form. TestSafeUpdateInterval
+// holds the Damper's decay and threshold to it.
+func safeUpdateInterval() time.Duration {
 	// Steady state of penalty P with decay factor f per interval T and
 	// per-flap addition A: P = A / (1 - f), f = 2^(-T/halflife).
-	// Require P < SuppressThreshold ⇒ f < 1 - A/S ⇒
+	// Require P < suppressThreshold ⇒ f < 1 - A/S ⇒
 	// T > -halflife * log2(1 - A/S).
-	ratio := d.cfg.AttrPenalty / d.cfg.SuppressThreshold
-	if ratio >= 1 {
-		return d.cfg.MaxSuppress
-	}
-	t := -float64(d.cfg.HalfLife) * math.Log2(1-ratio)
-	return time.Duration(t)
+	ratio := float64(attrPenalty) / suppressThreshold
+	return time.Duration(-float64(halfLife) * math.Log2(1-ratio))
 }

@@ -22,8 +22,9 @@ import (
 // alertRun replays the schedule on a fresh world with the full detector
 // rig attached and returns the canonical encodings of the run
 // (recordedRun), the alert stream and the history ring, and the tick at
-// which catchment_drift first fired (-1 = never).
-func alertRun(t *testing.T, sched Schedule) (run, stream, ring []byte, firedTick int) {
+// which catchment_drift first fired (-1 = never). band is the
+// detector's drift band (0: its own).
+func alertRun(t *testing.T, sched Schedule, band float64) (run, stream, ring []byte, firedTick int) {
 	t.Helper()
 	g, d, fresh := testRig(t)
 	ugs, err := usergroup.Build(g, usergroup.DefaultConfig())
@@ -38,7 +39,7 @@ func alertRun(t *testing.T, sched Schedule) (run, stream, ring []byte, firedTick
 		Clock: history.TickClock(0, int64(time.Second)),
 		Regs:  func() []*obs.Registry { return []*obs.Registry{reg} },
 	})
-	eng := alert.NewEngine(hist, alert.CatchmentDriftRules(0, 4, 1), alert.Options{})
+	eng := alert.NewEngine(hist, alert.CatchmentDriftRules(band, 4, 1), alert.Options{})
 
 	firedTick = -1
 	run, _, _ = recordedRun(t, w, d, sched, func(tick int, w *netsim.World) error {
@@ -81,7 +82,7 @@ func TestCatchmentDriftAlertEndToEnd(t *testing.T) {
 		}
 	}
 
-	res1, stream1, ring1, fired1 := alertRun(t, sched)
+	res1, stream1, ring1, fired1 := alertRun(t, sched, 0)
 	if fired1 < faultTick {
 		t.Fatalf("catchment_drift fired at tick %d, before the fault at %d (or never)", fired1, faultTick)
 	}
@@ -93,7 +94,7 @@ func TestCatchmentDriftAlertEndToEnd(t *testing.T) {
 
 	// Same seed, fresh rig: the alert stream and history ring must be
 	// byte-identical, and so must the chaos timeline.
-	res2, stream2, ring2, fired2 := alertRun(t, sched)
+	res2, stream2, ring2, fired2 := alertRun(t, sched, 0)
 	if fired1 != fired2 {
 		t.Fatalf("detection tick diverged: %d vs %d", fired1, fired2)
 	}
@@ -108,5 +109,11 @@ func TestCatchmentDriftAlertEndToEnd(t *testing.T) {
 	}
 	if len(stream1) == 0 {
 		t.Fatal("alert stream is empty despite a firing alert")
+	}
+
+	// Negative control: no share moves by more than 1, so a band of 1
+	// never fires on the same schedule.
+	if _, _, _, fired := alertRun(t, sched, 1); fired >= 0 {
+		t.Errorf("band 1 fired at tick %d, want never", fired)
 	}
 }

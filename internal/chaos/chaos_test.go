@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"painter/internal/bgp"
@@ -107,10 +108,10 @@ func TestChaosRunDeterministic(t *testing.T) {
 	if !bytes.Equal(r1, r2) {
 		t.Fatal("two runs of the same seeded schedule produced different results")
 	}
-	// FinalRecovery means every peering ends live and the final routes
+	// The final recovery means every peering ends live and the final routes
 	// match a clean world's.
 	if live != len(d.AllPeeringIDs()) {
-		t.Errorf("only %d/%d peerings live at end of FinalRecovery schedule",
+		t.Errorf("only %d/%d peerings live at end of schedule",
 			live, len(d.AllPeeringIDs()))
 	}
 }
@@ -226,15 +227,10 @@ func TestCachedWorldMatchesFreshUnderChaos(t *testing.T) {
 			if (err1 == nil) != (err2 == nil) || al != bl {
 				t.Fatalf("checkpoint %d AS %v: LatencyMs diverges", i, asn)
 			}
-			ap, err1 := w.PolicyCompliant(asn)
-			bp, err2 := fw.PolicyCompliant(asn)
-			if (err1 == nil) != (err2 == nil) || len(ap) != len(bp) {
-				t.Fatalf("checkpoint %d AS %v: PolicyCompliant diverges", i, asn)
-			}
-			for id, v := range ap {
-				if bp[id] != v {
-					t.Fatalf("checkpoint %d AS %v ing %d: PolicyCompliant diverges", i, asn, id)
-				}
+			ap, err1 := w.CompliantIngressIDs(asn)
+			bp, err2 := fw.CompliantIngressIDs(asn)
+			if (err1 == nil) != (err2 == nil) || !slices.Equal(ap, bp) {
+				t.Fatalf("checkpoint %d AS %v: CompliantIngressIDs diverges", i, asn)
 			}
 		}
 	}

@@ -86,7 +86,7 @@ func runControllerUnderChaos(t *testing.T, seed int64) (runBytes []byte, ctrlBen
 func TestControllerConvergesUnderChaos(t *testing.T) {
 	for _, seed := range []int64{20230815, 424242} {
 		b1, got, want := runControllerUnderChaos(t, seed)
-		// Schedules end with FinalRecovery, so the post-schedule world is
+		// Schedules end with their final recovery, so the post-schedule world is
 		// healthy: the controller's last syncs must have converged back to
 		// within 1% of a cold full solve.
 		if got < 0.99*want-1e-9 {

@@ -67,33 +67,34 @@ type GenConfig struct {
 	Ticks int
 
 	// PeeringFailProb fails one random live peering; it recovers after
-	// 1..MaxOutageTicks ticks.
+	// 1..maxOutageTicks ticks.
 	PeeringFailProb float64
 	// PoPOutageProb fails one random healthy PoP (all its peerings).
 	PoPOutageProb float64
 	// StormProb triggers a withdrawal storm: StormSize live peerings
-	// withdrawn at once, all recovering StormTicks later — the
+	// withdrawn at once, all recovering stormTicks later — the
 	// route-churn burst steady-state propagation never sees.
 	StormProb float64
 	StormSize int
-	// StormTicks is how long storm withdrawals last.
-	StormTicks int
-	// MaxOutageTicks bounds how long single-peering and PoP outages last.
-	MaxOutageTicks int
-	// SpikeProb adds a latency spike (up to SpikeMaxMs) on a random
-	// ingress, cleared after 1..MaxOutageTicks ticks.
-	SpikeProb  float64
-	SpikeMaxMs float64
-	// LossProb sets probe loss (up to MaxLossPct) on a random ingress,
-	// cleared after 1..MaxOutageTicks ticks.
-	LossProb   float64
-	MaxLossPct int
-	// PrefFlipProb re-rolls one random (AS, ingress) hidden preference.
-	PrefFlipProb float64
-	// FinalRecovery appends recoveries for everything still failed (or
-	// spiked/lossy) after the last tick, so schedules end healthy.
-	FinalRecovery bool
 }
+
+// The schedule shape every profile shares. Per-tick probabilities.
+const (
+	// stormTicks is how long storm withdrawals last.
+	stormTicks = 3
+	// maxOutageTicks bounds how long single-peering and PoP outages last.
+	maxOutageTicks = 5
+	// spikeProb adds a latency spike (up to spikeMaxMs) on a random
+	// ingress, cleared after 1..maxOutageTicks ticks.
+	spikeProb  = 0.25
+	spikeMaxMs = 150
+	// lossProb sets probe loss (up to maxLossPct) on a random ingress,
+	// cleared after 1..maxOutageTicks ticks.
+	lossProb   = 0.20
+	maxLossPct = 40
+	// prefFlipProb re-rolls one random (AS, ingress) hidden preference.
+	prefFlipProb = 0.35
+)
 
 // DefaultGenConfig returns a schedule shape that exercises every event
 // kind within a few dozen ticks.
@@ -105,14 +106,6 @@ func DefaultGenConfig(seed int64) GenConfig {
 		PoPOutageProb:   0.10,
 		StormProb:       0.08,
 		StormSize:       4,
-		StormTicks:      3,
-		MaxOutageTicks:  5,
-		SpikeProb:       0.25,
-		SpikeMaxMs:      150,
-		LossProb:        0.20,
-		MaxLossPct:      40,
-		PrefFlipProb:    0.35,
-		FinalRecovery:   true,
 	}
 }
 
@@ -121,18 +114,14 @@ func DefaultGenConfig(seed int64) GenConfig {
 // produce byte-identical schedules. Generated events are consistent —
 // only live peerings fail, only failed ones recover — so the schedule
 // can be replayed against any world built over the same deployment.
+// Recoveries for everything still failed (or spiked/lossy) after the
+// last tick are appended, so schedules end healthy.
 func Generate(g *topology.Graph, d *cloud.Deployment, cfg GenConfig) (Schedule, error) {
 	if cfg.Ticks <= 0 {
 		return nil, fmt.Errorf("chaos: Ticks must be positive, got %d", cfg.Ticks)
 	}
 	if cfg.StormSize <= 0 {
 		cfg.StormSize = 3
-	}
-	if cfg.StormTicks <= 0 {
-		cfg.StormTicks = 2
-	}
-	if cfg.MaxOutageTicks <= 0 {
-		cfg.MaxOutageTicks = 4
 	}
 	r := newRNG(cfg.Seed)
 	all := d.AllPeeringIDs()
@@ -191,7 +180,7 @@ func Generate(g *topology.Graph, d *cloud.Deployment, cfg GenConfig) (Schedule, 
 		emit(t, ev)
 		applyMirror(ev)
 	}
-	outageLen := func() int { return 1 + r.intn(cfg.MaxOutageTicks) }
+	outageLen := func() int { return 1 + r.intn(maxOutageTicks) }
 
 	for t := 0; t < cfg.Ticks; t++ {
 		// Due recoveries first: a slot freed this tick may fail again.
@@ -212,7 +201,7 @@ func Generate(g *topology.Graph, d *cloud.Deployment, cfg GenConfig) (Schedule, 
 					continue
 				}
 				schedule(t, netsim.Event{Kind: netsim.EventPeeringDown, Ingress: id})
-				rt := t + cfg.StormTicks
+				rt := t + stormTicks
 				future[rt] = append(future[rt], netsim.Event{Kind: netsim.EventPeeringUp, Ingress: id})
 			}
 		}
@@ -240,25 +229,25 @@ func Generate(g *topology.Graph, d *cloud.Deployment, cfg GenConfig) (Schedule, 
 				future[rt] = append(future[rt], netsim.Event{Kind: netsim.EventPoPUp, PoP: pop})
 			}
 		}
-		if r.float() < cfg.SpikeProb {
+		if r.float() < spikeProb {
 			id := all[r.intn(len(all))]
 			if !spiked[id] {
-				ms := 20 + r.float()*cfg.SpikeMaxMs
+				ms := 20 + r.float()*spikeMaxMs
 				schedule(t, netsim.Event{Kind: netsim.EventLatencySpike, Ingress: id, Ms: ms})
 				rt := t + outageLen()
 				future[rt] = append(future[rt], netsim.Event{Kind: netsim.EventLatencySpike, Ingress: id, Ms: 0})
 			}
 		}
-		if r.float() < cfg.LossProb {
+		if r.float() < lossProb {
 			id := all[r.intn(len(all))]
 			if !lossy[id] {
-				pct := 1 + r.intn(cfg.MaxLossPct)
+				pct := 1 + r.intn(maxLossPct)
 				schedule(t, netsim.Event{Kind: netsim.EventProbeLoss, Ingress: id, Pct: pct})
 				rt := t + outageLen()
 				future[rt] = append(future[rt], netsim.Event{Kind: netsim.EventProbeLoss, Ingress: id, Pct: 0})
 			}
 		}
-		if r.float() < cfg.PrefFlipProb {
+		if r.float() < prefFlipProb {
 			as := asns[r.intn(len(asns))]
 			id := all[r.intn(len(all))]
 			schedule(t, netsim.Event{Kind: netsim.EventPrefFlip, AS: as, Ingress: id})
@@ -274,23 +263,21 @@ func Generate(g *topology.Graph, d *cloud.Deployment, cfg GenConfig) (Schedule, 
 	last := cfg.Ticks - 1
 	for _, t := range tail {
 		at := t
-		if cfg.FinalRecovery && at > last+1 {
+		if at > last+1 {
 			at = last + 1
 		}
 		for _, ev := range future[t] {
 			schedule(at, ev)
 		}
 	}
-	if cfg.FinalRecovery {
-		for _, id := range all {
-			if downPeering[id] {
-				schedule(last+1, netsim.Event{Kind: netsim.EventPeeringUp, Ingress: id})
-			}
+	for _, id := range all {
+		if downPeering[id] {
+			schedule(last+1, netsim.Event{Kind: netsim.EventPeeringUp, Ingress: id})
 		}
-		for _, p := range d.PoPs {
-			if downPoP[p.ID] {
-				schedule(last+1, netsim.Event{Kind: netsim.EventPoPUp, PoP: p.ID})
-			}
+	}
+	for _, p := range d.PoPs {
+		if downPoP[p.ID] {
+			schedule(last+1, netsim.Event{Kind: netsim.EventPoPUp, PoP: p.ID})
 		}
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"painter/internal/advertise"
 	"painter/internal/geo"
@@ -58,7 +59,7 @@ func EvaluateRange(w *netsim.World, ugs *usergroup.Set, cfg advertise.Config) (R
 		if math.IsNaN(base) {
 			continue
 		}
-		compliant, err := w.PolicyCompliant(ug.ASN)
+		compliant, err := w.CompliantIngressIDs(ug.ASN)
 		if err != nil {
 			return RangeResult{}, err
 		}
@@ -79,7 +80,7 @@ func EvaluateRange(w *netsim.World, ugs *usergroup.Set, cfg advertise.Config) (R
 			var dists []float64
 			minDist := math.Inf(1)
 			for _, ing := range peerings {
-				if !compliant[ing] {
+				if _, ok := slices.BinarySearch(compliant, ing); !ok {
 					continue
 				}
 				ms, err := w.BaseLatencyMs(ug.ASN, ug.Metro, ing)

@@ -153,9 +153,7 @@ func NewEnv(scale Scale, seed int64) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	mCfg := measurement.DefaultConfig()
-	mCfg.Seed = seed + 4
-	meas, err := measurement.NewSystem(wd.Net, covered, mCfg)
+	meas, err := measurement.NewSystem(wd.Net, covered, seed+4)
 	if err != nil {
 		return nil, err
 	}

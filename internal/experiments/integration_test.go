@@ -152,30 +152,50 @@ func TestEndToEndControlAndDataPlane(t *testing.T) {
 		t.Fatal("no echo through the tunnel")
 	}
 
-	// Withdraw the chosen prefix (fail PoP 1): the edge must fail over
-	// and traffic must keep flowing — the whole point of the system.
+	// Withdraw the chosen prefix (fail PoP 1): the edge must detect the
+	// death and fail over, and traffic must keep flowing — the whole
+	// point of the system. The flow stays pinned to PoP 1 until the edge
+	// declares it dead, whatever Selected says: a stall that inflates PoP
+	// 1's RTT before the withdrawal can move the selection while PoP 1 is
+	// still alive, and a datagram sent then is lost on the dead link.
 	if nPrefixes >= 2 {
 		links[0].SetDown(true)
-		deadline = time.Now().Add(3 * time.Second)
-		for time.Now().Before(deadline) {
-			if d, ok := edge.Selected(); ok && d.PoP != 1 {
-				break
+		failedOver := func() bool {
+			if d, ok := edge.Selected(); !ok || d.PoP == 1 {
+				return false
 			}
+			for _, st := range edge.Status() {
+				if st.Dest.PoP == 1 {
+					return !st.Alive
+				}
+			}
+			return false
+		}
+		deadline = time.Now().Add(3 * time.Second)
+		for time.Now().Before(deadline) && !failedOver() {
 			time.Sleep(5 * time.Millisecond)
 		}
-		if d, ok := edge.Selected(); !ok || d.PoP == 1 {
-			t.Fatal("edge did not fail over after withdrawal")
+		if !failedOver() {
+			t.Fatalf("edge did not fail over after withdrawal; status %+v", edge.Status())
 		}
-		if err := edge.Send(flow, []byte("after-failover")); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case p := <-echo:
-			if string(p) != "after-failover" {
-				t.Errorf("echo = %q", p)
+		// A loaded loopback may still drop a datagram: resend until the
+		// deadline.
+		deadline = time.Now().Add(3 * time.Second)
+		for echoed := false; !echoed; {
+			if err := edge.Send(flow, []byte("after-failover")); err != nil {
+				t.Fatal(err)
 			}
-		case <-time.After(3 * time.Second):
-			t.Fatal("no echo after failover")
+			select {
+			case p := <-echo:
+				if string(p) != "after-failover" {
+					t.Errorf("echo = %q", p)
+				}
+				echoed = true
+			case <-time.After(100 * time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Fatalf("no echo after failover; status %+v", edge.Status())
+				}
+			}
 		}
 	}
 }

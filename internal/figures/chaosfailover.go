@@ -16,17 +16,9 @@ import (
 	"painter/internal/netsim"
 )
 
-// ChaosFailoverConfig parameterizes the scenario.
-type ChaosFailoverConfig struct {
-	// Seed drives both the schedule generator and nothing else: equal
-	// seeds reproduce the run exactly.
-	Seed int64
-	// Ticks is the schedule length (40 when zero).
-	Ticks int
-	// TopUGs bounds how many (heaviest) user groups are measured per
-	// tick (200 when zero).
-	TopUGs int
-}
+// chaosTopUGs bounds how many (heaviest) user groups are measured per
+// tick.
+const chaosTopUGs = 200
 
 // ChaosPoint is one tick of the scenario.
 type ChaosPoint struct {
@@ -52,23 +44,16 @@ type ChaosFailoverResult struct {
 	Kinds       int
 	Points      []ChaosPoint
 	// Recovered reports whether the final selection equals the
-	// pre-chaos selection (FinalRecovery schedules must end clean).
+	// pre-chaos selection (schedules end with a final recovery).
 	Recovered bool
 }
 
 // RunChaosFailover generates a deterministic chaos schedule for the
 // environment's deployment and replays it on a fresh world, measuring
-// latency and churn per tick.
-func RunChaosFailover(env *experiments.Env, cfg ChaosFailoverConfig) (*ChaosFailoverResult, error) {
-	if cfg.Ticks <= 0 {
-		cfg.Ticks = 40
-	}
-	if cfg.TopUGs <= 0 {
-		cfg.TopUGs = 200
-	}
-	gen := chaos.DefaultGenConfig(cfg.Seed)
-	gen.Ticks = cfg.Ticks
-	sched, err := chaos.Generate(env.Graph, env.Deploy, gen)
+// latency and churn per tick. seed drives the schedule generator and
+// nothing else: equal seeds reproduce the run exactly.
+func RunChaosFailover(env *experiments.Env, seed int64) (*ChaosFailoverResult, error) {
+	sched, err := chaos.Generate(env.Graph, env.Deploy, chaos.DefaultGenConfig(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +64,7 @@ func RunChaosFailover(env *experiments.Env, cfg ChaosFailoverConfig) (*ChaosFail
 		return nil, err
 	}
 	all := env.Deploy.AllPeeringIDs()
-	ugs := env.UGs.TopByWeight(cfg.TopUGs)
+	ugs := env.UGs.TopByWeight(chaosTopUGs)
 
 	baseline, err := w.ResolveIngress(all)
 	if err != nil {

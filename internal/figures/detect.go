@@ -22,37 +22,21 @@ import (
 	"painter/internal/stats"
 )
 
-// DetectBenchConfig parameterizes the benchmark.
-type DetectBenchConfig struct {
-	// Trials is the number of PoP outages injected (default 6, capped
-	// at the deployment's PoP count).
-	Trials int
-	// Warmup is the EWMA warm-up: ticks sampled before any fault, and
-	// the detector's MinSamples (default 6).
-	Warmup int
-	// MaxTicks bounds the post-injection wait for the alert (default 20).
-	MaxTicks int
-	// Band is the EWMA drift band (default: detector's own 0.08).
-	Band float64
-	// ForTicks is how many consecutive out-of-band ticks fire the alert
-	// (default 2 — one to go pending, one to confirm).
-	ForTicks int
-}
-
-func (c *DetectBenchConfig) defaults() {
-	if c.Trials <= 0 {
-		c.Trials = 6
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 6
-	}
-	if c.MaxTicks <= 0 {
-		c.MaxTicks = 20
-	}
-	if c.ForTicks <= 0 {
-		c.ForTicks = 2
-	}
-}
+// The benchmark's shape.
+const (
+	// detectTrials is the number of PoP outages injected; past the
+	// deployment's PoP count the sweep starts over.
+	detectTrials = 6
+	// detectWarmup is the EWMA warm-up: ticks sampled before any fault,
+	// and the detector's MinSamples.
+	detectWarmup = 6
+	// detectMaxTicks bounds the post-injection wait for the alert.
+	detectMaxTicks = 20
+	// detectForTicks is how many consecutive out-of-band ticks fire the
+	// alert: one to go pending, one to confirm. The band is the
+	// detector's own.
+	detectForTicks = 2
+)
 
 // DetectTrial is one injected outage.
 type DetectTrial struct {
@@ -61,11 +45,11 @@ type DetectTrial struct {
 	// the drift magnitude the detector has to notice.
 	Share float64
 	// DetectTicks is firing-tick minus inject-tick; -1 when the alert
-	// never fired within MaxTicks.
+	// never fired within detectMaxTicks.
 	DetectTicks int
 	// ResolveTicks is ticks from recovery to the alert resolving (the
 	// EWMA re-converging); -1 when the outage was never detected or the
-	// alert stayed firing past 4*MaxTicks.
+	// alert stayed firing past 4*detectMaxTicks.
 	ResolveTicks int
 }
 
@@ -92,13 +76,12 @@ type DetectBenchResult struct {
 
 // RunDetectBench runs the outage schedule twice from the same seed and
 // reports detection latency plus the determinism verdict.
-func RunDetectBench(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchResult, error) {
-	cfg.defaults()
-	res, stream1, ring1, err := runDetectOnce(env, cfg)
+func RunDetectBench(env *experiments.Env) (*DetectBenchResult, error) {
+	res, stream1, ring1, err := runDetectOnce(env)
 	if err != nil {
 		return nil, err
 	}
-	_, stream2, ring2, err := runDetectOnce(env, cfg)
+	_, stream2, ring2, err := runDetectOnce(env)
 	if err != nil {
 		return nil, fmt.Errorf("figures: detect twin run: %w", err)
 	}
@@ -109,7 +92,7 @@ func RunDetectBench(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRe
 // runDetectOnce builds a fresh world + detector rig and replays the
 // outage schedule, returning the result plus the canonical alert-stream
 // and history-ring encodings for the determinism comparison.
-func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchResult, []byte, []byte, error) {
+func runDetectOnce(env *experiments.Env) (*DetectBenchResult, []byte, []byte, error) {
 	w, err := netsim.New(env.Graph, env.Deploy, env.Seed+3)
 	if err != nil {
 		return nil, nil, nil, err
@@ -122,7 +105,7 @@ func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRes
 		Regs:  func() []*obs.Registry { return []*obs.Registry{reg} },
 	})
 	eng := alert.NewEngine(hist,
-		alert.CatchmentDriftRules(cfg.Band, cfg.Warmup, cfg.ForTicks),
+		alert.CatchmentDriftRules(0, detectWarmup, detectForTicks),
 		alert.Options{})
 
 	// step advances the rig one controller tick: refresh the catchment,
@@ -151,7 +134,7 @@ func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRes
 		Scale: env.Scale.String(),
 		PoPs:  len(env.Deploy.PoPs), UGs: env.AllUGs.Len(),
 	}
-	for i := 0; i < cfg.Warmup; i++ {
+	for i := 0; i < detectWarmup; i++ {
 		if err := step(); err != nil {
 			return nil, nil, nil, err
 		}
@@ -159,7 +142,7 @@ func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRes
 
 	var detects, resolves []float64
 	hit := make(map[cloud.PoPID]bool)
-	for trial := 0; trial < cfg.Trials; trial++ {
+	for trial := 0; trial < detectTrials; trial++ {
 		// Victim: the heaviest not-yet-hit PoP (ties broken by ID), so
 		// trials sweep down the share distribution — from the outage
 		// every detector should see toward ones near the band.
@@ -177,7 +160,7 @@ func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRes
 		if err := step(); err != nil {
 			return nil, nil, nil, err
 		}
-		for waited := 1; waited <= cfg.MaxTicks; waited++ {
+		for waited := 1; waited <= detectMaxTicks; waited++ {
 			if drifting() {
 				pt.DetectTicks = waited
 				break
@@ -198,7 +181,7 @@ func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRes
 		if err := w.ApplyEvent(netsim.Event{Kind: netsim.EventPoPUp, PoP: victim}); err != nil {
 			return nil, nil, nil, err
 		}
-		for waited := 1; waited <= 4*cfg.MaxTicks; waited++ {
+		for waited := 1; waited <= 4*detectMaxTicks; waited++ {
 			if err := step(); err != nil {
 				return nil, nil, nil, err
 			}
@@ -212,7 +195,7 @@ func runDetectOnce(env *experiments.Env, cfg DetectBenchConfig) (*DetectBenchRes
 		}
 		// Let the baseline settle before the next trial so trials stay
 		// independent.
-		for i := 0; i < cfg.Warmup; i++ {
+		for i := 0; i < detectWarmup; i++ {
 			if err := step(); err != nil {
 				return nil, nil, nil, err
 			}

@@ -23,10 +23,6 @@ type Fig10Config struct {
 	PreFail time.Duration
 	// PostFail is how long to keep sampling after the failure.
 	PostFail time.Duration
-	// SampleInterval is the time-series sampling cadence.
-	SampleInterval time.Duration
-	// ProbeInterval for the TM-Edge.
-	ProbeInterval time.Duration
 	// AnycastOutage is how long the anycast prefix is unreachable after
 	// withdrawal (the paper observed ~1 s).
 	AnycastOutage time.Duration
@@ -34,24 +30,27 @@ type Fig10Config struct {
 	// (higher-latency) route, accompanied by the RIS update spike (~15 s
 	// in the paper).
 	ConvergeAfter time.Duration
-	// Link one-way delays.
-	DelayAnycastA, DelayAnycastB time.Duration
-	DelayUnicastA, DelayUnicastB time.Duration
 }
+
+// The live run's fixed shape.
+const (
+	// fig10SampleInterval is the time-series sampling cadence.
+	fig10SampleInterval = 100 * time.Millisecond
+	// fig10ProbeInterval is the TM-Edge's probe cadence.
+	fig10ProbeInterval = 4 * time.Millisecond
+	// Link one-way delays: anycast before (A) and after (B) its
+	// reconvergence, and the unicast prefixes at each PoP.
+	delayAnycastA, delayAnycastB = 10 * time.Millisecond, 16 * time.Millisecond
+	delayUnicastA, delayUnicastB = 6 * time.Millisecond, 13 * time.Millisecond
+)
 
 // DefaultFig10Config returns the compressed timeline.
 func DefaultFig10Config() Fig10Config {
 	return Fig10Config{
-		PreFail:        1500 * time.Millisecond,
-		PostFail:       2500 * time.Millisecond,
-		SampleInterval: 100 * time.Millisecond,
-		ProbeInterval:  4 * time.Millisecond,
-		AnycastOutage:  400 * time.Millisecond,
-		ConvergeAfter:  1200 * time.Millisecond,
-		DelayAnycastA:  10 * time.Millisecond,
-		DelayAnycastB:  16 * time.Millisecond,
-		DelayUnicastA:  6 * time.Millisecond,
-		DelayUnicastB:  13 * time.Millisecond,
+		PreFail:       1500 * time.Millisecond,
+		PostFail:      2500 * time.Millisecond,
+		AnycastOutage: 400 * time.Millisecond,
+		ConvergeAfter: 1200 * time.Millisecond,
 	}
 }
 
@@ -105,27 +104,27 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 	mkLink := func(target string, d time.Duration, seed int64) (*emul.Link, error) {
 		return emul.NewLink(target, d, seed)
 	}
-	anycast, err := mkLink(popA.Addr(), cfg.DelayAnycastA, 11)
+	anycast, err := mkLink(popA.Addr(), delayAnycastA, 11)
 	if err != nil {
 		return nil, err
 	}
 	defer anycast.Close()
-	uniA1, err := mkLink(popA.Addr(), cfg.DelayUnicastA, 12)
+	uniA1, err := mkLink(popA.Addr(), delayUnicastA, 12)
 	if err != nil {
 		return nil, err
 	}
 	defer uniA1.Close()
-	uniA2, err := mkLink(popA.Addr(), cfg.DelayUnicastA+3*time.Millisecond, 13)
+	uniA2, err := mkLink(popA.Addr(), delayUnicastA+3*time.Millisecond, 13)
 	if err != nil {
 		return nil, err
 	}
 	defer uniA2.Close()
-	uniB1, err := mkLink(popB.Addr(), cfg.DelayUnicastB, 14)
+	uniB1, err := mkLink(popB.Addr(), delayUnicastB, 14)
 	if err != nil {
 		return nil, err
 	}
 	defer uniB1.Close()
-	uniB2, err := mkLink(popB.Addr(), cfg.DelayUnicastB+6*time.Millisecond, 15)
+	uniB2, err := mkLink(popB.Addr(), delayUnicastB+6*time.Millisecond, 15)
 	if err != nil {
 		return nil, err
 	}
@@ -152,10 +151,10 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 
 	edgeCfg := tm.DefaultEdgeConfig()
 	edgeCfg.Destinations = dests
-	edgeCfg.ProbeInterval = cfg.ProbeInterval
+	edgeCfg.ProbeInterval = fig10ProbeInterval
 	// Tolerate Go-timer scheduling jitter: at millisecond probe cadences
 	// a single delayed tick must not read as path death.
-	edgeCfg.MinFailureTimeout = 3 * cfg.ProbeInterval
+	edgeCfg.MinFailureTimeout = 3 * fig10ProbeInterval
 	edgeCfg.OnEvent = func(ev tm.Event) {
 		f := failNanos.Load()
 		if f == 0 {
@@ -196,7 +195,7 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 
 	res := &Fig10Result{FailAt: cfg.PreFail}
 	start := time.Now()
-	ticker := time.NewTicker(cfg.SampleInterval)
+	ticker := time.NewTicker(fig10SampleInterval)
 	defer ticker.Stop()
 
 	failed := false
@@ -218,7 +217,7 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 			go replayReconvergence(router, cfg)
 			go func() {
 				time.Sleep(cfg.AnycastOutage)
-				anycast.SetDelay(cfg.DelayAnycastB)
+				anycast.SetDelay(delayAnycastB)
 				anycast.SetDown(false)
 			}()
 		}

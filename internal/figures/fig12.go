@@ -82,11 +82,7 @@ func Fig12bTable(rows []Fig12bPoint) Table {
 // RunFig3 generates the residential capture and runs the matching
 // analysis (§2.2).
 func RunFig3() (*trace.Analysis, error) {
-	cap, err := trace.Generate(trace.DefaultGenConfig())
-	if err != nil {
-		return nil, err
-	}
-	return trace.Analyze(cap, nil)
+	return trace.Analyze(trace.Generate(), nil)
 }
 
 // Fig3Table renders the post-expiry traffic curves.

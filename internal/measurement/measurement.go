@@ -6,7 +6,6 @@
 package measurement
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -18,45 +17,30 @@ import (
 	"painter/internal/usergroup"
 )
 
-// Config parameterizes the measurement system.
-type Config struct {
-	Seed int64
-	// ProbeTrafficCoverage is the fraction of total traffic volume whose
+// The measurement methodology, at the paper's choices.
+const (
+	// probeTrafficCoverage is the fraction of total traffic volume whose
 	// UGs host probes (the paper: RIPE Atlas covers ~47% of Azure
 	// volume).
-	ProbeTrafficCoverage float64
-	// GeoPrecisionKm is GP: the maximum admissible target geolocation
+	probeTrafficCoverage = 0.47
+	// geoPrecisionKm is GP: the maximum admissible target geolocation
 	// uncertainty (the paper settles on 450 km).
-	GeoPrecisionKm float64
-	// PingCount is how many pings are taken per measurement (min is
+	geoPrecisionKm = 450
+	// pingCount is how many pings are taken per measurement (min is
 	// kept; the paper uses 7).
-	PingCount int
-	// ExtrapolateRadiusKm / ExtrapolateAnycastMs are Appendix C's
+	pingCount = 7
+	// extrapolateRadiusKm / extrapolateAnycastMs are Appendix C's
 	// neighbor-probe criteria (500 km, 10 ms).
-	ExtrapolateRadiusKm  float64
-	ExtrapolateAnycastMs float64
-	// PingJitterMs scales per-ping noise.
-	PingJitterMs float64
-}
-
-// DefaultConfig mirrors the paper's choices.
-func DefaultConfig() Config {
-	return Config{
-		Seed:                 7,
-		ProbeTrafficCoverage: 0.47,
-		GeoPrecisionKm:       450,
-		PingCount:            7,
-		ExtrapolateRadiusKm:  500,
-		ExtrapolateAnycastMs: 10,
-		PingJitterMs:         2.0,
-	}
-}
+	extrapolateRadiusKm  = 500
+	extrapolateAnycastMs = 10
+	// pingJitterMs scales per-ping noise.
+	pingJitterMs = 2.0
+)
 
 // System is a materialized measurement system over one world + UG set.
 type System struct {
 	world *netsim.World
 	ugs   *usergroup.Set
-	cfg   Config
 
 	probes map[usergroup.ID]bool
 	// targetUncKm is each ingress's intrinsic target geolocation
@@ -88,22 +72,16 @@ func mix(z uint64) uint64 {
 // NewSystem builds the measurement system: chooses probe-hosting UGs by
 // traffic weight until the coverage target is met, assigns each ingress
 // a target with intrinsic geolocation uncertainty, and measures anycast
-// latencies for every UG.
-func NewSystem(w *netsim.World, ugs *usergroup.Set, cfg Config) (*System, error) {
-	if cfg.PingCount < 1 {
-		return nil, fmt.Errorf("measurement: PingCount must be >= 1")
-	}
-	if cfg.ProbeTrafficCoverage <= 0 || cfg.ProbeTrafficCoverage > 1 {
-		return nil, fmt.Errorf("measurement: ProbeTrafficCoverage must be in (0,1]")
-	}
+// latencies for every UG. seed draws the probe placement, the targets'
+// uncertainty and the ping noise.
+func NewSystem(w *netsim.World, ugs *usergroup.Set, seed int64) (*System, error) {
 	s := &System{
 		world:       w,
 		ugs:         ugs,
-		cfg:         cfg,
 		probes:      make(map[usergroup.ID]bool),
 		targetUncKm: make(map[bgp.IngressID]float64),
 		anycastMs:   make(map[usergroup.ID]float64),
-		rng:         &randSource{seed: uint64(cfg.Seed)},
+		rng:         &randSource{seed: uint64(seed)},
 	}
 
 	// Probe placement: descending traffic weight with per-UG jitter so
@@ -127,7 +105,7 @@ func NewSystem(w *netsim.World, ugs *usergroup.Set, cfg Config) (*System, error)
 	var covered float64
 	total := ugs.TotalWeight()
 	for _, o := range order {
-		if covered >= cfg.ProbeTrafficCoverage*total {
+		if covered >= probeTrafficCoverage*total {
 			break
 		}
 		s.probes[o.id] = true
@@ -167,12 +145,12 @@ func NewSystem(w *netsim.World, ugs *usergroup.Set, cfg Config) (*System, error)
 	return s, nil
 }
 
-// minPing simulates PingCount pings over a path of latency base and
+// minPing simulates pingCount pings over a path of latency base and
 // returns the minimum RTT.
 func (s *System) minPing(u usergroup.UG, ing bgp.IngressID, base float64, dom uint64) float64 {
 	best := math.Inf(1)
-	for i := 0; i < s.cfg.PingCount; i++ {
-		ms := base + s.cfg.PingJitterMs*s.rng.unit(dom, uint64(u.ID), uint64(ing), uint64(i))
+	for i := 0; i < pingCount; i++ {
+		ms := base + pingJitterMs*s.rng.unit(dom, uint64(u.ID), uint64(ing), uint64(i))
 		if ms < best {
 			best = ms
 		}
@@ -183,7 +161,7 @@ func (s *System) minPing(u usergroup.UG, ing bgp.IngressID, base float64, dom ui
 // covers reports whether the ingress has a target admissible at the
 // configured geo-precision.
 func (s *System) covers(ing bgp.IngressID) bool {
-	return s.targetUncKm[ing] <= s.cfg.GeoPrecisionKm
+	return s.targetUncKm[ing] <= geoPrecisionKm
 }
 
 // measuredMs returns the estimated latency from a probe-hosting UG
@@ -233,17 +211,17 @@ func (s *System) Estimator() func(u usergroup.UG, ing bgp.IngressID) (float64, b
 	improvementPool := func(target usergroup.UG, targetAnycast float64) []float64 {
 		var pool []float64
 		for _, p := range probes {
-			if geo.DistanceKm(target.Coord, p.ug.Coord) > s.cfg.ExtrapolateRadiusKm {
+			if geo.DistanceKm(target.Coord, p.ug.Coord) > extrapolateRadiusKm {
 				continue
 			}
-			if math.Abs(p.anycast-targetAnycast) > s.cfg.ExtrapolateAnycastMs {
+			if math.Abs(p.anycast-targetAnycast) > extrapolateAnycastMs {
 				continue
 			}
-			pc, err := s.world.PolicyCompliant(p.ug.ASN)
+			pc, err := s.world.CompliantIngressIDs(p.ug.ASN)
 			if err != nil {
 				continue
 			}
-			for ing := range pc {
+			for _, ing := range pc {
 				if m, ok := s.measuredMs(p.ug, ing); ok {
 					pool = append(pool, p.anycast-m) // improvement (can be negative)
 				}
@@ -309,12 +287,12 @@ func (s *System) CoverageAt(maxKm float64, restrictToProbes bool) (float64, erro
 		if !ok {
 			continue
 		}
-		pc, err := s.world.PolicyCompliant(u.ASN)
+		pc, err := s.world.CompliantIngressIDs(u.ASN)
 		if err != nil {
 			return 0, err
 		}
 		var useful []bgp.IngressID
-		for ing := range pc {
+		for _, ing := range pc {
 			pop, err := s.world.Deploy.PoPOfPeering(ing)
 			if err != nil {
 				return 0, err
@@ -352,11 +330,11 @@ func (s *System) MedianAbsErrorAt(loKm, hiKm float64) (float64, error) {
 		if !s.probes[u.ID] {
 			continue
 		}
-		pc, err := s.world.PolicyCompliant(u.ASN)
+		pc, err := s.world.CompliantIngressIDs(u.ASN)
 		if err != nil {
 			return 0, err
 		}
-		for ing := range pc {
+		for _, ing := range pc {
 			unc := s.targetUncKm[ing]
 			if unc < loKm || unc > hiKm {
 				continue

@@ -32,7 +32,7 @@ func testSystem(t *testing.T) (*System, *netsim.World, *usergroup.Set) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSystem(w, ugs, DefaultConfig())
+	s, err := NewSystem(w, ugs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,11 @@ func TestMeasurementAccuracyForPreciseTargets(t *testing.T) {
 		if !s.probes[u.ID] {
 			continue
 		}
-		pc, err := w.PolicyCompliant(u.ASN)
+		pc, err := w.CompliantIngressIDs(u.ASN)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ing := range pc {
+		for _, ing := range pc {
 			if s.targetUncKm[ing] > 100 {
 				continue
 			}
@@ -211,11 +211,11 @@ func TestEstimatorCoversNonProbeUGs(t *testing.T) {
 	est := s.Estimator()
 	probeHits, extrapolated := 0, 0
 	for _, u := range ugs.UGs {
-		pc, err := w.PolicyCompliant(u.ASN)
+		pc, err := w.CompliantIngressIDs(u.ASN)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ing := range pc {
+		for _, ing := range pc {
 			ms, ok := est(u, ing)
 			if !ok {
 				continue
@@ -279,20 +279,6 @@ func TestEstimatorConcurrentUse(t *testing.T) {
 				t.Fatalf("UG %d ingress %d: shared estimator %v/%v, serial %v/%v", u.ID, ing, a, okA, b, okB)
 			}
 		}
-	}
-}
-
-func TestNewSystemValidation(t *testing.T) {
-	_, w, ugs := testSystem(t)
-	bad := DefaultConfig()
-	bad.PingCount = 0
-	if _, err := NewSystem(w, ugs, bad); err == nil {
-		t.Error("PingCount 0 should fail")
-	}
-	bad = DefaultConfig()
-	bad.ProbeTrafficCoverage = 0
-	if _, err := NewSystem(w, ugs, bad); err == nil {
-		t.Error("zero coverage should fail")
 	}
 }
 

@@ -1,9 +1,8 @@
 package netsim
 
 // Tests for the world-level caches: the propagation cache (canonical
-// peering-set + day keying, SetDay invalidation, drift visibility), the
-// PolicyCompliant memo (copy-on-return isolation), and goroutine safety
-// of the concurrent query surface.
+// peering-set + day keying, SetDay invalidation, drift visibility) and
+// goroutine safety of the concurrent query surface.
 
 import (
 	"bytes"
@@ -95,27 +94,6 @@ func TestResolveCacheInvalidatedBySetDay(t *testing.T) {
 	}
 }
 
-// TestPolicyCompliantReturnsIsolatedCopy asserts callers may mutate the
-// returned set (the orchestrator's learning loop does) without
-// corrupting the memo.
-func TestPolicyCompliantReturnsIsolatedCopy(t *testing.T) {
-	w := testWorld(t)
-	asn, _ := firstStubUG(t, w)
-	a, err := w.PolicyCompliant(asn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(a)
-	a[bgp.IngressID(1<<20)] = true // caller-side mutation
-	b, err := w.PolicyCompliant(asn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != want {
-		t.Errorf("memoized PolicyCompliant leaked a caller mutation: %d entries, want %d", len(b), want)
-	}
-}
-
 // TestWorldQueriesConcurrent hammers the cached query surface from many
 // goroutines (run under -race): concurrent first-misses must share one
 // propagation run and produce the same result.
@@ -149,7 +127,7 @@ func TestWorldQueriesConcurrent(t *testing.T) {
 			if !routesEqual(want, got) {
 				t.Errorf("goroutine %d: divergent cached selection", i)
 			}
-			if _, err := w.PolicyCompliant(asn); err != nil {
+			if _, err := w.CompliantIngressIDs(asn); err != nil {
 				errs <- err
 				return
 			}

@@ -6,6 +6,7 @@ package netsim
 // boundary it should not have.
 
 import (
+	"slices"
 	"testing"
 
 	"painter/internal/bgp"
@@ -94,19 +95,14 @@ func TestDifferentialCachedVsFreshWorld(t *testing.T) {
 			}
 
 			for _, asn := range asns {
-				ap, err1 := w.PolicyCompliant(asn)
-				bp, err2 := fw.PolicyCompliant(asn)
+				ap, err1 := w.CompliantIngressIDs(asn)
+				bp, err2 := fw.CompliantIngressIDs(asn)
 				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("trial %d day %d AS %v: PolicyCompliant errs diverge: %v vs %v",
+					t.Fatalf("trial %d day %d AS %v: CompliantIngressIDs errs diverge: %v vs %v",
 						trial, day, asn, err1, err2)
 				}
-				if len(ap) != len(bp) {
-					t.Fatalf("trial %d day %d AS %v: PolicyCompliant sizes differ", trial, day, asn)
-				}
-				for id, v := range ap {
-					if bp[id] != v {
-						t.Fatalf("trial %d day %d AS %v ing %d: PolicyCompliant diverges", trial, day, asn, id)
-					}
+				if !slices.Equal(ap, bp) {
+					t.Fatalf("trial %d day %d AS %v: CompliantIngressIDs diverges", trial, day, asn)
 				}
 
 				metro := w.Graph.AS(asn).Metros[0]

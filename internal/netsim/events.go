@@ -389,7 +389,7 @@ func (w *World) invalidateBestForUp(ids []bgp.IngressID) {
 	for _, s := range live {
 		asn := w.idx.ASN(s.ai)
 		metro := w.metroCodes[s.mo]
-		pc, err := w.compliantRow(asn)
+		pc, err := w.CompliantIngressIDs(asn)
 		if err != nil {
 			stale = append(stale, s)
 			continue

@@ -1,4 +1,4 @@
-package netsim_test
+package netsim
 
 import (
 	"fmt"
@@ -6,7 +6,7 @@ import (
 
 	"painter/internal/bgp"
 	"painter/internal/cloud"
-	"painter/internal/netsim"
+	"painter/internal/geo"
 	"painter/internal/topology"
 )
 
@@ -71,15 +71,8 @@ func Example_fig1Scenario() {
 		return d
 	}
 
-	// A clean latency model for the demo: pure geography, no random
-	// intra-AS detours (the routing failure is the story here).
-	simCfg := netsim.DefaultConfig()
-	simCfg.DetourProb = 0
-	simCfg.TransitDetourProb = 0
-	simCfg.AccessMinMs, simCfg.AccessMaxMs = 2, 4
-
 	show := func(label string, d *cloud.Deployment, peerings []bgp.IngressID) {
-		w, err := netsim.NewWithConfig(g, d, 7, simCfg)
+		w, err := New(g, d, 7)
 		must(err)
 		sel, err := w.ResolveIngress(peerings)
 		must(err)
@@ -89,7 +82,7 @@ func Example_fig1Scenario() {
 			return
 		}
 		pop, _ := d.PoPOfPeering(r.Ingress)
-		ms, _ := w.BaseLatencyMs(enterprise, "nyc", r.Ingress)
+		ms := cleanLatencyMs(w, enterprise, "nyc", r.Ingress)
 		fmt.Printf("%-34s branch lands at PoP %s via %v (%.1f ms)\n",
 			label, pop.Metro, d.Peering(r.Ingress).PeerASN, ms)
 	}
@@ -127,4 +120,18 @@ func Example_fig1Scenario() {
 	// With PAINTER the transit path at the close PoP is already advertised as
 	// its own prefix, and the TM-Edge shifts flows to it within one RTT —
 	// run `go run ./cmd/painter-bench -exp fig10` to watch that mechanism live.
+}
+
+// cleanLatencyMs is the demo's latency model: BaseLatencyMs without
+// intra-AS detours and with a 2–4 ms last mile, pure geography, since
+// the routing failure is the story here.
+func cleanLatencyMs(w *World, asn topology.ASN, metro string, ing bgp.IngressID) float64 {
+	distKm, err := w.distanceKm(metro, ing)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ugKey := uint64(asn)<<16 ^ metroKey(metro)
+	stretch := 1.2 + 0.7*unit(w.h64(domStretch, ugKey, uint64(ing)))
+	access := 2 + 2*unit(w.h64(domAccess, ugKey))
+	return geo.KmToMinRTTMs(distKm)*stretch + access + w.peerPenOf[ing]
 }

@@ -11,7 +11,7 @@ import "painter/internal/obs"
 
 // worldObs bundles the world's metric handles. All fields are nil-safe
 // obs metrics: a zero worldObs (possible only for a World built outside
-// New/NewWithConfig) silently no-ops.
+// New) silently no-ops.
 type worldObs struct {
 	reg *obs.Registry
 

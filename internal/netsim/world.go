@@ -47,7 +47,7 @@ import (
 // World is an immutable-topology, time-evolving network simulator.
 //
 // Concurrency contract: all query methods (LatencyMs, BaseLatencyMs,
-// ResolveIngress, Land, PolicyCompliant, CompliantIngressIDs,
+// ResolveIngress, Land, CompliantIngressIDs,
 // BestIngressLatency, TieBreaker and the tie-breaker it returns) are
 // safe for concurrent use. The state-changing methods SetDay and
 // ApplyEvent are NOT: they must not run concurrently with any query
@@ -61,7 +61,6 @@ type World struct {
 	day  int
 
 	// Tunables (set before first use; zero values replaced by defaults).
-	cfg Config
 
 	// idx assigns every AS a dense ordinal; all per-AS cache rows below
 	// are indexed by it.
@@ -137,8 +136,7 @@ type World struct {
 	// ordinals, for fast policy-compliance checks.
 	ancRows [][]int32
 	// polRows[i] is the sorted compliant ingress set of AS i (shared;
-	// the public map accessor returns copies, CompliantIngressIDs
-	// returns the row itself read-only).
+	// CompliantIngressIDs returns the row itself read-only).
 	polRows [][]bgp.IngressID
 	// bestRows[i][m] memoizes BestIngressLatency per (AS, metro ordinal).
 	bestRows [][]bestVal
@@ -205,64 +203,41 @@ type bestVal struct {
 	set bool
 }
 
-// Config tunes the synthetic network behaviour.
-type Config struct {
-	// DetourProb is the base probability a (UG, ingress) pair suffers a
+// The synthetic network's tuning, used across the evaluation.
+const (
+	// detourProb is the base probability a (UG, ingress) pair suffers a
 	// persistent intra-AS detour.
-	DetourProb float64
-	// TransitDetourProb replaces DetourProb for transit-provider
+	detourProb = 0.08
+	// transitDetourProb replaces detourProb for transit-provider
 	// ingresses over long distances (the paper found transit routes
 	// inflate even over 10k+ km).
-	TransitDetourProb float64
-	// DetourMinMs/DetourMaxMs bound the detour penalty.
-	DetourMinMs, DetourMaxMs float64
-	// AccessMinMs/AccessMaxMs bound per-UG last-mile latency.
-	AccessMinMs, AccessMaxMs float64
-	// DailyFailProb is the per-day probability that a (UG, ingress) path
+	transitDetourProb = 0.16
+	// detourMinMs/detourMaxMs bound the detour penalty.
+	detourMinMs, detourMaxMs = 15, 150
+	// accessMinMs/accessMaxMs bound per-UG last-mile latency.
+	accessMinMs, accessMaxMs = 2, 14
+	// dailyFailProb is the per-day probability that a (UG, ingress) path
 	// is degraded that day.
-	DailyFailProb float64
-	// FailPenaltyMs is the degradation added on a failed day.
-	FailPenaltyMs float64
-	// DriftMs bounds the ± daily latency jitter.
-	DriftMs float64
-	// PrefOverrideProb is the probability that an AS holds a strong
+	dailyFailProb = 0.015
+	// failPenaltyMs is the degradation added on a failed day.
+	failPenaltyMs = 120
+	// driftMs bounds the ± daily latency jitter.
+	driftMs = 2.5
+	// prefOverrideProb is the probability that an AS holds a strong
 	// hidden preference that overrides path-length ordering for a
 	// specific ingress (the unpredictable routing the orchestrator must
 	// learn).
-	PrefOverrideProb float64
-	// RouteDriftProb is the per-day probability that an (AS, ingress)
+	prefOverrideProb = 0.10
+	// routeDriftProb is the per-day probability that an (AS, ingress)
 	// hidden preference is transiently re-rolled, making route selection
 	// itself drift across days (§5.1.2 / Fig. 7: paths change over time,
 	// not just their latencies). Day 0 never drifts, so steady-state
 	// resolution is unaffected.
-	RouteDriftProb float64
-}
+	routeDriftProb = 0.05
+)
 
-// DefaultConfig returns the tuning used across the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		DetourProb:        0.08,
-		TransitDetourProb: 0.16,
-		DetourMinMs:       15,
-		DetourMaxMs:       150,
-		AccessMinMs:       2,
-		AccessMaxMs:       14,
-		DailyFailProb:     0.015,
-		FailPenaltyMs:     120,
-		DriftMs:           2.5,
-		PrefOverrideProb:  0.10,
-		RouteDriftProb:    0.05,
-	}
-}
-
-// New creates a World over a topology and deployment with the default
-// config.
+// New creates a World over a topology and deployment.
 func New(g *topology.Graph, d *cloud.Deployment, seed int64) (*World, error) {
-	return NewWithConfig(g, d, seed, DefaultConfig())
-}
-
-// NewWithConfig creates a World with explicit tuning.
-func NewWithConfig(g *topology.Graph, d *cloud.Deployment, seed int64, cfg Config) (*World, error) {
 	if g == nil || d == nil {
 		return nil, fmt.Errorf("netsim: nil graph or deployment")
 	}
@@ -281,7 +256,6 @@ func NewWithConfig(g *topology.Graph, d *cloud.Deployment, seed int64, cfg Confi
 		Graph:  g,
 		Deploy: d,
 		seed:   uint64(seed),
-		cfg:    cfg,
 		obs:    newWorldObs(),
 		idx:    idx,
 		nIng:   nIng,
@@ -453,17 +427,17 @@ func (w *World) BaseLatencyMs(asn topology.ASN, metro string, ing bgp.IngressID)
 	// Fiber stretch in [1.2, 1.9), per pair.
 	stretch := 1.2 + 0.7*unit(w.h64(domStretch, ugKey, ik))
 	// Last-mile access latency, per UG.
-	access := w.cfg.AccessMinMs + (w.cfg.AccessMaxMs-w.cfg.AccessMinMs)*unit(w.h64(domAccess, ugKey))
+	access := accessMinMs + (accessMaxMs-accessMinMs)*unit(w.h64(domAccess, ugKey))
 	lat := geoRTT*stretch + access + w.peerPenOf[ing]
 
 	// Persistent detour: more likely via transit providers over long
 	// distances.
-	p := w.cfg.DetourProb
+	p := detourProb
 	if w.transitOf[ing] && distKm > 2000 {
-		p = w.cfg.TransitDetourProb
+		p = transitDetourProb
 	}
 	if unit(w.h64(domDetourP, ugKey, ik)) < p {
-		lat += w.cfg.DetourMinMs + (w.cfg.DetourMaxMs-w.cfg.DetourMinMs)*unit(w.h64(domDetourMs, ugKey, ik))
+		lat += detourMinMs + (detourMaxMs-detourMinMs)*unit(w.h64(domDetourMs, ugKey, ik))
 	}
 	return lat, nil
 }
@@ -498,9 +472,9 @@ func (w *World) dayAdjustMs(asn topology.ASN, metro string, ing bgp.IngressID) f
 	ugKey := uint64(asn)<<16 ^ metroKey(metro)
 	ik := uint64(ing)
 	dk := uint64(w.day)
-	adj := (2*unit(w.h64(domDrift, ugKey, ik, dk)) - 1) * w.cfg.DriftMs
-	if unit(w.h64(domFail, ugKey, ik, dk)) < w.cfg.DailyFailProb {
-		adj += w.cfg.FailPenaltyMs
+	adj := (2*unit(w.h64(domDrift, ugKey, ik, dk)) - 1) * driftMs
+	if unit(w.h64(domFail, ugKey, ik, dk)) < dailyFailProb {
+		adj += failPenaltyMs
 	}
 	return adj
 }
@@ -601,15 +575,15 @@ func (w *World) prefScoreUncached(as topology.ASN, ing bgp.IngressID) float64 {
 	}
 	// A strong override pulls the score near zero, making this ingress
 	// dominate all ties for this AS regardless of geography.
-	if unit(w.h64(domPrefOverride, uint64(as), uint64(ing))) < w.cfg.PrefOverrideProb {
+	if unit(w.h64(domPrefOverride, uint64(as), uint64(ing))) < prefOverrideProb {
 		s *= 0.02
 	}
 	// Daily route drift: a small fraction of (AS, ingress) preferences
 	// are transiently re-rolled each day, so the route an AS selects can
 	// change day over day (Fig. 7). Day 0 is the undrifted steady state.
-	if w.day != 0 && w.cfg.RouteDriftProb > 0 {
+	if w.day != 0 {
 		dk := uint64(w.day)
-		if unit(w.h64(domRouteDrift, uint64(as), uint64(ing), dk)) < w.cfg.RouteDriftProb {
+		if unit(w.h64(domRouteDrift, uint64(as), uint64(ing), dk)) < routeDriftProb {
 			s = unit(w.h64(domRouteDriftVal, uint64(as), uint64(ing), dk))
 		}
 	}
@@ -881,36 +855,15 @@ func (w *World) ancRow(i int32) []int32 {
 // means "not computed yet").
 var emptyCompliantRow = []bgp.IngressID{}
 
-// PolicyCompliant returns the set of deployment peerings through which
-// the given AS has any policy-compliant (valley-free) path to the cloud.
-// It uses cached ancestor sets; TestPolicyCompliantMatchesBGP checks it
-// for every AS against a per-injection valley-free walk over all
-// peerings (the test oracle reachableIngresses). Results are memoized
-// per ASN (the topology and deployment are immutable); the returned map
-// is a fresh copy the caller may modify.
-func (w *World) PolicyCompliant(asn topology.ASN) (map[bgp.IngressID]bool, error) {
-	row, err := w.compliantRow(asn)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[bgp.IngressID]bool, len(row))
-	for _, id := range row {
-		out[id] = true
-	}
-	return out, nil
-}
-
-// CompliantIngressIDs returns the same compliant set as PolicyCompliant
-// as an ascending-sorted slice shared with the cache: callers must treat
-// it as read-only. This is the zero-copy path the flat orchestrator
-// state is built from.
+// CompliantIngressIDs returns the deployment peerings through which
+// the given AS has any policy-compliant (valley-free) path to the cloud,
+// as an ascending-sorted row shared with the cache: callers must treat
+// it as read-only. It uses cached ancestor sets;
+// TestPolicyCompliantMatchesBGP checks it for every AS against a
+// per-injection valley-free walk over all peerings (the test oracle
+// reachableIngresses). Rows are memoized per ASN (the topology and
+// deployment are immutable).
 func (w *World) CompliantIngressIDs(asn topology.ASN) ([]bgp.IngressID, error) {
-	return w.compliantRow(asn)
-}
-
-// compliantRow is the memoized core of PolicyCompliant: the sorted
-// compliant ingress row for an AS (shared, read-only).
-func (w *World) compliantRow(asn topology.ASN) ([]bgp.IngressID, error) {
 	ai, ok := w.idx.ID(asn)
 	if !ok {
 		return nil, fmt.Errorf("netsim: unknown AS %v", asn)
@@ -1006,7 +959,7 @@ func (w *World) BestIngressLatency(asn topology.ASN, metro string) (float64, bgp
 }
 
 func (w *World) bestIngressLatency(asn topology.ASN, metro string) (float64, bgp.IngressID, error) {
-	pc, err := w.compliantRow(asn)
+	pc, err := w.CompliantIngressIDs(asn)
 	if err != nil {
 		return 0, bgp.InvalidIngress, err
 	}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"painter/internal/bgp"
@@ -119,13 +120,12 @@ func TestDayDriftChangesLatency(t *testing.T) {
 	if base == d5 {
 		t.Error("latency should drift across days")
 	}
-	// Drift is bounded; a failure day adds FailPenaltyMs on top.
-	cfg := DefaultConfig()
+	// Drift is bounded; a failure day adds failPenaltyMs on top.
 	drift := d5 - base
-	if drift > cfg.DriftMs+1e-9 {
-		drift -= cfg.FailPenaltyMs
+	if drift > driftMs+1e-9 {
+		drift -= failPenaltyMs
 	}
-	if math.Abs(drift) > cfg.DriftMs+1e-9 {
+	if math.Abs(drift) > driftMs+1e-9 {
 		t.Errorf("drift %v (net of any failure penalty) exceeds bound", drift)
 	}
 }
@@ -134,7 +134,6 @@ func TestFailureRate(t *testing.T) {
 	w := testWorld(t)
 	asn, metro := firstStubUG(t, w)
 	ids := w.Deploy.AllPeeringIDs()
-	cfg := DefaultConfig()
 	fails, total := 0, 0
 	for day := 1; day <= 40; day++ {
 		w.SetDay(day)
@@ -147,22 +146,22 @@ func TestFailureRate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Daily drift stays within DriftMs; a failed path adds
-			// FailPenaltyMs on top.
+			// Daily drift stays within driftMs; a failed path adds
+			// failPenaltyMs on top.
 			total++
-			if ms-base > cfg.DriftMs+1e-9 {
+			if ms-base > driftMs+1e-9 {
 				fails++
 			}
 		}
 	}
 	rate := float64(fails) / float64(total)
-	want := cfg.DailyFailProb
+	want := dailyFailProb
 	if rate < want/4 || rate > want*4 {
 		t.Errorf("failure rate %.4f far from configured %.4f", rate, want)
 	}
 }
 
-// TestPolicyCompliantMatchesBGP compares compliantRow's cached-ancestor
+// TestPolicyCompliantMatchesBGP compares CompliantIngressIDs' cached-ancestor
 // computation with reachableIngresses' valley-free walk for every AS
 // of the world, over the full peering set.
 func TestPolicyCompliantMatchesBGP(t *testing.T) {
@@ -172,7 +171,7 @@ func TestPolicyCompliantMatchesBGP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range w.Graph.ASNs() {
-		fast, err := w.PolicyCompliant(n)
+		fast, err := w.CompliantIngressIDs(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +180,14 @@ func TestPolicyCompliantMatchesBGP(t *testing.T) {
 			t.Fatalf("AS %v: fast=%d slow=%d compliant ingresses", n, len(fast), len(slow))
 		}
 		for ing := range slow {
-			if !fast[ing] {
+			if _, ok := slices.BinarySearch(fast, ing); !ok {
 				t.Fatalf("AS %v: fast set missing ingress %d", n, ing)
 			}
 		}
 	}
 }
 
-// reachableIngresses is the test oracle for compliantRow: for one AS,
+// reachableIngresses is the test oracle for CompliantIngressIDs: for one AS,
 // the set of ingresses it could possibly use across ALL
 // policy-compliant paths (not just the selected one) — the "all
 // policy-compliant ingresses" set of §3.1 and §5.2.4. For each
@@ -410,11 +409,11 @@ func TestResolveIngressConsistentWithCompliance(t *testing.T) {
 		if !inSubset[r.Ingress] {
 			t.Fatalf("AS %v selected ingress %d not in the advertised subset", n, r.Ingress)
 		}
-		pc, err := w.PolicyCompliant(n)
+		pc, err := w.CompliantIngressIDs(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pc[r.Ingress] {
+		if _, ok := slices.BinarySearch(pc, r.Ingress); !ok {
 			t.Fatalf("AS %v selected non-policy-compliant ingress %d", n, r.Ingress)
 		}
 	}
@@ -465,11 +464,11 @@ func TestBestIngressLatency(t *testing.T) {
 	if ing == bgp.InvalidIngress {
 		t.Fatal("no best ingress")
 	}
-	pc, _ := w.PolicyCompliant(asn)
-	if !pc[ing] {
+	pc, _ := w.CompliantIngressIDs(asn)
+	if _, ok := slices.BinarySearch(pc, ing); !ok {
 		t.Error("best ingress not policy compliant")
 	}
-	for i := range pc {
+	for _, i := range pc {
 		l, err := w.BaseLatencyMs(asn, metro, i)
 		if err != nil {
 			t.Fatal(err)

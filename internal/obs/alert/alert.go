@@ -43,12 +43,12 @@ const (
 	OpLT Op = "lt"
 )
 
-// Agg selects the window aggregate a threshold rule compares.
+// Agg selects the window aggregate a threshold rule compares; the
+// empty Agg compares the window's last sample.
 type Agg string
 
 // Window aggregates.
 const (
-	AggLast  Agg = "last"
 	AggMean  Agg = "mean"
 	AggRate  Agg = "rate"
 	AggDelta Agg = "delta"
@@ -210,9 +210,10 @@ type Options struct {
 	// the engine's labels when a firing alert is logged (nil = no trace
 	// correlation).
 	Tracer *span.Tracer
-	// StreamCap bounds the retained transition stream (default 1024).
-	StreamCap int
 }
+
+// streamCap bounds the retained transition stream.
+const streamCap = 1024
 
 // Engine evaluates a rule set over one history store. All methods are
 // safe for concurrent use; a nil Engine no-ops.
@@ -231,9 +232,6 @@ type Engine struct {
 // in order on every Eval; wildcard rules bind to matching series
 // lazily as they appear in the store.
 func NewEngine(store *history.Store, rules []Rule, opts Options) *Engine {
-	if opts.StreamCap <= 0 {
-		opts.StreamCap = 1024
-	}
 	return &Engine{
 		store: store,
 		rules: append([]Rule(nil), rules...),
@@ -266,8 +264,8 @@ func (e *Engine) Eval(tick uint64) []Transition {
 		}
 	}
 	e.stream = append(e.stream, out...)
-	if len(e.stream) > e.opts.StreamCap {
-		e.stream = e.stream[len(e.stream)-e.opts.StreamCap:]
+	if len(e.stream) > streamCap {
+		e.stream = e.stream[len(e.stream)-streamCap:]
 	}
 	e.mu.Unlock()
 	e.mirror(out)
@@ -336,7 +334,7 @@ func aggregate(w history.Window, agg Agg) float64 {
 		return w.Quantile(0.99)
 	case AggMax:
 		return w.Quantile(1)
-	default: // AggLast and unset
+	default: // unset: the last sample
 		v, _ := w.Last()
 		return v
 	}
@@ -416,8 +414,8 @@ func (e *Engine) ResolveAll(tick uint64) []Transition {
 		in.consecutive = 0
 	}
 	e.stream = append(e.stream, out...)
-	if len(e.stream) > e.opts.StreamCap {
-		e.stream = e.stream[len(e.stream)-e.opts.StreamCap:]
+	if len(e.stream) > streamCap {
+		e.stream = e.stream[len(e.stream)-streamCap:]
 	}
 	e.mu.Unlock()
 	e.mirror(out)

@@ -19,7 +19,7 @@ type pushStore struct {
 
 func newPushStore() pushStore {
 	reg := obs.NewRegistry()
-	return pushStore{history.New(history.Config{Capacity: 64, Clock: history.TickClock(0, 1),
+	return pushStore{history.New(history.Config{Clock: history.TickClock(0, 1),
 		Regs: func() []*obs.Registry { return []*obs.Registry{reg} }}), reg}
 }
 
@@ -233,8 +233,8 @@ func TestConvergenceSLORulesFireAndResolve(t *testing.T) {
 	repair := reg.Histogram("core_repair_seconds", "")
 	dirty := reg.Gauge("core_repair_dirty_fraction", "")
 	st := history.New(history.Config{
-		Capacity: 64, Clock: history.TickClock(0, 1),
-		Regs: func() []*obs.Registry { return []*obs.Registry{reg} },
+		Clock: history.TickClock(0, 1),
+		Regs:  func() []*obs.Registry { return []*obs.Registry{reg} },
 	})
 	e := NewEngine(st, ConvergenceSLORules(2, 0.5, 2, 1), Options{})
 	const (

@@ -22,10 +22,9 @@ import (
 	"painter/internal/obs"
 )
 
-// DefaultCapacity is the per-series ring size when Config.Capacity is
-// unset: enough for several schedule replays at tenant tick cadence,
-// bounded at ~12 KB per series.
-const DefaultCapacity = 512
+// ringCapacity is the per-series ring size: enough for several
+// schedule replays at tenant tick cadence, bounded at ~12 KB per series.
+const ringCapacity = 512
 
 // Point is one sample: the store tick it was taken on, the clock stamp,
 // and the value.
@@ -69,8 +68,6 @@ func (s *series) len() int {
 
 // Config tunes a Store.
 type Config struct {
-	// Capacity is the per-series ring size (default DefaultCapacity).
-	Capacity int
 	// Clock stamps each sample; nil means time.Now().UnixNano. Inject a
 	// deterministic clock (TickClock) wherever byte-identical series
 	// matter.
@@ -102,7 +99,6 @@ func TickClock(startNs, stepNs int64) func() int64 {
 // All methods are safe for concurrent use; a nil Store no-ops.
 type Store struct {
 	mu     sync.Mutex
-	cap    int
 	clock  func() int64
 	regs   func() []*obs.Registry
 	tick   uint64
@@ -112,14 +108,10 @@ type Store struct {
 // New builds a Store. A nil Regs func is allowed: Sample then only
 // advances the tick.
 func New(cfg Config) *Store {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return time.Now().UnixNano() }
 	}
 	return &Store{
-		cap:    cfg.Capacity,
 		clock:  cfg.Clock,
 		regs:   cfg.Regs,
 		series: make(map[string]*series),
@@ -175,7 +167,7 @@ func (s *Store) Sample() uint64 {
 func (s *Store) pushLocked(name string, p Point, val float64) {
 	sr := s.series[name]
 	if sr == nil {
-		sr = &series{buf: make([]Point, s.cap)}
+		sr = &series{buf: make([]Point, ringCapacity)}
 		s.series[name] = sr
 	}
 	p.Val = val

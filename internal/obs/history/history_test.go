@@ -21,7 +21,7 @@ func (s *Store) Push(name string, val float64) {
 }
 
 func TestWindowQueries(t *testing.T) {
-	s := New(Config{Capacity: 16, Clock: TickClock(0, 1)})
+	s := New(Config{Clock: TickClock(0, 1)})
 	for i := 1; i <= 8; i++ {
 		s.mu.Lock()
 		s.tick++
@@ -63,18 +63,17 @@ func TestWindowQueries(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	s := New(Config{Capacity: 4, Clock: TickClock(0, 1)})
-	for i := 1; i <= 10; i++ {
+	s := New(Config{Clock: TickClock(0, 1)})
+	for i := 1; i <= ringCapacity+6; i++ {
 		s.Push("x", float64(i))
 	}
 	w := s.Window("x", 0)
-	if w.Len() != 4 {
-		t.Fatalf("len = %d, want capacity 4", w.Len())
+	if w.Len() != ringCapacity {
+		t.Fatalf("len = %d, want capacity %d", w.Len(), ringCapacity)
 	}
-	want := []float64{7, 8, 9, 10}
 	for i, p := range w.Points {
-		if p.Val != want[i] {
-			t.Fatalf("point %d = %v, want %v (oldest-first after wrap)", i, p.Val, want[i])
+		if want := float64(i + 7); p.Val != want {
+			t.Fatalf("point %d = %v, want %v (oldest-first after wrap)", i, p.Val, want)
 		}
 	}
 }
@@ -86,9 +85,8 @@ func TestSampleFlattensRegistries(t *testing.T) {
 	g := reg.Gauge("depth", "queue depth")
 	h := reg.Histogram("lat_seconds", "latency")
 	s := New(Config{
-		Capacity: 8,
-		Clock:    TickClock(100, 5),
-		Regs:     func() []*obs.Registry { return []*obs.Registry{reg} },
+		Clock: TickClock(100, 5),
+		Regs:  func() []*obs.Registry { return []*obs.Registry{reg} },
 	})
 
 	c.Add(3)
@@ -133,9 +131,8 @@ func TestBytesDeterministic(t *testing.T) {
 		c := reg.Counter("a_total", "")
 		g := reg.Gauge("b", "")
 		s := New(Config{
-			Capacity: 8,
-			Clock:    TickClock(0, 10),
-			Regs:     func() []*obs.Registry { return []*obs.Registry{reg} },
+			Clock: TickClock(0, 10),
+			Regs:  func() []*obs.Registry { return []*obs.Registry{reg} },
 		})
 		for i := 0; i < 6; i++ {
 			c.Add(uint64(i))
@@ -166,9 +163,8 @@ func TestHandler(t *testing.T) {
 	c := reg.Counter("hits_total", "")
 	g := reg.Gauge("load", "")
 	s := New(Config{
-		Capacity: 8,
-		Clock:    TickClock(0, 1),
-		Regs:     func() []*obs.Registry { return []*obs.Registry{reg} },
+		Clock: TickClock(0, 1),
+		Regs:  func() []*obs.Registry { return []*obs.Registry{reg} },
 	})
 	for i := 0; i < 4; i++ {
 		c.Inc()

@@ -27,8 +27,8 @@ type Config struct {
 	BGPID   uint32
 	// HoldTime for sessions.
 	HoldTime time.Duration
-	// Damping, when non-nil, suppresses flapping prefixes.
-	Damping *bgp.DampingConfig
+	// Damping suppresses flapping prefixes (RFC 2439).
+	Damping bool
 	// Logf, when set, receives event logs.
 	Logf func(format string, args ...any)
 	// Obs, when non-nil, receives route-server metrics (update/withdraw
@@ -113,8 +113,8 @@ func New(cfg Config) (*Server, error) {
 		sessions: make(map[bgp.PeerID]*bgp.Speaker),
 		closed:   make(chan struct{}),
 	}
-	if cfg.Damping != nil {
-		s.dmp = bgp.NewDamper(*cfg.Damping, nil)
+	if cfg.Damping {
+		s.dmp = bgp.NewDamper(nil)
 	}
 	s.m = newRSMetrics(cfg.Obs, s)
 	s.wg.Add(1)

@@ -11,7 +11,7 @@ import (
 	"painter/internal/obs"
 )
 
-func startServer(t *testing.T, damping *bgp.DampingConfig) *Server {
+func startServer(t *testing.T, damping bool) *Server {
 	t.Helper()
 	s, err := New(Config{
 		ListenAddr: "127.0.0.1:0",
@@ -68,7 +68,7 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 }
 
 func TestServerLearnsRoutes(t *testing.T) {
-	s := startServer(t, nil)
+	s := startServer(t, false)
 	sp := dialSpeaker(t, s.Addr(), 64500)
 	announce(t, sp, "10.0.0.0/24", 64500)
 	announce(t, sp, "10.0.1.0/24", 64500)
@@ -84,7 +84,7 @@ func TestServerLearnsRoutes(t *testing.T) {
 }
 
 func TestServerWithdrawAndSessionDrop(t *testing.T) {
-	s := startServer(t, nil)
+	s := startServer(t, false)
 	sp := dialSpeaker(t, s.Addr(), 64500)
 	announce(t, sp, "10.0.0.0/24", 64500)
 	waitFor(t, func() bool { return s.RIB().Size() == 1 }, "not learned")
@@ -101,7 +101,7 @@ func TestServerWithdrawAndSessionDrop(t *testing.T) {
 }
 
 func TestServerBestPathAcrossPeers(t *testing.T) {
-	s := startServer(t, nil)
+	s := startServer(t, false)
 	a := dialSpeaker(t, s.Addr(), 64500)
 	b := dialSpeaker(t, s.Addr(), 64501)
 	announce(t, a, "10.0.0.0/24", 64500, 65000, 65001) // longer path
@@ -116,8 +116,7 @@ func TestServerBestPathAcrossPeers(t *testing.T) {
 }
 
 func TestServerDampingSuppressesFlapper(t *testing.T) {
-	cfg := bgp.DefaultDampingConfig()
-	s := startServer(t, &cfg)
+	s := startServer(t, true)
 	sp := dialSpeaker(t, s.Addr(), 64500)
 	p := "10.0.0.0/24"
 	// Flap hard: announce/withdraw repeatedly.
@@ -146,13 +145,12 @@ func TestServerDampingSuppressesFlapper(t *testing.T) {
 // Stats field equals its scraped metric.
 func TestStatsReadRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	damping := bgp.DefaultDampingConfig()
 	s, err := New(Config{
 		ListenAddr: "127.0.0.1:0",
 		LocalAS:    64999,
 		BGPID:      0x0a00f311,
 		HoldTime:   5 * time.Second,
-		Damping:    &damping,
+		Damping:    true,
 		Obs:        reg,
 	})
 	if err != nil {

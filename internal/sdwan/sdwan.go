@@ -136,7 +136,7 @@ func (a *Analyzer) Counts(u usergroup.UG) (PathCounts, error) {
 
 	// PAINTER: policy-compliant peerings at the UG's regional candidate
 	// PoPs.
-	compliant, err := a.world.PolicyCompliant(u.ASN)
+	compliant, err := a.world.CompliantIngressIDs(u.ASN)
 	if err != nil {
 		return PathCounts{}, err
 	}
@@ -145,7 +145,7 @@ func (a *Analyzer) Counts(u usergroup.UG) (PathCounts, error) {
 		candidate[id] = true
 	}
 	painterPoPs := make(map[cloud.PoPID]bool)
-	for ing := range compliant {
+	for _, ing := range compliant {
 		pop, err := a.world.Deploy.PoPOfPeering(ing)
 		if err != nil {
 			return PathCounts{}, err
@@ -185,7 +185,7 @@ func (a *Analyzer) AvoidanceFractions(u usergroup.UG) (painter, sdwan float64, e
 	}
 
 	as := a.world.Graph.AS(u.ASN)
-	compliant, err := a.world.PolicyCompliant(u.ASN)
+	compliant, err := a.world.CompliantIngressIDs(u.ASN)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -194,7 +194,7 @@ func (a *Analyzer) AvoidanceFractions(u usergroup.UG) (painter, sdwan float64, e
 	// shortest valley-free walk's AS set (approximated by the up-chain
 	// through each ISP to the peering neighbor).
 	best := 0.0
-	for ing := range compliant {
+	for _, ing := range compliant {
 		neighbor := a.world.Deploy.Peering(ing).PeerASN
 		for _, isp := range as.Providers {
 			alt := a.altPathASes(isp, neighbor)

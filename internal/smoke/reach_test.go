@@ -21,11 +21,14 @@ import (
 
 // reachAllowlist names the funcs under internal/ that production code
 // does not reach but that several packages' tests share as an oracle or
-// a fault injector, and the fields production writes but does not yet
-// read. An entry is removed as soon as production reaches its func or
-// field or no test needs it; one is added only with its reason. A field
-// a test reads as its window onto production is not listed: the test
-// reads a production observable instead.
+// a fault injector, the fields production writes but does not yet read,
+// the consts a wire format names though production never uses them, and
+// the knobs a test needs: a seam through which it substitutes a fake,
+// or a wall-clock phase a named tier-1 test must shorten. An entry is
+// removed as soon as production reaches its func, field or const or no
+// test needs it; one is added only with its reason. A field a test
+// reads as its window onto production is not listed: the test reads a
+// production observable instead.
 var reachAllowlist = map[string]string{
 	"painter/internal/tm PoPConfig.PoPID":          "set by the benchmark's tm rigs, which only a benchmark change may edit; it goes with that change",
 	"painter/internal/netsim World.probeLossF":     "the probe-loss overlay EventProbeLoss writes, until ROADMAP item 26 decides EventProbeLoss",
@@ -35,6 +38,16 @@ var reachAllowlist = map[string]string{
 	"painter/internal/netsim/emul Link.SetFilter":  "fault injection for the tm tests over emulated links, until one chaos schedule drives the data plane",
 	"painter/internal/netsim/emul Link.Rebind":     "fault injection for the tm tests over emulated links, until one chaos schedule drives the data plane",
 	"painter/internal/bgp Result.Bytes":            "canonical encoding of a route selection that the bgp, netsim, core and chaos determinism tests compare and hash",
+	"painter/internal/bgp OriginEGP":               "RFC 4271 ORIGIN wire code: the decoder passes every code through, and the table names all three",
+	"painter/internal/bgp OriginIncomplete":        "RFC 4271 ORIGIN wire code: the decoder passes every code through, and the table names all three",
+
+	// Knobs: a test seam, or a value a named tier-1 test must shorten to
+	// finish in bounded time.
+	"painter/internal/obs/span Config.Clock":             "test seam: TestSameSeedByteIdenticalExport (internal/obs/span) injects a fake clock for byte-identical exports",
+	"painter/internal/figures Fig10Config.PreFail":       "wall-clock phase TestFig10Failover (internal/experiments) and BenchmarkFig10 (root) shorten",
+	"painter/internal/figures Fig10Config.PostFail":      "wall-clock phase TestFig10Failover (internal/experiments) and BenchmarkFig10 (root) shorten",
+	"painter/internal/figures Fig10Config.AnycastOutage": "wall-clock phase BenchmarkFig10 and BenchmarkFailoverDetection (root) shorten",
+	"painter/internal/figures Fig10Config.ConvergeAfter": "wall-clock phase BenchmarkFig10 and BenchmarkFailoverDetection (root) shorten",
 }
 
 // TestReachabilityGate holds every func and method declared in a
@@ -44,7 +57,10 @@ var reachAllowlist = map[string]string{
 // production uses. Funcs that only tests call are test code and belong
 // in a _test.go file. Every named struct field declared there must be
 // read by such a file (unreadFields); a field only written is deleted
-// with the work that computes it.
+// with the work that computes it. Every knob, an exported field of an
+// options struct, must be set to more than one value (unsetKnobs); one
+// production always sets alike is a constant. Every package-level const
+// and var must be referred to by such a file (unusedDecls).
 func TestReachabilityGate(t *testing.T) {
 	root := repoRoot(t)
 	fset := token.NewFileSet()
@@ -64,6 +80,22 @@ func TestReachabilityGate(t *testing.T) {
 			continue
 		}
 		t.Errorf("%s: field %s is read by no production code (delete it with whatever computes it)",
+			relPos(root, fset.Position(f.pos)), f.key)
+	}
+	for _, f := range unsetKnobs(pkgs) {
+		if _, ok := unused[f.key]; ok {
+			delete(unused, f.key)
+			continue
+		}
+		t.Errorf("%s: knob %s is set to one value by production (make it a constant)",
+			relPos(root, fset.Position(f.pos)), f.key)
+	}
+	for _, f := range unusedDecls(pkgs) {
+		if _, ok := unused[f.key]; ok {
+			delete(unused, f.key)
+			continue
+		}
+		t.Errorf("%s: %s is referred to by no production code (delete it)",
 			relPos(root, fset.Position(f.pos)), f.key)
 	}
 	for k := range unused {
@@ -100,15 +132,14 @@ func TestReachabilityFixture(t *testing.T) {
 	}
 
 	// Fields: Tally.Count is read by main; cell's and span's fields are
-	// read as a map key and through ==; Report.Name, Report.Inner and
-	// Detail.Level through fmt; pair.Val by a selector in the sort's
+	// read as a map key and through ==; Report's fields (note too) and
+	// Detail.Level through fmt's %v; pair.Val by a selector in the sort's
 	// less func; Tally's _ padding is skipped.
 	got = nil
 	for _, f := range unreadFields(pkgs) {
 		got = append(got, f.key)
 	}
 	want = []string{
-		"reach/plant Report.note",    // unexported: fmt's reflection is not a reader the gate counts
 		"reach/plant Tally.hits",     // only op-assigned and incremented
 		"reach/plant Tally.keyed",    // only a composite-literal key
 		"reach/plant Tally.log",      // only self-appended, also through log[:0]
@@ -119,6 +150,35 @@ func TestReachabilityFixture(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("field findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Knobs: DialOptions.Timeout is set from a constructor parameter,
+	// DialOptions.Backoff by package tune, FileConfig.Path by
+	// json.Unmarshal.
+	got = nil
+	for _, f := range unsetKnobs(pkgs) {
+		got = append(got, f.key)
+	}
+	want = []string{
+		"reach/plant DialOptions.Level",   // a constant, then printed by value, where fmt cannot set it
+		"reach/plant DialOptions.Retries", // only its package's default, with a constant
+		"reach/plant DialOptions.Verbose", // never set
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("knob findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Consts and vars: ModeFast is used by main.
+	got = nil
+	for _, f := range unusedDecls(pkgs) {
+		got = append(got, f.key)
+	}
+	want = []string{
+		"reach/plant ModeSafe", // unused, though another member of its block is used
+		"reach/plant Unused",   // referred to by nothing
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("const and var findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -407,223 +467,11 @@ func relPos(root string, pos token.Position) string {
 // and array fields), and when it is an exported field of a type a
 // non-test file converts to an empty interface, where fmt, json and
 // reflect can see it (through exported and embedded fields, pointers,
-// slices, arrays, maps and channels); an argument to an opaqueSinks
-// package does not count.
+// slices, arrays, maps and channels), or any field of a type passed to
+// a fmt func, whose %v prints unexported fields too; an argument to an
+// opaqueSinks package does not count.
 func unreadFields(pkgs []*reachPkg) []reachFinding {
-	read := map[*types.Var]bool{}
-	writes := map[*ast.Ident]bool{}
-	compared := map[types.Type]bool{}
-	var markCompared func(t types.Type)
-	markCompared = func(t types.Type) {
-		if t == nil || compared[t] {
-			return
-		}
-		compared[t] = true
-		switch u := t.Underlying().(type) {
-		case *types.Array:
-			markCompared(u.Elem())
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				read[u.Field(i).Origin()] = true
-				markCompared(u.Field(i).Type())
-			}
-		}
-	}
-	exposed := map[types.Type]bool{}
-	var markExposed func(t types.Type)
-	markExposed = func(t types.Type) {
-		if t == nil || exposed[t] {
-			return
-		}
-		exposed[t] = true
-		switch u := t.Underlying().(type) {
-		case *types.Pointer:
-			markExposed(u.Elem())
-		case *types.Slice:
-			markExposed(u.Elem())
-		case *types.Array:
-			markExposed(u.Elem())
-		case *types.Chan:
-			markExposed(u.Elem())
-		case *types.Map:
-			markExposed(u.Key())
-			markExposed(u.Elem())
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if f := u.Field(i); f.Exported() || f.Embedded() {
-					read[f.Origin()] = true
-					markExposed(f.Type())
-				}
-			}
-		}
-	}
-	for _, p := range pkgs {
-		// toIface records an implicit or explicit conversion of e to target.
-		toIface := func(target types.Type, e ast.Expr) {
-			if _, ok := target.(*types.TypeParam); ok || target == nil {
-				return
-			}
-			if it, ok := target.Underlying().(*types.Interface); !ok || it.NumMethods() > 0 {
-				return
-			}
-			if src := p.info.TypeOf(e); src != nil && !types.IsInterface(src) {
-				markExposed(src)
-			}
-		}
-		for _, tv := range p.info.Types {
-			if tv.Type == nil {
-				continue
-			}
-			if m, ok := tv.Type.Underlying().(*types.Map); ok {
-				markCompared(m.Key())
-			}
-		}
-		for _, f := range p.files {
-			var sigs []*types.Signature // enclosing funcs, innermost last
-			var stack []ast.Node
-			ast.Inspect(f, func(n ast.Node) bool {
-				if n == nil {
-					switch stack[len(stack)-1].(type) {
-					case *ast.FuncDecl, *ast.FuncLit:
-						sigs = sigs[:len(sigs)-1]
-					}
-					stack = stack[:len(stack)-1]
-					return true
-				}
-				stack = append(stack, n)
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					sigs = append(sigs, p.info.Defs[n.Name].Type().(*types.Signature))
-				case *ast.FuncLit:
-					sigs = append(sigs, p.info.TypeOf(n).(*types.Signature))
-				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
-						if id := writtenField(lhs); id != nil {
-							writes[id] = true
-						}
-						if n.Tok != token.ASSIGN || len(n.Lhs) != len(n.Rhs) {
-							continue
-						}
-						toIface(p.info.TypeOf(lhs), n.Rhs[i])
-						if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && len(call.Args) > 0 && p.info.Types[call.Fun].IsBuiltin() {
-							if fun, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && fun.Name == "append" {
-								arg := ast.Unparen(call.Args[0])
-								if s, ok := arg.(*ast.SliceExpr); ok {
-									arg = s.X
-								}
-								if types.ExprString(arg) == types.ExprString(lhs) {
-									if id := writtenField(arg); id != nil {
-										writes[id] = true
-									}
-								}
-							}
-						}
-					}
-				case *ast.IncDecStmt:
-					if id := writtenField(n.X); id != nil {
-						writes[id] = true
-					}
-				case *ast.CompositeLit:
-					switch u := p.info.TypeOf(n).Underlying().(type) {
-					case *types.Struct:
-						for i, elt := range n.Elts {
-							if kv, ok := elt.(*ast.KeyValueExpr); ok {
-								id := kv.Key.(*ast.Ident)
-								writes[id] = true
-								toIface(p.info.Uses[id].Type(), kv.Value)
-							} else {
-								toIface(u.Field(i).Type(), elt)
-							}
-						}
-					case *types.Slice, *types.Array, *types.Map:
-						var key, elem types.Type
-						switch u := u.(type) {
-						case *types.Slice:
-							elem = u.Elem()
-						case *types.Array:
-							elem = u.Elem()
-						case *types.Map:
-							key, elem = u.Key(), u.Elem()
-						}
-						for _, elt := range n.Elts {
-							if kv, ok := elt.(*ast.KeyValueExpr); ok {
-								if key != nil {
-									toIface(key, kv.Key)
-								}
-								elt = kv.Value
-							}
-							toIface(elem, elt)
-						}
-					}
-				case *ast.CallExpr:
-					tv := p.info.Types[n.Fun]
-					if tv.IsType() {
-						if len(n.Args) == 1 {
-							toIface(tv.Type, n.Args[0])
-						}
-						break
-					}
-					sig, ok := tv.Type.(*types.Signature)
-					if !ok || tv.IsBuiltin() {
-						break
-					}
-					if callee := calleeOf(p.info, n.Fun); callee != nil && callee.Pkg() != nil && opaqueSinks[callee.Pkg().Path()] {
-						break
-					}
-					params := sig.Params()
-					param := func(i int) types.Type {
-						if sig.Variadic() && i >= params.Len()-1 {
-							last := params.At(params.Len() - 1).Type()
-							if n.Ellipsis.IsValid() {
-								return last
-							}
-							return last.(*types.Slice).Elem()
-						}
-						if i < params.Len() {
-							return params.At(i).Type()
-						}
-						return nil
-					}
-					for i, a := range n.Args {
-						toIface(param(i), a)
-					}
-				case *ast.ReturnStmt:
-					if len(sigs) == 0 {
-						break
-					}
-					res := sigs[len(sigs)-1].Results()
-					if len(n.Results) == res.Len() {
-						for i, e := range n.Results {
-							toIface(res.At(i).Type(), e)
-						}
-					}
-				case *ast.ValueSpec:
-					if n.Type != nil {
-						for _, v := range n.Values {
-							toIface(p.info.TypeOf(n.Type), v)
-						}
-					}
-				case *ast.SendStmt:
-					if ch, ok := p.info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
-						toIface(ch.Elem(), n.Value)
-					}
-				case *ast.BinaryExpr:
-					if n.Op == token.EQL || n.Op == token.NEQ {
-						markCompared(p.info.TypeOf(n.X))
-						markCompared(p.info.TypeOf(n.Y))
-					}
-				}
-				return true
-			})
-		}
-	}
-	for _, p := range pkgs {
-		for id, obj := range p.info.Uses {
-			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
-				read[v.Origin()] = true
-			}
-		}
-	}
+	read, _ := scanFields(pkgs)
 	var found []reachFinding
 	for _, p := range pkgs {
 		if !p.gated {
@@ -666,6 +514,357 @@ func unreadFields(pkgs []*reachPkg) []reachFinding {
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].key < found[j].key })
 	return found
+}
+
+// unsetKnobs classifies loaded packages into knob findings: every
+// exported field of an exported struct type declared in a gated package
+// whose name ends in Config, Params, Options or Profile (a knob), that
+// no non-test file sets to more than one value. A knob is set when a
+// non-test file outside its package writes it, when its own package
+// writes it from a value that is not a compile-time constant (an
+// op-assign, x.f++, &x.f and x.f[i] = v count as such), or when a
+// non-test file exposes it to reflection through an empty interface
+// (json.Unmarshal). A knob found is one value production always uses:
+// a constant.
+func unsetKnobs(pkgs []*reachPkg) []reachFinding {
+	_, set := scanFields(pkgs)
+	var found []reachFinding
+	for _, p := range pkgs {
+		if !p.gated {
+			continue
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || !ts.Name.IsExported() || !isKnobOwner(ts.Name.Name) {
+						continue
+					}
+					for _, fld := range st.Fields.List {
+						for _, id := range fld.Names {
+							if v := p.info.Defs[id].(*types.Var); id.IsExported() && !set[v] {
+								found = append(found, reachFinding{key: p.pkg.Path() + " " + ts.Name.Name + "." + id.Name, pos: id.Pos()})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(found, func(i, j int) bool { return found[i].key < found[j].key })
+	return found
+}
+
+// isKnobOwner reports whether a struct type's name marks it as options.
+func isKnobOwner(name string) bool {
+	for _, s := range []string{"Config", "Params", "Options", "Profile"} {
+		if strings.HasSuffix(name, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// unusedDecls classifies loaded packages into findings: every
+// package-level const and var declared in a gated package that no
+// non-test file refers to ("_" is skipped).
+func unusedDecls(pkgs []*reachPkg) []reachFinding {
+	used := map[types.Object]bool{}
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			used[obj] = true
+		}
+	}
+	var found []reachFinding
+	for _, p := range pkgs {
+		if !p.gated {
+			continue
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || (gd.Tok != token.CONST && gd.Tok != token.VAR) {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if id.Name != "_" && !used[p.info.Defs[id]] {
+							found = append(found, reachFinding{key: p.pkg.Path() + " " + id.Name, pos: id.Pos()})
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(found, func(i, j int) bool { return found[i].key < found[j].key })
+	return found
+}
+
+// scanFields walks every non-test file once and returns the fields that
+// are read (unreadFields' rules) and the fields that are set to more
+// than one value (unsetKnobs' rules).
+func scanFields(pkgs []*reachPkg) (read, set map[*types.Var]bool) {
+	read, set = map[*types.Var]bool{}, map[*types.Var]bool{}
+	writes := map[*ast.Ident]bool{}
+	compared := map[types.Type]bool{}
+	var markCompared func(t types.Type)
+	markCompared = func(t types.Type) {
+		if t == nil || compared[t] {
+			return
+		}
+		compared[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Array:
+			markCompared(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				read[u.Field(i).Origin()] = true
+				markCompared(u.Field(i).Type())
+			}
+		}
+	}
+	// markExposed marks the fields reflection sees through a value of
+	// type t: exported and embedded ones, or with all (fmt's %v) every
+	// field. Those it reaches through a pointer, a slice, a map or a
+	// channel it may also set (json.Unmarshal).
+	type exposure struct {
+		t             types.Type
+		all, settable bool
+	}
+	exposed := map[exposure]bool{}
+	var markExposed func(t types.Type, all, settable bool)
+	markExposed = func(t types.Type, all, settable bool) {
+		if t == nil || exposed[exposure{t, all, settable}] {
+			return
+		}
+		exposed[exposure{t, all, settable}] = true
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			markExposed(u.Elem(), all, true)
+		case *types.Slice:
+			markExposed(u.Elem(), all, true)
+		case *types.Array:
+			markExposed(u.Elem(), all, settable)
+		case *types.Chan:
+			markExposed(u.Elem(), all, true)
+		case *types.Map:
+			markExposed(u.Key(), all, true)
+			markExposed(u.Elem(), all, true)
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); all || f.Exported() || f.Embedded() {
+					read[f.Origin()] = true
+					if settable && f.Exported() {
+						set[f.Origin()] = true
+					}
+					markExposed(f.Type(), all, settable)
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		// toIface records an implicit or explicit conversion of e to
+		// target; all when fmt receives it.
+		toIface := func(target types.Type, e ast.Expr, all bool) {
+			if _, ok := target.(*types.TypeParam); ok || target == nil {
+				return
+			}
+			if it, ok := target.Underlying().(*types.Interface); !ok || it.NumMethods() > 0 {
+				return
+			}
+			if src := p.info.TypeOf(e); src != nil && !types.IsInterface(src) {
+				markExposed(src, all, false)
+			}
+		}
+		// noteSet records a write of field v from val, nil for a value
+		// that is not a single expression.
+		noteSet := func(v *types.Var, val ast.Expr) {
+			if v == nil || !v.IsField() {
+				return
+			}
+			if v.Pkg() != p.pkg || val == nil || p.info.Types[val].Value == nil {
+				set[v.Origin()] = true
+			}
+		}
+		fieldOf := func(id *ast.Ident) *types.Var {
+			v, _ := p.info.Uses[id].(*types.Var)
+			return v
+		}
+		for _, tv := range p.info.Types {
+			if tv.Type == nil {
+				continue
+			}
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				markCompared(m.Key())
+			}
+		}
+		for _, f := range p.files {
+			var sigs []*types.Signature // enclosing funcs, innermost last
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					switch stack[len(stack)-1].(type) {
+					case *ast.FuncDecl, *ast.FuncLit:
+						sigs = sigs[:len(sigs)-1]
+					}
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					sigs = append(sigs, p.info.Defs[n.Name].Type().(*types.Signature))
+				case *ast.FuncLit:
+					sigs = append(sigs, p.info.TypeOf(n).(*types.Signature))
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						single := (n.Tok == token.ASSIGN || n.Tok == token.DEFINE) && len(n.Lhs) == len(n.Rhs)
+						if id := writtenField(lhs); id != nil {
+							writes[id] = true
+							if _, direct := ast.Unparen(lhs).(*ast.SelectorExpr); direct && single {
+								noteSet(fieldOf(id), n.Rhs[i])
+							} else {
+								noteSet(fieldOf(id), nil)
+							}
+						}
+						if n.Tok != token.ASSIGN || len(n.Lhs) != len(n.Rhs) {
+							continue
+						}
+						toIface(p.info.TypeOf(lhs), n.Rhs[i], false)
+						if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && len(call.Args) > 0 && p.info.Types[call.Fun].IsBuiltin() {
+							if fun, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && fun.Name == "append" {
+								arg := ast.Unparen(call.Args[0])
+								if s, ok := arg.(*ast.SliceExpr); ok {
+									arg = s.X
+								}
+								if types.ExprString(arg) == types.ExprString(lhs) {
+									if id := writtenField(arg); id != nil {
+										writes[id] = true
+									}
+								}
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if id := writtenField(n.X); id != nil {
+						writes[id] = true
+						noteSet(fieldOf(id), nil)
+					}
+				case *ast.UnaryExpr:
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+						noteSet(fieldOf(sel.Sel), nil)
+					}
+				case *ast.CompositeLit:
+					switch u := p.info.TypeOf(n).Underlying().(type) {
+					case *types.Struct:
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								id := kv.Key.(*ast.Ident)
+								writes[id] = true
+								noteSet(fieldOf(id), kv.Value)
+								toIface(p.info.Uses[id].Type(), kv.Value, false)
+							} else {
+								noteSet(u.Field(i), elt)
+								toIface(u.Field(i).Type(), elt, false)
+							}
+						}
+					case *types.Slice, *types.Array, *types.Map:
+						var key, elem types.Type
+						switch u := u.(type) {
+						case *types.Slice:
+							elem = u.Elem()
+						case *types.Array:
+							elem = u.Elem()
+						case *types.Map:
+							key, elem = u.Key(), u.Elem()
+						}
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if key != nil {
+									toIface(key, kv.Key, false)
+								}
+								elt = kv.Value
+							}
+							toIface(elem, elt, false)
+						}
+					}
+				case *ast.CallExpr:
+					tv := p.info.Types[n.Fun]
+					if tv.IsType() {
+						if len(n.Args) == 1 {
+							toIface(tv.Type, n.Args[0], false)
+						}
+						break
+					}
+					sig, ok := tv.Type.(*types.Signature)
+					if !ok || tv.IsBuiltin() {
+						break
+					}
+					callee := calleeOf(p.info, n.Fun)
+					if callee != nil && callee.Pkg() != nil && opaqueSinks[callee.Pkg().Path()] {
+						break
+					}
+					printed := callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt"
+					params := sig.Params()
+					param := func(i int) types.Type {
+						if sig.Variadic() && i >= params.Len()-1 {
+							last := params.At(params.Len() - 1).Type()
+							if n.Ellipsis.IsValid() {
+								return last
+							}
+							return last.(*types.Slice).Elem()
+						}
+						if i < params.Len() {
+							return params.At(i).Type()
+						}
+						return nil
+					}
+					for i, a := range n.Args {
+						toIface(param(i), a, printed)
+					}
+				case *ast.ReturnStmt:
+					if len(sigs) == 0 {
+						break
+					}
+					res := sigs[len(sigs)-1].Results()
+					if len(n.Results) == res.Len() {
+						for i, e := range n.Results {
+							toIface(res.At(i).Type(), e, false)
+						}
+					}
+				case *ast.ValueSpec:
+					if n.Type != nil {
+						for _, v := range n.Values {
+							toIface(p.info.TypeOf(n.Type), v, false)
+						}
+					}
+				case *ast.SendStmt:
+					if ch, ok := p.info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+						toIface(ch.Elem(), n.Value, false)
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						markCompared(p.info.TypeOf(n.X))
+						markCompared(p.info.TypeOf(n.Y))
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				read[v.Origin()] = true
+			}
+		}
+	}
+	return read, set
 }
 
 // opaqueSinks are the standard packages whose funcs take a value as an

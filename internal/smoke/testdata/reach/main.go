@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"reach/plant"
+	"reach/tune"
 )
 
 func main() {
@@ -21,4 +22,8 @@ func main() {
 	tl := plant.NewTally()
 	tl.Record("x")
 	fmt.Println(tl.Count, plant.Occupied(1, 2), plant.NewReport(), plant.SortPairs([]int{2, 1}))
+	o := plant.NewDialOptions(5)
+	tune.Apply(&o)
+	fc, err := plant.LoadFileConfig([]byte(`{"Path":"p"}`))
+	fmt.Println(o.Dial(), fc.Path, err, plant.ModeFast)
 }

@@ -4,7 +4,9 @@ package plant
 
 import (
 	"container/heap"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"sort"
 	"strconv"
 )
@@ -159,8 +161,8 @@ func Occupied(r, c int) bool {
 	return m[cell{row: r, col: c}] || span{lo: r} == span{hi: c}
 }
 
-// Report reaches fmt as an interface: fmt reads its exported fields and,
-// through Inner, Detail's. Its unexported note is a finding.
+// Report reaches fmt as an interface: fmt's %v reads all its fields,
+// the unexported note too, and, through Inner, Detail's.
 type Report struct {
 	Name  string
 	Inner Detail
@@ -186,3 +188,52 @@ func SortPairs(vs []int) int {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Val < ps[j].Val })
 	return ps[0].Val
 }
+
+// DialOptions holds one knob per knob rule: an exported field of an
+// exported struct whose name ends in Options, which production must set
+// to more than one value.
+type DialOptions struct {
+	Retries int  // set only by DefaultDialOptions, to a constant: a finding
+	Verbose bool // never set: a finding
+	Timeout int  // set from NewDialOptions' parameter: reached
+	Backoff int  // set, to a constant, by package tune: reached
+	Level   int  // set to a constant, and printed by value: a finding
+}
+
+func DefaultDialOptions() DialOptions { return DialOptions{Retries: 3, Level: 1} }
+
+func NewDialOptions(timeout int) DialOptions {
+	o := DefaultDialOptions()
+	o.Timeout = timeout
+	return o
+}
+
+// Dial reads every option and prints them by value, where fmt can read
+// but not set them.
+func (o DialOptions) Dial() string {
+	if o.Verbose {
+		return ""
+	}
+	return fmt.Sprint(o.Retries+o.Timeout+o.Backoff+o.Level, o)
+}
+
+// FileConfig is decoded by json, which may set every exported field.
+type FileConfig struct {
+	Path string
+}
+
+func LoadFileConfig(b []byte) (FileConfig, error) {
+	var c FileConfig
+	err := json.Unmarshal(b, &c)
+	return c, err
+}
+
+// Unused is referred to by nothing: a finding.
+const Unused = 1
+
+// The modes: ModeFast is used by main; ModeSafe, though its block is
+// used, is a finding.
+const (
+	ModeFast = iota
+	ModeSafe
+)

@@ -27,40 +27,12 @@ type EdgeConfig struct {
 	// ProbeInterval/4 tick, so consecutive sends are 1–1.25 intervals
 	// apart.
 	ProbeInterval time.Duration
-	// FailureRTTMultiple: a live destination is declared dead once its
-	// oldest unanswered probe was sent more than FailureRTTMultiple ×
-	// smoothed RTT ago and no later probe has been answered. The clock
-	// runs from that probe's send time, not from the last reply. Two
-	// floors apply: MinFailureTimeout, and the send gap to the probe's
-	// successor plus sRTT + 4·rttvar, so that one lost probe is never a
-	// death: its successor always gets a full round trip. 1.3
-	// reproduces the paper's detection times.
-	FailureRTTMultiple float64
-	MinFailureTimeout  time.Duration
-	// SwitchHysteresisMs: switch the preferred destination only when the
-	// challenger is better by this margin, preventing oscillation
-	// (§3.2, avoiding oscillations). Used by the default LowestRTT
-	// policy; ignored when Policy is set.
-	SwitchHysteresisMs float64
-	// BackoffFactor multiplies the recovery-probe interval after each
-	// unanswered probe to a dead destination (exponential backoff), so a
-	// withdrawn prefix is not hammered at the full probe rate. 2 when
-	// unset.
-	BackoffFactor float64
-	// MaxBackoff caps the recovery-probe interval; 20×ProbeInterval when
-	// unset. Recovery probing never stops — a destination that answers
-	// again is immediately marked alive.
-	MaxBackoff time.Duration
-	// QuarantineAfter is how many consecutive unanswered recovery probes
-	// move a dead destination into quarantine (probed only at MaxBackoff
-	// cadence, EventDestQuarantined emitted). 3 when unset.
-	QuarantineAfter int
+	// MinFailureTimeout is the floor of the detection timeout
+	// (failureRTTMultiple).
+	MinFailureTimeout time.Duration
 	// JitterSeed seeds the deterministic backoff jitter (±15%), which
 	// prevents synchronized recovery-probe bursts across destinations.
 	JitterSeed int64
-	// Policy chooses among alive destinations; nil means
-	// LowestRTT{HysteresisMs: SwitchHysteresisMs}.
-	Policy SelectionPolicy
 	// OnReturn receives decapsulated return traffic for client flows.
 	OnReturn func(flow tmproto.FlowKey, payload []byte)
 	// OnEvent, if set, receives state-change events (selection changes,
@@ -91,14 +63,35 @@ type EdgeConfig struct {
 // down in tests).
 func DefaultEdgeConfig() EdgeConfig {
 	return EdgeConfig{
-		ProbeInterval:      50 * time.Millisecond,
-		FailureRTTMultiple: 1.3,
-		MinFailureTimeout:  20 * time.Millisecond,
-		SwitchHysteresisMs: 2,
-		BackoffFactor:      2,
-		QuarantineAfter:    3,
+		ProbeInterval:     50 * time.Millisecond,
+		MinFailureTimeout: 20 * time.Millisecond,
 	}
 }
+
+// The edge's detection and recovery rule (§3.2).
+const (
+	// failureRTTMultiple: a live destination is declared dead once its
+	// oldest unanswered probe was sent more than failureRTTMultiple ×
+	// smoothed RTT ago and no later probe has been answered. The clock
+	// runs from that probe's send time, not from the last reply. Two
+	// floors apply: MinFailureTimeout, and the send gap to the probe's
+	// successor plus sRTT + 4·rttvar, so that one lost probe is never a
+	// death: its successor always gets a full round trip. 1.3
+	// reproduces the paper's detection times.
+	failureRTTMultiple = 1.3
+	// backoffFactor multiplies the recovery-probe interval after each
+	// unanswered probe to a dead destination (exponential backoff), so a
+	// withdrawn prefix is not hammered at the full probe rate.
+	backoffFactor = 2
+	// maxBackoffProbes caps the recovery-probe interval at this many
+	// ProbeIntervals. Recovery probing never stops — a destination that
+	// answers again is immediately marked alive.
+	maxBackoffProbes = 20
+	// quarantineAfter is how many consecutive unanswered recovery probes
+	// move a dead destination into quarantine (probed only at the capped
+	// cadence, EventDestQuarantined emitted).
+	quarantineAfter = 3
+)
 
 // EventKind discriminates edge events.
 type EventKind uint8
@@ -109,8 +102,8 @@ const (
 	EventDestDead
 	EventDestAlive
 	// EventDestQuarantined: a dead destination's recovery probes have
-	// gone unanswered QuarantineAfter times; probing continues only at
-	// the MaxBackoff cadence until it answers again.
+	// gone unanswered quarantineAfter times; probing continues only at
+	// the capped backoff cadence until it answers again.
 	EventDestQuarantined
 )
 
@@ -279,20 +272,8 @@ func (cfg EdgeConfig) withDefaults() EdgeConfig {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 50 * time.Millisecond
 	}
-	if cfg.FailureRTTMultiple <= 0 {
-		cfg.FailureRTTMultiple = 1.3
-	}
 	if cfg.MinFailureTimeout <= 0 {
 		cfg.MinFailureTimeout = 20 * time.Millisecond
-	}
-	if cfg.BackoffFactor <= 1 {
-		cfg.BackoffFactor = 2
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 20 * cfg.ProbeInterval
-	}
-	if cfg.QuarantineAfter <= 0 {
-		cfg.QuarantineAfter = 3
 	}
 	return cfg
 }
@@ -591,13 +572,13 @@ func (e *Edge) probeLoop() {
 // failureTimeout is how long a probe of ds, whose successor left gap
 // after it, may stay unanswered before ds is declared dead:
 //
-//	max(FailureRTTMultiple·sRTT, MinFailureTimeout, gap + sRTT + 4·rttvar)
+//	max(failureRTTMultiple·sRTT, MinFailureTimeout, gap + sRTT + 4·rttvar)
 //
 // The last term ends a round-trip estimate after the successor left, so
 // a single lost probe, at any ratio of probe interval to RTT, leaves
 // its successor time to answer.
 func (e *Edge) failureTimeout(ds *destState, gap time.Duration) time.Duration {
-	t := msDuration(e.cfg.FailureRTTMultiple * ds.rttEWMA)
+	t := msDuration(failureRTTMultiple * ds.rttEWMA)
 	if t < e.cfg.MinFailureTimeout {
 		t = e.cfg.MinFailureTimeout
 	}
@@ -659,7 +640,7 @@ func (e *Edge) probeRound(now time.Time) {
 			ds.deadProbes++
 			backoff := e.backoffAfter(ds.deadProbes, seq)
 			ds.nextRecovery = now.Add(backoff)
-			if !ds.quarantined && ds.deadProbes >= e.cfg.QuarantineAfter {
+			if !ds.quarantined && ds.deadProbes >= quarantineAfter {
 				ds.quarantined = true
 				events = append(events, Event{Kind: EventDestQuarantined, Dest: ds.dest, At: now})
 			}
@@ -766,7 +747,7 @@ func (e *Edge) writeProbes(sends []netio.Message) {
 	}
 }
 
-// reselectLocked applies the selection policy over the alive
+// reselectLocked applies selectLowestRTT over the alive
 // destinations. Caller holds e.mu. Returns events to emit after unlock.
 func (e *Edge) reselectLocked(now time.Time) []Event {
 	var cands []DestinationStatus
@@ -791,11 +772,7 @@ func (e *Edge) reselectLocked(now time.Time) []Event {
 			incumbent = i
 		}
 	}
-	policy := e.cfg.Policy
-	if policy == nil {
-		policy = LowestRTT{HysteresisMs: e.cfg.SwitchHysteresisMs}
-	}
-	sel := policy.Select(cands, incumbent)
+	sel := selectLowestRTT(cands, incumbent)
 	if sel < 0 || sel >= len(states) || sel == incumbent {
 		return nil
 	}
@@ -827,16 +804,17 @@ func (e *Edge) reselectLocked(now time.Time) []Event {
 
 // backoffAfter returns the recovery-probe interval after n consecutive
 // unanswered probes to a dead destination: ProbeInterval ×
-// BackoffFactor^n, capped at MaxBackoff, with deterministic ±15% jitter
-// drawn from (JitterSeed, seq) so bursts don't synchronize across
-// destinations but equal configurations reproduce equal schedules.
+// backoffFactor^n, capped at maxBackoffProbes intervals, with
+// deterministic ±15% jitter drawn from (JitterSeed, seq) so bursts don't
+// synchronize across destinations but equal configurations reproduce
+// equal schedules.
 func (e *Edge) backoffAfter(n int, seq uint32) time.Duration {
-	b := float64(e.cfg.ProbeInterval)
-	for i := 0; i < n && b < float64(e.cfg.MaxBackoff); i++ {
-		b *= e.cfg.BackoffFactor
+	b, maxB := float64(e.cfg.ProbeInterval), float64(maxBackoffProbes*e.cfg.ProbeInterval)
+	for i := 0; i < n && b < maxB; i++ {
+		b *= backoffFactor
 	}
-	if b > float64(e.cfg.MaxBackoff) {
-		b = float64(e.cfg.MaxBackoff)
+	if b > maxB {
+		b = maxB
 	}
 	// splitmix64 over (seed, seq) → factor in [0.85, 1.15).
 	z := uint64(e.cfg.JitterSeed)*0x9e3779b97f4a7c15 + uint64(seq)

@@ -72,7 +72,7 @@ func TestFailoverBoundedUnderProbeLoss(t *testing.T) {
 func TestDeadDestinationBackoffAndQuarantine(t *testing.T) {
 	const (
 		probeInterval = 10 * time.Millisecond
-		maxBackoff    = 80 * time.Millisecond
+		maxBackoff    = maxBackoffProbes * probeInterval
 	)
 	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -89,9 +89,6 @@ func TestDeadDestinationBackoffAndQuarantine(t *testing.T) {
 	cfg := DefaultEdgeConfig()
 	cfg.ProbeInterval = probeInterval
 	cfg.MinFailureTimeout = 15 * time.Millisecond
-	cfg.BackoffFactor = 2
-	cfg.MaxBackoff = maxBackoff
-	cfg.QuarantineAfter = 2
 	cfg.Destinations = []tmproto.Destination{destFor(link, 1)}
 	cfg.OnEvent = func(ev Event) {
 		select {
@@ -106,7 +103,7 @@ func TestDeadDestinationBackoffAndQuarantine(t *testing.T) {
 	defer edge.Close()
 
 	// The recovery-probe interval the edge schedules stays positive and
-	// within MaxBackoff plus its jitter, however many probes went
+	// within maxBackoff plus its jitter, however many probes went
 	// unanswered.
 	for n := 0; n <= 20; n++ {
 		if b := edge.backoffAfter(n, uint32(n)); b <= 0 || b > maxBackoff*115/100 {

@@ -192,7 +192,7 @@ func (s *probeSim) count(kind EventKind) int {
 // arithmetic: max(1.3·sRTT, MinFailureTimeout, gap + sRTT + 4·rttvar).
 func wantTimeout(cfg EdgeConfig, ds *destState, gap time.Duration) time.Duration {
 	ms := float64(time.Millisecond)
-	want := time.Duration(cfg.FailureRTTMultiple * ds.rttEWMA * ms)
+	want := time.Duration(failureRTTMultiple * ds.rttEWMA * ms)
 	if want < cfg.MinFailureTimeout {
 		want = cfg.MinFailureTimeout
 	}
@@ -234,7 +234,7 @@ func TestDetectAtOldestUnansweredProbeDeadline(t *testing.T) {
 			oldest, next := s.sentAt[cut[0]], s.sentAt[cut[1]]
 			T := wantTimeout(s.e.cfg, ds, next-oldest)
 			tight := g.rtt + next - oldest
-			if m := time.Duration(s.e.cfg.FailureRTTMultiple * float64(g.rtt)); tight < m {
+			if m := time.Duration(failureRTTMultiple * float64(g.rtt)); tight < m {
 				tight = m
 			}
 			if T > tight+100*time.Microsecond {

@@ -73,22 +73,15 @@ type Capture struct {
 	Flows   []FlowRecord
 }
 
-// GenConfig tunes the workload generator.
-type GenConfig struct {
-	Seed    int64
-	Clients int
-	// FlowsPerClient is the mean number of cloud flows per client in the
+// The workload generator's shape: the paper's capture scale (≈400
+// units).
+const (
+	genSeed    = 17
+	genClients = 400
+	// flowsPerClient is the mean number of cloud flows per client in the
 	// capture window.
-	FlowsPerClient float64
-	// CacheFracScale scales each cloud's cached-IP flow fraction
-	// (1 = the calibrated per-cloud defaults; see cloudProfile.cacheFrac).
-	CacheFracScale float64
-}
-
-// DefaultGenConfig mirrors the paper's capture scale (≈400 units).
-func DefaultGenConfig() GenConfig {
-	return GenConfig{Seed: 17, Clients: 400, FlowsPerClient: 30, CacheFracScale: 1}
-}
+	flowsPerClient = 30
+)
 
 // cloudProfile shapes each cloud's DNS TTLs and flow behaviour.
 type cloudProfile struct {
@@ -135,15 +128,9 @@ var profiles = map[Cloud]cloudProfile{
 	},
 }
 
-// Generate synthesizes a capture.
-func Generate(cfg GenConfig) (*Capture, error) {
-	if cfg.Clients < 1 || cfg.FlowsPerClient <= 0 {
-		return nil, fmt.Errorf("trace: bad config %+v", cfg)
-	}
-	if cfg.CacheFracScale < 0 || cfg.CacheFracScale > 1.5 {
-		return nil, fmt.Errorf("trace: CacheFracScale must be in [0,1.5]")
-	}
-	rng := stats.NewRand(cfg.Seed)
+// Generate synthesizes the capture.
+func Generate() *Capture {
+	rng := stats.NewRand(genSeed)
 	base := time.Date(2022, 12, 1, 10, 0, 0, 0, time.UTC)
 	cap := &Capture{}
 	var nextAddr Addr = 1
@@ -152,9 +139,9 @@ func Generate(cfg GenConfig) (*Capture, error) {
 		return lo + time.Duration(rng.Int63n(int64(hi-lo)+1))
 	}
 
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < genClients; c++ {
 		client := ClientID(c)
-		n := int(cfg.FlowsPerClient * (0.5 + rng.Float64()))
+		n := int(flowsPerClient * (0.5 + rng.Float64()))
 		for f := 0; f < n; f++ {
 			// Pick a cloud by share.
 			r := rng.Float64()
@@ -180,7 +167,7 @@ func Generate(cfg GenConfig) (*Capture, error) {
 			// Flow start: either soon after the answer (fresh lookup) or,
 			// for cache-reuse flows, well after TTL expiry.
 			var start time.Time
-			if rng.Float64() < p.cacheFrac*cfg.CacheFracScale {
+			if rng.Float64() < p.cacheFrac {
 				start = ansTime.Add(p.ttl + dur(p.cacheReuseMin, p.cacheReuseMax))
 			} else {
 				start = ansTime.Add(dur(0, 2*time.Second))
@@ -195,7 +182,7 @@ func Generate(cfg GenConfig) (*Capture, error) {
 			})
 		}
 	}
-	return cap, nil
+	return cap
 }
 
 // Analysis is the Fig. 3 result: one curve per cloud.

@@ -7,10 +7,7 @@ import (
 
 func testAnalysis(t *testing.T) *Analysis {
 	t.Helper()
-	cap, err := Generate(DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cap := Generate()
 	an, err := Analyze(cap, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -19,10 +16,7 @@ func testAnalysis(t *testing.T) *Analysis {
 }
 
 func TestGenerateScale(t *testing.T) {
-	cap, err := Generate(DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cap := Generate()
 	if len(cap.Flows) < 5000 || len(cap.Answers) != len(cap.Flows) {
 		t.Errorf("capture: %d flows, %d answers", len(cap.Flows), len(cap.Answers))
 	}
@@ -152,27 +146,9 @@ func TestUnmatchedFlowIgnored(t *testing.T) {
 	}
 }
 
-func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(GenConfig{Clients: 0, FlowsPerClient: 1}); err == nil {
-		t.Error("zero clients should fail")
-	}
-	if _, err := Generate(GenConfig{Clients: 1, FlowsPerClient: 0}); err == nil {
-		t.Error("zero flows should fail")
-	}
-	if _, err := Generate(GenConfig{Clients: 1, FlowsPerClient: 1, CacheFracScale: 2}); err == nil {
-		t.Error("bad cache scale should fail")
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate(DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := Generate()
+	b := Generate()
 	if len(a.Flows) != len(b.Flows) {
 		t.Fatal("sizes differ")
 	}
@@ -190,10 +166,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // is matched to the latest answer at or before its start, as Analyze
 // matches it.
 func TestCachedToOutlivedRatio(t *testing.T) {
-	cap, err := Generate(DefaultGenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cap := Generate()
 	var cached, outlived float64
 	for _, f := range cap.Flows {
 		var rec *DNSAnswer

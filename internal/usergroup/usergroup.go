@@ -51,21 +51,25 @@ type Set struct {
 	byIdx []int32
 }
 
-// Config parameterizes UG construction.
-type Config struct {
-	Seed int64
-	// ZipfExponent controls traffic concentration across UGs. ~1.1
+// The UG population's shape.
+const (
+	// zipfExponent controls traffic concentration across UGs. ~1.1
 	// reproduces the heavy skew of real cloud traffic.
-	ZipfExponent float64
-	// PublicResolverFrac is the fraction of UGs using a public resolver
+	zipfExponent = 1.1
+	// publicResolverFrac is the fraction of UGs using a public resolver
 	// regardless of location. Real-world: a large minority uses Google
 	// DNS / similar.
-	PublicResolverFrac float64
-	// ResolversPerISP is how many resolver pools each ISP operates. ISP
+	publicResolverFrac = 0.25
+	// resolversPerISP is how many resolver pools each ISP operates. ISP
 	// resolvers serve the ISP's customers across its whole footprint,
 	// which is what makes DNS-based steering coarse (§5.2.2: LDNS serve
 	// geographically disparate users).
-	ResolversPerISP int
+	resolversPerISP = 1
+)
+
+// Config parameterizes UG construction.
+type Config struct {
+	Seed int64
 	// TargetUGs, when positive, pads the natural (stub AS, metro
 	// presence) population up to this count by sampling extra
 	// (stub AS, metro) pairs — a uniform stub AS crossed with a
@@ -80,7 +84,7 @@ type Config struct {
 
 // DefaultConfig returns sensible defaults.
 func DefaultConfig() Config {
-	return Config{Seed: 31, ZipfExponent: 1.1, PublicResolverFrac: 0.25, ResolversPerISP: 1}
+	return Config{Seed: 31}
 }
 
 // Build creates one UG per (stub AS, metro presence) pair in the
@@ -90,12 +94,6 @@ func DefaultConfig() Config {
 // geographically disparate populations) or one of a handful of public
 // resolvers.
 func Build(g *topology.Graph, cfg Config) (*Set, error) {
-	if cfg.ZipfExponent <= 0 {
-		return nil, fmt.Errorf("usergroup: ZipfExponent must be positive")
-	}
-	if cfg.ResolversPerISP < 1 {
-		return nil, fmt.Errorf("usergroup: need >=1 resolver per ISP")
-	}
 	rng := stats.NewRand(cfg.Seed)
 
 	var ugs []UG
@@ -130,7 +128,7 @@ func Build(g *topology.Graph, cfg Config) (*Set, error) {
 	}
 
 	// Zipf weights assigned in shuffled order.
-	weights := stats.ZipfWeights(len(ugs), cfg.ZipfExponent)
+	weights := stats.ZipfWeights(len(ugs), zipfExponent)
 	perm := rng.Perm(len(ugs))
 	for i := range ugs {
 		ugs[i].Weight = weights[perm[i]]
@@ -145,7 +143,7 @@ func Build(g *topology.Graph, cfg Config) (*Set, error) {
 		if a.Kind != topology.KindTransit || len(a.Metros) == 0 {
 			continue
 		}
-		for k := 0; k < cfg.ResolversPerISP; k++ {
+		for k := 0; k < resolversPerISP; k++ {
 			resolvers = append(resolvers, Resolver{ID: rid})
 			ispResolvers[n] = append(ispResolvers[n], rid)
 			rid++
@@ -159,7 +157,7 @@ func Build(g *topology.Graph, cfg Config) (*Set, error) {
 	}
 
 	for i := range ugs {
-		if rng.Float64() < cfg.PublicResolverFrac {
+		if rng.Float64() < publicResolverFrac {
 			ugs[i].Resolver = publicIDs[rng.Intn(len(publicIDs))]
 			continue
 		}
