@@ -15,7 +15,7 @@ import (
 
 // TestDetectBenchSmall pins the figure's accounting: only a detected
 // outage can resolve, and the latency summaries cover detected trials
-// only. At the default band the share sweep crosses it (the heaviest
+// only. At the tenants' band (0.08) the share sweep crosses it (the heaviest
 // PoPs are seen, the lighter ones are not); a band of 1 detects nothing.
 func TestDetectBenchSmall(t *testing.T) {
 	t.Run("default band", func(t *testing.T) {
@@ -54,7 +54,7 @@ func TestDetectBenchSmall(t *testing.T) {
 	// band on the same drive must fire, or the control proves nothing.
 	t.Run("band 1", func(t *testing.T) {
 		e := env(t)
-		if n := driftDetections(t, e, 0, 3); n == 0 {
+		if n := driftDetections(t, e, 0.08, 3); n == 0 {
 			t.Fatal("default band detected none of the three heaviest outages")
 		}
 		if n := driftDetections(t, e, 1, 3); n != 0 {

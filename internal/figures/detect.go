@@ -33,9 +33,10 @@ const (
 	// detectMaxTicks bounds the post-injection wait for the alert.
 	detectMaxTicks = 20
 	// detectForTicks is how many consecutive out-of-band ticks fire the
-	// alert: one to go pending, one to confirm. The band is the
-	// detector's own.
+	// alert: one to go pending, one to confirm.
 	detectForTicks = 2
+	// detectBand is the drift band, the one tenants run.
+	detectBand = 0.08
 )
 
 // DetectTrial is one injected outage.
@@ -105,7 +106,7 @@ func runDetectOnce(env *experiments.Env) (*DetectBenchResult, []byte, []byte, er
 		Regs:  func() []*obs.Registry { return []*obs.Registry{reg} },
 	})
 	eng := alert.NewEngine(hist,
-		alert.CatchmentDriftRules(0, detectWarmup, detectForTicks),
+		alert.CatchmentDriftRules(detectBand, detectWarmup, detectForTicks),
 		alert.Options{})
 
 	// step advances the rig one controller tick: refresh the catchment,

@@ -12,12 +12,6 @@ package alert
 // hijack/poisoning chaos family consumes: a prefix announced by an
 // attacker shows up as exactly this share shift.
 func CatchmentDriftRules(band float64, warmup, forTicks int) []Rule {
-	if band <= 0 {
-		band = 0.08
-	}
-	if warmup <= 0 {
-		warmup = 4
-	}
 	return []Rule{{
 		Name:       "catchment_drift",
 		Kind:       KindEWMA,
@@ -35,15 +29,6 @@ func CatchmentDriftRules(band float64, warmup, forTicks int) []Rule {
 // i.e. the controller is either slow to converge or churning most of
 // the config every tick.
 func ConvergenceSLORules(p99Secs, dirtyMax float64, window, forTicks int) []Rule {
-	if p99Secs <= 0 {
-		p99Secs = 2.0
-	}
-	if dirtyMax <= 0 {
-		dirtyMax = 0.9
-	}
-	if window <= 0 {
-		window = 8
-	}
 	return []Rule{
 		{
 			Name:   "convergence_slo_latency",
@@ -73,9 +58,6 @@ func ConvergenceSLORules(p99Secs, dirtyMax float64, window, forTicks int) []Rule
 // destination has gone silent at once — an ingress blackout rather
 // than an idle edge.
 func ProbeBlackoutRule(window, forTicks int) Rule {
-	if window <= 0 {
-		window = 5
-	}
 	return Rule{
 		Name:   "tm_probe_blackout",
 		Kind:   KindAbsence,

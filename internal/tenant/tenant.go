@@ -208,8 +208,8 @@ func buildInstance(st Stored, logger *slog.Logger, parent *span.Tracer) (*instan
 		Clock: history.TickClock(0, int64(spec.TickMs)*int64(time.Millisecond)),
 		Regs:  func() []*obs.Registry { return []*obs.Registry{reg, w.Obs()} },
 	})
-	rules := alert.CatchmentDriftRules(0, 8, 1)
-	rules = append(rules, alert.ConvergenceSLORules(0, 0, 8, 2)...)
+	rules := alert.CatchmentDriftRules(0.08, 8, 1)
+	rules = append(rules, alert.ConvergenceSLORules(2.0, 0.9, 8, 2)...)
 	eng := alert.NewEngine(hist, rules, alert.Options{
 		Labels: map[string]string{"tenant": st.ID},
 		Logger: logger,

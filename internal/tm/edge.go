@@ -227,10 +227,42 @@ type Edge struct {
 
 	greSeq atomic.Uint32
 
+	// batch bounds the data send queue: the group's per-syscall batch.
+	batch int
+	q     sendQueue
+
 	wg     sync.WaitGroup
 	closed chan struct{}
 
 	m edgeMetrics
+}
+
+// sendQueue is the data half of the edge's send path. Send encapsulates
+// into arena and queues a message under mu; one flusher at a time (an
+// inline sender or the writer goroutine) hands the whole queue to a
+// single WriteBatch, which is one sendmmsg, or one UDP_SEGMENT send
+// when the batch is uniform. The queue and its spare are swapped on
+// each flush, so the steady state allocates nothing.
+type sendQueue struct {
+	mu sync.Mutex
+	// space is broadcast when a flusher takes the queue and when a
+	// flush ends.
+	space      sync.Cond
+	msgs       []netio.Message
+	arena      []byte
+	spareMsgs  []netio.Message
+	spareArena []byte
+	// flushing is set while a flusher owns the socket; the queue is
+	// non-empty only while it is set.
+	flushing bool
+	closed   bool
+	// lastEnd and lastCost time the last inline flush: a Send that comes
+	// sooner after it than it took hands the queue to the writer.
+	lastEnd  time.Time
+	lastCost time.Duration
+	// kick wakes the writer goroutine; at most one kick is pending,
+	// since only a Send that sets flushing sends one.
+	kick chan struct{}
 }
 
 // EdgeStats counts edge activity.
@@ -253,19 +285,30 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tm: edge listen: %w", err)
 	}
-	e := newEdge(cfg, group.Conns()[0])
-	e.group = group
-	if err := e.SetDestinations(cfg.Destinations); err != nil {
+	e := newEdge(cfg, group.Conns()[0], group.Batch())
+	if err := e.start(group); err != nil {
 		_ = group.Close()
 		return nil, err
+	}
+	return e, nil
+}
+
+// start runs the edge on group: it installs the configured
+// destinations, then starts a reader per socket, the probe loop and the
+// data writer.
+func (e *Edge) start(group *netio.Group) error {
+	e.group = group
+	if err := e.SetDestinations(e.cfg.Destinations); err != nil {
+		return err
 	}
 	for _, c := range group.Conns() {
 		e.wg.Add(1)
 		go e.readLoop(c)
 	}
-	e.wg.Add(1)
+	e.wg.Add(2)
 	go e.probeLoop()
-	return e, nil
+	go e.writeLoop()
+	return nil
 }
 
 func (cfg EdgeConfig) withDefaults() EdgeConfig {
@@ -279,18 +322,22 @@ func (cfg EdgeConfig) withDefaults() EdgeConfig {
 }
 
 // newEdge builds the edge's state around the socket it originates
-// traffic on and starts nothing: the probe state machine is then driven
-// by probeRound and handleProbeReply alone, which is how the tests run
-// it without sockets.
-func newEdge(cfg EdgeConfig, out netio.Conn) *Edge {
+// traffic on, whose data batches hold at most batch datagrams, and
+// starts nothing: the probe state machine is then driven by probeRound
+// and handleProbeReply alone, which is how the tests run it without
+// sockets.
+func newEdge(cfg EdgeConfig, out netio.Conn, batch int) *Edge {
 	e := &Edge{
 		cfg:    cfg,
 		out:    out,
 		dests:  make(map[string]*destState),
 		owner:  make(map[uint32]*destState),
 		flows:  newFlowMap[*destState](),
+		batch:  batch,
 		closed: make(chan struct{}),
 	}
+	e.q.space.L = &e.q.mu
+	e.q.kick = make(chan struct{}, 1)
 	e.m = newEdgeMetrics(cfg.Obs, e)
 	return e
 }
@@ -385,7 +432,8 @@ func (e *Edge) Stats() EdgeStats {
 	}
 }
 
-// Close stops the edge.
+// Close stops the edge. Every datagram Send accepted is written before
+// the sockets close.
 func (e *Edge) Close() error {
 	select {
 	case <-e.closed:
@@ -393,6 +441,14 @@ func (e *Edge) Close() error {
 	default:
 	}
 	close(e.closed)
+	q := &e.q
+	q.mu.Lock()
+	q.closed = true
+	close(q.kick)
+	for q.flushing {
+		q.space.Wait()
+	}
+	q.mu.Unlock()
 	err := e.group.Close()
 	e.wg.Wait()
 	e.mu.Lock()
@@ -456,7 +512,16 @@ func (e *Edge) Selected() (tmproto.Destination, bool) {
 // exchange for not building a handover system).
 //
 // The steady-state path — flow pinned, destination alive — touches only
-// the flow stripe and the socket: no edge-wide lock.
+// the flow stripe and the send queue: no edge-wide lock.
+//
+// Send returns once the datagram is queued. Encode errors, "no alive
+// destination" and a closed edge come back synchronously; a socket
+// failure does not: it is counted in SendErrors, and DataSent counts
+// only datagrams that left the socket. Datagrams leave in Send order.
+// Back-to-back Sends share one WriteBatch: a Send that finds a flush
+// in progress only queues, and one that comes sooner after the last
+// inline write than that write took hands the queue to the writer
+// goroutine instead of writing it itself.
 func (e *Edge) Send(flow tmproto.FlowKey, payload []byte) error {
 	if ds, ok := e.flows.Get(flow); ok && !ds.removed.Load() && ds.alive() {
 		return e.sendData(ds, flow, payload, tmproto.TraceContext{})
@@ -509,22 +574,103 @@ func (e *Edge) sendSlow(flow tmproto.FlowKey, payload []byte) error {
 	return e.sendData(sel, flow, payload, trace)
 }
 
-// sendData encapsulates and writes one data packet in the destination's
-// wire mode.
+// sendData queues one data packet, encapsulated in the destination's
+// wire mode, and writes the queue inline unless a flush is already in
+// progress or sends are arriving faster than an inline write takes.
+// A full queue (batch datagrams) waits for its flusher to take it.
 func (e *Edge) sendData(ds *destState, flow tmproto.FlowKey, payload []byte, trace tmproto.TraceContext) error {
-	out, err := tmproto.AppendData(nil, tmproto.Data{Flow: flow, Payload: payload, Trace: trace})
-	if err != nil {
-		return err
+	q := &e.q
+	q.mu.Lock()
+	for len(q.msgs) >= e.batch && !q.closed {
+		q.space.Wait()
 	}
+	if q.closed {
+		q.mu.Unlock()
+		return net.ErrClosed
+	}
+	start := len(q.arena)
+	out := q.arena
 	if ds.gre {
-		out = tmproto.AppendGRE(make([]byte, 0, tmproto.GREOverhead+len(out)), ds.greKey, e.greSeq.Add(1), out)
+		out = tmproto.AppendGRE(out, ds.greKey, e.greSeq.Add(1), nil)
 	}
-	if _, err := e.out.WriteBatch([]netio.Message{{Buf: out, N: len(out), Addr: ds.addr}}); err != nil {
-		e.m.sendErrors.Inc()
+	out, err := tmproto.AppendData(out, tmproto.Data{Flow: flow, Payload: payload, Trace: trace})
+	if err != nil {
+		q.mu.Unlock()
 		return err
 	}
-	e.m.dataSent.Inc()
+	q.arena = out
+	// Capped sub-slice: arena growth must reallocate rather than
+	// scribble over a queued neighbor.
+	msg := out[start:len(out):len(out)]
+	q.msgs = append(q.msgs, netio.Message{Buf: msg, N: len(msg), Addr: ds.addr})
+	if q.flushing {
+		q.mu.Unlock()
+		return nil
+	}
+	q.flushing = true
+	now := time.Now()
+	if now.Sub(q.lastEnd) <= q.lastCost {
+		q.kick <- struct{}{} // never blocks: no flush was in progress
+		q.mu.Unlock()
+		return nil
+	}
+	q.mu.Unlock()
+	e.flush(now)
 	return nil
+}
+
+// writeLoop flushes the queue each time a Send hands it over, and
+// exits once Close has closed the kick channel and the last handed-over
+// queue is written.
+func (e *Edge) writeLoop() {
+	defer e.wg.Done()
+	for range e.q.kick {
+		e.flush(time.Time{})
+	}
+}
+
+// flush writes the queue until it is empty, one WriteBatch per queue
+// taken, and then gives up the flusher role its caller was given.
+// began is when an inline flush's Send took the flusher role; the
+// writer passes the zero time, and only inline flushes are timed.
+func (e *Edge) flush(began time.Time) {
+	q := &e.q
+	q.mu.Lock()
+	for len(q.msgs) > 0 {
+		ms, arena := q.msgs, q.arena
+		q.msgs, q.arena = q.spareMsgs, q.spareArena
+		q.space.Broadcast()
+		q.mu.Unlock()
+		sent, failed := writeAll(e.out, ms)
+		e.m.dataSent.Add(uint64(sent))
+		e.m.sendErrors.Add(uint64(failed))
+		q.mu.Lock()
+		q.spareMsgs, q.spareArena = ms[:0], arena[:0]
+	}
+	q.flushing = false
+	if !began.IsZero() {
+		q.lastEnd = time.Now()
+		q.lastCost = q.lastEnd.Sub(began)
+	}
+	q.space.Broadcast()
+	q.mu.Unlock()
+}
+
+// writeAll sends every message of ms through c: a message whose write
+// fails is skipped and the batch resumes behind it (UDP; receivers own
+// retransmission). It returns how many messages left the socket and
+// how many failed. Probes, data and PoP replies all leave through it.
+func writeAll(c netio.Conn, ms []netio.Message) (sent, failed int) {
+	for len(ms) > 0 {
+		n, err := c.WriteBatch(ms)
+		sent += n
+		if err == nil {
+			return sent, failed
+		}
+		failed++
+		ms = ms[n+1:] // ms[n] is the failed message
+	}
+	return sent, failed
 }
 
 // sortedDestsLocked returns destinations ordered by (rtt, key) with
@@ -670,7 +816,11 @@ func (e *Edge) probeRound(now time.Time) {
 	events = append(events, e.reselectLocked(now)...)
 	e.mu.Unlock()
 
-	e.writeProbes(sends)
+	// Probes keep their own write and never queue behind data. Only
+	// probes that left count as sent; failures land in SendErrors.
+	sent, failed := writeAll(e.out, sends)
+	e.m.probesSent.Add(uint64(sent))
+	e.m.sendErrors.Add(uint64(failed))
 	e.emit(events)
 }
 
@@ -727,24 +877,6 @@ func (e *Edge) retireLocked(ds *destState, n int, why string) {
 		r.span.Finish()
 	}
 	ds.probes = ds.probes[n:]
-}
-
-// writeProbes flushes a probe batch, counting successes and failures
-// separately: ProbesSent moves only for datagrams that actually left
-// the socket, send failures land in SendErrors. A poisoned message is
-// skipped and the rest of the batch still goes out.
-func (e *Edge) writeProbes(sends []netio.Message) {
-	for len(sends) > 0 {
-		sent, err := e.out.WriteBatch(sends)
-		if sent > 0 {
-			e.m.probesSent.Add(uint64(sent))
-		}
-		if err == nil {
-			return
-		}
-		e.m.sendErrors.Inc()
-		sends = sends[sent+1:] // sends[sent] is the failed message
-	}
 }
 
 // reselectLocked applies selectLowestRTT over the alive

@@ -2,6 +2,7 @@ package tm
 
 import (
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,4 +312,133 @@ func BenchmarkTunnelRoundTrip(b *testing.B) {
 			b.Fatal("echo timeout")
 		}
 	}
+}
+
+// dataWrites counts the WriteBatch calls that carry data; probe writes
+// pass through uncounted.
+type dataWrites struct {
+	netio.Conn
+	n atomic.Int64
+}
+
+func (c *dataWrites) WriteBatch(ms []netio.Message) (int, error) {
+	if t, err := tmproto.PeekType(ms[0].Buf[:ms[0].N]); err == nil && t == tmproto.TypeData {
+		c.n.Add(1)
+	}
+	return c.Conn.WriteBatch(ms)
+}
+
+// BenchmarkEdgeClosedLoop keeps 256 round trips of 16 B in flight over
+// 4,096 pinned flows, edge straight to PoP on loopback: the shape of
+// tm-echo's closed-loop phase. An op is one round trip. Beside round
+// trips per second it reports allocations and data WriteBatch calls per
+// round trip; the second is the count that coalescing moves.
+func BenchmarkEdgeClosedLoop(b *testing.B) {
+	const window, size, nflows = 256, 16, 4096
+	pop, err := NewPoP(PoPConfig{ListenAddr: "127.0.0.1:0", PoPID: 1, FlowTTL: 10 * time.Minute})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pop.Close()
+	ap, err := netip.ParseAddrPort(pop.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	slots := make(chan struct{}, window) // one per round trip in flight
+	var echoes atomic.Int64
+	cfg := DefaultEdgeConfig()
+	cfg.Destinations = []tmproto.Destination{{Addr: ap.Addr(), Port: ap.Port(), PoP: 1}}
+	cfg.OnReturn = func(tmproto.FlowKey, []byte) {
+		echoes.Add(1)
+		select {
+		case <-slots:
+		default:
+		}
+	}
+	group, err := netio.Listen("127.0.0.1:0", netio.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := &dataWrites{Conn: group.Conns()[0]}
+	edge := newEdge(cfg.withDefaults(), out, group.Batch())
+	if err := edge.start(group); err != nil {
+		_ = group.Close()
+		b.Fatal(err)
+	}
+	defer edge.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for _, ok := edge.Selected(); !ok; _, ok = edge.Selected() {
+		if time.Now().After(deadline) {
+			b.Fatal("no destination")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Echoes that never come back (UDP) are written off after 200 ms
+	// without progress, so the window cannot shrink for good.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		last, lastAt := echoes.Load(), time.Now()
+		for {
+			select {
+			case <-stop:
+				return
+			case now := <-tick.C:
+				if got := echoes.Load(); got != last || now.Sub(lastAt) < 200*time.Millisecond {
+					if got != last {
+						last, lastAt = got, now
+					}
+					continue
+				}
+				for n := len(slots); n > 0; n-- {
+					select {
+					case <-slots:
+					default:
+					}
+				}
+				lastAt = now
+			}
+		}
+	}()
+	flows := make([]tmproto.FlowKey, nflows)
+	for i := range flows {
+		flows[i] = tmproto.FlowKey{
+			Proto:   17,
+			Src:     netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}),
+			Dst:     netip.MustParseAddr("203.0.113.9"),
+			SrcPort: uint16(20000 + i),
+			DstPort: 443,
+		}
+	}
+	payload := make([]byte, size)
+	roundTrips := func(n int) {
+		for i := 0; i < n; i++ {
+			slots <- struct{}{}
+			if err := edge.Send(flows[i%nflows], payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for wait := time.Now(); len(slots) > 0 && time.Since(wait) < time.Second; {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	roundTrips(nflows) // pin every flow at the edge and the PoP
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	echoes0, writes0 := echoes.Load(), out.n.Load()
+	b.ResetTimer()
+	start := time.Now()
+	roundTrips(b.N)
+	elapsed := time.Since(start)
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	rts := float64(echoes.Load() - echoes0)
+	b.ReportMetric(rts/elapsed.Seconds(), "rt/s")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/rts, "allocs/rt")
+	b.ReportMetric(float64(out.n.Load()-writes0)/rts, "writes/rt")
 }

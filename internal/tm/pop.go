@@ -377,7 +377,7 @@ func (p *PoP) readLoop(conn netio.Conn) {
 
 		// Probe/resolve replies go out before service dispatch — and
 		// before the next ReadBatch reuses the buffers they point into.
-		writeAllBestEffort(conn, replies)
+		writeAll(conn, replies)
 
 		if len(jobs) > 0 {
 			pb := popBatch{conn: conn, jobs: make([]popJob, len(jobs))}
@@ -545,18 +545,5 @@ func (rs *replySink) finish() {
 	// The flush happens on the worker goroutine before the next reset;
 	// late adds see done and never touch msgs, so writing outside the
 	// lock is safe.
-	writeAllBestEffort(conn, msgs)
-}
-
-// writeAllBestEffort flushes a reply batch, skipping over individual
-// messages whose send fails (the tunnel is UDP; receivers own
-// retransmission) while still delivering the rest.
-func writeAllBestEffort(conn netio.Conn, ms []netio.Message) {
-	for len(ms) > 0 {
-		sent, err := conn.WriteBatch(ms)
-		if err == nil {
-			return
-		}
-		ms = ms[sent+1:] // ms[sent] is the poisoned message; skip it
-	}
+	writeAll(conn, msgs)
 }

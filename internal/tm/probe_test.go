@@ -88,7 +88,7 @@ func newProbeSim(t *testing.T, probeInterval time.Duration, startSeq uint32, rtt
 	cfg := DefaultEdgeConfig()
 	cfg.ProbeInterval = probeInterval
 	cfg.OnEvent = func(ev Event) { s.events = append(s.events, ev) }
-	s.e = newEdge(cfg.withDefaults(), s.conn)
+	s.e = newEdge(cfg.withDefaults(), s.conn, 32)
 	s.e.seq = startSeq
 	var dests []tmproto.Destination
 	for i, rtt := range rtts {
